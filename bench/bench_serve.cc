@@ -12,11 +12,6 @@
 // operand columns, stages == 1, and batching then raises device
 // utilization but not per-query pipelining.
 //
-// The header also carries the scratch-reuse measurement for the dispatch
-// hot path: executing the same device batch through the allocating
-// RunQueryBatch overload vs the reuse overload the scheduler uses
-// (QueryHandleBatch + QueryScratch hoisted across dispatches).
-//
 //   bench_serve [--chaos] [n] [requests]     (defaults 1536, 384)
 //
 // --chaos additionally runs the replica-failover sweep: the same trace
@@ -72,33 +67,6 @@ serve::ReplayOutput MustReplay(serve::PimServer& server,
   auto output = server.Replay(trace, queries);
   PIMINE_CHECK(output.ok()) << output.status().ToString();
   return *std::move(output);
-}
-
-/// Times `iterations` executions of one Q=kMaxBatch device batch through
-/// `engine`, either allocating a fresh QueryHandleBatch per call (the
-/// by-value overload) or reusing one hoisted handle + scratch (the
-/// overload the serving scheduler runs). Best of 3 repetitions.
-double DispatchLoopMs(const ShardedPimEngine& engine,
-                      std::span<const float> qbuf, int iterations,
-                      bool reuse) {
-  ShardedPimEngine::QueryScratch scratch;
-  ShardedPimEngine::QueryHandleBatch handle;
-  double best_ms = 0.0;
-  for (int rep = 0; rep < 3; ++rep) {
-    Timer timer;
-    for (int i = 0; i < iterations; ++i) {
-      if (reuse) {
-        PIMINE_CHECK_OK(
-            engine.RunQueryBatch(qbuf, kMaxBatch, &scratch, &handle));
-      } else {
-        auto fresh = engine.RunQueryBatch(qbuf, kMaxBatch, &scratch);
-        PIMINE_CHECK(fresh.ok()) << fresh.status().ToString();
-      }
-    }
-    const double ms = timer.ElapsedMillis();
-    if (rep == 0 || ms < best_ms) best_ms = ms;
-  }
-  return best_ms;
 }
 
 int Main(int argc, char** argv) {
@@ -369,27 +337,6 @@ int Main(int argc, char** argv) {
     chaos_table.Print();
   }
 
-  // Satellite measurement: the scheduler's hoisted-scratch dispatch path
-  // vs allocating a fresh handle per dispatch.
-  const int dispatch_iters = 24;
-  std::vector<float> qbuf(kMaxBatch * workload.data.cols());
-  for (size_t q = 0; q < kMaxBatch; ++q) {
-    const auto row = workload.queries.row(q % workload.queries.rows());
-    std::copy(row.begin(), row.end(),
-              qbuf.begin() + q * workload.data.cols());
-  }
-  const double alloc_ms =
-      DispatchLoopMs((*server)->engine(), qbuf, dispatch_iters, false);
-  const double reuse_ms =
-      DispatchLoopMs((*server)->engine(), qbuf, dispatch_iters, true);
-
-  Banner("Dispatch scratch reuse (" + std::to_string(dispatch_iters) +
-         " batches of Q=" + std::to_string(kMaxBatch) + ")");
-  TablePrinter reuse_table({"variant", "wall_ms"});
-  reuse_table.AddRow({"alloc per dispatch", Fmt(alloc_ms, 3)});
-  reuse_table.AddRow({"hoisted scratch (server path)", Fmt(reuse_ms, 3)});
-  reuse_table.Print();
-
   std::ostringstream json;
   json << "{\n"
        << "  \"schema\": \"pimine.bench.serve.v1\",\n"
@@ -402,8 +349,6 @@ int Main(int argc, char** argv) {
        << "  \"max_wait_ns\": " << kMaxWaitNs << ",\n"
        << "  \"serial_query_ns\": " << Fmt(serial_ns, 1) << ",\n"
        << "  \"marginal_query_ns\": " << Fmt(marginal_ns, 1) << ",\n"
-       << "  \"dispatch_alloc_ms\": " << Fmt(alloc_ms, 4) << ",\n"
-       << "  \"dispatch_reuse_ms\": " << Fmt(reuse_ms, 4) << ",\n"
        << "  \"identical_across_threads\": "
        << (identical_across_threads ? "true" : "false") << ",\n"
        << "  \"sweep\": [\n" << sweep_json.str() << "\n  ],\n";

@@ -1,21 +1,31 @@
 #include "knn/fnn_knn.h"
 
 #include <algorithm>
+#include <optional>
 
-#include "common/logging.h"
 #include "core/bounds.h"
-#include "core/similarity.h"
+#include "knn/filter_refine.h"
 #include "util/timer.h"
 
 namespace pimine {
 
-FnnKnn::FnnKnn(std::vector<int64_t> level_divisors)
-    : level_divisors_(std::move(level_divisors)) {
-  PIMINE_CHECK(!level_divisors_.empty());
-  for (int64_t div : level_divisors_) PIMINE_CHECK(div >= 1);
+Status CheckLevelDivisors(std::span<const int64_t> level_divisors) {
+  if (level_divisors.empty()) {
+    return Status::InvalidArgument("FNN needs at least one level divisor");
+  }
+  for (const int64_t div : level_divisors) {
+    if (div < 1) {
+      return Status::InvalidArgument("FNN level divisors must be >= 1");
+    }
+  }
+  return Status::OK();
 }
 
+FnnKnn::FnnKnn(std::vector<int64_t> level_divisors)
+    : level_divisors_(std::move(level_divisors)) {}
+
 Status FnnKnn::Prepare(const FloatMatrix& data) {
+  PIMINE_RETURN_IF_ERROR(CheckLevelDivisors(level_divisors_));
   if (data.empty()) return Status::InvalidArgument("empty dataset");
   data_ = &data;
   levels_.clear();
@@ -77,7 +87,6 @@ Result<KnnRunResult> FnnKnn::Search(const FloatMatrix& queries, int k) {
       [&](size_t qi, size_t slot_index, SearchSlot& slot) {
         const auto q = queries.row(qi);
         Scratch& s = scratch[slot_index];
-        TopK topk(static_cast<size_t>(k));
 
         // Coarsest level over every object.
         {
@@ -96,31 +105,23 @@ Result<KnnRunResult> FnnKnn::Search(const FloatMatrix& queries, int k) {
         }
 
         // Refinement in coarse-bound order; finer levels prune survivors.
-        std::vector<uint32_t> order;
-        {
-          ScopedFunctionTimer timer(&slot.profile, "LB_FNN");
-          order = ArgsortAscending(s.first_bounds);
-        }
-        for (uint32_t idx : order) {
-          if (topk.full() && s.first_bounds[idx] >= topk.threshold()) break;
-          bool pruned = false;
-          for (size_t lv = 1; lv < num_levels && !pruned; ++lv) {
-            ScopedFunctionTimer timer(&slot.profile, "LB_FNN");
-            const SegmentStats& level = levels_[lv];
-            const double lb =
-                LbFnn(level.means.row(idx), level.stds.row(idx),
-                      s.q_means[lv], s.q_stds[lv], level.segment_length);
-            ++slot.bound_count;
-            pruned = topk.full() && lb >= topk.threshold();
-          }
-          if (pruned) continue;
-          ScopedFunctionTimer timer(&slot.profile, "ED");
-          const double d = SquaredEuclideanEarlyAbandon(data_->row(idx), q,
-                                                        topk.threshold());
-          topk.Push(d, static_cast<int32_t>(idx));
-          ++slot.exact_count;
-        }
-        result.neighbors[qi] = topk.TakeSorted();
+        const auto exact =
+            ExactRefine(Distance::kEuclidean, *data_, q, &slot.profile);
+        result.neighbors[qi] = FilterRefine(
+            s.first_bounds, k, /*similarity=*/false, &slot.profile, "LB_FNN",
+            &slot.exact_count,
+            [&](uint32_t idx, const TopK& topk) -> std::optional<double> {
+              for (size_t lv = 1; lv < num_levels; ++lv) {
+                ScopedFunctionTimer timer(&slot.profile, "LB_FNN");
+                const SegmentStats& level = levels_[lv];
+                const double lb =
+                    LbFnn(level.means.row(idx), level.stds.row(idx),
+                          s.q_means[lv], s.q_stds[lv], level.segment_length);
+                ++slot.bound_count;
+                if (topk.full() && lb >= topk.threshold()) return std::nullopt;
+              }
+              return exact(idx, topk);
+            });
       });
   PIMINE_RETURN_IF_ERROR(status);
 

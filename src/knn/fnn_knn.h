@@ -1,12 +1,17 @@
 #ifndef PIMINE_KNN_FNN_KNN_H_
 #define PIMINE_KNN_FNN_KNN_H_
 
+#include <span>
 #include <vector>
 
 #include "core/segments.h"
 #include "knn/knn_common.h"
 
 namespace pimine {
+
+/// InvalidArgument unless `level_divisors` names at least one LB_FNN level
+/// and every divisor of d is >= 1 (shared by FNN and FNN-PIM).
+Status CheckLevelDivisors(std::span<const int64_t> level_divisors);
 
 /// FNN (Hwang et al., CVPR'12): a cascade of LB_FNN bounds of increasing
 /// tightness — d/64, d/16, d/4 segments (Fig. 12a) — followed by exact ED.

@@ -2,30 +2,33 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 
-#include "common/logging.h"
 #include "core/bounds.h"
 #include "core/similarity.h"
-#include "obs/obs.h"
+#include "knn/filter_refine.h"
+#include "knn/fnn_knn.h"
 #include "util/random.h"
-#include "util/timer.h"
 
 namespace pimine {
 
 FnnPimKnn::FnnPimKnn(EngineOptions options, bool optimize,
                      std::vector<int64_t> level_divisors,
                      int plan_sample_queries, int plan_k)
-    : options_(std::move(options)),
+    : PimKnnBase(std::move(options)),
       optimize_(optimize),
       level_divisors_(std::move(level_divisors)),
       plan_sample_queries_(plan_sample_queries),
       plan_k_(plan_k) {
-  PIMINE_CHECK(!level_divisors_.empty());
-  PIMINE_CHECK(plan_sample_queries_ >= 1 && plan_k_ >= 1);
   options_.bound = EngineOptions::Bound::kSegmentFnn;
 }
 
 Status FnnPimKnn::Prepare(const FloatMatrix& data) {
+  PIMINE_RETURN_IF_ERROR(CheckLevelDivisors(level_divisors_));
+  if (plan_sample_queries_ < 1 || plan_k_ < 1) {
+    return Status::InvalidArgument(
+        "FNN-PIM plan_sample_queries and plan_k must be >= 1");
+  }
   if (data.empty()) return Status::InvalidArgument("empty dataset");
   data_ = &data;
   PIMINE_ASSIGN_OR_RETURN(
@@ -80,8 +83,7 @@ Status FnnPimKnn::RebuildPlan(const FloatMatrix& data) {
 }
 
 Status FnnPimKnn::OnInsert(const FloatMatrix& rows) {
-  if (engine_ == nullptr) return Status::FailedPrecondition("Prepare first");
-  PIMINE_RETURN_IF_ERROR(engine_->AppendRows(rows));
+  PIMINE_RETURN_IF_ERROR(PimKnnBase::OnInsert(rows));
   // Per-row segment statistics of the retained original levels: means and
   // stds depend only on their own row, so appending equals a fresh
   // ComputeSegmentStats of the merged corpus.
@@ -94,17 +96,8 @@ Status FnnPimKnn::OnInsert(const FloatMatrix& rows) {
   return Status::OK();
 }
 
-Status FnnPimKnn::OnDelete(std::span<const uint32_t> rows) {
-  if (engine_ == nullptr) return Status::FailedPrecondition("Prepare first");
-  for (const uint32_t row : rows) {
-    PIMINE_RETURN_IF_ERROR(engine_->DeleteRow(row));
-  }
-  return Status::OK();
-}
-
 Status FnnPimKnn::OnCompact(const std::vector<uint32_t>& live) {
-  if (engine_ == nullptr) return Status::FailedPrecondition("Prepare first");
-  PIMINE_RETURN_IF_ERROR(engine_->Compact());
+  PIMINE_RETURN_IF_ERROR(PimKnnBase::OnCompact(live));
   for (SegmentStats& level : levels_) {
     level.means.KeepRows(live);
     level.stds.KeepRows(live);
@@ -202,170 +195,81 @@ Status FnnPimKnn::MeasureCandidates(const FloatMatrix& data) {
 }
 
 uint64_t FnnPimKnn::OfflineBytesWritten() const {
-  uint64_t bytes = engine_ ? engine_->OfflineBytesWritten() : 0;
+  uint64_t bytes = PimKnnBase::OfflineBytesWritten();
   for (size_t lv : selected_levels_) {
     bytes += levels_[lv].means.SizeBytes() + levels_[lv].stds.SizeBytes();
   }
   return bytes;
 }
 
-Result<KnnRunResult> FnnPimKnn::Search(const FloatMatrix& queries, int k) {
-  if (engine_ == nullptr) return Status::FailedPrecondition("Prepare first");
-  if (queries.cols() != data_->cols()) {
-    return Status::InvalidArgument("query dimensionality mismatch");
-  }
-  // Tombstoned rows are unreachable (their bound sorts last), so k ranges
-  // over the LIVE corpus.
-  if (k <= 0 || static_cast<size_t>(k) > engine_->live_objects()) {
-    return Status::InvalidArgument("k out of range");
-  }
-
-  KnnRunResult result;
-  result.neighbors.resize(queries.rows());
-  engine_->ResetOnlineStats();
-  traffic::AggregateScope traffic_scope;
-  Timer wall;
-
+std::vector<Neighbor> FnnPimKnn::SearchQuery(std::span<const float> q,
+                                             size_t bq, int k, BatchScratch& s,
+                                             SearchSlot& slot) const {
   const size_t n = data_->rows();
-  struct Scratch {
-    std::vector<double> bounds;
-    std::vector<std::vector<float>> q_means;
-    std::vector<std::vector<float>> q_stds;
-    ShardedPimEngine::QueryScratch query;
+  // Query-side segment statistics of each level the query uses.
+  std::vector<std::vector<float>> q_means(levels_.size());
+  std::vector<std::vector<float>> q_stds(levels_.size());
+  const auto query_segments = [&](size_t lv) {
+    const auto segments = static_cast<size_t>(levels_[lv].num_segments);
+    q_means[lv].resize(segments);
+    q_stds[lv].resize(segments);
+    ComputeSegments(q, levels_[lv].num_segments, q_means[lv], q_stds[lv]);
   };
-  std::vector<Scratch> scratch(NumBatchSlots(exec_policy_, queries.rows()));
-  for (Scratch& s : scratch) {
-    s.bounds.resize(n);
-    s.q_means.resize(levels_.size());
-    s.q_stds.resize(levels_.size());
-    for (size_t lv = 0; lv < levels_.size(); ++lv) {
-      s.q_means[lv].resize(static_cast<size_t>(levels_[lv].num_segments));
-      s.q_stds[lv].resize(static_cast<size_t>(levels_[lv].num_segments));
+
+  // Sort-order filter: the PIM bound when selected, else the first
+  // retained original level, else no filter at all.
+  if (use_pim_filter_) {
+    ScopedFunctionTimer timer(&slot.profile, "LB_PIM");
+    for (size_t i = 0; i < n; ++i) {
+      s.bounds[i] = engine_->BoundFor(s.batch, bq, i);
+    }
+    slot.bound_count += n;
+  } else if (!selected_levels_.empty()) {
+    ScopedFunctionTimer timer(&slot.profile, "LB_FNN");
+    const size_t lv = selected_levels_[0];
+    const SegmentStats& level = levels_[lv];
+    query_segments(lv);
+    for (size_t i = 0; i < n; ++i) {
+      // Host-side level bounds know nothing about tombstones, so prune
+      // deleted rows here the way the PIM bound would.
+      s.bounds[i] = engine_->IsDeleted(i)
+                        ? std::numeric_limits<double>::infinity()
+                        : LbFnn(level.means.row(i), level.stds.row(i),
+                                q_means[lv], q_stds[lv], level.segment_length);
+    }
+    slot.bound_count += n;
+  } else {
+    for (size_t i = 0; i < n; ++i) {
+      s.bounds[i] =
+          engine_->IsDeleted(i) ? std::numeric_limits<double>::infinity() : 0.0;
     }
   }
 
-  // Serial-equivalent device time per query, hoisted so every QuerySpan
-  // charges the same value regardless of device-batch grouping. Zero when
-  // the plan dropped the PIM bound (no device op is issued).
-  const double device_ns_per_query =
-      obs::Obs::Enabled() && use_pim_filter_ ? engine_->SerialDeviceNsPerQuery()
-                                             : 0.0;
-
-  Status status = RunQueryBatchesWithPolicy(
-      exec_policy_, queries.rows(), &result.stats,
-      [&](size_t begin, size_t end, size_t slot_index, SearchSlot& slot) {
-        Scratch& s = scratch[slot_index];
-        const size_t batch_size = end - begin;
-
-        // When the Eq. 13 plan kept the PIM bound, run the whole device
-        // batch up front; the plan may also have dropped it, in which case
-        // no device op is issued at all.
-        ShardedPimEngine::QueryHandleBatch batch;
-        if (use_pim_filter_) {
-          ScopedFunctionTimer timer(&slot.profile, "LB_PIM");
-          auto r = engine_->RunQueryBatch(
-              std::span<const float>(queries.data() + begin * queries.cols(),
-                                     batch_size * queries.cols()),
-              batch_size, &s.query);
-          if (!r.ok()) {
-            slot.status = r.status();
-            return;
-          }
-          batch = std::move(r).value();
+  // The remaining selected levels prune the filter's survivors.
+  const std::span<const size_t> cascade =
+      std::span<const size_t>(selected_levels_)
+          .subspan(!use_pim_filter_ && !selected_levels_.empty() ? 1 : 0);
+  {
+    ScopedFunctionTimer timer(&slot.profile, "LB_FNN");
+    for (const size_t lv : cascade) query_segments(lv);
+  }
+  const auto exact =
+      ExactRefine(Distance::kEuclidean, *data_, q, &slot.profile);
+  return FilterRefine(
+      s.bounds, k, /*similarity=*/false, &slot.profile, "LB_PIM",
+      &slot.exact_count,
+      [&](uint32_t idx, const TopK& topk) -> std::optional<double> {
+        for (const size_t lv : cascade) {
+          ScopedFunctionTimer timer(&slot.profile, "LB_FNN");
+          const SegmentStats& level = levels_[lv];
+          const double lb = LbFnn(level.means.row(idx), level.stds.row(idx),
+                                  q_means[lv], q_stds[lv],
+                                  level.segment_length);
+          ++slot.bound_count;
+          if (topk.full() && lb >= topk.threshold()) return std::nullopt;
         }
-
-        for (size_t qi = begin; qi < end; ++qi) {
-          obs::QuerySpan query_span(static_cast<int64_t>(qi), &slot.latency,
-                                    device_ns_per_query);
-          const auto q = queries.row(qi);
-          const size_t bq = qi - begin;
-          TopK topk(static_cast<size_t>(k));
-
-          // Sort-order filter: the PIM bound when selected, else the first
-          // retained original level, else no filter at all.
-          if (use_pim_filter_) {
-            ScopedFunctionTimer timer(&slot.profile, "LB_PIM");
-            for (size_t i = 0; i < n; ++i) {
-              s.bounds[i] = engine_->BoundFor(batch, bq, i);
-            }
-            slot.bound_count += n;
-          } else if (!selected_levels_.empty()) {
-            ScopedFunctionTimer timer(&slot.profile, "LB_FNN");
-            const SegmentStats& level = levels_[selected_levels_[0]];
-            const size_t lv = selected_levels_[0];
-            ComputeSegments(q, level.num_segments, s.q_means[lv], s.q_stds[lv]);
-            for (size_t i = 0; i < n; ++i) {
-              // Host-side level bounds know nothing about tombstones, so
-              // prune deleted rows here the way the PIM bound would.
-              s.bounds[i] = engine_->IsDeleted(i)
-                                ? std::numeric_limits<double>::infinity()
-                                : LbFnn(level.means.row(i), level.stds.row(i),
-                                        s.q_means[lv], s.q_stds[lv],
-                                        level.segment_length);
-            }
-            slot.bound_count += n;
-          } else {
-            for (size_t i = 0; i < n; ++i) {
-              s.bounds[i] = engine_->IsDeleted(i)
-                                ? std::numeric_limits<double>::infinity()
-                                : 0.0;
-            }
-          }
-          const size_t first_refine_level =
-              use_pim_filter_ ? 0 : (selected_levels_.empty() ? 0 : 1);
-
-          {
-            ScopedFunctionTimer timer(&slot.profile, "LB_FNN");
-            for (size_t j = first_refine_level; j < selected_levels_.size();
-                 ++j) {
-              const SegmentStats& level = levels_[selected_levels_[j]];
-              ComputeSegments(q, level.num_segments,
-                              s.q_means[selected_levels_[j]],
-                              s.q_stds[selected_levels_[j]]);
-            }
-          }
-
-          std::vector<uint32_t> order;
-          {
-            ScopedFunctionTimer timer(&slot.profile, "LB_PIM");
-            order = ArgsortAscending(s.bounds);
-          }
-          for (uint32_t idx : order) {
-            if (topk.full() && s.bounds[idx] >= topk.threshold()) break;
-            bool pruned = false;
-            for (size_t j = first_refine_level;
-                 j < selected_levels_.size() && !pruned; ++j) {
-              ScopedFunctionTimer timer(&slot.profile, "LB_FNN");
-              const size_t lv = selected_levels_[j];
-              const SegmentStats& level = levels_[lv];
-              const double lb = LbFnn(level.means.row(idx), level.stds.row(idx),
-                                      s.q_means[lv], s.q_stds[lv],
-                                      level.segment_length);
-              ++slot.bound_count;
-              pruned = topk.full() && lb >= topk.threshold();
-            }
-            if (pruned) continue;
-            ScopedFunctionTimer timer(&slot.profile, "ED");
-            const double d = SquaredEuclideanEarlyAbandon(data_->row(idx), q,
-                                                          topk.threshold());
-            topk.Push(d, static_cast<int32_t>(idx));
-            ++slot.exact_count;
-          }
-          result.neighbors[qi] = topk.TakeSorted();
-        }
+        return exact(idx, topk);
       });
-  PIMINE_RETURN_IF_ERROR(status);
-
-  result.stats.wall_ms = wall.ElapsedMillis();
-  result.stats.traffic = traffic_scope.Delta();
-  result.stats.pim_ns = engine_->PimComputeNs();
-  result.stats.fault = engine_->FaultStatsTotal();
-  result.stats.fleet = engine_->FleetStats();
-  result.stats.footprint_bytes =
-      n * sizeof(double) * 2 +
-      (result.stats.exact_count / std::max<uint64_t>(1, queries.rows())) *
-          data_->cols() * sizeof(float);
-  return result;
 }
 
 }  // namespace pimine

@@ -1,15 +1,12 @@
 #ifndef PIMINE_KNN_FNN_PIM_KNN_H_
 #define PIMINE_KNN_FNN_PIM_KNN_H_
 
-#include <memory>
+#include <span>
 #include <vector>
 
-#include "core/engine.h"
-#include "core/mutable_dataset.h"
 #include "core/plan.h"
-#include "core/sharded_engine.h"
 #include "core/segments.h"
-#include "knn/knn_common.h"
+#include "knn/pim_knn_base.h"
 
 namespace pimine {
 
@@ -22,7 +19,7 @@ namespace pimine {
 /// queries at Prepare time and keeps only the subset with the least
 /// estimated data transfer (Fig. 12b, "remove" — typically the PIM bound
 /// alone, since s > d/16 makes the survivors hard to re-filter).
-class FnnPimKnn : public KnnAlgorithm, public MutationListener {
+class FnnPimKnn : public PimKnnBase {
  public:
   FnnPimKnn(EngineOptions options, bool optimize,
             std::vector<int64_t> level_divisors = {64, 16, 4},
@@ -32,7 +29,6 @@ class FnnPimKnn : public KnnAlgorithm, public MutationListener {
     return optimize_ ? "FNN-PIM-optimize" : "FNN-PIM";
   }
   Status Prepare(const FloatMatrix& data) override;
-  Result<KnnRunResult> Search(const FloatMatrix& queries, int k) override;
 
   /// Mutation mirroring: inserts append to the fleet and to every retained
   /// original level's per-row segment statistics; compaction compacts both
@@ -41,18 +37,20 @@ class FnnPimKnn : public KnnAlgorithm, public MutationListener {
   /// compactions an optimized plan reflects the corpus it was measured on
   /// (bounds stay admissible, so results stay exact).
   Status OnInsert(const FloatMatrix& rows) override;
-  Status OnDelete(std::span<const uint32_t> rows) override;
   Status OnCompact(const std::vector<uint32_t>& live) override;
 
-  double OfflineModeledNs() const override {
-    return engine_ ? engine_->OfflineNs() : 0.0;
-  }
   uint64_t OfflineBytesWritten() const override;
 
   /// The chosen plan (meaningful after Prepare; trivial when !optimize).
   const ExecutionPlan& plan() const { return plan_; }
   const std::vector<BoundCandidate>& candidates() const { return candidates_; }
-  const ShardedPimEngine* engine() const { return engine_.get(); }
+
+ protected:
+  /// No device op is issued when the plan dropped the PIM bound.
+  bool UsesDevice() const override { return use_pim_filter_; }
+  std::vector<Neighbor> SearchQuery(std::span<const float> q, size_t bq,
+                                    int k, BatchScratch& s,
+                                    SearchSlot& slot) const override;
 
  private:
   /// Measures pruning ratios on sample queries and fills `candidates_`.
@@ -62,14 +60,11 @@ class FnnPimKnn : public KnnAlgorithm, public MutationListener {
   /// the post-compaction re-plan (identical inputs give identical plans).
   Status RebuildPlan(const FloatMatrix& data);
 
-  EngineOptions options_;
   bool optimize_;
   std::vector<int64_t> level_divisors_;
   int plan_sample_queries_;
   int plan_k_;
 
-  const FloatMatrix* data_ = nullptr;
-  std::unique_ptr<ShardedPimEngine> engine_;
   /// Retained original LB_FNN levels (coarsest level is replaced by PIM).
   std::vector<SegmentStats> levels_;
   std::vector<BoundCandidate> candidates_;  // [0] = PIM, then levels.

@@ -2,18 +2,18 @@
 
 #include <algorithm>
 
-#include "common/logging.h"
 #include "core/bounds.h"
-#include "core/similarity.h"
+#include "knn/filter_refine.h"
 #include "util/timer.h"
 
 namespace pimine {
 
-OstKnn::OstKnn(int64_t prefix_divisor) : prefix_divisor_(prefix_divisor) {
-  PIMINE_CHECK(prefix_divisor >= 1);
-}
+OstKnn::OstKnn(int64_t prefix_divisor) : prefix_divisor_(prefix_divisor) {}
 
 Status OstKnn::Prepare(const FloatMatrix& data) {
+  if (prefix_divisor_ < 1) {
+    return Status::InvalidArgument("OST prefix_divisor must be >= 1");
+  }
   if (data.empty()) return Status::InvalidArgument("empty dataset");
   data_ = &data;
   const int64_t d = static_cast<int64_t>(data.cols());
@@ -49,7 +49,6 @@ Result<KnnRunResult> OstKnn::Search(const FloatMatrix& queries, int k) {
       [&](size_t qi, size_t slot_index, SearchSlot& slot) {
         const auto q = queries.row(qi);
         std::vector<double>& bounds = bound_scratch[slot_index];
-        TopK topk(static_cast<size_t>(k));
         {
           ScopedFunctionTimer timer(&slot.profile, "LB_OST");
           const double q_suffix = SuffixNorm(q, d0_);
@@ -59,20 +58,10 @@ Result<KnnRunResult> OstKnn::Search(const FloatMatrix& queries, int k) {
           }
           slot.bound_count += n;
         }
-        std::vector<uint32_t> order;
-        {
-          ScopedFunctionTimer timer(&slot.profile, "LB_OST");
-          order = ArgsortAscending(bounds);
-        }
-        for (uint32_t idx : order) {
-          if (topk.full() && bounds[idx] >= topk.threshold()) break;
-          ScopedFunctionTimer timer(&slot.profile, "ED");
-          const double d = SquaredEuclideanEarlyAbandon(data_->row(idx), q,
-                                                        topk.threshold());
-          topk.Push(d, static_cast<int32_t>(idx));
-          ++slot.exact_count;
-        }
-        result.neighbors[qi] = topk.TakeSorted();
+        result.neighbors[qi] = FilterRefine(
+            bounds, k, /*similarity=*/false, &slot.profile, "LB_OST",
+            &slot.exact_count,
+            ExactRefine(Distance::kEuclidean, *data_, q, &slot.profile));
       });
   PIMINE_RETURN_IF_ERROR(status);
 

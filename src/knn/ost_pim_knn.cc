@@ -2,35 +2,40 @@
 
 #include <algorithm>
 
-#include "common/logging.h"
 #include "core/bounds.h"
-#include "core/similarity.h"
-#include "obs/obs.h"
-#include "util/timer.h"
+#include "knn/filter_refine.h"
 
 namespace pimine {
+namespace {
+
+/// The d0-dim prefixes of `rows`: what the fleet programs.
+FloatMatrix Prefixes(const FloatMatrix& rows, int64_t d0) {
+  FloatMatrix prefixes(rows.rows(), static_cast<size_t>(d0));
+  for (size_t i = 0; i < rows.rows(); ++i) {
+    const auto row = rows.row(i);
+    std::copy(row.begin(), row.begin() + d0, prefixes.mutable_row(i).begin());
+  }
+  return prefixes;
+}
+
+}  // namespace
 
 OstPimKnn::OstPimKnn(EngineOptions options, int64_t prefix_divisor)
-    : options_(std::move(options)), prefix_divisor_(prefix_divisor) {
-  PIMINE_CHECK(prefix_divisor >= 1);
+    : PimKnnBase(std::move(options)), prefix_divisor_(prefix_divisor) {
   options_.bound = EngineOptions::Bound::kDirectEd;
 }
 
 Status OstPimKnn::Prepare(const FloatMatrix& data) {
+  if (prefix_divisor_ < 1) {
+    return Status::InvalidArgument("OST-PIM prefix_divisor must be >= 1");
+  }
   if (data.empty()) return Status::InvalidArgument("empty dataset");
   data_ = &data;
   const int64_t d = static_cast<int64_t>(data.cols());
   d0_ = std::max<int64_t>(1, d / prefix_divisor_);
-
-  // Prefix submatrix programmed on PIM.
-  FloatMatrix prefixes(data.rows(), static_cast<size_t>(d0_));
-  for (size_t i = 0; i < data.rows(); ++i) {
-    const auto row = data.row(i);
-    auto out = prefixes.mutable_row(i);
-    for (int64_t j = 0; j < d0_; ++j) out[j] = row[j];
-  }
   PIMINE_ASSIGN_OR_RETURN(
-      engine_, ShardedPimEngine::Build(prefixes, Distance::kEuclidean, options_));
+      engine_, ShardedPimEngine::Build(Prefixes(data, d0_),
+                                       Distance::kEuclidean, options_));
 
   suffix_norms_.resize(data.rows());
   for (size_t i = 0; i < data.rows(); ++i) {
@@ -40,33 +45,15 @@ Status OstPimKnn::Prepare(const FloatMatrix& data) {
 }
 
 Status OstPimKnn::OnInsert(const FloatMatrix& rows) {
-  if (engine_ == nullptr) return Status::FailedPrecondition("Prepare first");
-  // The fleet holds only the d0-dim prefixes: gather them from the full
-  // inserted rows, exactly as Prepare did for the base corpus.
-  FloatMatrix prefixes(rows.rows(), static_cast<size_t>(d0_));
-  for (size_t i = 0; i < rows.rows(); ++i) {
-    const auto row = rows.row(i);
-    auto out = prefixes.mutable_row(i);
-    for (int64_t j = 0; j < d0_; ++j) out[j] = row[j];
-  }
-  PIMINE_RETURN_IF_ERROR(engine_->AppendRows(prefixes));
+  PIMINE_RETURN_IF_ERROR(PimKnnBase::OnInsert(Prefixes(rows, d0_)));
   for (size_t i = 0; i < rows.rows(); ++i) {
     suffix_norms_.push_back(SuffixNorm(rows.row(i), d0_));
   }
   return Status::OK();
 }
 
-Status OstPimKnn::OnDelete(std::span<const uint32_t> rows) {
-  if (engine_ == nullptr) return Status::FailedPrecondition("Prepare first");
-  for (const uint32_t row : rows) {
-    PIMINE_RETURN_IF_ERROR(engine_->DeleteRow(row));
-  }
-  return Status::OK();
-}
-
 Status OstPimKnn::OnCompact(const std::vector<uint32_t>& live) {
-  if (engine_ == nullptr) return Status::FailedPrecondition("Prepare first");
-  PIMINE_RETURN_IF_ERROR(engine_->Compact());
+  PIMINE_RETURN_IF_ERROR(PimKnnBase::OnCompact(live));
   // Compact the suffix-norm table with the same ascending live list the
   // engines used, so physical ids keep lining up.
   size_t w = 0;
@@ -75,106 +62,38 @@ Status OstPimKnn::OnCompact(const std::vector<uint32_t>& live) {
   return Status::OK();
 }
 
-Result<KnnRunResult> OstPimKnn::Search(const FloatMatrix& queries, int k) {
-  if (engine_ == nullptr) return Status::FailedPrecondition("Prepare first");
-  if (queries.cols() != data_->cols()) {
-    return Status::InvalidArgument("query dimensionality mismatch");
+std::span<const float> OstPimKnn::DeviceOperands(const FloatMatrix& queries,
+                                                 size_t begin, size_t end,
+                                                 BatchScratch& s) const {
+  const size_t d0 = static_cast<size_t>(d0_);
+  s.operands.resize((end - begin) * d0);
+  for (size_t qi = begin; qi < end; ++qi) {
+    const auto q = queries.row(qi);
+    std::copy(q.begin(), q.begin() + d0,
+              s.operands.begin() + (qi - begin) * d0);
   }
-  // Tombstoned rows are unreachable (their bound sorts last), so k ranges
-  // over the LIVE corpus.
-  if (k <= 0 || static_cast<size_t>(k) > engine_->live_objects()) {
-    return Status::InvalidArgument("k out of range");
-  }
+  return s.operands;
+}
 
-  KnnRunResult result;
-  result.neighbors.resize(queries.rows());
-  engine_->ResetOnlineStats();
-  traffic::AggregateScope traffic_scope;
-  Timer wall;
-
+std::vector<Neighbor> OstPimKnn::SearchQuery(std::span<const float> q,
+                                             size_t bq, int k, BatchScratch& s,
+                                             SearchSlot& slot) const {
   const size_t n = data_->rows();
-  struct Scratch {
-    std::vector<double> bounds;
-    std::vector<float> prefixes;  // gathered query prefixes (d0 values each).
-    ShardedPimEngine::QueryScratch query;
-  };
-  std::vector<Scratch> scratch(NumBatchSlots(exec_policy_, queries.rows()));
-  for (Scratch& s : scratch) s.bounds.resize(n);
-
-  // Serial-equivalent device time per query, hoisted so every QuerySpan
-  // charges the same value regardless of device-batch grouping.
-  const double device_ns_per_query =
-      obs::Obs::Enabled() ? engine_->SerialDeviceNsPerQuery() : 0.0;
-
-  Status status = RunQueryBatchesWithPolicy(
-      exec_policy_, queries.rows(), &result.stats,
-      [&](size_t begin, size_t end, size_t slot_index, SearchSlot& slot) {
-        Scratch& s = scratch[slot_index];
-        const size_t batch_size = end - begin;
-        const size_t d0 = static_cast<size_t>(d0_);
-        ShardedPimEngine::QueryHandleBatch batch;
-        {
-          ScopedFunctionTimer timer(&slot.profile, "LB_PIM");
-          // The engine sees only prefixes, which are not contiguous across
-          // query rows — gather them into batch scratch first.
-          s.prefixes.resize(batch_size * d0);
-          for (size_t qi = begin; qi < end; ++qi) {
-            const auto q = queries.row(qi);
-            std::copy(q.begin(), q.begin() + d0,
-                      s.prefixes.begin() + (qi - begin) * d0);
-          }
-          auto r = engine_->RunQueryBatch(s.prefixes, batch_size, &s.query);
-          if (!r.ok()) {
-            slot.status = r.status();
-            return;
-          }
-          batch = std::move(r).value();
-        }
-        for (size_t qi = begin; qi < end; ++qi) {
-          obs::QuerySpan query_span(static_cast<int64_t>(qi), &slot.latency,
-                                    device_ns_per_query);
-          const auto q = queries.row(qi);
-          const size_t bq = qi - begin;
-          TopK topk(static_cast<size_t>(k));
-          {
-            ScopedFunctionTimer timer(&slot.profile, "LB_PIM");
-            const double q_suffix = SuffixNorm(q, d0_);
-            for (size_t i = 0; i < n; ++i) {
-              const double norm_diff = suffix_norms_[i] - q_suffix;
-              const double prefix_lb =
-                  std::max(0.0, engine_->BoundFor(batch, bq, i));
-              s.bounds[i] = prefix_lb + norm_diff * norm_diff;
-            }
-            slot.bound_count += n;
-          }
-          std::vector<uint32_t> order;
-          {
-            ScopedFunctionTimer timer(&slot.profile, "LB_PIM");
-            order = ArgsortAscending(s.bounds);
-          }
-          for (uint32_t idx : order) {
-            if (topk.full() && s.bounds[idx] >= topk.threshold()) break;
-            ScopedFunctionTimer timer(&slot.profile, "ED");
-            const double d = SquaredEuclideanEarlyAbandon(data_->row(idx), q,
-                                                          topk.threshold());
-            topk.Push(d, static_cast<int32_t>(idx));
-            ++slot.exact_count;
-          }
-          result.neighbors[qi] = topk.TakeSorted();
-        }
-      });
-  PIMINE_RETURN_IF_ERROR(status);
-
-  result.stats.wall_ms = wall.ElapsedMillis();
-  result.stats.traffic = traffic_scope.Delta();
-  result.stats.pim_ns = engine_->PimComputeNs();
-  result.stats.fault = engine_->FaultStatsTotal();
-  result.stats.fleet = engine_->FleetStats();
-  result.stats.footprint_bytes =
-      n * (sizeof(double) * 3) +
-      (result.stats.exact_count / std::max<uint64_t>(1, queries.rows())) *
-          data_->cols() * sizeof(float);
-  return result;
+  {
+    ScopedFunctionTimer timer(&slot.profile, "LB_PIM");
+    const double q_suffix = SuffixNorm(q, d0_);
+    for (size_t i = 0; i < n; ++i) {
+      const double norm_diff = suffix_norms_[i] - q_suffix;
+      const double prefix_lb =
+          std::max(0.0, engine_->BoundFor(s.batch, bq, i));
+      s.bounds[i] = prefix_lb + norm_diff * norm_diff;
+    }
+    slot.bound_count += n;
+  }
+  return FilterRefine(
+      s.bounds, k, /*similarity=*/false, &slot.profile, "LB_PIM",
+      &slot.exact_count,
+      ExactRefine(Distance::kEuclidean, *data_, q, &slot.profile));
 }
 
 }  // namespace pimine

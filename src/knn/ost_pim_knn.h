@@ -1,13 +1,10 @@
 #ifndef PIMINE_KNN_OST_PIM_KNN_H_
 #define PIMINE_KNN_OST_PIM_KNN_H_
 
-#include <memory>
+#include <span>
 #include <vector>
 
-#include "core/engine.h"
-#include "core/mutable_dataset.h"
-#include "core/sharded_engine.h"
-#include "knn/knn_common.h"
+#include "knn/pim_knn_base.h"
 
 namespace pimine {
 
@@ -18,36 +15,42 @@ namespace pimine {
 /// lower bound on it while the suffix-norm term stays exact on the host
 /// (one precomputed scalar per object). The result is a valid lower bound
 /// on LB_OST and hence on ED.
-class OstPimKnn : public KnnAlgorithm, public MutationListener {
+class OstPimKnn : public PimKnnBase {
  public:
   /// `prefix_divisor` sets d0 = max(1, d / prefix_divisor), matching OstKnn.
   explicit OstPimKnn(EngineOptions options, int64_t prefix_divisor = 4);
 
   std::string_view name() const override { return "OST-PIM"; }
   Status Prepare(const FloatMatrix& data) override;
-  Result<KnnRunResult> Search(const FloatMatrix& queries, int k) override;
 
   /// Mutation mirroring: inserts append the d0-dim prefixes to the fleet
   /// and extend the suffix-norm table; compaction compacts both.
   Status OnInsert(const FloatMatrix& rows) override;
-  Status OnDelete(std::span<const uint32_t> rows) override;
   Status OnCompact(const std::vector<uint32_t>& live) override;
 
-  double OfflineModeledNs() const override {
-    return engine_ ? engine_->OfflineNs() : 0.0;
-  }
   uint64_t OfflineBytesWritten() const override {
-    return (engine_ ? engine_->OfflineBytesWritten() : 0) +
+    return PimKnnBase::OfflineBytesWritten() +
            suffix_norms_.size() * sizeof(double);
   }
   int64_t prefix_dims() const { return d0_; }
 
+ protected:
+  /// The fleet holds the d0-dim prefixes, which are not contiguous across
+  /// query rows: gathers them into `s.operands`.
+  std::span<const float> DeviceOperands(const FloatMatrix& queries,
+                                        size_t begin, size_t end,
+                                        BatchScratch& s) const override;
+  std::vector<Neighbor> SearchQuery(std::span<const float> q, size_t bq,
+                                    int k, BatchScratch& s,
+                                    SearchSlot& slot) const override;
+  /// Adds the suffix-norm table to the bound array and its ordering.
+  uint64_t HostTableBytes() const override {
+    return data_->rows() * sizeof(double) * 3;
+  }
+
  private:
-  EngineOptions options_;
   int64_t prefix_divisor_;
   int64_t d0_ = 0;
-  const FloatMatrix* data_ = nullptr;
-  std::unique_ptr<ShardedPimEngine> engine_;  // built on the d0-dim prefixes.
   std::vector<double> suffix_norms_;
 };
 

@@ -2,18 +2,18 @@
 
 #include <algorithm>
 
-#include "common/logging.h"
 #include "core/bounds.h"
-#include "core/similarity.h"
+#include "knn/filter_refine.h"
 #include "util/timer.h"
 
 namespace pimine {
 
-SmKnn::SmKnn(int64_t segment_divisor) : segment_divisor_(segment_divisor) {
-  PIMINE_CHECK(segment_divisor >= 1);
-}
+SmKnn::SmKnn(int64_t segment_divisor) : segment_divisor_(segment_divisor) {}
 
 Status SmKnn::Prepare(const FloatMatrix& data) {
+  if (segment_divisor_ < 1) {
+    return Status::InvalidArgument("SM segment_divisor must be >= 1");
+  }
   if (data.empty()) return Status::InvalidArgument("empty dataset");
   data_ = &data;
   const int64_t d = static_cast<int64_t>(data.cols());
@@ -57,7 +57,6 @@ Result<KnnRunResult> SmKnn::Search(const FloatMatrix& queries, int k) {
       [&](size_t qi, size_t slot_index, SearchSlot& slot) {
         const auto q = queries.row(qi);
         Scratch& s = scratch[slot_index];
-        TopK topk(static_cast<size_t>(k));
         // Filter phase: LB_SM for every object.
         {
           ScopedFunctionTimer timer(&slot.profile, "LB_SM");
@@ -69,20 +68,10 @@ Result<KnnRunResult> SmKnn::Search(const FloatMatrix& queries, int k) {
           slot.bound_count += n;
         }
         // Refine phase: exact ED in ascending-bound order.
-        std::vector<uint32_t> order;
-        {
-          ScopedFunctionTimer timer(&slot.profile, "LB_SM");
-          order = ArgsortAscending(s.bounds);
-        }
-        for (uint32_t idx : order) {
-          if (topk.full() && s.bounds[idx] >= topk.threshold()) break;
-          ScopedFunctionTimer timer(&slot.profile, "ED");
-          const double d = SquaredEuclideanEarlyAbandon(data_->row(idx), q,
-                                                        topk.threshold());
-          topk.Push(d, static_cast<int32_t>(idx));
-          ++slot.exact_count;
-        }
-        result.neighbors[qi] = topk.TakeSorted();
+        result.neighbors[qi] = FilterRefine(
+            s.bounds, k, /*similarity=*/false, &slot.profile, "LB_SM",
+            &slot.exact_count,
+            ExactRefine(Distance::kEuclidean, *data_, q, &slot.profile));
       });
   PIMINE_RETURN_IF_ERROR(status);
 

@@ -1,12 +1,7 @@
 #ifndef PIMINE_KNN_SM_PIM_KNN_H_
 #define PIMINE_KNN_SM_PIM_KNN_H_
 
-#include <memory>
-
-#include "core/engine.h"
-#include "core/mutable_dataset.h"
-#include "core/sharded_engine.h"
-#include "knn/knn_common.h"
+#include "knn/standard_pim_knn.h"
 
 namespace pimine {
 
@@ -15,32 +10,20 @@ namespace pimine {
 /// the PIM array allows), so the PIM bound is typically *tighter* than the
 /// original LB_SM^{d/4} while transferring only 3*b bits per candidate.
 ///
-/// As a MutationListener the path mirrors inserts/deletes/compactions onto
-/// the fleet (the engine maintains the per-row segment statistics itself).
-class SmPimKnn : public KnnAlgorithm, public MutationListener {
+/// The filter-and-refine loop is Standard-PIM's, so SM-PIM is Standard-PIM
+/// on ED with the bound forced to kSegmentSm.
+class SmPimKnn : public StandardPimKnn {
  public:
-  explicit SmPimKnn(EngineOptions options);
+  explicit SmPimKnn(EngineOptions options)
+      : StandardPimKnn(Distance::kEuclidean, WithSmBound(std::move(options))) {}
 
   std::string_view name() const override { return "SM-PIM"; }
-  Status Prepare(const FloatMatrix& data) override;
-  Result<KnnRunResult> Search(const FloatMatrix& queries, int k) override;
-
-  Status OnInsert(const FloatMatrix& rows) override;
-  Status OnDelete(std::span<const uint32_t> rows) override;
-  Status OnCompact(const std::vector<uint32_t>& live) override;
-
-  double OfflineModeledNs() const override {
-    return engine_ ? engine_->OfflineNs() : 0.0;
-  }
-  uint64_t OfflineBytesWritten() const override {
-    return engine_ ? engine_->OfflineBytesWritten() : 0;
-  }
-  const ShardedPimEngine* engine() const { return engine_.get(); }
 
  private:
-  EngineOptions options_;
-  const FloatMatrix* data_ = nullptr;
-  std::unique_ptr<ShardedPimEngine> engine_;
+  static EngineOptions WithSmBound(EngineOptions options) {
+    options.bound = EngineOptions::Bound::kSegmentSm;
+    return options;
+  }
 };
 
 }  // namespace pimine

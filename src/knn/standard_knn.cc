@@ -2,18 +2,18 @@
 
 #include <algorithm>
 
-#include "common/logging.h"
 #include "util/timer.h"
 
 namespace pimine {
 
 StandardKnn::StandardKnn(Distance distance) : distance_(distance) {
-  PIMINE_CHECK(distance != Distance::kHamming)
-      << "use HammingScanKnn for binary codes";
   name_ = "Standard";
 }
 
 Status StandardKnn::Prepare(const FloatMatrix& data) {
+  if (distance_ == Distance::kHamming) {
+    return Status::InvalidArgument("use HammingScanKnn for binary codes");
+  }
   if (data.empty()) return Status::InvalidArgument("empty dataset");
   data_ = &data;
   return Status::OK();

@@ -1,159 +1,51 @@
 #include "knn/standard_pim_knn.h"
 
-#include <algorithm>
-
-#include "common/logging.h"
 #include "core/similarity.h"
-#include "obs/obs.h"
-#include "util/timer.h"
+#include "knn/filter_refine.h"
 
 namespace pimine {
 
 StandardPimKnn::StandardPimKnn(Distance distance, EngineOptions options)
-    : distance_(distance), options_(std::move(options)) {
-  PIMINE_CHECK(distance != Distance::kHamming)
-      << "use HammingPimKnn for binary codes";
-}
+    : PimKnnBase(std::move(options)), distance_(distance) {}
 
 Status StandardPimKnn::Prepare(const FloatMatrix& data) {
   if (data.empty()) return Status::InvalidArgument("empty dataset");
   data_ = &data;
+  // The engine refuses Hamming (HammingPimKnn serves binary codes).
   PIMINE_ASSIGN_OR_RETURN(engine_,
                           ShardedPimEngine::Build(data, distance_, options_));
   return Status::OK();
 }
 
-Status StandardPimKnn::OnInsert(const FloatMatrix& rows) {
-  if (engine_ == nullptr) return Status::FailedPrecondition("Prepare first");
-  return engine_->AppendRows(rows);
+std::vector<Neighbor> StandardPimKnn::SearchQuery(std::span<const float> q,
+                                                  size_t bq, int k,
+                                                  BatchScratch& s,
+                                                  SearchSlot& slot) const {
+  return StandardPimQuery(*engine_, s.batch, bq, distance_, *data_, q, k,
+                          s.bounds, slot, &slot.profile);
 }
 
-Status StandardPimKnn::OnDelete(std::span<const uint32_t> rows) {
-  if (engine_ == nullptr) return Status::FailedPrecondition("Prepare first");
-  for (const uint32_t row : rows) {
-    PIMINE_RETURN_IF_ERROR(engine_->DeleteRow(row));
+std::vector<Neighbor> StandardPimQuery(
+    const ShardedPimEngine& engine,
+    const ShardedPimEngine::QueryHandleBatch& batch, size_t bq,
+    Distance distance, const FloatMatrix& data, std::span<const float> q,
+    int k, std::span<double> bounds, SearchSlot& slot,
+    FunctionProfiler* profile) {
+  const size_t n = data.rows();
+  const bool similarity = IsSimilarityMeasure(distance);
+  {
+    ScopedFunctionTimer timer(profile, "LB_PIM");
+    for (size_t i = 0; i < n; ++i) {
+      // Negate similarity upper bounds so ascending order = most
+      // promising first for both measure families.
+      const double b = engine.BoundFor(batch, bq, i);
+      bounds[i] = similarity ? -b : b;
+    }
+    slot.bound_count += n;
   }
-  return Status::OK();
-}
-
-Status StandardPimKnn::OnCompact(const std::vector<uint32_t>& /*live*/) {
-  if (engine_ == nullptr) return Status::FailedPrecondition("Prepare first");
-  return engine_->Compact();
-}
-
-Result<KnnRunResult> StandardPimKnn::Search(const FloatMatrix& queries,
-                                            int k) {
-  if (engine_ == nullptr) return Status::FailedPrecondition("Prepare first");
-  if (queries.cols() != data_->cols()) {
-    return Status::InvalidArgument("query dimensionality mismatch");
-  }
-  // Tombstoned rows are unreachable (their bound sorts last), so k ranges
-  // over the LIVE corpus.
-  if (k <= 0 || static_cast<size_t>(k) > engine_->live_objects()) {
-    return Status::InvalidArgument("k out of range");
-  }
-
-  KnnRunResult result;
-  result.neighbors.resize(queries.rows());
-  engine_->ResetOnlineStats();
-  traffic::AggregateScope traffic_scope;
-  Timer wall;
-
-  const size_t n = data_->rows();
-  const bool maximize = IsSimilarityMeasure(distance_);
-
-  // Per-worker scratch: bound array + engine query scratch.
-  struct Scratch {
-    std::vector<double> bounds;
-    ShardedPimEngine::QueryScratch query;
-  };
-  std::vector<Scratch> scratch(NumBatchSlots(exec_policy_, queries.rows()));
-  for (Scratch& s : scratch) s.bounds.resize(n);
-
-  // Serial-equivalent device time per query, hoisted so every QuerySpan
-  // charges the same value regardless of device-batch grouping.
-  const double device_ns_per_query =
-      obs::Obs::Enabled() ? engine_->SerialDeviceNsPerQuery() : 0.0;
-
-  Status status = RunQueryBatchesWithPolicy(
-      exec_policy_, queries.rows(), &result.stats,
-      [&](size_t begin, size_t end, size_t slot_index, SearchSlot& slot) {
-        Scratch& s = scratch[slot_index];
-        const size_t batch_size = end - begin;
-
-        // PIM filter phase: one (or two) batched dot-product ops per shard
-        // for the whole device batch (query rows are contiguous in the
-        // matrix).
-        ShardedPimEngine::QueryHandleBatch batch;
-        {
-          ScopedFunctionTimer timer(&slot.profile, "LB_PIM");
-          auto r = engine_->RunQueryBatch(
-              std::span<const float>(queries.data() + begin * queries.cols(),
-                                     batch_size * queries.cols()),
-              batch_size, &s.query);
-          if (!r.ok()) {
-            slot.status = r.status();
-            return;
-          }
-          batch = std::move(r).value();
-        }
-
-        for (size_t qi = begin; qi < end; ++qi) {
-          obs::QuerySpan query_span(static_cast<int64_t>(qi), &slot.latency,
-                                    device_ns_per_query);
-          const auto q = queries.row(qi);
-          const size_t bq = qi - begin;
-          TopK topk(static_cast<size_t>(k));
-          {
-            ScopedFunctionTimer timer(&slot.profile, "LB_PIM");
-            for (size_t i = 0; i < n; ++i) {
-              // Negate similarity upper bounds so ascending order = most
-              // promising first for both measure families.
-              const double b = engine_->BoundFor(batch, bq, i);
-              s.bounds[i] = maximize ? -b : b;
-            }
-            slot.bound_count += n;
-          }
-
-          std::vector<uint32_t> order;
-          {
-            ScopedFunctionTimer timer(&slot.profile, "LB_PIM");
-            order = ArgsortAscending(s.bounds);
-          }
-          for (uint32_t idx : order) {
-            if (topk.full() && s.bounds[idx] >= topk.threshold()) break;
-            if (distance_ == Distance::kEuclidean) {
-              ScopedFunctionTimer timer(&slot.profile, "ED");
-              const double d = SquaredEuclideanEarlyAbandon(
-                  data_->row(idx), q, topk.threshold());
-              topk.Push(d, static_cast<int32_t>(idx));
-            } else {
-              const char* tag = distance_ == Distance::kCosine ? "CS" : "PCC";
-              ScopedFunctionTimer timer(&slot.profile, tag);
-              const double sim = distance_ == Distance::kCosine
-                                     ? CosineSimilarity(data_->row(idx), q)
-                                     : PearsonCorrelation(data_->row(idx), q);
-              topk.Push(-sim, static_cast<int32_t>(idx));
-            }
-            ++slot.exact_count;
-          }
-          result.neighbors[qi] = maximize ? FinalizeSimilarityNeighbors(topk)
-                                          : topk.TakeSorted();
-        }
-      });
-  PIMINE_RETURN_IF_ERROR(status);
-
-  result.stats.wall_ms = wall.ElapsedMillis();
-  result.stats.traffic = traffic_scope.Delta();
-  result.stats.pim_ns = engine_->PimComputeNs();
-  result.stats.fault = engine_->FaultStatsTotal();
-  result.stats.fleet = engine_->FleetStats();
-  // Host working set: bound arrays + the refined rows.
-  result.stats.footprint_bytes =
-      n * sizeof(double) * 2 +
-      (result.stats.exact_count / std::max<uint64_t>(1, queries.rows())) *
-          data_->cols() * sizeof(float);
-  return result;
+  return FilterRefine(bounds, k, similarity, profile, "LB_PIM",
+                      &slot.exact_count,
+                      ExactRefine(distance, data, q, profile));
 }
 
 }  // namespace pimine

@@ -1,12 +1,10 @@
 #ifndef PIMINE_KNN_STANDARD_PIM_KNN_H_
 #define PIMINE_KNN_STANDARD_PIM_KNN_H_
 
-#include <memory>
+#include <span>
+#include <vector>
 
-#include "core/engine.h"
-#include "core/mutable_dataset.h"
-#include "core/sharded_engine.h"
-#include "knn/knn_common.h"
+#include "knn/pim_knn_base.h"
 
 namespace pimine {
 
@@ -16,37 +14,37 @@ namespace pimine {
 /// are refined in ascending-bound order with exact ED, so results match
 /// Standard exactly. For CS/PCC the engine supplies upper bounds on the
 /// similarity and refinement runs in descending-bound order.
-///
-/// As a MutationListener (attach after Prepare to the MutableDataset
-/// whose corpus() was Prepared) the path mirrors inserts/deletes/
-/// compactions onto the fleet, staying bit-identical to a fresh build of
-/// the live corpus.
-class StandardPimKnn : public KnnAlgorithm, public MutationListener {
+/// EngineOptions::bound picks the ED bound family (SmPimKnn forces
+/// kSegmentSm).
+class StandardPimKnn : public PimKnnBase {
  public:
   StandardPimKnn(Distance distance, EngineOptions options);
 
   std::string_view name() const override { return "Standard-PIM"; }
   Status Prepare(const FloatMatrix& data) override;
-  Result<KnnRunResult> Search(const FloatMatrix& queries, int k) override;
 
-  Status OnInsert(const FloatMatrix& rows) override;
-  Status OnDelete(std::span<const uint32_t> rows) override;
-  Status OnCompact(const std::vector<uint32_t>& live) override;
-
-  double OfflineModeledNs() const override {
-    return engine_ ? engine_->OfflineNs() : 0.0;
-  }
-  uint64_t OfflineBytesWritten() const override {
-    return engine_ ? engine_->OfflineBytesWritten() : 0;
-  }
-  const ShardedPimEngine* engine() const { return engine_.get(); }
+ protected:
+  std::vector<Neighbor> SearchQuery(std::span<const float> q, size_t bq,
+                                    int k, BatchScratch& s,
+                                    SearchSlot& slot) const override;
 
  private:
   Distance distance_;
-  EngineOptions options_;
-  const FloatMatrix* data_ = nullptr;
-  std::unique_ptr<ShardedPimEngine> engine_;
 };
+
+/// Standard-PIM's per-query step, shared by StandardPimKnn::Search and the
+/// serving scheduler (serve::PimServer) so a served query runs the offline
+/// path itself. Reads query `bq` of `batch`'s fleet bounds for every row of
+/// `data` into `bounds` (data.rows() long; negated for CS/PCC so ascending
+/// order is most promising first), then runs FilterRefine with the exact
+/// measure. Bound and exact counts go to `slot`, wall time to `profile`
+/// (null: untimed).
+std::vector<Neighbor> StandardPimQuery(
+    const ShardedPimEngine& engine,
+    const ShardedPimEngine::QueryHandleBatch& batch, size_t bq,
+    Distance distance, const FloatMatrix& data, std::span<const float> q,
+    int k, std::span<double> bounds, SearchSlot& slot,
+    FunctionProfiler* profile);
 
 }  // namespace pimine
 

@@ -2,6 +2,7 @@
 #define PIMINE_PROFILING_FUNCTION_PROFILER_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -51,13 +52,16 @@ class FunctionProfiler {
 };
 
 /// RAII timer charging its scope to `tag`. A null `profiler` makes the
-/// timer a no-op, so call sites with optional profiling need no guard.
+/// timer a no-op that never reads the clock, so call sites with optional
+/// profiling need no guard.
 class ScopedFunctionTimer {
  public:
   ScopedFunctionTimer(FunctionProfiler* profiler, std::string_view tag)
-      : profiler_(profiler), tag_(tag) {}
+      : profiler_(profiler), tag_(tag) {
+    if (profiler_ != nullptr) timer_.emplace();
+  }
   ~ScopedFunctionTimer() {
-    if (profiler_ != nullptr) profiler_->Add(tag_, timer_.ElapsedNanos());
+    if (profiler_ != nullptr) profiler_->Add(tag_, timer_->ElapsedNanos());
   }
 
   ScopedFunctionTimer(const ScopedFunctionTimer&) = delete;
@@ -66,7 +70,7 @@ class ScopedFunctionTimer {
  private:
   FunctionProfiler* profiler_;
   std::string_view tag_;
-  Timer timer_;
+  std::optional<Timer> timer_;
 };
 
 }  // namespace pimine

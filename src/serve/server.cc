@@ -9,8 +9,7 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "core/similarity.h"
-#include "knn/knn_common.h"
+#include "knn/standard_pim_knn.h"
 #include "obs/obs.h"
 #include "sim/traffic.h"
 #include "util/parallel.h"
@@ -79,7 +78,6 @@ Result<std::unique_ptr<PimServer>> PimServer::Build(
   server->options_ = serve;
   server->data_ = &data;
   server->distance_ = distance;
-  server->maximize_ = IsSimilarityMeasure(distance);
   PIMINE_ASSIGN_OR_RETURN(server->engine_,
                           ShardedPimEngine::Build(data, distance, engine));
   if (serve.chaos.enabled()) {
@@ -185,61 +183,32 @@ void PimServer::RunDispatch(std::span<const float> qbuf,
                             const ShardedPimEngine::DispatchOptions& dispatch,
                             DispatchScratch* s) {
   const size_t dims = data_->cols();
-  const size_t n = data_->rows();
   const size_t batch_size = members.size();
-  const int k = options_.k;
-  s->bounds.resize(n);
+  s->bounds.resize(data_->rows());
   s->neighbors.resize(batch_size);
 
   // One engine batch operation per device_batch chunk: max_batch bounds
   // the scheduler's coalescing, device_batch the per-operation GEMM width.
   const size_t device_batch = options_.exec.device_batch;
   for (size_t c0 = 0; c0 < batch_size; c0 += device_batch) {
-    const size_t c1 = std::min(batch_size, c0 + device_batch);
-    const size_t chunk = c1 - c0;
+    const size_t chunk = std::min(batch_size, c0 + device_batch) - c0;
     // Label engine spans with the first member's admission id, matching
     // the batched harness convention (base + in-batch index = query id).
     obs::ScopedTrackBase track_base(static_cast<int64_t>(members[c0].id));
-    const Status status = engine_->RunQueryBatch(
-        std::span<const float>(qbuf.data() + c0 * dims, chunk * dims), chunk,
-        &s->query, &s->handle, dispatch);
+    const Status status =
+        engine_->RunQueryBatch(qbuf.subspan(c0 * dims, chunk * dims), chunk,
+                               &s->query, &s->handle, dispatch);
     if (!status.ok()) {
-      if (s->status.ok()) s->status = status;
+      if (s->slot.status.ok()) s->slot.status = status;
       return;
     }
-
     for (size_t bq = 0; bq < chunk; ++bq) {
-      const PendingQuery& member = members[c0 + bq];
-      obs::QuerySpan query_span(static_cast<int64_t>(member.id), &s->latency,
-                                device_ns_per_query);
-      const std::span<const float> q(qbuf.data() + (c0 + bq) * dims, dims);
-      TopK topk(static_cast<size_t>(k));
-      for (size_t i = 0; i < n; ++i) {
-        // Negate similarity upper bounds so ascending order = most
-        // promising first for both measure families (StandardPimKnn's
-        // convention — served results must match the offline path).
-        const double b = engine_->BoundFor(s->handle, bq, i);
-        s->bounds[i] = maximize_ ? -b : b;
-      }
-      s->bound_count += n;
-
-      const std::vector<uint32_t> order = ArgsortAscending(s->bounds);
-      for (uint32_t idx : order) {
-        if (topk.full() && s->bounds[idx] >= topk.threshold()) break;
-        if (distance_ == Distance::kEuclidean) {
-          const double d = SquaredEuclideanEarlyAbandon(data_->row(idx), q,
-                                                        topk.threshold());
-          topk.Push(d, static_cast<int32_t>(idx));
-        } else {
-          const double sim = distance_ == Distance::kCosine
-                                 ? CosineSimilarity(data_->row(idx), q)
-                                 : PearsonCorrelation(data_->row(idx), q);
-          topk.Push(-sim, static_cast<int32_t>(idx));
-        }
-        ++s->exact_count;
-      }
-      s->neighbors[c0 + bq] =
-          maximize_ ? FinalizeSimilarityNeighbors(topk) : topk.TakeSorted();
+      obs::QuerySpan query_span(static_cast<int64_t>(members[c0 + bq].id),
+                                &s->slot.latency, device_ns_per_query);
+      s->neighbors[c0 + bq] = StandardPimQuery(
+          *engine_, s->handle, bq, distance_, *data_,
+          qbuf.subspan((c0 + bq) * dims, dims), options_.k, s->bounds,
+          s->slot, /*profile=*/nullptr);
     }
   }
 }
@@ -498,7 +467,7 @@ Result<ReplayOutput> PimServer::Replay(const ArrivalTrace& trace,
       exec_policy, batches.size(), 1,
       [&](size_t begin, size_t end, size_t slot) {
         DispatchScratch& s = scratch[slot];
-        for (size_t bi = begin; bi < end && s.status.ok(); ++bi) {
+        for (size_t bi = begin; bi < end && s.slot.status.ok(); ++bi) {
           const FormedBatch& b = batches[bi];
           s.qbuf.resize(b.members.size() * dims);
           for (size_t m = 0; m < b.members.size(); ++m) {
@@ -511,7 +480,7 @@ Result<ReplayOutput> PimServer::Replay(const ArrivalTrace& trace,
           dopt.slack_on_exhaustion = b.degraded;
           dopt.deadline_ns = options_.batch_deadline_ns;
           RunDispatch(s.qbuf, b.members, device_ns_per_query, dopt, &s);
-          if (!s.status.ok()) break;
+          if (!s.slot.status.ok()) break;
           for (size_t m = 0; m < b.members.size(); ++m) {
             out.results[b.members[m].id].neighbors =
                 std::move(s.neighbors[m]);
@@ -520,10 +489,10 @@ Result<ReplayOutput> PimServer::Replay(const ArrivalTrace& trace,
       });
 
   for (DispatchScratch& s : scratch) {
-    PIMINE_RETURN_IF_ERROR(s.status);
-    out.stats.exec.exact_count += s.exact_count;
-    out.stats.exec.bound_count += s.bound_count;
-    out.stats.exec.latency_hist.Merge(s.latency);
+    PIMINE_RETURN_IF_ERROR(s.slot.status);
+    out.stats.exec.exact_count += s.slot.exact_count;
+    out.stats.exec.bound_count += s.slot.bound_count;
+    out.stats.exec.latency_hist.Merge(s.slot.latency);
   }
   out.stats.exec.wall_ms = wall.ElapsedMillis();
   out.stats.exec.traffic = traffic_scope.Delta();
@@ -695,7 +664,7 @@ void PimServer::WorkerLoop(size_t worker_index) {
                       static_cast<double>(members.size()));
     for (size_t m = 0; m < members.size(); ++m) {
       ServedResult r;
-      r.status = scratch.status;
+      r.status = scratch.slot.status;
       r.tenant = members[m].tenant;
       r.arrival_ns = members[m].arrival_ns;
       r.dispatch_ns = dispatch_ns;
@@ -722,7 +691,7 @@ void PimServer::WorkerLoop(size_t worker_index) {
                            live_events_.get());
       requests[m]->promise.set_value(std::move(r));
     }
-    scratch.status = Status::OK();
+    scratch.slot.status = Status::OK();
     requests.clear();
   }
 }
@@ -760,9 +729,9 @@ ServeStats PimServer::LiveStats() {
                                static_cast<double>(stats.batches);
   stats.makespan_ns = NowNs();
   for (const std::unique_ptr<DispatchScratch>& s : worker_scratch_) {
-    stats.exec.exact_count += s->exact_count;
-    stats.exec.bound_count += s->bound_count;
-    stats.exec.latency_hist.Merge(s->latency);
+    stats.exec.exact_count += s->slot.exact_count;
+    stats.exec.bound_count += s->slot.bound_count;
+    stats.exec.latency_hist.Merge(s->slot.latency);
   }
   stats.exec.pim_ns = engine_->PimComputeNs();
   stats.pipelined_ns = engine_->PimPipelinedNs();

@@ -17,6 +17,7 @@
 #include "core/mutable_dataset.h"
 #include "core/sharded_engine.h"
 #include "data/matrix.h"
+#include "knn/knn_common.h"
 #include "obs/event_log.h"
 #include "obs/histogram.h"
 #include "obs/metrics.h"
@@ -236,17 +237,15 @@ class PimServer : public MutationListener {
   /// Per-worker dispatch scratch, reused across every dispatch the worker
   /// executes: engine query scratch + batch handle (zero-allocation
   /// steady state), gathered query buffer, bound array, and the worker's
-  /// share of the accumulated stats (merged in slot order).
+  /// share of the accumulated stats in `slot` (merged in slot order; its
+  /// profiler stays empty, serving is untimed).
   struct DispatchScratch {
     ShardedPimEngine::QueryScratch query;
     ShardedPimEngine::QueryHandleBatch handle;
     std::vector<float> qbuf;
     std::vector<double> bounds;
     std::vector<std::vector<Neighbor>> neighbors;
-    uint64_t exact_count = 0;
-    uint64_t bound_count = 0;
-    obs::Histogram latency;
-    Status status;
+    SearchSlot slot;
   };
 
   struct LiveRequest;
@@ -254,11 +253,11 @@ class PimServer : public MutationListener {
   PimServer() = default;
 
   /// Executes one formed dispatch: one engine RunQueryBatch per
-  /// device_batch chunk, then the host filter-and-refine pipeline per
-  /// query — the exact per-query loop of StandardPimKnn::Search, so a
-  /// served query's neighbours, traffic and modeled stats are identical
-  /// to the offline path. Fills s->neighbors[0..members). `ids` labels
-  /// the per-query trace spans.
+  /// device_batch chunk, then StandardPimQuery per query — the per-query
+  /// step StandardPimKnn::Search runs, so a served query's neighbours,
+  /// traffic and modeled stats are those of the offline path. Fills
+  /// s->neighbors[0..members); each member's admission id labels its
+  /// per-query trace span.
   void RunDispatch(std::span<const float> qbuf,
                    const std::vector<PendingQuery>& members,
                    double device_ns_per_query,
@@ -295,7 +294,6 @@ class PimServer : public MutationListener {
   /// Watermark-triggered compactions (guarded by mu_).
   uint64_t watermark_compactions_ = 0;
   Distance distance_ = Distance::kEuclidean;
-  bool maximize_ = false;
   std::unique_ptr<ShardedPimEngine> engine_;
   /// Seeded availability-fault schedule generated at Build from
   /// ServeOptions::chaos over the fleet geometry; installed into the

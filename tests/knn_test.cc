@@ -183,6 +183,62 @@ TEST(KnnErrorTest, InvalidUsage) {
   EXPECT_FALSE(standard.Prepare(FloatMatrix()).ok());
 }
 
+// Misuse of a kNN constructor is refused by Prepare with InvalidArgument
+// (the process keeps running), and a later Search reports the missing
+// Prepare instead of crashing.
+void ExpectPrepareRejects(KnnAlgorithm& algorithm) {
+  const Workload w = MakeWorkload(50, 16, 37);
+  EXPECT_EQ(algorithm.Prepare(w.data).code(), StatusCode::kInvalidArgument)
+      << algorithm.name();
+  EXPECT_EQ(algorithm.Search(w.queries, 5).status().code(),
+            StatusCode::kFailedPrecondition)
+      << algorithm.name();
+}
+
+TEST(KnnMisuseTest, StandardRejectsHamming) {
+  StandardKnn standard(Distance::kHamming);
+  ExpectPrepareRejects(standard);
+}
+
+TEST(KnnMisuseTest, StandardPimRejectsHamming) {
+  StandardPimKnn pim(Distance::kHamming, EngineOptions());
+  ExpectPrepareRejects(pim);
+}
+
+TEST(KnnMisuseTest, SmRejectsZeroSegmentDivisor) {
+  SmKnn sm(/*segment_divisor=*/0);
+  ExpectPrepareRejects(sm);
+}
+
+TEST(KnnMisuseTest, OstRejectsZeroPrefixDivisor) {
+  OstKnn ost(/*prefix_divisor=*/0);
+  ExpectPrepareRejects(ost);
+}
+
+TEST(KnnMisuseTest, OstPimRejectsZeroPrefixDivisor) {
+  OstPimKnn ost(EngineOptions(), /*prefix_divisor=*/0);
+  ExpectPrepareRejects(ost);
+}
+
+TEST(KnnMisuseTest, FnnRejectsBadLevels) {
+  FnnKnn no_levels(std::vector<int64_t>{});
+  ExpectPrepareRejects(no_levels);
+  FnnKnn zero_divisor({16, 0});
+  ExpectPrepareRejects(zero_divisor);
+}
+
+TEST(KnnMisuseTest, FnnPimRejectsBadLevelsAndPlanKnobs) {
+  FnnPimKnn no_levels(EngineOptions(), false, {});
+  ExpectPrepareRejects(no_levels);
+  FnnPimKnn zero_divisor(EngineOptions(), false, {64, 0});
+  ExpectPrepareRejects(zero_divisor);
+  FnnPimKnn no_samples(EngineOptions(), true, {64, 16, 4},
+                       /*plan_sample_queries=*/0);
+  ExpectPrepareRejects(no_samples);
+  FnnPimKnn zero_k(EngineOptions(), true, {64, 16, 4}, 4, /*plan_k=*/0);
+  ExpectPrepareRejects(zero_k);
+}
+
 TEST(KnnPlanTest, OptimizedPlanPrefersPimBound) {
   const Workload w = MakeWorkload(800, 256, 41);
   FnnPimKnn optimized(EngineOptions(), /*optimize=*/true);

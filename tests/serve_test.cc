@@ -6,12 +6,14 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
+#include "knn/sm_pim_knn.h"
 #include "knn/standard_pim_knn.h"
 #include "serve/admission_queue.h"
 #include "serve/serve_options.h"
@@ -262,38 +264,87 @@ TEST(ServeReplayTest, ResultsInvariantUnderBatchingKnobs) {
 
 // --- Equivalence with the offline path -------------------------------------
 
-TEST(ServeReplayTest, AllAtZeroTraceMatchesOfflineBatchRun) {
+/// One served configuration and the offline path it must reproduce.
+struct OfflineParityCase {
+  const char* name;
+  Distance distance;
+  EngineOptions::Bound bound;
+  bool sm_pim;  // the offline path is SmPimKnn instead of StandardPimKnn.
+  int shards;
+};
+
+class ServeOfflineParityTest
+    : public testing::TestWithParam<OfflineParityCase> {};
+
+TEST_P(ServeOfflineParityTest, AllAtZeroTraceMatchesOfflineBatchRun) {
   // Every query arrives at t=0 from one tenant: FIFO forms batches of
   // exactly max_batch in row order — the same partition the offline
   // RunQueryBatchesWithPolicy harness uses for device_batch = max_batch.
+  const OfflineParityCase& c = GetParam();
   constexpr size_t kBatch = 8;
   ServeOptions options = BaseServe();
   options.max_batch = kBatch;
   options.exec.device_batch = kBatch;
   options.max_wait_ns = 0;
-  const ArrivalTrace trace = AllAtZeroTrace(kQueries, 1, kQueries);
-  const ReplayOutput served = MustReplay(options, trace);
+  EngineOptions engine = SmallEngine(c.shards);
+  engine.bound = c.bound;
+  auto server = PimServer::Build(Data(), c.distance, engine, options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  auto served =
+      (*server)->Replay(AllAtZeroTrace(kQueries, 1, kQueries), Queries());
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
 
-  StandardPimKnn offline(Distance::kEuclidean, SmallEngine());
+  // SM-PIM is served through EngineOptions::bound alone.
+  std::unique_ptr<KnnAlgorithm> offline;
+  if (c.sm_pim) {
+    offline = std::make_unique<SmPimKnn>(engine);
+  } else {
+    offline = std::make_unique<StandardPimKnn>(c.distance, engine);
+  }
   ExecPolicy offline_policy;
   offline_policy.device_batch = kBatch;
-  offline.set_exec_policy(offline_policy);
-  ASSERT_TRUE(offline.Prepare(Data()).ok());
-  auto offline_result = offline.Search(Queries(), kK);
+  offline->set_exec_policy(offline_policy);
+  ASSERT_TRUE(offline->Prepare(Data()).ok());
+  auto offline_result = offline->Search(Queries(), kK);
   ASSERT_TRUE(offline_result.ok()) << offline_result.status().ToString();
 
-  ASSERT_EQ(served.results.size(), kQueries);
+  ASSERT_EQ(served->results.size(), kQueries);
   for (size_t i = 0; i < kQueries; ++i) {
-    EXPECT_EQ(served.results[i].neighbors, offline_result->neighbors[i])
+    EXPECT_EQ(served->results[i].neighbors, offline_result->neighbors[i])
         << "query " << i;
   }
-  EXPECT_TRUE(served.stats.exec.traffic == offline_result->stats.traffic)
-      << served.stats.exec.traffic.ToString() << " vs "
+  EXPECT_TRUE(served->stats.exec.traffic == offline_result->stats.traffic)
+      << served->stats.exec.traffic.ToString() << " vs "
       << offline_result->stats.traffic.ToString();
-  EXPECT_EQ(served.stats.exec.pim_ns, offline_result->stats.pim_ns);
-  EXPECT_EQ(served.stats.exec.exact_count, offline_result->stats.exact_count);
-  EXPECT_EQ(served.stats.exec.bound_count, offline_result->stats.bound_count);
+  EXPECT_EQ(served->stats.exec.pim_ns, offline_result->stats.pim_ns);
+  EXPECT_EQ(served->stats.exec.exact_count,
+            offline_result->stats.exact_count);
+  EXPECT_EQ(served->stats.exec.bound_count,
+            offline_result->stats.bound_count);
 }
+
+std::vector<OfflineParityCase> OfflineParityCases() {
+  using Bound = EngineOptions::Bound;
+  std::vector<OfflineParityCase> cases;
+  for (const int shards : {1, 4}) {
+    cases.push_back({"ed_auto", Distance::kEuclidean, Bound::kAuto, false,
+                     shards});
+    cases.push_back({"ed_fnn", Distance::kEuclidean, Bound::kSegmentFnn,
+                     false, shards});
+    cases.push_back({"ed_sm_pim", Distance::kEuclidean, Bound::kSegmentSm,
+                     true, shards});
+    cases.push_back({"cs", Distance::kCosine, Bound::kAuto, false, shards});
+    cases.push_back({"pcc", Distance::kPearson, Bound::kAuto, false, shards});
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Paths, ServeOfflineParityTest, testing::ValuesIn(OfflineParityCases()),
+    [](const testing::TestParamInfo<OfflineParityCase>& param) {
+      return std::string(param.param.name) + "_shards" +
+             std::to_string(param.param.shards);
+    });
 
 // --- Greedy dispatch / Q=1 fast path ---------------------------------------
 

@@ -239,16 +239,30 @@ int RunKnn(const FlagParser& flags) {
                                     "trace_out", "metrics_out", "hist",
                                     "trace_wall", "trace_device",
                                     "trace_sched"}));
+  const std::string distance_name = flags.GetString("distance", "ED");
+  Distance distance = Distance::kEuclidean;
+  if (distance_name == "CS") {
+    distance = Distance::kCosine;
+  } else if (distance_name == "PCC") {
+    distance = Distance::kPearson;
+  } else if (distance_name != "ED") {
+    std::cerr << "unknown --distance '" << distance_name
+              << "' (want ED|CS|PCC)\n";
+    return Usage();
+  }
+  const std::string name = flags.GetString("algorithm", "standard");
+  // SM, OST and FNN (and their PIM paths) bound ED only.
+  if (distance != Distance::kEuclidean && name != "standard" &&
+      name != "standard-pim") {
+    std::cerr << "--distance=" << distance_name
+              << " needs --algorithm=standard or standard-pim\n";
+    return Usage();
+  }
   const auto workload =
       LoadWorkload(flags.GetString("dataset", "MSD"), flags.GetInt("n", 0),
                    flags.GetInt("queries", 20));
   const EngineOptions options = EngineFromFlags(flags, workload);
-  const std::string distance_name = flags.GetString("distance", "ED");
-  const Distance distance = distance_name == "CS"    ? Distance::kCosine
-                            : distance_name == "PCC" ? Distance::kPearson
-                                                     : Distance::kEuclidean;
 
-  const std::string name = flags.GetString("algorithm", "standard");
   std::unique_ptr<KnnAlgorithm> algorithm;
   if (name == "standard") {
     algorithm = std::make_unique<StandardKnn>(distance);
