@@ -52,15 +52,18 @@ std::vector<uint32_t> ArgsortAscending(std::span<const double> values) {
     if (values[a] != values[b]) return values[a] < values[b];
     return a < b;
   });
+  ChargeArgsortTraffic(values.size());
+  return order;
+}
+
+void ChargeArgsortTraffic(size_t n) {
   // One streaming pass over the value array plus n*log2(n) comparisons.
-  traffic::CountRead(values.size() * sizeof(double));
-  if (!values.empty()) {
-    const uint64_t comparisons =
-        values.size() * (FloorLog2(values.size()) + 1);
+  traffic::CountRead(n * sizeof(double));
+  if (n != 0) {
+    const uint64_t comparisons = n * (FloorLog2(n) + 1);
     traffic::CountArithmetic(comparisons);
     traffic::CountBranches(comparisons);
   }
-  return order;
 }
 
 std::vector<Neighbor> FinalizeSimilarityNeighbors(TopK& topk) {

@@ -98,9 +98,17 @@ Status RunQueryBatchesWithPolicy(
 /// (scratch-sizing counterpart of NumSlots for device batches).
 size_t NumBatchSlots(const ExecPolicy& policy, size_t num_queries);
 
-/// Indices [0, n) sorted so values[out[0]] <= values[out[1]] <= ... Charges
-/// the sort's traffic to the thread-local counters.
+/// Indices [0, n) sorted so values[out[0]] <= values[out[1]] <= ..., ties
+/// (including -0.0 against +0.0) to the lower index. This is the reference
+/// candidate order: FilterRefine walks a prefix of it without sorting all
+/// n. Charges ChargeArgsortTraffic(n).
 std::vector<uint32_t> ArgsortAscending(std::span<const double> values);
+
+/// Charges the modeled cost of ordering n bounds to the thread-local
+/// counters: one streaming read of the n doubles plus n*(floor(log2 n)+1)
+/// comparisons, each an arithmetic op and a branch. It models the paper's
+/// full sort, whatever the host does to order the candidates.
+void ChargeArgsortTraffic(size_t n);
 
 /// Extracts sorted neighbours from `topk` for a similarity measure run
 /// where -similarity was pushed as "distance": flips the sign back and

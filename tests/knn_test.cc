@@ -1,9 +1,16 @@
+#include <cmath>
 #include <memory>
+#include <optional>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "data/generator.h"
 #include "data/simhash.h"
+#include "knn/filter_refine.h"
 #include "knn/fnn_knn.h"
 #include "knn/fnn_pim_knn.h"
 #include "knn/hamming_knn.h"
@@ -14,6 +21,8 @@
 #include "knn/sm_pim_knn.h"
 #include "knn/standard_knn.h"
 #include "knn/standard_pim_knn.h"
+#include "sim/traffic.h"
+#include "util/random.h"
 #include "test_helpers.h"
 
 namespace pimine {
@@ -165,6 +174,156 @@ TEST(KnnPruningTest, BoundAlgorithmsComputeFewerExactDistances) {
             base->stats.traffic.bytes_from_memory / 4);
   EXPECT_GT(pim_result->stats.pim_ns, 0.0);
 }
+
+// FilterRefine must visit exactly the prefix of ArgsortAscending's order
+// that a walk over the full sort visits: the same refine calls in the same
+// order, with the same top-k state, and the same modeled traffic.
+template <typename Refine>
+std::vector<Neighbor> FullSortWalk(std::span<const double> bounds, int k,
+                                   bool similarity, uint64_t* exact_count,
+                                   Refine&& refine) {
+  const std::vector<uint32_t> order = ArgsortAscending(bounds);
+  TopK topk(static_cast<size_t>(k));
+  for (const uint32_t idx : order) {
+    if (topk.full() && bounds[idx] >= topk.threshold()) break;
+    const std::optional<double> value = refine(idx, std::as_const(topk));
+    if (!value) continue;
+    topk.Push(*value, static_cast<int32_t>(idx));
+    ++*exact_count;
+  }
+  return similarity ? FinalizeSimilarityNeighbors(topk) : topk.TakeSorted();
+}
+
+enum class BoundPattern { kDistinct, kTies, kSignedZeros, kTombstones,
+                          kAllEqual, kAllTombstones };
+
+std::vector<double> MakeBounds(BoundPattern pattern, size_t n, Rng& rng) {
+  std::vector<double> bounds(n);
+  for (size_t i = 0; i < n; ++i) {
+    switch (pattern) {
+      case BoundPattern::kDistinct:  // Half-steps, so exact values hit them.
+        bounds[i] = 0.5 * static_cast<double>(i);
+        break;
+      case BoundPattern::kTies:
+        bounds[i] = static_cast<double>(rng.NextBounded(4));
+        break;
+      case BoundPattern::kSignedZeros:
+        bounds[i] = rng.NextBool(0.2) ? 1.0 : (rng.NextBool() ? -0.0 : 0.0);
+        break;
+      case BoundPattern::kTombstones:
+        bounds[i] = rng.NextBool(0.3) ? HUGE_VAL : rng.NextUniform(0.0, 8.0);
+        break;
+      case BoundPattern::kAllEqual:
+        bounds[i] = 2.0;
+        break;
+      case BoundPattern::kAllTombstones:
+        bounds[i] = HUGE_VAL;
+        break;
+    }
+  }
+  if (pattern == BoundPattern::kDistinct) {
+    for (size_t i = n; i > 1; --i) {
+      std::swap(bounds[i - 1], bounds[rng.NextBounded(i)]);
+    }
+  }
+  return bounds;
+}
+
+// How the refine step answers: always exactly, pruning some candidates by a
+// finer bound once the top-k is full (FNN's cascade), or pruning some
+// candidates unconditionally, which can leave the top-k short after the
+// first k candidates.
+enum class Pruning { kNone, kWhenFull, kAlways };
+
+struct RefineCall {
+  uint32_t idx;
+  double threshold;
+  size_t held;
+  friend bool operator==(const RefineCall&, const RefineCall&) = default;
+};
+
+struct PatternCase {
+  BoundPattern pattern;
+  const char* name;
+};
+class FilterRefineOrderTest : public ::testing::TestWithParam<PatternCase> {};
+
+TEST_P(FilterRefineOrderTest, VisitsTheFullSortPrefix) {
+  for (const size_t n : {size_t{1}, size_t{2}, size_t{17}, size_t{1000}}) {
+    const BoundPattern pattern = GetParam().pattern;
+    Rng rng(n * 7919 + static_cast<uint64_t>(pattern));
+    const std::vector<double> bounds = MakeBounds(pattern, n, rng);
+    // Exact values are never below their bound, and tie each other and
+    // other candidates' bounds.
+    std::vector<double> exact(n);
+    std::vector<uint8_t> step(n);
+    for (size_t i = 0; i < n; ++i) {
+      step[i] = static_cast<uint8_t>(rng.NextBounded(3));
+      exact[i] = std::ceil(bounds[i]) + 0.5 * step[i];
+    }
+    for (const size_t k : {size_t{1}, size_t{3}, n - 1, n}) {
+      if (k == 0) continue;
+      for (const Pruning pruning :
+           {Pruning::kNone, Pruning::kWhenFull, Pruning::kAlways}) {
+        for (const bool similarity : {false, true}) {
+          SCOPED_TRACE("n=" + std::to_string(n) + " k=" + std::to_string(k) +
+                       " pruning=" + std::to_string(static_cast<int>(pruning)) +
+                       " similarity=" + std::to_string(similarity));
+          const auto recorder = [&](std::vector<RefineCall>* calls) {
+            return [&, calls](uint32_t idx,
+                              const TopK& topk) -> std::optional<double> {
+              calls->push_back({idx, topk.threshold(), topk.size()});
+              const bool pruned =
+                  (pruning == Pruning::kWhenFull && topk.full() &&
+                   step[idx] != 0 &&
+                   exact[idx] - 0.5 >= topk.threshold()) ||
+                  (pruning == Pruning::kAlways && idx % 4 == 1);
+              if (pruned) return std::nullopt;
+              return exact[idx];
+            };
+          };
+          std::vector<RefineCall> want_calls;
+          uint64_t want_exact = 0;
+          traffic::AggregateScope want_scope;
+          const std::vector<Neighbor> want =
+              FullSortWalk(bounds, static_cast<int>(k), similarity,
+                           &want_exact, recorder(&want_calls));
+          const TrafficCounters want_traffic = want_scope.Delta();
+
+          std::vector<RefineCall> got_calls;
+          uint64_t got_exact = 0;
+          FunctionProfiler profile;
+          traffic::AggregateScope got_scope;
+          const std::vector<Neighbor> got = FilterRefine(
+              bounds, static_cast<int>(k), similarity, &profile, "order",
+              &got_exact, recorder(&got_calls));
+          const TrafficCounters got_traffic = got_scope.Delta();
+
+          EXPECT_EQ(got_calls, want_calls);
+          EXPECT_EQ(got, want);
+          EXPECT_EQ(got_exact, want_exact);
+          EXPECT_EQ(got_traffic, want_traffic)
+              << got_traffic.ToString() << " vs " << want_traffic.ToString();
+          ASSERT_FALSE(profile.entries().empty());
+          EXPECT_EQ(profile.entries().front().first, "order");
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Patterns, FilterRefineOrderTest,
+    ::testing::Values(PatternCase{BoundPattern::kDistinct, "Distinct"},
+                      PatternCase{BoundPattern::kTies, "Ties"},
+                      PatternCase{BoundPattern::kSignedZeros, "SignedZeros"},
+                      PatternCase{BoundPattern::kTombstones, "Tombstones"},
+                      PatternCase{BoundPattern::kAllEqual, "AllEqual"},
+                      PatternCase{BoundPattern::kAllTombstones,
+                                  "AllTombstones"}),
+    [](const testing::TestParamInfo<PatternCase>& param) {
+      return std::string(param.param.name);
+    });
 
 TEST(KnnErrorTest, InvalidUsage) {
   const Workload w = MakeWorkload(50, 16, 31);

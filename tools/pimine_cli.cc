@@ -80,6 +80,12 @@ int Usage() {
   return 2;
 }
 
+/// Reports a misused flag, then prints usage (exit code 2).
+int UsageError(const Status& status) {
+  std::cerr << status.ToString() << "\n";
+  return Usage();
+}
+
 /// Observability flags shared by the knn and kmeans commands. Tracing is
 /// enabled before Prepare (so offline device programming is captured) and
 /// exported after the run.
@@ -92,14 +98,14 @@ struct ObsCliConfig {
   }
 };
 
-ObsCliConfig SetupObservability(const FlagParser& flags) {
+Result<ObsCliConfig> SetupObservability(const FlagParser& flags) {
   ObsCliConfig cfg;
   cfg.trace_out = flags.GetString("trace_out", "");
   cfg.metrics_out = flags.GetString("metrics_out", "");
   cfg.hist = flags.GetString("hist", "");
-  if (!cfg.hist.empty()) {
-    PIMINE_CHECK(cfg.hist == "latency")
-        << "unknown --hist '" << cfg.hist << "' (want latency)";
+  if (!cfg.hist.empty() && cfg.hist != "latency") {
+    return Status::InvalidArgument("unknown --hist '" + cfg.hist +
+                                   "' (want latency)");
   }
   if (!cfg.enabled()) return cfg;
   obs::ObsOptions options;
@@ -136,8 +142,8 @@ void FinishObservability(const ObsCliConfig& cfg, const RunStats& stats) {
   obs::Obs::Disable();
 }
 
-EngineOptions EngineFromFlags(const FlagParser& flags,
-                              const bench::BenchWorkload& workload) {
+Result<EngineOptions> EngineFromFlags(const FlagParser& flags,
+                                      const bench::BenchWorkload& workload) {
   const int64_t crossbars = flags.GetInt("crossbars", 0);
   EngineOptions options =
       crossbars == 0 ? ScaledEngineOptions(workload) : EngineOptions();
@@ -160,17 +166,16 @@ EngineOptions EngineFromFlags(const FlagParser& flags,
   } else if (recovery == "none") {
     options.recovery.verify_mode = VerifyMode::kNone;
   } else {
-    PIMINE_CHECK(false) << "unknown --fault_recovery '" << recovery
-                        << "' (want exact|slack|fail|none)";
+    return Status::InvalidArgument("unknown --fault_recovery '" + recovery +
+                                   "' (want exact|slack|fail|none)");
   }
   // --shards / --placement pick the fleet geometry (DESIGN.md section 9).
   // Results are bit-identical for every shard count; only the fleet
   // interconnect rows below vary.
   options.shard.shards = static_cast<int>(flags.GetInt("shards", 1));
-  const Result<ShardPlacement> placement =
-      ParseShardPlacement(flags.GetString("placement", "contiguous"));
-  PIMINE_CHECK(placement.ok()) << placement.status().ToString();
-  options.shard.placement = placement.value();
+  PIMINE_ASSIGN_OR_RETURN(
+      options.shard.placement,
+      ParseShardPlacement(flags.GetString("placement", "contiguous")));
   return options;
 }
 
@@ -230,15 +235,12 @@ void PrintRunStats(const RunStats& stats, const HostCostModel& model) {
 }
 
 int RunKnn(const FlagParser& flags) {
-  PIMINE_CHECK_OK(flags.CheckKnown({"dataset", "algorithm", "k", "n",
-                                    "queries", "distance", "alpha",
-                                    "crossbars", "optimize", "threads",
-                                    "block", "device_batch", "shards",
-                                    "placement", "fault_rate",
-                                    "fault_seed", "fault_recovery",
-                                    "trace_out", "metrics_out", "hist",
-                                    "trace_wall", "trace_device",
-                                    "trace_sched"}));
+  const Status known = flags.CheckKnown(
+      {"dataset", "algorithm", "k", "n", "queries", "distance", "alpha",
+       "crossbars", "optimize", "threads", "block", "device_batch", "shards",
+       "placement", "fault_rate", "fault_seed", "fault_recovery", "trace_out",
+       "metrics_out", "hist", "trace_wall", "trace_device", "trace_sched"});
+  if (!known.ok()) return UsageError(known);
   const std::string distance_name = flags.GetString("distance", "ED");
   Distance distance = Distance::kEuclidean;
   if (distance_name == "CS") {
@@ -261,32 +263,34 @@ int RunKnn(const FlagParser& flags) {
   const auto workload =
       LoadWorkload(flags.GetString("dataset", "MSD"), flags.GetInt("n", 0),
                    flags.GetInt("queries", 20));
-  const EngineOptions options = EngineFromFlags(flags, workload);
+  const Result<EngineOptions> options = EngineFromFlags(flags, workload);
+  if (!options.ok()) return UsageError(options.status());
 
   std::unique_ptr<KnnAlgorithm> algorithm;
   if (name == "standard") {
     algorithm = std::make_unique<StandardKnn>(distance);
   } else if (name == "standard-pim") {
-    algorithm = std::make_unique<StandardPimKnn>(distance, options);
+    algorithm = std::make_unique<StandardPimKnn>(distance, *options);
   } else if (name == "ost") {
     algorithm = std::make_unique<OstKnn>();
   } else if (name == "ost-pim") {
-    algorithm = std::make_unique<OstPimKnn>(options);
+    algorithm = std::make_unique<OstPimKnn>(*options);
   } else if (name == "sm") {
     algorithm = std::make_unique<SmKnn>();
   } else if (name == "sm-pim") {
-    algorithm = std::make_unique<SmPimKnn>(options);
+    algorithm = std::make_unique<SmPimKnn>(*options);
   } else if (name == "fnn") {
     algorithm = std::make_unique<FnnKnn>();
   } else if (name == "fnn-pim") {
-    algorithm = std::make_unique<FnnPimKnn>(options,
+    algorithm = std::make_unique<FnnPimKnn>(*options,
                                             flags.GetBool("optimize", false));
   } else {
     std::cerr << "unknown kNN algorithm '" << name << "'\n";
     return Usage();
   }
 
-  const ObsCliConfig obs_cfg = SetupObservability(flags);
+  const Result<ObsCliConfig> obs_cfg = SetupObservability(flags);
+  if (!obs_cfg.ok()) return UsageError(obs_cfg.status());
   algorithm->set_exec_policy(ExecFromFlags(flags));
   PIMINE_CHECK_OK(algorithm->Prepare(workload.data));
   auto result =
@@ -298,20 +302,17 @@ int RunKnn(const FlagParser& flags) {
             << "), k=" << flags.GetInt("k", 10) << ", "
             << workload.queries.rows() << " queries\n";
   PrintRunStats(result->stats, HostCostModel());
-  FinishObservability(obs_cfg, result->stats);
+  FinishObservability(*obs_cfg, result->stats);
   return 0;
 }
 
 int RunKmeans(const FlagParser& flags) {
-  PIMINE_CHECK_OK(flags.CheckKnown({"dataset", "algorithm", "k", "n",
-                                    "iterations", "pim", "seed", "alpha",
-                                    "crossbars", "threads", "block",
-                                    "device_batch", "shards", "placement",
-                                    "fault_rate",
-                                    "fault_seed", "fault_recovery",
-                                    "trace_out", "metrics_out", "hist",
-                                    "trace_wall", "trace_device",
-                                    "trace_sched"}));
+  const Status known = flags.CheckKnown(
+      {"dataset", "algorithm", "k", "n", "iterations", "pim", "seed", "alpha",
+       "crossbars", "threads", "block", "device_batch", "shards", "placement",
+       "fault_rate", "fault_seed", "fault_recovery", "trace_out", "metrics_out",
+       "hist", "trace_wall", "trace_device", "trace_sched"});
+  if (!known.ok()) return UsageError(known);
   const auto workload =
       LoadWorkload(flags.GetString("dataset", "NUS-WIDE"),
                    flags.GetInt("n", 0), 1);
@@ -320,7 +321,9 @@ int RunKmeans(const FlagParser& flags) {
   options.max_iterations = static_cast<int>(flags.GetInt("iterations", 5));
   options.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   options.use_pim = flags.GetBool("pim", false);
-  options.engine_options = EngineFromFlags(flags, workload);
+  const Result<EngineOptions> engine_options = EngineFromFlags(flags, workload);
+  if (!engine_options.ok()) return UsageError(engine_options.status());
+  options.engine_options = *engine_options;
   options.exec = ExecFromFlags(flags);
 
   const std::string name = flags.GetString("algorithm", "standard");
@@ -340,7 +343,8 @@ int RunKmeans(const FlagParser& flags) {
     return Usage();
   }
 
-  const ObsCliConfig obs_cfg = SetupObservability(flags);
+  const Result<ObsCliConfig> obs_cfg = SetupObservability(flags);
+  if (!obs_cfg.ok()) return UsageError(obs_cfg.status());
   auto result = algorithm->Run(workload.data, options);
   PIMINE_CHECK(result.ok()) << result.status().ToString();
   std::cout << algorithm->name() << (options.use_pim ? "-PIM" : "") << " on "
@@ -348,13 +352,14 @@ int RunKmeans(const FlagParser& flags) {
             << result->iterations << " iterations, inertia "
             << result->inertia << "\n";
   PrintRunStats(result->stats, HostCostModel());
-  FinishObservability(obs_cfg, result->stats);
+  FinishObservability(*obs_cfg, result->stats);
   return 0;
 }
 
 int RunOutlier(const FlagParser& flags) {
-  PIMINE_CHECK_OK(flags.CheckKnown(
-      {"dataset", "k", "top", "n", "pim", "alpha", "crossbars"}));
+  const Status known = flags.CheckKnown(
+      {"dataset", "k", "top", "n", "pim", "alpha", "crossbars"});
+  if (!known.ok()) return UsageError(known);
   const auto workload = LoadWorkload(flags.GetString("dataset", "MSD"),
                                      flags.GetInt("n", 4000), 1);
   OutlierOptions options;
@@ -363,7 +368,9 @@ int RunOutlier(const FlagParser& flags) {
 
   Result<OutlierResult> result = [&]() -> Result<OutlierResult> {
     if (flags.GetBool("pim", false)) {
-      OrcaPimOutlierDetector detector(EngineFromFlags(flags, workload));
+      PIMINE_ASSIGN_OR_RETURN(const EngineOptions engine_options,
+                              EngineFromFlags(flags, workload));
+      OrcaPimOutlierDetector detector(engine_options);
       return detector.Detect(workload.data, options);
     }
     OrcaOutlierDetector detector;
@@ -381,8 +388,9 @@ int RunOutlier(const FlagParser& flags) {
 }
 
 int RunMotif(const FlagParser& flags) {
-  PIMINE_CHECK_OK(
-      flags.CheckKnown({"length", "window", "pim", "seed", "alpha"}));
+  const Status known =
+      flags.CheckKnown({"length", "window", "pim", "seed", "alpha"});
+  if (!known.ok()) return UsageError(known);
   Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 1)));
   std::vector<float> series(
       static_cast<size_t>(flags.GetInt("length", 4000)));
@@ -415,7 +423,9 @@ int RunMotif(const FlagParser& flags) {
 }
 
 int RunPlan(const FlagParser& flags) {
-  PIMINE_CHECK_OK(flags.CheckKnown({"dataset", "n", "crossbars", "copies"}));
+  const Status known =
+      flags.CheckKnown({"dataset", "n", "crossbars", "copies"});
+  if (!known.ok()) return UsageError(known);
   const auto workload = LoadWorkload(flags.GetString("dataset", "MSD"),
                                      flags.GetInt("n", 0), 1);
   PimConfig config;
@@ -439,10 +449,7 @@ int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
   auto flags_or = FlagParser::Parse(argc - 1, argv + 1);
-  if (!flags_or.ok()) {
-    std::cerr << flags_or.status().ToString() << "\n";
-    return Usage();
-  }
+  if (!flags_or.ok()) return UsageError(flags_or.status());
   const FlagParser& flags = *flags_or;
 
   if (command == "knn") return RunKnn(flags);
