@@ -127,8 +127,8 @@ class ShardedPimEngine {
   /// engine's use). nullptr (the default) disables availability faults
   /// entirely — bit-identical to the pre-chaos engine.
   void set_chaos(const ChaosSchedule* chaos) { chaos_ = chaos; }
-  /// Fallback dispatch instant for callers without a per-dispatch clock
-  /// (k-means iterations advance it once per BeginIteration).
+  /// Fallback dispatch instant for callers without a per-dispatch clock.
+  /// The caller sets it; it holds until the caller sets it again.
   void set_chaos_now_ns(uint64_t now_ns) {
     chaos_now_ns_.store(now_ns, std::memory_order_relaxed);
   }

@@ -3,14 +3,13 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/logging.h"
-#include "kmeans/lloyd.h"
-#include "obs/obs.h"
 #include "sim/traffic.h"
-#include "util/timer.h"
 
 namespace pimine {
 namespace {
+
+/// b = max(2, k / kBoundDivisor), capped at the k - 1 other centers.
+constexpr size_t kBoundDivisor = 4;
 
 /// Per-point state: the b nearest non-assigned centers with lower bounds,
 /// sorted ascending, plus a catch-all bound for every other center.
@@ -20,231 +19,165 @@ struct PointBounds {
   double lb_rest = 0.0;         // lower bound for all remaining centers.
 };
 
-}  // namespace
-
-DrakeKmeans::DrakeKmeans(int bound_divisor) : bound_divisor_(bound_divisor) {
-  PIMINE_CHECK(bound_divisor >= 1);
-}
-
-Result<KmeansResult> DrakeKmeans::Run(const FloatMatrix& data,
-                                      const KmeansOptions& options) {
-  PIMINE_RETURN_IF_ERROR(ValidateKmeansInput(data, options));
-
-  std::unique_ptr<PimAssignFilter> owned_filter;
-  PimAssignFilter* filter = options.filter;
-  if (options.use_pim && filter == nullptr) {
-    PIMINE_ASSIGN_OR_RETURN(owned_filter,
-                            PimAssignFilter::Build(data, options.engine_options));
-    filter = owned_filter.get();
+class DrakeBounds : public KmeansBounds {
+ public:
+  explicit DrakeBounds(const KmeansRun& run)
+      : KmeansBounds(run),
+        b_(std::min<size_t>(k_ - 1, std::max<size_t>(2, k_ / kBoundDivisor))),
+        upper_(n_, 0.0),
+        bounds_(n_),
+        scratch_(NumAssignSlots(options_.exec, n_)) {
+    result_.stats.footprint_bytes =
+        n_ * b_ * (sizeof(double) + sizeof(int32_t)) + data_.SizeBytes() / 8;
+    for (PointBounds& pb : bounds_) {
+      pb.lb.assign(b_, 0.0);
+      pb.center.assign(b_, 0);
+    }
+    for (Scratch& s : scratch_) {
+      s.dist.resize(k_);
+      s.order.resize(k_);
+    }
   }
-  if (filter != nullptr) filter->set_fanout_policy(options.exec);
 
-  KmeansResult result;
-  result.centers = InitCenters(data, options.k, options.seed);
-  const size_t n = data.rows();
-  const size_t k = static_cast<size_t>(options.k);
-  const size_t b = std::min<size_t>(
-      k - 1, std::max<size_t>(2, k / static_cast<size_t>(bound_divisor_)));
-  result.assignments.assign(n, 0);
-  result.stats.footprint_bytes =
-      n * b * (sizeof(double) + sizeof(int32_t)) + data.SizeBytes() / 8;
+  size_t Assign(int iter) override {
+    if (iter == 0) {
+      return RunAssignWithPolicy(
+          options_.exec, n_, &result_.stats,
+          [&](size_t i, size_t slot_index, AssignSlot& slot) {
+            result_.assignments[i] =
+                static_cast<int32_t>(Rescan(i, scratch_[slot_index], slot));
+            ++slot.changed;
+          });
+    }
+    return RunAssignWithPolicy(
+        options_.exec, n_, &result_.stats,
+        [&](size_t i, size_t slot_index, AssignSlot& slot) {
+          PointBounds& pb = bounds_[i];
+          const size_t a = result_.assignments[i];
+          // Skip entirely when every other center's bound exceeds upper.
+          // Per-center updates unsort the list, so take the true minimum.
+          double min_lb = pb.lb_rest;
+          for (size_t pos = 0; pos < b_; ++pos) {
+            min_lb = std::min(min_lb, pb.lb[pos]);
+          }
+          if (upper_[i] <= min_lb) return;
 
-  std::vector<double> upper(n, 0.0);
-  std::vector<PointBounds> bounds(n);
-  for (auto& pb : bounds) {
-    pb.lb.assign(b, 0.0);
-    pb.center.assign(b, 0);
+          const auto p = data_.row(i);
+          double best_d;
+          {
+            ScopedFunctionTimer timer(&slot.profile, "ED");
+            best_d = KmeansExactDistance(p, result_.centers.row(a));
+            ++slot.exact_count;
+          }
+          upper_[i] = best_d;
+          size_t best_c = a;
+          for (size_t pos = 0; pos < b_; ++pos) {
+            if (pb.lb[pos] >= best_d) continue;
+            const size_t c = pb.center[pos];
+            if (c == best_c) continue;
+            if (filter_ != nullptr) {
+              ++slot.bound_count;
+              const double pim_lb = filter_->LowerBound(i, c);
+              if (pim_lb >= best_d) {
+                pb.lb[pos] = std::max(pb.lb[pos], pim_lb);
+                continue;
+              }
+            }
+            ScopedFunctionTimer timer(&slot.profile, "ED");
+            const double d = KmeansExactDistance(p, result_.centers.row(c));
+            ++slot.exact_count;
+            pb.lb[pos] = d;
+            if (d < best_d) {
+              best_d = d;
+              best_c = c;
+            }
+          }
+          // Rescan when the catch-all bound can no longer exclude the
+          // unlisted centers, or when the assignment changes (the bound
+          // list excludes the assigned center, so a switch invalidates
+          // coverage of the old one).
+          if (pb.lb_rest < best_d || best_c != a) {
+            best_c = Rescan(i, scratch_[slot_index], slot);
+          } else {
+            upper_[i] = best_d;
+          }
+          if (best_c != a) {
+            result_.assignments[i] = static_cast<int32_t>(best_c);
+            ++slot.changed;
+          }
+        });
   }
-  std::vector<double> moved(k, 0.0);
-  std::vector<double> dist_scratch(k, 0.0);
 
-  TrafficScope traffic_scope;
-  Timer total_wall;
-  bool initialized = false;
+  void UpdateBounds(const std::vector<double>& moved) override {
+    ScopedFunctionTimer timer(&result_.stats.profile, "bound update");
+    double max_moved = 0.0;
+    for (double m : moved) max_moved = std::max(max_moved, m);
+    for (size_t i = 0; i < n_; ++i) {
+      PointBounds& pb = bounds_[i];
+      for (size_t pos = 0; pos < b_; ++pos) {
+        pb.lb[pos] = std::max(0.0, pb.lb[pos] - moved[pb.center[pos]]);
+      }
+      if (pb.lb_rest < HUGE_VAL) {
+        pb.lb_rest = std::max(0.0, pb.lb_rest - max_moved);
+      }
+      upper_[i] += moved[result_.assignments[i]];
+    }
+    traffic::CountRead(n_ * b_ * sizeof(double));
+    traffic::CountWrite(n_ * b_ * sizeof(double));
+    traffic::CountArithmetic(n_ * (b_ + 2));
+  }
+
+ private:
+  // Per-worker Rescan scratch.
+  struct Scratch {
+    std::vector<double> dist;    // the point's ScanAllCenters values.
+    std::vector<int32_t> order;  // centers sorted by dist.
+  };
 
   // Full re-evaluation of one point: all k distances (through the PIM
   // filter when present), rebuilding its bound list. Returns the new
   // assignment. Pruned pairs store the PIM lower bound — a valid entry.
-  auto rescan_point = [&](size_t i) -> size_t {
-    const auto p = data.row(i);
-    size_t best_c = 0;
-    double best_d = HUGE_VAL;
-    for (size_t c = 0; c < k; ++c) {
-      double d;
-      if (filter != nullptr) {
-        ++result.stats.bound_count;
-        const double pim_lb = filter->LowerBound(i, c);
-        if (pim_lb >= best_d) {
-          dist_scratch[c] = pim_lb;
-          continue;
-        }
-      }
-      {
-        ScopedFunctionTimer timer(&result.stats.profile, "ED");
-        d = KmeansExactDistance(p, result.centers.row(c));
-        ++result.stats.exact_count;
-      }
-      dist_scratch[c] = d;
-      if (d < best_d) {
-        best_d = d;
-        best_c = c;
-      }
-    }
+  size_t Rescan(size_t i, Scratch& s, AssignSlot& slot) {
+    const size_t best_c = ScanAllCenters(i, s.dist, slot);
+    const std::vector<double>& dist = s.dist;
     // Rebuild the bound list: b smallest non-assigned entries.
-    std::vector<int32_t> order(k);
-    for (size_t c = 0; c < k; ++c) order[c] = static_cast<int32_t>(c);
+    std::vector<int32_t>& order = s.order;
+    for (size_t c = 0; c < k_; ++c) order[c] = static_cast<int32_t>(c);
     std::sort(order.begin(), order.end(), [&](int32_t x, int32_t y) {
-      if (dist_scratch[x] != dist_scratch[y]) {
-        return dist_scratch[x] < dist_scratch[y];
-      }
+      if (dist[x] != dist[y]) return dist[x] < dist[y];
       return x < y;
     });
-    PointBounds& pb = bounds[i];
+    PointBounds& pb = bounds_[i];
     size_t filled = 0;
     double rest = HUGE_VAL;
-    for (size_t pos = 0; pos < k; ++pos) {
+    for (size_t pos = 0; pos < k_; ++pos) {
       const int32_t c = order[pos];
       if (static_cast<size_t>(c) == best_c) continue;
-      if (filled < b) {
+      if (filled < b_) {
         pb.center[filled] = c;
-        pb.lb[filled] = dist_scratch[c];
+        pb.lb[filled] = dist[c];
         ++filled;
       } else {
-        rest = std::min(rest, dist_scratch[c]);
+        rest = std::min(rest, dist[c]);
       }
     }
     pb.lb_rest = rest;  // HUGE_VAL when b covers all other centers.
-    upper[i] = best_d;
-    traffic::CountArithmetic(k * 12);  // sort of k entries.
+    upper_[i] = dist[best_c];
+    traffic::CountArithmetic(k_ * 12);  // sort of k entries.
     return best_c;
-  };
-
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
-    Timer iter_wall;
-    size_t changed = 0;
-    const double pim_ns_before =
-        filter != nullptr ? filter->PimComputeNs() : 0.0;
-    obs::AggregateSpan iter_span("kmeans", "iteration");
-    iter_span.set_histogram(&result.stats.latency_hist);
-
-    if (filter != nullptr) {
-      ScopedFunctionTimer timer(&result.stats.profile, "LB_PIM");
-      PIMINE_RETURN_IF_ERROR(filter->BeginIteration(
-          result.centers, std::max<size_t>(1, options.exec.device_batch)));
-    }
-
-    if (!initialized) {
-      for (size_t i = 0; i < n; ++i) {
-        result.assignments[i] = static_cast<int32_t>(rescan_point(i));
-        ++changed;
-      }
-      initialized = true;
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        PointBounds& pb = bounds[i];
-        const size_t a = result.assignments[i];
-        // Skip entirely when every other center's bound exceeds upper.
-        // Per-center updates unsort the list, so take the true minimum.
-        double min_lb = pb.lb_rest;
-        for (size_t pos = 0; pos < b; ++pos) {
-          min_lb = std::min(min_lb, pb.lb[pos]);
-        }
-        if (upper[i] <= min_lb) continue;
-
-        const auto p = data.row(i);
-        double best_d;
-        {
-          ScopedFunctionTimer timer(&result.stats.profile, "ED");
-          best_d = KmeansExactDistance(p, result.centers.row(a));
-          ++result.stats.exact_count;
-        }
-        upper[i] = best_d;
-        size_t best_c = a;
-        bool need_rescan = false;
-        for (size_t pos = 0; pos < b; ++pos) {
-          if (pb.lb[pos] >= best_d) continue;
-          const size_t c = pb.center[pos];
-          if (c == best_c) continue;
-          if (filter != nullptr) {
-            ++result.stats.bound_count;
-            const double pim_lb = filter->LowerBound(i, c);
-            if (pim_lb >= best_d) {
-              pb.lb[pos] = std::max(pb.lb[pos], pim_lb);
-              continue;
-            }
-          }
-          ScopedFunctionTimer timer(&result.stats.profile, "ED");
-          const double d = KmeansExactDistance(p, result.centers.row(c));
-          ++result.stats.exact_count;
-          pb.lb[pos] = d;
-          if (d < best_d) {
-            best_d = d;
-            best_c = c;
-          }
-        }
-        // Rescan when the catch-all bound can no longer exclude the
-        // unlisted centers, or when the assignment changes (the bound list
-        // excludes the assigned center, so a switch invalidates coverage of
-        // the old one).
-        if (pb.lb_rest < best_d || best_c != a) need_rescan = true;
-        if (need_rescan) {
-          best_c = rescan_point(i);
-        } else {
-          upper[i] = best_d;
-        }
-        if (best_c != a) {
-          result.assignments[i] = static_cast<int32_t>(best_c);
-          ++changed;
-        }
-      }
-    }
-
-    {
-      ScopedFunctionTimer timer(&result.stats.profile, "update");
-      result.centers =
-          UpdateCenters(data, result.assignments, result.centers, &moved,
-                        filter);
-    }
-    {
-      ScopedFunctionTimer timer(&result.stats.profile, "bound update");
-      double max_moved = 0.0;
-      for (double m : moved) max_moved = std::max(max_moved, m);
-      for (size_t i = 0; i < n; ++i) {
-        PointBounds& pb = bounds[i];
-        for (size_t pos = 0; pos < b; ++pos) {
-          pb.lb[pos] =
-              std::max(0.0, pb.lb[pos] - moved[pb.center[pos]]);
-        }
-        if (pb.lb_rest < HUGE_VAL) {
-          pb.lb_rest = std::max(0.0, pb.lb_rest - max_moved);
-        }
-        upper[i] += moved[result.assignments[i]];
-      }
-      traffic::CountRead(n * b * sizeof(double));
-      traffic::CountWrite(n * b * sizeof(double));
-      traffic::CountArithmetic(n * (b + 2));
-    }
-
-    if (filter != nullptr) {
-      iter_span.AddModeledNs(filter->PimComputeNs() - pim_ns_before);
-    }
-    // Drake runs its assign loop inline (no RunAssignWithPolicy), so it
-    // publishes its own reassignment tally.
-    obs::AddCounter("pimine_kmeans_reassignments_total", changed);
-    obs::AddCounter("pimine_kmeans_iterations_total", 1);
-    result.iteration_wall_ms.push_back(iter_wall.ElapsedMillis());
-    ++result.iterations;
-    if (changed == 0 && iter > 0) break;
   }
 
-  result.inertia = ComputeInertia(data, result.centers, result.assignments);
-  result.stats.wall_ms = total_wall.ElapsedMillis();
-  result.stats.traffic = traffic_scope.Delta();
-  if (filter != nullptr) result.stats.pim_ns = filter->PimComputeNs();
-  if (filter != nullptr) result.stats.fault = filter->FaultStatsTotal();
-  if (filter != nullptr) result.stats.fleet = filter->FleetStats();
-  PublishKmeansRunMetrics(result.stats);
-  return result;
+  const size_t b_;
+  std::vector<double> upper_;
+  std::vector<PointBounds> bounds_;
+  std::vector<Scratch> scratch_;
+};
+
+}  // namespace
+
+std::unique_ptr<KmeansBounds> DrakeKmeans::NewBounds(
+    const KmeansRun& run) const {
+  return std::make_unique<DrakeBounds>(run);
 }
 
 }  // namespace pimine

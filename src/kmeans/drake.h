@@ -6,20 +6,15 @@
 namespace pimine {
 
 /// Drake & Hamerly (NIPS OPT'12): keeps lower bounds only for the b
-/// closest centers per point (b = k/4 here) plus one catch-all bound for
-/// the rest — less bound-maintenance than Elkan, more exact distances.
-/// Produces exactly Lloyd's trajectory.
+/// closest centers per point (b = max(2, k/4) here) plus one catch-all
+/// bound for the rest — less bound-maintenance than Elkan, more exact
+/// distances. Produces exactly Lloyd's trajectory.
 class DrakeKmeans : public KmeansAlgorithm {
  public:
-  /// b = max(2, k / bound_divisor).
-  explicit DrakeKmeans(int bound_divisor = 4);
-
   std::string_view name() const override { return "Drake"; }
-  Result<KmeansResult> Run(const FloatMatrix& data,
-                           const KmeansOptions& options) override;
 
  private:
-  int bound_divisor_;
+  std::unique_ptr<KmeansBounds> NewBounds(const KmeansRun& run) const override;
 };
 
 }  // namespace pimine

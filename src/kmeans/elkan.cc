@@ -3,201 +3,160 @@
 #include <algorithm>
 #include <cmath>
 
-#include "kmeans/lloyd.h"
-#include "obs/obs.h"
 #include "sim/traffic.h"
-#include "util/timer.h"
 
 namespace pimine {
+namespace {
 
-Result<KmeansResult> ElkanKmeans::Run(const FloatMatrix& data,
-                                      const KmeansOptions& options) {
-  PIMINE_RETURN_IF_ERROR(ValidateKmeansInput(data, options));
-
-  std::unique_ptr<PimAssignFilter> owned_filter;
-  PimAssignFilter* filter = options.filter;
-  if (options.use_pim && filter == nullptr) {
-    PIMINE_ASSIGN_OR_RETURN(owned_filter,
-                            PimAssignFilter::Build(data, options.engine_options));
-    filter = owned_filter.get();
+class ElkanBounds : public KmeansBounds {
+ public:
+  explicit ElkanBounds(const KmeansRun& run)
+      : KmeansBounds(run),
+        upper_(n_, 0.0),
+        upper_stale_(n_, 0),
+        lower_(n_ * k_, 0.0),
+        cc_(k_ * k_, 0.0),
+        nearest_other_(k_, 0.0) {
+    result_.stats.footprint_bytes =
+        n_ * k_ * sizeof(double) + data_.SizeBytes() / 8;
   }
-  if (filter != nullptr) filter->set_fanout_policy(options.exec);
 
-  KmeansResult result;
-  result.centers = InitCenters(data, options.k, options.seed);
-  const size_t n = data.rows();
-  const size_t k = static_cast<size_t>(options.k);
-  result.assignments.assign(n, 0);
-  result.stats.footprint_bytes =
-      n * k * sizeof(double) + data.SizeBytes() / 8;
+  size_t Assign(int iter) override {
+    return iter == 0 ? AssignFirst() : AssignBounded();
+  }
 
-  std::vector<double> upper(n, 0.0);
-  std::vector<uint8_t> upper_stale(n, 0);  // not vector<bool>: workers write
-                                           // distinct entries concurrently.
-  std::vector<double> lower(n * k, 0.0);
-  std::vector<double> cc(k * k, 0.0);       // center-center distances.
-  std::vector<double> nearest_other(k, 0.0);  // s(j) = 0.5 min_{j'} cc.
-  std::vector<double> moved(k, 0.0);
-
-  traffic::AggregateScope traffic_scope;
-  Timer total_wall;
-  bool initialized = false;
-
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
-    Timer iter_wall;
-    size_t changed = 0;
-    const double pim_ns_before =
-        filter != nullptr ? filter->PimComputeNs() : 0.0;
-    obs::AggregateSpan iter_span("kmeans", "iteration");
-    iter_span.set_histogram(&result.stats.latency_hist);
-
-    if (filter != nullptr) {
-      ScopedFunctionTimer timer(&result.stats.profile, "LB_PIM");
-      PIMINE_RETURN_IF_ERROR(filter->BeginIteration(
-          result.centers, std::max<size_t>(1, options.exec.device_batch)));
-    }
-
-    if (!initialized) {
-      // First assign pass fills every bound exactly (Lloyd-equivalent).
-      changed = RunAssignWithPolicy(
-          options.exec, n, &result.stats,
-          [&](size_t i, size_t /*slot_index*/, AssignSlot& slot) {
-            const auto p = data.row(i);
-            size_t best_c = 0;
-            double best_d = HUGE_VAL;
-            for (size_t c = 0; c < k; ++c) {
-              double d;
-              if (filter != nullptr && filter->LowerBound(i, c) >= best_d) {
-                ++slot.bound_count;
-                d = filter->LowerBound(i, c);  // valid lower bound kept in lb.
-              } else {
-                ScopedFunctionTimer timer(&slot.profile, "ED");
-                d = KmeansExactDistance(p, result.centers.row(c));
-                ++slot.exact_count;
-                if (d < best_d) {
-                  best_d = d;
-                  best_c = c;
-                }
-              }
-              lower[i * k + c] = d;
-            }
-            result.assignments[i] = static_cast<int32_t>(best_c);
-            upper[i] = best_d;
-            upper_stale[i] = 0;
-            ++slot.changed;
-          });
-      initialized = true;
-    } else {
-      // Center-center distances and s(j).
-      {
-        ScopedFunctionTimer timer(&result.stats.profile, "ED");
-        for (size_t a = 0; a < k; ++a) {
-          for (size_t b = a + 1; b < k; ++b) {
-            const double d = KmeansExactDistance(result.centers.row(a),
-                                                 result.centers.row(b));
-            cc[a * k + b] = d;
-            cc[b * k + a] = d;
-          }
-        }
-        result.stats.exact_count += k * (k - 1) / 2;
-        for (size_t a = 0; a < k; ++a) {
-          double m = HUGE_VAL;
-          for (size_t b = 0; b < k; ++b) {
-            if (b != a) m = std::min(m, cc[a * k + b]);
-          }
-          nearest_other[a] = 0.5 * m;
-        }
+  void UpdateBounds(const std::vector<double>& moved) override {
+    ScopedFunctionTimer timer(&result_.stats.profile, "bound update");
+    for (size_t i = 0; i < n_; ++i) {
+      double* lb = lower_.data() + i * k_;
+      for (size_t c = 0; c < k_; ++c) {
+        lb[c] = std::max(0.0, lb[c] - moved[c]);
       }
+      upper_[i] += moved[result_.assignments[i]];
+      upper_stale_[i] = 1;
+    }
+    traffic::CountRead(n_ * k_ * sizeof(double));
+    traffic::CountWrite(n_ * k_ * sizeof(double));
+    traffic::CountArithmetic(n_ * k_ * 2);
+  }
 
-      changed = RunAssignWithPolicy(
-          options.exec, n, &result.stats,
-          [&](size_t i, size_t /*slot_index*/, AssignSlot& slot) {
-            const size_t a = result.assignments[i];
-            if (upper[i] <= nearest_other[a]) return;
-            const auto p = data.row(i);
-            size_t best_c = a;  // current best center; cc-tests must use it.
-            double best_d = upper[i];
-            bool tightened = upper_stale[i] == 0;
-            for (size_t c = 0; c < k; ++c) {
-              if (c == best_c) continue;
-              if (lower[i * k + c] >= best_d) continue;
-              if (0.5 * cc[best_c * k + c] >= best_d) continue;
-              if (!tightened) {
-                ScopedFunctionTimer timer(&slot.profile, "ED");
-                best_d = KmeansExactDistance(p, result.centers.row(a));
-                ++slot.exact_count;
-                lower[i * k + a] = best_d;
-                upper[i] = best_d;
-                upper_stale[i] = 0;
-                tightened = true;
-                if (lower[i * k + c] >= best_d) continue;
-                if (0.5 * cc[best_c * k + c] >= best_d) continue;
-              }
-              if (filter != nullptr) {
-                ++slot.bound_count;
-                const double pim_lb = filter->LowerBound(i, c);
-                if (pim_lb >= best_d) {
-                  lower[i * k + c] = std::max(lower[i * k + c], pim_lb);
-                  continue;
-                }
-              }
+ private:
+  // First assign pass fills every bound exactly (Lloyd-equivalent).
+  size_t AssignFirst() {
+    return RunAssignWithPolicy(
+        options_.exec, n_, &result_.stats,
+        [&](size_t i, size_t /*slot_index*/, AssignSlot& slot) {
+          const auto p = data_.row(i);
+          size_t best_c = 0;
+          double best_d = HUGE_VAL;
+          for (size_t c = 0; c < k_; ++c) {
+            double d;
+            if (filter_ != nullptr && filter_->LowerBound(i, c) >= best_d) {
+              ++slot.bound_count;
+              d = filter_->LowerBound(i, c);  // valid lower bound kept in lb.
+            } else {
               ScopedFunctionTimer timer(&slot.profile, "ED");
-              const double d = KmeansExactDistance(p, result.centers.row(c));
+              d = KmeansExactDistance(p, result_.centers.row(c));
               ++slot.exact_count;
-              lower[i * k + c] = d;
               if (d < best_d) {
                 best_d = d;
                 best_c = c;
               }
             }
-            if (best_c != a) {
-              result.assignments[i] = static_cast<int32_t>(best_c);
-              upper[i] = best_d;
-              upper_stale[i] = 0;
-              ++slot.changed;
-            }
-          });
-    }
-
-    // Update step + bound maintenance.
-    {
-      ScopedFunctionTimer timer(&result.stats.profile, "update");
-      result.centers =
-          UpdateCenters(data, result.assignments, result.centers, &moved,
-                        filter);
-    }
-    {
-      ScopedFunctionTimer timer(&result.stats.profile, "bound update");
-      for (size_t i = 0; i < n; ++i) {
-        double* lb = lower.data() + i * k;
-        for (size_t c = 0; c < k; ++c) {
-          lb[c] = std::max(0.0, lb[c] - moved[c]);
-        }
-        upper[i] += moved[result.assignments[i]];
-        upper_stale[i] = 1;
-      }
-      traffic::CountRead(n * k * sizeof(double));
-      traffic::CountWrite(n * k * sizeof(double));
-      traffic::CountArithmetic(n * k * 2);
-    }
-
-    if (filter != nullptr) {
-      iter_span.AddModeledNs(filter->PimComputeNs() - pim_ns_before);
-    }
-    obs::AddCounter("pimine_kmeans_iterations_total", 1);
-    result.iteration_wall_ms.push_back(iter_wall.ElapsedMillis());
-    ++result.iterations;
-    if (changed == 0 && iter > 0) break;
+            lower_[i * k_ + c] = d;
+          }
+          result_.assignments[i] = static_cast<int32_t>(best_c);
+          upper_[i] = best_d;
+          upper_stale_[i] = 0;
+          ++slot.changed;
+        });
   }
 
-  result.inertia = ComputeInertia(data, result.centers, result.assignments);
-  result.stats.wall_ms = total_wall.ElapsedMillis();
-  result.stats.traffic = traffic_scope.Delta();
-  if (filter != nullptr) result.stats.pim_ns = filter->PimComputeNs();
-  if (filter != nullptr) result.stats.fault = filter->FaultStatsTotal();
-  if (filter != nullptr) result.stats.fleet = filter->FleetStats();
-  PublishKmeansRunMetrics(result.stats);
-  return result;
+  size_t AssignBounded() {
+    // Center-center distances and s(j).
+    {
+      ScopedFunctionTimer timer(&result_.stats.profile, "ED");
+      for (size_t a = 0; a < k_; ++a) {
+        for (size_t b = a + 1; b < k_; ++b) {
+          const double d = KmeansExactDistance(result_.centers.row(a),
+                                               result_.centers.row(b));
+          cc_[a * k_ + b] = d;
+          cc_[b * k_ + a] = d;
+        }
+      }
+      result_.stats.exact_count += k_ * (k_ - 1) / 2;
+      for (size_t a = 0; a < k_; ++a) {
+        double m = HUGE_VAL;
+        for (size_t b = 0; b < k_; ++b) {
+          if (b != a) m = std::min(m, cc_[a * k_ + b]);
+        }
+        nearest_other_[a] = 0.5 * m;
+      }
+    }
+
+    return RunAssignWithPolicy(
+        options_.exec, n_, &result_.stats,
+        [&](size_t i, size_t /*slot_index*/, AssignSlot& slot) {
+          const size_t a = result_.assignments[i];
+          if (upper_[i] <= nearest_other_[a]) return;
+          const auto p = data_.row(i);
+          size_t best_c = a;  // current best center; cc-tests must use it.
+          double best_d = upper_[i];
+          bool tightened = upper_stale_[i] == 0;
+          for (size_t c = 0; c < k_; ++c) {
+            if (c == best_c) continue;
+            if (lower_[i * k_ + c] >= best_d) continue;
+            if (0.5 * cc_[best_c * k_ + c] >= best_d) continue;
+            if (!tightened) {
+              ScopedFunctionTimer timer(&slot.profile, "ED");
+              best_d = KmeansExactDistance(p, result_.centers.row(a));
+              ++slot.exact_count;
+              lower_[i * k_ + a] = best_d;
+              upper_[i] = best_d;
+              upper_stale_[i] = 0;
+              tightened = true;
+              if (lower_[i * k_ + c] >= best_d) continue;
+              if (0.5 * cc_[best_c * k_ + c] >= best_d) continue;
+            }
+            if (filter_ != nullptr) {
+              ++slot.bound_count;
+              const double pim_lb = filter_->LowerBound(i, c);
+              if (pim_lb >= best_d) {
+                lower_[i * k_ + c] = std::max(lower_[i * k_ + c], pim_lb);
+                continue;
+              }
+            }
+            ScopedFunctionTimer timer(&slot.profile, "ED");
+            const double d = KmeansExactDistance(p, result_.centers.row(c));
+            ++slot.exact_count;
+            lower_[i * k_ + c] = d;
+            if (d < best_d) {
+              best_d = d;
+              best_c = c;
+            }
+          }
+          if (best_c != a) {
+            result_.assignments[i] = static_cast<int32_t>(best_c);
+            upper_[i] = best_d;
+            upper_stale_[i] = 0;
+            ++slot.changed;
+          }
+        });
+  }
+
+  std::vector<double> upper_;
+  std::vector<uint8_t> upper_stale_;  // not vector<bool>: workers write
+                                      // distinct entries concurrently.
+  std::vector<double> lower_;
+  std::vector<double> cc_;             // center-center distances.
+  std::vector<double> nearest_other_;  // s(j) = 0.5 min_{j'} cc.
+};
+
+}  // namespace
+
+std::unique_ptr<KmeansBounds> ElkanKmeans::NewBounds(
+    const KmeansRun& run) const {
+  return std::make_unique<ElkanBounds>(run);
 }
 
 }  // namespace pimine

@@ -13,8 +13,9 @@ namespace pimine {
 class ElkanKmeans : public KmeansAlgorithm {
  public:
   std::string_view name() const override { return "Elkan"; }
-  Result<KmeansResult> Run(const FloatMatrix& data,
-                           const KmeansOptions& options) override;
+
+ private:
+  std::unique_ptr<KmeansBounds> NewBounds(const KmeansRun& run) const override;
 };
 
 }  // namespace pimine

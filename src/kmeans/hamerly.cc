@@ -3,175 +3,106 @@
 #include <algorithm>
 #include <cmath>
 
-#include "kmeans/lloyd.h"
-#include "obs/obs.h"
 #include "sim/traffic.h"
-#include "util/timer.h"
 
 namespace pimine {
+namespace {
 
-Result<KmeansResult> HamerlyKmeans::Run(const FloatMatrix& data,
-                                        const KmeansOptions& options) {
-  PIMINE_RETURN_IF_ERROR(ValidateKmeansInput(data, options));
-
-  std::unique_ptr<PimAssignFilter> owned_filter;
-  PimAssignFilter* filter = options.filter;
-  if (options.use_pim && filter == nullptr) {
-    PIMINE_ASSIGN_OR_RETURN(owned_filter,
-                            PimAssignFilter::Build(data, options.engine_options));
-    filter = owned_filter.get();
+class HamerlyBounds : public KmeansBounds {
+ public:
+  explicit HamerlyBounds(const KmeansRun& run)
+      : KmeansBounds(run),
+        upper_(n_, 0.0),
+        lower_(n_, 0.0),
+        nearest_other_(k_, 0.0),
+        dist_(NumAssignSlots(options_.exec, n_), std::vector<double>(k_)) {
+    result_.stats.footprint_bytes =
+        n_ * 2 * sizeof(double) + data_.SizeBytes() / 8;
   }
-  if (filter != nullptr) filter->set_fanout_policy(options.exec);
 
-  KmeansResult result;
-  result.centers = InitCenters(data, options.k, options.seed);
-  const size_t n = data.rows();
-  const size_t k = static_cast<size_t>(options.k);
-  result.assignments.assign(n, 0);
-  result.stats.footprint_bytes =
-      n * 2 * sizeof(double) + data.SizeBytes() / 8;
-
-  std::vector<double> upper(n, 0.0);
-  std::vector<double> lower(n, 0.0);  // bound to the 2nd-closest center.
-  std::vector<double> nearest_other(k, 0.0);
-  std::vector<double> moved(k, 0.0);
-
-  traffic::AggregateScope traffic_scope;
-  Timer total_wall;
-  bool initialized = false;
-
-  // Full re-evaluation of point i: finds the closest center exactly and a
-  // valid lower bound on the second-closest distance. PIM-pruned centers
-  // contribute their (valid) lower bound to the second-min tracking.
-  auto rescan_point = [&](size_t i, AssignSlot& slot) {
-    const auto p = data.row(i);
-    double min1 = HUGE_VAL;  // exact distance to the closest center.
-    double min2 = HUGE_VAL;  // lower bound on the second-closest distance.
-    size_t best_c = 0;
-    for (size_t c = 0; c < k; ++c) {
-      double value;
-      if (filter != nullptr) {
-        ++slot.bound_count;
-        const double pim_lb = filter->LowerBound(i, c);
-        if (pim_lb >= min1) {
-          value = pim_lb;  // cannot be the closest; bound suffices.
-        } else {
-          ScopedFunctionTimer timer(&slot.profile, "ED");
-          value = KmeansExactDistance(p, result.centers.row(c));
-          ++slot.exact_count;
-        }
-      } else {
-        ScopedFunctionTimer timer(&slot.profile, "ED");
-        value = KmeansExactDistance(p, result.centers.row(c));
-        ++slot.exact_count;
-      }
-      if (value < min1) {
-        min2 = min1;
-        min1 = value;
-        best_c = c;
-      } else if (value < min2) {
-        min2 = value;
-      }
-    }
-    result.assignments[i] = static_cast<int32_t>(best_c);
-    upper[i] = min1;
-    lower[i] = min2;
-  };
-
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
-    Timer iter_wall;
-    size_t changed = 0;
-    const double pim_ns_before =
-        filter != nullptr ? filter->PimComputeNs() : 0.0;
-    obs::AggregateSpan iter_span("kmeans", "iteration");
-    iter_span.set_histogram(&result.stats.latency_hist);
-
-    if (filter != nullptr) {
-      ScopedFunctionTimer timer(&result.stats.profile, "LB_PIM");
-      PIMINE_RETURN_IF_ERROR(filter->BeginIteration(
-          result.centers, std::max<size_t>(1, options.exec.device_batch)));
-    }
-
-    if (!initialized) {
-      changed = RunAssignWithPolicy(
-          options.exec, n, &result.stats,
-          [&](size_t i, size_t /*slot_index*/, AssignSlot& slot) {
-            rescan_point(i, slot);
+  size_t Assign(int iter) override {
+    if (iter == 0) {
+      return RunAssignWithPolicy(
+          options_.exec, n_, &result_.stats,
+          [&](size_t i, size_t slot_index, AssignSlot& slot) {
+            Rescan(i, dist_[slot_index], slot);
             ++slot.changed;
           });
-      initialized = true;
-    } else {
-      // s(j) = half the distance to j's nearest other center.
-      {
-        ScopedFunctionTimer timer(&result.stats.profile, "ED");
-        for (size_t a = 0; a < k; ++a) {
-          double m = HUGE_VAL;
-          for (size_t b = 0; b < k; ++b) {
-            if (b == a) continue;
-            m = std::min(m, KmeansExactDistance(result.centers.row(a),
-                                                result.centers.row(b)));
-          }
-          nearest_other[a] = 0.5 * m;
-          result.stats.exact_count += k - 1;
+    }
+    // s(j) = half the distance to j's nearest other center.
+    {
+      ScopedFunctionTimer timer(&result_.stats.profile, "ED");
+      for (size_t a = 0; a < k_; ++a) {
+        double m = HUGE_VAL;
+        for (size_t b = 0; b < k_; ++b) {
+          if (b == a) continue;
+          m = std::min(m, KmeansExactDistance(result_.centers.row(a),
+                                              result_.centers.row(b)));
         }
+        nearest_other_[a] = 0.5 * m;
+        result_.stats.exact_count += k_ - 1;
       }
-
-      changed = RunAssignWithPolicy(
-          options.exec, n, &result.stats,
-          [&](size_t i, size_t /*slot_index*/, AssignSlot& slot) {
-            const size_t a = result.assignments[i];
-            const double gate = std::max(nearest_other[a], lower[i]);
-            if (upper[i] <= gate) return;
-            // Tighten the upper bound; re-test before the full rescan.
-            {
-              ScopedFunctionTimer timer(&slot.profile, "ED");
-              upper[i] =
-                  KmeansExactDistance(data.row(i), result.centers.row(a));
-              ++slot.exact_count;
-            }
-            if (upper[i] <= gate) return;
-            const int32_t before = result.assignments[i];
-            rescan_point(i, slot);
-            if (result.assignments[i] != before) ++slot.changed;
-          });
     }
 
-    {
-      ScopedFunctionTimer timer(&result.stats.profile, "update");
-      result.centers =
-          UpdateCenters(data, result.assignments, result.centers, &moved,
-                        filter);
-    }
-    {
-      ScopedFunctionTimer timer(&result.stats.profile, "bound update");
-      double max_moved = 0.0;
-      for (double m : moved) max_moved = std::max(max_moved, m);
-      for (size_t i = 0; i < n; ++i) {
-        upper[i] += moved[result.assignments[i]];
-        lower[i] = std::max(0.0, lower[i] - max_moved);
-      }
-      traffic::CountRead(n * 2 * sizeof(double));
-      traffic::CountWrite(n * 2 * sizeof(double));
-      traffic::CountArithmetic(n * 3);
-    }
-
-    if (filter != nullptr) {
-      iter_span.AddModeledNs(filter->PimComputeNs() - pim_ns_before);
-    }
-    obs::AddCounter("pimine_kmeans_iterations_total", 1);
-    result.iteration_wall_ms.push_back(iter_wall.ElapsedMillis());
-    ++result.iterations;
-    if (changed == 0 && iter > 0) break;
+    return RunAssignWithPolicy(
+        options_.exec, n_, &result_.stats,
+        [&](size_t i, size_t slot_index, AssignSlot& slot) {
+          const size_t a = result_.assignments[i];
+          const double gate = std::max(nearest_other_[a], lower_[i]);
+          if (upper_[i] <= gate) return;
+          // Tighten the upper bound; re-test before the full rescan.
+          {
+            ScopedFunctionTimer timer(&slot.profile, "ED");
+            upper_[i] =
+                KmeansExactDistance(data_.row(i), result_.centers.row(a));
+            ++slot.exact_count;
+          }
+          if (upper_[i] <= gate) return;
+          const int32_t before = result_.assignments[i];
+          Rescan(i, dist_[slot_index], slot);
+          if (result_.assignments[i] != before) ++slot.changed;
+        });
   }
 
-  result.inertia = ComputeInertia(data, result.centers, result.assignments);
-  result.stats.wall_ms = total_wall.ElapsedMillis();
-  result.stats.traffic = traffic_scope.Delta();
-  if (filter != nullptr) result.stats.pim_ns = filter->PimComputeNs();
-  if (filter != nullptr) result.stats.fault = filter->FaultStatsTotal();
-  if (filter != nullptr) result.stats.fleet = filter->FleetStats();
-  PublishKmeansRunMetrics(result.stats);
-  return result;
+  void UpdateBounds(const std::vector<double>& moved) override {
+    ScopedFunctionTimer timer(&result_.stats.profile, "bound update");
+    double max_moved = 0.0;
+    for (double m : moved) max_moved = std::max(max_moved, m);
+    for (size_t i = 0; i < n_; ++i) {
+      upper_[i] += moved[result_.assignments[i]];
+      lower_[i] = std::max(0.0, lower_[i] - max_moved);
+    }
+    traffic::CountRead(n_ * 2 * sizeof(double));
+    traffic::CountWrite(n_ * 2 * sizeof(double));
+    traffic::CountArithmetic(n_ * 3);
+  }
+
+ private:
+  // Full re-evaluation of point i: the closest center exactly and a valid
+  // lower bound on the second-closest distance (PIM-pruned centers
+  // contribute their bound).
+  void Rescan(size_t i, std::vector<double>& dist, AssignSlot& slot) {
+    const size_t best_c = ScanAllCenters(i, dist, slot);
+    double second = HUGE_VAL;
+    for (size_t c = 0; c < k_; ++c) {
+      if (c != best_c) second = std::min(second, dist[c]);
+    }
+    result_.assignments[i] = static_cast<int32_t>(best_c);
+    upper_[i] = dist[best_c];
+    lower_[i] = second;
+  }
+
+  std::vector<double> upper_;
+  std::vector<double> lower_;  // bound to the 2nd-closest center.
+  std::vector<double> nearest_other_;
+  std::vector<std::vector<double>> dist_;  // per-slot Rescan scratch.
+};
+
+}  // namespace
+
+std::unique_ptr<KmeansBounds> HamerlyKmeans::NewBounds(
+    const KmeansRun& run) const {
+  return std::make_unique<HamerlyBounds>(run);
 }
 
 }  // namespace pimine

@@ -19,8 +19,9 @@ namespace pimine {
 class HamerlyKmeans : public KmeansAlgorithm {
  public:
   std::string_view name() const override { return "Hamerly"; }
-  Result<KmeansResult> Run(const FloatMatrix& data,
-                           const KmeansOptions& options) override;
+
+ private:
+  std::unique_ptr<KmeansBounds> NewBounds(const KmeansRun& run) const override;
 };
 
 }  // namespace pimine

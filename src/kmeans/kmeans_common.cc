@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
 #include <unordered_set>
 
 #include "common/logging.h"
@@ -11,13 +12,172 @@
 #include "sim/traffic.h"
 #include "util/exact_sum.h"
 #include "util/random.h"
+#include "util/timer.h"
 
 namespace pimine {
+namespace {
+
+size_t AssignChunk(const ExecPolicy& policy) {
+  return std::max<size_t>(1, policy.block_size);
+}
+
+/// Publishes a finished run's pruning counters and per-iteration latency
+/// histogram (stats.latency_hist) to the metrics registry. No-op while
+/// observability is disabled.
+void PublishKmeansRunMetrics(const RunStats& stats) {
+  obs::Obs* o = obs::Obs::Get();
+  if (o == nullptr) return;
+  o->metrics().GetCounter("pimine_exact_distances_total")
+      .Add(stats.exact_count);
+  o->metrics().GetCounter("pimine_bound_evaluations_total")
+      .Add(stats.bound_count);
+  o->metrics()
+      .GetCounter("pimine_candidates_pruned_total")
+      .Add(stats.bound_count > stats.exact_count
+               ? stats.bound_count - stats.exact_count
+               : 0);
+  o->metrics().MergeHistogram("pimine_kmeans_iteration_ns",
+                              stats.latency_hist);
+}
+
+}  // namespace
+
+Result<KmeansResult> KmeansAlgorithm::Run(const FloatMatrix& data,
+                                          const KmeansOptions& options) const {
+  PIMINE_RETURN_IF_ERROR(ValidateKmeansInput(data, options));
+
+  std::unique_ptr<PimAssignFilter> owned_filter;
+  PimAssignFilter* filter = options.filter;
+  if (options.use_pim && filter == nullptr) {
+    PIMINE_ASSIGN_OR_RETURN(
+        owned_filter, PimAssignFilter::Build(data, options.engine_options));
+    filter = owned_filter.get();
+  }
+  if (filter != nullptr) filter->set_fanout_policy(options.exec);
+
+  KmeansResult result;
+  result.centers = InitCenters(data, options.k, options.seed);
+  result.assignments.assign(data.rows(), 0);
+  const std::unique_ptr<KmeansBounds> bounds =
+      NewBounds(KmeansRun{data, options, filter, result});
+
+  traffic::AggregateScope traffic_scope;
+  Timer total_wall;
+  std::vector<double> moved;
+  for (int iter = 0; iter < options.max_iterations; ++iter) {
+    Timer iter_wall;
+    // Modeled iteration latency: process-wide host traffic delta (exact at
+    // any thread count) + the device time this iteration's BeginIteration
+    // charges (added below, before any early exit).
+    const double pim_ns_before =
+        filter != nullptr ? filter->PimComputeNs() : 0.0;
+    obs::AggregateSpan iter_span("kmeans", "iteration");
+    iter_span.set_histogram(&result.stats.latency_hist);
+
+    if (filter != nullptr) {
+      ScopedFunctionTimer timer(&result.stats.profile, "LB_PIM");
+      PIMINE_RETURN_IF_ERROR(filter->BeginIteration(
+          result.centers, std::max<size_t>(1, options.exec.device_batch)));
+    }
+    const size_t changed = bounds->Assign(iter);
+    {
+      ScopedFunctionTimer timer(&result.stats.profile, "update");
+      result.centers = UpdateCenters(data, result.assignments, result.centers,
+                                     &moved, filter);
+    }
+    bounds->UpdateBounds(moved);
+
+    if (filter != nullptr) {
+      iter_span.AddModeledNs(filter->PimComputeNs() - pim_ns_before);
+    }
+    obs::AddCounter("pimine_kmeans_iterations_total", 1);
+    result.iteration_wall_ms.push_back(iter_wall.ElapsedMillis());
+    ++result.iterations;
+    if (changed == 0 && iter > 0) break;
+  }
+
+  result.inertia = ComputeInertia(data, result.centers, result.assignments);
+  result.stats.wall_ms = total_wall.ElapsedMillis();
+  result.stats.traffic = traffic_scope.Delta();
+  if (filter != nullptr) {
+    result.stats.pim_ns = filter->PimComputeNs();
+    result.stats.fault = filter->FaultStatsTotal();
+    result.stats.fleet = filter->FleetStats();
+  }
+  PublishKmeansRunMetrics(result.stats);
+  return result;
+}
+
+KmeansBounds::KmeansBounds(const KmeansRun& run)
+    : data_(run.data),
+      options_(run.options),
+      filter_(run.filter),
+      result_(run.result),
+      n_(run.data.rows()),
+      k_(static_cast<size_t>(run.options.k)) {}
+
+size_t KmeansBounds::ScanAllCenters(size_t i, std::span<double> dist,
+                                    AssignSlot& slot) const {
+  const auto p = data_.row(i);
+  size_t best_c = 0;
+  double best_d = HUGE_VAL;
+  for (size_t c = 0; c < k_; ++c) {
+    if (filter_ != nullptr) {
+      ++slot.bound_count;
+      const double pim_lb = filter_->LowerBound(i, c);
+      if (pim_lb >= best_d) {
+        dist[c] = pim_lb;
+        continue;
+      }
+    }
+    ScopedFunctionTimer timer(&slot.profile, "ED");
+    dist[c] = KmeansExactDistance(p, result_.centers.row(c));
+    ++slot.exact_count;
+    if (dist[c] < best_d) {
+      best_d = dist[c];
+      best_c = c;
+    }
+  }
+  return best_c;
+}
+
+double KmeansExactDistance(std::span<const float> a,
+                           std::span<const float> b) {
+  const double d2 = SquaredEuclidean(a, b);
+  traffic::CountLongOps(1);
+  return std::sqrt(d2);
+}
+
+Status ValidateKmeansInput(const FloatMatrix& data,
+                           const KmeansOptions& options) {
+  if (data.empty()) return Status::InvalidArgument("empty dataset");
+  if (options.k <= 0 || static_cast<size_t>(options.k) > data.rows()) {
+    return Status::InvalidArgument("k out of range");
+  }
+  if (options.max_iterations <= 0) {
+    return Status::InvalidArgument("max_iterations must be positive");
+  }
+  // LowerBound and ShardOf index the filter's live-row map by point, so
+  // every row of `data` needs an entry there.
+  if (options.filter != nullptr &&
+      options.filter->live_points() != data.rows()) {
+    return Status::InvalidArgument(
+        "shared filter covers " +
+        std::to_string(options.filter->live_points()) +
+        " live points but data has " + std::to_string(data.rows()) +
+        " rows");
+  }
+  return Status::OK();
+}
+
+size_t NumAssignSlots(const ExecPolicy& policy, size_t num_points) {
+  return NumSlots(policy, num_points, AssignChunk(policy));
+}
 
 size_t RunAssignWithPolicy(
     const ExecPolicy& policy, size_t num_points, RunStats* stats,
     const std::function<void(size_t, size_t, AssignSlot&)>& assign_point) {
-  const size_t chunk = std::max<size_t>(1, policy.block_size);
+  const size_t chunk = AssignChunk(policy);
   std::vector<AssignSlot> slots(NumSlots(policy, num_points, chunk));
   ParallelChunks(policy, num_points, chunk,
                  [&](size_t begin, size_t end, size_t slot_index) {
@@ -39,22 +199,6 @@ size_t RunAssignWithPolicy(
   }
   obs::AddCounter("pimine_kmeans_reassignments_total", changed);
   return changed;
-}
-
-void PublishKmeansRunMetrics(const RunStats& stats) {
-  obs::Obs* o = obs::Obs::Get();
-  if (o == nullptr) return;
-  o->metrics().GetCounter("pimine_exact_distances_total")
-      .Add(stats.exact_count);
-  o->metrics().GetCounter("pimine_bound_evaluations_total")
-      .Add(stats.bound_count);
-  o->metrics()
-      .GetCounter("pimine_candidates_pruned_total")
-      .Add(stats.bound_count > stats.exact_count
-               ? stats.bound_count - stats.exact_count
-               : 0);
-  o->metrics().MergeHistogram("pimine_kmeans_iteration_ns",
-                              stats.latency_hist);
 }
 
 double KmeansResult::MeanIterationMs() const {

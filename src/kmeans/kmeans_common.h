@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -61,16 +62,6 @@ struct KmeansResult {
   double MeanIterationMs() const;
 };
 
-/// Interface of the four §VI-D algorithms (Standard/Elkan/Drake/Yinyang)
-/// and their PIM variants (the same classes with options.use_pim).
-class KmeansAlgorithm {
- public:
-  virtual ~KmeansAlgorithm() = default;
-  virtual std::string_view name() const = 0;
-  virtual Result<KmeansResult> Run(const FloatMatrix& data,
-                                   const KmeansOptions& options) = 0;
-};
-
 /// Per-worker accumulation slot for a parallel assign step: workers charge
 /// their counters, reassignment tally and per-function wall time here and
 /// the harness folds the slots into RunStats in slot order once the pass
@@ -82,6 +73,85 @@ struct AssignSlot {
   FunctionProfiler profile;
 };
 
+/// One k-means run as the driver (KmeansAlgorithm::Run) hands it to the
+/// algorithm's KmeansBounds.
+struct KmeansRun {
+  const FloatMatrix& data;
+  const KmeansOptions& options;
+  /// options.filter or the run-owned filter; nullptr without PIM.
+  const PimAssignFilter* filter;
+  KmeansResult& result;
+};
+
+/// What one algorithm adds to the shared k-means iteration (§VI-D drops the
+/// same LB_PIM-ED filter into each algorithm's otherwise unchanged loop):
+/// its per-run bound state, its assign pass and its bound maintenance.
+class KmeansBounds {
+ public:
+  virtual ~KmeansBounds() = default;
+
+  /// Assign pass of iteration `iter` (0 is the pass over the initial
+  /// centers). Returns the reassignments it made; the run stops after the
+  /// first iteration past 0 that makes none.
+  virtual size_t Assign(int iter) = 0;
+
+  /// Bound maintenance after UpdateCenters moved center c by moved[c].
+  /// Lloyd keeps no bounds.
+  virtual void UpdateBounds(const std::vector<double>& /*moved*/) {}
+
+ protected:
+  explicit KmeansBounds(const KmeansRun& run);
+
+  /// Scans point i against every center into dist[0, k): the exact
+  /// distance wherever the PIM bound (with a filter) could still beat the
+  /// closest center found so far, else that bound, a valid lower bound.
+  /// Returns the closest center; its entry is exact.
+  size_t ScanAllCenters(size_t i, std::span<double> dist,
+                        AssignSlot& slot) const;
+
+  const FloatMatrix& data_;
+  const KmeansOptions& options_;
+  /// During Assign its lower bounds are those of result_.centers.
+  const PimAssignFilter* const filter_;
+  /// centers and assignments are current whenever a hook runs.
+  KmeansResult& result_;
+  const size_t n_;  // points: data_.rows().
+  const size_t k_;  // centers: options_.k.
+};
+
+/// Interface of the four §VI-D algorithms (Standard/Elkan/Drake/Yinyang),
+/// Hamerly, and their PIM variants (the same classes with options.use_pim).
+class KmeansAlgorithm {
+ public:
+  virtual ~KmeansAlgorithm() = default;
+  virtual std::string_view name() const = 0;
+
+  /// The one k-means driver: validates the input, sets up the shared or a
+  /// run-owned PIM filter and the initial centers, then iterates
+  /// BeginIteration ("LB_PIM"), the algorithm's Assign, UpdateCenters
+  /// ("update") and its UpdateBounds until an iteration past the first
+  /// reassigns nothing or max_iterations is reached. Fills every RunStats
+  /// field except footprint_bytes, which the bounds set.
+  Result<KmeansResult> Run(const FloatMatrix& data,
+                           const KmeansOptions& options) const;
+
+ private:
+  /// The algorithm's per-run state over `run`; sets
+  /// run.result.stats.footprint_bytes. Called after the initial centers are
+  /// drawn and before the run's traffic scope opens, so setup work (e.g.
+  /// Yinyang's center grouping) is not charged to the run.
+  virtual std::unique_ptr<KmeansBounds> NewBounds(
+      const KmeansRun& run) const = 0;
+};
+
+/// Exact real (non-squared) Euclidean distance with traffic accounting.
+double KmeansExactDistance(std::span<const float> a, std::span<const float> b);
+
+/// Validates data/options combinations shared by all algorithms. A shared
+/// options.filter must cover exactly data's rows.
+Status ValidateKmeansInput(const FloatMatrix& data,
+                           const KmeansOptions& options);
+
 /// Runs `assign_point(i, slot_index, slot)` for every point in [0,
 /// num_points) in chunks of `policy.block_size` across the policy's workers
 /// (inline when serial). Slot stats are merged into `stats` in slot order;
@@ -90,11 +160,9 @@ size_t RunAssignWithPolicy(
     const ExecPolicy& policy, size_t num_points, RunStats* stats,
     const std::function<void(size_t, size_t, AssignSlot&)>& assign_point);
 
-/// Publishes a finished run's pruning counters and per-iteration latency
-/// histogram (stats.latency_hist) to the metrics registry. No-op while
-/// observability is disabled. Call once at the end of Run(), after the
-/// RunStats fields are final.
-void PublishKmeansRunMetrics(const RunStats& stats);
+/// Number of distinct slot_index values RunAssignWithPolicy passes for
+/// (policy, num_points): the size of an algorithm's per-slot scratch.
+size_t NumAssignSlots(const ExecPolicy& policy, size_t num_points);
 
 /// Draws k distinct rows of `data` as initial centers (deterministic in
 /// `seed`).
@@ -185,8 +253,8 @@ class PimAssignFilter : public MutationListener {
     engine_->set_chaos(schedule);
     engine_->ResetReplicaHealth();
   }
-  /// Advances the instant the chaos schedule is evaluated at for the next
-  /// BeginIteration's dispatches (one instant per k-means iteration).
+  /// Sets the instant the chaos schedule is evaluated at for the following
+  /// BeginIteration dispatches. The caller sets it; Run does not.
   void SetChaosNowNs(uint64_t now_ns) { engine_->set_chaos_now_ns(now_ns); }
 
  private:

@@ -1,93 +1,34 @@
 #include "kmeans/lloyd.h"
 
-#include <algorithm>
-#include <cmath>
-
-#include "core/similarity.h"
-#include "obs/obs.h"
-#include "sim/traffic.h"
-#include "util/timer.h"
-
 namespace pimine {
+namespace {
 
-double KmeansExactDistance(std::span<const float> a,
-                           std::span<const float> b) {
-  const double d2 = SquaredEuclidean(a, b);
-  traffic::CountLongOps(1);
-  return std::sqrt(d2);
-}
-
-Status ValidateKmeansInput(const FloatMatrix& data,
-                           const KmeansOptions& options) {
-  if (data.empty()) return Status::InvalidArgument("empty dataset");
-  if (options.k <= 0 || static_cast<size_t>(options.k) > data.rows()) {
-    return Status::InvalidArgument("k out of range");
+/// Lloyd keeps no bounds: every pass scans all k centers per point.
+class LloydBounds : public KmeansBounds {
+ public:
+  explicit LloydBounds(const KmeansRun& run) : KmeansBounds(run) {
+    result_.stats.footprint_bytes =
+        options_.use_pim ? n_ * (k_ + 2) * sizeof(double)
+                         : data_.SizeBytes() + result_.centers.SizeBytes();
   }
-  if (options.max_iterations <= 0) {
-    return Status::InvalidArgument("max_iterations must be positive");
-  }
-  return Status::OK();
-}
 
-Result<KmeansResult> LloydKmeans::Run(const FloatMatrix& data,
-                                      const KmeansOptions& options) {
-  PIMINE_RETURN_IF_ERROR(ValidateKmeansInput(data, options));
-
-  std::unique_ptr<PimAssignFilter> owned_filter;
-  PimAssignFilter* filter = options.filter;
-  if (options.use_pim && filter == nullptr) {
-    PIMINE_ASSIGN_OR_RETURN(owned_filter,
-                            PimAssignFilter::Build(data, options.engine_options));
-    filter = owned_filter.get();
-  }
-  if (filter != nullptr) filter->set_fanout_policy(options.exec);
-
-  KmeansResult result;
-  result.centers = InitCenters(data, options.k, options.seed);
-  result.assignments.assign(data.rows(), 0);
-  result.stats.footprint_bytes =
-      options.use_pim
-          ? data.rows() * (options.k + 2) * sizeof(double)
-          : data.SizeBytes() + result.centers.SizeBytes();
-
-  traffic::AggregateScope traffic_scope;
-  Timer total_wall;
-  const size_t n = data.rows();
-  const size_t k = static_cast<size_t>(options.k);
-  bool first_iteration = true;
-
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
-    Timer iter_wall;
-    // Modeled iteration latency: process-wide host traffic delta (exact at
-    // any thread count) + the device time this iteration's BeginIteration
-    // charges (added below, before any early exit).
-    const double pim_ns_before =
-        filter != nullptr ? filter->PimComputeNs() : 0.0;
-    obs::AggregateSpan iter_span("kmeans", "iteration");
-    iter_span.set_histogram(&result.stats.latency_hist);
-
-    if (filter != nullptr) {
-      ScopedFunctionTimer timer(&result.stats.profile, "LB_PIM");
-      PIMINE_RETURN_IF_ERROR(filter->BeginIteration(
-          result.centers, std::max<size_t>(1, options.exec.device_batch)));
-    }
-
-    // Assign step. Points are independent: each worker reads the shared
-    // centers/filter and writes only its own assignment entries.
-    const size_t changed = RunAssignWithPolicy(
-        options.exec, n, &result.stats,
+  size_t Assign(int /*iter*/) override {
+    // Points are independent: each worker reads the shared centers/filter
+    // and writes only its own assignment entries.
+    return RunAssignWithPolicy(
+        options_.exec, n_, &result_.stats,
         [&](size_t i, size_t /*slot_index*/, AssignSlot& slot) {
-          const auto p = data.row(i);
-          const size_t start = result.assignments[i];
+          const auto p = data_.row(i);
+          const size_t start = result_.assignments[i];
           size_t best_c = start;
           double best_d;
-          if (filter == nullptr) {
+          if (filter_ == nullptr) {
             ScopedFunctionTimer timer(&slot.profile, "ED");
-            best_d = KmeansExactDistance(p, result.centers.row(start));
+            best_d = KmeansExactDistance(p, result_.centers.row(start));
             ++slot.exact_count;
-            for (size_t c = 0; c < k; ++c) {
+            for (size_t c = 0; c < k_; ++c) {
               if (c == start) continue;
-              const double d = KmeansExactDistance(p, result.centers.row(c));
+              const double d = KmeansExactDistance(p, result_.centers.row(c));
               ++slot.exact_count;
               if (d < best_d) {
                 best_d = d;
@@ -97,15 +38,15 @@ Result<KmeansResult> LloydKmeans::Run(const FloatMatrix& data,
           } else {
             {
               ScopedFunctionTimer timer(&slot.profile, "ED");
-              best_d = KmeansExactDistance(p, result.centers.row(start));
+              best_d = KmeansExactDistance(p, result_.centers.row(start));
               ++slot.exact_count;
             }
-            for (size_t c = 0; c < k; ++c) {
+            for (size_t c = 0; c < k_; ++c) {
               if (c == start) continue;
               ++slot.bound_count;
-              if (filter->LowerBound(i, c) >= best_d) continue;
+              if (filter_->LowerBound(i, c) >= best_d) continue;
               ScopedFunctionTimer timer(&slot.profile, "ED");
-              const double d = KmeansExactDistance(p, result.centers.row(c));
+              const double d = KmeansExactDistance(p, result_.centers.row(c));
               ++slot.exact_count;
               if (d < best_d) {
                 best_d = d;
@@ -113,38 +54,19 @@ Result<KmeansResult> LloydKmeans::Run(const FloatMatrix& data,
               }
             }
           }
-          if (best_c != static_cast<size_t>(result.assignments[i])) {
-            result.assignments[i] = static_cast<int32_t>(best_c);
+          if (best_c != start) {
+            result_.assignments[i] = static_cast<int32_t>(best_c);
             ++slot.changed;
           }
         });
-
-    // Update step.
-    {
-      ScopedFunctionTimer timer(&result.stats.profile, "update");
-      result.centers =
-          UpdateCenters(data, result.assignments, result.centers, nullptr,
-                        filter);
-    }
-
-    if (filter != nullptr) {
-      iter_span.AddModeledNs(filter->PimComputeNs() - pim_ns_before);
-    }
-    obs::AddCounter("pimine_kmeans_iterations_total", 1);
-    result.iteration_wall_ms.push_back(iter_wall.ElapsedMillis());
-    ++result.iterations;
-    if (changed == 0 && !first_iteration) break;
-    first_iteration = false;
   }
+};
 
-  result.inertia = ComputeInertia(data, result.centers, result.assignments);
-  result.stats.wall_ms = total_wall.ElapsedMillis();
-  result.stats.traffic = traffic_scope.Delta();
-  if (filter != nullptr) result.stats.pim_ns = filter->PimComputeNs();
-  if (filter != nullptr) result.stats.fault = filter->FaultStatsTotal();
-  if (filter != nullptr) result.stats.fleet = filter->FleetStats();
-  PublishKmeansRunMetrics(result.stats);
-  return result;
+}  // namespace
+
+std::unique_ptr<KmeansBounds> LloydKmeans::NewBounds(
+    const KmeansRun& run) const {
+  return std::make_unique<LloydBounds>(run);
 }
 
 }  // namespace pimine

@@ -12,16 +12,10 @@ namespace pimine {
 class LloydKmeans : public KmeansAlgorithm {
  public:
   std::string_view name() const override { return "Standard"; }
-  Result<KmeansResult> Run(const FloatMatrix& data,
-                           const KmeansOptions& options) override;
+
+ private:
+  std::unique_ptr<KmeansBounds> NewBounds(const KmeansRun& run) const override;
 };
-
-/// Exact real (non-squared) Euclidean distance with traffic accounting.
-double KmeansExactDistance(std::span<const float> a, std::span<const float> b);
-
-/// Validates data/options combinations shared by all algorithms.
-Status ValidateKmeansInput(const FloatMatrix& data,
-                           const KmeansOptions& options);
 
 }  // namespace pimine
 

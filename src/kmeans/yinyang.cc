@@ -3,15 +3,14 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/logging.h"
 #include "core/similarity.h"
-#include "kmeans/lloyd.h"
-#include "obs/obs.h"
 #include "sim/traffic.h"
-#include "util/timer.h"
 
 namespace pimine {
 namespace {
+
+/// t = max(1, k / kGroupDivisor) center groups.
+constexpr size_t kGroupDivisor = 10;
 
 /// Clusters the k centers into t groups with a few plain Lloyd iterations
 /// (the Yinyang paper's own group-construction step). Deterministic.
@@ -40,45 +39,52 @@ std::vector<int32_t> GroupCenters(const FloatMatrix& centers, size_t t,
   return group;
 }
 
-}  // namespace
-
-YinyangKmeans::YinyangKmeans(int group_divisor)
-    : group_divisor_(group_divisor) {
-  PIMINE_CHECK(group_divisor >= 1);
-}
-
-Result<KmeansResult> YinyangKmeans::Run(const FloatMatrix& data,
-                                        const KmeansOptions& options) {
-  PIMINE_RETURN_IF_ERROR(ValidateKmeansInput(data, options));
-
-  std::unique_ptr<PimAssignFilter> owned_filter;
-  PimAssignFilter* filter = options.filter;
-  if (options.use_pim && filter == nullptr) {
-    PIMINE_ASSIGN_OR_RETURN(owned_filter,
-                            PimAssignFilter::Build(data, options.engine_options));
-    filter = owned_filter.get();
+class YinyangBounds : public KmeansBounds {
+ public:
+  explicit YinyangBounds(const KmeansRun& run)
+      : KmeansBounds(run),
+        t_(std::max<size_t>(1, k_ / kGroupDivisor)),
+        group_(GroupCenters(result_.centers, t_, options_.seed)),
+        members_(t_),
+        upper_(n_, 0.0),
+        lower_(n_ * t_, 0.0),
+        group_delta_(t_, 0.0),
+        scratch_(NumAssignSlots(options_.exec, n_)) {
+    result_.stats.footprint_bytes =
+        n_ * t_ * sizeof(double) + data_.SizeBytes() / 4;
+    for (size_t c = 0; c < k_; ++c) members_[group_[c]].push_back(c);
+    for (Scratch& s : scratch_) {
+      s.dist.resize(k_);
+      s.g_scanned.resize(t_);
+      s.g_min1.resize(t_);
+      s.g_min2.resize(t_);
+      s.g_min1c.resize(t_);
+    }
   }
-  if (filter != nullptr) filter->set_fanout_policy(options.exec);
 
-  KmeansResult result;
-  result.centers = InitCenters(data, options.k, options.seed);
-  const size_t n = data.rows();
-  const size_t k = static_cast<size_t>(options.k);
-  const size_t t = std::max<size_t>(
-      1, k / static_cast<size_t>(group_divisor_));
-  result.assignments.assign(n, 0);
-  result.stats.footprint_bytes =
-      n * t * sizeof(double) + data.SizeBytes() / 4;
+  size_t Assign(int iter) override {
+    return iter == 0 ? AssignFirst() : AssignFiltered();
+  }
 
-  const std::vector<int32_t> group =
-      GroupCenters(result.centers, t, options.seed);
-  std::vector<std::vector<int32_t>> members(t);
-  for (size_t c = 0; c < k; ++c) members[group[c]].push_back(c);
+  void UpdateBounds(const std::vector<double>& moved) override {
+    ScopedFunctionTimer timer(&result_.stats.profile, "bound update");
+    std::fill(group_delta_.begin(), group_delta_.end(), 0.0);
+    for (size_t c = 0; c < k_; ++c) {
+      group_delta_[group_[c]] = std::max(group_delta_[group_[c]], moved[c]);
+    }
+    for (size_t i = 0; i < n_; ++i) {
+      double* lb = lower_.data() + i * t_;
+      for (size_t g = 0; g < t_; ++g) {
+        lb[g] = std::max(0.0, lb[g] - group_delta_[g]);
+      }
+      upper_[i] += moved[result_.assignments[i]];
+    }
+    traffic::CountRead(n_ * t_ * sizeof(double));
+    traffic::CountWrite(n_ * t_ * sizeof(double));
+    traffic::CountArithmetic(n_ * t_ * 2);
+  }
 
-  std::vector<double> upper(n, 0.0);
-  std::vector<double> lower(n * t, 0.0);  // per-group lower bounds.
-  std::vector<double> moved(k, 0.0);
-  std::vector<double> group_delta(t, 0.0);
+ private:
   // Per-worker scan scratch (init distances + group-min tracking).
   struct Scratch {
     std::vector<double> dist;
@@ -87,211 +93,138 @@ Result<KmeansResult> YinyangKmeans::Run(const FloatMatrix& data,
     std::vector<double> g_min2;
     std::vector<int32_t> g_min1c;
   };
-  const size_t chunk = std::max<size_t>(1, options.exec.block_size);
-  std::vector<Scratch> scratch(NumSlots(options.exec, n, chunk));
-  for (Scratch& s : scratch) {
-    s.dist.resize(k);
-    s.g_scanned.resize(t);
-    s.g_min1.resize(t);
-    s.g_min2.resize(t);
-    s.g_min1c.resize(t);
+
+  // Initial pass: per-pair values fill the group bounds. With the PIM
+  // filter, far-away centers keep their (valid) PIM lower bound instead of
+  // an exact distance — same treatment as Elkan's init. It tallies no
+  // reassignments; the run never stops after iteration 0 anyway.
+  size_t AssignFirst() {
+    return RunAssignWithPolicy(
+        options_.exec, n_, &result_.stats,
+        [&](size_t i, size_t slot_index, AssignSlot& slot) {
+          std::vector<double>& dist = scratch_[slot_index].dist;
+          const size_t best_c = ScanAllCenters(i, dist, slot);
+          result_.assignments[i] = static_cast<int32_t>(best_c);
+          upper_[i] = dist[best_c];
+          for (size_t g = 0; g < t_; ++g) {
+            double m = HUGE_VAL;
+            for (int32_t c : members_[g]) {
+              if (static_cast<size_t>(c) == best_c) continue;
+              m = std::min(m, dist[c]);
+            }
+            lower_[i * t_ + g] = m;
+          }
+        });
   }
 
-  traffic::AggregateScope traffic_scope;
-  Timer total_wall;
-  bool initialized = false;
+  size_t AssignFiltered() {
+    return RunAssignWithPolicy(
+        options_.exec, n_, &result_.stats,
+        [&](size_t i, size_t slot_index, AssignSlot& slot) {
+          const size_t a = result_.assignments[i];
+          double* lb = lower_.data() + i * t_;
+          double global_lb = HUGE_VAL;
+          for (size_t g = 0; g < t_; ++g) {
+            global_lb = std::min(global_lb, lb[g]);
+          }
+          if (upper_[i] <= global_lb) return;
 
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
-    Timer iter_wall;
-    size_t changed = 0;
-    const double pim_ns_before =
-        filter != nullptr ? filter->PimComputeNs() : 0.0;
-    obs::AggregateSpan iter_span("kmeans", "iteration");
-    iter_span.set_histogram(&result.stats.latency_hist);
+          const auto p = data_.row(i);
+          double best_d;
+          {
+            ScopedFunctionTimer timer(&slot.profile, "ED");
+            best_d = KmeansExactDistance(p, result_.centers.row(a));
+            ++slot.exact_count;
+          }
+          upper_[i] = best_d;
+          if (best_d <= global_lb) return;
+          size_t best_c = a;
 
-    if (filter != nullptr) {
-      ScopedFunctionTimer timer(&result.stats.profile, "LB_PIM");
-      PIMINE_RETURN_IF_ERROR(filter->BeginIteration(
-          result.centers, std::max<size_t>(1, options.exec.device_batch)));
-    }
-
-    if (!initialized) {
-      // Initial pass: per-pair values fill the group bounds. With the PIM
-      // filter, far-away centers keep their (valid) PIM lower bound
-      // instead of an exact distance — same treatment as Elkan's init.
-      RunAssignWithPolicy(
-          options.exec, n, &result.stats,
-          [&](size_t i, size_t slot_index, AssignSlot& slot) {
-            std::vector<double>& dist = scratch[slot_index].dist;
-            const auto p = data.row(i);
-            size_t best_c = 0;
-            double best_d = HUGE_VAL;
-            for (size_t c = 0; c < k; ++c) {
-              if (filter != nullptr) {
+          Scratch& s = scratch_[slot_index];
+          // Group bounds are finalized only after the final assignment is
+          // known (a later group can steal the assignment, which changes
+          // which candidate every earlier group must exclude).
+          std::fill(s.g_scanned.begin(), s.g_scanned.end(), 0);
+          for (size_t g = 0; g < t_; ++g) {
+            if (lb[g] >= best_d) continue;  // group filter (stays valid
+                                            // as best_d only shrinks).
+            s.g_scanned[g] = 1;
+            double min1 = HUGE_VAL;   // smallest value in group.
+            double min2 = HUGE_VAL;   // second smallest.
+            int32_t min1_c = -1;
+            for (int32_t c : members_[g]) {
+              if (static_cast<size_t>(c) == a) continue;
+              double value;
+              bool exact = true;
+              if (filter_ != nullptr) {
                 ++slot.bound_count;
-                const double pim_lb = filter->LowerBound(i, c);
+                const double pim_lb = filter_->LowerBound(i, c);
                 if (pim_lb >= best_d) {
-                  dist[c] = pim_lb;
-                  continue;
+                  value = pim_lb;  // valid lower bound for the group min.
+                  exact = false;
+                } else {
+                  ScopedFunctionTimer timer(&slot.profile, "ED");
+                  value = KmeansExactDistance(p, result_.centers.row(c));
+                  ++slot.exact_count;
                 }
+              } else {
+                ScopedFunctionTimer timer(&slot.profile, "ED");
+                value = KmeansExactDistance(p, result_.centers.row(c));
+                ++slot.exact_count;
               }
-              ScopedFunctionTimer timer(&slot.profile, "ED");
-              dist[c] = KmeansExactDistance(p, result.centers.row(c));
-              ++slot.exact_count;
-              if (dist[c] < best_d) {
-                best_d = dist[c];
+              if (value < min1) {
+                min2 = min1;
+                min1 = value;
+                min1_c = c;
+              } else if (value < min2) {
+                min2 = value;
+              }
+              if (exact && value < best_d) {
+                best_d = value;
                 best_c = c;
               }
             }
-            result.assignments[i] = static_cast<int32_t>(best_c);
-            upper[i] = best_d;
-            for (size_t g = 0; g < t; ++g) {
-              double m = HUGE_VAL;
-              for (int32_t c : members[g]) {
-                if (static_cast<size_t>(c) == best_c) continue;
-                m = std::min(m, dist[c]);
-              }
-              lower[i * t + g] = m;
-            }
-          });
-      initialized = true;
-      ++changed;
-    } else {
-      changed = RunAssignWithPolicy(
-          options.exec, n, &result.stats,
-          [&](size_t i, size_t slot_index, AssignSlot& slot) {
-            const size_t a = result.assignments[i];
-            double* lb = lower.data() + i * t;
-            double global_lb = HUGE_VAL;
-            for (size_t g = 0; g < t; ++g) {
-              global_lb = std::min(global_lb, lb[g]);
-            }
-            if (upper[i] <= global_lb) return;
-
-            const auto p = data.row(i);
-            double best_d;
-            {
-              ScopedFunctionTimer timer(&slot.profile, "ED");
-              best_d = KmeansExactDistance(p, result.centers.row(a));
-              ++slot.exact_count;
-            }
-            upper[i] = best_d;
-            if (best_d <= global_lb) return;
-            size_t best_c = a;
-
-            Scratch& s = scratch[slot_index];
-            // Group bounds are finalized only after the final assignment is
-            // known (a later group can steal the assignment, which changes
-            // which candidate every earlier group must exclude).
-            std::fill(s.g_scanned.begin(), s.g_scanned.end(), 0);
-            for (size_t g = 0; g < t; ++g) {
-              if (lb[g] >= best_d) continue;  // group filter (stays valid
-                                              // as best_d only shrinks).
-              s.g_scanned[g] = 1;
-              double min1 = HUGE_VAL;   // smallest value in group.
-              double min2 = HUGE_VAL;   // second smallest.
-              int32_t min1_c = -1;
-              for (int32_t c : members[g]) {
-                if (static_cast<size_t>(c) == a) continue;
-                double value;
-                bool exact = true;
-                if (filter != nullptr) {
-                  ++slot.bound_count;
-                  const double pim_lb = filter->LowerBound(i, c);
-                  if (pim_lb >= best_d) {
-                    value = pim_lb;  // valid lower bound for the group min.
-                    exact = false;
-                  } else {
-                    ScopedFunctionTimer timer(&slot.profile, "ED");
-                    value = KmeansExactDistance(p, result.centers.row(c));
-                    ++slot.exact_count;
-                  }
-                } else {
-                  ScopedFunctionTimer timer(&slot.profile, "ED");
-                  value = KmeansExactDistance(p, result.centers.row(c));
-                  ++slot.exact_count;
-                }
-                if (value < min1) {
-                  min2 = min1;
-                  min1 = value;
-                  min1_c = c;
-                } else if (value < min2) {
-                  min2 = value;
-                }
-                if (exact && value < best_d) {
-                  best_d = value;
-                  best_c = c;
-                }
-              }
-              s.g_min1[g] = min1;
-              s.g_min2[g] = min2;
-              s.g_min1c[g] = min1_c;
-            }
-            for (size_t g = 0; g < t; ++g) {
-              if (!s.g_scanned[g]) continue;
-              lb[g] = (s.g_min1c[g] >= 0 &&
-                       static_cast<size_t>(s.g_min1c[g]) == best_c)
-                          ? s.g_min2[g]
-                          : s.g_min1[g];
-            }
-            if (best_c != a) {
-              result.assignments[i] = static_cast<int32_t>(best_c);
-              upper[i] = best_d;
-              ++slot.changed;
-              // The old assignment was excluded from every scan, but it
-              // now belongs to its group's bound domain; fold its distance
-              // in.
-              const size_t old_group = group[a];
-              ScopedFunctionTimer timer(&slot.profile, "ED");
-              const double d_old =
-                  KmeansExactDistance(p, result.centers.row(a));
-              ++slot.exact_count;
-              lb[old_group] = std::min(lb[old_group], d_old);
-            }
-          });
-    }
-
-    {
-      ScopedFunctionTimer timer(&result.stats.profile, "update");
-      result.centers =
-          UpdateCenters(data, result.assignments, result.centers, &moved,
-                        filter);
-    }
-    {
-      ScopedFunctionTimer timer(&result.stats.profile, "bound update");
-      std::fill(group_delta.begin(), group_delta.end(), 0.0);
-      for (size_t c = 0; c < k; ++c) {
-        group_delta[group[c]] = std::max(group_delta[group[c]], moved[c]);
-      }
-      for (size_t i = 0; i < n; ++i) {
-        double* lb = lower.data() + i * t;
-        for (size_t g = 0; g < t; ++g) {
-          lb[g] = std::max(0.0, lb[g] - group_delta[g]);
-        }
-        upper[i] += moved[result.assignments[i]];
-      }
-      traffic::CountRead(n * t * sizeof(double));
-      traffic::CountWrite(n * t * sizeof(double));
-      traffic::CountArithmetic(n * t * 2);
-    }
-
-    if (filter != nullptr) {
-      iter_span.AddModeledNs(filter->PimComputeNs() - pim_ns_before);
-    }
-    obs::AddCounter("pimine_kmeans_iterations_total", 1);
-    result.iteration_wall_ms.push_back(iter_wall.ElapsedMillis());
-    ++result.iterations;
-    if (changed == 0 && iter > 0) break;
+            s.g_min1[g] = min1;
+            s.g_min2[g] = min2;
+            s.g_min1c[g] = min1_c;
+          }
+          for (size_t g = 0; g < t_; ++g) {
+            if (!s.g_scanned[g]) continue;
+            lb[g] = (s.g_min1c[g] >= 0 &&
+                     static_cast<size_t>(s.g_min1c[g]) == best_c)
+                        ? s.g_min2[g]
+                        : s.g_min1[g];
+          }
+          if (best_c != a) {
+            result_.assignments[i] = static_cast<int32_t>(best_c);
+            upper_[i] = best_d;
+            ++slot.changed;
+            // The old assignment was excluded from every scan, but it now
+            // belongs to its group's bound domain; fold its distance in.
+            const size_t old_group = group_[a];
+            ScopedFunctionTimer timer(&slot.profile, "ED");
+            const double d_old =
+                KmeansExactDistance(p, result_.centers.row(a));
+            ++slot.exact_count;
+            lb[old_group] = std::min(lb[old_group], d_old);
+          }
+        });
   }
 
-  result.inertia = ComputeInertia(data, result.centers, result.assignments);
-  result.stats.wall_ms = total_wall.ElapsedMillis();
-  result.stats.traffic = traffic_scope.Delta();
-  if (filter != nullptr) result.stats.pim_ns = filter->PimComputeNs();
-  if (filter != nullptr) result.stats.fault = filter->FaultStatsTotal();
-  if (filter != nullptr) result.stats.fleet = filter->FleetStats();
-  PublishKmeansRunMetrics(result.stats);
-  return result;
+  const size_t t_;
+  const std::vector<int32_t> group_;  // center -> group.
+  std::vector<std::vector<int32_t>> members_;
+  std::vector<double> upper_;
+  std::vector<double> lower_;  // per-group lower bounds.
+  std::vector<double> group_delta_;
+  std::vector<Scratch> scratch_;
+};
+
+}  // namespace
+
+std::unique_ptr<KmeansBounds> YinyangKmeans::NewBounds(
+    const KmeansRun& run) const {
+  return std::make_unique<YinyangBounds>(run);
 }
 
 }  // namespace pimine

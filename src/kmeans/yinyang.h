@@ -13,15 +13,10 @@ namespace pimine {
 /// up to 4.9x). Produces exactly Lloyd's trajectory.
 class YinyangKmeans : public KmeansAlgorithm {
  public:
-  /// t = max(1, k / group_divisor).
-  explicit YinyangKmeans(int group_divisor = 10);
-
   std::string_view name() const override { return "Yinyang"; }
-  Result<KmeansResult> Run(const FloatMatrix& data,
-                           const KmeansOptions& options) override;
 
  private:
-  int group_divisor_;
+  std::unique_ptr<KmeansBounds> NewBounds(const KmeansRun& run) const override;
 };
 
 }  // namespace pimine

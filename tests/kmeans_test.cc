@@ -24,6 +24,16 @@ FloatMatrix ClusteredData(size_t n, size_t d, uint64_t seed) {
   return DatasetGenerator::Generate(spec, static_cast<int64_t>(n), seed);
 }
 
+std::vector<std::unique_ptr<KmeansAlgorithm>> AllAlgorithms() {
+  std::vector<std::unique_ptr<KmeansAlgorithm>> algorithms;
+  algorithms.push_back(std::make_unique<LloydKmeans>());
+  algorithms.push_back(std::make_unique<ElkanKmeans>());
+  algorithms.push_back(std::make_unique<DrakeKmeans>());
+  algorithms.push_back(std::make_unique<YinyangKmeans>());
+  algorithms.push_back(std::make_unique<HamerlyKmeans>());
+  return algorithms;
+}
+
 struct TrajectoryCase {
   int k;
   bool use_pim;
@@ -51,14 +61,7 @@ TEST_P(KmeansEquivalenceTest, AllVariantsFollowLloydTrajectory) {
   KmeansOptions options = base_options;
   options.use_pim = use_pim;
 
-  std::vector<std::unique_ptr<KmeansAlgorithm>> algorithms;
-  algorithms.push_back(std::make_unique<LloydKmeans>());
-  algorithms.push_back(std::make_unique<ElkanKmeans>());
-  algorithms.push_back(std::make_unique<DrakeKmeans>());
-  algorithms.push_back(std::make_unique<YinyangKmeans>());
-  algorithms.push_back(std::make_unique<HamerlyKmeans>());
-
-  for (auto& algorithm : algorithms) {
+  for (const auto& algorithm : AllAlgorithms()) {
     auto result = algorithm->Run(data, options);
     ASSERT_TRUE(result.ok()) << algorithm->name() << ": "
                              << result.status().ToString();
@@ -153,6 +156,29 @@ TEST(KmeansValidationTest, RejectsBadInput) {
   EXPECT_FALSE(lloyd.Run(data, options).ok());
   options.max_iterations = 5;
   EXPECT_FALSE(lloyd.Run(FloatMatrix(), options).ok());
+}
+
+// LowerBound and ShardOf index a shared filter's live-row map by point, so
+// a filter over more or fewer rows than `data` must be rejected up front,
+// not read out of range.
+TEST(KmeansValidationTest, RejectsSharedFilterOverOtherRows) {
+  const FloatMatrix data = ClusteredData(200, 16, 4);
+  for (const size_t filter_rows : {100u, 300u}) {
+    auto filter = PimAssignFilter::Build(ClusteredData(filter_rows, 16, 4),
+                                         EngineOptions());
+    ASSERT_TRUE(filter.ok()) << filter.status().ToString();
+    KmeansOptions options;
+    options.k = 4;
+    options.max_iterations = 2;
+    options.use_pim = true;
+    options.filter = filter->get();
+    for (const auto& algorithm : AllAlgorithms()) {
+      const auto result = algorithm->Run(data, options);
+      ASSERT_FALSE(result.ok()) << algorithm->name() << " " << filter_rows;
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+          << algorithm->name() << " " << filter_rows;
+    }
+  }
 }
 
 TEST(KmeansDeterminismTest, SameSeedSameResult) {

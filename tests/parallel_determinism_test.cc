@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "data/generator.h"
+#include "kmeans/drake.h"
 #include "kmeans/elkan.h"
 #include "kmeans/hamerly.h"
 #include "kmeans/kmeans_common.h"
@@ -223,6 +224,7 @@ std::vector<KmeansCase> AllKmeansCases() {
   cases.push_back({"Elkan", [] { return std::make_unique<ElkanKmeans>(); }});
   cases.push_back(
       {"Hamerly", [] { return std::make_unique<HamerlyKmeans>(); }});
+  cases.push_back({"Drake", [] { return std::make_unique<DrakeKmeans>(); }});
   cases.push_back(
       {"Yinyang", [] { return std::make_unique<YinyangKmeans>(); }});
   return cases;

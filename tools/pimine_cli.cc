@@ -86,6 +86,15 @@ int UsageError(const Status& status) {
   return Usage();
 }
 
+/// A failed Search/Run: flag values the algorithm rejects (InvalidArgument,
+/// e.g. --k=0) are misuse and exit 2 through UsageError; any other failure
+/// is a bug and aborts.
+int RunError(const Status& status) {
+  PIMINE_CHECK(status.code() == StatusCode::kInvalidArgument)
+      << status.ToString();
+  return UsageError(status);
+}
+
 /// Observability flags shared by the knn and kmeans commands. Tracing is
 /// enabled before Prepare (so offline device programming is captured) and
 /// exported after the run.
@@ -296,7 +305,7 @@ int RunKnn(const FlagParser& flags) {
   auto result =
       algorithm->Search(workload.queries,
                         static_cast<int>(flags.GetInt("k", 10)));
-  PIMINE_CHECK(result.ok()) << result.status().ToString();
+  if (!result.ok()) return RunError(result.status());
   std::cout << algorithm->name() << " on " << workload.spec.name << " ("
             << workload.data.rows() << " x " << workload.data.cols()
             << "), k=" << flags.GetInt("k", 10) << ", "
@@ -346,7 +355,7 @@ int RunKmeans(const FlagParser& flags) {
   const Result<ObsCliConfig> obs_cfg = SetupObservability(flags);
   if (!obs_cfg.ok()) return UsageError(obs_cfg.status());
   auto result = algorithm->Run(workload.data, options);
-  PIMINE_CHECK(result.ok()) << result.status().ToString();
+  if (!result.ok()) return RunError(result.status());
   std::cout << algorithm->name() << (options.use_pim ? "-PIM" : "") << " on "
             << workload.spec.name << ", k=" << options.k << ": "
             << result->iterations << " iterations, inertia "
