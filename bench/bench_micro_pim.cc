@@ -1,6 +1,8 @@
 // Micro-benchmarks (google-benchmark) of the PIM substrate: cycle-level
-// crossbar dot products, batched device matches, layout math, and the
-// crossbar-geometry ablations called out in DESIGN.md §7.
+// crossbar dot products, batched device matches at the workload shapes,
+// span-wise vs per-row bound combines (ns per bound, per engine mode),
+// layout math, and the crossbar-geometry ablations called out in
+// DESIGN.md §7.
 //
 // `bench_micro_pim --batch_sweep [n] [s]` switches to a standalone
 // batched-vs-single sweep (Q in {1, 4, 16, 64}) that emits one JSON
@@ -14,8 +16,9 @@
 //
 // `bench_micro_pim --shard_sweep [n] [d]` sweeps the fleet size M over
 // {1, 2, 4, 8} crossed with device batch Q in {1, 16} on a full
-// ShardedPimEngine, PIMINE_CHECKs every bound bit-identical to the
-// single-device run, and emits a "pimine.bench.shard.v1" JSON document
+// ShardedPimEngine, PIMINE_CHECKs every span of bounds (BoundsFor,
+// scattered across the shards) bit-identical to the single-device run,
+// and emits a "pimine.bench.shard.v1" JSON document
 // (stdout + BENCH_shard.json) with modeled queries/s and the
 // interconnect-overhead fraction. Default n=4096, d=256.
 
@@ -37,6 +40,7 @@
 #include "data/matrix.h"
 #include "pim/crossbar.h"
 #include "pim/crossbar_math.h"
+#include "pim/dot_gemm.h"
 #include "pim/pim_device.h"
 #include "pim/timing.h"
 #include "util/random.h"
@@ -71,9 +75,14 @@ BENCHMARK(BM_CrossbarPipelineDotProduct)
     ->Args({256, 8})
     ->Args({256, 32});
 
+// One DotProductBatch of Q queries; items are multiply-adds. The shapes
+// are the workloads' device matrices: knn-msd's LB_PIM-FNN segments
+// (20000 x 105), a kmeans-nuswide-sized matrix (1500 x 500) and a small
+// direct-ED corpus (512 x 420).
 void BM_DeviceBatchDotProduct(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const size_t d = static_cast<size_t>(state.range(1));
+  const size_t num_queries = static_cast<size_t>(state.range(2));
   IntMatrix data(n, d);
   Rng rng(2);
   for (size_t i = 0; i < n; ++i) {
@@ -86,18 +95,79 @@ void BM_DeviceBatchDotProduct(benchmark::State& state) {
     state.SkipWithError("program failed");
     return;
   }
-  std::vector<int32_t> query(d);
-  for (auto& v : query) v = static_cast<int32_t>(rng.NextBounded(1 << 20));
+  std::vector<int32_t> queries(num_queries * d);
+  for (auto& v : queries) v = static_cast<int32_t>(rng.NextBounded(1 << 20));
   std::vector<uint64_t> out;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(device.DotProductAll(query, &out));
+    benchmark::DoNotOptimize(
+        device.DotProductBatch(queries, num_queries, &out));
   }
-  state.SetItemsProcessed(state.iterations() * n * d);
+  state.SetItemsProcessed(state.iterations() * n * d * num_queries);
+  state.SetLabel(std::string(GemmTierName(BestGemmTier())));
 }
 BENCHMARK(BM_DeviceBatchDotProduct)
-    ->Args({10000, 105})
-    ->Args({10000, 420})
-    ->Args({20000, 960});
+    ->ArgNames({"n", "s", "Q"})
+    ->ArgsProduct({{20000}, {105}, {1, 3, 8, 16, 32}})
+    ->ArgsProduct({{1500}, {500}, {1, 3, 8, 16, 32}})
+    ->ArgsProduct({{512}, {420}, {1, 3, 8, 16, 32}});
+
+// One query's bounds over a 20000-row corpus, per engine mode (0 = ED,
+// 1 = FNN, 2 = SM, 3 = CS, 4 = PCC): span = 1 runs one
+// ShardedPimEngine::BoundsFor, span = 0 the per-row BoundFor loop it
+// replaced. Reports the time per bound.
+void BM_BoundsForVsPerRow(benchmark::State& state) {
+  struct Mode {
+    Distance distance;
+    EngineOptions::Bound bound;
+  };
+  const Mode modes[] = {
+      {Distance::kEuclidean, EngineOptions::Bound::kDirectEd},
+      {Distance::kEuclidean, EngineOptions::Bound::kSegmentFnn},
+      {Distance::kEuclidean, EngineOptions::Bound::kSegmentSm},
+      {Distance::kCosine, EngineOptions::Bound::kAuto},
+      {Distance::kPearson, EngineOptions::Bound::kAuto},
+  };
+  const Mode& mode = modes[state.range(0)];
+  const bool span = state.range(1) != 0;
+  const size_t n = 20000, d = 64;
+  Rng rng(3);
+  FloatMatrix data(n, d);
+  for (size_t i = 0; i < n; ++i) {
+    for (float& v : data.mutable_row(i)) v = rng.NextFloat();
+  }
+  std::vector<float> query(d);
+  for (float& v : query) v = rng.NextFloat();
+  EngineOptions options;
+  options.bound = mode.bound;
+  auto engine = ShardedPimEngine::Build(data, mode.distance, options);
+  if (!engine.ok()) {
+    state.SkipWithError(engine.status().ToString().c_str());
+    return;
+  }
+  auto batch = (*engine)->RunQueryBatch(query, 1);
+  PIMINE_CHECK(batch.ok()) << batch.status().ToString();
+  std::vector<double> bounds(n);
+  for (auto _ : state) {
+    if (span) {
+      (*engine)->BoundsFor(*batch, 0, bounds);
+    } else {
+      for (size_t i = 0; i < n; ++i) {
+        bounds[i] = (*engine)->BoundFor(*batch, 0, i);
+      }
+    }
+    benchmark::DoNotOptimize(bounds.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(std::string(EngineModeName((*engine)->mode())));
+  // Seconds per bound; the console prints it with an SI prefix (e.g.
+  // "per_bound=2.1ns").
+  state.counters["per_bound"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * n),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_BoundsForVsPerRow)
+    ->ArgNames({"mode", "span"})
+    ->ArgsProduct({{0, 1, 2, 3, 4}, {0, 1}});
 
 // Ablation: modeled batch latency vs crossbar size and cell precision.
 void BM_ModeledLatencyAblation(benchmark::State& state) {
@@ -388,6 +458,7 @@ int ShardSweep(size_t n, size_t d) {
   // Reference bounds of the M=1, Q=1 run; every other (M, Q) combination
   // must reproduce them bit-for-bit.
   std::vector<double> expected(kTotalQueries * n);
+  std::vector<double> bounds(n);
 
   std::ostringstream json;
   json << "{\n"
@@ -416,15 +487,17 @@ int ShardSweep(size_t n, size_t d) {
         const ShardedPimEngine::QueryHandleBatch handle =
             std::move(run).value();
         for (size_t bq = 0; bq < batch; ++bq) {
+          const std::span<double> reference =
+              std::span<double>(expected).subspan((q0 + bq) * n, n);
+          if (shards == 1 && batch == 1) {
+            engine->BoundsFor(handle, bq, reference);
+            continue;
+          }
+          engine->BoundsFor(handle, bq, bounds);
           for (size_t i = 0; i < n; ++i) {
-            const double b = engine->BoundFor(handle, bq, i);
-            if (shards == 1 && batch == 1) {
-              expected[(q0 + bq) * n + i] = b;
-            } else {
-              PIMINE_CHECK(b == expected[(q0 + bq) * n + i])
-                  << "bound diverged at M=" << shards << " Q=" << batch
-                  << " q=" << q0 + bq << " i=" << i;
-            }
+            PIMINE_CHECK(bounds[i] == reference[i])
+                << "bound diverged at M=" << shards << " Q=" << batch
+                << " q=" << q0 + bq << " i=" << i;
           }
         }
       }
@@ -482,8 +555,9 @@ int ShardSweep(size_t n, size_t d) {
   }
   json << "\n  ],\n"
        << "  \"note\": \"identical_to_single_device is PIMINE_CHECKed: "
-          "every lower bound of every (M, Q) combination is bit-identical "
-          "to the M=1, Q=1 run. modeled_queries_per_s divides the query "
+          "every lower bound of every (M, Q) combination, computed one "
+          "BoundsFor span per query, is bit-identical to the M=1, Q=1 run. "
+          "modeled_queries_per_s divides the query "
           "count by max-over-shards pipelined device time plus the "
           "scatter/gather interconnect time, so the interconnect_fraction "
           "reports the fleet's communication overhead honestly. The "

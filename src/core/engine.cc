@@ -246,30 +246,6 @@ Status PimEngine::CheckQuery(std::span<const float> query) const {
   return Status::OK();
 }
 
-Result<PimEngine::QueryHandle> PimEngine::RunQuery(
-    std::span<const float> query) const {
-  QueryScratch scratch;
-  return RunQuery(query, &scratch);
-}
-
-Result<PimEngine::QueryHandle> PimEngine::RunQuery(
-    std::span<const float> query, QueryScratch* scratch) const {
-  PIMINE_ASSIGN_OR_RETURN(QueryHandleBatch batch,
-                          RunQueryBatch(query, /*num_queries=*/1, scratch));
-  // A one-query batch is exactly one single-query operation, so the views
-  // can be moved straight into the scalar handle.
-  QueryHandle handle;
-  handle.dots1 = std::move(batch.dots1);
-  handle.dots2 = std::move(batch.dots2);
-  handle.phi_q = batch.phi_q[0];
-  handle.sum_floor_q = batch.sum_floor_q[0];
-  handle.norm_q = batch.norm_q[0];
-  handle.phi_b_q = batch.phi_b_q[0];
-  handle.suspect1 = std::move(batch.suspect1);
-  handle.suspect2 = std::move(batch.suspect2);
-  return handle;
-}
-
 Result<PimEngine::QueryHandleBatch> PimEngine::RunQueryBatch(
     std::span<const float> queries, size_t num_queries) const {
   QueryScratch scratch;
@@ -681,81 +657,161 @@ double PimEngine::TrivialBound() const {
   return 0.0;
 }
 
-double PimEngine::CombineBound(size_t index, uint64_t dot1, uint64_t dot2,
-                               double phi_q, double sum_floor_q,
-                               double norm_q, double phi_b_q) const {
-  PIMINE_DCHECK(index < num_objects_);
-  switch (mode_) {
+namespace {
+
+BoundCost BoundCostOf(EngineMode mode) {
+  switch (mode) {
     case EngineMode::kDirectEd:
-      return LbPimEdCombine(phi_[index], phi_q, dot1,
-                            static_cast<int64_t>(dims_), quantizer_.alpha());
+      return kLbPimEdCost;
     case EngineMode::kSegmentFnn:
-      return LbPimFnnCombine(phi_[index], phi_q, dot1, dot2, num_segments_,
-                             segment_length_, quantizer_.alpha());
+      return kLbPimFnnCost;
     case EngineMode::kSegmentSm:
-      return LbPimSmCombine(phi_[index], phi_q, dot1, num_segments_,
-                            segment_length_, quantizer_.alpha());
-    case EngineMode::kCosine: {
-      const double ub_dot =
-          UbPimDotCombine(dot1, sum_floor_[index], sum_floor_q,
-                          static_cast<int64_t>(dims_), quantizer_.alpha());
-      return UbPimCosine(ub_dot, norm_[index], norm_q);
-    }
-    case EngineMode::kPearson: {
-      const double ub_dot =
-          UbPimDotCombine(dot1, sum_floor_[index], sum_floor_q,
-                          static_cast<int64_t>(dims_), quantizer_.alpha());
-      return UbPimPearson(ub_dot, static_cast<int64_t>(dims_), phi_b_[index],
-                          phi_b_q, norm_[index], norm_q);
-    }
+      return kLbPimSmCost;
+    case EngineMode::kCosine:
+      return kUbPimCsCost;
+    case EngineMode::kPearson:
+      return kUbPimPccCost;
   }
-  PIMINE_CHECK(false) << "unreachable";
-  return 0.0;
+  return BoundCost();
 }
 
-double PimEngine::BoundFor(const QueryHandle& handle, size_t index) const {
-  if (device1_->tombstoned(index)) return PruneBound();
-  if ((!handle.suspect1.empty() && handle.suspect1[index] != 0) ||
-      (!handle.suspect2.empty() && handle.suspect2[index] != 0)) {
-    return TrivialBound();
+}  // namespace
+
+template <typename Visit>
+auto PimEngine::WithBoundFormula(const QueryHandleBatch& batch, size_t query,
+                                 Visit visit) const {
+  // Every operand is copied into a local, so the span loop reloads nothing
+  // per object but the per-object terms.
+  const size_t off = query * batch.stride;
+  const uint64_t* const dot1 = batch.dots1.data() + off;
+  const double* const phi = phi_.data();
+  const int64_t dims = static_cast<int64_t>(dims_);
+  const int64_t segments = num_segments_;
+  const int64_t length = segment_length_;
+  const double alpha = quantizer_.alpha();
+  switch (mode_) {
+    case EngineMode::kDirectEd: {
+      const double phi_q = batch.phi_q[query];
+      return visit([=](size_t i) {
+        return LbPimEd(phi[i], phi_q, dot1[i], dims, alpha);
+      });
+    }
+    case EngineMode::kSegmentFnn: {
+      const double phi_q = batch.phi_q[query];
+      const uint64_t* const dot2 = batch.dots2.data() + off;
+      return visit([=](size_t i) {
+        return LbPimFnn(phi[i], phi_q, dot1[i], dot2[i], segments, length,
+                        alpha);
+      });
+    }
+    case EngineMode::kSegmentSm: {
+      const double phi_q = batch.phi_q[query];
+      return visit([=](size_t i) {
+        return LbPimSm(phi[i], phi_q, dot1[i], segments, length, alpha);
+      });
+    }
+    case EngineMode::kCosine: {
+      const double* const sum_floor = sum_floor_.data();
+      const double* const norm = norm_.data();
+      const double sum_floor_q = batch.sum_floor_q[query];
+      const double norm_q = batch.norm_q[query];
+      return visit([=](size_t i) {
+        return UbPimCs(dot1[i], sum_floor[i], sum_floor_q, norm[i], norm_q,
+                       dims, alpha);
+      });
+    }
+    case EngineMode::kPearson:
+      break;  // below, so that every path returns.
   }
-  return CombineBound(
-      index, handle.dots1[index],
-      mode_ == EngineMode::kSegmentFnn ? handle.dots2[index] : 0,
-      handle.phi_q, handle.sum_floor_q, handle.norm_q, handle.phi_b_q);
+  const double* const sum_floor = sum_floor_.data();
+  const double* const norm = norm_.data();
+  const double* const phi_b = phi_b_.data();
+  const double sum_floor_q = batch.sum_floor_q[query];
+  const double norm_q = batch.norm_q[query];
+  const double phi_b_q = batch.phi_b_q[query];
+  return visit([=](size_t i) {
+    return UbPimPcc(dot1[i], sum_floor[i], sum_floor_q, norm[i], norm_q,
+                    phi_b[i], phi_b_q, dims, alpha);
+  });
 }
 
 double PimEngine::BoundFor(const QueryHandleBatch& batch, size_t query,
                            size_t index) const {
   PIMINE_DCHECK(query < batch.num_queries);
+  PIMINE_DCHECK(index < num_objects_);
   if (device1_->tombstoned(index)) return PruneBound();
   const size_t off = query * batch.stride + index;
   if ((!batch.suspect1.empty() && batch.suspect1[off] != 0) ||
       (!batch.suspect2.empty() && batch.suspect2[off] != 0)) {
     return TrivialBound();
   }
-  return CombineBound(index, batch.dots1[off],
-                      mode_ == EngineMode::kSegmentFnn ? batch.dots2[off] : 0,
-                      batch.phi_q[query], batch.sum_floor_q[query],
-                      batch.norm_q[query], batch.phi_b_q[query]);
+  ChargeBounds(BoundCostOf(mode_), 1);
+  return WithBoundFormula(batch, query,
+                          [index](auto bound) { return bound(index); });
+}
+
+void PimEngine::BoundsFor(const QueryHandleBatch& batch, size_t query,
+                          std::span<double> out,
+                          std::span<const uint32_t> scatter) const {
+  PIMINE_DCHECK(query < batch.num_queries);
+  const size_t n = batch.stride;
+  PIMINE_CHECK(n == num_objects_);
+  PIMINE_CHECK(scatter.empty() ? out.size() == n : scatter.size() == n);
+  double* const dst = out.data();
+  const uint32_t* const map = scatter.data();
+  // Dense pass: the mode's formula for every object, the switch hoisted out
+  // of the loop.
+  WithBoundFormula(batch, query, [&](auto bound) {
+    if (map == nullptr) {
+      for (size_t i = 0; i < n; ++i) dst[i] = bound(i);
+    } else {
+      for (size_t i = 0; i < n; ++i) dst[map[i]] = bound(i);
+    }
+  });
+
+  // Sparse pass: the objects BoundFor does not combine. Suspect results
+  // take the trivial bound unless tombstoned; tombstones take PruneBound.
+  const auto put = [&](size_t i, double value) {
+    dst[map == nullptr ? i : map[i]] = value;
+  };
+  size_t skipped = 0;
+  const size_t off = query * n;
+  const uint8_t* const s1 =
+      batch.suspect1.empty() ? nullptr : batch.suspect1.data() + off;
+  const uint8_t* const s2 =
+      batch.suspect2.empty() ? nullptr : batch.suspect2.data() + off;
+  if (s1 != nullptr || s2 != nullptr) {
+    const double trivial = TrivialBound();
+    for (size_t i = 0; i < n; ++i) {
+      if (((s1 != nullptr && s1[i] != 0) || (s2 != nullptr && s2[i] != 0)) &&
+          !device1_->tombstoned(i)) {
+        put(i, trivial);
+        ++skipped;
+      }
+    }
+  }
+  if (device1_->tombstoned_rows() != 0) {
+    const double prune = PruneBound();
+    for (size_t i = 0; i < n; ++i) {
+      if (device1_->tombstoned(i)) {
+        put(i, prune);
+        ++skipped;
+      }
+    }
+  }
+  ChargeBounds(BoundCostOf(mode_), n - skipped);
 }
 
 Status PimEngine::ComputeBounds(std::span<const float> query,
-                                std::vector<double>* bounds,
-                                const ExecPolicy& policy) const {
+                                std::vector<double>* bounds) const {
   if (bounds == nullptr) {
     return Status::InvalidArgument(
         "ComputeBounds requires a non-null output vector");
   }
-  PIMINE_ASSIGN_OR_RETURN(QueryHandle handle, RunQuery(query));
+  PIMINE_ASSIGN_OR_RETURN(QueryHandleBatch batch,
+                          RunQueryBatch(query, /*num_queries=*/1));
   bounds->resize(num_objects_);
-  double* out = bounds->data();
-  ParallelChunks(policy, num_objects_, policy.block_size,
-                 [&](size_t begin, size_t end, size_t /*slot*/) {
-                   for (size_t i = begin; i < end; ++i) {
-                     out[i] = BoundFor(handle, i);
-                   }
-                 });
+  BoundsFor(batch, 0, *bounds);
   return Status::OK();
 }
 

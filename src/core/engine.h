@@ -16,7 +16,6 @@
 #include "pim/fleet.h"
 #include "pim/pim_config.h"
 #include "pim/pim_device.h"
-#include "util/parallel.h"
 
 namespace pimine {
 
@@ -73,37 +72,20 @@ struct EngineOptions {
 ///
 /// For ED the produced values are *lower bounds on squared ED*; for CS/PCC
 /// they are *upper bounds on similarity*. Guarantees (tested as invariants):
-///   ED modes:  BoundFor(h, i) <= SquaredEuclidean(data[i], q)
-///   CS mode:   BoundFor(h, i) >= CosineSimilarity(data[i], q)
-///   PCC mode:  BoundFor(h, i) >= PearsonCorrelation(data[i], q)
+///   ED modes:  BoundFor(h, q, i) <= SquaredEuclidean(data[i], query q)
+///   CS mode:   BoundFor(h, q, i) >= CosineSimilarity(data[i], query q)
+///   PCC mode:  BoundFor(h, q, i) >= PearsonCorrelation(data[i], query q)
 ///
 /// Input data and queries must already be normalized into [0, 1] per
 /// dimension (use MinMaxScaler); Build rejects out-of-range data.
 class PimEngine {
  public:
-  /// Result of one PIM batch for one query: dot products for every object
-  /// plus the query-side scalars, enabling lazy per-object combines (the
-  /// host loads only the PIM results it actually inspects).
-  struct QueryHandle {
-    std::vector<uint64_t> dots1;  // floors / segment-mean dots.
-    std::vector<uint64_t> dots2;  // segment-std dots (kSegmentFnn only).
-    double phi_q = 0.0;
-    double sum_floor_q = 0.0;  // CS/PCC.
-    double norm_q = 0.0;       // CS: |q|;  PCC: phi_a(q).
-    double phi_b_q = 0.0;      // PCC.
-    /// Per-result fault flags (VerifyMode::kBoundSlack only; empty when
-    /// every result verified clean). BoundFor returns the trivial
-    /// worst-case bound for flagged results, keeping pruning admissible.
-    std::vector<uint8_t> suspect1;
-    std::vector<uint8_t> suspect2;  // kSegmentFnn second device.
-  };
-
   /// Result of one *batched* PIM operation covering `num_queries` queries:
   /// one shared dot-product buffer (query q's results occupy
   /// dots1[q*stride, (q+1)*stride)) plus per-query scalar terms. Produced
-  /// by RunQueryBatch; consumed through BoundFor(batch, query, index).
-  /// Bound values are bit-identical to running each query through
-  /// RunQuery/BoundFor on its own.
+  /// by RunQueryBatch; consumed through BoundsFor (one query's span) or
+  /// BoundFor (one object). Bound values do not depend on how queries are
+  /// grouped into batches.
   struct QueryHandleBatch {
     size_t num_queries = 0;
     size_t stride = 0;            // == num_objects().
@@ -115,12 +97,13 @@ class PimEngine {
     std::vector<double> norm_q;       // CS: |q|;  PCC: phi_a(q).
     std::vector<double> phi_b_q;      // PCC.
     /// Per-result fault flags, laid out like dots1/dots2 (kBoundSlack only;
-    /// empty when every result verified clean).
+    /// empty when every result verified clean). A flagged result's bound
+    /// is the trivial worst-case bound, keeping pruning admissible.
     std::vector<uint8_t> suspect1;
     std::vector<uint8_t> suspect2;
   };
 
-  /// Reusable per-call working memory for RunQuery / RunQueryBatch.
+  /// Reusable per-call working memory for RunQueryBatch.
   /// Engines hold no mutable query state, so any number of host threads
   /// may run queries concurrently, each with its own scratch.
   struct QueryScratch {
@@ -137,22 +120,13 @@ class PimEngine {
                                                   Distance distance,
                                                   const EngineOptions& options);
 
-  /// Executes the PIM batch(es) for `query` (same dimensionality as the
-  /// data, values in [0, 1]). Thread-safe; allocates scratch internally.
-  Result<QueryHandle> RunQuery(std::span<const float> query) const;
-
-  /// As above with caller-provided scratch — hot loops keep one
-  /// QueryScratch per worker thread to avoid per-query allocation.
-  Result<QueryHandle> RunQuery(std::span<const float> query,
-                               QueryScratch* scratch) const;
-
   /// Executes ONE batched PIM operation for `num_queries` queries packed
-  /// row-major in `queries` (num_queries * dims() values, each row a valid
-  /// RunQuery input). The whole batch is quantized in one pass and matched
-  /// by a single PimDevice::DotProductBatch per device, so the device
+  /// row-major in `queries` (num_queries * dims() values in [0, 1]). The
+  /// whole batch is quantized in one pass and matched by a single
+  /// PimDevice::DotProductBatch per device, so the device
   /// charges one batch_op (and the pipelined batch latency) instead of
   /// num_queries separate operations. Bounds derived from the returned
-  /// handle are bit-identical to per-query RunQuery, and all modeled stats
+  /// handle are bit-identical to one-query batches, and all modeled stats
   /// except batch_ops / queries_per_batch / pipelined_ns are too.
   Result<QueryHandleBatch> RunQueryBatch(std::span<const float> queries,
                                          size_t num_queries,
@@ -246,21 +220,26 @@ class PimEngine {
   /// (sorts last once the search negates for maximize).
   double PruneBound() const;
 
-  /// Lazy combine for object `index`: O(1) host work, 3*b bits of transfer.
-  double BoundFor(const QueryHandle& handle, size_t index) const;
-
-  /// Batched-handle combine: the bound for `batch` query `query` against
-  /// object `index`. Bit-identical to BoundFor(RunQuery(that query), index).
+  /// Lazy combine for `batch` query `query` against object `index`: O(1)
+  /// host work, 3*b bits of transfer. For callers that inspect single
+  /// objects (k-means' per-pair bounds, motif's per-pair test).
   double BoundFor(const QueryHandleBatch& batch, size_t query,
                   size_t index) const;
 
-  /// Convenience: RunQuery + BoundFor for every object. The combination
-  /// loop is spread across `policy.num_threads` workers in blocks of
-  /// `policy.block_size`; bounds and traffic totals are identical for any
-  /// policy (each bound is an independent O(1) combine).
+  /// Span combine: the bound of `batch` query `query` for every object,
+  /// bit-identical to BoundFor on each. Object i lands in out[i], or in
+  /// out[scatter[i]] when `scatter` (one entry per object) is given — the
+  /// fleet passes each shard's local-to-global row map. The mode dispatch
+  /// runs once per span; tombstoned and suspect objects are overwritten in
+  /// a sparse second pass, and the traffic of exactly the objects combined
+  /// is charged once, so the counters equal the per-object loop's.
+  void BoundsFor(const QueryHandleBatch& batch, size_t query,
+                 std::span<double> out,
+                 std::span<const uint32_t> scatter = {}) const;
+
+  /// Convenience: RunQueryBatch of the single query, then BoundsFor.
   Status ComputeBounds(std::span<const float> query,
-                       std::vector<double>* bounds,
-                       const ExecPolicy& policy = ExecPolicy()) const;
+                       std::vector<double>* bounds) const;
 
   EngineMode mode() const { return mode_; }
   const MemoryPlan& plan() const { return plan_; }
@@ -274,7 +253,7 @@ class PimEngine {
   /// input to the Eq. 13 plan optimizer): 3 operands of b bits.
   double TransferBitsPerCandidate() const { return 3.0 * operand_bits_; }
 
-  /// Modeled PIM-side time accumulated by RunQuery calls (NVSim role).
+  /// Modeled PIM-side time accumulated by query batches (NVSim role).
   /// Serial-equivalent: invariant under device batching.
   double PimComputeNs() const;
   /// Serial-equivalent modeled device time one query costs this engine
@@ -320,11 +299,13 @@ class PimEngine {
   /// cosine/correlation never exceeds 1).
   double TrivialBound() const;
 
-  /// Mode dispatch shared by both BoundFor overloads: combines one
-  /// object's offline terms with one query's dot products and scalars.
-  double CombineBound(size_t index, uint64_t dot1, uint64_t dot2,
-                      double phi_q, double sum_floor_q, double norm_q,
-                      double phi_b_q) const;
+  /// Calls `visit` with this mode's bound formula for `batch` query
+  /// `query` — a pure callable from object index to bound — and returns
+  /// what `visit` returns. BoundFor and BoundsFor both go through it, so
+  /// they evaluate the same expression; the callers charge the traffic.
+  template <typename Visit>
+  auto WithBoundFormula(const QueryHandleBatch& batch, size_t query,
+                        Visit visit) const;
 
   EngineMode mode_;
   EngineOptions options_;

@@ -72,8 +72,9 @@ Status PimHammingEngine::ComputeDistances(
       comp_dot += static_cast<uint32_t>(
           PopCount(~row[w] & ~query_words[w] & tail_mask));
     }
-    (*out)[i] = static_cast<int32_t>(HdPimCombine(code_dot, comp_dot, d));
+    (*out)[i] = static_cast<int32_t>(HdPim(code_dot, comp_dot, d));
   }
+  ChargeBounds(kHdPimCost, n);
 
   // Two batch dot products (codes, complements) with 1-bit inputs.
   compute_ns_ += 2.0 * timing_.BatchDotLatencyNs(d, /*input_bits=*/1);

@@ -99,9 +99,10 @@ Status PartitionedPimEngine::ComputeBoundsBatch(
           device_->DotProductAll(quantized_queries.row(q), &dots));
       std::vector<double>& out = (*bounds)[q];
       for (size_t r = 0; r < rows; ++r) {
-        out[start + r] = LbPimEdCombine(phi_[start + r], phi_q[q], dots[r],
-                                        d, quantizer_.alpha());
+        out[start + r] = LbPimEd(phi_[start + r], phi_q[q], dots[r], d,
+                                 quantizer_.alpha());
       }
+      ChargeBounds(kLbPimEdCost, rows);
     }
   }
   return Status::OK();

@@ -549,6 +549,18 @@ double ShardedPimEngine::BoundFor(const QueryHandleBatch& batch, size_t query,
   return primary(j).BoundFor(batch.shards[j], query, map_.local_of[index]);
 }
 
+void ShardedPimEngine::BoundsFor(const QueryHandleBatch& batch, size_t query,
+                                 std::span<double> out) const {
+  PIMINE_CHECK(out.size() == num_objects_);
+  if (engines_.size() == 1) {
+    primary(0).BoundsFor(batch.shards[0], query, out);
+    return;
+  }
+  for (size_t j = 0; j < engines_.size(); ++j) {
+    primary(j).BoundsFor(batch.shards[j], query, out, map_.rows_per_shard[j]);
+  }
+}
+
 Status ShardedPimEngine::AppendRows(const FloatMatrix& rows) {
   if (rows.rows() == 0) {
     return Status::InvalidArgument("AppendRows requires at least one row");

@@ -28,7 +28,8 @@ class MetricsRegistry;
 /// every shard, matched in parallel, and the per-shard dot products are
 /// gathered for the host's global combine. Only the device/transfer layer
 /// is sharded — BoundFor routes one global object index to its shard's
-/// results, so the host pipeline above (bounds, sort, refine) is untouched
+/// results and BoundsFor scatters each shard's span into global order, so
+/// the host pipeline above (bounds, sort, refine) is untouched
 /// and every functional result and grouping-invariant counter is
 /// bit-identical to the single-device run for every M. What legitimately
 /// varies with M is the new FleetRunStats scatter/gather/reduce accounting
@@ -139,6 +140,13 @@ class ShardedPimEngine {
   /// single-device BoundFor.
   double BoundFor(const QueryHandleBatch& batch, size_t query,
                   size_t index) const;
+
+  /// The bounds of `batch` query `query` for every GLOBAL object, into
+  /// `out` (num_objects() values): one PimEngine::BoundsFor span per shard,
+  /// scattered through ShardMap::rows_per_shard. Bit-identical to BoundFor
+  /// on each object, with the same traffic totals.
+  void BoundsFor(const QueryHandleBatch& batch, size_t query,
+                 std::span<double> out) const;
 
   // --- Mutable datasets (DESIGN.md section 13) -------------------------
   /// Appends `rows` to the fleet. Each appended row is assigned the next

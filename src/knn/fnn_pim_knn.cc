@@ -161,9 +161,7 @@ Status FnnPimKnn::MeasureCandidates(const FloatMatrix& data) {
       PIMINE_ASSIGN_OR_RETURN(ShardedPimEngine::QueryHandleBatch handle,
                               engine_->RunQueryBatch(q, /*num_queries=*/1));
       bound_values.resize(n);
-      for (size_t i = 0; i < n; ++i) {
-        bound_values[i] = engine_->BoundFor(handle, 0, i);
-      }
+      engine_->BoundsFor(handle, 0, bound_values);
       ratios[0] += MeasurePruningRatio(bound_values, tau, false);
       std::vector<uint32_t> next;
       for (uint32_t i : survivors) {
@@ -220,9 +218,7 @@ std::vector<Neighbor> FnnPimKnn::SearchQuery(std::span<const float> q,
   // retained original level, else no filter at all.
   if (use_pim_filter_) {
     ScopedFunctionTimer timer(&slot.profile, "LB_PIM");
-    for (size_t i = 0; i < n; ++i) {
-      s.bounds[i] = engine_->BoundFor(s.batch, bq, i);
-    }
+    engine_->BoundsFor(s.batch, bq, s.bounds);
     slot.bound_count += n;
   } else if (!selected_levels_.empty()) {
     ScopedFunctionTimer timer(&slot.profile, "LB_FNN");

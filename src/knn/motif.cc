@@ -98,15 +98,16 @@ Result<MotifResult> PimMotifDiscovery::Find(const FloatMatrix& windows,
   const size_t n = windows.rows();
   double best = HUGE_VAL;
   for (size_t i = 0; i + static_cast<size_t>(exclusion) + 1 < n; ++i) {
-    PimEngine::QueryHandle handle;
+    PimEngine::QueryHandleBatch handle;
     {
       ScopedFunctionTimer timer(&result.stats.profile, "LB_PIM");
-      PIMINE_ASSIGN_OR_RETURN(handle, engine->RunQuery(windows.row(i)));
+      PIMINE_ASSIGN_OR_RETURN(
+          handle, engine->RunQueryBatch(windows.row(i), /*num_queries=*/1));
     }
     ScopedFunctionTimer timer(&result.stats.profile, "ED");
     for (size_t j = i + static_cast<size_t>(exclusion) + 1; j < n; ++j) {
       ++result.stats.bound_count;
-      if (engine->BoundFor(handle, j) >= best) continue;
+      if (engine->BoundFor(handle, 0, j) >= best) continue;
       const double d =
           SquaredEuclideanEarlyAbandon(windows.row(i), windows.row(j), best);
       ++result.stats.exact_count;

@@ -82,11 +82,10 @@ std::vector<Neighbor> OstPimKnn::SearchQuery(std::span<const float> q,
   {
     ScopedFunctionTimer timer(&slot.profile, "LB_PIM");
     const double q_suffix = SuffixNorm(q, d0_);
+    engine_->BoundsFor(s.batch, bq, s.bounds);
     for (size_t i = 0; i < n; ++i) {
       const double norm_diff = suffix_norms_[i] - q_suffix;
-      const double prefix_lb =
-          std::max(0.0, engine_->BoundFor(s.batch, bq, i));
-      s.bounds[i] = prefix_lb + norm_diff * norm_diff;
+      s.bounds[i] = std::max(0.0, s.bounds[i]) + norm_diff * norm_diff;
     }
     slot.bound_count += n;
   }

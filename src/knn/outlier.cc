@@ -113,11 +113,9 @@ Result<OutlierResult> OrcaPimOutlierDetector::Detect(
     const double cutoff = outliers.cutoff();
     {
       ScopedFunctionTimer timer(&result.stats.profile, "LB_PIM");
-      PIMINE_ASSIGN_OR_RETURN(PimEngine::QueryHandle handle,
-                              engine->RunQuery(p));
-      for (size_t j = 0; j < n; ++j) {
-        bounds[j] = engine->BoundFor(handle, j);
-      }
+      PIMINE_ASSIGN_OR_RETURN(const PimEngine::QueryHandleBatch batch,
+                              engine->RunQueryBatch(p, /*num_queries=*/1));
+      engine->BoundsFor(batch, 0, bounds);
       result.stats.bound_count += n;
     }
     std::vector<uint32_t> order;

@@ -35,11 +35,11 @@ std::vector<Neighbor> StandardPimQuery(
   const bool similarity = IsSimilarityMeasure(distance);
   {
     ScopedFunctionTimer timer(profile, "LB_PIM");
-    for (size_t i = 0; i < n; ++i) {
-      // Negate similarity upper bounds so ascending order = most
-      // promising first for both measure families.
-      const double b = engine.BoundFor(batch, bq, i);
-      bounds[i] = similarity ? -b : b;
+    engine.BoundsFor(batch, bq, bounds.first(n));
+    // Negate similarity upper bounds so ascending order = most promising
+    // first for both measure families.
+    if (similarity) {
+      for (double& b : bounds.first(n)) b = -b;
     }
     slot.bound_count += n;
   }

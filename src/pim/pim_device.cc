@@ -4,16 +4,10 @@
 #include <sstream>
 #include <vector>
 
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#if defined(__GNUC__)
-#include <immintrin.h>
-#endif
-#endif
-
 #include "common/logging.h"
 #include "obs/obs.h"
 #include "pim/crossbar_math.h"
+#include "pim/dot_gemm.h"
 #include "util/bits.h"
 
 namespace pimine {
@@ -424,169 +418,6 @@ Status PimDevice::DotProductAll(std::span<const int32_t> query,
                                 std::vector<uint64_t>* out) {
   return DotProductBatch(query, /*num_queries=*/1, out);
 }
-
-namespace {
-
-// Cache-blocked, register-tiled uint64 GEMM over the programmed matrix:
-// a block of kObjectBlock data rows stays cache-resident while every query
-// tile passes over it, and each loaded data value feeds kTile independent
-// accumulator chains. uint64 addition is associative mod 2^64, so any
-// tiling order produces the exact per-object wraparound result of the
-// scalar per-query loop. Plain indexed loops with a compile-time tile
-// width so the auto-vectorizer (widest with PIMINE_ENABLE_NATIVE=ON) can
-// unroll the accumulator dimension.
-constexpr size_t kObjectBlock = 64;
-
-template <size_t kTile>
-void DotProductTile(const int32_t* data, size_t s, size_t vb, size_t vend,
-                    size_t n, const int32_t* qbase, size_t q,
-                    uint64_t* out) {
-  // Each loaded data value feeds kTile independent accumulator chains; the
-  // chains hide the multiply latency and the compile-time tile width lets
-  // the compiler keep every accumulator in a register.
-  for (size_t v = vb; v < vend; ++v) {
-    const int32_t* row = data + v * s;
-    uint64_t acc[kTile] = {};
-    for (size_t j = 0; j < s; ++j) {
-      const uint64_t d = static_cast<uint32_t>(row[j]);
-      for (size_t t = 0; t < kTile; ++t) {
-        acc[t] += d * static_cast<uint32_t>(qbase[t * s + j]);
-      }
-    }
-    for (size_t t = 0; t < kTile; ++t) {
-      out[(q + t) * n + v] = acc[t];
-    }
-  }
-}
-
-#if defined(__SSE2__)
-// SSE2 tile of 8 queries. pmuludq multiplies the low 32 bits of each 64-bit
-// lane into a full 64-bit product and paddq wraps mod 2^64, so the vector
-// path computes the exact same least-significant-64-bit results as the
-// scalar tiles. The packed layout `qpk[j * 8 + t]` (query t's value for
-// dimension j, zero-extended into a u64 lane) turns the per-dimension step
-// into four aligned-lane multiply-accumulates; GCC at baseline x86-64 does
-// not find this shape on its own (the strided scalar tile stays scalar).
-void DotProductTileSse8(const int32_t* data, size_t s, size_t vb, size_t vend,
-                        size_t n, const uint64_t* qpk, size_t q,
-                        uint64_t* out) {
-  for (size_t v = vb; v < vend; ++v) {
-    const int32_t* row = data + v * s;
-    __m128i a0 = _mm_setzero_si128(), a1 = _mm_setzero_si128();
-    __m128i a2 = _mm_setzero_si128(), a3 = _mm_setzero_si128();
-    for (size_t j = 0; j < s; ++j) {
-      const __m128i d =
-          _mm_set1_epi64x(static_cast<int64_t>(static_cast<uint32_t>(row[j])));
-      const __m128i* qj = reinterpret_cast<const __m128i*>(qpk + j * 8);
-      a0 = _mm_add_epi64(a0, _mm_mul_epu32(d, _mm_loadu_si128(qj + 0)));
-      a1 = _mm_add_epi64(a1, _mm_mul_epu32(d, _mm_loadu_si128(qj + 1)));
-      a2 = _mm_add_epi64(a2, _mm_mul_epu32(d, _mm_loadu_si128(qj + 2)));
-      a3 = _mm_add_epi64(a3, _mm_mul_epu32(d, _mm_loadu_si128(qj + 3)));
-    }
-    uint64_t acc[8];
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(acc + 0), a0);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(acc + 2), a1);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(acc + 4), a2);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(acc + 6), a3);
-    for (size_t t = 0; t < 8; ++t) {
-      out[(q + t) * n + v] = acc[t];
-    }
-  }
-}
-#if defined(__GNUC__)
-// AVX2 tile of 8 queries over the same packed layout. vpmuludq / vpaddq
-// are the SSE2 semantics widened to four 64-bit lanes (low-32 x low-32 ->
-// full 64-bit product, addition wrapping mod 2^64), so the results are
-// bit-identical to DotProductTileSse8 and the scalar tiles — only the
-// accumulator count halves (two 4-lane chains instead of four 2-lane
-// ones). Compiled with a function-level target attribute and selected at
-// runtime, so baseline builds get the wider tiles on AVX2 hosts without
-// any -march flags (PIMINE_ENABLE_NATIVE merely lets the rest of the
-// translation unit vectorize too).
-__attribute__((target("avx2"))) void DotProductTileAvx8(
-    const int32_t* data, size_t s, size_t vb, size_t vend, size_t n,
-    const uint64_t* qpk, size_t q, uint64_t* out) {
-  for (size_t v = vb; v < vend; ++v) {
-    const int32_t* row = data + v * s;
-    __m256i a0 = _mm256_setzero_si256();
-    __m256i a1 = _mm256_setzero_si256();
-    for (size_t j = 0; j < s; ++j) {
-      const __m256i d = _mm256_set1_epi64x(
-          static_cast<int64_t>(static_cast<uint32_t>(row[j])));
-      const __m256i* qj = reinterpret_cast<const __m256i*>(qpk + j * 8);
-      a0 = _mm256_add_epi64(a0,
-                            _mm256_mul_epu32(d, _mm256_loadu_si256(qj + 0)));
-      a1 = _mm256_add_epi64(a1,
-                            _mm256_mul_epu32(d, _mm256_loadu_si256(qj + 1)));
-    }
-    uint64_t acc[8];
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 0), a0);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 4), a1);
-    for (size_t t = 0; t < 8; ++t) {
-      out[(q + t) * n + v] = acc[t];
-    }
-  }
-}
-
-bool HaveAvx2() {
-  static const bool have = __builtin_cpu_supports("avx2") != 0;
-  return have;
-}
-#endif  // __GNUC__
-#endif  // __SSE2__
-
-void DotProductGemm(const int32_t* data, size_t n, size_t s,
-                    const int32_t* queries, size_t num_queries,
-                    uint64_t* out) {
-#if defined(__SSE2__)
-  // Pack full 8-query tiles once per batch into the lane-transposed layout
-  // the SSE2 tile consumes. Tiny relative to the GEMM itself (8 u64 per
-  // dimension per tile).
-  const size_t full8 = num_queries / 8 * 8;
-  std::vector<uint64_t> packed(full8 * s);
-  for (size_t q = 0; q < full8; q += 8) {
-    uint64_t* tile = packed.data() + q * s;
-    for (size_t j = 0; j < s; ++j) {
-      for (size_t t = 0; t < 8; ++t) {
-        tile[j * 8 + t] = static_cast<uint32_t>(queries[(q + t) * s + j]);
-      }
-    }
-  }
-#endif
-  for (size_t vb = 0; vb < n; vb += kObjectBlock) {
-    const size_t vend = std::min(n, vb + kObjectBlock);
-    // Cascading tile widths keep every query in the widest tile that fits.
-    size_t q = 0;
-#if defined(__SSE2__)
-#if defined(__GNUC__)
-    if (HaveAvx2()) {
-      for (; q + 8 <= num_queries; q += 8) {
-        DotProductTileAvx8(data, s, vb, vend, n, packed.data() + q * s, q,
-                           out);
-      }
-    }
-#endif
-    for (; q + 8 <= num_queries; q += 8) {
-      DotProductTileSse8(data, s, vb, vend, n, packed.data() + q * s, q, out);
-    }
-#else
-    for (; q + 8 <= num_queries; q += 8) {
-      DotProductTile<8>(data, s, vb, vend, n, queries + q * s, q, out);
-    }
-#endif
-    for (; q + 4 <= num_queries; q += 4) {
-      DotProductTile<4>(data, s, vb, vend, n, queries + q * s, q, out);
-    }
-    for (; q + 2 <= num_queries; q += 2) {
-      DotProductTile<2>(data, s, vb, vend, n, queries + q * s, q, out);
-    }
-    for (; q < num_queries; ++q) {
-      DotProductTile<1>(data, s, vb, vend, n, queries + q * s, q, out);
-    }
-  }
-}
-
-}  // namespace
 
 Status PimDevice::ApplyFaultsAndRecover(std::span<const int32_t> queries,
                                         size_t num_queries,

@@ -171,9 +171,10 @@ class PimDevice {
   /// the tiled kernel cannot change any result); stats are charged once per
   /// batch under the stats mutex, with compute/energy/result accounting
   /// equal to the per-query path and the pipelined batch latency recorded
-  /// in stats.pipelined_ns. The host-side kernel is a cache-blocked,
-  /// register-tiled integer GEMM (objects x queries); build with
-  /// PIMINE_ENABLE_NATIVE=ON to let it use the host's widest SIMD ISA.
+  /// in stats.pipelined_ns. The host-side kernel is the cache-blocked,
+  /// register-tiled integer GEMM of pim/dot_gemm.h (objects x queries),
+  /// which picks the host's widest SIMD tier (AVX-512F, AVX2, SSE2 or
+  /// scalar) at runtime; no build flag is needed to reach it.
   /// With the fault model enabled, every result group (the logical columns
   /// of one data-crossbar set) carries a mod-(2^16 - 1) residue checksum
   /// column; flagged groups are retried / remapped / escalated per the

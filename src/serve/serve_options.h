@@ -36,7 +36,7 @@ struct ServeOptions {
   /// Longest time a query may wait in the admission queue for companions
   /// before the scheduler dispatches a partial batch. 0 = greedy dispatch:
   /// never hold a query while the device is free (single-query batches take
-  /// the Q=1 fast path, bit-identical to direct RunQuery).
+  /// the Q=1 fast path, bit-identical to direct one-query RunQueryBatch).
   uint64_t max_wait_ns = 1000000;
   /// Per-query latency SLO measured from arrival to modeled completion.
   /// Queries are still served past the deadline, but every miss is counted

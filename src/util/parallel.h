@@ -9,7 +9,7 @@
 namespace pimine {
 
 /// Host-side execution policy for batch-query APIs (kNN Search, k-means
-/// Run, PimEngine::ComputeBounds). The policy only changes *how fast* the
+/// Run, the serving scheduler). The policy only changes *how fast* the
 /// host side runs, never *what* it computes: any policy produces results,
 /// traffic counters and modeled PIM/host timings identical to the
 /// single-threaded default (see DESIGN.md, "Host-side parallelism vs. the

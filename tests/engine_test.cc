@@ -200,7 +200,7 @@ TEST(EngineFidelityTest, MatchesCycleLevelCrossbar) {
   ASSERT_EQ(engine.mode(), EngineMode::kDirectEd);
 
   const auto q = RandomUnitVector(d, 13);
-  auto handle_or = engine.RunQuery(q);
+  auto handle_or = engine.RunQueryBatch(q, 1);
   ASSERT_TRUE(handle_or.ok());
 
   // Rebuild the same layout on explicit crossbars: one logical column per

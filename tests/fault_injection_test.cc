@@ -296,7 +296,8 @@ TEST(FaultInjectionTest, FailOpPolicyPropagatesDeviceFaultStatus) {
   options.recovery = recovery;
   auto engine = PimEngine::Build(fdata, Distance::kEuclidean, options);
   ASSERT_TRUE(engine.ok());
-  auto handle = (*engine)->RunQuery(testing_util::RandomUnitVector(32, 16));
+  auto handle =
+      (*engine)->RunQueryBatch(testing_util::RandomUnitVector(32, 16), 1);
   ASSERT_FALSE(handle.ok());
   EXPECT_EQ(handle.status().code(), StatusCode::kDeviceFault);
 }

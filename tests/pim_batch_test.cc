@@ -3,18 +3,26 @@
 // bounds, identical serial-equivalent modeled stats for every batch size,
 // and a pipelined batch latency that follows the analytic
 // stage_ns * (stages + Q - 1) formula with Q = 1 reducing to Table 5.
+// Every GEMM tier the host supports must equal a plain triple loop, and a
+// few distances and span bounds are pinned bit for bit so that a build
+// with other floating-point contraction cannot pass unnoticed.
 
+#include <bit>
 #include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
+#include "core/similarity.h"
 #include "data/matrix.h"
 #include "kmeans/kmeans_common.h"
 #include "knn/standard_pim_knn.h"
 #include "pim/crossbar.h"
 #include "pim/crossbar_math.h"
+#include "pim/dot_gemm.h"
 #include "pim/pim_device.h"
 #include "pim/timing.h"
 #include "test_helpers.h"
@@ -217,12 +225,16 @@ TEST(PimBatchTest, EngineBatchBoundsMatchPerQueryForEveryMode) {
     EXPECT_EQ(batch->num_queries, num_queries);
     EXPECT_EQ(batch->stride, n);
 
+    std::vector<double> span(n);
     for (size_t q = 0; q < num_queries; ++q) {
-      auto handle = (*engine)->RunQuery(queries.row(q));
+      auto handle = (*engine)->RunQueryBatch(queries.row(q), 1);
       ASSERT_TRUE(handle.ok()) << EngineModeName(mode);
+      (*engine)->BoundsFor(*batch, q, span);
       for (size_t i = 0; i < n; ++i) {
         EXPECT_EQ((*engine)->BoundFor(*batch, q, i),
-                  (*engine)->BoundFor(*handle, i))
+                  (*engine)->BoundFor(*handle, 0, i))
+            << EngineModeName(mode) << " q=" << q << " object=" << i;
+        EXPECT_EQ(span[i], (*engine)->BoundFor(*batch, q, i))
             << EngineModeName(mode) << " q=" << q << " object=" << i;
       }
     }
@@ -283,6 +295,107 @@ TEST(PimBatchTest, ZeroDeviceBatchPolicyIsRejectedNotMisread) {
   ASSERT_FALSE(begin.ok());
   EXPECT_EQ(begin.code(), StatusCode::kInvalidArgument);
   EXPECT_TRUE((*filter)->BeginIteration(queries, 1).ok());
+}
+
+class GemmTierTest : public ::testing::TestWithParam<GemmTier> {};
+
+// Each tier against an independent scalar triple loop over a grid that
+// crosses every tile width (16, 8, the 4/2/1 remainders along s), row
+// counts around the 4-row tiles and the 64-row blocks, and dimensions
+// around the 4- and 8-lane steps. Operands reach 2^31 - 1, so the sums
+// wrap mod 2^64.
+TEST_P(GemmTierTest, MatchesScalarTripleLoop) {
+  const GemmTier tier = GetParam();
+  if (!GemmTierSupported(tier)) {
+    GTEST_SKIP() << "this host cannot run the " << GemmTierName(tier)
+                 << " tier";
+  }
+  Rng rng(0x6E33);
+  const uint32_t limit = 0x7FFFFFFFu;
+  for (size_t num_queries : {1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 24, 25,
+                             33}) {
+    for (size_t n : {1, 3, 4, 5, 63, 64, 65, 130}) {
+      for (size_t s : {1, 7, 8, 9, 33, 105}) {
+        std::vector<int32_t> data(n * s);
+        std::vector<int32_t> queries(num_queries * s);
+        for (int32_t& v : data) {
+          v = static_cast<int32_t>(rng.NextBounded(limit) + 1);
+        }
+        for (int32_t& v : queries) {
+          v = static_cast<int32_t>(rng.NextBounded(limit) + 1);
+        }
+        std::vector<uint64_t> out(num_queries * n, 0xDEADBEEFu);
+        DotProductGemm(tier, data.data(), n, s, queries.data(), num_queries,
+                       out.data());
+        for (size_t q = 0; q < num_queries; ++q) {
+          for (size_t v = 0; v < n; ++v) {
+            uint64_t expected = 0;
+            for (size_t j = 0; j < s; ++j) {
+              expected += static_cast<uint64_t>(data[v * s + j]) *
+                          static_cast<uint64_t>(queries[q * s + j]);
+            }
+            ASSERT_EQ(out[q * n + v], expected)
+                << GemmTierName(tier) << " Q=" << num_queries << " n=" << n
+                << " s=" << s << " q=" << q << " v=" << v;
+          }
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllTiers, GemmTierTest,
+    ::testing::Values(GemmTier::kScalar, GemmTier::kSse2, GemmTier::kAvx2,
+                      GemmTier::kAvx512),
+    [](const ::testing::TestParamInfo<GemmTier>& param) {
+      return std::string(GemmTierName(param.param));
+    });
+
+// Bit patterns of a few exact distances and span bounds, recorded from a
+// default (baseline x86-64) build. A build that fuses multiply-adds
+// differently (-march=native without -ffp-contract=off) rounds some of
+// them differently and fails here, even though counts and neighbour ids
+// elsewhere would not move.
+TEST(PimBatchTest, PinnedBitPatternsOfDistancesAndSpanBounds) {
+  const size_t n = 4, d = 420;
+  const FloatMatrix data = testing_util::RandomUnitMatrix(n, d, 91);
+  const FloatMatrix queries = testing_util::RandomUnitMatrix(1, d, 92);
+
+  const uint64_t kDistances[n] = {0x40511dfb5e4295d8ULL, 0x405254182c6fac45ULL,
+                                  0x405177a73a2d510aULL, 0x4050014a0322bbfcULL};
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(SquaredEuclideanEarlyAbandon(
+                  data.row(i), queries.row(0),
+                  std::numeric_limits<double>::infinity())),
+              kDistances[i])
+        << "object " << i;
+  }
+
+  struct Pinned {
+    Distance distance;
+    uint64_t bits[n];
+  };
+  const Pinned pinned[] = {
+      {Distance::kEuclidean,
+       {0x40511df448caba8bULL, 0x405254113933ec68ULL, 0x405177a038eb01aeULL,
+        0x40500143362cd9c4ULL}},
+      {Distance::kPearson,
+       {0x3f41c49c5797f2f3ULL, 0xbfacc063c04c49cfULL, 0x3f82f75f7d06b5e9ULL,
+        0x3fb208fa06221397ULL}},
+  };
+  for (const Pinned& p : pinned) {
+    auto engine = PimEngine::Build(data, p.distance, EngineOptions());
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    auto batch = (*engine)->RunQueryBatch(queries.row(0), 1);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    std::vector<double> bounds(n);
+    (*engine)->BoundsFor(*batch, 0, bounds);
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(bounds[i]), p.bits[i])
+          << EngineModeName((*engine)->mode()) << " object " << i;
+    }
+  }
 }
 
 }  // namespace

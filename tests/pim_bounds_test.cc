@@ -44,7 +44,7 @@ TEST_P(PimEdBoundTest, LowerBoundsSquaredEuclidean) {
     const auto p = RandomUnitVector(dims, 1000 + seed);
     const auto q = RandomUnitVector(dims, 2000 + seed);
     const double exact = SquaredEuclidean(p, q);
-    const double lb = LbPimEdCombine(quant.PhiEd(p), quant.PhiEd(q),
+    const double lb = LbPimEd(quant.PhiEd(p), quant.PhiEd(q),
                                      FloorDot(p, q, quant),
                                      static_cast<int64_t>(dims), alpha);
     EXPECT_LE(lb, exact + 1e-9) << "dims=" << dims << " alpha=" << alpha;
@@ -57,7 +57,7 @@ TEST_P(PimEdBoundTest, IdenticalVectors) {
   const auto [dims, alpha] = GetParam();
   const Quantizer quant(alpha);
   const auto p = RandomUnitVector(dims, 7);
-  const double lb = LbPimEdCombine(quant.PhiEd(p), quant.PhiEd(p),
+  const double lb = LbPimEd(quant.PhiEd(p), quant.PhiEd(p),
                                    FloorDot(p, p, quant),
                                    static_cast<int64_t>(dims), alpha);
   EXPECT_LE(lb, 1e-9);
@@ -103,14 +103,14 @@ TEST_P(PimFnnBoundTest, LowerBoundsSquaredEuclidean) {
     }
     const double exact = SquaredEuclidean(p, q);
     const double lb_fnn =
-        LbPimFnnCombine(quant.PhiFnn(p_means, p_stds),
+        LbPimFnn(quant.PhiFnn(p_means, p_stds),
                         quant.PhiFnn(q_means, q_stds), mean_dot, std_dot,
                         segments, l, alpha);
     EXPECT_LE(lb_fnn, exact + 1e-9)
         << "dims=" << dims << " segments=" << segments;
 
     const double lb_sm =
-        LbPimSmCombine(quant.PhiSm(p_means), quant.PhiSm(q_means), mean_dot,
+        LbPimSm(quant.PhiSm(p_means), quant.PhiSm(q_means), mean_dot,
                        segments, l, alpha);
     EXPECT_LE(lb_sm, exact + 1e-9);
   }
@@ -135,7 +135,7 @@ TEST(PimDotUpperBoundTest, BoundsDotCosinePearson) {
 
     const double exact_dot = DotProduct(p, q);
     const double ub_dot =
-        UbPimDotCombine(FloorDot(p, q, quant), quant.SumFloors(p),
+        UbPimDot(FloorDot(p, q, quant), quant.SumFloors(p),
                         quant.SumFloors(q), static_cast<int64_t>(dims), alpha);
     EXPECT_GE(ub_dot, exact_dot - 1e-9);
 
@@ -169,7 +169,7 @@ TEST(HdPimCombineTest, MatchesXorPopcount) {
       comp_dot += (!a && !b) ? 1 : 0;
       xor_distance += (a != b) ? 1 : 0;
     }
-    EXPECT_EQ(HdPimCombine(code_dot, comp_dot, d), xor_distance);
+    EXPECT_EQ(HdPim(code_dot, comp_dot, d), xor_distance);
   }
 }
 

@@ -348,10 +348,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- Greedy dispatch / Q=1 fast path ---------------------------------------
 
-TEST(ServeReplayTest, GreedyZeroWaitServesSingletonsMatchingDirectRunQuery) {
+TEST(ServeReplayTest, GreedyZeroWaitServesSingletonsMatchingDirectQueries) {
   // max_wait = 0 with widely-spaced arrivals: the scheduler must never
   // hold a query while the device is free, so every dispatch is Q = 1 and
-  // its modeled stats must equal the direct per-query RunQuery path.
+  // its modeled stats must equal direct one-query RunQueryBatch calls.
   ServeOptions options = BaseServe();
   options.max_wait_ns = 0;
   ArrivalTrace trace;
@@ -375,7 +375,7 @@ TEST(ServeReplayTest, GreedyZeroWaitServesSingletonsMatchingDirectRunQuery) {
   auto engine = PimEngine::Build(Data(), Distance::kEuclidean, SmallEngine());
   ASSERT_TRUE(engine.ok());
   for (uint32_t i = 0; i < 24; ++i) {
-    auto handle = (*engine)->RunQuery(Queries().row(i % kQueries));
+    auto handle = (*engine)->RunQueryBatch(Queries().row(i % kQueries), 1);
     ASSERT_TRUE(handle.ok());
   }
   EXPECT_EQ(served.stats.exec.pim_ns, (*engine)->PimComputeNs());

@@ -5,6 +5,7 @@
 // routing, fail-over, and the shard-count validation behave as documented.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <utility>
@@ -19,6 +20,7 @@
 #include "data/generator.h"
 #include "pim/fault_model.h"
 #include "pim/fleet.h"
+#include "sim/traffic.h"
 #include "test_helpers.h"
 #include "util/exact_sum.h"
 #include "util/random.h"
@@ -113,6 +115,80 @@ TEST(ShardedEngineTest, BoundsBitIdenticalToSingleDeviceAllModes) {
       }
     }
   }
+}
+
+// BoundsFor is the span form of BoundFor: for every mode, shard count and
+// placement it must return the per-object bounds bit for bit — tombstoned
+// rows (PruneBound), VerifyMode::kBoundSlack suspects (the trivial bound)
+// and rows appended round-robin across the shards included — and charge
+// exactly the per-object loop's traffic.
+TEST(ShardedEngineTest, SpanBoundsMatchPerObjectBoundsAndTraffic) {
+  const size_t n = 103;
+  const size_t d = 24;
+  const FloatMatrix data = ClusteredData(n, d, 13);
+  const FloatMatrix appended = testing_util::RandomUnitMatrix(7, d, 14);
+  const FloatMatrix queries = testing_util::RandomUnitMatrix(3, d, 15);
+
+  uint64_t suspects = 0;
+  for (const ModeCase& mode : AllModes()) {
+    for (ShardPlacement placement :
+         {ShardPlacement::kContiguous, ShardPlacement::kHash}) {
+      for (int shards : {1, 3}) {
+        EngineOptions options;
+        options.bound = mode.bound;
+        options.shard.shards = shards;
+        options.shard.placement = placement;
+        options.fault_config.cell_rate = 2e-3;
+        options.recovery.verify_mode = VerifyMode::kBoundSlack;
+        options.recovery.max_retries = 0;
+        options.recovery.remap_on_permanent = false;
+        auto built = ShardedPimEngine::Build(data, mode.distance, options);
+        ASSERT_TRUE(built.ok()) << mode.label;
+        const auto fleet = std::move(built).value();
+        ASSERT_TRUE(fleet->AppendRows(appended).ok()) << mode.label;
+        for (size_t i : {size_t{0}, size_t{17}, size_t{50}, n + 2}) {
+          ASSERT_TRUE(fleet->DeleteRow(i).ok()) << mode.label << " " << i;
+        }
+        const std::string label =
+            mode.label + " " + std::string(ShardPlacementName(placement)) +
+            " M=" + std::to_string(shards);
+
+        auto run = fleet->RunQueryBatch(
+            std::span<const float>(queries.data(), queries.rows() * d),
+            queries.rows());
+        ASSERT_TRUE(run.ok()) << label;
+        for (const auto& shard : run->shards) {
+          for (uint8_t f : shard.suspect1) suspects += f;
+          for (uint8_t f : shard.suspect2) suspects += f;
+        }
+        const size_t total = fleet->num_objects();
+        std::vector<double> expected(total);
+        std::vector<double> span(total);
+        for (size_t q = 0; q < queries.rows(); ++q) {
+          traffic::AggregateScope per_object;
+          for (size_t i = 0; i < total; ++i) {
+            expected[i] = fleet->BoundFor(*run, q, i);
+          }
+          const TrafficCounters per_object_delta = per_object.Delta();
+          traffic::AggregateScope one_span;
+          fleet->BoundsFor(*run, q, span);
+          const TrafficCounters span_delta = one_span.Delta();
+          EXPECT_TRUE(span_delta == per_object_delta)
+              << label << " span " << span_delta.ToString() << " vs "
+              << per_object_delta.ToString();
+          for (size_t i = 0; i < total; ++i) {
+            ASSERT_EQ(std::bit_cast<uint64_t>(span[i]),
+                      std::bit_cast<uint64_t>(expected[i]))
+                << label << " q=" << q << " i=" << i;
+          }
+          EXPECT_EQ(span[0], fleet->shard_engine(0).PruneBound()) << label;
+        }
+      }
+    }
+  }
+  // The fault rate must actually produce suspects, or the sparse pass
+  // went untested.
+  EXPECT_GT(suspects, 0u);
 }
 
 // Placement parsing round-trips, and every shard map is a balanced

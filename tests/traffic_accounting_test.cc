@@ -76,12 +76,12 @@ TEST(TrafficAccountingTest, LazyCombineChargesPerInspection) {
   ASSERT_TRUE(engine_or.ok());
   PimEngine& engine = **engine_or;
 
-  auto handle_or = engine.RunQuery(RandomUnitVector(16, 6));
+  auto handle_or = engine.RunQueryBatch(RandomUnitVector(16, 6), 1);
   ASSERT_TRUE(handle_or.ok());
 
   TrafficScope scope;
-  engine.BoundFor(*handle_or, 0);
-  engine.BoundFor(*handle_or, 1);
+  engine.BoundFor(*handle_or, 0, 0);
+  engine.BoundFor(*handle_or, 0, 1);
   const TrafficCounters delta = scope.Delta();
   EXPECT_EQ(delta.pim_results_loaded, 2u);
 }

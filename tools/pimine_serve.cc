@@ -80,6 +80,21 @@ int Usage() {
   return 2;
 }
 
+/// Reports a misused flag, then prints usage (exit code 2).
+int UsageError(const Status& status) {
+  std::cerr << status.ToString() << "\n";
+  return Usage();
+}
+
+/// A failed server build or replay: flag values the library rejects
+/// (InvalidArgument, e.g. --max_batch=0 or a zero tenant weight) are misuse
+/// and exit 2 through UsageError; any other failure is a bug and aborts.
+int RunError(const Status& status) {
+  PIMINE_CHECK(status.code() == StatusCode::kInvalidArgument)
+      << status.ToString();
+  return UsageError(status);
+}
+
 /// "--tenants=gold:4,free:1" -> weighted TenantSpecs.
 std::vector<serve::TenantSpec> ParseTenants(const std::string& spec) {
   std::vector<serve::TenantSpec> tenants;
@@ -194,14 +209,15 @@ void MaybeDumpMetrics(const FlagParser& flags) {
 }
 
 int RunReplay(const FlagParser& flags) {
-  PIMINE_CHECK_OK(flags.CheckKnown(
+  const Status known = flags.CheckKnown(
       {"dataset", "requests", "qps", "seed", "max_batch", "max_wait_us",
        "deadline_us", "capacity", "threads", "k", "n", "queries",
        "device_batch", "shards", "replicas", "distance", "tenants", "shares",
        "metrics_out", "timeseries_out", "events_out", "event_sample",
        "event_seed", "chaos_deaths", "chaos_stalls", "chaos_link_faults",
        "chaos_horizon_us", "chaos_seed", "batch_deadline_us",
-       "degrade_watermark", "mutate_trace", "compact_watermark"}));
+       "degrade_watermark", "mutate_trace", "compact_watermark"});
+  if (!known.ok()) return UsageError(known);
   const auto workload =
       LoadWorkload(flags.GetString("dataset", "MSD"), flags.GetInt("n", 0),
                    flags.GetInt("queries", 64));
@@ -223,15 +239,18 @@ int RunReplay(const FlagParser& flags) {
   const std::string mutate_trace = flags.GetString("mutate_trace", "");
   if (!mutate_trace.empty()) {
     auto parsed = ParseMutationTrace(mutate_trace);
-    PIMINE_CHECK(parsed.ok()) << parsed.status().ToString();
+    if (!parsed.ok()) return UsageError(parsed.status());
     mutation_ops = std::move(*parsed);
     size_t inserts = 0;
     for (const MutationOp& op : mutation_ops) {
       if (op.kind == MutationOp::Kind::kInsert) inserts += op.count;
     }
-    PIMINE_CHECK(inserts < workload.data.rows())
-        << "--mutate_trace inserts " << inserts
-        << " rows but the dataset only has " << workload.data.rows();
+    if (inserts >= workload.data.rows()) {
+      return UsageError(Status::InvalidArgument(
+          "--mutate_trace inserts " + std::to_string(inserts) +
+          " rows but the dataset only has " +
+          std::to_string(workload.data.rows())));
+    }
     const size_t base_rows = workload.data.rows() - inserts;
     const size_t d = workload.data.cols();
     FloatMatrix base(base_rows, d);
@@ -258,12 +277,12 @@ int RunReplay(const FlagParser& flags) {
   if (!flags.GetString("metrics_out", "").empty()) obs::Obs::Enable();
 
   auto trace = serve::GeneratePoissonTrace(spec);
-  PIMINE_CHECK(trace.ok()) << trace.status().ToString();
+  if (!trace.ok()) return RunError(trace.status());
   const FloatMatrix& served_data =
       dataset != nullptr ? dataset->corpus() : workload.data;
   auto server =
       serve::PimServer::Build(served_data, distance, engine, serve_options);
-  PIMINE_CHECK(server.ok()) << server.status().ToString();
+  if (!server.ok()) return RunError(server.status());
   if (dataset != nullptr) {
     PIMINE_CHECK_OK((*server)->AttachMutable(dataset.get()));
     // One op at a time so the compaction watermark is evaluated between
@@ -309,14 +328,15 @@ int RunReplay(const FlagParser& flags) {
 }
 
 int RunLive(const FlagParser& flags) {
-  PIMINE_CHECK_OK(flags.CheckKnown(
+  const Status known = flags.CheckKnown(
       {"dataset", "requests", "clients", "max_batch", "max_wait_us",
        "deadline_us", "capacity", "threads", "k", "n", "queries",
        "device_batch", "shards", "replicas", "distance", "tenants",
        "metrics_port", "linger_ms", "event_sample", "event_seed",
        "chaos_deaths", "chaos_stalls", "chaos_link_faults",
        "chaos_horizon_us", "chaos_seed", "batch_deadline_us",
-       "degrade_watermark", "compact_watermark"}));
+       "degrade_watermark", "compact_watermark"});
+  if (!known.ok()) return UsageError(known);
   const auto workload =
       LoadWorkload(flags.GetString("dataset", "MSD"), flags.GetInt("n", 0),
                    flags.GetInt("queries", 64));
@@ -329,7 +349,7 @@ int RunLive(const FlagParser& flags) {
 
   auto server = serve::PimServer::Build(workload.data, Distance::kEuclidean,
                                         engine, serve_options);
-  PIMINE_CHECK(server.ok()) << server.status().ToString();
+  if (!server.ok()) return RunError(server.status());
   PIMINE_CHECK_OK((*server)->Start());
 
   // Optional live telemetry endpoint: handlers snapshot server state, so
@@ -397,10 +417,7 @@ int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
   auto flags_or = FlagParser::Parse(argc - 1, argv + 1);
-  if (!flags_or.ok()) {
-    std::cerr << flags_or.status().ToString() << "\n";
-    return Usage();
-  }
+  if (!flags_or.ok()) return UsageError(flags_or.status());
   if (command == "replay") return RunReplay(*flags_or);
   if (command == "live") return RunLive(*flags_or);
   std::cerr << "unknown command '" << command << "'\n";
