@@ -295,13 +295,18 @@ int Main(int argc, char** argv) {
                            output.results[i].neighbors)
               << "chaos replay diverged across thread counts at query " << i;
         }
-        // The balance counters are interleaving-invariant; backoff/retry
-        // charges are not (WHICH dispatch pays depends on when the strike
-        // state lands — a timing-model artifact, never a results one).
         const FailoverStats fo4 = (*srv4)->engine().FleetStats().failover;
-        PIMINE_CHECK(fo4.injected == fo.injected &&
-                     fo4.recovered == fo.recovered && fo4.shed == fo.shed)
-            << "failover balance diverged across thread counts: "
+        PIMINE_CHECK(
+            fo4.injected == fo.injected && fo4.recovered == fo.recovered &&
+            fo4.shed == fo.shed && fo4.attempts_failed == fo.attempts_failed &&
+            fo4.chaos_denied == fo.chaos_denied &&
+            fo4.device_faults == fo.device_faults &&
+            fo4.strikes == fo.strikes && fo4.struck_out == fo.struck_out &&
+            fo4.slack_fills == fo.slack_fills &&
+            fo4.retry_messages == fo.retry_messages &&
+            fo4.retry_bytes == fo.retry_bytes &&
+            fo4.backoff_ns == fo.backoff_ns)
+            << "failover accounting diverged across thread counts: "
             << fo.ToString() << " vs " << fo4.ToString();
       }
 

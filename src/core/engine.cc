@@ -45,6 +45,67 @@ std::string_view EngineModeName(EngineMode mode) {
   return "?";
 }
 
+Result<EngineGeometry> ResolveEngineGeometry(int64_t n, int64_t d,
+                                             Distance distance,
+                                             const EngineOptions& options) {
+  EngineGeometry g;
+  if (distance == Distance::kCosine || distance == Distance::kPearson) {
+    if (options.bound != EngineOptions::Bound::kAuto) {
+      return Status::InvalidArgument(
+          "CS/PCC engines only support the automatic bound");
+    }
+    PIMINE_ASSIGN_OR_RETURN(g.plan, PlanPimLayout(n, d, options.operand_bits,
+                                                  1, options.pim_config));
+    if (g.plan.compressed) {
+      return Status::CapacityExceeded(
+          "CS/PCC require the full-dimensionality dataset on PIM; "
+          "enlarge the PIM array");
+    }
+    g.mode = distance == Distance::kCosine ? EngineMode::kCosine
+                                           : EngineMode::kPearson;
+    return g;
+  }
+
+  // Euclidean family: pick the bound.
+  g.bound = options.bound;
+  if (g.bound == EngineOptions::Bound::kAuto) {
+    PIMINE_ASSIGN_OR_RETURN(g.plan, PlanPimLayout(n, d, options.operand_bits,
+                                                  1, options.pim_config));
+    g.bound = g.plan.compressed ? EngineOptions::Bound::kSegmentFnn
+                                : EngineOptions::Bound::kDirectEd;
+  }
+  if (g.bound == EngineOptions::Bound::kDirectEd) {
+    PIMINE_ASSIGN_OR_RETURN(g.plan, PlanPimLayout(n, d, options.operand_bits,
+                                                  1, options.pim_config));
+    if (g.plan.compressed) {
+      return Status::CapacityExceeded(
+          "full-dimensionality LB_PIM-ED does not fit; use a segment bound");
+    }
+    g.mode = EngineMode::kDirectEd;
+    return g;
+  }
+  const bool with_stds = g.bound == EngineOptions::Bound::kSegmentFnn;
+  PIMINE_ASSIGN_OR_RETURN(g.plan, PlanPimLayout(n, d, options.operand_bits,
+                                                with_stds ? 2 : 1,
+                                                options.pim_config));
+  // Beyond d/4 segments the bound gains little tightness (segments of
+  // fewer than 4 values) while the crossbar cost keeps growing, so the
+  // automatic choice caps Theorem 4's maximum there — matching the
+  // paper's picks (s=105 on MSD, d=420).
+  g.segments = std::min(g.plan.s, std::max<int64_t>(1, d / 4));
+  if (options.force_segments > 0) {
+    if (options.force_segments > g.plan.s) {
+      return Status::CapacityExceeded(
+          "forced segment count exceeds the Theorem 4 maximum");
+    }
+    g.segments = options.force_segments;
+  }
+  g.plan.s = g.segments;
+  g.plan.compressed = g.segments < d;
+  g.mode = with_stds ? EngineMode::kSegmentFnn : EngineMode::kSegmentSm;
+  return g;
+}
+
 PimEngine::PimEngine(EngineMode mode, const EngineOptions& options)
     : mode_(mode),
       options_(options),
@@ -62,91 +123,31 @@ Result<std::unique_ptr<PimEngine>> PimEngine::Build(
         "use PimHammingEngine for binary-code workloads");
   }
   PIMINE_RETURN_IF_ERROR(CheckUnitRange(data));
-
-  const int64_t n = static_cast<int64_t>(data.rows());
   const int64_t d = static_cast<int64_t>(data.cols());
-
-  if (distance == Distance::kCosine || distance == Distance::kPearson) {
-    if (options.bound != EngineOptions::Bound::kAuto) {
-      return Status::InvalidArgument(
-          "CS/PCC engines only support the automatic bound");
-    }
-    PIMINE_ASSIGN_OR_RETURN(MemoryPlan plan,
-                            PlanPimLayout(n, d, options.operand_bits, 1,
-                                          options.pim_config));
-    if (plan.compressed) {
-      return Status::CapacityExceeded(
-          "CS/PCC require the full-dimensionality dataset on PIM; "
-          "enlarge the PIM array");
-    }
-    auto engine = std::unique_ptr<PimEngine>(new PimEngine(
-        distance == Distance::kCosine ? EngineMode::kCosine
-                                      : EngineMode::kPearson,
-        options));
-    engine->plan_ = plan;
-    PIMINE_RETURN_IF_ERROR(engine->BuildDotUpper(
-        data, /*pearson=*/distance == Distance::kPearson));
-    return engine;
-  }
-
-  // Euclidean family: pick the bound.
-  EngineOptions::Bound bound = options.bound;
-  MemoryPlan plan;
-  if (bound == EngineOptions::Bound::kAuto) {
-    PIMINE_ASSIGN_OR_RETURN(plan, PlanPimLayout(n, d, options.operand_bits, 1,
-                                                options.pim_config));
-    bound = plan.compressed ? EngineOptions::Bound::kSegmentFnn
-                            : EngineOptions::Bound::kDirectEd;
-  }
-
-  switch (bound) {
-    case EngineOptions::Bound::kDirectEd: {
-      PIMINE_ASSIGN_OR_RETURN(plan, PlanPimLayout(n, d, options.operand_bits,
-                                                  1, options.pim_config));
-      if (plan.compressed) {
-        return Status::CapacityExceeded(
-            "full-dimensionality LB_PIM-ED does not fit; use a segment "
-            "bound");
-      }
-      auto engine = std::unique_ptr<PimEngine>(
-          new PimEngine(EngineMode::kDirectEd, options));
-      engine->plan_ = plan;
+  PIMINE_ASSIGN_OR_RETURN(
+      const EngineGeometry g,
+      ResolveEngineGeometry(static_cast<int64_t>(data.rows()), d, distance,
+                            options));
+  auto engine = std::unique_ptr<PimEngine>(new PimEngine(g.mode, options));
+  engine->plan_ = g.plan;
+  switch (g.mode) {
+    case EngineMode::kCosine:
+    case EngineMode::kPearson:
+      PIMINE_RETURN_IF_ERROR(engine->BuildDotUpper(
+          data, /*pearson=*/g.mode == EngineMode::kPearson));
+      break;
+    case EngineMode::kDirectEd:
       PIMINE_RETURN_IF_ERROR(engine->BuildDirectEd(data));
-      return engine;
-    }
-    case EngineOptions::Bound::kSegmentFnn:
-    case EngineOptions::Bound::kSegmentSm: {
-      const bool with_stds = bound == EngineOptions::Bound::kSegmentFnn;
-      const int copies = with_stds ? 2 : 1;
-      PIMINE_ASSIGN_OR_RETURN(plan, PlanPimLayout(n, d, options.operand_bits,
-                                                  copies, options.pim_config));
-      // Beyond d/4 segments the bound gains little tightness (segments of
-      // fewer than 4 values) while the crossbar cost keeps growing, so the
-      // automatic choice caps Theorem 4's maximum there — matching the
-      // paper's picks (s=105 on MSD, d=420).
-      int64_t s = std::min(plan.s, std::max<int64_t>(1, d / 4));
-      if (options.force_segments > 0) {
-        if (options.force_segments > plan.s) {
-          return Status::CapacityExceeded(
-              "forced segment count exceeds the Theorem 4 maximum");
-        }
-        s = options.force_segments;
-      }
-      auto engine = std::unique_ptr<PimEngine>(new PimEngine(
-          with_stds ? EngineMode::kSegmentFnn : EngineMode::kSegmentSm,
-          options));
-      plan.s = s;
-      plan.compressed = s < d;
-      engine->plan_ = plan;
-      engine->num_segments_ = s;
-      engine->segment_length_ = SegmentLength(d, s);
-      PIMINE_RETURN_IF_ERROR(engine->BuildSegment(data, with_stds));
-      return engine;
-    }
-    case EngineOptions::Bound::kAuto:
+      break;
+    case EngineMode::kSegmentFnn:
+    case EngineMode::kSegmentSm:
+      engine->num_segments_ = g.segments;
+      engine->segment_length_ = SegmentLength(d, g.segments);
+      PIMINE_RETURN_IF_ERROR(engine->BuildSegment(
+          data, /*with_stds=*/g.mode == EngineMode::kSegmentFnn));
       break;
   }
-  return Status::Internal("unreachable engine bound selection");
+  return engine;
 }
 
 std::unique_ptr<PimDevice> PimEngine::MakeDevice(bool second) const {

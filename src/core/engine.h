@@ -63,6 +63,21 @@ struct EngineOptions {
   ShardOptions shard;
 };
 
+/// The geometry PimEngine::Build picks for an n x d dataset: the mode, the
+/// bound to force on a shard (kAuto for CS/PCC), the Theorem 4 plan and
+/// the segment count (0 outside the segment modes).
+struct EngineGeometry {
+  EngineMode mode = EngineMode::kDirectEd;
+  EngineOptions::Bound bound = EngineOptions::Bound::kAuto;
+  MemoryPlan plan;
+  int64_t segments = 0;
+};
+
+/// Resolves the geometry, failing with Build's bound and capacity errors.
+Result<EngineGeometry> ResolveEngineGeometry(int64_t n, int64_t d,
+                                             Distance distance,
+                                             const EngineOptions& options);
+
 /// The paper's framework in one object (§V): offline, it normalizes the
 /// roles — quantize the dataset (Eq. 5-6), compress it to the Theorem 4
 /// dimensionality if needed (§V-C), program the PIM array, and pre-compute

@@ -48,26 +48,17 @@ ShardMap TrivialShardMap(size_t n) {
   return map;
 }
 
-/// Assembles a FailoverStats snapshot from a shard's atomic counters; the
-/// ns figure is derived from the integer counters at snapshot time (same
-/// linear TransferLatencyNs formula as the scatter/gather classes), so it
-/// is identical for every charge interleaving.
+/// Snapshot of a shard's failover accounting; the ns figure is derived
+/// from the integer counters at snapshot time (same linear
+/// TransferLatencyNs formula as the scatter/gather classes), so it is
+/// identical for every charge interleaving.
 template <typename Counters>
 FailoverStats LoadFailover(const Counters& ctr, const PimConfig& c) {
-  constexpr auto kRelaxed = std::memory_order_relaxed;
   FailoverStats f;
-  f.injected = ctr.fo_injected.load(kRelaxed);
-  f.recovered = ctr.fo_recovered.load(kRelaxed);
-  f.shed = ctr.fo_shed.load(kRelaxed);
-  f.attempts_failed = ctr.fo_attempts_failed.load(kRelaxed);
-  f.chaos_denied = ctr.fo_chaos_denied.load(kRelaxed);
-  f.device_faults = ctr.fo_device_faults.load(kRelaxed);
-  f.strikes = ctr.fo_strikes.load(kRelaxed);
-  f.struck_out = ctr.fo_struck_out.load(kRelaxed);
-  f.slack_fills = ctr.fo_slack_fills.load(kRelaxed);
-  f.retry_messages = ctr.fo_retry_messages.load(kRelaxed);
-  f.retry_bytes = ctr.fo_retry_bytes.load(kRelaxed);
-  f.backoff_ns = ctr.fo_backoff_ns.load(kRelaxed);
+  {
+    std::lock_guard<std::mutex> lock(ctr.ladder_mu);
+    f = ctr.failover;
+  }
   f.failover_ns =
       static_cast<double>(f.retry_messages) * c.interconnect_hop_ns +
       static_cast<double>(f.retry_bytes) / c.interconnect_gbps +
@@ -110,118 +101,48 @@ Result<std::unique_ptr<ShardedPimEngine>> ShardedPimEngine::Build(
     fleet->engines_[0].push_back(std::move(engine));
     PIMINE_RETURN_IF_ERROR(add_replicas(0, data, options));
     fleet->map_ = TrivialShardMap(data.rows());
-    fleet->shard_counters_.push_back(std::make_unique<ShardCounters>());
-    fleet->InitReplicaState();
-    return fleet;
-  }
-
-  PIMINE_ASSIGN_OR_RETURN(fleet->map_, BuildShardMap(data, options.shard));
-  if (distance == Distance::kHamming) {
-    return Status::InvalidArgument(
-        "use PimHammingEngine for binary-code workloads");
-  }
-  const int64_t n = static_cast<int64_t>(data.rows());
-  const int64_t d = static_cast<int64_t>(data.cols());
-
-  // Resolve the bound family and segment geometry on the FULL dataset,
-  // replicating PimEngine::Build's selection (including its capacity
-  // errors), then force the outcome on every shard: a shard's smaller plan
-  // must not change the bound function, or results would depend on M.
-  EngineOptions shard_options = options;
-  shard_options.shard = ShardOptions();  // each member is one device.
-  if (distance == Distance::kCosine || distance == Distance::kPearson) {
-    if (options.bound != EngineOptions::Bound::kAuto) {
-      return Status::InvalidArgument(
-          "CS/PCC engines only support the automatic bound");
-    }
-    PIMINE_ASSIGN_OR_RETURN(fleet->plan_,
-                            PlanPimLayout(n, d, options.operand_bits, 1,
-                                          options.pim_config));
-    if (fleet->plan_.compressed) {
-      return Status::CapacityExceeded(
-          "CS/PCC require the full-dimensionality dataset on PIM; "
-          "enlarge the PIM array");
-    }
   } else {
-    EngineOptions::Bound bound = options.bound;
-    MemoryPlan plan;
-    if (bound == EngineOptions::Bound::kAuto) {
-      PIMINE_ASSIGN_OR_RETURN(plan, PlanPimLayout(n, d, options.operand_bits,
-                                                  1, options.pim_config));
-      bound = plan.compressed ? EngineOptions::Bound::kSegmentFnn
-                              : EngineOptions::Bound::kDirectEd;
+    PIMINE_ASSIGN_OR_RETURN(fleet->map_, BuildShardMap(data, options.shard));
+    if (distance == Distance::kHamming) {
+      return Status::InvalidArgument(
+          "use PimHammingEngine for binary-code workloads");
     }
-    switch (bound) {
-      case EngineOptions::Bound::kDirectEd: {
-        PIMINE_ASSIGN_OR_RETURN(plan,
-                                PlanPimLayout(n, d, options.operand_bits, 1,
-                                              options.pim_config));
-        if (plan.compressed) {
-          return Status::CapacityExceeded(
-              "full-dimensionality LB_PIM-ED does not fit; use a segment "
-              "bound");
-        }
-        shard_options.bound = EngineOptions::Bound::kDirectEd;
-        break;
-      }
-      case EngineOptions::Bound::kSegmentFnn:
-      case EngineOptions::Bound::kSegmentSm: {
-        const int copies = bound == EngineOptions::Bound::kSegmentFnn ? 2 : 1;
-        PIMINE_ASSIGN_OR_RETURN(plan,
-                                PlanPimLayout(n, d, options.operand_bits,
-                                              copies, options.pim_config));
-        int64_t s = std::min(plan.s, std::max<int64_t>(1, d / 4));
-        if (options.force_segments > 0) {
-          if (options.force_segments > plan.s) {
-            return Status::CapacityExceeded(
-                "forced segment count exceeds the Theorem 4 maximum");
-          }
-          s = options.force_segments;
-        }
-        plan.s = s;
-        plan.compressed = s < d;
-        shard_options.bound = bound;
-        shard_options.force_segments = s;
-        break;
-      }
-      case EngineOptions::Bound::kAuto:
-        return Status::Internal("unreachable engine bound selection");
-    }
-    fleet->plan_ = plan;
-  }
+    // Resolve the geometry on the FULL dataset, then force it on every
+    // shard: a shard's smaller plan must not change the bound function, or
+    // results would depend on M.
+    const size_t d = data.cols();
+    PIMINE_ASSIGN_OR_RETURN(
+        const EngineGeometry geometry,
+        ResolveEngineGeometry(static_cast<int64_t>(data.rows()),
+                              static_cast<int64_t>(d), distance, options));
+    fleet->plan_ = geometry.plan;
+    EngineOptions shard_options = options;
+    shard_options.shard = ShardOptions();  // each member is one device.
+    shard_options.bound = geometry.bound;
+    shard_options.force_segments = geometry.segments;
 
-  fleet->engines_.resize(fleet->map_.shards());
-  for (size_t j = 0; j < fleet->map_.shards(); ++j) {
-    const std::vector<uint32_t>& rows = fleet->map_.rows_per_shard[j];
-    FloatMatrix shard_data(rows.size(), static_cast<size_t>(d));
-    for (size_t local = 0; local < rows.size(); ++local) {
-      const auto src = data.row(rows[local]);
-      std::copy(src.begin(), src.end(),
-                shard_data.mutable_row(local).begin());
+    fleet->engines_.resize(fleet->map_.shards());
+    for (size_t j = 0; j < fleet->map_.shards(); ++j) {
+      const std::vector<uint32_t>& rows = fleet->map_.rows_per_shard[j];
+      FloatMatrix shard_data(rows.size(), d);
+      for (size_t local = 0; local < rows.size(); ++local) {
+        const auto src = data.row(rows[local]);
+        std::copy(src.begin(), src.end(),
+                  shard_data.mutable_row(local).begin());
+      }
+      EngineOptions ej = shard_options;
+      if (j > 0) ej.fault_config.seed ^= ShardSeedSalt(j);
+      PIMINE_ASSIGN_OR_RETURN(std::unique_ptr<PimEngine> primary,
+                              PimEngine::Build(shard_data, distance, ej));
+      fleet->engines_[j].push_back(std::move(primary));
+      PIMINE_RETURN_IF_ERROR(add_replicas(j, shard_data, ej));
     }
-    EngineOptions ej = shard_options;
-    if (j > 0) ej.fault_config.seed ^= ShardSeedSalt(j);
-    PIMINE_ASSIGN_OR_RETURN(std::unique_ptr<PimEngine> primary,
-                            PimEngine::Build(shard_data, distance, ej));
-    fleet->engines_[j].push_back(std::move(primary));
-    PIMINE_RETURN_IF_ERROR(add_replicas(j, shard_data, ej));
   }
-  fleet->shard_counters_.reserve(fleet->engines_.size());
-  for (size_t j = 0; j < fleet->engines_.size(); ++j) {
+  for (const auto& replicas : fleet->engines_) {
     fleet->shard_counters_.push_back(std::make_unique<ShardCounters>());
+    fleet->shard_counters_.back()->health.resize(replicas.size());
   }
-  fleet->InitReplicaState();
   return fleet;
-}
-
-void ShardedPimEngine::InitReplicaState() {
-  replica_state_.resize(engines_.size());
-  for (size_t j = 0; j < engines_.size(); ++j) {
-    replica_state_[j].clear();
-    for (size_t r = 0; r < engines_[j].size(); ++r) {
-      replica_state_[j].push_back(std::make_unique<ReplicaState>());
-    }
-  }
 }
 
 Result<ShardedPimEngine::QueryHandleBatch> ShardedPimEngine::RunQueryBatch(
@@ -350,96 +271,48 @@ Status ShardedPimEngine::DeviceBatchWithFailover(
     size_t j, const QueryScratch& scratch, size_t num_queries,
     PimEngine::QueryHandleBatch* handle, const DispatchOptions& dispatch,
     bool emit_query_spans) const {
-  constexpr auto kRelaxed = std::memory_order_relaxed;
   ShardCounters& ctr = *shard_counters_[j];
-  const int num_replicas = static_cast<int>(engines_[j].size());
-  const bool multi_replica = num_replicas > 1;
-  const uint64_t now_ns = dispatch.now_ns != 0
-                              ? dispatch.now_ns
-                              : chaos_now_ns_.load(kRelaxed);
-  const uint64_t matrices = mode() == EngineMode::kSegmentFnn ? 2 : 1;
-  const uint64_t retry_bytes = RetryOperandBytes(num_queries);
-  const bool chaos_on = chaos_ != nullptr && chaos_->enabled();
-
-  // Consecutive-failure strike bookkeeping is meaningful only when there
-  // is somewhere to fail over to: with one replica the legacy semantics
-  // (attempt the device, escalate on a fault) are preserved untouched.
-  const auto strike = [&](ReplicaState& rs) {
-    if (!multi_replica) return;
-    ctr.fo_strikes.fetch_add(1, kRelaxed);
-    const uint32_t strikes =
-        rs.strikes.fetch_add(1, std::memory_order_acq_rel) + 1;
-    if (strikes >= static_cast<uint32_t>(options_.shard.max_strikes) &&
-        !rs.out.exchange(true, std::memory_order_acq_rel)) {
-      ctr.fo_struck_out.fetch_add(1, kRelaxed);
-    }
-  };
-
-  int failed = 0;
-  uint64_t backoff_total = 0;
-  bool skipped_out = false;
-  bool deadline_shed = false;
+  LadderPlan plan;
+  if (dispatch.plans.empty()) {
+    plan = PlanLadder(j, num_queries, dispatch);
+  } else {
+    PIMINE_DCHECK(dispatch.plans.size() == engines_.size());
+    plan = dispatch.plans[j];
+  }
   std::string last_fault;
-  for (int r = 0; r < num_replicas; ++r) {
-    ReplicaState& rs = *replica_state_[j][r];
-    if (rs.out.load(std::memory_order_acquire)) {
-      skipped_out = true;
-      continue;
-    }
-    if (failed > 0) {
-      // Retry transition: seeded exponential backoff, then re-scatter the
-      // operands to the new replica. The deadline is checked BEFORE the
-      // wait is charged — an op that cannot afford the next rung sheds
-      // immediately rather than burning budget it does not have.
-      const uint64_t wait = FailoverBackoffNs(
-          options_.shard.backoff_base_ns, options_.shard.backoff_jitter_ns,
-          options_.shard.backoff_seed, BackoffToken(now_ns, j), failed);
-      if (dispatch.deadline_ns != 0 &&
-          backoff_total + wait > dispatch.deadline_ns) {
-        deadline_shed = true;
-        break;
-      }
-      backoff_total += wait;
-      ctr.fo_backoff_ns.fetch_add(wait, kRelaxed);
-      ctr.fo_retry_messages.fetch_add(matrices, kRelaxed);
-      ctr.fo_retry_bytes.fetch_add(retry_bytes, kRelaxed);
-    }
-    if (chaos_on &&
-        (chaos_->LinkDown(static_cast<uint32_t>(j), now_ns) ||
-         chaos_->ReplicaDown(static_cast<uint32_t>(j),
-                             static_cast<uint32_t>(r), now_ns))) {
-      // The chaos schedule denies this attempt outright: the replica (or
-      // the shard's interconnect) is unavailable at the dispatch instant.
-      ++failed;
-      ctr.fo_attempts_failed.fetch_add(1, kRelaxed);
-      ctr.fo_chaos_denied.fetch_add(1, kRelaxed);
-      strike(rs);
-      continue;
-    }
+  while (plan.serving_replica >= 0) {
+    const int r = plan.serving_replica;
     const Status s = engines_[j][r]->DeviceBatch(scratch, num_queries, handle,
                                                  emit_query_spans);
-    if (s.ok()) {
-      rs.strikes.store(0, kRelaxed);
-      ctr.serving_replica.store(static_cast<uint32_t>(r), kRelaxed);
-      ctr.slack_mode.store(false, kRelaxed);
-      if (failed > 0 || skipped_out) {
-        ctr.fo_injected.fetch_add(1, kRelaxed);
-        ctr.fo_recovered.fetch_add(1, kRelaxed);
-      }
-      return Status::OK();
-    }
+    if (s.ok()) break;
     if (s.code() != StatusCode::kDeviceFault) return s;
-    ++failed;
-    ctr.fo_attempts_failed.fetch_add(1, kRelaxed);
-    ctr.fo_device_faults.fetch_add(1, kRelaxed);
-    strike(rs);
+    // A data-plane fault, which no plan foresees: the attempt failed after
+    // all, so the walk continues past r against the live replica health.
     last_fault = "replica " + std::to_string(r) + ": " + s.message();
+    std::lock_guard<std::mutex> lock(ctr.ladder_mu);
+    ctr.health[r].strikes = plan.serving_strikes;
+    ++plan.charges.device_faults;
+    FailAttempt(ctr.health, r, &plan.charges);
+    WalkLadder(j, num_queries, dispatch, r + 1, ctr.health, &plan);
+  }
+  const bool shed = plan.serving_replica < 0;
+  if (shed && options_.shard.failover && dispatch.slack_on_exhaustion) {
+    plan.charges.slack_fills = 1;
+  }
+  if (plan.charges.injected != 0) {
+    std::lock_guard<std::mutex> lock(ctr.ladder_mu);
+    ctr.failover.Merge(plan.charges);
+  }
+  if (!shed) {
+    ctr.serving_replica.store(static_cast<uint32_t>(plan.serving_replica),
+                              std::memory_order_relaxed);
+    ctr.slack_mode.store(false, std::memory_order_relaxed);
+    return Status::OK();
   }
 
   // Every replica exhausted (struck out, denied, faulted, or priced out by
   // the ladder deadline): the op loses its device path.
-  ctr.fo_injected.fetch_add(1, kRelaxed);
-  ctr.fo_shed.fetch_add(1, kRelaxed);
+  const size_t num_replicas = engines_[j].size();
   if (!options_.shard.failover) {
     // No escalation configured: the shed op propagates as a DeviceFault
     // carrying its provenance — shard index, replica ids walked, and a
@@ -449,11 +322,11 @@ Status ShardedPimEngine::DeviceBatchWithFailover(
     char nonce[20];
     std::snprintf(nonce, sizeof(nonce), "%016llx",
                   static_cast<unsigned long long>(
-                      BackoffToken(now_ns, j) ^ num_queries));
+                      BackoffToken(DispatchNs(dispatch), j) ^ num_queries));
     return Status::DeviceFault(
         "shard " + std::to_string(j) + " (op " + nonce + "): all " +
         std::to_string(num_replicas) + " replica(s) exhausted" +
-        (deadline_shed ? " (ladder deadline exceeded)" : "") +
+        (plan.deadline_shed ? " (ladder deadline exceeded)" : "") +
         (last_fault.empty() ? "" : "; last fault at " + last_fault));
   }
   if (dispatch.slack_on_exhaustion) {
@@ -461,68 +334,101 @@ Status ShardedPimEngine::DeviceBatchWithFailover(
     // is the admissible trivial bound, so results stay exact after refine
     // while the shard sheds its modeled device work.
     PIMINE_RETURN_IF_ERROR(primary(j).SlackFillBatch(num_queries, handle));
-    ctr.fo_slack_fills.fetch_add(1, kRelaxed);
-    ctr.slack_mode.store(true, kRelaxed);
   } else {
     PIMINE_RETURN_IF_ERROR(
         primary(j).HostRecomputeBatch(scratch, num_queries, handle));
-    ctr.slack_mode.store(false, kRelaxed);
   }
-  ctr.serving_replica.store(static_cast<uint32_t>(num_replicas), kRelaxed);
+  ctr.slack_mode.store(dispatch.slack_on_exhaustion,
+                       std::memory_order_relaxed);
+  ctr.serving_replica.store(static_cast<uint32_t>(num_replicas),
+                            std::memory_order_relaxed);
   ctr.failovers.fetch_add(1, std::memory_order_relaxed);
   ctr.failed_over_queries.fetch_add(num_queries, std::memory_order_relaxed);
   return Status::OK();
 }
 
-ShardedPimEngine::FailoverPlan ShardedPimEngine::PlanFailover(
+ShardedPimEngine::LadderPlan ShardedPimEngine::PlanLadder(
     size_t j, size_t num_queries, const DispatchOptions& dispatch) const {
-  FailoverPlan plan;
-  if (chaos_ == nullptr || !chaos_->enabled()) return plan;
-  PIMINE_DCHECK(j < engines_.size());
-  const int num_replicas = static_cast<int>(engines_[j].size());
-  const uint64_t now_ns = dispatch.now_ns != 0
-                              ? dispatch.now_ns
-                              : chaos_now_ns_.load(std::memory_order_relaxed);
+  PIMINE_DCHECK(j < shard_counters_.size());
+  ShardCounters& ctr = *shard_counters_[j];
+  LadderPlan plan;
+  std::lock_guard<std::mutex> lock(ctr.ladder_mu);
+  WalkLadder(j, num_queries, dispatch, 0, ctr.health, &plan);
+  return plan;
+}
+
+void ShardedPimEngine::WalkLadder(size_t j, size_t num_queries,
+                                  const DispatchOptions& dispatch, int from,
+                                  std::span<ReplicaHealth> health,
+                                  LadderPlan* plan) const {
+  const uint64_t now_ns = DispatchNs(dispatch);
+  const bool chaos_on = chaos_ != nullptr && chaos_->enabled();
   const PimConfig& c = primary(0).device1().config();
   const uint64_t matrices = mode() == EngineMode::kSegmentFnn ? 2 : 1;
   const uint64_t retry_bytes = RetryOperandBytes(num_queries);
   const double retry_ns =
       static_cast<double>(matrices) * c.interconnect_hop_ns +
       static_cast<double>(retry_bytes) / c.interconnect_gbps;
-
-  int failed = 0;
-  uint64_t backoff_total = 0;
-  double extra = 0.0;
-  for (int r = 0; r < num_replicas; ++r) {
-    if (failed > 0) {
-      const uint64_t wait = FailoverBackoffNs(
-          options_.shard.backoff_base_ns, options_.shard.backoff_jitter_ns,
-          options_.shard.backoff_seed, BackoffToken(now_ns, j), failed);
-      if (dispatch.deadline_ns != 0 &&
-          backoff_total + wait > dispatch.deadline_ns) {
-        break;
-      }
-      backoff_total += wait;
-      extra += static_cast<double>(wait) + retry_ns;
-    }
-    if (chaos_->LinkDown(static_cast<uint32_t>(j), now_ns) ||
-        chaos_->ReplicaDown(static_cast<uint32_t>(j),
-                            static_cast<uint32_t>(r), now_ns)) {
-      ++failed;
+  const uint32_t shard = static_cast<uint32_t>(j);
+  FailoverStats& f = plan->charges;
+  f.injected = f.recovered = f.shed = 0;
+  bool skipped_out = false;
+  for (int r = from; r < static_cast<int>(health.size()); ++r) {
+    if (health[r].out) {
+      skipped_out = true;
       continue;
     }
-    plan.serving_replica = r;
-    plan.failed_attempts = failed;
-    plan.backoff_ns = backoff_total;
-    plan.extra_ns = extra;
-    return plan;
+    if (f.attempts_failed > 0) {
+      // Retry transition: seeded exponential backoff, then re-scatter the
+      // operands to the new replica. The deadline is checked BEFORE the
+      // wait is charged — an op that cannot afford the next rung sheds
+      // immediately rather than burning budget it does not have.
+      const uint64_t wait = FailoverBackoffNs(
+          options_.shard.backoff_base_ns, options_.shard.backoff_jitter_ns,
+          options_.shard.backoff_seed, BackoffToken(now_ns, j),
+          static_cast<int>(f.attempts_failed));
+      if (dispatch.deadline_ns != 0 &&
+          f.backoff_ns + wait > dispatch.deadline_ns) {
+        plan->deadline_shed = true;
+        break;
+      }
+      f.backoff_ns += wait;
+      f.retry_messages += matrices;
+      f.retry_bytes += retry_bytes;
+      plan->extra_ns += static_cast<double>(wait) + retry_ns;
+    }
+    if (chaos_on &&
+        (chaos_->LinkDown(shard, now_ns) ||
+         chaos_->ReplicaDown(shard, static_cast<uint32_t>(r), now_ns))) {
+      // The chaos schedule denies this attempt outright: the replica (or
+      // the shard's interconnect) is unavailable at the dispatch instant.
+      ++f.chaos_denied;
+      FailAttempt(health, r, &f);
+      continue;
+    }
+    plan->serving_replica = r;
+    plan->serving_strikes = health[r].strikes;
+    health[r].strikes = 0;
+    if (f.attempts_failed > 0 || skipped_out) f.injected = f.recovered = 1;
+    return;
   }
-  plan.serving_replica = -1;
-  plan.shed = true;
-  plan.failed_attempts = failed;
-  plan.backoff_ns = backoff_total;
-  plan.extra_ns = extra;
-  return plan;
+  plan->serving_replica = -1;
+  f.injected = f.shed = 1;
+}
+
+void ShardedPimEngine::FailAttempt(std::span<ReplicaHealth> health, int r,
+                                   FailoverStats* charges) const {
+  ++charges->attempts_failed;
+  // With one replica there is nowhere to fail over to: no strikes, so a
+  // faulted op escalates directly (the pre-replica ladder).
+  if (health.size() == 1) return;
+  ++charges->strikes;
+  ReplicaHealth& h = health[r];
+  if (++h.strikes >= static_cast<uint32_t>(options_.shard.max_strikes) &&
+      !h.out) {
+    h.out = true;
+    ++charges->struck_out;
+  }
 }
 
 uint64_t ShardedPimEngine::RetryOperandBytes(size_t num_queries) const {
@@ -707,22 +613,26 @@ bool ShardedPimEngine::shard_slack_mode(size_t j) const {
   return shard_counters_[j]->slack_mode.load(std::memory_order_relaxed);
 }
 
+ShardedPimEngine::ReplicaHealth ShardedPimEngine::HealthOf(size_t j,
+                                                         size_t r) const {
+  PIMINE_DCHECK(j < shard_counters_.size());
+  const ShardCounters& ctr = *shard_counters_[j];
+  PIMINE_DCHECK(r < ctr.health.size());
+  std::lock_guard<std::mutex> lock(ctr.ladder_mu);
+  return ctr.health[r];
+}
+
 int ShardedPimEngine::replica_strikes(size_t j, size_t r) const {
-  PIMINE_DCHECK(j < replica_state_.size());
-  PIMINE_DCHECK(r < replica_state_[j].size());
-  return static_cast<int>(
-      replica_state_[j][r]->strikes.load(std::memory_order_relaxed));
+  return static_cast<int>(HealthOf(j, r).strikes);
 }
 
 bool ShardedPimEngine::replica_out(size_t j, size_t r) const {
-  PIMINE_DCHECK(j < replica_state_.size());
-  PIMINE_DCHECK(r < replica_state_[j].size());
-  return replica_state_[j][r]->out.load(std::memory_order_acquire);
+  return HealthOf(j, r).out;
 }
 
 bool ShardedPimEngine::shard_degraded(size_t j) const {
   if (serving_replica(j) != 0 || shard_slack_mode(j)) return true;
-  for (size_t r = 0; r < replica_state_[j].size(); ++r) {
+  for (size_t r = 0; r < engines_[j].size(); ++r) {
     if (replica_out(j, r)) return true;
   }
   return false;
@@ -737,11 +647,9 @@ int ShardedPimEngine::DegradedShards() const {
 }
 
 void ShardedPimEngine::ResetReplicaHealth() {
-  for (const auto& shard : replica_state_) {
-    for (const auto& rs : shard) {
-      rs->strikes.store(0, std::memory_order_relaxed);
-      rs->out.store(false, std::memory_order_release);
-    }
+  for (const auto& ctr : shard_counters_) {
+    std::lock_guard<std::mutex> lock(ctr->ladder_mu);
+    std::fill(ctr->health.begin(), ctr->health.end(), ReplicaHealth());
   }
 }
 
@@ -807,20 +715,10 @@ void ShardedPimEngine::ResetOnlineStats() {
     ctr->gather_bytes.store(0, std::memory_order_relaxed);
     ctr->failovers.store(0, std::memory_order_relaxed);
     ctr->failed_over_queries.store(0, std::memory_order_relaxed);
-    ctr->fo_injected.store(0, std::memory_order_relaxed);
-    ctr->fo_recovered.store(0, std::memory_order_relaxed);
-    ctr->fo_shed.store(0, std::memory_order_relaxed);
-    ctr->fo_attempts_failed.store(0, std::memory_order_relaxed);
-    ctr->fo_chaos_denied.store(0, std::memory_order_relaxed);
-    ctr->fo_device_faults.store(0, std::memory_order_relaxed);
-    ctr->fo_strikes.store(0, std::memory_order_relaxed);
-    ctr->fo_struck_out.store(0, std::memory_order_relaxed);
-    ctr->fo_slack_fills.store(0, std::memory_order_relaxed);
-    ctr->fo_retry_messages.store(0, std::memory_order_relaxed);
-    ctr->fo_retry_bytes.store(0, std::memory_order_relaxed);
-    ctr->fo_backoff_ns.store(0, std::memory_order_relaxed);
     ctr->serving_replica.store(0, std::memory_order_relaxed);
     ctr->slack_mode.store(false, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(ctr->ladder_mu);
+    ctr->failover = FailoverStats();
   }
   reduce_messages_.store(0, std::memory_order_relaxed);
   reduce_bytes_.store(0, std::memory_order_relaxed);

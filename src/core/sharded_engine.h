@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -80,6 +81,24 @@ class ShardedPimEngine {
   Status RunQueryBatch(std::span<const float> queries, size_t num_queries,
                        QueryScratch* scratch, QueryHandleBatch* out) const;
 
+  /// One walk of a shard's failover ladder for one device-batch chunk
+  /// (DESIGN.md section 12): the replica that serves it, or a shed, and
+  /// everything the walk charges.
+  struct LadderPlan {
+    /// Replica that serves the chunk; -1 when the op sheds off-device.
+    int serving_replica = 0;
+    /// serving_replica's strike count before the walk reset it, restored
+    /// if a data-plane fault proves the attempt failed after all.
+    uint32_t serving_strikes = 0;
+    /// The op shed because the next backoff would exceed the deadline.
+    bool deadline_shed = false;
+    /// The walk's FailoverStats: outcome (injected/recovered/shed), failed
+    /// attempts, strikes, strike-outs, retry re-scatter and backoff.
+    FailoverStats charges;
+    /// Modeled time the walk adds: backoff + re-scatter per retry.
+    double extra_ns = 0.0;
+  };
+
   /// Per-dispatch context of the failover ladder. The default value is the
   /// plain overloads' behaviour (no chaos instant, host-exact shedding).
   struct DispatchOptions {
@@ -93,35 +112,29 @@ class ShardedPimEngine {
     /// Ladder budget: cumulative seeded backoff one dispatch may spend
     /// walking a shard's replicas before the op sheds. 0 = unbounded.
     uint64_t deadline_ns = 0;
+    /// The ladder plan of every shard (size shards()), from PlanLadder.
+    /// Empty: each shard plans its ladder against the live replica health.
+    std::span<const LadderPlan> plans;
   };
 
-  /// As the reusing overload, with explicit failover/chaos context. Every
-  /// transition of the ladder — failed attempt, strike, recovery on a
-  /// later replica, shed — lands in FailoverStats (FleetStats().failover,
-  /// invariant injected == recovered + shed).
+  /// As the reusing overload, with explicit failover/chaos context. Each
+  /// shard runs its plan; only a data-plane DeviceFault, which no plan
+  /// foresees, continues the walk. Every transition of the ladder lands in
+  /// FailoverStats (FleetStats().failover, injected == recovered + shed).
   Status RunQueryBatch(std::span<const float> queries, size_t num_queries,
                        QueryScratch* scratch, QueryHandleBatch* out,
                        const DispatchOptions& dispatch) const;
 
-  /// What the chaos-availability ladder will do for shard `j` dispatched
-  /// at `dispatch.now_ns`: the serving replica (or shed), the failed
-  /// attempts walked past, and the modeled extra time (seeded backoff +
-  /// operand re-scatter per retry). A PURE function of (chaos schedule,
-  /// options, dispatch) — the virtual-clock scheduler extends each formed
-  /// batch by the max over shards of extra_ns, and the executing ladder,
-  /// walking the same dispatch, charges the identical waits. Replica
-  /// strike state is deliberately NOT consulted: the timing model stays
-  /// stateless (see DESIGN.md section 12).
-  struct FailoverPlan {
-    int serving_replica = 0;  // -1 when the op sheds off-device.
-    int failed_attempts = 0;
-    bool shed = false;
-    uint64_t backoff_ns = 0;
-    /// backoff_ns + modeled retry re-scatter transfer time.
-    double extra_ns = 0.0;
-  };
-  FailoverPlan PlanFailover(size_t j, size_t num_queries,
-                            const DispatchOptions& dispatch) const;
+  /// Walks shard j's ladder for a chunk of `num_queries` at the dispatch
+  /// instant: replicas in order (primary first), skipping struck-out ones;
+  /// before each retry a seeded backoff (shedding instead if it would
+  /// exceed dispatch.deadline_ns) and an operand re-scatter; a replica the
+  /// chaos schedule has down takes a strike, and max_strikes consecutive
+  /// strikes strike it out. The walk is pure in (schedule, ShardOptions,
+  /// replica health, instant, chunk size) and advances the shard's replica
+  /// health as if its plan runs: the serving replica's strikes reset.
+  LadderPlan PlanLadder(size_t j, size_t num_queries,
+                        const DispatchOptions& dispatch) const;
 
   // --- Chaos plane ------------------------------------------------------
   /// Installs a chaos schedule (owned by the caller, outliving the
@@ -320,22 +333,45 @@ class ShardedPimEngine {
 
   PimEngine& primary(size_t j) const { return *engines_[j][0]; }
 
-  /// Sizes replica_state_ to the engines_ geometry (all healthy).
-  void InitReplicaState();
+  /// Ladder health of one replica. `strikes` counts CONSECUTIVE failed
+  /// attempts (any success resets it); at max_strikes the replica is
+  /// struck out and skipped until ResetReplicaHealth().
+  struct ReplicaHealth {
+    uint32_t strikes = 0;
+    bool out = false;
+  };
+  ReplicaHealth HealthOf(size_t j, size_t r) const;
 
-  /// The failover ladder of one shard's share of one dispatch: walk the
-  /// replicas in deterministic order (primary first), skipping struck-out
-  /// members, charging seeded backoff + operand re-scatter per retry, and
-  /// escalating off-device only when every replica is exhausted.
+  /// The instant the chaos schedule is evaluated at for `dispatch`.
+  uint64_t DispatchNs(const DispatchOptions& dispatch) const {
+    return dispatch.now_ns != 0
+               ? dispatch.now_ns
+               : chaos_now_ns_.load(std::memory_order_relaxed);
+  }
+
+  /// Runs shard j's share of one dispatch: its plan (handed in or walked
+  /// now), continuing the walk past a replica only on a data-plane
+  /// DeviceFault, and escalating off-device when the plan sheds.
   Status DeviceBatchWithFailover(size_t j, const QueryScratch& scratch,
                                  size_t num_queries,
                                  PimEngine::QueryHandleBatch* handle,
                                  const DispatchOptions& dispatch,
                                  bool emit_query_spans) const;
 
+  /// The ladder walk behind PlanLadder, from rung `from` on, against
+  /// `health`; extends `plan` and re-decides its outcome.
+  void WalkLadder(size_t j, size_t num_queries,
+                  const DispatchOptions& dispatch, int from,
+                  std::span<ReplicaHealth> health, LadderPlan* plan) const;
+
+  /// Records a failed attempt on replica r: with a replica to fail over
+  /// to, a strike, and at max_strikes consecutive ones a strike-out.
+  void FailAttempt(std::span<ReplicaHealth> health, int r,
+                   FailoverStats* charges) const;
+
   /// Bytes of one operand re-scatter to a retry replica, computed from the
-  /// fleet geometry (not from live scratch buffers) so PlanFailover and
-  /// the executing ladder charge the identical figure.
+  /// fleet geometry (not from live scratch buffers), so a plan's figure
+  /// does not depend on who executes it.
   uint64_t RetryOperandBytes(size_t num_queries) const;
 
   EngineOptions options_;
@@ -353,16 +389,6 @@ class ShardedPimEngine {
   const ChaosSchedule* chaos_ = nullptr;
   mutable std::atomic<uint64_t> chaos_now_ns_{0};
 
-  /// Ladder health of one replica. `strikes` counts CONSECUTIVE failed
-  /// attempts (any success resets it); at max_strikes the replica is
-  /// struck out and skipped until ResetReplicaHealth().
-  struct ReplicaState {
-    std::atomic<uint32_t> strikes{0};
-    std::atomic<bool> out{false};
-  };
-  mutable std::vector<std::vector<std::unique_ptr<ReplicaState>>>
-      replica_state_;
-
   // Fleet interconnect accounting: integer counters only (mutated under
   // concurrent RunQueryBatch calls; order-independent), ns derived at
   // snapshot. Kept PER SHARD (heap-allocated: atomics are immovable) so
@@ -375,23 +401,15 @@ class ShardedPimEngine {
     std::atomic<uint64_t> gather_bytes{0};
     std::atomic<uint64_t> failovers{0};
     std::atomic<uint64_t> failed_over_queries{0};
-    // Failover-ladder accounting (FailoverStats fields; same
-    // order-independent integer-counter discipline).
-    std::atomic<uint64_t> fo_injected{0};
-    std::atomic<uint64_t> fo_recovered{0};
-    std::atomic<uint64_t> fo_shed{0};
-    std::atomic<uint64_t> fo_attempts_failed{0};
-    std::atomic<uint64_t> fo_chaos_denied{0};
-    std::atomic<uint64_t> fo_device_faults{0};
-    std::atomic<uint64_t> fo_strikes{0};
-    std::atomic<uint64_t> fo_struck_out{0};
-    std::atomic<uint64_t> fo_slack_fills{0};
-    std::atomic<uint64_t> fo_retry_messages{0};
-    std::atomic<uint64_t> fo_retry_bytes{0};
-    std::atomic<uint64_t> fo_backoff_ns{0};
     // Last-dispatch serving state (health reporting, not accounting).
     std::atomic<uint32_t> serving_replica{0};
     std::atomic<bool> slack_mode{false};
+    // The shard's replica health (one entry per replica), advanced by
+    // PlanLadder and data-plane faults, and the sum of the charges of the
+    // plans it ran (order-independent integer sums).
+    mutable std::mutex ladder_mu;
+    std::vector<ReplicaHealth> health;
+    FailoverStats failover;
   };
   mutable std::vector<std::unique_ptr<ShardCounters>> shard_counters_;
   // Tree reductions merge per-shard partials pairwise — no single owning

@@ -19,17 +19,6 @@ namespace pimine {
 namespace serve {
 namespace {
 
-/// One shard's planned failover outcome for a dispatch (chaos replay):
-/// recorded during the deterministic formation pass, exported as recovery
-/// telemetry during the accounting pass.
-struct FailoverNote {
-  uint32_t shard = 0;
-  int serving_replica = 0;  // -1 = shed off-device.
-  int failed_attempts = 0;
-  bool shed = false;
-  uint64_t backoff_ns = 0;
-};
-
 /// One scheduler dispatch decided by the virtual-clock formation pass.
 struct FormedBatch {
   uint64_t dispatch_ns = 0;
@@ -39,8 +28,9 @@ struct FormedBatch {
   /// dispatch executes with bound-slack escalation.
   bool degraded = false;
   std::vector<PendingQuery> members;
-  /// Shards whose replica ladder fires at this dispatch instant.
-  std::vector<FailoverNote> notes;
+  /// The ladder plan of every shard for every device_batch chunk,
+  /// chunk-major (plans[chunk * shards + shard]); empty when chaos is off.
+  std::vector<ShardedPimEngine::LadderPlan> plans;
 };
 
 uint64_t ToTicks(double ns) {
@@ -177,11 +167,10 @@ uint64_t PimServer::watermark_compactions() const {
 // Shared dispatch execution
 // --------------------------------------------------------------------------
 
-void PimServer::RunDispatch(std::span<const float> qbuf,
-                            const std::vector<PendingQuery>& members,
-                            double device_ns_per_query,
-                            const ShardedPimEngine::DispatchOptions& dispatch,
-                            DispatchScratch* s) {
+void PimServer::RunDispatch(
+    std::span<const float> qbuf, const std::vector<PendingQuery>& members,
+    double device_ns_per_query, ShardedPimEngine::DispatchOptions dispatch,
+    std::span<const ShardedPimEngine::LadderPlan> plans, DispatchScratch* s) {
   const size_t dims = data_->cols();
   const size_t batch_size = members.size();
   s->bounds.resize(data_->rows());
@@ -190,8 +179,12 @@ void PimServer::RunDispatch(std::span<const float> qbuf,
   // One engine batch operation per device_batch chunk: max_batch bounds
   // the scheduler's coalescing, device_batch the per-operation GEMM width.
   const size_t device_batch = options_.exec.device_batch;
+  const size_t shards = engine_->shards();
   for (size_t c0 = 0; c0 < batch_size; c0 += device_batch) {
     const size_t chunk = std::min(batch_size, c0 + device_batch) - c0;
+    if (!plans.empty()) {
+      dispatch.plans = plans.subspan(c0 / device_batch * shards, shards);
+    }
     // Label engine spans with the first member's admission id, matching
     // the batched harness convention (base + in-batch index = query id).
     obs::ScopedTrackBase track_base(static_cast<int64_t>(members[c0].id));
@@ -267,6 +260,10 @@ Result<ReplayOutput> PimServer::Replay(const ArrivalTrace& trace,
   AdmissionQueue queue(options_);
   std::vector<FormedBatch> batches;
   uint64_t vt_free = 0;
+  const size_t device_batch = options_.exec.device_batch;
+  std::vector<double> shard_extra(engine_->shards());
+  engine_->ResetOnlineStats();
+  engine_->ResetReplicaHealth();
 
   auto flush = [&](uint64_t horizon, uint64_t drain_floor) {
     while (!queue.empty()) {
@@ -281,51 +278,31 @@ Result<ReplayOutput> PimServer::Replay(const ArrivalTrace& trace,
       FormedBatch b;
       b.dispatch_ns = dispatch;
       queue.FormBatch(&b.members);
+      // Under chaos, plan every shard's replica ladder for every
+      // device_batch chunk, in dispatch order. This single-threaded pass is
+      // the only walker of the replica health during a replay, so the
+      // plans and the strikes they record do not depend on
+      // scheduler_threads, and the execution phase runs exactly these
+      // plans. Shards run concurrently (max over shards); a shard's chunks
+      // run back to back (sum over chunks). Without chaos no plan could
+      // differ from the primary, so none is handed over.
+      ShardedPimEngine::DispatchOptions dopt;
+      dopt.now_ns = dispatch;
+      dopt.deadline_ns = options_.batch_deadline_ns;
+      std::fill(shard_extra.begin(), shard_extra.end(), 0.0);
       double service = 0.0;
-      for (size_t c0 = 0; c0 < b.members.size();
-           c0 += options_.exec.device_batch) {
-        const size_t chunk =
-            std::min(b.members.size() - c0, options_.exec.device_batch);
+      for (size_t c0 = 0; c0 < b.members.size(); c0 += device_batch) {
+        const size_t chunk = std::min(b.members.size() - c0, device_batch);
         service += engine_->ModeledBatchNs(chunk);
+        if (!chaos_.enabled()) continue;
+        for (size_t j = 0; j < shard_extra.size(); ++j) {
+          b.plans.push_back(engine_->PlanLadder(j, chunk, dopt));
+          shard_extra[j] += b.plans.back().extra_ns;
+        }
       }
       if (chaos_.enabled()) {
-        // Plan the replica-failover ladder of every shard at this dispatch
-        // instant: PlanFailover is pure in (schedule, options, dispatch),
-        // so this single-threaded pass and the multi-threaded execution
-        // walk identical ladders and charge identical extra time. Shards
-        // run concurrently (max); a shard's device_batch chunks run
-        // sequentially (sum over chunk sizes).
         b.degraded = DegradedShardAt(dispatch) >= 0;
-        ShardedPimEngine::DispatchOptions dopt;
-        dopt.now_ns = dispatch;
-        dopt.deadline_ns = options_.batch_deadline_ns;
-        const size_t db = options_.exec.device_batch;
-        const size_t full_chunks = b.members.size() / db;
-        const size_t rem = b.members.size() % db;
-        double extra = 0.0;
-        for (size_t j = 0; j < engine_->shards(); ++j) {
-          double shard_extra = 0.0;
-          ShardedPimEngine::FailoverPlan plan;
-          if (full_chunks > 0) {
-            plan = engine_->PlanFailover(j, db, dopt);
-            shard_extra += static_cast<double>(full_chunks) * plan.extra_ns;
-          }
-          if (rem > 0) {
-            plan = engine_->PlanFailover(j, rem, dopt);
-            shard_extra += plan.extra_ns;
-          }
-          extra = std::max(extra, shard_extra);
-          if (plan.failed_attempts > 0 || plan.shed) {
-            FailoverNote note;
-            note.shard = static_cast<uint32_t>(j);
-            note.serving_replica = plan.serving_replica;
-            note.failed_attempts = plan.failed_attempts;
-            note.shed = plan.shed;
-            note.backoff_ns = plan.backoff_ns;
-            b.notes.push_back(note);
-          }
-        }
-        service += extra;
+        service += *std::max_element(shard_extra.begin(), shard_extra.end());
       }
       b.service_ns = service;
       b.completion_ns = dispatch + ToTicks(service);
@@ -334,7 +311,6 @@ Result<ReplayOutput> PimServer::Replay(const ArrivalTrace& trace,
     }
   };
 
-  const uint32_t min_weight = MinTenantWeight();
   uint64_t last_arrival = 0;
   for (size_t i = 0; i < trace.events.size(); ++i) {
     const ArrivalEvent& e = trace.events[i];
@@ -343,18 +319,9 @@ Result<ReplayOutput> PimServer::Replay(const ArrivalTrace& trace,
     ServedResult& r = out.results[i];
     r.tenant = e.tenant;
     r.arrival_ns = e.arrival_ns;
-    // Degraded-mode load shedding: while any shard sits below the degrade
-    // watermark, lowest-weight-tenant submissions are refused up front
-    // with a 503-style CapacityExceeded naming the degraded shard.
-    const int degraded_shard = DegradedShardAt(e.arrival_ns);
-    if (degraded_shard >= 0 && TenantWeight(e.tenant) == min_weight) {
-      r.status = Status::CapacityExceeded(
-          "degraded: shard " + std::to_string(degraded_shard) + " has " +
-          std::to_string(chaos_.HealthyReplicas(
-              static_cast<uint32_t>(degraded_shard), e.arrival_ns)) +
-          "/" + std::to_string(engine_->replicas()) +
-          " healthy replicas (below watermark); shedding tenant '" +
-          out.stats.tenants[e.tenant].name + "'");
+    r.status = DegradedShed(e.tenant, e.arrival_ns,
+                            out.stats.tenants[e.tenant].name);
+    if (!r.status.ok()) {
       ++out.stats.shed_queries;
     } else {
       r.status = queue.Admit(i, e.tenant, e.arrival_ns);
@@ -384,26 +351,30 @@ Result<ReplayOutput> PimServer::Replay(const ArrivalTrace& trace,
       replay_ts.Count("degraded_batches", b.dispatch_ns);
     }
     // Recovery telemetry, still inside the deterministic pass: one record
-    // per shard whose ladder fired at this dispatch. Chaos off -> no notes
-    // -> the exports stay byte-identical to the pre-failover server.
-    for (const FailoverNote& note : b.notes) {
-      replay_ts.Count(note.shed ? "failover_shed" : "failover_recovered",
+    // per plan whose ladder fired (the plans the execution phase runs).
+    // Chaos off -> no plans -> the exports stay byte-identical to the
+    // pre-failover server.
+    for (size_t p = 0; p < b.plans.size(); ++p) {
+      const ShardedPimEngine::LadderPlan& plan = b.plans[p];
+      const FailoverStats& f = plan.charges;
+      if (f.injected == 0) continue;
+      replay_ts.Count(f.shed != 0 ? "failover_shed" : "failover_recovered",
                       b.dispatch_ns);
-      if (note.backoff_ns > 0) {
+      if (f.backoff_ns > 0) {
         replay_ts.Observe("failover_backoff_ns", b.dispatch_ns,
-                          static_cast<double>(note.backoff_ns));
+                          static_cast<double>(f.backoff_ns));
       }
       if (replay_events.enabled()) {
         obs::QueryEvent ev;
         ev.kind = obs::QueryEvent::Kind::kFailover;
         ev.batch_id = bi;
         ev.dispatch_ns = b.dispatch_ns;
-        ev.shard = static_cast<int32_t>(note.shard);
-        ev.replica = note.serving_replica;
-        ev.failed_attempts = note.failed_attempts;
-        ev.shed = note.shed;
-        ev.backoff_ns = note.backoff_ns;
-        ev.status = note.shed ? "SHED" : "RECOVERED";
+        ev.shard = static_cast<int32_t>(p % engine_->shards());
+        ev.replica = plan.serving_replica;
+        ev.failed_attempts = static_cast<int32_t>(f.attempts_failed);
+        ev.shed = f.shed != 0;
+        ev.backoff_ns = f.backoff_ns;
+        ev.status = ev.shed ? "SHED" : "RECOVERED";
         replay_events.AppendAlways(ev);
       }
     }
@@ -451,8 +422,6 @@ Result<ReplayOutput> PimServer::Replay(const ArrivalTrace& trace,
   // order, and the per-dispatch work depends only on the dispatch itself —
   // so results, traffic and modeled pim_ns are bit-identical for every
   // scheduler_threads (see DESIGN.md "Host-side parallelism").
-  engine_->ResetOnlineStats();
-  engine_->ResetReplicaHealth();
   traffic::AggregateScope traffic_scope;
   const double device_ns_per_query =
       obs::Obs::Enabled() ? engine_->SerialDeviceNsPerQuery() : 0.0;
@@ -479,7 +448,8 @@ Result<ReplayOutput> PimServer::Replay(const ArrivalTrace& trace,
           dopt.now_ns = b.dispatch_ns;
           dopt.slack_on_exhaustion = b.degraded;
           dopt.deadline_ns = options_.batch_deadline_ns;
-          RunDispatch(s.qbuf, b.members, device_ns_per_query, dopt, &s);
+          RunDispatch(s.qbuf, b.members, device_ns_per_query, dopt, b.plans,
+                      &s);
           if (!s.slot.status.ok()) break;
           for (size_t m = 0; m < b.members.size(); ++m) {
             out.results[b.members[m].id].neighbors =
@@ -568,18 +538,14 @@ Result<ServedResult> PimServer::Submit(uint32_t tenant,
     ++live_stats_.submitted;
     ++live_stats_.tenants[tenant].submitted;
     // Degraded-mode load shedding (same rule as replay, on the live
-    // clock): lowest-weight tenants are refused while a shard sits below
-    // the degrade watermark.
-    const int degraded_shard = DegradedShardAt(arrival);
-    const bool shed =
-        degraded_shard >= 0 && TenantWeight(tenant) == MinTenantWeight();
-    const Status admitted =
-        shed ? Status::CapacityExceeded(
-                   "degraded: shard " + std::to_string(degraded_shard) +
-                   " below the healthy-replica watermark; shedding tenant '" +
-                   live_stats_.tenants[tenant].name + "'")
-             : queue_->Admit(id, tenant, arrival);
-    if (shed) ++live_stats_.shed_queries;
+    // clock).
+    Status admitted =
+        DegradedShed(tenant, arrival, live_stats_.tenants[tenant].name);
+    if (!admitted.ok()) {
+      ++live_stats_.shed_queries;
+    } else {
+      admitted = queue_->Admit(id, tenant, arrival);
+    }
     if (!admitted.ok()) {
       // Backpressure: the client learns immediately; nothing is dropped
       // downstream.
@@ -652,7 +618,7 @@ void PimServer::WorkerLoop(size_t worker_index) {
     dopt.now_ns = dispatch_ns;
     dopt.slack_on_exhaustion = DegradedShardAt(dispatch_ns) >= 0;
     dopt.deadline_ns = options_.batch_deadline_ns;
-    RunDispatch(scratch.qbuf, members, live_device_ns_per_query_, dopt,
+    RunDispatch(scratch.qbuf, members, live_device_ns_per_query_, dopt, {},
                 &scratch);
     const uint64_t completion_ns = NowNs();
 
@@ -876,6 +842,21 @@ int PimServer::DegradedShardAt(uint64_t t) const {
     }
   }
   return -1;
+}
+
+Status PimServer::DegradedShed(uint32_t tenant, uint64_t t,
+                               const std::string& tenant_name) const {
+  const int shard = DegradedShardAt(t);
+  if (shard < 0 || TenantWeight(tenant) != MinTenantWeight()) {
+    return Status::OK();
+  }
+  return Status::CapacityExceeded(
+      "degraded: shard " + std::to_string(shard) + " has " +
+      std::to_string(
+          chaos_.HealthyReplicas(static_cast<uint32_t>(shard), t)) +
+      "/" + std::to_string(engine_->replicas()) +
+      " healthy replicas (below watermark); shedding tenant '" +
+      tenant_name + "'");
 }
 
 uint32_t PimServer::TenantWeight(uint32_t tenant) const {

@@ -255,19 +255,27 @@ class PimServer : public MutationListener {
   /// Executes one formed dispatch: one engine RunQueryBatch per
   /// device_batch chunk, then StandardPimQuery per query — the per-query
   /// step StandardPimKnn::Search runs, so a served query's neighbours,
-  /// traffic and modeled stats are those of the offline path. Fills
-  /// s->neighbors[0..members); each member's admission id labels its
-  /// per-query trace span.
+  /// traffic and modeled stats are those of the offline path. Chunk c runs
+  /// the ladder plans plans[c * shards, (c + 1) * shards), or plans its
+  /// own when `plans` is empty. Fills s->neighbors[0..members); each
+  /// member's admission id labels its per-query trace span.
   void RunDispatch(std::span<const float> qbuf,
                    const std::vector<PendingQuery>& members,
                    double device_ns_per_query,
-                   const ShardedPimEngine::DispatchOptions& dispatch,
+                   ShardedPimEngine::DispatchOptions dispatch,
+                   std::span<const ShardedPimEngine::LadderPlan> plans,
                    DispatchScratch* s);
 
   /// The shard (lowest index) whose healthy-replica fraction per the chaos
   /// schedule sits below degrade_watermark at instant `t`; -1 when none.
   /// Pure in (schedule, options, t) — safe for the virtual-clock pass.
   int DegradedShardAt(uint64_t t) const;
+  /// Degraded-mode load shedding, shared by replay and live admission:
+  /// while a shard sits below the degrade watermark at `t`, a
+  /// lowest-weight tenant's submission gets a 503-style CapacityExceeded
+  /// naming the shard and its healthy replicas. OK otherwise.
+  Status DegradedShed(uint32_t tenant, uint64_t t,
+                      const std::string& tenant_name) const;
   uint32_t TenantWeight(uint32_t tenant) const;
   uint32_t MinTenantWeight() const;
 

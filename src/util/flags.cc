@@ -73,4 +73,16 @@ Status FlagParser::CheckKnown(const std::vector<std::string>& known) const {
   return Status::OK();
 }
 
+Status FlagParser::CheckNonNegative(
+    const std::vector<std::string>& keys) const {
+  for (const std::string& key : keys) {
+    if (GetInt(key, 0) < 0) {
+      return Status::InvalidArgument("--" + key +
+                                     " must not be negative (got " +
+                                     GetString(key, "") + ")");
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace pimine

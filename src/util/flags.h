@@ -37,6 +37,10 @@ class FlagParser {
   /// Returns InvalidArgument naming the first flag not in `known`.
   Status CheckKnown(const std::vector<std::string>& known) const;
 
+  /// Returns InvalidArgument naming the first of `keys` (counts, sizes,
+  /// durations) given a negative integer.
+  Status CheckNonNegative(const std::vector<std::string>& keys) const;
+
  private:
   std::map<std::string, std::string> flags_;
   std::vector<std::string> positional_;

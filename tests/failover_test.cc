@@ -729,5 +729,132 @@ TEST(FailoverServeTest, DegradedModeShedsLowestWeightTenant) {
   EXPECT_EQ(output4.timeseries_json, output.timeseries_json);
 }
 
+// What a replay's failover records say its ladders charged: the sums over
+// the "failover" lines of its events_jsonl.
+struct ReplayedLadder {
+  uint64_t recovered = 0;
+  uint64_t shed = 0;
+  uint64_t failed_attempts = 0;
+  uint64_t backoff_ns = 0;
+};
+
+uint64_t JsonUint(const std::string& line, const std::string& key) {
+  const std::string quoted = "\"" + key + "\": ";
+  const size_t at = line.find(quoted);
+  PIMINE_CHECK(at != std::string::npos) << key << " missing in " << line;
+  return std::stoull(line.substr(at + quoted.size()));
+}
+
+ReplayedLadder SumFailoverEvents(const std::string& jsonl) {
+  ReplayedLadder sum;
+  size_t begin = 0;
+  while (begin < jsonl.size()) {
+    size_t end = jsonl.find('\n', begin);
+    if (end == std::string::npos) end = jsonl.size();
+    const std::string line = jsonl.substr(begin, end - begin);
+    begin = end + 1;
+    if (line.find("\"kind\": \"failover\"") == std::string::npos) continue;
+    ++(line.find("\"shed\": true") != std::string::npos ? sum.shed
+                                                         : sum.recovered);
+    sum.failed_attempts += JsonUint(line, "failed_attempts");
+    sum.backoff_ns += JsonUint(line, "backoff_ns");
+  }
+  return sum;
+}
+
+void ExpectSameFailover(const FailoverStats& a, const FailoverStats& b,
+                        const std::string& label) {
+  EXPECT_EQ(a.injected, b.injected) << label;
+  EXPECT_EQ(a.recovered, b.recovered) << label;
+  EXPECT_EQ(a.shed, b.shed) << label;
+  EXPECT_EQ(a.attempts_failed, b.attempts_failed) << label;
+  EXPECT_EQ(a.chaos_denied, b.chaos_denied) << label;
+  EXPECT_EQ(a.device_faults, b.device_faults) << label;
+  EXPECT_EQ(a.strikes, b.strikes) << label;
+  EXPECT_EQ(a.struck_out, b.struck_out) << label;
+  EXPECT_EQ(a.slack_fills, b.slack_fills) << label;
+  EXPECT_EQ(a.retry_messages, b.retry_messages) << label;
+  EXPECT_EQ(a.retry_bytes, b.retry_bytes) << label;
+  EXPECT_EQ(a.backoff_ns, b.backoff_ns) << label;
+}
+
+// Plan == execution once strikes strike replicas out: with max_strikes = 1
+// every denial strikes its replica out, so whichever dispatch meets a
+// replica first decides what every later dispatch walks. The replay's
+// failover records (what the virtual clock charged) must equal what the
+// executed ladders charged, and both must be the same for every
+// scheduler_threads.
+TEST(FailoverServeTest, StrikeOutsReplayAsPlannedForEveryThreadCount) {
+  serve::WorkloadSpec spec;
+  spec.num_requests = 240;
+  spec.offered_qps = 2e6;
+  spec.tenant_share = {0.5, 0.5};
+  spec.num_query_rows = kQueryRows;
+  spec.seed = 99;
+  auto trace = serve::GeneratePoissonTrace(spec);
+  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+  const uint64_t first_arrival = trace->events.front().arrival_ns;
+
+  // A seeded schedule whose death lands before the first dispatch and
+  // whose stalls open while the trace is being served.
+  ChaosConfig chaos;
+  chaos.device_deaths = 1;
+  chaos.stalls = 3;
+  chaos.horizon_ns = trace->events.back().arrival_ns;
+  chaos.stall_ns = 10'000;
+  bool found = false;
+  for (uint64_t seed = 1; seed < 100'000 && !found; ++seed) {
+    chaos.seed = seed;
+    const auto schedule = ChaosSchedule::Generate(chaos, 2, 2);
+    ASSERT_TRUE(schedule.ok()) << schedule.status().ToString();
+    bool early_death = false;
+    bool late_stall = false;
+    for (const ChaosEvent& e : schedule->events()) {
+      if (e.kind == ChaosEventKind::kDeviceDeath) {
+        early_death = e.at_ns < first_arrival;
+      } else if (e.at_ns > first_arrival) {
+        late_stall = true;
+      }
+    }
+    found = early_death && late_stall;
+  }
+  ASSERT_TRUE(found);
+
+  EngineOptions engine = ServeEngine(2);
+  engine.shard.max_strikes = 1;
+  serve::ServeOptions options = ServeBase(1);
+  options.exec.device_batch = options.max_batch;
+  options.chaos = chaos;
+  options.event_sample_rate = 1.0;
+  options.event_capacity = 1 << 16;
+
+  std::vector<serve::ReplayOutput> outputs;
+  std::vector<FailoverStats> executed;
+  for (int threads : {1, 4}) {
+    const std::string label = "threads=" + std::to_string(threads);
+    options.scheduler_threads = threads;
+    auto server = serve::PimServer::Build(ServeData(), Distance::kEuclidean,
+                                          engine, options);
+    ASSERT_TRUE(server.ok()) << label << ": " << server.status().ToString();
+    auto output = (*server)->Replay(*trace, ServeQueries());
+    ASSERT_TRUE(output.ok()) << label << ": " << output.status().ToString();
+    ASSERT_GE(output->stats.batches, 24u) << label;
+    const FailoverStats fo = (*server)->engine().FleetStats().failover;
+    EXPECT_TRUE(fo.Balanced()) << label << ": " << fo.ToString();
+    EXPECT_GT(fo.struck_out, 0u) << label << ": " << fo.ToString();
+
+    const ReplayedLadder planned = SumFailoverEvents(output->events_jsonl);
+    EXPECT_EQ(planned.recovered, fo.recovered) << label;
+    EXPECT_EQ(planned.shed, fo.shed) << label;
+    EXPECT_EQ(planned.failed_attempts, fo.attempts_failed) << label;
+    EXPECT_EQ(planned.backoff_ns, fo.backoff_ns) << label;
+    outputs.push_back(*std::move(output));
+    executed.push_back(fo);
+  }
+  ExpectSameFailover(executed[0], executed[1], "threads 1 vs 4");
+  EXPECT_EQ(outputs[0].timeseries_json, outputs[1].timeseries_json);
+  EXPECT_EQ(outputs[0].events_jsonl, outputs[1].events_jsonl);
+}
+
 }  // namespace
 }  // namespace pimine

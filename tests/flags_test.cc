@@ -66,6 +66,18 @@ TEST(FlagParserTest, CheckKnownCatchesTypos) {
   EXPECT_NE(status.message().find("kk"), std::string::npos);
 }
 
+TEST(FlagParserTest, CheckNonNegativeRejectsNegativeCounts) {
+  const FlagParser flags =
+      MustParse({"--requests=0", "--k=5", "--seed=-7", "--max_batch=-1"});
+  EXPECT_TRUE(flags.CheckNonNegative({"requests", "k", "absent"}).ok());
+  const Status status =
+      flags.CheckNonNegative({"requests", "max_batch", "seed"});
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("--max_batch"), std::string::npos)
+      << status.ToString();
+  EXPECT_NE(status.message().find("-1"), std::string::npos);
+}
+
 TEST(FlagParserTest, LastOccurrenceWins) {
   const FlagParser flags = MustParse({"--k=1", "--k=2"});
   EXPECT_EQ(flags.GetInt("k", 0), 2);

@@ -257,6 +257,49 @@ TEST(ShardedEngineTest, RejectsInvalidShardCounts) {
   EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
 }
 
+// The fleet resolves its geometry on the full dataset through the same
+// resolver as PimEngine::Build, so every configuration the single device
+// rejects fails the same way, with the same message, at every shard count.
+TEST(ShardedEngineTest, RejectsWhatPimEngineRejects) {
+  const FloatMatrix data = testing_util::RandomUnitMatrix(256, 128, 9);
+  struct Rejected {
+    std::string label;
+    Distance distance;
+    EngineOptions::Bound bound;
+    int64_t crossbars;  // 4 cannot hold d = 128 at full dimensionality.
+    int64_t force_segments;
+    StatusCode code;
+  };
+  const std::vector<Rejected> cases = {
+      {"CS with a fixed bound", Distance::kCosine,
+       EngineOptions::Bound::kSegmentSm, 64, 0, StatusCode::kInvalidArgument},
+      {"forced direct ED, small array", Distance::kEuclidean,
+       EngineOptions::Bound::kDirectEd, 4, 0, StatusCode::kCapacityExceeded},
+      {"PCC, small array", Distance::kPearson, EngineOptions::Bound::kAuto,
+       4, 0, StatusCode::kCapacityExceeded},
+      {"segments above Theorem 4", Distance::kEuclidean,
+       EngineOptions::Bound::kSegmentFnn, 4, 128,
+       StatusCode::kCapacityExceeded},
+  };
+  for (const Rejected& c : cases) {
+    EngineOptions options;
+    options.bound = c.bound;
+    options.pim_config.num_crossbars = c.crossbars;
+    options.force_segments = c.force_segments;
+    const Status single =
+        PimEngine::Build(data, c.distance, options).status();
+    ASSERT_EQ(single.code(), c.code) << c.label << ": " << single.ToString();
+    for (int shards : {1, 3}) {
+      options.shard.shards = shards;
+      const Status fleet =
+          ShardedPimEngine::Build(data, c.distance, options).status();
+      EXPECT_EQ(fleet.code(), single.code()) << c.label << " M=" << shards;
+      EXPECT_EQ(fleet.message(), single.message())
+          << c.label << " M=" << shards;
+    }
+  }
+}
+
 // MergeShardTopK on disjoint per-shard k-bests equals a single TopK over
 // the union — including distance ties, which resolve by ascending id.
 TEST(ShardedEngineTest, MergeShardTopKMatchesGlobalTopKWithTies) {

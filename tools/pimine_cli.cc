@@ -460,6 +460,11 @@ int Main(int argc, char** argv) {
   auto flags_or = FlagParser::Parse(argc - 1, argv + 1);
   if (!flags_or.ok()) return UsageError(flags_or.status());
   const FlagParser& flags = *flags_or;
+  // Counts and sizes; seeds take any integer.
+  const Status negative = flags.CheckNonNegative(
+      {"n", "queries", "k", "threads", "block", "device_batch", "shards",
+       "crossbars", "iterations", "top", "length", "window", "copies"});
+  if (!negative.ok()) return UsageError(negative);
 
   if (command == "knn") return RunKnn(flags);
   if (command == "kmeans") return RunKmeans(flags);

@@ -418,6 +418,14 @@ int Main(int argc, char** argv) {
   const std::string command = argv[1];
   auto flags_or = FlagParser::Parse(argc - 1, argv + 1);
   if (!flags_or.ok()) return UsageError(flags_or.status());
+  // Counts, sizes and durations; seeds and --metrics_port (-1 = off) take
+  // any integer.
+  const Status negative = flags_or->CheckNonNegative(
+      {"requests", "queries", "n", "clients", "max_batch", "device_batch",
+       "capacity", "threads", "k", "shards", "replicas", "max_wait_us",
+       "deadline_us", "batch_deadline_us", "chaos_deaths", "chaos_stalls",
+       "chaos_link_faults", "chaos_horizon_us", "linger_ms"});
+  if (!negative.ok()) return UsageError(negative);
   if (command == "replay") return RunReplay(*flags_or);
   if (command == "live") return RunLive(*flags_or);
   std::cerr << "unknown command '" << command << "'\n";
