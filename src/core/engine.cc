@@ -130,23 +130,16 @@ Result<std::unique_ptr<PimEngine>> PimEngine::Build(
                             options));
   auto engine = std::unique_ptr<PimEngine>(new PimEngine(g.mode, options));
   engine->plan_ = g.plan;
-  switch (g.mode) {
-    case EngineMode::kCosine:
-    case EngineMode::kPearson:
-      PIMINE_RETURN_IF_ERROR(engine->BuildDotUpper(
-          data, /*pearson=*/g.mode == EngineMode::kPearson));
-      break;
-    case EngineMode::kDirectEd:
-      PIMINE_RETURN_IF_ERROR(engine->BuildDirectEd(data));
-      break;
-    case EngineMode::kSegmentFnn:
-    case EngineMode::kSegmentSm:
-      engine->num_segments_ = g.segments;
-      engine->segment_length_ = SegmentLength(d, g.segments);
-      PIMINE_RETURN_IF_ERROR(engine->BuildSegment(
-          data, /*with_stds=*/g.mode == EngineMode::kSegmentFnn));
-      break;
+  engine->dims_ = data.cols();
+  if (g.segments > 0) {
+    engine->num_segments_ = g.segments;
+    engine->segment_length_ = SegmentLength(d, g.segments);
   }
+  engine->device1_ = engine->MakeDevice(/*second=*/false);
+  if (g.mode == EngineMode::kSegmentFnn) {
+    engine->device2_ = engine->MakeDevice(/*second=*/true);
+  }
+  PIMINE_RETURN_IF_ERROR(engine->ProgramRows(data, /*append=*/false));
   return engine;
 }
 
@@ -157,82 +150,90 @@ std::unique_ptr<PimDevice> PimEngine::MakeDevice(bool second) const {
                                      options_.recovery);
 }
 
-Status PimEngine::BuildDirectEd(const FloatMatrix& data) {
-  num_objects_ = data.rows();
-  dims_ = data.cols();
-  device1_ = MakeDevice(/*second=*/false);
-  PIMINE_RETURN_IF_ERROR(
-      device1_->ProgramDataset(quantizer_.Quantize(data), operand_bits_));
-  phi_ = quantizer_.PhiEdAll(data);
-  PIMINE_RETURN_IF_ERROR(device1_->StoreAux(phi_.size() * sizeof(double)));
-  offline_ns_ = device1_->stats().program_ns;
-  offline_bytes_written_ =
-      num_objects_ * dims_ * (operand_bits_ / 8) + phi_.size() * sizeof(double);
-  return Status::OK();
+PimEngine::BoundTerms PimEngine::EncodeRow(std::span<const float> row,
+                                           std::span<int32_t> op1,
+                                           std::span<int32_t> op2,
+                                           QueryScratch* scratch) const {
+  BoundTerms t;
+  switch (mode_) {
+    case EngineMode::kDirectEd:
+      quantizer_.QuantizeRow(row, op1);
+      t.phi = quantizer_.PhiEd(row);
+      break;
+    case EngineMode::kSegmentFnn:
+    case EngineMode::kSegmentSm: {
+      const size_t s = static_cast<size_t>(num_segments_);
+      scratch->means.resize(s);
+      scratch->stds.resize(s);
+      ComputeSegments(row, num_segments_, scratch->means, scratch->stds);
+      quantizer_.QuantizeRow(scratch->means, op1);
+      if (mode_ == EngineMode::kSegmentFnn) {
+        quantizer_.QuantizeRow(scratch->stds, op2);
+        t.phi = quantizer_.PhiFnn(scratch->means, scratch->stds);
+      } else {
+        t.phi = quantizer_.PhiSm(scratch->means);
+      }
+      break;
+    }
+    case EngineMode::kCosine:
+    case EngineMode::kPearson:
+      quantizer_.QuantizeRow(row, op1);
+      t.sum_floor = quantizer_.SumFloors(row);
+      if (mode_ == EngineMode::kCosine) {
+        t.norm = CsDecomposition::Phi(row);
+      } else {
+        const PccDecomposition::Phi phi = PccDecomposition::ComputePhi(row);
+        t.norm = phi.a;
+        t.phi_b = phi.b;
+      }
+      break;
+  }
+  return t;
 }
 
-Status PimEngine::BuildSegment(const FloatMatrix& data, bool with_stds) {
-  num_objects_ = data.rows();
-  dims_ = data.cols();
-  const int64_t s = num_segments_;
-  SegmentStats stats = ComputeSegmentStats(data, s);
-
-  device1_ = MakeDevice(/*second=*/false);
-  PIMINE_RETURN_IF_ERROR(device1_->ProgramDataset(
-      quantizer_.Quantize(stats.means), operand_bits_));
-  double program_ns = device1_->stats().program_ns;
-  uint64_t bytes = num_objects_ * s * (operand_bits_ / 8);
-
-  if (with_stds) {
-    device2_ = MakeDevice(/*second=*/true);
-    PIMINE_RETURN_IF_ERROR(device2_->ProgramDataset(
-        quantizer_.Quantize(stats.stds), operand_bits_));
-    program_ns += device2_->stats().program_ns;
-    bytes += num_objects_ * s * (operand_bits_ / 8);
+Status PimEngine::ProgramRows(const FloatMatrix& rows, bool append) {
+  const bool with_stds = mode_ == EngineMode::kSegmentFnn;
+  const size_t width = OperandWidth();
+  IntMatrix ops1(rows.rows(), width);
+  IntMatrix ops2(with_stds ? rows.rows() : 0, width);
+  std::vector<BoundTerms> terms(rows.rows());
+  QueryScratch scratch;
+  for (size_t i = 0; i < rows.rows(); ++i) {
+    terms[i] = EncodeRow(rows.row(i), ops1.mutable_row(i),
+                         with_stds ? ops2.mutable_row(i) : std::span<int32_t>(),
+                         &scratch);
   }
 
-  phi_.resize(num_objects_);
-  for (size_t i = 0; i < num_objects_; ++i) {
-    phi_[i] = with_stds
-                  ? quantizer_.PhiFnn(stats.means.row(i), stats.stds.row(i))
-                  : quantizer_.PhiSm(stats.means.row(i));
-  }
-  PIMINE_RETURN_IF_ERROR(device1_->StoreAux(phi_.size() * sizeof(double)));
-  bytes += phi_.size() * sizeof(double);
-
-  offline_ns_ = program_ns;
-  offline_bytes_written_ = bytes;
-  return Status::OK();
-}
-
-Status PimEngine::BuildDotUpper(const FloatMatrix& data, bool pearson) {
-  num_objects_ = data.rows();
-  dims_ = data.cols();
-  device1_ = MakeDevice(/*second=*/false);
-  PIMINE_RETURN_IF_ERROR(
-      device1_->ProgramDataset(quantizer_.Quantize(data), operand_bits_));
-
-  sum_floor_.resize(num_objects_);
-  norm_.resize(num_objects_);
-  if (pearson) phi_b_.resize(num_objects_);
-  for (size_t i = 0; i < num_objects_; ++i) {
-    const auto row = data.row(i);
-    sum_floor_[i] = quantizer_.SumFloors(row);
-    if (pearson) {
-      const PccDecomposition::Phi phi = PccDecomposition::ComputePhi(row);
-      norm_[i] = phi.a;
-      phi_b_[i] = phi.b;
-    } else {
-      norm_[i] = CsDecomposition::Phi(row);
+  const double program_before = ProgramNs();
+  if (append) {
+    PIMINE_RETURN_IF_ERROR(device1_->ProgramDelta(ops1));
+    if (with_stds) PIMINE_RETURN_IF_ERROR(device2_->ProgramDelta(ops2));
+  } else {
+    PIMINE_RETURN_IF_ERROR(device1_->ProgramDataset(ops1, operand_bits_));
+    if (with_stds) {
+      PIMINE_RETURN_IF_ERROR(device2_->ProgramDataset(ops2, operand_bits_));
     }
   }
-  const uint64_t aux_bytes =
-      (sum_floor_.size() + norm_.size() + phi_b_.size()) * sizeof(double);
+  // Phi for the ED family; the sum of floors plus one (CS) or two (PCC)
+  // norm terms for the dot-product bounds.
+  const size_t doubles_per_row = mode_ == EngineMode::kCosine    ? 2
+                                 : mode_ == EngineMode::kPearson ? 3
+                                                                 : 1;
+  const uint64_t aux_bytes = rows.rows() * doubles_per_row * sizeof(double);
   PIMINE_RETURN_IF_ERROR(device1_->StoreAux(aux_bytes));
-  offline_ns_ = device1_->stats().program_ns;
-  offline_bytes_written_ =
-      num_objects_ * dims_ * (operand_bits_ / 8) + aux_bytes;
+  terms_.insert(terms_.end(), terms.begin(), terms.end());
+  num_objects_ += rows.rows();
+  offline_ns_ += ProgramNs() - program_before;
+  offline_bytes_written_ += rows.rows() * width * (operand_bits_ / 8) *
+                                (with_stds ? 2 : 1) +
+                            aux_bytes;
   return Status::OK();
+}
+
+double PimEngine::ProgramNs() const {
+  double ns = device1_->stats().program_ns;
+  if (device2_) ns += device2_->stats().program_ns;
+  return ns;
 }
 
 Status PimEngine::CheckQuery(std::span<const float> query) const {
@@ -288,82 +289,31 @@ Status PimEngine::PrepareBatch(std::span<const float> queries,
     PIMINE_RETURN_IF_ERROR(CheckQuery(queries.subspan(q * dims_, dims_)));
   }
 
-  // Per-query quantize spans are measured per iteration of the loops below
+  // Per-query quantize spans are measured per iteration of the loop below
   // (invariant across batch grouping). Null when observability is disabled.
   obs::Obs* const o = obs::Obs::Get();
 
   batch->num_queries = num_queries;
   batch->stride = num_objects_;
-  batch->phi_q.assign(num_queries, 0.0);
-  batch->sum_floor_q.assign(num_queries, 0.0);
-  batch->norm_q.assign(num_queries, 0.0);
-  batch->phi_b_q.assign(num_queries, 0.0);
-
-  switch (mode_) {
-    case EngineMode::kDirectEd:
-    case EngineMode::kCosine:
-    case EngineMode::kPearson: {
-      // One quantization pass over the whole batch.
-      scratch->ints.resize(num_queries * dims_);
-      for (size_t q = 0; q < num_queries; ++q) {
-        const TrafficCounters before =
-            o != nullptr ? traffic::Local() : TrafficCounters();
-        const auto query = queries.subspan(q * dims_, dims_);
-        quantizer_.QuantizeRow(
-            query, std::span<int32_t>(scratch->ints)
-                       .subspan(q * dims_, dims_));
-        if (mode_ == EngineMode::kDirectEd) {
-          batch->phi_q[q] = quantizer_.PhiEd(query);
-        } else {
-          batch->sum_floor_q[q] = quantizer_.SumFloors(query);
-          if (mode_ == EngineMode::kCosine) {
-            batch->norm_q[q] = CsDecomposition::Phi(query);
-          } else {
-            const PccDecomposition::Phi phi =
-                PccDecomposition::ComputePhi(query);
-            batch->norm_q[q] = phi.a;
-            batch->phi_b_q[q] = phi.b;
-          }
-        }
-        if (o != nullptr) {
-          o->trace().Complete("engine", "quantize",
-                              obs::TrackFor(static_cast<int64_t>(q)),
-                              o->HostNs(traffic::Local() - before));
-        }
-      }
-      break;
-    }
-    case EngineMode::kSegmentFnn:
-    case EngineMode::kSegmentSm: {
-      const size_t s = static_cast<size_t>(num_segments_);
-      const bool with_stds = mode_ == EngineMode::kSegmentFnn;
-      scratch->ints.resize(num_queries * s);
-      if (with_stds) scratch->ints2.resize(num_queries * s);
-      scratch->means.resize(s);
-      scratch->stds.resize(s);
-      for (size_t q = 0; q < num_queries; ++q) {
-        const TrafficCounters before =
-            o != nullptr ? traffic::Local() : TrafficCounters();
-        const auto query = queries.subspan(q * dims_, dims_);
-        ComputeSegments(query, num_segments_, scratch->means, scratch->stds);
-        quantizer_.QuantizeRow(
-            scratch->means,
-            std::span<int32_t>(scratch->ints).subspan(q * s, s));
-        if (with_stds) {
-          batch->phi_q[q] = quantizer_.PhiFnn(scratch->means, scratch->stds);
-          quantizer_.QuantizeRow(
-              scratch->stds,
-              std::span<int32_t>(scratch->ints2).subspan(q * s, s));
-        } else {
-          batch->phi_q[q] = quantizer_.PhiSm(scratch->means);
-        }
-        if (o != nullptr) {
-          o->trace().Complete("engine", "quantize",
-                              obs::TrackFor(static_cast<int64_t>(q)),
-                              o->HostNs(traffic::Local() - before));
-        }
-      }
-      break;
+  batch->terms.resize(num_queries);
+  const size_t width = OperandWidth();
+  const bool with_stds = mode_ == EngineMode::kSegmentFnn;
+  scratch->ints.resize(num_queries * width);
+  scratch->ints2.resize(with_stds ? num_queries * width : 0);
+  for (size_t q = 0; q < num_queries; ++q) {
+    const TrafficCounters before =
+        o != nullptr ? traffic::Local() : TrafficCounters();
+    const size_t at = q * width;
+    batch->terms[q] = EncodeRow(
+        queries.subspan(q * dims_, dims_),
+        std::span<int32_t>(scratch->ints).subspan(at, width),
+        with_stds ? std::span<int32_t>(scratch->ints2).subspan(at, width)
+                  : std::span<int32_t>(),
+        scratch);
+    if (o != nullptr) {
+      o->trace().Complete("engine", "quantize",
+                          obs::TrackFor(static_cast<int64_t>(q)),
+                          o->HostNs(traffic::Local() - before));
     }
   }
   return Status::OK();
@@ -377,9 +327,7 @@ Status PimEngine::DeviceBatch(const QueryScratch& scratch, size_t num_queries,
         "DeviceBatch requires a non-null batch handle");
   }
   const bool with_stds = mode_ == EngineMode::kSegmentFnn;
-  const size_t width = num_segments_ > 0
-                           ? static_cast<size_t>(num_segments_)
-                           : dims_;
+  const size_t width = OperandWidth();
   if (scratch.ints.size() != num_queries * width ||
       (with_stds && scratch.ints2.size() != num_queries * width)) {
     return Status::InvalidArgument(
@@ -428,9 +376,7 @@ Status PimEngine::HostRecomputeBatch(const QueryScratch& scratch,
         "HostRecomputeBatch requires a non-null batch handle");
   }
   const bool with_stds = mode_ == EngineMode::kSegmentFnn;
-  const size_t width = num_segments_ > 0
-                           ? static_cast<size_t>(num_segments_)
-                           : dims_;
+  const size_t width = OperandWidth();
   if (scratch.ints.size() != num_queries * width ||
       (with_stds && scratch.ints2.size() != num_queries * width)) {
     return Status::InvalidArgument(
@@ -508,76 +454,7 @@ Status PimEngine::AppendRows(const FloatMatrix& rows) {
     return Status::InvalidArgument("appended rows dimensionality mismatch");
   }
   PIMINE_RETURN_IF_ERROR(CheckUnitRange(rows));
-
-  const auto program_ns_total = [this]() {
-    double ns = device1_->stats().program_ns;
-    if (device2_) ns += device2_->stats().program_ns;
-    return ns;
-  };
-  const double prog_before = program_ns_total();
-
-  switch (mode_) {
-    case EngineMode::kDirectEd: {
-      PIMINE_RETURN_IF_ERROR(
-          device1_->ProgramDelta(quantizer_.Quantize(rows)));
-      const std::vector<double> phi = quantizer_.PhiEdAll(rows);
-      phi_.insert(phi_.end(), phi.begin(), phi.end());
-      PIMINE_RETURN_IF_ERROR(device1_->StoreAux(phi.size() * sizeof(double)));
-      offline_bytes_written_ += rows.rows() * dims_ * (operand_bits_ / 8) +
-                                phi.size() * sizeof(double);
-      break;
-    }
-    case EngineMode::kSegmentFnn:
-    case EngineMode::kSegmentSm: {
-      const bool with_stds = mode_ == EngineMode::kSegmentFnn;
-      const SegmentStats stats = ComputeSegmentStats(rows, num_segments_);
-      PIMINE_RETURN_IF_ERROR(
-          device1_->ProgramDelta(quantizer_.Quantize(stats.means)));
-      uint64_t bytes =
-          rows.rows() * static_cast<size_t>(num_segments_) *
-          (operand_bits_ / 8);
-      if (with_stds) {
-        PIMINE_RETURN_IF_ERROR(
-            device2_->ProgramDelta(quantizer_.Quantize(stats.stds)));
-        bytes *= 2;
-      }
-      for (size_t i = 0; i < rows.rows(); ++i) {
-        phi_.push_back(with_stds ? quantizer_.PhiFnn(stats.means.row(i),
-                                                     stats.stds.row(i))
-                                 : quantizer_.PhiSm(stats.means.row(i)));
-      }
-      PIMINE_RETURN_IF_ERROR(
-          device1_->StoreAux(rows.rows() * sizeof(double)));
-      offline_bytes_written_ += bytes + rows.rows() * sizeof(double);
-      break;
-    }
-    case EngineMode::kCosine:
-    case EngineMode::kPearson: {
-      const bool pearson = mode_ == EngineMode::kPearson;
-      PIMINE_RETURN_IF_ERROR(
-          device1_->ProgramDelta(quantizer_.Quantize(rows)));
-      for (size_t i = 0; i < rows.rows(); ++i) {
-        const auto row = rows.row(i);
-        sum_floor_.push_back(quantizer_.SumFloors(row));
-        if (pearson) {
-          const PccDecomposition::Phi phi = PccDecomposition::ComputePhi(row);
-          norm_.push_back(phi.a);
-          phi_b_.push_back(phi.b);
-        } else {
-          norm_.push_back(CsDecomposition::Phi(row));
-        }
-      }
-      const uint64_t aux_bytes =
-          rows.rows() * (pearson ? 3 : 2) * sizeof(double);
-      PIMINE_RETURN_IF_ERROR(device1_->StoreAux(aux_bytes));
-      offline_bytes_written_ +=
-          rows.rows() * dims_ * (operand_bits_ / 8) + aux_bytes;
-      break;
-    }
-  }
-  num_objects_ += rows.rows();
-  offline_ns_ += program_ns_total() - prog_before;
-  return Status::OK();
+  return ProgramRows(rows, /*append=*/true);
 }
 
 Status PimEngine::DeleteRow(size_t index) {
@@ -599,32 +476,17 @@ Status PimEngine::Compact(std::vector<uint32_t>* live_out) {
   if (live.empty()) {
     return Status::FailedPrecondition("compaction would leave no live rows");
   }
-  const auto program_ns_total = [this]() {
-    double ns = device1_->stats().program_ns;
-    if (device2_) ns += device2_->stats().program_ns;
-    return ns;
-  };
-  const double prog_before = program_ns_total();
+  const double program_before = ProgramNs();
   PIMINE_RETURN_IF_ERROR(device1_->CompactRows(live));
   if (device2_) PIMINE_RETURN_IF_ERROR(device2_->CompactRows(live));
 
-  const auto compact_terms = [&live](std::vector<double>* v) {
-    if (v->empty()) return;
-    for (size_t i = 0; i < live.size(); ++i) (*v)[i] = (*v)[live[i]];
-    v->resize(live.size());
-  };
-  compact_terms(&phi_);
-  compact_terms(&sum_floor_);
-  compact_terms(&norm_);
-  compact_terms(&phi_b_);
+  for (size_t i = 0; i < live.size(); ++i) terms_[i] = terms_[live[i]];
+  terms_.resize(live.size());
 
   num_objects_ = live.size();
-  const size_t width = num_segments_ > 0
-                           ? static_cast<size_t>(num_segments_)
-                           : dims_;
-  offline_bytes_written_ += live.size() * width * (operand_bits_ / 8) *
-                            (device2_ ? 2 : 1);
-  offline_ns_ += program_ns_total() - prog_before;
+  offline_bytes_written_ += live.size() * OperandWidth() *
+                            (operand_bits_ / 8) * (device2_ ? 2 : 1);
+  offline_ns_ += ProgramNs() - program_before;
   if (live_out != nullptr) *live_out = std::move(live);
   return Status::OK();
 }
@@ -685,54 +547,39 @@ auto PimEngine::WithBoundFormula(const QueryHandleBatch& batch, size_t query,
   // per object but the per-object terms.
   const size_t off = query * batch.stride;
   const uint64_t* const dot1 = batch.dots1.data() + off;
-  const double* const phi = phi_.data();
+  const BoundTerms* const p = terms_.data();
+  const BoundTerms q = batch.terms[query];
   const int64_t dims = static_cast<int64_t>(dims_);
   const int64_t segments = num_segments_;
   const int64_t length = segment_length_;
   const double alpha = quantizer_.alpha();
   switch (mode_) {
-    case EngineMode::kDirectEd: {
-      const double phi_q = batch.phi_q[query];
+    case EngineMode::kDirectEd:
       return visit([=](size_t i) {
-        return LbPimEd(phi[i], phi_q, dot1[i], dims, alpha);
+        return LbPimEd(p[i].phi, q.phi, dot1[i], dims, alpha);
       });
-    }
     case EngineMode::kSegmentFnn: {
-      const double phi_q = batch.phi_q[query];
       const uint64_t* const dot2 = batch.dots2.data() + off;
       return visit([=](size_t i) {
-        return LbPimFnn(phi[i], phi_q, dot1[i], dot2[i], segments, length,
+        return LbPimFnn(p[i].phi, q.phi, dot1[i], dot2[i], segments, length,
                         alpha);
       });
     }
-    case EngineMode::kSegmentSm: {
-      const double phi_q = batch.phi_q[query];
+    case EngineMode::kSegmentSm:
       return visit([=](size_t i) {
-        return LbPimSm(phi[i], phi_q, dot1[i], segments, length, alpha);
+        return LbPimSm(p[i].phi, q.phi, dot1[i], segments, length, alpha);
       });
-    }
-    case EngineMode::kCosine: {
-      const double* const sum_floor = sum_floor_.data();
-      const double* const norm = norm_.data();
-      const double sum_floor_q = batch.sum_floor_q[query];
-      const double norm_q = batch.norm_q[query];
+    case EngineMode::kCosine:
       return visit([=](size_t i) {
-        return UbPimCs(dot1[i], sum_floor[i], sum_floor_q, norm[i], norm_q,
-                       dims, alpha);
+        return UbPimCs(dot1[i], p[i].sum_floor, q.sum_floor, p[i].norm,
+                       q.norm, dims, alpha);
       });
-    }
     case EngineMode::kPearson:
       break;  // below, so that every path returns.
   }
-  const double* const sum_floor = sum_floor_.data();
-  const double* const norm = norm_.data();
-  const double* const phi_b = phi_b_.data();
-  const double sum_floor_q = batch.sum_floor_q[query];
-  const double norm_q = batch.norm_q[query];
-  const double phi_b_q = batch.phi_b_q[query];
   return visit([=](size_t i) {
-    return UbPimPcc(dot1[i], sum_floor[i], sum_floor_q, norm[i], norm_q,
-                    phi_b[i], phi_b_q, dims, alpha);
+    return UbPimPcc(dot1[i], p[i].sum_floor, q.sum_floor, p[i].norm, q.norm,
+                    p[i].phi_b, q.phi_b, dims, alpha);
   });
 }
 

@@ -95,6 +95,16 @@ Result<EngineGeometry> ResolveEngineGeometry(int64_t n, int64_t d,
 /// dimension (use MinMaxScaler); Build rejects out-of-range data.
 class PimEngine {
  public:
+  /// The host-side terms of one vector's bound (Eq. 3, Table 4), offline
+  /// for an object and online for a query; EncodeRow computes both the
+  /// same way. Only the engine mode's fields are meaningful.
+  struct BoundTerms {
+    double phi = 0.0;        // PhiEd / PhiFnn / PhiSm.
+    double sum_floor = 0.0;  // CS/PCC: sum of floor(alpha * v).
+    double norm = 0.0;       // CS: |v|;  PCC: phi_a(v).
+    double phi_b = 0.0;      // PCC.
+  };
+
   /// Result of one *batched* PIM operation covering `num_queries` queries:
   /// one shared dot-product buffer (query q's results occupy
   /// dots1[q*stride, (q+1)*stride)) plus per-query scalar terms. Produced
@@ -106,11 +116,7 @@ class PimEngine {
     size_t stride = 0;            // == num_objects().
     std::vector<uint64_t> dots1;  // num_queries * stride values.
     std::vector<uint64_t> dots2;  // kSegmentFnn only.
-    // One entry per query; only the mode-relevant vectors are meaningful.
-    std::vector<double> phi_q;
-    std::vector<double> sum_floor_q;  // CS/PCC.
-    std::vector<double> norm_q;       // CS: |q|;  PCC: phi_a(q).
-    std::vector<double> phi_b_q;      // PCC.
+    std::vector<BoundTerms> terms;  // One entry per query.
     /// Per-result fault flags, laid out like dots1/dots2 (kBoundSlack only;
     /// empty when every result verified clean). A flagged result's bound
     /// is the trivial worst-case bound, keeping pruning admissible.
@@ -124,7 +130,7 @@ class PimEngine {
   struct QueryScratch {
     std::vector<int32_t> ints;
     std::vector<int32_t> ints2;  // RunQueryBatch, kSegmentFnn: std inputs.
-    std::vector<float> means;
+    std::vector<float> means;    // EncodeRow, segment modes.
     std::vector<float> stds;
   };
 
@@ -159,9 +165,9 @@ class PimEngine {
   Status RunQueryBatch(std::span<const float> queries, size_t num_queries,
                        QueryScratch* scratch, QueryHandleBatch* batch) const;
 
-  /// Host half of RunQueryBatch: validates the queries, fills the batch's
-  /// per-query scalar terms, and quantizes every query into
-  /// scratch->ints/ints2 (the device operands), charging the host-side
+  /// Host half of RunQueryBatch: validates the queries and encodes each
+  /// one (EncodeRow, as Build encodes objects) into the batch's terms and
+  /// its device operands in scratch->ints/ints2, charging the host-side
   /// quantize traffic and spans exactly once. RunQueryBatch ==
   /// PrepareBatch + DeviceBatch; the fleet layer calls PrepareBatch once
   /// and fans the prepared operands out to every shard, so the query-side
@@ -198,13 +204,13 @@ class PimEngine {
   Status SlackFillBatch(size_t num_queries, QueryHandleBatch* batch) const;
 
   /// Appends `rows` (same dimensionality, values in [0, 1]) to the engine:
-  /// quantizes them per the engine's mode, programs the device delta
-  /// region(s) incrementally (ProgramLatencyNs per appended row), and
-  /// extends the per-object offline terms. Appended objects take physical
-  /// indices [num_objects(), num_objects() + rows.rows()). Bounds for the
-  /// grown engine are bit-identical to an engine built from scratch on the
-  /// merged dataset: quantization, segment stats and Phi terms are all
-  /// per-row computations. Not safe concurrently with in-flight queries.
+  /// encodes them as Build does, programs the device delta region(s)
+  /// incrementally (ProgramLatencyNs per appended row), and extends the
+  /// per-object offline terms. Appended objects take physical indices
+  /// [num_objects(), num_objects() + rows.rows()). Bounds for the grown
+  /// engine are bit-identical to an engine built from scratch on the
+  /// merged dataset, since both go through ProgramRows one row at a time.
+  /// Not safe concurrently with in-flight queries.
   Status AppendRows(const FloatMatrix& rows);
 
   /// Tombstones object `index`: its bound becomes PruneBound() (sorts
@@ -263,6 +269,11 @@ class PimEngine {
   int64_t num_segments() const { return num_segments_; }
   int64_t segment_length() const { return segment_length_; }
   double alpha() const { return quantizer_.alpha(); }
+  /// Device operand values per vector and device matrix: one per segment
+  /// in the segment modes, one per dimension otherwise.
+  size_t OperandWidth() const {
+    return num_segments_ > 0 ? static_cast<size_t>(num_segments_) : dims_;
+  }
 
   /// Per-candidate data-transfer cost of this bound in bits (the T_cost(B)
   /// input to the Eq. 13 plan optimizer): 3 operands of b bits.
@@ -285,7 +296,8 @@ class PimEngine {
   /// Fault-injection and recovery accounting summed over the engine's
   /// device(s). All-zero when options.fault_config is disabled.
   FaultStats FaultStatsTotal() const;
-  /// Modeled offline time: crossbar programming + Phi storage.
+  /// Modeled offline time: crossbar programming + Phi storage, in every
+  /// mode.
   double OfflineNs() const { return offline_ns_; }
   /// Bytes written during the offline stage (programming + Phi terms).
   uint64_t OfflineBytesWritten() const { return offline_bytes_written_; }
@@ -299,9 +311,20 @@ class PimEngine {
  private:
   PimEngine(EngineMode mode, const EngineOptions& options);
 
-  Status BuildDirectEd(const FloatMatrix& data);
-  Status BuildSegment(const FloatMatrix& data, bool with_stds);
-  Status BuildDotUpper(const FloatMatrix& data, bool pearson);
+  /// Encodes one vector in [0, 1], an object or a query, for this mode:
+  /// writes its device operand(s) into `op1` (and `op2` in kSegmentFnn),
+  /// OperandWidth() values each, and returns its bound terms. Segment
+  /// modes use scratch->means/stds.
+  BoundTerms EncodeRow(std::span<const float> row, std::span<int32_t> op1,
+                       std::span<int32_t> op2, QueryScratch* scratch) const;
+
+  /// Encodes `rows` and programs them (ProgramDataset, or ProgramDelta when
+  /// `append`), then stores their terms and charges the program time, the
+  /// term store and the bytes of both to the offline totals.
+  Status ProgramRows(const FloatMatrix& rows, bool append);
+
+  /// Program time summed over the engine's device(s).
+  double ProgramNs() const;
 
   Status CheckQuery(std::span<const float> query) const;
 
@@ -335,11 +358,7 @@ class PimEngine {
   std::unique_ptr<PimDevice> device1_;
   std::unique_ptr<PimDevice> device2_;
 
-  // Per-object offline terms (meaning depends on mode).
-  std::vector<double> phi_;        // PhiEd / PhiFnn / PhiSm.
-  std::vector<double> sum_floor_;  // CS/PCC.
-  std::vector<double> norm_;       // CS: |p|;  PCC: phi_a(p).
-  std::vector<double> phi_b_;      // PCC.
+  std::vector<BoundTerms> terms_;  // One entry per object.
 
   double offline_ns_ = 0.0;
   uint64_t offline_bytes_written_ = 0;

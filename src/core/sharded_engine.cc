@@ -202,10 +202,7 @@ Status ShardedPimEngine::RunQueryBatch(std::span<const float> queries,
   for (size_t j = 1; j < m; ++j) {
     PimEngine::QueryHandleBatch& h = out.shards[j];
     h.num_queries = num_queries;
-    h.phi_q = out.shards[0].phi_q;
-    h.sum_floor_q = out.shards[0].sum_floor_q;
-    h.norm_q = out.shards[0].norm_q;
-    h.phi_b_q = out.shards[0].phi_b_q;
+    h.terms = out.shards[0].terms;
   }
 
   // Scatter: every shard matches the same prepared operands against its
@@ -357,6 +354,18 @@ ShardedPimEngine::LadderPlan ShardedPimEngine::PlanLadder(
   return plan;
 }
 
+namespace {
+
+// Seeded-jitter exponential backoff between replica attempts:
+// kBackoffBaseNs * 2^(attempt-1) + hash % (kBackoffJitterNs + 1), the
+// jitter a pure hash of (kBackoffSeed, dispatch instant, attempt); see
+// FailoverBackoffNs in pim/chaos.h.
+constexpr uint64_t kBackoffBaseNs = 2000;
+constexpr uint64_t kBackoffJitterNs = 1000;
+constexpr uint64_t kBackoffSeed = 0xBAC0FF;
+
+}  // namespace
+
 void ShardedPimEngine::WalkLadder(size_t j, size_t num_queries,
                                   const DispatchOptions& dispatch, int from,
                                   std::span<ReplicaHealth> health,
@@ -384,9 +393,8 @@ void ShardedPimEngine::WalkLadder(size_t j, size_t num_queries,
       // wait is charged — an op that cannot afford the next rung sheds
       // immediately rather than burning budget it does not have.
       const uint64_t wait = FailoverBackoffNs(
-          options_.shard.backoff_base_ns, options_.shard.backoff_jitter_ns,
-          options_.shard.backoff_seed, BackoffToken(now_ns, j),
-          static_cast<int>(f.attempts_failed));
+          kBackoffBaseNs, kBackoffJitterNs, kBackoffSeed,
+          BackoffToken(now_ns, j), static_cast<int>(f.attempts_failed));
       if (dispatch.deadline_ns != 0 &&
           f.backoff_ns + wait > dispatch.deadline_ns) {
         plan->deadline_shed = true;
@@ -433,14 +441,8 @@ void ShardedPimEngine::FailAttempt(std::span<ReplicaHealth> health, int r,
 
 uint64_t ShardedPimEngine::RetryOperandBytes(size_t num_queries) const {
   const PimEngine& e = primary(0);
-  // Mirrors the operand width PrepareBatch quantizes into the scratch
-  // buffers: segment-family engines carry one int per segment per query,
-  // direct engines one per dimension, and the FNN bound carries a second
-  // matrix of the same width.
-  const uint64_t width = e.num_segments() > 0
-                             ? static_cast<uint64_t>(e.num_segments())
-                             : static_cast<uint64_t>(e.dims());
-  uint64_t ints = width * static_cast<uint64_t>(num_queries);
+  // The FNN bound carries a second operand matrix of the same width.
+  uint64_t ints = e.OperandWidth() * static_cast<uint64_t>(num_queries);
   if (e.mode() == EngineMode::kSegmentFnn) ints *= 2;
   return ints * sizeof(int32_t);
 }

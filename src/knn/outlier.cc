@@ -1,9 +1,11 @@
 #include "knn/outlier.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/logging.h"
 #include "core/similarity.h"
+#include "knn/filter_refine.h"
 #include "util/timer.h"
 
 namespace pimine {
@@ -118,32 +120,22 @@ Result<OutlierResult> OrcaPimOutlierDetector::Detect(
       engine->BoundsFor(batch, 0, bounds);
       result.stats.bound_count += n;
     }
-    std::vector<uint32_t> order;
-    {
-      ScopedFunctionTimer timer(&result.stats.profile, "LB_PIM");
-      order = ArgsortAscending(bounds);
-    }
-
-    TopK knn(static_cast<size_t>(options.k));
-    bool pruned = false;
-    ScopedFunctionTimer timer(&result.stats.profile, "ED");
-    for (uint32_t idx : order) {
-      if (idx == i) continue;
-      // All remaining candidates have bounds >= the current k-th NN
-      // distance: the score is final.
-      if (knn.full() && bounds[idx] >= knn.threshold()) break;
-      const double d =
-          SquaredEuclideanEarlyAbandon(data.row(idx), p, knn.threshold());
-      ++result.stats.exact_count;
-      knn.Push(d, static_cast<int32_t>(idx));
-      if (knn.full() && knn.threshold() <= cutoff) {
-        pruned = true;
-        break;
-      }
-    }
-    if (!pruned) {
-      outliers.Offer(knn.threshold(), static_cast<int32_t>(i));
-    }
+    // The point is not its own neighbour, and once k neighbours lie within
+    // the cutoff its score can only shrink further (ORCA's early
+    // abandonment): both refine to nothing.
+    const auto exact =
+        ExactRefine(Distance::kEuclidean, data, p, &result.stats.profile);
+    const std::vector<Neighbor> knn = FilterRefine(
+        bounds, options.k, /*similarity=*/false, &result.stats.profile,
+        "LB_PIM", &result.stats.exact_count,
+        [&](uint32_t idx, const TopK& topk) -> std::optional<double> {
+          if (idx == i || (topk.full() && topk.threshold() <= cutoff)) {
+            return std::nullopt;
+          }
+          return exact(idx, topk);
+        });
+    const double score = knn.back().distance;
+    if (score > cutoff) outliers.Offer(score, static_cast<int32_t>(i));
   }
 
   result.outliers = outliers.TakeSortedDescending();

@@ -39,10 +39,11 @@ class OrcaOutlierDetector {
                                const OutlierOptions& options);
 };
 
-/// PIM variant: each candidate's neighbour scan walks objects in ascending
-/// PIM-bound order, so the k within-cutoff neighbours (which kill the
-/// candidate) are found almost immediately; exact distances are computed
-/// only for the bound-order prefix. Results match the baseline exactly.
+/// PIM variant: each candidate's neighbour scan is a FilterRefine walk in
+/// ascending PIM-bound order, so the k within-cutoff neighbours (which kill
+/// the candidate) are found almost immediately; exact distances are
+/// computed only for the bound-order prefix. Results match the baseline
+/// exactly.
 class OrcaPimOutlierDetector {
  public:
   explicit OrcaPimOutlierDetector(EngineOptions options);

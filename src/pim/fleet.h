@@ -60,13 +60,6 @@ struct ShardOptions {
   /// when replicas == 1: with nothing to fail over to, a faulted op
   /// escalates directly — exactly the pre-replica ladder.
   int max_strikes = 3;
-  /// Seeded-jitter exponential backoff between replica attempts:
-  /// backoff_base_ns * 2^(attempt-1) + hash % (backoff_jitter_ns + 1),
-  /// jitter drawn as a pure hash of (backoff_seed, dispatch instant,
-  /// attempt) — see FailoverBackoffNs in pim/chaos.h.
-  uint64_t backoff_base_ns = 2000;
-  uint64_t backoff_jitter_ns = 1000;
-  uint64_t backoff_seed = 0xBAC0FFull;
 
   static constexpr int kMaxReplicas = 8;
 

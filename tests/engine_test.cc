@@ -184,6 +184,38 @@ TEST(EngineStatsTest, PimTimeAccumulatesAndResets) {
   EXPECT_DOUBLE_EQ(engine.TransferBitsPerCandidate(), 96.0);  // 3 * 32.
 }
 
+// Offline time is the program time of the engine's devices, Phi store
+// included, in every mode.
+TEST(EngineStatsTest, OfflineNsIsTheDevicesProgramTime) {
+  const FloatMatrix data = RandomUnitMatrix(200, 64, 12);
+  struct Case {
+    Distance distance;
+    EngineOptions::Bound bound;
+    EngineMode mode;
+  };
+  for (const Case& c :
+       {Case{Distance::kEuclidean, EngineOptions::Bound::kDirectEd,
+             EngineMode::kDirectEd},
+        Case{Distance::kEuclidean, EngineOptions::Bound::kSegmentSm,
+             EngineMode::kSegmentSm},
+        Case{Distance::kEuclidean, EngineOptions::Bound::kSegmentFnn,
+             EngineMode::kSegmentFnn},
+        Case{Distance::kCosine, EngineOptions::Bound::kAuto,
+             EngineMode::kCosine},
+        Case{Distance::kPearson, EngineOptions::Bound::kAuto,
+             EngineMode::kPearson}}) {
+    EngineOptions options;
+    options.bound = c.bound;
+    auto engine = PimEngine::Build(data, c.distance, options);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    const PimEngine& e = **engine;
+    ASSERT_EQ(e.mode(), c.mode);
+    double program_ns = e.device1().stats().program_ns;
+    if (e.device2() != nullptr) program_ns += e.device2()->stats().program_ns;
+    EXPECT_EQ(e.OfflineNs(), program_ns) << EngineModeName(c.mode);
+  }
+}
+
 // Hardware-fidelity cross-check: the engine's batch dot products (direct
 // integer emulation) equal what the cycle-level crossbar pipeline computes
 // on the same quantized data.

@@ -1,5 +1,6 @@
-// Golden-stats regression harness: runs every kNN Search() path and every
-// k-means algorithm on a fixed seeded workload and compares the
+// Golden-stats regression harness: runs every kNN Search() path, every
+// k-means algorithm, both outlier detectors and both motif finders on fixed
+// seeded workloads and compares the
 // deterministic RunStats surface (exact/bound counts, all traffic
 // counters, modeled PIM ns) against snapshots in tests/golden/. Any change
 // to pruning behaviour, traffic accounting, or the device timing model
@@ -31,13 +32,16 @@
 #include "knn/fnn_knn.h"
 #include "knn/fnn_pim_knn.h"
 #include "knn/knn_common.h"
+#include "knn/motif.h"
 #include "knn/ost_knn.h"
 #include "knn/ost_pim_knn.h"
+#include "knn/outlier.h"
 #include "knn/sm_knn.h"
 #include "knn/sm_pim_knn.h"
 #include "knn/standard_knn.h"
 #include "knn/standard_pim_knn.h"
 #include "profiling/run_stats.h"
+#include "util/random.h"
 
 #ifndef PIMINE_GOLDEN_DIR
 #error "PIMINE_GOLDEN_DIR must be defined by the build"
@@ -182,6 +186,56 @@ TEST(GoldenStatsTest, KmeansAlgorithms) {
     ASSERT_TRUE(result.ok()) << c.label;
     CheckAgainstGolden(c.label, result->stats);
   }
+}
+
+// ORCA outlier detection on the kNN workload: the host nested loop and its
+// PIM-ordered variant, which must report the same outliers.
+TEST(GoldenStatsTest, OutlierDetectors) {
+  const Workload w = MakeWorkload();
+  OutlierOptions options;
+  options.k = 5;
+  options.num_outliers = 10;
+  auto host = OrcaOutlierDetector().Detect(w.data, options);
+  ASSERT_TRUE(host.ok());
+  CheckAgainstGolden("outlier_orca", host->stats);
+  // A coarse segment bound leaves most candidates to the refine step, so
+  // the walk meets ORCA's cutoff rather than the end of the bound order.
+  EngineOptions engine_options;
+  engine_options.bound = EngineOptions::Bound::kSegmentSm;
+  engine_options.force_segments = 4;
+  auto pim = OrcaPimOutlierDetector(engine_options).Detect(w.data, options);
+  ASSERT_TRUE(pim.ok());
+  CheckAgainstGolden("outlier_orca_pim", pim->stats);
+  ASSERT_EQ(host->outliers.size(), pim->outliers.size());
+  for (size_t i = 0; i < host->outliers.size(); ++i) {
+    EXPECT_EQ(host->outliers[i].id, pim->outliers[i].id) << i;
+    EXPECT_EQ(host->outliers[i].distance, pim->outliers[i].distance) << i;
+  }
+}
+
+// Motif discovery over the sliding windows of a seeded random walk: the
+// brute-force closest pair and its PIM-screened variant.
+TEST(GoldenStatsTest, MotifFinders) {
+  Rng rng(44);
+  std::vector<float> series(600);
+  double level = 0.0;
+  for (float& v : series) {
+    level += rng.NextGaussian(0.0, 1.0);
+    v = static_cast<float>(level);
+  }
+  auto windows = ExtractWindows(series, 32);
+  ASSERT_TRUE(windows.ok());
+  MotifOptions options;
+  options.window = 32;
+  auto host = MotifDiscovery().Find(*windows, options);
+  ASSERT_TRUE(host.ok());
+  CheckAgainstGolden("motif_brute", host->stats);
+  auto pim = PimMotifDiscovery(EngineOptions()).Find(*windows, options);
+  ASSERT_TRUE(pim.ok());
+  CheckAgainstGolden("motif_pim", pim->stats);
+  EXPECT_EQ(host->first, pim->first);
+  EXPECT_EQ(host->second, pim->second);
+  EXPECT_EQ(host->distance, pim->distance);
 }
 
 // Sharded fleets must reproduce the SAME golden files as the single-device

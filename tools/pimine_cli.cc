@@ -86,11 +86,13 @@ int UsageError(const Status& status) {
   return Usage();
 }
 
-/// A failed Search/Run: flag values the algorithm rejects (InvalidArgument,
-/// e.g. --k=0) are misuse and exit 2 through UsageError; any other failure
-/// is a bug and aborts.
+/// A failed Prepare/Search/Run/Detect/Find: flag values the algorithm
+/// rejects (InvalidArgument, e.g. --k=0) and a dataset the PIM array cannot
+/// hold (CapacityExceeded) are misuse and exit 2 through UsageError; any
+/// other failure is a bug and aborts.
 int RunError(const Status& status) {
-  PIMINE_CHECK(status.code() == StatusCode::kInvalidArgument)
+  PIMINE_CHECK(status.code() == StatusCode::kInvalidArgument ||
+               status.code() == StatusCode::kCapacityExceeded)
       << status.ToString();
   return UsageError(status);
 }
@@ -301,7 +303,8 @@ int RunKnn(const FlagParser& flags) {
   const Result<ObsCliConfig> obs_cfg = SetupObservability(flags);
   if (!obs_cfg.ok()) return UsageError(obs_cfg.status());
   algorithm->set_exec_policy(ExecFromFlags(flags));
-  PIMINE_CHECK_OK(algorithm->Prepare(workload.data));
+  const Status prepared = algorithm->Prepare(workload.data);
+  if (!prepared.ok()) return RunError(prepared);
   auto result =
       algorithm->Search(workload.queries,
                         static_cast<int>(flags.GetInt("k", 10)));
@@ -385,7 +388,7 @@ int RunOutlier(const FlagParser& flags) {
     OrcaOutlierDetector detector;
     return detector.Detect(workload.data, options);
   }();
-  PIMINE_CHECK(result.ok()) << result.status().ToString();
+  if (!result.ok()) return RunError(result.status());
 
   std::cout << "top-" << options.num_outliers << " outliers by "
             << options.k << "-NN distance on " << workload.spec.name << ":\n";
@@ -409,7 +412,7 @@ int RunMotif(const FlagParser& flags) {
     v = static_cast<float>(level);
   }
   auto windows = ExtractWindows(series, flags.GetInt("window", 64));
-  PIMINE_CHECK(windows.ok()) << windows.status().ToString();
+  if (!windows.ok()) return RunError(windows.status());
 
   MotifOptions options;
   options.window = flags.GetInt("window", 64);
@@ -423,7 +426,7 @@ int RunMotif(const FlagParser& flags) {
     MotifDiscovery detector;
     return detector.Find(*windows, options);
   }();
-  PIMINE_CHECK(result.ok()) << result.status().ToString();
+  if (!result.ok()) return RunError(result.status());
   std::cout << "motif: windows " << result->first << " and "
             << result->second << " (squared ED " << result->distance
             << ") among " << windows->rows() << " windows\n";
