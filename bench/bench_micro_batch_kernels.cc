@@ -1,12 +1,7 @@
-// Micro-benchmark for the blocked batch kernels and the parallel batch-query
-// layer. Two sections, emitted as one JSON document on stdout:
-//
-//   kernels:  scalar per-row kernel vs blocked batch kernel throughput for
-//             d in {128, 420, 960} (full scans, no pruning, so the two
-//             paths do identical arithmetic work).
-//   scaling:  batched StandardKnn wall time at 1/2/4/8 worker threads, with
-//             scalar and blocked kernels, including a bit-identity check of
-//             neighbours and aggregated traffic against the serial run.
+// Micro-benchmark for the parallel batch-query layer: StandardKnn wall time
+// at 1/2/4/8 worker threads, with a bit-identity check of neighbours and
+// aggregated traffic against the serial run. Emitted as one JSON document
+// on stdout.
 //
 // Speedups are measured on whatever machine runs this — a single-core
 // container will honestly report ~1x thread scaling; the determinism checks
@@ -22,7 +17,6 @@
 
 #include "bench_common.h"
 #include "common/logging.h"
-#include "core/similarity.h"
 #include "data/generator.h"
 #include "knn/standard_knn.h"
 #include "util/parallel.h"
@@ -40,65 +34,6 @@ FloatMatrix MakeData(size_t n, size_t d, uint64_t seed) {
   spec.num_clusters = 16;
   spec.cluster_std = 0.08;
   return DatasetGenerator::Generate(spec, static_cast<int64_t>(n), seed);
-}
-
-double BestOf(int repetitions, const std::function<void()>& fn) {
-  double best = HUGE_VAL;
-  for (int r = 0; r < repetitions; ++r) {
-    Timer timer;
-    fn();
-    best = std::min(best, timer.ElapsedMillis());
-  }
-  return best;
-}
-
-void KernelSection(std::ostream& out, size_t n) {
-  out << "  \"kernels\": [\n";
-  bool first = true;
-  for (size_t d : {size_t{128}, size_t{420}, size_t{960}}) {
-    const FloatMatrix data = MakeData(n, d, kBenchSeed + d);
-    const std::vector<float> q(data.row(0).begin(), data.row(0).end());
-    const std::span<const float> query(q);
-    std::vector<double> out_scalar(n);
-    std::vector<double> out_blocked(n);
-    const size_t block = 512;
-
-    const double scalar_ms = BestOf(5, [&] {
-      for (size_t i = 0; i < n; ++i) {
-        out_scalar[i] = SquaredEuclidean(data.row(i), query);
-      }
-    });
-    const double blocked_ms = BestOf(5, [&] {
-      for (size_t begin = 0; begin < n; begin += block) {
-        const size_t end = std::min(n, begin + block);
-        SquaredEuclideanBatch(data.data() + begin * d, end - begin, query,
-                              out_blocked.data() + begin);
-      }
-    });
-    // Blocked results must agree with scalar to floating-point noise.
-    double max_rel = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      const double denom = std::max(1e-30, std::abs(out_scalar[i]));
-      max_rel = std::max(max_rel,
-                         std::abs(out_scalar[i] - out_blocked[i]) / denom);
-    }
-    PIMINE_CHECK(max_rel < 1e-9) << "blocked kernel diverged: " << max_rel;
-
-    const double rows_per_ms = static_cast<double>(n);
-    if (!first) out << ",\n";
-    first = false;
-    out << "    {\"kernel\": \"squared_euclidean\", \"d\": " << d
-        << ", \"rows\": " << n
-        << ", \"scalar_ms\": " << Fmt(scalar_ms, 4)
-        << ", \"blocked_ms\": " << Fmt(blocked_ms, 4)
-        << ", \"scalar_mrows_s\": "
-        << Fmt(rows_per_ms / std::max(1e-9, scalar_ms) / 1e3, 3)
-        << ", \"blocked_mrows_s\": "
-        << Fmt(rows_per_ms / std::max(1e-9, blocked_ms) / 1e3, 3)
-        << ", \"kernel_speedup\": "
-        << Fmt(scalar_ms / std::max(1e-9, blocked_ms), 3) << "}";
-  }
-  out << "\n  ],\n";
 }
 
 bool SameNeighbors(const KnnRunResult& a, const KnnRunResult& b) {
@@ -131,7 +66,7 @@ void ScalingSection(std::ostream& out, size_t n, size_t num_queries) {
   StandardKnn knn;
   PIMINE_CHECK_OK(knn.Prepare(data));
 
-  // Serial scalar baseline: the reference for both wall time and identity.
+  // Serial baseline: the reference for both wall time and identity.
   auto baseline = knn.Search(queries, k);
   PIMINE_CHECK(baseline.ok());
   Timer baseline_timer;
@@ -141,44 +76,28 @@ void ScalingSection(std::ostream& out, size_t n, size_t num_queries) {
 
   out << "  \"scaling\": [\n";
   bool first = true;
-  for (bool blocked : {false, true}) {
-    // Per-kernel serial reference (blocked kernels are only required to be
-    // identical to their own serial run).
-    ExecPolicy serial;
-    serial.blocked_kernels = blocked;
-    knn.set_exec_policy(serial);
-    auto reference = knn.Search(queries, k);
-    PIMINE_CHECK(reference.ok());
+  for (int threads : {1, 2, 4, 8}) {
+    knn.set_exec_policy(ExecPolicy::WithThreads(threads));
+    auto warm = knn.Search(queries, k);
+    PIMINE_CHECK(warm.ok());
+    Timer timer;
+    auto run = knn.Search(queries, k);
+    PIMINE_CHECK(run.ok());
+    const double ms = timer.ElapsedMillis();
 
-    for (int threads : {1, 2, 4, 8}) {
-      ExecPolicy policy;
-      policy.num_threads = threads;
-      policy.blocked_kernels = blocked;
-      knn.set_exec_policy(policy);
-      auto warm = knn.Search(queries, k);
-      PIMINE_CHECK(warm.ok());
-      Timer timer;
-      auto run = knn.Search(queries, k);
-      PIMINE_CHECK(run.ok());
-      const double ms = timer.ElapsedMillis();
+    const bool identical = SameNeighbors(*baseline, *run) &&
+                           baseline->stats.traffic == run->stats.traffic;
+    PIMINE_CHECK(identical)
+        << "parallel run diverged from serial (threads=" << threads << ")";
 
-      const bool identical =
-          SameNeighbors(*reference, *run) &&
-          reference->stats.traffic == run->stats.traffic;
-      PIMINE_CHECK(identical)
-          << "parallel run diverged from serial (threads=" << threads
-          << ", blocked=" << blocked << ")";
-
-      if (!first) out << ",\n";
-      first = false;
-      out << "    {\"threads\": " << threads
-          << ", \"blocked_kernels\": " << (blocked ? "true" : "false")
-          << ", \"wall_ms\": " << Fmt(ms, 3)
-          << ", \"speedup_vs_serial_scalar\": "
-          << Fmt(baseline_ms / std::max(1e-9, ms), 3)
-          << ", \"identical_to_serial\": "
-          << (identical ? "true" : "false") << "}";
-    }
+    if (!first) out << ",\n";
+    first = false;
+    out << "    {\"threads\": " << threads
+        << ", \"wall_ms\": " << Fmt(ms, 3)
+        << ", \"speedup_vs_serial\": "
+        << Fmt(baseline_ms / std::max(1e-9, ms), 3)
+        << ", \"identical_to_serial\": "
+        << (identical ? "true" : "false") << "}";
   }
   out << "\n  ],\n";
 }
@@ -190,7 +109,6 @@ void Run(size_t n, size_t num_queries) {
   std::cout << "  \"num_queries\": " << num_queries << ",\n";
   std::cout << "  \"hardware_threads\": "
             << std::max(1u, std::thread::hardware_concurrency()) << ",\n";
-  KernelSection(std::cout, n);
   ScalingSection(std::cout, n, num_queries);
   std::cout << "  \"note\": \"thread speedups are bounded by the hardware "
                "thread count of the machine running this binary\"\n";

@@ -118,131 +118,4 @@ double PearsonCorrelation(std::span<const float> p, std::span<const float> q) {
   return denom > 0.0 ? cov / denom : 0.0;
 }
 
-namespace {
-
-// Four-way unrolled accumulation over one candidate row. The independent
-// accumulators break the serial dependence of a single running sum, which
-// is what lets the auto-vectorizer keep several SIMD lanes busy.
-template <typename StepFn>
-inline void UnrolledRowLoop(size_t d, const StepFn& step) {
-  size_t j = 0;
-  for (; j + 4 <= d; j += 4) {
-    step(j, 0);
-    step(j + 1, 1);
-    step(j + 2, 2);
-    step(j + 3, 3);
-  }
-  for (; j < d; ++j) step(j, 0);
-}
-
-}  // namespace
-
-void SquaredEuclideanBatch(const float* rows, size_t num_rows,
-                           std::span<const float> q, double* out) {
-  const size_t d = q.size();
-  const float* qp = q.data();
-  for (size_t r = 0; r < num_rows; ++r) {
-    const float* row = rows + r * d;
-    double acc[4] = {0.0, 0.0, 0.0, 0.0};
-    UnrolledRowLoop(d, [&](size_t j, size_t lane) {
-      const double diff = static_cast<double>(row[j]) - qp[j];
-      acc[lane] += diff * diff;
-    });
-    out[r] = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-  }
-  traffic::CountRead(num_rows * d * sizeof(float));
-  traffic::CountArithmetic(3 * num_rows * d);
-}
-
-void DotProductBatch(const float* rows, size_t num_rows,
-                     std::span<const float> q, double* out) {
-  const size_t d = q.size();
-  const float* qp = q.data();
-  for (size_t r = 0; r < num_rows; ++r) {
-    const float* row = rows + r * d;
-    double acc[4] = {0.0, 0.0, 0.0, 0.0};
-    UnrolledRowLoop(d, [&](size_t j, size_t lane) {
-      acc[lane] += static_cast<double>(row[j]) * qp[j];
-    });
-    out[r] = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-  }
-  traffic::CountRead(num_rows * d * sizeof(float));
-  traffic::CountArithmetic(2 * num_rows * d);
-}
-
-void CosineSimilarityBatch(const float* rows, size_t num_rows,
-                           std::span<const float> q, double* out) {
-  const size_t d = q.size();
-  const float* qp = q.data();
-  // |q| is shared by every row of the block; fold its cost into the block's
-  // long-op budget once (the scalar kernel recomputes it per call, but its
-  // traffic charge is per-candidate either way).
-  double norm_q[4] = {0.0, 0.0, 0.0, 0.0};
-  UnrolledRowLoop(d, [&](size_t j, size_t lane) {
-    norm_q[lane] += static_cast<double>(qp[j]) * qp[j];
-  });
-  const double q_norm =
-      std::sqrt((norm_q[0] + norm_q[1]) + (norm_q[2] + norm_q[3]));
-  for (size_t r = 0; r < num_rows; ++r) {
-    const float* row = rows + r * d;
-    double dot[4] = {0.0, 0.0, 0.0, 0.0};
-    double norm_p[4] = {0.0, 0.0, 0.0, 0.0};
-    UnrolledRowLoop(d, [&](size_t j, size_t lane) {
-      const double a = row[j];
-      dot[lane] += a * qp[j];
-      norm_p[lane] += a * a;
-    });
-    const double denom =
-        std::sqrt((norm_p[0] + norm_p[1]) + (norm_p[2] + norm_p[3])) * q_norm;
-    out[r] = denom > 0.0
-                 ? ((dot[0] + dot[1]) + (dot[2] + dot[3])) / denom
-                 : 0.0;
-  }
-  traffic::CountRead(num_rows * d * sizeof(float));
-  traffic::CountArithmetic(6 * num_rows * d);
-  traffic::CountLongOps(2 * num_rows);  // sqrt + division per row.
-}
-
-void PearsonBatch(const float* rows, size_t num_rows,
-                  std::span<const float> q, double* out) {
-  const size_t d = q.size();
-  if (d == 0) {
-    std::fill(out, out + num_rows, 0.0);
-    return;
-  }
-  const float* qp = q.data();
-  double sum_q = 0.0;
-  double sum_qq[4] = {0.0, 0.0, 0.0, 0.0};
-  UnrolledRowLoop(d, [&](size_t j, size_t lane) {
-    sum_q += qp[j];
-    sum_qq[lane] += static_cast<double>(qp[j]) * qp[j];
-  });
-  const double n = static_cast<double>(d);
-  const double var_q =
-      n * ((sum_qq[0] + sum_qq[1]) + (sum_qq[2] + sum_qq[3])) - sum_q * sum_q;
-  for (size_t r = 0; r < num_rows; ++r) {
-    const float* row = rows + r * d;
-    double sum_p = 0.0;
-    double sum_pq[4] = {0.0, 0.0, 0.0, 0.0};
-    double sum_pp[4] = {0.0, 0.0, 0.0, 0.0};
-    UnrolledRowLoop(d, [&](size_t j, size_t lane) {
-      const double a = row[j];
-      sum_p += a;
-      sum_pq[lane] += a * qp[j];
-      sum_pp[lane] += a * a;
-    });
-    const double cov =
-        n * ((sum_pq[0] + sum_pq[1]) + (sum_pq[2] + sum_pq[3])) -
-        sum_p * sum_q;
-    const double var_p =
-        n * ((sum_pp[0] + sum_pp[1]) + (sum_pp[2] + sum_pp[3])) -
-        sum_p * sum_p;
-    const double denom = std::sqrt(var_p) * std::sqrt(var_q);
-    out[r] = denom > 0.0 ? cov / denom : 0.0;
-  }
-  traffic::CountRead(num_rows * d * sizeof(float));
-  traffic::CountArithmetic(8 * num_rows * d);
-  traffic::CountLongOps(3 * num_rows);  // two sqrts + division per row.
-}
-
 }  // namespace pimine

@@ -42,35 +42,6 @@ double CosineSimilarity(std::span<const float> p, std::span<const float> q);
 /// constant.
 double PearsonCorrelation(std::span<const float> p, std::span<const float> q);
 
-// --- blocked batch kernels ------------------------------------------------
-//
-// Each kernel evaluates one query against `num_rows` contiguous candidate
-// rows (`rows` points at row 0; rows are q.size() floats apart, i.e. a
-// FloatMatrix row range) and writes one result per row into `out`. The
-// inner loops run over a handful of independent accumulators so the
-// auto-vectorizer can emit SIMD (build with PIMINE_ENABLE_NATIVE=ON for the
-// widest ISA the host supports). Memory traffic and arithmetic are charged
-// once per block with totals identical to num_rows scalar kernel calls, so
-// cost-model accounting is unaffected by blocking. Results can differ from
-// the scalar kernels in the last ulp (different summation order); a given
-// kernel is deterministic across runs and thread counts.
-
-/// out[i] = squared Euclidean distance between row i and q.
-void SquaredEuclideanBatch(const float* rows, size_t num_rows,
-                           std::span<const float> q, double* out);
-
-/// out[i] = dot product of row i and q.
-void DotProductBatch(const float* rows, size_t num_rows,
-                     std::span<const float> q, double* out);
-
-/// out[i] = cosine similarity of row i and q (0 when either norm is 0).
-void CosineSimilarityBatch(const float* rows, size_t num_rows,
-                           std::span<const float> q, double* out);
-
-/// out[i] = Pearson correlation of row i and q (0 for constant vectors).
-void PearsonBatch(const float* rows, size_t num_rows,
-                  std::span<const float> q, double* out);
-
 }  // namespace pimine
 
 #endif  // PIMINE_CORE_SIMILARITY_H_

@@ -96,8 +96,8 @@ class YinyangBounds : public KmeansBounds {
 
   // Initial pass: per-pair values fill the group bounds. With the PIM
   // filter, far-away centers keep their (valid) PIM lower bound instead of
-  // an exact distance — same treatment as Elkan's init. It tallies no
-  // reassignments; the run never stops after iteration 0 anyway.
+  // an exact distance — same treatment as Elkan's init. Like Elkan, Hamerly
+  // and Drake it counts every point as reassigned.
   size_t AssignFirst() {
     return RunAssignWithPolicy(
         options_.exec, n_, &result_.stats,
@@ -105,6 +105,7 @@ class YinyangBounds : public KmeansBounds {
           std::vector<double>& dist = scratch_[slot_index].dist;
           const size_t best_c = ScanAllCenters(i, dist, slot);
           result_.assignments[i] = static_cast<int32_t>(best_c);
+          ++slot.changed;
           upper_[i] = dist[best_c];
           for (size_t g = 0; g < t_; ++g) {
             double m = HUGE_VAL;

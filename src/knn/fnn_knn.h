@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "core/segments.h"
-#include "knn/knn_common.h"
+#include "knn/knn_search_base.h"
 
 namespace pimine {
 
@@ -13,26 +13,39 @@ namespace pimine {
 /// and every divisor of d is >= 1 (shared by FNN and FNN-PIM).
 Status CheckLevelDivisors(std::span<const int64_t> level_divisors);
 
+/// Segment counts of the LB_FNN levels, coarse to fine: max(1, d / div)
+/// per divisor, skipping a level whose count repeats the previous one
+/// (degenerate levels on small d). FNN builds every level; FNN-PIM builds
+/// all but the first, which its PIM bound replaces.
+std::vector<int64_t> LevelSegmentCounts(
+    std::span<const int64_t> level_divisors, size_t d);
+
 /// FNN (Hwang et al., CVPR'12): a cascade of LB_FNN bounds of increasing
 /// tightness — d/64, d/16, d/4 segments (Fig. 12a) — followed by exact ED.
 /// Coarser levels are cheap and prune most candidates; survivors face the
 /// tighter levels.
-class FnnKnn : public KnnAlgorithm {
+class FnnKnn : public KnnSearchBase {
  public:
   /// Divisors of d giving the cascade's segment counts, coarse to fine.
   explicit FnnKnn(std::vector<int64_t> level_divisors = {64, 16, 4});
 
   std::string_view name() const override { return "FNN"; }
   Status Prepare(const FloatMatrix& data) override;
-  Result<KnnRunResult> Search(const FloatMatrix& queries, int k) override;
 
   uint64_t OfflineBytesWritten() const override;
   size_t num_levels() const { return levels_.size(); }
   const SegmentStats& level(size_t i) const { return levels_[i]; }
 
+ protected:
+  std::vector<Neighbor> SearchQuery(std::span<const float> q, size_t bq,
+                                    int k, BatchScratch& s,
+                                    SearchSlot& slot) const override;
+  /// The coarsest level's statistics, which every query streams.
+  uint64_t FootprintBytes(uint64_t exact_count,
+                          size_t num_queries) const override;
+
  private:
   std::vector<int64_t> level_divisors_;
-  const FloatMatrix* data_ = nullptr;
   std::vector<SegmentStats> levels_;
 };
 

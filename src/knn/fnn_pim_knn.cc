@@ -30,23 +30,21 @@ Status FnnPimKnn::Prepare(const FloatMatrix& data) {
         "FNN-PIM plan_sample_queries and plan_k must be >= 1");
   }
   if (data.empty()) return Status::InvalidArgument("empty dataset");
-  data_ = &data;
   PIMINE_ASSIGN_OR_RETURN(
       engine_, ShardedPimEngine::Build(data, Distance::kEuclidean, options_));
 
   // The coarsest original level is the replaced bottleneck; the finer
   // levels remain candidates.
+  const std::vector<int64_t> segments =
+      LevelSegmentCounts(level_divisors_, data.cols());
   levels_.clear();
-  const int64_t d = static_cast<int64_t>(data.cols());
-  int64_t previous_d0 = std::max<int64_t>(1, d / level_divisors_[0]);
-  for (size_t lv = 1; lv < level_divisors_.size(); ++lv) {
-    const int64_t d0 = std::max<int64_t>(1, d / level_divisors_[lv]);
-    if (d0 == previous_d0) continue;
-    levels_.push_back(ComputeSegmentStats(data, d0));
-    previous_d0 = d0;
+  for (size_t lv = 1; lv < segments.size(); ++lv) {
+    levels_.push_back(ComputeSegmentStats(data, segments[lv]));
   }
 
-  return RebuildPlan(data);
+  PIMINE_RETURN_IF_ERROR(RebuildPlan(data));
+  data_ = &data;
+  return Status::OK();
 }
 
 Status FnnPimKnn::RebuildPlan(const FloatMatrix& data) {

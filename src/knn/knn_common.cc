@@ -113,24 +113,4 @@ Status RunQueryBatchesWithPolicy(
   return MergeSearchSlots(slots, num_queries, stats);
 }
 
-Status RunQueriesWithPolicy(
-    const ExecPolicy& policy, size_t num_queries, RunStats* stats,
-    const std::function<void(size_t, size_t, SearchSlot&)>& run_query) {
-  std::vector<SearchSlot> slots(NumSlots(policy, num_queries, 1));
-  ParallelChunks(policy, num_queries, /*chunk=*/1,
-                 [&](size_t begin, size_t end, size_t slot_index) {
-                   obs::SchedSpan sched(static_cast<int64_t>(begin),
-                                        static_cast<int64_t>(begin),
-                                        static_cast<int64_t>(end));
-                   SearchSlot& slot = slots[slot_index];
-                   for (size_t qi = begin; qi < end; ++qi) {
-                     if (!slot.status.ok()) return;
-                     obs::QuerySpan span(static_cast<int64_t>(qi),
-                                         &slot.latency);
-                     run_query(qi, slot_index, slot);
-                   }
-                 });
-  return MergeSearchSlots(slots, num_queries, stats);
-}
-
 }  // namespace pimine

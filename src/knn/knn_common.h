@@ -75,27 +75,21 @@ struct SearchSlot {
   Status status;  // first per-query failure observed by this worker.
 };
 
-/// Runs `run_query(qi, slot_index, slot)` for every query in [0,
-/// num_queries), one query per work unit, across the policy's workers
-/// (inline when serial). Slot stats are merged into `stats` in slot order;
-/// returns the first error any worker recorded. Workers stop claiming new
-/// queries once their slot holds an error.
-Status RunQueriesWithPolicy(
-    const ExecPolicy& policy, size_t num_queries, RunStats* stats,
-    const std::function<void(size_t, size_t, SearchSlot&)>& run_query);
-
-/// Batched variant for PIM algorithms: workers claim whole device batches
-/// of `policy.device_batch` queries (the final batch may be short) and
-/// `run_batch(begin, end, slot_index, slot)` answers queries [begin, end)
-/// with ONE PimEngine::RunQueryBatch. Merging and error handling match
-/// RunQueriesWithPolicy; batch boundaries depend only on device_batch, so
-/// results and modeled stats are reproducible for any thread count.
+/// The kNN driver's query harness (KnnSearchBase::Search): workers claim
+/// whole device batches of `policy.device_batch` queries (the final batch
+/// may be short) and `run_batch(begin, end, slot_index, slot)` answers
+/// queries [begin, end), with ONE fleet RunQueryBatch on a PIM path. Slot
+/// stats are merged into `stats` in slot order; returns the first error any
+/// worker recorded (InvalidArgument for device_batch = 0), and a worker
+/// stops claiming batches once its slot holds an error. Batch boundaries
+/// depend only on device_batch, so results and modeled stats are
+/// reproducible for any thread count.
 Status RunQueryBatchesWithPolicy(
     const ExecPolicy& policy, size_t num_queries, RunStats* stats,
     const std::function<void(size_t, size_t, size_t, SearchSlot&)>& run_batch);
 
-/// Worker slots a batched Search needs for `num_queries` under `policy`
-/// (scratch-sizing counterpart of NumSlots for device batches).
+/// Worker slots RunQueryBatchesWithPolicy uses for `num_queries` under
+/// `policy` (scratch-sizing counterpart of NumSlots for device batches).
 size_t NumBatchSlots(const ExecPolicy& policy, size_t num_queries);
 
 /// Indices [0, n) sorted so values[out[0]] <= values[out[1]] <= ..., ties

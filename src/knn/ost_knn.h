@@ -3,31 +3,37 @@
 
 #include <vector>
 
-#include "knn/knn_common.h"
+#include "knn/knn_search_base.h"
 
 namespace pimine {
 
 /// OST (Liaw et al.): filter-and-refine with the orthogonal-search-tree
 /// bound LB_OST (Table 3): exact partial distance on a d0-dimensional
 /// prefix plus the suffix-norm difference. d0 = d/4 by default.
-class OstKnn : public KnnAlgorithm {
+class OstKnn : public KnnSearchBase {
  public:
   /// `prefix_divisor` sets d0 = max(1, d / prefix_divisor).
   explicit OstKnn(int64_t prefix_divisor = 4);
 
   std::string_view name() const override { return "OST"; }
   Status Prepare(const FloatMatrix& data) override;
-  Result<KnnRunResult> Search(const FloatMatrix& queries, int k) override;
 
   uint64_t OfflineBytesWritten() const override {
     return suffix_norms_.size() * sizeof(double);
   }
   int64_t prefix_dims() const { return d0_; }
 
+ protected:
+  std::vector<Neighbor> SearchQuery(std::span<const float> q, size_t bq,
+                                    int k, BatchScratch& s,
+                                    SearchSlot& slot) const override;
+  /// The bound itself streams the d0-dim prefixes of the whole dataset.
+  uint64_t FootprintBytes(uint64_t exact_count,
+                          size_t num_queries) const override;
+
  private:
   int64_t prefix_divisor_;
   int64_t d0_ = 0;
-  const FloatMatrix* data_ = nullptr;
   std::vector<double> suffix_norms_;
 };
 

@@ -30,7 +30,6 @@ Status OstPimKnn::Prepare(const FloatMatrix& data) {
     return Status::InvalidArgument("OST-PIM prefix_divisor must be >= 1");
   }
   if (data.empty()) return Status::InvalidArgument("empty dataset");
-  data_ = &data;
   const int64_t d = static_cast<int64_t>(data.cols());
   d0_ = std::max<int64_t>(1, d / prefix_divisor_);
   PIMINE_ASSIGN_OR_RETURN(
@@ -41,6 +40,7 @@ Status OstPimKnn::Prepare(const FloatMatrix& data) {
   for (size_t i = 0; i < data.rows(); ++i) {
     suffix_norms_[i] = SuffixNorm(data.row(i), d0_);
   }
+  data_ = &data;
   return Status::OK();
 }
 

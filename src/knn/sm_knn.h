@@ -2,29 +2,35 @@
 #define PIMINE_KNN_SM_KNN_H_
 
 #include "core/segments.h"
-#include "knn/knn_common.h"
+#include "knn/knn_search_base.h"
 
 namespace pimine {
 
 /// SM (Yi & Faloutsos, VLDB'00): filter-and-refine with the segmented-mean
 /// lower bound LB_SM (Table 3), d0 = d/4 segments by default.
-class SmKnn : public KnnAlgorithm {
+class SmKnn : public KnnSearchBase {
  public:
   /// `segment_divisor` sets d0 = max(1, d / segment_divisor).
   explicit SmKnn(int64_t segment_divisor = 4);
 
   std::string_view name() const override { return "SM"; }
   Status Prepare(const FloatMatrix& data) override;
-  Result<KnnRunResult> Search(const FloatMatrix& queries, int k) override;
 
   uint64_t OfflineBytesWritten() const override {
     return stats_.means.SizeBytes();
   }
   int64_t num_segments() const { return stats_.num_segments; }
 
+ protected:
+  std::vector<Neighbor> SearchQuery(std::span<const float> q, size_t bq,
+                                    int k, BatchScratch& s,
+                                    SearchSlot& slot) const override;
+  /// The segment means plus the rows refined per query.
+  uint64_t FootprintBytes(uint64_t exact_count,
+                          size_t num_queries) const override;
+
  private:
   int64_t segment_divisor_;
-  const FloatMatrix* data_ = nullptr;
   SegmentStats stats_;
 };
 

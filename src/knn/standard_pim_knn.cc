@@ -10,10 +10,10 @@ StandardPimKnn::StandardPimKnn(Distance distance, EngineOptions options)
 
 Status StandardPimKnn::Prepare(const FloatMatrix& data) {
   if (data.empty()) return Status::InvalidArgument("empty dataset");
-  data_ = &data;
   // The engine refuses Hamming (HammingPimKnn serves binary codes).
   PIMINE_ASSIGN_OR_RETURN(engine_,
                           ShardedPimEngine::Build(data, distance_, options_));
+  data_ = &data;
   return Status::OK();
 }
 

@@ -52,8 +52,8 @@ struct ServeOptions {
   int scheduler_threads = 1;
   /// Neighbours returned per query.
   int k = 10;
-  /// Device-batch width for the PIM operations of one dispatch (and the
-  /// blocked-kernel flag; num_threads is ignored — parallelism comes from
+  /// Device-batch width for the PIM operations of one dispatch (the only
+  /// field read; num_threads is ignored — parallelism comes from
   /// scheduler_threads so the shared pool is never entered twice).
   ExecPolicy exec;
   /// Traffic classes. Empty = one implicit "default" tenant of weight 1.

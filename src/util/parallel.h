@@ -17,22 +17,18 @@ namespace pimine {
 struct ExecPolicy {
   /// Worker threads for the batch. <= 1 executes inline on the caller.
   int num_threads = 1;
-  /// Candidate rows per blocked-kernel call / per parallel work chunk.
+  /// Rows per unit of host work: Standard's ED scan refreshes its pruning
+  /// threshold once per block of this many candidates, and a k-means
+  /// assign pass hands its points to workers in chunks of this size.
   size_t block_size = 512;
-  /// Use the SIMD-friendly blocked batch kernels (SquaredEuclideanBatch
-  /// and friends) instead of the scalar per-row kernels where an algorithm
-  /// supports both. Blocked kernels compute full distances (no early
-  /// abandoning) with a different floating-point association, so flipping
-  /// this flag is the one policy change that is *not* bit-identical to the
-  /// default — serial and parallel runs of the *same* flag always are.
-  bool blocked_kernels = false;
-  /// Queries per PIM device batch for algorithms that run on a PimEngine:
-  /// workers claim whole batches of this many queries and issue one
-  /// DotProductBatch (tiled GEMM) per batch instead of one DotProductAll
-  /// per query. Functional results, traffic and the serial-equivalent
-  /// modeled PIM time are bit-identical for every value; only wall time,
-  /// the device's batch_ops/queries_per_batch accounting and the modeled
-  /// pipelined_ns depend on it. 1 = the paper's per-query operation.
+  /// Queries per work unit of a kNN Search and per PIM device batch:
+  /// workers claim whole batches of this many queries, and a path with a
+  /// PimEngine issues one DotProductBatch (tiled GEMM) per batch instead of
+  /// one DotProductAll per query; kNN Search rejects 0. Functional results,
+  /// traffic and the serial-equivalent modeled PIM time are bit-identical
+  /// for every value; only wall time, the device's
+  /// batch_ops/queries_per_batch accounting and the modeled pipelined_ns
+  /// depend on it. 1 = the paper's per-query operation.
   size_t device_batch = 1;
 
   bool parallel() const { return num_threads > 1; }

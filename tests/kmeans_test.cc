@@ -9,6 +9,7 @@
 #include "kmeans/kmeans_common.h"
 #include "kmeans/lloyd.h"
 #include "kmeans/yinyang.h"
+#include "obs/obs.h"
 #include "test_helpers.h"
 
 namespace pimine {
@@ -178,6 +179,28 @@ TEST(KmeansValidationTest, RejectsSharedFilterOverOtherRows) {
       EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
           << algorithm->name() << " " << filter_rows;
     }
+  }
+}
+
+// Yinyang's first pass counts every point as reassigned, as Elkan's,
+// Hamerly's and Drake's do.
+TEST(KmeansObsTest, YinyangFirstPassCountsEveryPoint) {
+  const FloatMatrix data = ClusteredData(300, 16, 5);
+  for (const bool use_pim : {false, true}) {
+    KmeansOptions options;
+    options.k = 8;
+    options.max_iterations = 1;
+    options.use_pim = use_pim;
+    obs::Obs::Enable();
+    YinyangKmeans yinyang;
+    EXPECT_TRUE(yinyang.Run(data, options).ok()) << use_pim;
+    EXPECT_EQ(obs::Obs::Get()
+                  ->metrics()
+                  .GetCounter("pimine_kmeans_reassignments_total")
+                  .Value(),
+              data.rows())
+        << use_pim;
+    obs::Obs::Disable();
   }
 }
 

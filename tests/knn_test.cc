@@ -23,6 +23,7 @@
 #include "knn/standard_pim_knn.h"
 #include "sim/traffic.h"
 #include "util/random.h"
+#include "knn_cases.h"
 #include "test_helpers.h"
 
 namespace pimine {
@@ -325,21 +326,46 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(param.param.name);
     });
 
+// The shared kNN driver's contract, on every path: Search before Prepare
+// (or after a failed one) is a FailedPrecondition; a k outside [1, n], a
+// query of the wrong width and device_batch = 0 are InvalidArgument.
 TEST(KnnErrorTest, InvalidUsage) {
   const Workload w = MakeWorkload(50, 16, 31);
-  StandardKnn standard;
-  // Search before Prepare.
-  EXPECT_EQ(standard.Search(w.queries, 5).status().code(),
-            StatusCode::kFailedPrecondition);
-  ASSERT_TRUE(standard.Prepare(w.data).ok());
-  // k out of range.
-  EXPECT_FALSE(standard.Search(w.queries, 0).ok());
-  EXPECT_FALSE(standard.Search(w.queries, 51).ok());
-  // Dimensionality mismatch.
   const FloatMatrix wrong = RandomUnitMatrix(2, 8, 1);
-  EXPECT_FALSE(standard.Search(wrong, 5).ok());
-  // Empty dataset.
-  EXPECT_FALSE(standard.Prepare(FloatMatrix()).ok());
+  for (const testing_util::KnnCase& c : testing_util::AllKnnCases()) {
+    auto algorithm = c.make();
+    EXPECT_EQ(algorithm->Search(w.queries, 5).status().code(),
+              StatusCode::kFailedPrecondition)
+        << c.label;
+    ASSERT_TRUE(algorithm->Prepare(w.data).ok()) << c.label;
+    EXPECT_EQ(algorithm->Search(w.queries, 0).status().code(),
+              StatusCode::kInvalidArgument)
+        << c.label;
+    EXPECT_EQ(algorithm->Search(w.queries, 51).status().code(),
+              StatusCode::kInvalidArgument)
+        << c.label;
+    EXPECT_EQ(algorithm->Search(wrong, 5).status().code(),
+              StatusCode::kInvalidArgument)
+        << c.label;
+    ExecPolicy policy;
+    policy.device_batch = 0;
+    algorithm->set_exec_policy(policy);
+    EXPECT_EQ(algorithm->Search(w.queries, 5).status().code(),
+              StatusCode::kInvalidArgument)
+        << c.label;
+    // Empty dataset.
+    EXPECT_FALSE(algorithm->Prepare(FloatMatrix()).ok()) << c.label;
+  }
+
+  // A PIM path whose fleet does not fit has not been Prepared: Search
+  // reports that instead of reading a missing fleet.
+  const Workload wide = MakeWorkload(200, 64, 33);
+  EngineOptions options;
+  options.pim_config.num_crossbars = 1;  // too small for CS at full width.
+  StandardPimKnn pim(Distance::kCosine, options);
+  EXPECT_EQ(pim.Prepare(wide.data).code(), StatusCode::kCapacityExceeded);
+  EXPECT_EQ(pim.Search(wide.queries, 5).status().code(),
+            StatusCode::kFailedPrecondition);
 }
 
 // Misuse of a kNN constructor is refused by Prepare with InvalidArgument

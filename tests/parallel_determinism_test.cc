@@ -18,19 +18,20 @@
 #include "kmeans/kmeans_common.h"
 #include "kmeans/lloyd.h"
 #include "kmeans/yinyang.h"
-#include "knn/fnn_knn.h"
 #include "knn/fnn_pim_knn.h"
 #include "knn/knn_common.h"
-#include "knn/ost_knn.h"
 #include "knn/ost_pim_knn.h"
-#include "knn/sm_knn.h"
 #include "knn/sm_pim_knn.h"
 #include "knn/standard_knn.h"
 #include "knn/standard_pim_knn.h"
+#include "knn_cases.h"
 #include "test_helpers.h"
 
 namespace pimine {
 namespace {
+
+using testing_util::AllKnnCases;
+using testing_util::KnnCase;
 
 struct Workload {
   FloatMatrix data;
@@ -74,46 +75,6 @@ void ExpectIdenticalKnnRuns(const KnnRunResult& serial,
   EXPECT_EQ(serial.stats.pim_ns, parallel.stats.pim_ns) << label;
 }
 
-struct KnnCase {
-  std::string label;
-  std::function<std::unique_ptr<KnnAlgorithm>()> make;
-};
-
-std::vector<KnnCase> AllKnnCases() {
-  std::vector<KnnCase> cases;
-  cases.push_back({"Standard/ED", [] {
-                     return std::make_unique<StandardKnn>();
-                   }});
-  cases.push_back({"Standard/CS", [] {
-                     return std::make_unique<StandardKnn>(Distance::kCosine);
-                   }});
-  cases.push_back({"Standard/PCC", [] {
-                     return std::make_unique<StandardKnn>(Distance::kPearson);
-                   }});
-  cases.push_back({"SM", [] { return std::make_unique<SmKnn>(); }});
-  cases.push_back({"OST", [] { return std::make_unique<OstKnn>(); }});
-  cases.push_back({"FNN", [] { return std::make_unique<FnnKnn>(); }});
-  cases.push_back({"StandardPIM/ED", [] {
-                     return std::make_unique<StandardPimKnn>(
-                         Distance::kEuclidean, EngineOptions());
-                   }});
-  cases.push_back({"StandardPIM/CS", [] {
-                     return std::make_unique<StandardPimKnn>(
-                         Distance::kCosine, EngineOptions());
-                   }});
-  cases.push_back({"SmPIM", [] {
-                     return std::make_unique<SmPimKnn>(EngineOptions());
-                   }});
-  cases.push_back({"OstPIM", [] {
-                     return std::make_unique<OstPimKnn>(EngineOptions());
-                   }});
-  cases.push_back({"FnnPIM", [] {
-                     return std::make_unique<FnnPimKnn>(EngineOptions(),
-                                                        /*optimize=*/true);
-                   }});
-  return cases;
-}
-
 TEST(ParallelDeterminismTest, KnnParallelSearchMatchesSerialExactly) {
   const Workload w = MakeWorkload(500, 48, 42);
   const int k = 8;
@@ -131,59 +92,6 @@ TEST(ParallelDeterminismTest, KnnParallelSearchMatchesSerialExactly) {
       ASSERT_TRUE(parallel.ok()) << c.label;
       ExpectIdenticalKnnRuns(*serial, *parallel,
                              c.label + " x" + std::to_string(threads));
-    }
-  }
-}
-
-// Flipping blocked_kernels changes floating-point association (full
-// distances, multi-accumulator reduction), so its results are only required
-// to be *self*-consistent: serial blocked == parallel blocked, bit for bit,
-// and traffic totals stay exactly those of the scalar path.
-TEST(ParallelDeterminismTest, BlockedKernelsSerialMatchesParallelExactly) {
-  const Workload w = MakeWorkload(400, 37, 7);  // odd d exercises tails.
-  const int k = 5;
-
-  for (Distance distance :
-       {Distance::kEuclidean, Distance::kCosine, Distance::kPearson}) {
-    StandardKnn algorithm(distance);
-    ASSERT_TRUE(algorithm.Prepare(w.data).ok());
-
-    auto scalar = algorithm.Search(w.queries, k);
-    ASSERT_TRUE(scalar.ok());
-
-    ExecPolicy blocked;
-    blocked.blocked_kernels = true;
-    blocked.block_size = 96;
-    algorithm.set_exec_policy(blocked);
-    auto serial_blocked = algorithm.Search(w.queries, k);
-    ASSERT_TRUE(serial_blocked.ok());
-
-    blocked.num_threads = 4;
-    algorithm.set_exec_policy(blocked);
-    auto parallel_blocked = algorithm.Search(w.queries, k);
-    ASSERT_TRUE(parallel_blocked.ok());
-
-    const std::string label =
-        "blocked distance=" + std::to_string(static_cast<int>(distance));
-    ExpectIdenticalKnnRuns(*serial_blocked, *parallel_blocked, label);
-
-    // Same neighbour ids as the scalar path (distances may differ in the
-    // last ulp) and, for ED where the scalar path early-abandons, at least
-    // as much modeled read traffic.
-    for (size_t q = 0; q < scalar->neighbors.size(); ++q) {
-      for (size_t j = 0; j < scalar->neighbors[q].size(); ++j) {
-        EXPECT_EQ(scalar->neighbors[q][j].id,
-                  serial_blocked->neighbors[q][j].id)
-            << label << " query " << q << " rank " << j;
-      }
-    }
-    if (distance == Distance::kEuclidean) {
-      EXPECT_GE(serial_blocked->stats.traffic.bytes_from_memory,
-                scalar->stats.traffic.bytes_from_memory)
-          << label;
-    } else {
-      EXPECT_TRUE(serial_blocked->stats.traffic == scalar->stats.traffic)
-          << label << ": full-scan similarity traffic must not change";
     }
   }
 }
@@ -257,11 +165,12 @@ TEST(ParallelDeterminismTest, KmeansParallelAssignMatchesSerialExactly) {
   }
 }
 
-// Batched device operations compose with host threading: for every PIM kNN
-// algorithm, any (device_batch, num_threads) combination must reproduce the
+// Batched device operations compose with host threading: for every kNN
+// path, any (device_batch, num_threads) combination must reproduce the
 // serial per-query run bit for bit, including the serial-equivalent modeled
-// PIM time. 33 queries make device_batch=32 exercise a trailing partial
-// batch and device_batch=7 a mid-chunk re-split.
+// PIM time (host baselines chunk their queries by device_batch too). 33
+// queries make device_batch=32 exercise a trailing partial batch and
+// device_batch=7 a mid-chunk re-split.
 TEST(ParallelDeterminismTest, DeviceBatchMatchesSerialExactly) {
   DatasetSpec spec;
   spec.name = "test";
@@ -275,7 +184,6 @@ TEST(ParallelDeterminismTest, DeviceBatchMatchesSerialExactly) {
   const int k = 6;
 
   for (const KnnCase& c : AllKnnCases()) {
-    if (c.label.find("PIM") == std::string::npos) continue;
     auto algorithm = c.make();
     ASSERT_TRUE(algorithm->Prepare(data).ok()) << c.label;
 
