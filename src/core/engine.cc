@@ -663,9 +663,11 @@ Status PimEngine::ComputeBounds(std::span<const float> query,
   return Status::OK();
 }
 
+// The online stats are read through StatsSnapshot(): a live scrape reads
+// them while DotProductBatch calls write them.
 double PimEngine::PimComputeNs() const {
-  double total = device1_ ? device1_->stats().compute_ns : 0.0;
-  if (device2_) total += device2_->stats().compute_ns;
+  double total = device1_ ? device1_->StatsSnapshot().compute_ns : 0.0;
+  if (device2_) total += device2_->StatsSnapshot().compute_ns;
   return total;
 }
 
@@ -677,14 +679,14 @@ double PimEngine::SerialDeviceNsPerQuery() const {
 
 FaultStats PimEngine::FaultStatsTotal() const {
   FaultStats total;
-  if (device1_) total.Merge(device1_->stats().fault);
-  if (device2_) total.Merge(device2_->stats().fault);
+  if (device1_) total.Merge(device1_->StatsSnapshot().fault);
+  if (device2_) total.Merge(device2_->StatsSnapshot().fault);
   return total;
 }
 
 double PimEngine::PimPipelinedNs() const {
-  double total = device1_ ? device1_->stats().pipelined_ns : 0.0;
-  if (device2_) total += device2_->stats().pipelined_ns;
+  double total = device1_ ? device1_->StatsSnapshot().pipelined_ns : 0.0;
+  if (device2_) total += device2_->StatsSnapshot().pipelined_ns;
   return total;
 }
 

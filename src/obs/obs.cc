@@ -13,6 +13,7 @@ std::mutex g_lifecycle_mu;
 std::unique_ptr<Obs> g_storage;  // NOLINT: intentional process-lifetime state.
 
 thread_local int64_t tls_track_base = kNoTrackBase;
+thread_local std::span<const int64_t> tls_track_ids;
 
 }  // namespace
 
@@ -36,23 +37,28 @@ void Obs::Disable() {
 
 int64_t CurrentTrackBase() { return tls_track_base; }
 
-ScopedTrackBase::ScopedTrackBase(int64_t base) : prev_(tls_track_base) {
+ScopedTrackBase::ScopedTrackBase(int64_t base)
+    : prev_base_(tls_track_base), prev_ids_(tls_track_ids) {
   tls_track_base = base;
+  tls_track_ids = {};
 }
 
-ScopedTrackBase::~ScopedTrackBase() { tls_track_base = prev_; }
-
-TraceSpan::TraceSpan(const char* cat, const char* name, int64_t track)
-    : obs_(Obs::Get()), cat_(cat), name_(name), track_(track) {
-  if (obs_ == nullptr) return;
-  start_ = traffic::Local();
-  obs_->trace().Begin(cat_, name_, track_);
+ScopedTrackBase::ScopedTrackBase(std::span<const int64_t> ids)
+    : prev_base_(tls_track_base), prev_ids_(tls_track_ids) {
+  tls_track_base = kNoTrackBase;
+  tls_track_ids = ids;
 }
 
-TraceSpan::~TraceSpan() {
-  if (obs_ == nullptr) return;
-  const TrafficCounters delta = traffic::Local() - start_;
-  obs_->trace().End(cat_, name_, track_, obs_->HostNs(delta));
+ScopedTrackBase::~ScopedTrackBase() {
+  tls_track_base = prev_base_;
+  tls_track_ids = prev_ids_;
+}
+
+int64_t TrackFor(int64_t index) {
+  if (!tls_track_ids.empty()) {
+    return tls_track_ids[static_cast<size_t>(index)];
+  }
+  return tls_track_base == kNoTrackBase ? kRunTrack : tls_track_base + index;
 }
 
 QuerySpan::QuerySpan(int64_t query_id, Histogram* latency, double extra_ns)

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 
 #include "obs/histogram.h"
 #include "obs/metrics.h"
@@ -66,17 +67,6 @@ inline void AddCounter(const char* name, uint64_t delta) {
   if (Obs* obs = Obs::Get()) obs->metrics().GetCounter(name).Add(delta);
 }
 
-/// Emits a complete span iff enabled; `ns` is the modeled duration.
-inline void EmitComplete(const char* cat, const char* name, int64_t track,
-                         double ns, const char* arg_name0 = nullptr,
-                         int64_t arg0 = 0, const char* arg_name1 = nullptr,
-                         int64_t arg1 = 0) {
-  if (Obs* obs = Obs::Get()) {
-    obs->trace().Complete(cat, name, track, ns, arg_name0, arg0, arg_name1,
-                          arg1);
-  }
-}
-
 // --- track-base plumbing ---------------------------------------------------
 
 /// Sentinel: no batch track base installed on this thread.
@@ -85,50 +75,34 @@ constexpr int64_t kNoTrackBase = INT64_MIN;
 /// Current thread's track base (kNoTrackBase when unset).
 int64_t CurrentTrackBase();
 
-/// Installs a per-thread track base for the duration of a scope. Batched
-/// harnesses set base = first global query index of the batch before calling
-/// into the engine, so engine/device code can label per-query spans with
-/// global query ids via TrackFor() without threading ids through every API.
+/// Installs the per-thread query tracks for the duration of a scope, so
+/// engine/device code can label per-query spans with global query ids via
+/// TrackFor() without threading ids through every API. Batched harnesses
+/// install base = first global query index of the batch (query i on track
+/// base + i); a serving dispatch, whose member ids are not contiguous,
+/// installs the ids themselves (query i on track ids[i]).
 class ScopedTrackBase {
  public:
   explicit ScopedTrackBase(int64_t base);
+  /// `ids` must outlive the scope.
+  explicit ScopedTrackBase(std::span<const int64_t> ids);
   ~ScopedTrackBase();
 
   ScopedTrackBase(const ScopedTrackBase&) = delete;
   ScopedTrackBase& operator=(const ScopedTrackBase&) = delete;
 
  private:
-  int64_t prev_;
+  int64_t prev_base_;
+  std::span<const int64_t> prev_ids_;
 };
 
-/// Track for the `index`-th query of the current batch: base + index when a
-/// base is installed, else kRunTrack (spans fold into the run-level track,
-/// e.g. k-means assignment passes under their iteration span).
-inline int64_t TrackFor(int64_t index) {
-  const int64_t base = CurrentTrackBase();
-  return base == kNoTrackBase ? kRunTrack : base + index;
-}
+/// Track for the `index`-th query of the current batch: ids[index] or
+/// base + index, whichever scope is innermost; kRunTrack when neither is
+/// installed (spans fold into the run-level track, e.g. k-means assignment
+/// passes under their iteration span).
+int64_t TrackFor(int64_t index);
 
 // --- RAII spans ------------------------------------------------------------
-
-/// Generic RAII span on the calling thread: duration = modeled host ns of
-/// the thread-local traffic delta accumulated in scope. Zero-cost when
-/// observability is disabled.
-class TraceSpan {
- public:
-  TraceSpan(const char* cat, const char* name, int64_t track = kRunTrack);
-  ~TraceSpan();
-
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
- private:
-  Obs* obs_;
-  const char* cat_;
-  const char* name_;
-  int64_t track_;
-  TrafficCounters start_;
-};
 
 /// Per-query span recorded by the worker that owns the query. Duration =
 /// modeled host ns of the thread-local traffic delta + `extra_ns` (the

@@ -19,9 +19,17 @@ namespace pimine {
 namespace serve {
 namespace {
 
-/// One scheduler dispatch decided by the virtual-clock formation pass.
-struct FormedBatch {
+uint64_t ToTicks(double ns) {
+  return ns <= 0.0 ? 0 : static_cast<uint64_t>(std::llround(ns));
+}
+
+}  // namespace
+
+/// One scheduler dispatch, as Form priced it.
+struct PimServer::FormedBatch {
   uint64_t dispatch_ns = 0;
+  /// dispatch_ns + the modeled service time (virtual clock); live serving
+  /// overwrites it with the instant execution returned.
   uint64_t completion_ns = 0;
   double service_ns = 0.0;
   /// Some shard sat below the degrade watermark at dispatch_ns: the
@@ -33,27 +41,50 @@ struct FormedBatch {
   std::vector<ShardedPimEngine::LadderPlan> plans;
 };
 
-uint64_t ToTicks(double ns) {
-  return ns <= 0.0 ? 0 : static_cast<uint64_t>(std::llround(ns));
-}
-
-std::vector<TenantServeStats> MakeTenantStats(const ServeOptions& options) {
-  std::vector<TenantServeStats> tenants(options.num_tenants());
-  for (size_t t = 0; t < tenants.size(); ++t) {
-    tenants[t].name =
-        options.tenants.empty() ? "default" : options.tenants[t].name;
+/// The books of one serving run, which every scheduling step writes.
+/// Replay keeps one for the call; live serving keeps live_ under mu_.
+struct PimServer::Run {
+  explicit Run(const ServeOptions& options)
+      : queue(options),
+        ts({.window_ns = options.ts_window_ns,
+            .num_windows = options.ts_windows,
+            .slo_budget = options.slo_budget}),
+        events({.sample_rate = options.event_sample_rate,
+                .seed = options.event_seed,
+                .capacity = options.event_capacity}) {
+    stats.tenants.resize(options.num_tenants());
+    for (size_t t = 0; t < stats.tenants.size(); ++t) {
+      stats.tenants[t].name =
+          options.tenants.empty() ? "default" : options.tenants[t].name;
+    }
   }
-  return tenants;
-}
 
-}  // namespace
+  AdmissionQueue queue;
+  ServeStats stats;
+  obs::TimeSeries ts;
+  obs::EventLog events;
+};
 
-/// A live-mode in-flight query: the copied payload plus the promise the
-/// submitting client blocks on.
+/// Per-worker dispatch scratch, reused across every dispatch the worker
+/// executes: engine query scratch + batch handle (zero-allocation steady
+/// state), gathered query buffer, bound array, the chunk's trace tracks,
+/// and the dispatch's stats in `slot` until RunDispatch folds them (its
+/// profiler stays empty, serving is untimed).
+struct PimServer::DispatchScratch {
+  ShardedPimEngine::QueryScratch query;
+  ShardedPimEngine::QueryHandleBatch handle;
+  std::vector<float> qbuf;
+  std::vector<double> bounds;
+  std::vector<int64_t> tracks;
+  std::vector<std::vector<Neighbor>> neighbors;
+  SearchSlot slot;
+};
+
+/// A live-mode in-flight query: the copied payload, its result as the
+/// scheduler fills it, and the promise the submitting client blocks on.
 struct PimServer::LiveRequest {
   std::vector<float> query;
-  uint32_t tenant = 0;
-  uint64_t arrival_ns = 0;
+  ServedResult result;
   std::promise<ServedResult> promise;
 };
 
@@ -78,6 +109,7 @@ Result<std::unique_ptr<PimServer>> PimServer::Build(
             static_cast<uint32_t>(server->engine_->replicas())));
     server->engine_->set_chaos(&server->chaos_);
   }
+  server->live_ = std::make_unique<Run>(serve);
   return server;
 }
 
@@ -105,42 +137,39 @@ Status PimServer::AttachMutable(MutableDataset* dataset) {
   return Status::OK();
 }
 
-Status PimServer::OnInsert(const FloatMatrix& rows) {
+Status PimServer::Mutate(const std::function<Status()>& apply) {
   std::lock_guard<std::mutex> lock(mu_);
   if (running_) {
     return Status::FailedPrecondition(
         "mutations are refused while live serving runs; Stop() first");
   }
-  return engine_->AppendRows(rows);
+  return apply();
+}
+
+Status PimServer::OnInsert(const FloatMatrix& rows) {
+  return Mutate([&] { return engine_->AppendRows(rows); });
 }
 
 Status PimServer::OnDelete(std::span<const uint32_t> rows) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (running_) {
-    return Status::FailedPrecondition(
-        "mutations are refused while live serving runs; Stop() first");
-  }
-  // Every served query returns k neighbours, so the live corpus may never
-  // shrink below k.
-  if (engine_->live_objects() < rows.size() + static_cast<size_t>(options_.k)) {
-    return Status::FailedPrecondition(
-        "delete would leave fewer than k=" + std::to_string(options_.k) +
-        " live rows");
-  }
-  for (const uint32_t row : rows) {
-    PIMINE_RETURN_IF_ERROR(engine_->DeleteRow(row));
-  }
-  return Status::OK();
+  return Mutate([&] {
+    // Every served query returns k neighbours, so the live corpus may never
+    // shrink below k.
+    if (engine_->live_objects() <
+        rows.size() + static_cast<size_t>(options_.k)) {
+      return Status::FailedPrecondition(
+          "delete would leave fewer than k=" + std::to_string(options_.k) +
+          " live rows");
+    }
+    for (const uint32_t row : rows) {
+      PIMINE_RETURN_IF_ERROR(engine_->DeleteRow(row));
+    }
+    return Status::OK();
+  });
 }
 
 Status PimServer::OnCompact(const std::vector<uint32_t>& live) {
   (void)live;  // the engine tracks its own tombstones.
-  std::lock_guard<std::mutex> lock(mu_);
-  if (running_) {
-    return Status::FailedPrecondition(
-        "mutations are refused while live serving runs; Stop() first");
-  }
-  return engine_->Compact();
+  return Mutate([&] { return engine_->Compact(); });
 }
 
 bool PimServer::ShouldCompact() const {
@@ -164,46 +193,214 @@ uint64_t PimServer::watermark_compactions() const {
 }
 
 // --------------------------------------------------------------------------
-// Shared dispatch execution
+// The scheduling steps both clocks call
 // --------------------------------------------------------------------------
 
-void PimServer::RunDispatch(
-    std::span<const float> qbuf, const std::vector<PendingQuery>& members,
-    double device_ns_per_query, ShardedPimEngine::DispatchOptions dispatch,
-    std::span<const ShardedPimEngine::LadderPlan> plans, DispatchScratch* s) {
+Status PimServer::Admit(uint64_t id, uint32_t tenant, uint64_t arrival_ns,
+                        Run* run) const {
+  ServeStats& stats = run->stats;
+  // Degraded-mode load shedding: while a shard sits below the degrade
+  // watermark, a lowest-weight tenant's submission gets a 503-style
+  // CapacityExceeded naming the shard and its healthy replicas.
+  const int shard = DegradedShardAt(arrival_ns);
+  Status status;
+  if (shard >= 0 && TenantWeight(tenant) == MinTenantWeight()) {
+    ++stats.shed_queries;
+    status = Status::CapacityExceeded(
+        "degraded: shard " + std::to_string(shard) + " has " +
+        std::to_string(chaos_.HealthyReplicas(static_cast<uint32_t>(shard),
+                                              arrival_ns)) +
+        "/" + std::to_string(engine_->replicas()) +
+        " healthy replicas (below watermark); shedding tenant '" +
+        stats.tenants[tenant].name + "'");
+  } else {
+    status = run->queue.Admit(id, tenant, arrival_ns);
+  }
+  ++stats.submitted;
+  ++stats.tenants[tenant].submitted;
+  if (!status.ok()) {
+    ++stats.rejected;
+    ++stats.tenants[tenant].rejected;
+  } else {
+    run->ts.Observe("queue_depth", arrival_ns,
+                    static_cast<double>(run->queue.pending()));
+  }
+  return status;
+}
+
+void PimServer::Form(uint64_t dispatch_ns, Run* run, FormedBatch* b) const {
+  b->dispatch_ns = dispatch_ns;
+  run->queue.FormBatch(&b->members);
+  // Under chaos, plan every shard's replica ladder for every device_batch
+  // chunk, in dispatch order. Formation is the only walker of the replica
+  // health while a server runs (replay's single-threaded pass, or a live
+  // worker under mu_), so the strikes the plans record land in dispatch
+  // order, and execution runs exactly these plans. Without chaos no plan
+  // could differ from the primary, so none is made.
+  b->plans.clear();
+  ShardedPimEngine::DispatchOptions dispatch;
+  dispatch.now_ns = dispatch_ns;
+  dispatch.deadline_ns = options_.batch_deadline_ns;
+  const size_t device_batch = options_.exec.device_batch;
+  const size_t shards = engine_->shards();
+  double service = 0.0;
+  for (size_t c0 = 0; c0 < b->members.size(); c0 += device_batch) {
+    const size_t chunk = std::min(b->members.size() - c0, device_batch);
+    service += engine_->ModeledBatchNs(chunk);
+    if (!chaos_.enabled()) continue;
+    for (size_t j = 0; j < shards; ++j) {
+      b->plans.push_back(engine_->PlanLadder(j, chunk, dispatch));
+    }
+  }
+  b->degraded = false;
+  if (chaos_.enabled()) {
+    b->degraded = DegradedShardAt(dispatch_ns) >= 0;
+    // Shards run concurrently (max over shards); a shard's chunks run back
+    // to back (sum over chunks).
+    double extra = 0.0;
+    for (size_t j = 0; j < shards; ++j) {
+      double shard_extra = 0.0;
+      for (size_t p = j; p < b->plans.size(); p += shards) {
+        shard_extra += b->plans[p].extra_ns;
+      }
+      extra = std::max(extra, shard_extra);
+    }
+    service += extra;
+  }
+  b->service_ns = service;
+  b->completion_ns = dispatch_ns + ToTicks(service);
+}
+
+Status PimServer::RunDispatch(const FormedBatch& b,
+                              std::span<const float> qbuf, DispatchScratch* s,
+                              Run* run) {
   const size_t dims = data_->cols();
-  const size_t batch_size = members.size();
+  const size_t batch_size = b.members.size();
+  const double device_ns_per_query =
+      obs::Obs::Enabled() ? engine_->SerialDeviceNsPerQuery() : 0.0;
   s->bounds.resize(data_->rows());
   s->neighbors.resize(batch_size);
+  ShardedPimEngine::DispatchOptions dispatch;
+  dispatch.now_ns = b.dispatch_ns;
+  dispatch.slack_on_exhaustion = b.degraded;
+  dispatch.deadline_ns = options_.batch_deadline_ns;
 
   // One engine batch operation per device_batch chunk: max_batch bounds
   // the scheduler's coalescing, device_batch the per-operation GEMM width.
   const size_t device_batch = options_.exec.device_batch;
   const size_t shards = engine_->shards();
+  Status status;
   for (size_t c0 = 0; c0 < batch_size; c0 += device_batch) {
     const size_t chunk = std::min(batch_size, c0 + device_batch) - c0;
-    if (!plans.empty()) {
-      dispatch.plans = plans.subspan(c0 / device_batch * shards, shards);
+    if (!b.plans.empty()) {
+      dispatch.plans = std::span<const ShardedPimEngine::LadderPlan>(b.plans)
+                           .subspan(c0 / device_batch * shards, shards);
     }
-    // Label engine spans with the first member's admission id, matching
-    // the batched harness convention (base + in-batch index = query id).
-    obs::ScopedTrackBase track_base(static_cast<int64_t>(members[c0].id));
-    const Status status =
-        engine_->RunQueryBatch(qbuf.subspan(c0 * dims, chunk * dims), chunk,
-                               &s->query, &s->handle, dispatch);
-    if (!status.ok()) {
-      if (s->slot.status.ok()) s->slot.status = status;
-      return;
-    }
+    // The engine labels in-batch query bq's spans with track tracks[bq]:
+    // each member's own admission id (a weighted-fair dispatch's ids are
+    // not contiguous).
+    s->tracks.clear();
     for (size_t bq = 0; bq < chunk; ++bq) {
-      obs::QuerySpan query_span(static_cast<int64_t>(members[c0 + bq].id),
-                                &s->slot.latency, device_ns_per_query);
+      s->tracks.push_back(static_cast<int64_t>(b.members[c0 + bq].id));
+    }
+    obs::ScopedTrackBase tracks(s->tracks);
+    status = engine_->RunQueryBatch(qbuf.subspan(c0 * dims, chunk * dims),
+                                    chunk, &s->query, &s->handle, dispatch);
+    if (!status.ok()) break;
+    for (size_t bq = 0; bq < chunk; ++bq) {
+      obs::QuerySpan query_span(s->tracks[bq], &s->slot.latency,
+                                device_ns_per_query);
       s->neighbors[c0 + bq] = StandardPimQuery(
           *engine_, s->handle, bq, distance_, *data_,
           qbuf.subspan((c0 + bq) * dims, dims), options_.k, s->bounds,
           s->slot, /*profile=*/nullptr);
     }
   }
+  // Integer counts and exact histogram merges: the fold order cannot move
+  // a total, so replay's workers fold in whatever order they finish.
+  std::lock_guard<std::mutex> lock(mu_);
+  RunStats& exec = run->stats.exec;
+  exec.exact_count += s->slot.exact_count;
+  exec.bound_count += s->slot.bound_count;
+  exec.latency_hist.Merge(s->slot.latency);
+  s->slot = SearchSlot();
+  return status;
+}
+
+void PimServer::Account(const FormedBatch& b,
+                        std::span<ServedResult* const> results,
+                        Run* run) const {
+  ServeStats& stats = run->stats;
+  const uint64_t batch_id = stats.batches++;
+  stats.occupancy_hist.Record(static_cast<double>(b.members.size()));
+  run->ts.Observe("batch_occupancy", b.dispatch_ns,
+                  static_cast<double>(b.members.size()));
+  stats.pipelined_ns += b.service_ns;
+  if (b.degraded) {
+    ++stats.degraded_batches;
+    run->ts.Count("degraded_batches", b.dispatch_ns);
+  }
+  // Recovery telemetry: one record per plan whose ladder fired (the plans
+  // the dispatch runs). Chaos off -> no plans -> the exports stay
+  // byte-identical to the pre-failover server.
+  for (size_t p = 0; p < b.plans.size(); ++p) {
+    const ShardedPimEngine::LadderPlan& plan = b.plans[p];
+    const FailoverStats& f = plan.charges;
+    if (f.injected == 0) continue;
+    run->ts.Count(f.shed != 0 ? "failover_shed" : "failover_recovered",
+                  b.dispatch_ns);
+    if (f.backoff_ns > 0) {
+      run->ts.Observe("failover_backoff_ns", b.dispatch_ns,
+                      static_cast<double>(f.backoff_ns));
+    }
+    if (run->events.enabled()) {
+      obs::QueryEvent ev;
+      ev.kind = obs::QueryEvent::Kind::kFailover;
+      ev.batch_id = batch_id;
+      ev.dispatch_ns = b.dispatch_ns;
+      ev.shard = static_cast<int32_t>(p % engine_->shards());
+      ev.replica = plan.serving_replica;
+      ev.failed_attempts = static_cast<int32_t>(f.attempts_failed);
+      ev.shed = f.shed != 0;
+      ev.backoff_ns = f.backoff_ns;
+      ev.status = ev.shed ? "SHED" : "RECOVERED";
+      run->events.AppendAlways(ev);
+    }
+  }
+  for (size_t m = 0; m < b.members.size(); ++m) {
+    ServedResult& r = *results[m];
+    r.dispatch_ns = b.dispatch_ns;
+    r.completion_ns = b.completion_ns;
+    r.batch_id = batch_id;
+    if (!r.status.ok()) continue;  // a failed live dispatch served nobody.
+    const uint64_t wait = b.dispatch_ns - b.members[m].arrival_ns;
+    const uint64_t latency = b.completion_ns - b.members[m].arrival_ns;
+    r.deadline_missed =
+        options_.deadline_ns > 0 && latency > options_.deadline_ns;
+    ++stats.served;
+    stats.wait_hist.Record(static_cast<double>(wait));
+    stats.latency_hist.Record(static_cast<double>(latency));
+    TenantServeStats& ts = stats.tenants[b.members[m].tenant];
+    ++ts.served;
+    ts.latency.Record(static_cast<double>(latency));
+    if (r.deadline_missed) {
+      ++stats.deadline_misses;
+      ++ts.deadline_misses;
+    }
+  }
+}
+
+ServeStats PimServer::Snapshot(const Run& run) const {
+  ServeStats stats = run.stats;
+  stats.max_queue_depth = run.queue.max_depth();
+  stats.mean_batch_occupancy =
+      stats.batches == 0 ? 0.0
+                         : static_cast<double>(stats.served) /
+                               static_cast<double>(stats.batches);
+  stats.exec.pim_ns = engine_->PimComputeNs();
+  stats.exec.fault = engine_->FaultStatsTotal();
+  stats.exec.fleet = engine_->FleetStats();
+  return stats;
 }
 
 // --------------------------------------------------------------------------
@@ -242,72 +439,35 @@ Result<ReplayOutput> PimServer::Replay(const ArrivalTrace& trace,
 
   ReplayOutput out;
   out.results.resize(trace.events.size());
-  out.stats.tenants = MakeTenantStats(options_);
   Timer wall;
-
-  // Replay telemetry plane: clocked by the VIRTUAL clock and fed only
-  // from the deterministic single-threaded accounting below, so the JSON
+  // The replay's books: its telemetry plane is clocked by the VIRTUAL
+  // clock and fed only from the single-threaded passes below, so the JSON
   // exports are byte-identical for every scheduler_threads/shards value.
-  obs::TimeSeries replay_ts(TimeSeriesOptionsFromServe());
-  obs::EventLog replay_events(EventLogOptionsFromServe());
+  Run run(options_);
+  engine_->ResetOnlineStats();
+  engine_->ResetReplicaHealth();
 
-  // ---- Phase 1: batch formation (single deterministic pass) -------------
+  // ---- Phase 1: admission and formation (one deterministic pass) --------
   //
   // One virtual device timeline: vt_free is the instant the device finishes
   // its current dispatch. A pending set dispatches at max(DueAt, vt_free) —
   // arrivals keep accumulating while the device is busy, which is exactly
   // how continuous batching converts offered load into batch occupancy.
-  AdmissionQueue queue(options_);
   std::vector<FormedBatch> batches;
   uint64_t vt_free = 0;
-  const size_t device_batch = options_.exec.device_batch;
-  std::vector<double> shard_extra(engine_->shards());
-  engine_->ResetOnlineStats();
-  engine_->ResetReplicaHealth();
-
   auto flush = [&](uint64_t horizon, uint64_t drain_floor) {
-    while (!queue.empty()) {
+    while (!run.queue.empty()) {
       const uint64_t due =
           horizon == std::numeric_limits<uint64_t>::max()
               // Drain: no further arrivals can complete a batch, so
               // dispatch as soon as the device frees (Stop() semantics).
-              ? std::max(drain_floor, queue.OldestArrivalNs())
-              : queue.DueAtNs();
+              ? std::max(drain_floor, run.queue.OldestArrivalNs())
+              : run.queue.DueAtNs();
       const uint64_t dispatch = std::max(due, vt_free);
       if (dispatch >= horizon) break;
-      FormedBatch b;
-      b.dispatch_ns = dispatch;
-      queue.FormBatch(&b.members);
-      // Under chaos, plan every shard's replica ladder for every
-      // device_batch chunk, in dispatch order. This single-threaded pass is
-      // the only walker of the replica health during a replay, so the
-      // plans and the strikes they record do not depend on
-      // scheduler_threads, and the execution phase runs exactly these
-      // plans. Shards run concurrently (max over shards); a shard's chunks
-      // run back to back (sum over chunks). Without chaos no plan could
-      // differ from the primary, so none is handed over.
-      ShardedPimEngine::DispatchOptions dopt;
-      dopt.now_ns = dispatch;
-      dopt.deadline_ns = options_.batch_deadline_ns;
-      std::fill(shard_extra.begin(), shard_extra.end(), 0.0);
-      double service = 0.0;
-      for (size_t c0 = 0; c0 < b.members.size(); c0 += device_batch) {
-        const size_t chunk = std::min(b.members.size() - c0, device_batch);
-        service += engine_->ModeledBatchNs(chunk);
-        if (!chaos_.enabled()) continue;
-        for (size_t j = 0; j < shard_extra.size(); ++j) {
-          b.plans.push_back(engine_->PlanLadder(j, chunk, dopt));
-          shard_extra[j] += b.plans.back().extra_ns;
-        }
-      }
-      if (chaos_.enabled()) {
-        b.degraded = DegradedShardAt(dispatch) >= 0;
-        service += *std::max_element(shard_extra.begin(), shard_extra.end());
-      }
-      b.service_ns = service;
-      b.completion_ns = dispatch + ToTicks(service);
+      FormedBatch& b = batches.emplace_back();
+      Form(dispatch, &run, &b);
       vt_free = b.completion_ns;
-      batches.push_back(std::move(b));
     }
   };
 
@@ -319,124 +479,46 @@ Result<ReplayOutput> PimServer::Replay(const ArrivalTrace& trace,
     ServedResult& r = out.results[i];
     r.tenant = e.tenant;
     r.arrival_ns = e.arrival_ns;
-    r.status = DegradedShed(e.tenant, e.arrival_ns,
-                            out.stats.tenants[e.tenant].name);
-    if (!r.status.ok()) {
-      ++out.stats.shed_queries;
-    } else {
-      r.status = queue.Admit(i, e.tenant, e.arrival_ns);
-    }
-    ++out.stats.submitted;
-    ++out.stats.tenants[e.tenant].submitted;
-    if (!r.status.ok()) {
-      ++out.stats.rejected;
-      ++out.stats.tenants[e.tenant].rejected;
-    } else {
-      replay_ts.Observe("queue_depth", e.arrival_ns,
-                        static_cast<double>(queue.pending()));
-    }
+    r.status = Admit(i, e.tenant, e.arrival_ns, &run);
   }
   flush(std::numeric_limits<uint64_t>::max(), last_arrival);
-  PIMINE_DCHECK(queue.empty());
+  PIMINE_DCHECK(run.queue.empty());
 
-  // Per-request scheduling accounting, in formation order (deterministic).
-  for (size_t bi = 0; bi < batches.size(); ++bi) {
-    const FormedBatch& b = batches[bi];
-    out.stats.occupancy_hist.Record(static_cast<double>(b.members.size()));
-    replay_ts.Observe("batch_occupancy", b.dispatch_ns,
-                      static_cast<double>(b.members.size()));
-    out.stats.pipelined_ns += b.service_ns;
-    if (b.degraded) {
-      ++out.stats.degraded_batches;
-      replay_ts.Count("degraded_batches", b.dispatch_ns);
-    }
-    // Recovery telemetry, still inside the deterministic pass: one record
-    // per plan whose ladder fired (the plans the execution phase runs).
-    // Chaos off -> no plans -> the exports stay byte-identical to the
-    // pre-failover server.
-    for (size_t p = 0; p < b.plans.size(); ++p) {
-      const ShardedPimEngine::LadderPlan& plan = b.plans[p];
-      const FailoverStats& f = plan.charges;
-      if (f.injected == 0) continue;
-      replay_ts.Count(f.shed != 0 ? "failover_shed" : "failover_recovered",
-                      b.dispatch_ns);
-      if (f.backoff_ns > 0) {
-        replay_ts.Observe("failover_backoff_ns", b.dispatch_ns,
-                          static_cast<double>(f.backoff_ns));
-      }
-      if (replay_events.enabled()) {
-        obs::QueryEvent ev;
-        ev.kind = obs::QueryEvent::Kind::kFailover;
-        ev.batch_id = bi;
-        ev.dispatch_ns = b.dispatch_ns;
-        ev.shard = static_cast<int32_t>(p % engine_->shards());
-        ev.replica = plan.serving_replica;
-        ev.failed_attempts = static_cast<int32_t>(f.attempts_failed);
-        ev.shed = f.shed != 0;
-        ev.backoff_ns = f.backoff_ns;
-        ev.status = ev.shed ? "SHED" : "RECOVERED";
-        replay_events.AppendAlways(ev);
-      }
-    }
+  // Accounting, in formation order, then one telemetry record per trace
+  // event in trace order (still deterministic: thread- and
+  // shard-independent by construction).
+  std::vector<ServedResult*> member_results;
+  for (const FormedBatch& b : batches) {
+    member_results.clear();
     for (const PendingQuery& m : b.members) {
-      ServedResult& r = out.results[m.id];
-      r.dispatch_ns = b.dispatch_ns;
-      r.completion_ns = b.completion_ns;
-      r.batch_id = bi;
-      const uint64_t wait = b.dispatch_ns - m.arrival_ns;
-      const uint64_t latency = b.completion_ns - m.arrival_ns;
-      r.deadline_missed =
-          options_.deadline_ns > 0 && latency > options_.deadline_ns;
-      ++out.stats.served;
-      out.stats.wait_hist.Record(static_cast<double>(wait));
-      out.stats.latency_hist.Record(static_cast<double>(latency));
-      TenantServeStats& ts = out.stats.tenants[m.tenant];
-      ++ts.served;
-      ts.latency.Record(static_cast<double>(latency));
-      if (r.deadline_missed) {
-        ++out.stats.deadline_misses;
-        ++ts.deadline_misses;
-      }
+      member_results.push_back(&out.results[m.id]);
     }
+    Account(b, member_results, &run);
   }
-  // One telemetry record per trace event, in trace order (still the
-  // deterministic pass — thread- and shard-independent by construction).
   for (size_t i = 0; i < out.results.size(); ++i) {
-    RecordQueryTelemetry(out.results[i], i, &replay_ts, &replay_events);
+    RecordQueryTelemetry(out.results[i], i, &run.ts, &run.events);
   }
-  out.timeseries_json = replay_ts.ToJson();
-  out.events_jsonl = replay_events.ToJsonl();
-
-  out.stats.batches = batches.size();
-  out.stats.max_queue_depth = queue.max_depth();
-  out.stats.makespan_ns = batches.empty() ? 0 : batches.back().completion_ns;
-  out.stats.mean_batch_occupancy =
-      batches.empty() ? 0.0
-                      : static_cast<double>(out.stats.served) /
-                            static_cast<double>(batches.size());
+  out.timeseries_json = run.ts.ToJson();
+  out.events_jsonl = run.events.ToJsonl();
 
   // ---- Phase 2: execution of the formed batch sequence ------------------
   //
-  // The sequence is fixed; workers claim whole dispatches (chunk = 1).
-  // Everything a worker accumulates is slot-local and merged in slot
-  // order, and the per-dispatch work depends only on the dispatch itself —
-  // so results, traffic and modeled pim_ns are bit-identical for every
+  // The sequence is fixed; workers claim whole dispatches (chunk = 1), and
+  // the per-dispatch work depends only on the dispatch itself — so
+  // results, traffic and modeled pim_ns are bit-identical for every
   // scheduler_threads (see DESIGN.md "Host-side parallelism").
   traffic::AggregateScope traffic_scope;
-  const double device_ns_per_query =
-      obs::Obs::Enabled() ? engine_->SerialDeviceNsPerQuery() : 0.0;
   const size_t dims = data_->cols();
-
   ExecPolicy exec_policy;
   exec_policy.num_threads = options_.scheduler_threads;
   const size_t num_slots = NumSlots(exec_policy, batches.size(), 1);
   std::vector<DispatchScratch> scratch(num_slots);
-
+  std::vector<Status> failed(num_slots);
   ParallelChunks(
       exec_policy, batches.size(), 1,
       [&](size_t begin, size_t end, size_t slot) {
         DispatchScratch& s = scratch[slot];
-        for (size_t bi = begin; bi < end && s.slot.status.ok(); ++bi) {
+        for (size_t bi = begin; bi < end && failed[slot].ok(); ++bi) {
           const FormedBatch& b = batches[bi];
           s.qbuf.resize(b.members.size() * dims);
           for (size_t m = 0; m < b.members.size(); ++m) {
@@ -444,38 +526,27 @@ Result<ReplayOutput> PimServer::Replay(const ArrivalTrace& trace,
                 queries.row(trace.events[b.members[m].id].query_row);
             std::copy(row.begin(), row.end(), s.qbuf.begin() + m * dims);
           }
-          ShardedPimEngine::DispatchOptions dopt;
-          dopt.now_ns = b.dispatch_ns;
-          dopt.slack_on_exhaustion = b.degraded;
-          dopt.deadline_ns = options_.batch_deadline_ns;
-          RunDispatch(s.qbuf, b.members, device_ns_per_query, dopt, b.plans,
-                      &s);
-          if (!s.slot.status.ok()) break;
+          failed[slot] = RunDispatch(b, s.qbuf, &s, &run);
+          if (!failed[slot].ok()) break;
           for (size_t m = 0; m < b.members.size(); ++m) {
             out.results[b.members[m].id].neighbors =
                 std::move(s.neighbors[m]);
           }
         }
       });
+  for (const Status& status : failed) PIMINE_RETURN_IF_ERROR(status);
 
-  for (DispatchScratch& s : scratch) {
-    PIMINE_RETURN_IF_ERROR(s.slot.status);
-    out.stats.exec.exact_count += s.slot.exact_count;
-    out.stats.exec.bound_count += s.slot.bound_count;
-    out.stats.exec.latency_hist.Merge(s.slot.latency);
-  }
+  out.stats = Snapshot(run);
+  out.stats.makespan_ns = batches.empty() ? 0 : batches.back().completion_ns;
   out.stats.exec.wall_ms = wall.ElapsedMillis();
   out.stats.exec.traffic = traffic_scope.Delta();
-  out.stats.exec.pim_ns = engine_->PimComputeNs();
-  out.stats.exec.fault = engine_->FaultStatsTotal();
-  out.stats.exec.fleet = engine_->FleetStats();
   out.stats.exec.footprint_bytes =
       data_->rows() * sizeof(double) * 2 +
       (out.stats.served == 0
            ? 0
            : (out.stats.exec.exact_count / out.stats.served) * dims *
                  sizeof(float));
-  ExportObsMetrics(out.stats);
+  if (obs::Obs* o = obs::Obs::Get()) ExportMetrics(out.stats, &o->metrics());
   return out;
 }
 
@@ -496,25 +567,13 @@ Status PimServer::Start() {
   running_ = true;
   stop_ = false;
   next_id_ = 0;
-  queue_ = std::make_unique<AdmissionQueue>(options_);
-  live_stats_ = ServeStats{};
-  live_stats_.tenants = MakeTenantStats(options_);
-  live_device_ns_per_query_ =
-      obs::Obs::Enabled() ? engine_->SerialDeviceNsPerQuery() : 0.0;
+  live_ = std::make_unique<Run>(options_);
   start_time_ = std::chrono::steady_clock::now();
-  live_ts_ = std::make_unique<obs::TimeSeries>(TimeSeriesOptionsFromServe());
-  live_events_ =
-      std::make_unique<obs::EventLog>(EventLogOptionsFromServe());
   engine_->ResetOnlineStats();
   engine_->ResetReplicaHealth();
-  worker_scratch_.clear();
   workers_.clear();
   for (int w = 0; w < options_.scheduler_threads; ++w) {
-    worker_scratch_.push_back(std::make_unique<DispatchScratch>());
-  }
-  for (int w = 0; w < options_.scheduler_threads; ++w) {
-    workers_.emplace_back(&PimServer::WorkerLoop, this,
-                          static_cast<size_t>(w));
+    workers_.emplace_back(&PimServer::WorkerLoop, this);
   }
   return Status::OK();
 }
@@ -533,39 +592,19 @@ Result<ServedResult> PimServer::Submit(uint32_t tenant,
     if (!running_ || stop_) {
       return Status::FailedPrecondition("server not started");
     }
-    const uint64_t arrival = NowNs();
-    const uint64_t id = next_id_;
-    ++live_stats_.submitted;
-    ++live_stats_.tenants[tenant].submitted;
-    // Degraded-mode load shedding (same rule as replay, on the live
-    // clock).
-    Status admitted =
-        DegradedShed(tenant, arrival, live_stats_.tenants[tenant].name);
-    if (!admitted.ok()) {
-      ++live_stats_.shed_queries;
-    } else {
-      admitted = queue_->Admit(id, tenant, arrival);
-    }
-    if (!admitted.ok()) {
+    auto request = std::make_unique<LiveRequest>();
+    ServedResult& r = request->result;
+    r.tenant = tenant;
+    r.arrival_ns = NowNs();
+    const uint64_t id = next_id_++;
+    r.status = Admit(id, tenant, r.arrival_ns, live_.get());
+    if (!r.status.ok()) {
       // Backpressure: the client learns immediately; nothing is dropped
       // downstream.
-      ++live_stats_.rejected;
-      ++live_stats_.tenants[tenant].rejected;
-      ServedResult rejected;
-      rejected.status = admitted;
-      rejected.tenant = tenant;
-      rejected.arrival_ns = arrival;
-      RecordQueryTelemetry(rejected, id, live_ts_.get(),
-                           live_events_.get());
-      return admitted;
+      RecordQueryTelemetry(r, id, &live_->ts, &live_->events);
+      return r.status;
     }
-    live_ts_->Observe("queue_depth", arrival,
-                      static_cast<double>(queue_->pending()));
-    ++next_id_;
-    auto request = std::make_unique<LiveRequest>();
     request->query.assign(query.begin(), query.end());
-    request->tenant = tenant;
-    request->arrival_ns = arrival;
     future = request->promise.get_future();
     live_requests_[id] = std::move(request);
   }
@@ -575,90 +614,61 @@ Result<ServedResult> PimServer::Submit(uint32_t tenant,
   return result;
 }
 
-void PimServer::WorkerLoop(size_t worker_index) {
-  DispatchScratch& scratch = *worker_scratch_[worker_index];
-  std::vector<PendingQuery> members;
+void PimServer::WorkerLoop() {
+  DispatchScratch scratch;
+  FormedBatch b;
   std::vector<std::unique_ptr<LiveRequest>> requests;
+  std::vector<ServedResult*> results;
   const size_t dims = data_->cols();
+  Run& run = *live_;  // replaced only by Start, before any worker exists.
+  AdmissionQueue& queue = run.queue;
 
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    cv_.wait(lock, [&] { return stop_ || !queue_->empty(); });
-    if (queue_->empty()) {
-      if (stop_) return;
-      continue;
-    }
+    cv_.wait(lock, [&] { return stop_ || !queue.empty(); });
+    if (queue.empty()) return;  // stopped and drained.
     // Continuous batching: dispatch once a full batch is pending or the
     // oldest query has waited max_wait_ns; otherwise sleep until that
     // deadline (new arrivals re-evaluate via notify). Stop() dispatches
     // whatever is pending immediately (the drain).
     const uint64_t now = NowNs();
-    const uint64_t due = queue_->DueAtNs();
-    if (!stop_ && now < due && queue_->pending() < options_.max_batch) {
+    const uint64_t due = queue.DueAtNs();
+    if (!stop_ && now < due && queue.pending() < options_.max_batch) {
       cv_.wait_for(lock, std::chrono::nanoseconds(due - now));
       continue;
     }
-    const uint64_t dispatch_ns = std::max(now, queue_->OldestArrivalNs());
-    queue_->FormBatch(&members);
+    Form(std::max(now, queue.OldestArrivalNs()), &run, &b);
     requests.clear();
-    for (const PendingQuery& m : members) {
+    results.clear();
+    for (const PendingQuery& m : b.members) {
       auto it = live_requests_.find(m.id);
       PIMINE_DCHECK(it != live_requests_.end());
+      results.push_back(&it->second->result);
       requests.push_back(std::move(it->second));
       live_requests_.erase(it);
     }
     lock.unlock();
 
-    scratch.qbuf.resize(members.size() * dims);
-    for (size_t m = 0; m < members.size(); ++m) {
+    scratch.qbuf.resize(b.members.size() * dims);
+    for (size_t m = 0; m < requests.size(); ++m) {
       std::copy(requests[m]->query.begin(), requests[m]->query.end(),
                 scratch.qbuf.begin() + m * dims);
     }
-    ShardedPimEngine::DispatchOptions dopt;
-    dopt.now_ns = dispatch_ns;
-    dopt.slack_on_exhaustion = DegradedShardAt(dispatch_ns) >= 0;
-    dopt.deadline_ns = options_.batch_deadline_ns;
-    RunDispatch(scratch.qbuf, members, live_device_ns_per_query_, dopt, {},
-                &scratch);
-    const uint64_t completion_ns = NowNs();
+    const Status status = RunDispatch(b, scratch.qbuf, &scratch, &run);
+    // The live clock: a dispatch completes when its execution returns.
+    b.completion_ns = NowNs();
 
     lock.lock();
-    ++live_stats_.batches;
-    if (dopt.slack_on_exhaustion) ++live_stats_.degraded_batches;
-    live_stats_.occupancy_hist.Record(static_cast<double>(members.size()));
-    live_ts_->Observe("batch_occupancy", dispatch_ns,
-                      static_cast<double>(members.size()));
-    for (size_t m = 0; m < members.size(); ++m) {
-      ServedResult r;
-      r.status = scratch.slot.status;
-      r.tenant = members[m].tenant;
-      r.arrival_ns = members[m].arrival_ns;
-      r.dispatch_ns = dispatch_ns;
-      r.completion_ns = completion_ns;
-      r.batch_id = live_stats_.batches - 1;
-      if (r.status.ok()) {
-        r.neighbors = std::move(scratch.neighbors[m]);
-        const uint64_t latency = completion_ns - r.arrival_ns;
-        r.deadline_missed =
-            options_.deadline_ns > 0 && latency > options_.deadline_ns;
-        ++live_stats_.served;
-        live_stats_.wait_hist.Record(
-            static_cast<double>(dispatch_ns - r.arrival_ns));
-        live_stats_.latency_hist.Record(static_cast<double>(latency));
-        TenantServeStats& ts = live_stats_.tenants[r.tenant];
-        ++ts.served;
-        ts.latency.Record(static_cast<double>(latency));
-        if (r.deadline_missed) {
-          ++live_stats_.deadline_misses;
-          ++ts.deadline_misses;
-        }
-      }
-      RecordQueryTelemetry(r, members[m].id, live_ts_.get(),
-                           live_events_.get());
-      requests[m]->promise.set_value(std::move(r));
+    for (size_t m = 0; m < requests.size(); ++m) {
+      results[m]->status = status;
+      if (status.ok()) results[m]->neighbors = std::move(scratch.neighbors[m]);
     }
-    scratch.slot.status = Status::OK();
-    requests.clear();
+    Account(b, results, &run);
+    for (size_t m = 0; m < requests.size(); ++m) {
+      RecordQueryTelemetry(*results[m], b.members[m].id, &run.ts,
+                           &run.events);
+      requests[m]->promise.set_value(std::move(*results[m]));
+    }
   }
 }
 
@@ -686,28 +696,14 @@ void PimServer::Stop() {
 
 ServeStats PimServer::LiveStats() {
   std::lock_guard<std::mutex> lock(mu_);
-  ServeStats stats = live_stats_;
+  ServeStats stats = Snapshot(*live_);
   stats.watermark_compactions = watermark_compactions_;
-  if (queue_ != nullptr) stats.max_queue_depth = queue_->max_depth();
-  stats.mean_batch_occupancy =
-      stats.batches == 0 ? 0.0
-                         : static_cast<double>(stats.served) /
-                               static_cast<double>(stats.batches);
   stats.makespan_ns = NowNs();
-  for (const std::unique_ptr<DispatchScratch>& s : worker_scratch_) {
-    stats.exec.exact_count += s->slot.exact_count;
-    stats.exec.bound_count += s->slot.bound_count;
-    stats.exec.latency_hist.Merge(s->slot.latency);
-  }
-  stats.exec.pim_ns = engine_->PimComputeNs();
-  stats.pipelined_ns = engine_->PimPipelinedNs();
-  stats.exec.fault = engine_->FaultStatsTotal();
-  stats.exec.fleet = engine_->FleetStats();
   return stats;
 }
 
-void PimServer::FillServeMetrics(const ServeStats& stats,
-                                 obs::MetricsRegistry* registry) const {
+void PimServer::ExportMetrics(const ServeStats& stats,
+                              obs::MetricsRegistry* registry) const {
   obs::MetricsRegistry& metrics = *registry;
   metrics.SetHelp("pimine_serve_submitted_total",
                   "Queries submitted to the admission queue.");
@@ -771,32 +767,10 @@ void PimServer::FillServeMetrics(const ServeStats& stats,
     metrics.GetCounter("pimine_serve_tenant_deadline_misses_total", labels)
         .Add(t.deadline_misses);
   }
-}
-
-void PimServer::ExportObsMetrics(const ServeStats& stats) const {
-  obs::Obs* obs = obs::Obs::Get();
-  if (obs == nullptr) return;
-  FillServeMetrics(stats, &obs->metrics());
   // The fleet plane too (pimine_fleet_* / pimine_failover_* families), so
   // a replay's --metrics_out carries the same shard-health and failover
   // counters the live /metrics endpoint exposes.
-  engine_->ExportMetrics(&obs->metrics());
-}
-
-obs::TimeSeriesOptions PimServer::TimeSeriesOptionsFromServe() const {
-  obs::TimeSeriesOptions ts;
-  ts.window_ns = options_.ts_window_ns;
-  ts.num_windows = options_.ts_windows;
-  ts.slo_budget = options_.slo_budget;
-  return ts;
-}
-
-obs::EventLogOptions PimServer::EventLogOptionsFromServe() const {
-  obs::EventLogOptions ev;
-  ev.sample_rate = options_.event_sample_rate;
-  ev.seed = options_.event_seed;
-  ev.capacity = options_.event_capacity;
-  return ev;
+  engine_->ExportMetrics(registry);
 }
 
 void PimServer::RecordQueryTelemetry(const ServedResult& r, uint64_t query_id,
@@ -844,21 +818,6 @@ int PimServer::DegradedShardAt(uint64_t t) const {
   return -1;
 }
 
-Status PimServer::DegradedShed(uint32_t tenant, uint64_t t,
-                               const std::string& tenant_name) const {
-  const int shard = DegradedShardAt(t);
-  if (shard < 0 || TenantWeight(tenant) != MinTenantWeight()) {
-    return Status::OK();
-  }
-  return Status::CapacityExceeded(
-      "degraded: shard " + std::to_string(shard) + " has " +
-      std::to_string(
-          chaos_.HealthyReplicas(static_cast<uint32_t>(shard), t)) +
-      "/" + std::to_string(engine_->replicas()) +
-      " healthy replicas (below watermark); shedding tenant '" +
-      tenant_name + "'");
-}
-
 uint32_t PimServer::TenantWeight(uint32_t tenant) const {
   return options_.tenants.empty() ? 1 : options_.tenants[tenant].weight;
 }
@@ -896,26 +855,20 @@ std::string PimServer::MetricsText() {
   // contrast, accumulates across runs).
   obs::MetricsRegistry registry;
   const ServeStats stats = LiveStats();
-  FillServeMetrics(stats, &registry);
-  {
-    // Mutations hold mu_, so a scrape never reads the fleet mid-mutation.
-    std::lock_guard<std::mutex> lock(mu_);
-    engine_->ExportMetrics(&registry);
-  }
+  // Mutations hold mu_, so a scrape never reads the fleet mid-mutation.
+  std::lock_guard<std::mutex> lock(mu_);
+  ExportMetrics(stats, &registry);
   return registry.ToPrometheus();
 }
 
 std::string PimServer::TimeSeriesJson() {
   std::lock_guard<std::mutex> lock(mu_);
-  if (live_ts_ == nullptr) {
-    return obs::TimeSeries(TimeSeriesOptionsFromServe()).ToJson();
-  }
-  return live_ts_->ToJson();
+  return live_->ts.ToJson();
 }
 
 std::string PimServer::EventsJsonl() {
   std::lock_guard<std::mutex> lock(mu_);
-  return live_events_ == nullptr ? std::string() : live_events_->ToJsonl();
+  return live_->events.ToJsonl();
 }
 
 }  // namespace serve

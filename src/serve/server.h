@@ -4,6 +4,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -42,7 +43,7 @@ struct ServedResult {
   /// replay, steady-clock ns since Start in live mode).
   uint64_t dispatch_ns = 0;
   uint64_t completion_ns = 0;
-  /// Dense id of the dispatch this query rode in (replay only).
+  /// Dense id of the dispatch this query rode in, in accounting order.
   uint64_t batch_id = 0;
   /// completion - arrival exceeded ServeOptions::deadline_ns (when set).
   bool deadline_missed = false;
@@ -90,9 +91,9 @@ struct ServeStats {
   /// served / batches — the continuous-batching figure of merit: how much
   /// Q-pipelining the offered load actually sustained.
   double mean_batch_occupancy = 0.0;
-  /// Modeled device-occupancy total, summed over dispatches in formation
-  /// order (deterministic, unlike the engine's interleaving-dependent
-  /// float accumulation).
+  /// Modeled device-occupancy total: the formed service times summed over
+  /// dispatches in accounting order (deterministic in replay, unlike the
+  /// engine's interleaving-dependent float accumulation).
   double pipelined_ns = 0.0;
   obs::Histogram wait_hist;       // arrival -> dispatch, per served query.
   obs::Histogram latency_hist;    // arrival -> completion, per served query.
@@ -123,22 +124,28 @@ struct ReplayOutput {
 /// the crossbar pipeline (BatchDotLatencyNs = stage_ns * (stages + Q - 1))
 /// runs at high occupancy even though no client ever batches.
 ///
-/// Two clocks drive the same scheduler:
+/// Two clocks drive one scheduler. Both call the same steps: Admit (shed,
+/// queue, submission counters), Form (a weighted-fair batch at a dispatch
+/// instant, its ladder plans under chaos, its modeled service time),
+/// RunDispatch (execution, and the fold of its exact/bound counts and
+/// query latencies) and Account (batch, failover and per-query figures).
 ///
-///  * Replay(trace): a VIRTUAL clock. Batch formation is one deterministic
-///    single-threaded pass over the recorded arrivals — dispatch instant =
-///    max(batch due time, virtual device free time), service time = the
-///    modeled batch latency — so batch composition, every serving stat and
-///    every result is a pure function of (trace, options). The formed
-///    batch sequence is then EXECUTED across scheduler_threads workers;
-///    results, traffic counters and modeled pim_ns are bit-identical for
-///    every thread count (the determinism contract of DESIGN.md carried
-///    into the serving layer).
+///  * Replay(trace): a VIRTUAL clock. Admission and formation are one
+///    deterministic single-threaded pass over the recorded arrivals —
+///    dispatch instant = max(batch due time, virtual device free time),
+///    service time = the modeled batch latency — and every batch is
+///    accounted before any executes, so batch composition, every serving
+///    stat and every result is a pure function of (trace, options). The
+///    formed batch sequence is then EXECUTED across scheduler_threads
+///    workers; results, traffic counters and modeled pim_ns are
+///    bit-identical for every thread count (the determinism contract of
+///    DESIGN.md carried into the serving layer).
 ///
 ///  * Start/Submit/Stop: the real steady clock, for live concurrent
-///    clients. Same admission queue, same batching rules; timings are
-///    wall-clock and therefore not reproducible — use replay for science,
-///    live mode for serving.
+///    clients. A worker forms under the server lock, executes outside it
+///    and accounts under it again, with completion = the instant its
+///    execution returned; timings are wall-clock and therefore not
+///    reproducible — use replay for science, live mode for serving.
 class PimServer : public MutationListener {
  public:
   /// Builds the engine fleet over `data` and validates `serve`. The data
@@ -172,9 +179,9 @@ class PimServer : public MutationListener {
   /// Drains every pending query, stops the workers, joins them. Idempotent.
   void Stop();
 
-  /// Snapshot of the live-mode serving stats (engine-level `exec` fields
-  /// are filled from the engine at snapshot time). Call after Stop, or
-  /// accept a racy-but-consistent mid-run view.
+  /// Snapshot of the live-mode serving stats, taken under the server lock
+  /// (engine-level pim_ns, fault and fleet figures are read from the
+  /// engine at snapshot time). Safe while serving.
   ServeStats LiveStats();
 
   // --- Mutable datasets ------------------------------------------------
@@ -234,61 +241,63 @@ class PimServer : public MutationListener {
   const ChaosSchedule& chaos() const { return chaos_; }
 
  private:
-  /// Per-worker dispatch scratch, reused across every dispatch the worker
-  /// executes: engine query scratch + batch handle (zero-allocation
-  /// steady state), gathered query buffer, bound array, and the worker's
-  /// share of the accumulated stats in `slot` (merged in slot order; its
-  /// profiler stays empty, serving is untimed).
-  struct DispatchScratch {
-    ShardedPimEngine::QueryScratch query;
-    ShardedPimEngine::QueryHandleBatch handle;
-    std::vector<float> qbuf;
-    std::vector<double> bounds;
-    std::vector<std::vector<Neighbor>> neighbors;
-    SearchSlot slot;
-  };
-
+  struct DispatchScratch;
+  struct FormedBatch;
+  struct Run;
   struct LiveRequest;
 
   PimServer() = default;
 
-  /// Executes one formed dispatch: one engine RunQueryBatch per
-  /// device_batch chunk, then StandardPimQuery per query — the per-query
-  /// step StandardPimKnn::Search runs, so a served query's neighbours,
-  /// traffic and modeled stats are those of the offline path. Chunk c runs
-  /// the ladder plans plans[c * shards, (c + 1) * shards), or plans its
-  /// own when `plans` is empty. Fills s->neighbors[0..members); each
-  /// member's admission id labels its per-query trace span.
-  void RunDispatch(std::span<const float> qbuf,
-                   const std::vector<PendingQuery>& members,
-                   double device_ns_per_query,
-                   ShardedPimEngine::DispatchOptions dispatch,
-                   std::span<const ShardedPimEngine::LadderPlan> plans,
-                   DispatchScratch* s);
+  // --- The scheduling steps, one copy each for both clocks -----------------
+
+  /// Admits query `id` at `arrival_ns`: degraded-mode shedding of the
+  /// lowest-weight tenants, then the bounded queue. Counts the submission
+  /// (and its rejection) in run->stats and samples the queue depth of an
+  /// admitted query.
+  Status Admit(uint64_t id, uint32_t tenant, uint64_t arrival_ns,
+               Run* run) const;
+  /// Forms the dispatch at `dispatch_ns`: pops a weighted-fair batch off
+  /// run->queue, under chaos plans every shard's ladder for every
+  /// device_batch chunk (advancing replica health in dispatch order), and
+  /// prices it: modeled service time, virtual completion, degraded flag.
+  void Form(uint64_t dispatch_ns, Run* run, FormedBatch* b) const;
+  /// Executes a formed dispatch: one engine RunQueryBatch per device_batch
+  /// chunk running the batch's plans, then StandardPimQuery per query —
+  /// the per-query step StandardPimKnn::Search runs, so a served query's
+  /// neighbours, traffic and modeled stats are those of the offline path.
+  /// Fills s->neighbors; each member's admission id labels its trace
+  /// spans. Folds the dispatch's exact/bound counts and query latencies
+  /// into run->stats.exec under mu_.
+  Status RunDispatch(const FormedBatch& b, std::span<const float> qbuf,
+                     DispatchScratch* s, Run* run);
+  /// Accounts a dispatch in run->stats and its telemetry: batch counters,
+  /// occupancy, pipelined time, one failover record per plan whose ladder
+  /// fired, and each member's dispatch, completion and batch id in
+  /// *results[m] plus — when its status is OK — its wait, latency,
+  /// deadline and tenant figures.
+  void Account(const FormedBatch& b, std::span<ServedResult* const> results,
+               Run* run) const;
+  /// run's stats plus the figures read at snapshot time: queue high-water
+  /// mark, mean occupancy, and the engine's pim_ns, fault and fleet stats.
+  ServeStats Snapshot(const Run& run) const;
 
   /// The shard (lowest index) whose healthy-replica fraction per the chaos
   /// schedule sits below degrade_watermark at instant `t`; -1 when none.
   /// Pure in (schedule, options, t) — safe for the virtual-clock pass.
   int DegradedShardAt(uint64_t t) const;
-  /// Degraded-mode load shedding, shared by replay and live admission:
-  /// while a shard sits below the degrade watermark at `t`, a
-  /// lowest-weight tenant's submission gets a 503-style CapacityExceeded
-  /// naming the shard and its healthy replicas. OK otherwise.
-  Status DegradedShed(uint32_t tenant, uint64_t t,
-                      const std::string& tenant_name) const;
   uint32_t TenantWeight(uint32_t tenant) const;
   uint32_t MinTenantWeight() const;
 
-  void WorkerLoop(size_t worker_index);
+  /// Applies one mirrored mutation under mu_; refused while live serving
+  /// runs.
+  Status Mutate(const std::function<Status()>& apply);
+  void WorkerLoop();
   uint64_t NowNs() const;
-  void ExportObsMetrics(const ServeStats& stats) const;
-  /// Writes the pimine_serve_* families for `stats` into `registry`
-  /// (shared by the global-obs export and the fresh-registry /metrics
-  /// snapshot path).
-  void FillServeMetrics(const ServeStats& stats,
-                        obs::MetricsRegistry* registry) const;
-  obs::TimeSeriesOptions TimeSeriesOptionsFromServe() const;
-  obs::EventLogOptions EventLogOptionsFromServe() const;
+  /// Writes the pimine_serve_* families for `stats` and the engine's fleet
+  /// families into `registry` (a replay's global-obs export and the
+  /// fresh-registry /metrics scrape).
+  void ExportMetrics(const ServeStats& stats,
+                     obs::MetricsRegistry* registry) const;
   /// Feeds one served/rejected query into a timeseries + event log — the
   /// single recording path shared by the replay accounting pass and the
   /// live scheduler (so both planes carry the same series names).
@@ -308,25 +317,18 @@ class PimServer : public MutationListener {
   /// engine when enabled. Empty (and uninstalled) when chaos is off.
   ChaosSchedule chaos_;
 
-  // --- Live-mode state (all guarded by mu_ except the workers' own
-  // scratch; batch execution runs outside the lock) ---------------------
+  // --- Live-mode state, all guarded by mu_ (batch execution runs outside
+  // the lock, on the worker's own scratch) -------------------------------
   std::mutex mu_;
   std::condition_variable cv_;
   bool running_ = false;
   bool stop_ = false;
   uint64_t next_id_ = 0;
-  std::unique_ptr<AdmissionQueue> queue_;
+  /// The live run's books; idle (empty) from Build until Start.
+  std::unique_ptr<Run> live_;
   std::unordered_map<uint64_t, std::unique_ptr<LiveRequest>> live_requests_;
-  ServeStats live_stats_;
-  double live_device_ns_per_query_ = 0.0;
   std::vector<std::thread> workers_;
-  std::vector<std::unique_ptr<DispatchScratch>> worker_scratch_;
   std::chrono::steady_clock::time_point start_time_;
-  // Live telemetry plane (created by Start; both are internally
-  // synchronized, so the exposition server snapshots them lock-free with
-  // respect to mu_).
-  std::unique_ptr<obs::TimeSeries> live_ts_;
-  std::unique_ptr<obs::EventLog> live_events_;
 };
 
 }  // namespace serve

@@ -8,7 +8,10 @@
 // This file also runs under TSan in CI: it exercises concurrent span
 // recording into per-thread buffers plus the cross-thread merges.
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdlib>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,6 +25,8 @@
 #include "knn/standard_pim_knn.h"
 #include "obs/histogram.h"
 #include "obs/obs.h"
+#include "serve/server.h"
+#include "serve/workload.h"
 
 namespace pimine {
 namespace {
@@ -197,6 +202,83 @@ TEST(ObsDeterminismTest, KmeansRunToRunIdenticalWithSameSeed) {
   const ObservedRun first = ObserveKmeansRun(w.data, 4, 16);
   const ObservedRun second = ObserveKmeansRun(w.data, 4, 16);
   ExpectIdenticalObservations(first, second, "kmeans rerun");
+}
+
+struct ObservedReplay {
+  std::string trace_json;
+  std::vector<bool> served;  // by query id (= trace event index).
+};
+
+ObservedReplay ObserveServeReplay(const Workload& w, int scheduler_threads) {
+  serve::ServeOptions options;
+  options.max_batch = 8;
+  options.exec.device_batch = 4;
+  options.k = 5;
+  options.scheduler_threads = scheduler_threads;
+  options.tenants = {{"gold", 4}, {"free", 1}};
+  serve::WorkloadSpec spec;
+  spec.num_requests = 96;
+  spec.offered_qps = 2e6;
+  spec.tenant_share = {1.0, 1.0};
+  spec.num_query_rows = static_cast<uint32_t>(w.queries.rows());
+  spec.seed = 8;
+  auto trace = serve::GeneratePoissonTrace(spec);
+  EXPECT_TRUE(trace.ok());
+  auto server = serve::PimServer::Build(w.data, Distance::kEuclidean,
+                                        EngineOptions(), options);
+  EXPECT_TRUE(server.ok()) << server.status().ToString();
+
+  obs::Obs::Enable();
+  auto output = (*server)->Replay(*trace, w.queries);
+  EXPECT_TRUE(output.ok()) << output.status().ToString();
+  ObservedReplay run;
+  run.trace_json = obs::Obs::Get()->trace().ToChromeJson();
+  obs::Obs::Disable();
+  for (const serve::ServedResult& r : output->results) {
+    run.served.push_back(r.status.ok());
+  }
+  return run;
+}
+
+/// Span names per track of a ToChromeJson document, in document order.
+std::map<int64_t, std::vector<std::string>> SpansByTrack(
+    const std::string& json) {
+  std::map<int64_t, std::vector<std::string>> tracks;
+  for (size_t at = json.find("\"tid\":"); at != std::string::npos;
+       at = json.find("\"tid\":", at + 1)) {
+    const int64_t track = std::strtoll(json.c_str() + at + 6, nullptr, 10);
+    const size_t name = json.find("\"name\":\"", at) + 8;
+    tracks[track].push_back(json.substr(name, json.find('"', name) - name));
+  }
+  return tracks;
+}
+
+// A weighted-fair dispatch coalesces queries whose ids are not contiguous;
+// each served query's engine spans still land on its own track, so the
+// trace is the same at any scheduler_threads.
+TEST(ObsDeterminismTest, ServeReplayLabelsEachQuerysOwnTrack) {
+  const Workload w = MakeWorkload(400, 32, 41);
+  const ObservedReplay one = ObserveServeReplay(w, 1);
+  const std::map<int64_t, std::vector<std::string>> tracks =
+      SpansByTrack(one.trace_json);
+  size_t served = 0;
+  for (size_t id = 0; id < one.served.size(); ++id) {
+    const auto it = tracks.find(static_cast<int64_t>(id));
+    if (!one.served[id]) {
+      EXPECT_TRUE(it == tracks.end()) << "rejected query " << id;
+      continue;
+    }
+    ++served;
+    ASSERT_TRUE(it != tracks.end()) << "query " << id;
+    std::vector<std::string> names = it->second;
+    std::sort(names.begin(), names.end());
+    EXPECT_EQ(names, (std::vector<std::string>{"pim_dot", "quantize",
+                                               "query"}))
+        << "query " << id;
+  }
+  EXPECT_GT(served, 0u);
+  const ObservedReplay four = ObserveServeReplay(w, 4);
+  EXPECT_EQ(one.trace_json, four.trace_json);
 }
 
 // With observability disabled (the default), the latency histogram must

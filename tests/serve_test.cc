@@ -1,10 +1,12 @@
 // Tests of the online serving layer (src/serve): virtual-clock replay
 // determinism across scheduler thread counts / batch knobs / shard counts,
 // equivalence with the offline batch path, weighted fairness, queue
-// backpressure, deadline accounting, and a live-mode concurrency smoke
-// (run under TSan in CI).
+// backpressure, deadline accounting, and live mode: a concurrency smoke, a
+// /metrics scrape against running workers, and failover accounting under
+// chaos (run under TSan in CI).
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <string>
 #include <thread>
@@ -538,6 +540,97 @@ TEST(ServeLiveTest, LiveResultsMatchReplay) {
   const ReplayOutput replayed = MustReplay(replay_options, trace);
   for (size_t row = 0; row < kQueries; ++row) {
     EXPECT_EQ(live[row], replayed.results[row].neighbors) << "query " << row;
+  }
+}
+
+// A /metrics scrape runs against live workers (CI runs this under TSan):
+// every figure it reads is either under the server lock or a guarded
+// device-stat snapshot.
+TEST(ServeLiveTest, ScrapeWhileServing) {
+  ServeOptions options = BaseServe();
+  options.scheduler_threads = 2;
+  auto server =
+      PimServer::Build(Data(), Distance::kEuclidean, SmallEngine(2), options);
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE((*server)->Start().ok());
+  std::atomic<bool> done{false};
+  std::thread scraper([&] {
+    while (!done.load()) {
+      const std::string text = (*server)->MetricsText();
+      EXPECT_NE(text.find("pimine_serve_served_total"), std::string::npos);
+    }
+  });
+  constexpr int kClients = 4;
+  constexpr int kPerClient = 10;
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int i = 0; i < kPerClient; ++i) {
+        const size_t row = static_cast<size_t>(c * kPerClient + i) % kQueries;
+        EXPECT_TRUE((*server)->Submit(0, Queries().row(row)).ok());
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  (*server)->Stop();
+  done.store(true);
+  scraper.join();
+  const std::string scraped = (*server)->MetricsText();
+  EXPECT_NE(scraped.find("pimine_serve_served_total " +
+                         std::to_string(kClients * kPerClient) + "\n"),
+            std::string::npos)
+      << scraped;
+}
+
+// Live serving walks the same failover ladder as replay, planned at
+// formation, and records the same failover series and events.
+TEST(ServeLiveTest, ChaosFailoverIsAccountedLikeReplay) {
+  ServeOptions options = BaseServe();
+  options.scheduler_threads = 2;
+  options.chaos.device_deaths = 2;
+  options.chaos.horizon_ns = 1000;
+  options.event_sample_rate = 1.0;
+  EngineOptions engine = SmallEngine(2);
+  engine.shard.replicas = 2;
+  auto server = PimServer::Build(Data(), Distance::kEuclidean, engine, options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  ASSERT_TRUE((*server)->Start().ok());
+  std::vector<std::vector<Neighbor>> live(kQueries);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 4; ++c) {
+    clients.emplace_back([&, c] {
+      for (size_t row = c; row < kQueries; row += 4) {
+        auto result = (*server)->Submit(0, Queries().row(row));
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        live[row] = std::move(result->neighbors);
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  (*server)->Stop();
+
+  const ServeStats stats = (*server)->LiveStats();
+  EXPECT_EQ(stats.served, kQueries);
+  const FailoverStats& failover = stats.exec.fleet.failover;
+  EXPECT_GT(failover.injected, 0u) << failover.ToString();
+  EXPECT_TRUE(failover.Balanced()) << failover.ToString();
+  const std::string timeseries = (*server)->TimeSeriesJson();
+  EXPECT_TRUE(timeseries.find("\"failover_recovered\"") != std::string::npos ||
+              timeseries.find("\"failover_shed\"") != std::string::npos)
+      << timeseries;
+  EXPECT_NE((*server)->EventsJsonl().find("\"kind\": \"failover\""),
+            std::string::npos);
+
+  ServeOptions replay_options = options;
+  replay_options.scheduler_threads = 1;
+  auto replayer =
+      PimServer::Build(Data(), Distance::kEuclidean, engine, replay_options);
+  ASSERT_TRUE(replayer.ok());
+  auto replayed =
+      (*replayer)->Replay(AllAtZeroTrace(kQueries, 1, kQueries), Queries());
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  for (size_t row = 0; row < kQueries; ++row) {
+    EXPECT_EQ(live[row], replayed->results[row].neighbors) << "query " << row;
   }
 }
 

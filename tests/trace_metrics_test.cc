@@ -318,10 +318,8 @@ TEST(ObsTest, DisabledIsNullObjectFastPath) {
   EXPECT_FALSE(obs::Obs::Enabled());
   // Every instrumentation shape must be a no-op without an instance.
   obs::AddCounter("pimine_noop_total", 3);
-  obs::EmitComplete("t", "noop", 0, 1.0);
   Histogram latency;
   {
-    obs::TraceSpan span("t", "noop");
     obs::QuerySpan query(0, &latency);
     obs::AggregateSpan agg("t", "noop");
     obs::SchedSpan sched(0, 0, 1);
@@ -333,14 +331,13 @@ TEST(ObsTest, EnableDisableLifecycle) {
   obs::Obs::Enable();
   ASSERT_TRUE(obs::Obs::Enabled());
   obs::AddCounter("pimine_life_total", 2);
-  obs::EmitComplete("t", "op", obs::kRunTrack, 5.0);
   Histogram latency;
   { obs::QuerySpan query(4, &latency); }
   EXPECT_EQ(latency.count(), 1u);
   obs::Obs* o = obs::Obs::Get();
   EXPECT_EQ(o->metrics().GetCounter("pimine_life_total").Value(), 2u);
   EXPECT_EQ(o->trace().OpenSpans(), 0);
-  EXPECT_GE(o->trace().NumEvents(), 3u);  // X + query B/E.
+  EXPECT_GE(o->trace().NumEvents(), 2u);  // query B/E.
   obs::Obs::Disable();
   EXPECT_EQ(obs::Obs::Get(), nullptr);
 }
@@ -356,6 +353,16 @@ TEST(ObsTest, TrackBaseScoping) {
       EXPECT_EQ(obs::TrackFor(0), 100);
     }
     EXPECT_EQ(obs::TrackFor(3), 13);  // restored on scope exit.
+    // A serving dispatch installs its members' own (non-contiguous) ids.
+    const int64_t ids[] = {7, 2, 40};
+    {
+      obs::ScopedTrackBase members(ids);
+      EXPECT_EQ(obs::TrackFor(0), 7);
+      EXPECT_EQ(obs::TrackFor(2), 40);
+      obs::ScopedTrackBase inner(100);  // the innermost scope wins.
+      EXPECT_EQ(obs::TrackFor(2), 102);
+    }
+    EXPECT_EQ(obs::TrackFor(3), 13);
   }
   EXPECT_EQ(obs::CurrentTrackBase(), obs::kNoTrackBase);
 }
