@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <sstream>
 #include <utility>
 
 #include "common/logging.h"
@@ -45,9 +46,20 @@ std::string_view EngineModeName(EngineMode mode) {
   return "?";
 }
 
+Status EngineOptions::Validate() const {
+  if (!(alpha >= 1.0 && alpha <= 2e9)) {
+    std::ostringstream os;
+    os << "alpha must be in [1, 2e9] (got " << alpha << ")";
+    return Status::InvalidArgument(os.str());
+  }
+  PIMINE_RETURN_IF_ERROR(pim_config.Validate());
+  return fault_config.Validate();
+}
+
 Result<EngineGeometry> ResolveEngineGeometry(int64_t n, int64_t d,
                                              Distance distance,
                                              const EngineOptions& options) {
+  PIMINE_RETURN_IF_ERROR(options.Validate());
   EngineGeometry g;
   if (distance == Distance::kCosine || distance == Distance::kPearson) {
     if (options.bound != EngineOptions::Bound::kAuto) {
@@ -335,17 +347,18 @@ Status PimEngine::DeviceBatch(const QueryScratch& scratch, size_t num_queries,
         "PrepareBatch first");
   }
   batch->stride = num_objects_;
-  // Only fault-enabled devices fill suspect flags; fault-free runs never
-  // pay the allocation.
-  const bool with_suspect = options_.fault_config.enabled();
-  std::vector<uint8_t>* suspect1 = with_suspect ? &batch->suspect1 : nullptr;
-  std::vector<uint8_t>* suspect2 = with_suspect ? &batch->suspect2 : nullptr;
-
+  // Sets every output of the handle it owns: each device writes its dot
+  // products and suspect flags (a fault-free device clears the flags, so it
+  // never pays the allocation), and a mode without a second device clears
+  // that device's outputs.
   PIMINE_RETURN_IF_ERROR(device1_->DotProductBatch(
-      scratch.ints, num_queries, &batch->dots1, suspect1));
+      scratch.ints, num_queries, &batch->dots1, &batch->suspect1));
   if (with_stds) {
     PIMINE_RETURN_IF_ERROR(device2_->DotProductBatch(
-        scratch.ints2, num_queries, &batch->dots2, suspect2));
+        scratch.ints2, num_queries, &batch->dots2, &batch->suspect2));
+  } else {
+    batch->dots2.clear();
+    batch->suspect2.clear();
   }
   // Per-query device spans use the serial-equivalent timing model (same
   // value for every query regardless of batching), so the trace bytes are
@@ -361,10 +374,8 @@ Status PimEngine::DeviceBatch(const QueryScratch& scratch, size_t num_queries,
       }
     }
   }
-  if (with_suspect) {
-    CompactSuspect(&batch->suspect1);
-    CompactSuspect(&batch->suspect2);
-  }
+  CompactSuspect(&batch->suspect1);
+  CompactSuspect(&batch->suspect2);
   return Status::OK();
 }
 
@@ -432,16 +443,6 @@ Result<PimEngine::QueryHandleBatch> PimEngine::RunQueryBatch(
 Status PimEngine::RunQueryBatch(std::span<const float> queries,
                                 size_t num_queries, QueryScratch* scratch,
                                 QueryHandleBatch* batch) const {
-  if (batch == nullptr) {
-    return Status::InvalidArgument(
-        "RunQueryBatch requires a non-null batch handle");
-  }
-  // A reused handle may carry state from a previous dispatch; clear the
-  // vectors DeviceBatch only fills conditionally (second-device dots,
-  // suspect flags) so "empty" keeps meaning "clean / not present".
-  batch->dots2.clear();
-  batch->suspect1.clear();
-  batch->suspect2.clear();
   PIMINE_RETURN_IF_ERROR(PrepareBatch(queries, num_queries, scratch, batch));
   return DeviceBatch(*scratch, num_queries, batch);
 }

@@ -61,6 +61,11 @@ struct EngineOptions {
   /// ignores it and always runs single-device). shard.shards == 1 keeps the
   /// exact single-device behaviour.
   ShardOptions shard;
+
+  /// Checks what every engine build needs: alpha in [1, 2e9] (the
+  /// Quantizer's range), PimConfig::Validate and FaultConfig::Validate.
+  /// ResolveEngineGeometry runs it first.
+  Status Validate() const;
 };
 
 /// The geometry PimEngine::Build picks for an n x d dataset: the mode, the
@@ -73,7 +78,8 @@ struct EngineGeometry {
   int64_t segments = 0;
 };
 
-/// Resolves the geometry, failing with Build's bound and capacity errors.
+/// Resolves the geometry, failing with EngineOptions::Validate's errors,
+/// then Build's bound and capacity errors.
 Result<EngineGeometry> ResolveEngineGeometry(int64_t n, int64_t d,
                                              Distance distance,
                                              const EngineOptions& options);
@@ -178,8 +184,9 @@ class PimEngine {
   /// Device half of RunQueryBatch: matches the operands PrepareBatch left
   /// in `scratch` (from this engine or a geometry-identical sibling — the
   /// fleet prepares once on one shard) against this engine's programmed
-  /// dataset, sets batch->stride to this engine's num_objects(), and fills
-  /// dots1/dots2 (+ suspect flags). `emit_query_spans` = false suppresses
+  /// dataset, sets batch->stride to this engine's num_objects(), and sets
+  /// dots1, dots2 and the suspect flags (clearing those it does not fill,
+  /// so a reused handle needs no reset). `emit_query_spans` = false suppresses
   /// the per-query pim_dot trace spans; the fleet emits one serial-
   /// equivalent set itself instead of M duplicates.
   Status DeviceBatch(const QueryScratch& scratch, size_t num_queries,

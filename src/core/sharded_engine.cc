@@ -2,68 +2,41 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <numeric>
 #include <string>
 #include <utility>
 
 #include "common/logging.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
+#include "util/random.h"
 
 namespace pimine {
 namespace {
-
-/// Decorrelates shard j's fault seed from shard 0's: independent physical
-/// devices have independent fault patterns. Same mixer as the placement
-/// hash (stateless, platform-independent).
-uint64_t ShardSeedSalt(uint64_t j) {
-  uint64_t x = j + 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 /// Decorrelates replica r of shard j from the primary: each copy is its
 /// own physical device with its own fault pattern. Replica 0 never gets a
 /// replica salt, so the primary's build (and with it every no-fault run)
 /// is bit-identical to a replicas == 1 fleet.
 uint64_t ReplicaSeedSalt(uint64_t j, uint64_t r) {
-  return ShardSeedSalt(0x5eed0000ULL + j * ShardOptions::kMaxReplicas + r);
+  return Mix64(0x5eed0000ULL + j * ShardOptions::kMaxReplicas + r);
 }
 
 /// Token feeding the seeded backoff jitter: a pure mix of the dispatch
 /// instant and the shard, so concurrent ladders of the same dispatch draw
 /// identical waits regardless of thread interleaving.
 uint64_t BackoffToken(uint64_t now_ns, uint64_t shard) {
-  return ShardSeedSalt(now_ns ^ ShardSeedSalt(shard));
+  return Mix64(now_ns ^ Mix64(shard));
 }
 
-ShardMap TrivialShardMap(size_t n) {
-  ShardMap map;
-  map.rows_per_shard.resize(1);
-  map.rows_per_shard[0].resize(n);
-  std::iota(map.rows_per_shard[0].begin(), map.rows_per_shard[0].end(), 0u);
-  map.shard_of.assign(n, 0);
-  map.local_of = map.rows_per_shard[0];
-  return map;
-}
-
-/// Snapshot of a shard's failover accounting; the ns figure is derived
-/// from the integer counters at snapshot time (same linear
-/// TransferLatencyNs formula as the scatter/gather classes), so it is
-/// identical for every charge interleaving.
-template <typename Counters>
-FailoverStats LoadFailover(const Counters& ctr, const PimConfig& c) {
-  FailoverStats f;
-  {
-    std::lock_guard<std::mutex> lock(ctr.ladder_mu);
-    f = ctr.failover;
+/// Rows `rows` of `data`, in that order.
+FloatMatrix GatherRows(const FloatMatrix& data,
+                       std::span<const uint32_t> rows) {
+  FloatMatrix out(rows.size(), data.cols());
+  for (size_t local = 0; local < rows.size(); ++local) {
+    const auto src = data.row(rows[local]);
+    std::copy(src.begin(), src.end(), out.mutable_row(local).begin());
   }
-  f.failover_ns =
-      static_cast<double>(f.retry_messages) * c.interconnect_hop_ns +
-      static_cast<double>(f.retry_bytes) / c.interconnect_gbps +
-      static_cast<double>(f.backoff_ns);
-  return f;
+  return out;
 }
 
 }  // namespace
@@ -74,73 +47,48 @@ Result<std::unique_ptr<ShardedPimEngine>> ShardedPimEngine::Build(
   fleet->options_ = options;
   fleet->num_objects_ = data.rows();
   PIMINE_RETURN_IF_ERROR(options.shard.ValidateReplication());
-  const int num_replicas = options.shard.replicas;
-
-  // Programs replicas 1..R-1 of one shard: each copy is a full build of
-  // the same shard data with a decorrelated fault seed (its own physical
-  // device), charging its own offline programming pass.
-  const auto add_replicas = [&](size_t j, const FloatMatrix& shard_data,
-                                const EngineOptions& primary_options)
-      -> Status {
-    for (int r = 1; r < num_replicas; ++r) {
-      EngineOptions er = primary_options;
-      er.fault_config.seed ^= ReplicaSeedSalt(j, static_cast<uint64_t>(r));
-      PIMINE_ASSIGN_OR_RETURN(std::unique_ptr<PimEngine> replica,
-                              PimEngine::Build(shard_data, distance, er));
-      fleet->engines_[j].push_back(std::move(replica));
-    }
-    return Status::OK();
-  };
-
-  if (options.shard.shards == 1) {
-    // Single device: exactly a PimEngine (same errors, stats and traces).
-    PIMINE_ASSIGN_OR_RETURN(std::unique_ptr<PimEngine> engine,
-                            PimEngine::Build(data, distance, options));
-    fleet->plan_ = engine->plan();
-    fleet->engines_.emplace_back();
-    fleet->engines_[0].push_back(std::move(engine));
-    PIMINE_RETURN_IF_ERROR(add_replicas(0, data, options));
-    fleet->map_ = TrivialShardMap(data.rows());
-  } else {
-    PIMINE_ASSIGN_OR_RETURN(fleet->map_, BuildShardMap(data, options.shard));
-    if (distance == Distance::kHamming) {
-      return Status::InvalidArgument(
-          "use PimHammingEngine for binary-code workloads");
-    }
-    // Resolve the geometry on the FULL dataset, then force it on every
-    // shard: a shard's smaller plan must not change the bound function, or
-    // results would depend on M.
-    const size_t d = data.cols();
-    PIMINE_ASSIGN_OR_RETURN(
-        const EngineGeometry geometry,
-        ResolveEngineGeometry(static_cast<int64_t>(data.rows()),
-                              static_cast<int64_t>(d), distance, options));
-    fleet->plan_ = geometry.plan;
-    EngineOptions shard_options = options;
-    shard_options.shard = ShardOptions();  // each member is one device.
-    shard_options.bound = geometry.bound;
-    shard_options.force_segments = geometry.segments;
-
-    fleet->engines_.resize(fleet->map_.shards());
-    for (size_t j = 0; j < fleet->map_.shards(); ++j) {
-      const std::vector<uint32_t>& rows = fleet->map_.rows_per_shard[j];
-      FloatMatrix shard_data(rows.size(), d);
-      for (size_t local = 0; local < rows.size(); ++local) {
-        const auto src = data.row(rows[local]);
-        std::copy(src.begin(), src.end(),
-                  shard_data.mutable_row(local).begin());
-      }
-      EngineOptions ej = shard_options;
-      if (j > 0) ej.fault_config.seed ^= ShardSeedSalt(j);
-      PIMINE_ASSIGN_OR_RETURN(std::unique_ptr<PimEngine> primary,
-                              PimEngine::Build(shard_data, distance, ej));
-      fleet->engines_[j].push_back(std::move(primary));
-      PIMINE_RETURN_IF_ERROR(add_replicas(j, shard_data, ej));
-    }
+  PIMINE_ASSIGN_OR_RETURN(fleet->map_, BuildShardMap(data, options.shard));
+  if (distance == Distance::kHamming) {
+    return Status::InvalidArgument(
+        "use PimHammingEngine for binary-code workloads");
   }
-  for (const auto& replicas : fleet->engines_) {
+  // Resolve the geometry on the FULL dataset, then force it on every
+  // shard: a shard's smaller plan must not change the bound function, or
+  // results would depend on M.
+  PIMINE_ASSIGN_OR_RETURN(
+      const EngineGeometry geometry,
+      ResolveEngineGeometry(static_cast<int64_t>(data.rows()),
+                            static_cast<int64_t>(data.cols()), distance,
+                            options));
+  fleet->plan_ = geometry.plan;
+  EngineOptions shard_options = options;
+  shard_options.shard = ShardOptions();  // each member is one device.
+  shard_options.bound = geometry.bound;
+  shard_options.force_segments = geometry.segments;
+
+  const size_t m = fleet->map_.shards();
+  fleet->engines_.resize(m);
+  for (size_t j = 0; j < m; ++j) {
+    // One shard holds every row in order, so it programs `data` itself.
+    const FloatMatrix part =
+        m > 1 ? GatherRows(data, fleet->map_.rows_per_shard[j])
+              : FloatMatrix();
+    const FloatMatrix& shard_data = m > 1 ? part : data;
+    // Every copy is its own physical device: shard j > 0 and replica r > 0
+    // decorrelate their fault seeds, and each copy charges its own offline
+    // programming pass.
+    for (int r = 0; r < options.shard.replicas; ++r) {
+      EngineOptions er = shard_options;
+      if (j > 0) er.fault_config.seed ^= Mix64(j);
+      if (r > 0) {
+        er.fault_config.seed ^= ReplicaSeedSalt(j, static_cast<uint64_t>(r));
+      }
+      PIMINE_ASSIGN_OR_RETURN(std::unique_ptr<PimEngine> engine,
+                              PimEngine::Build(shard_data, distance, er));
+      fleet->engines_[j].push_back(std::move(engine));
+    }
     fleet->shard_counters_.push_back(std::make_unique<ShardCounters>());
-    fleet->shard_counters_.back()->health.resize(replicas.size());
+    fleet->shard_counters_.back()->health.resize(options.shard.replicas);
   }
   return fleet;
 }
@@ -179,13 +127,6 @@ Status ShardedPimEngine::RunQueryBatch(std::span<const float> queries,
   QueryHandleBatch& out = *result;
   out.num_queries = num_queries;
   out.shards.resize(engines_.size());
-  // A reused handle may carry state from a previous dispatch; clear what
-  // DeviceBatch only fills conditionally so "empty" keeps meaning "clean".
-  for (PimEngine::QueryHandleBatch& h : out.shards) {
-    h.dots2.clear();
-    h.suspect1.clear();
-    h.suspect2.clear();
-  }
   // Query-side work (validation, scalars, quantization) happens ONCE on
   // shard 0's engine — every shard shares the quantizer and geometry, so
   // the prepared operands serve the whole fleet and the host traffic stays
@@ -193,12 +134,6 @@ Status ShardedPimEngine::RunQueryBatch(std::span<const float> queries,
   PIMINE_RETURN_IF_ERROR(
       primary(0).PrepareBatch(queries, num_queries, scratch, &out.shards[0]));
   const size_t m = engines_.size();
-  if (m == 1 && engines_[0].size() == 1 && chaos_ == nullptr) {
-    // Single device, no replicas, no chaos plane: the pre-replica path,
-    // bit-identical (per-query spans included).
-    return primary(0).DeviceBatch(*scratch, num_queries, &out.shards[0]);
-  }
-
   for (size_t j = 1; j < m; ++j) {
     PimEngine::QueryHandleBatch& h = out.shards[j];
     h.num_queries = num_queries;
@@ -372,12 +307,9 @@ void ShardedPimEngine::WalkLadder(size_t j, size_t num_queries,
                                   LadderPlan* plan) const {
   const uint64_t now_ns = DispatchNs(dispatch);
   const bool chaos_on = chaos_ != nullptr && chaos_->enabled();
-  const PimConfig& c = primary(0).device1().config();
   const uint64_t matrices = mode() == EngineMode::kSegmentFnn ? 2 : 1;
   const uint64_t retry_bytes = RetryOperandBytes(num_queries);
-  const double retry_ns =
-      static_cast<double>(matrices) * c.interconnect_hop_ns +
-      static_cast<double>(retry_bytes) / c.interconnect_gbps;
+  const double retry_ns = InterconnectNs(matrices, retry_bytes);
   const uint32_t shard = static_cast<uint32_t>(j);
   FailoverStats& f = plan->charges;
   f.injected = f.recovered = f.shed = 0;
@@ -439,6 +371,13 @@ void ShardedPimEngine::FailAttempt(std::span<ReplicaHealth> health, int r,
   }
 }
 
+double ShardedPimEngine::InterconnectNs(uint64_t messages,
+                                        uint64_t bytes) const {
+  const PimConfig& c = primary(0).device1().config();
+  return static_cast<double>(messages) * c.interconnect_hop_ns +
+         static_cast<double>(bytes) / c.interconnect_gbps;
+}
+
 uint64_t ShardedPimEngine::RetryOperandBytes(size_t num_queries) const {
   const PimEngine& e = primary(0);
   // The FNN bound carries a second operand matrix of the same width.
@@ -450,9 +389,6 @@ uint64_t ShardedPimEngine::RetryOperandBytes(size_t num_queries) const {
 double ShardedPimEngine::BoundFor(const QueryHandleBatch& batch, size_t query,
                                   size_t index) const {
   PIMINE_DCHECK(index < num_objects_);
-  if (engines_.size() == 1) {
-    return primary(0).BoundFor(batch.shards[0], query, index);
-  }
   const uint32_t j = map_.shard_of[index];
   return primary(j).BoundFor(batch.shards[j], query, map_.local_of[index]);
 }
@@ -461,6 +397,7 @@ void ShardedPimEngine::BoundsFor(const QueryHandleBatch& batch, size_t query,
                                  std::span<double> out) const {
   PIMINE_CHECK(out.size() == num_objects_);
   if (engines_.size() == 1) {
+    // One shard holds every row in global order: no scatter map needed.
     primary(0).BoundsFor(batch.shards[0], query, out);
     return;
   }
@@ -496,11 +433,7 @@ Status ShardedPimEngine::AppendRows(const FloatMatrix& rows) {
   }
   for (size_t j = 0; j < m; ++j) {
     if (picks[j].empty()) continue;
-    FloatMatrix part(picks[j].size(), rows.cols());
-    for (size_t local = 0; local < picks[j].size(); ++local) {
-      const auto src = rows.row(picks[j][local]);
-      std::copy(src.begin(), src.end(), part.mutable_row(local).begin());
-    }
+    const FloatMatrix part = GatherRows(rows, picks[j]);
     // Every replica is a physical copy of the shard: each one delta-
     // programs the slice (its own ProgramLatencyNs and endurance charge).
     for (const auto& e : engines_[j]) {
@@ -730,55 +663,33 @@ FleetRunStats ShardedPimEngine::FleetStats() const {
   FleetRunStats s;
   s.shards = static_cast<int>(engines_.size());
   s.placement = options_.shard.placement;
-  // Interconnect/failover totals are the exact sums of the per-shard
-  // counters (integer addition; identical to the former fleet-level
-  // fetch_adds for any charge interleaving).
-  const PimConfig& c = primary(0).device1().config();
-  for (const auto& ctr : shard_counters_) {
-    s.scatter_messages +=
-        ctr->scatter_messages.load(std::memory_order_relaxed);
-    s.scatter_bytes += ctr->scatter_bytes.load(std::memory_order_relaxed);
-    s.gather_messages +=
-        ctr->gather_messages.load(std::memory_order_relaxed);
-    s.gather_bytes += ctr->gather_bytes.load(std::memory_order_relaxed);
-    s.failovers += ctr->failovers.load(std::memory_order_relaxed);
-    s.failed_over_queries +=
-        ctr->failed_over_queries.load(std::memory_order_relaxed);
-    s.failover.Merge(LoadFailover(*ctr, c));
+  // Integer sums of the shard snapshots: identical for any charge
+  // interleaving. Endurance sums over every device copy, since replicas
+  // are physical devices, each wearing its own cells.
+  for (size_t j = 0; j < engines_.size(); ++j) {
+    const ShardHealth h = ShardHealthSnapshot(j);
+    s.scatter_messages += h.scatter_messages;
+    s.scatter_bytes += h.scatter_bytes;
+    s.gather_messages += h.gather_messages;
+    s.gather_bytes += h.gather_bytes;
+    s.failovers += h.failovers;
+    s.failed_over_queries += h.failed_over_queries;
+    s.failover.Merge(h.failover);
+    s.row_writes += h.row_writes;
+    s.worn_rows += h.worn_rows;
+    if (h.degraded) ++s.degraded_shards;
   }
   s.reduce_messages = reduce_messages_.load(std::memory_order_relaxed);
   s.reduce_bytes = reduce_bytes_.load(std::memory_order_relaxed);
-  s.degraded_shards = DegradedShards();
-  // Derived at snapshot time from the integer counters: summing
-  // TransferLatencyNs per message == messages * hop_ns + bytes / gbps, so
-  // the figures are independent of charge interleaving.
-  const auto class_ns = [&c](uint64_t messages, uint64_t bytes) {
-    return static_cast<double>(messages) * c.interconnect_hop_ns +
-           static_cast<double>(bytes) / c.interconnect_gbps;
-  };
-  s.scatter_ns = class_ns(s.scatter_messages, s.scatter_bytes);
-  s.gather_ns = class_ns(s.gather_messages, s.gather_bytes);
-  s.reduce_ns = class_ns(s.reduce_messages, s.reduce_bytes);
+  s.scatter_ns = InterconnectNs(s.scatter_messages, s.scatter_bytes);
+  s.gather_ns = InterconnectNs(s.gather_messages, s.gather_bytes);
+  s.reduce_ns = InterconnectNs(s.reduce_messages, s.reduce_bytes);
   s.appended_rows = mut_appended_rows_.load(std::memory_order_relaxed);
   s.deleted_rows = mut_deleted_rows_.load(std::memory_order_relaxed);
   s.compactions = mut_compactions_.load(std::memory_order_relaxed);
   s.compacted_rows = mut_compacted_rows_.load(std::memory_order_relaxed);
   s.delta_rows = delta_objects();
   s.tombstoned_rows = tombstoned_objects();
-  // Endurance sums over every device copy: replicas are physical devices,
-  // each wearing its own cells.
-  for (const auto& shard : engines_) {
-    for (const auto& e : shard) {
-      const PimDeviceStats s1 = e->device1().StatsSnapshot();
-      s.row_writes += s1.row_writes;
-      s.worn_rows += s1.worn_rows;
-      if (e->device2() != nullptr) {
-        const PimDeviceStats s2 = e->device2()->StatsSnapshot();
-        s.row_writes += s2.row_writes;
-        s.worn_rows += s2.worn_rows;
-      }
-    }
-  }
   return s;
 }
 
@@ -794,32 +705,31 @@ ShardedPimEngine::ShardHealth ShardedPimEngine::ShardHealthSnapshot(
   h.failovers = ctr.failovers.load(std::memory_order_relaxed);
   h.failed_over_queries =
       ctr.failed_over_queries.load(std::memory_order_relaxed);
-  const PimConfig& c = primary(0).device1().config();
-  const auto class_ns = [&c](uint64_t messages, uint64_t bytes) {
-    return static_cast<double>(messages) * c.interconnect_hop_ns +
-           static_cast<double>(bytes) / c.interconnect_gbps;
-  };
-  h.scatter_ns = class_ns(h.scatter_messages, h.scatter_bytes);
-  h.gather_ns = class_ns(h.gather_messages, h.gather_bytes);
+  h.scatter_ns = InterconnectNs(h.scatter_messages, h.scatter_bytes);
+  h.gather_ns = InterconnectNs(h.gather_messages, h.gather_bytes);
   // Device accounting sums over the shard's replicas: a failed attempt's
   // pass charges the replica it ran on.
   for (const auto& e : engines_[j]) {
-    const PimDeviceStats s1 = e->device1().StatsSnapshot();
-    h.batch_ops += s1.batch_ops;
-    h.queries_processed += s1.queries_processed;
-    h.pim_ns += s1.compute_ns;
-    h.pipelined_ns += s1.pipelined_ns;
-    h.fault.Merge(s1.fault);
-    if (e->device2() != nullptr) {
-      const PimDeviceStats s2 = e->device2()->StatsSnapshot();
-      h.batch_ops += s2.batch_ops;
-      h.queries_processed += s2.queries_processed;
-      h.pim_ns += s2.compute_ns;
-      h.pipelined_ns += s2.pipelined_ns;
-      h.fault.Merge(s2.fault);
+    for (const PimDevice* device : {&e->device1(), e->device2()}) {
+      if (device == nullptr) continue;
+      const PimDeviceStats ds = device->StatsSnapshot();
+      h.batch_ops += ds.batch_ops;
+      h.queries_processed += ds.queries_processed;
+      h.pim_ns += ds.compute_ns;
+      h.pipelined_ns += ds.pipelined_ns;
+      h.fault.Merge(ds.fault);
+      h.row_writes += ds.row_writes;
+      h.worn_rows += ds.worn_rows;
     }
   }
-  h.failover = LoadFailover(ctr, c);
+  {
+    std::lock_guard<std::mutex> lock(ctr.ladder_mu);
+    h.failover = ctr.failover;
+  }
+  // Derived from the integer counters, like the interconnect classes.
+  h.failover.failover_ns =
+      InterconnectNs(h.failover.retry_messages, h.failover.retry_bytes) +
+      static_cast<double>(h.failover.backoff_ns);
   h.serving_replica =
       static_cast<int>(ctr.serving_replica.load(std::memory_order_relaxed));
   h.degraded = shard_degraded(j);
@@ -1003,28 +913,14 @@ void ShardedPimEngine::ExportMetrics(obs::MetricsRegistry* registry) const {
 }
 
 void ShardedPimEngine::ChargeTreeReduction(uint64_t payload_bytes) const {
-  const size_t m = engines_.size();
-  if (m <= 1) return;
-  // Critical path of a pairwise merge tree: ceil(log2 m) levels, one
-  // payload-sized message per level.
+  // Critical path of a pairwise merge tree: ceil(log2 M) levels, one
+  // payload-sized message per level (none at M = 1).
   uint64_t depth = 0;
-  for (size_t width = m; width > 1; width = (width + 1) / 2) ++depth;
+  for (size_t width = engines_.size(); width > 1; width = (width + 1) / 2) {
+    ++depth;
+  }
   reduce_messages_.fetch_add(depth, std::memory_order_relaxed);
   reduce_bytes_.fetch_add(depth * payload_bytes, std::memory_order_relaxed);
-}
-
-std::vector<Neighbor> MergeShardTopK(
-    const std::vector<std::vector<Neighbor>>& per_shard, size_t k) {
-  std::vector<Neighbor> all;
-  for (const std::vector<Neighbor>& list : per_shard) {
-    all.insert(all.end(), list.begin(), list.end());
-  }
-  std::sort(all.begin(), all.end(), [](const Neighbor& a, const Neighbor& b) {
-    if (a.distance != b.distance) return a.distance < b.distance;
-    return a.id < b.id;
-  });
-  if (all.size() > k) all.resize(k);
-  return all;
 }
 
 }  // namespace pimine

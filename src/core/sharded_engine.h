@@ -15,7 +15,6 @@
 #include "pim/chaos.h"
 #include "pim/fleet.h"
 #include "util/parallel.h"
-#include "util/top_k.h"
 
 namespace pimine {
 
@@ -35,10 +34,8 @@ class MetricsRegistry;
 /// bit-identical to the single-device run for every M. What legitimately
 /// varies with M is the new FleetRunStats scatter/gather/reduce accounting
 /// (and the per-shard device batch_ops, like device_batch already does).
-///
-/// shards == 1 constructs exactly one PimEngine from the original options
-/// and delegates wholesale: behaviour, traces and stats are those of a
-/// plain PimEngine, trivially.
+/// M = 1 is no special case: it builds, dispatches and walks the failover
+/// ladder like any other fleet.
 ///
 /// The geometry (bound family, segment count) is always resolved on the
 /// FULL dataset, exactly as PimEngine::Build would, then forced on every
@@ -265,13 +262,12 @@ class ShardedPimEngine {
   uint64_t OfflineBytesWritten() const;
   void ResetOnlineStats();
 
-  /// Snapshot of the fleet interconnect accounting. The ns figures are
-  /// derived from the integer counters at snapshot time
-  /// (PimTimingModel::TransferLatencyNs per message), so they are
-  /// identical for every thread interleaving. All-zero when shards == 1.
-  /// Interconnect/failover fields are the exact sums of the per-shard
-  /// counters (reduce_* stays fleet-level: a tree reduction has no single
-  /// owning shard).
+  /// Snapshot of the fleet accounting: the sum of ShardHealthSnapshot(j)
+  /// over the shards (reduce_* stays fleet-level: a tree reduction has no
+  /// single owning shard). The interconnect ns figures are derived from the
+  /// summed integer counters (InterconnectNs), so they are identical for
+  /// every thread interleaving; the interconnect counters are zero when
+  /// shards == 1.
   FleetRunStats FleetStats() const;
 
   /// Health snapshot of one fleet member: its interconnect counters, its
@@ -286,9 +282,7 @@ class ShardedPimEngine {
     uint64_t gather_bytes = 0;
     uint64_t failovers = 0;
     uint64_t failed_over_queries = 0;
-    /// Derived from this shard's message/byte counters exactly as
-    /// FleetStats() derives the fleet figures (same linear formula, so the
-    /// per-shard values sum to the aggregates bit-for-bit).
+    /// InterconnectNs of this shard's message/byte counters.
     double scatter_ns = 0.0;
     double gather_ns = 0.0;
     /// Device-side accounting summed over this shard's devices (all
@@ -298,6 +292,9 @@ class ShardedPimEngine {
     double pim_ns = 0.0;        // serial-equivalent compute_ns.
     double pipelined_ns = 0.0;  // modeled device occupancy.
     FaultStats fault;
+    /// Write-endurance totals over the shard's device copies.
+    uint64_t row_writes = 0;
+    uint64_t worn_rows = 0;
     /// Replica-failover ladder accounting of this shard.
     FailoverStats failover;
     int serving_replica = 0;
@@ -369,6 +366,10 @@ class ShardedPimEngine {
   void FailAttempt(std::span<ReplicaHealth> health, int r,
                    FailoverStats* charges) const;
 
+  /// Modeled time of `messages` interconnect messages carrying `bytes`:
+  /// PimTimingModel::TransferLatencyNs summed per message.
+  double InterconnectNs(uint64_t messages, uint64_t bytes) const;
+
   /// Bytes of one operand re-scatter to a retry replica, computed from the
   /// fleet geometry (not from live scratch buffers), so a plan's figure
   /// does not depend on who executes it.
@@ -429,17 +430,6 @@ class ShardedPimEngine {
   std::atomic<uint64_t> mut_compactions_{0};
   std::atomic<uint64_t> mut_compacted_rows_{0};
 };
-
-/// Merges per-shard top-k lists into the global top-k. Every input list
-/// must be sorted the way TopK::TakeSorted emits — ascending by
-/// (distance, id) — over pairwise-disjoint id sets, each holding its
-/// shard's k best. Because a TopK fed candidates in ascending id order
-/// retains exactly the k lexicographically-smallest (distance, id) pairs,
-/// the k smallest of the union of per-shard k-bests equal the k smallest
-/// of all candidates: the merge is bit-identical to the single-device
-/// result, ties and all.
-std::vector<Neighbor> MergeShardTopK(
-    const std::vector<std::vector<Neighbor>>& per_shard, size_t k);
 
 }  // namespace pimine
 

@@ -234,46 +234,35 @@ FloatMatrix UpdateCenters(const FloatMatrix& data,
   const size_t d = data.cols();
   PIMINE_CHECK(assignments.size() == data.rows());
 
+  // Each shard accumulates a partial over its own rows (one partial
+  // without a filter), then the partials merge pairwise. ExactSum addition
+  // is exact integer addition, so the tree result equals a flat sum
+  // bit-for-bit for every shard count; only the fleet reduce accounting
+  // below varies.
   const size_t shards = filter != nullptr ? filter->shards() : 1;
   std::vector<int64_t> counts(k, 0);
-  std::vector<ExactSum> sums;
-  if (shards <= 1) {
-    // Flat single-device sum.
-    sums.assign(k * d, ExactSum());
-    for (size_t i = 0; i < data.rows(); ++i) {
-      const int32_t c = assignments[i];
-      PIMINE_DCHECK(c >= 0 && static_cast<size_t>(c) < k);
-      const auto row = data.row(i);
-      ExactSum* sum = sums.data() + static_cast<size_t>(c) * d;
-      for (size_t j = 0; j < d; ++j) sum[j].Add(row[j]);
-      ++counts[c];
+  std::vector<std::vector<ExactSum>> partials(shards,
+                                              std::vector<ExactSum>(k * d));
+  for (size_t i = 0; i < data.rows(); ++i) {
+    const int32_t c = assignments[i];
+    PIMINE_DCHECK(c >= 0 && static_cast<size_t>(c) < k);
+    const auto row = data.row(i);
+    // ShardOf translates the dense live index to the physical fleet row,
+    // so partials group by where the row actually lives post-mutation.
+    const size_t shard = filter != nullptr ? filter->ShardOf(i) : 0;
+    ExactSum* sum = partials[shard].data() + static_cast<size_t>(c) * d;
+    for (size_t j = 0; j < d; ++j) sum[j].Add(row[j]);
+    ++counts[c];
+  }
+  for (size_t stride = 1; stride < shards; stride *= 2) {
+    for (size_t a = 0; a + stride < shards; a += 2 * stride) {
+      std::vector<ExactSum>& into = partials[a];
+      const std::vector<ExactSum>& from = partials[a + stride];
+      for (size_t j = 0; j < k * d; ++j) into[j].Merge(from[j]);
     }
-  } else {
-    // Sharded: each shard accumulates a partial over its own rows, then
-    // the partials merge pairwise. ExactSum addition is exact integer
-    // addition, so the tree result equals the flat sum bit-for-bit for
-    // every shard count; only the fleet reduce accounting below varies.
-    std::vector<std::vector<ExactSum>> partials(
-        shards, std::vector<ExactSum>(k * d));
-    for (size_t i = 0; i < data.rows(); ++i) {
-      const int32_t c = assignments[i];
-      PIMINE_DCHECK(c >= 0 && static_cast<size_t>(c) < k);
-      const auto row = data.row(i);
-      // ShardOf translates the dense live index to the physical fleet row,
-      // so partials group by where the row actually lives post-mutation.
-      ExactSum* sum =
-          partials[filter->ShardOf(i)].data() + static_cast<size_t>(c) * d;
-      for (size_t j = 0; j < d; ++j) sum[j].Add(row[j]);
-      ++counts[c];
-    }
-    for (size_t stride = 1; stride < shards; stride *= 2) {
-      for (size_t a = 0; a + stride < shards; a += 2 * stride) {
-        std::vector<ExactSum>& into = partials[a];
-        const std::vector<ExactSum>& from = partials[a + stride];
-        for (size_t j = 0; j < k * d; ++j) into[j].Merge(from[j]);
-      }
-    }
-    sums = std::move(partials[0]);
+  }
+  const std::vector<ExactSum>& sums = partials[0];
+  if (filter != nullptr) {
     filter->ChargeTreeReduction(k * d * sizeof(ExactSum) +
                                 k * sizeof(int64_t));
   }

@@ -174,9 +174,9 @@ FloatMatrix InitCenters(const FloatMatrix& data, int k, uint64_t seed);
 ///
 /// Coordinate sums accumulate in ExactSum fixed-point registers, so the
 /// result is a pure function of the multiset of assigned rows — grouping
-/// cannot change it. When `filter` runs a sharded fleet (shards > 1) the
-/// sums are formed as per-shard partials merged by a pairwise tree, which
-/// by that exactness is bit-identical to the flat single-device sum; the
+/// cannot change it. The sums are formed as per-shard partials of
+/// `filter`'s fleet (one partial without a filter) merged by a pairwise
+/// tree, which by that exactness is bit-identical to a flat sum; the
 /// tree's interconnect critical path is charged to the filter's fleet
 /// stats. Host traffic charges are identical for every shard count.
 FloatMatrix UpdateCenters(const FloatMatrix& data,

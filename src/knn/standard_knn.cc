@@ -41,14 +41,16 @@ std::vector<Neighbor> StandardKnn::SearchQuery(std::span<const float> q,
     }
     return FinalizeSimilarityNeighbors(topk);
   }
-  // Distances are computed in blocks of ExecPolicy::block_size rows so the
-  // "ED" profile tag covers only the distance function itself; top-k
+  // Distances are computed in blocks of kScanBlock rows so the "ED"
+  // profile tag covers only the distance function itself; top-k
   // maintenance is charged to the (unattributed) remainder, like the
   // paper's per-function breakdown. The pruning threshold refreshes between
-  // blocks, which keeps early abandoning exact.
-  const size_t block = std::max<size_t>(1, exec_policy_.block_size);
-  for (size_t begin = 0; begin < n; begin += block) {
-    const size_t end = std::min(n, begin + block);
+  // blocks, which keeps early abandoning exact. The block is fixed, not an
+  // ExecPolicy knob: it decides how early a row may abandon, and with it
+  // the traffic.
+  constexpr size_t kScanBlock = 512;
+  for (size_t begin = 0; begin < n; begin += kScanBlock) {
+    const size_t end = std::min(n, begin + kScanBlock);
     {
       ScopedFunctionTimer timer(&slot.profile, "ED");
       const double threshold = topk.threshold();

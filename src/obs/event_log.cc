@@ -1,17 +1,10 @@
 #include "obs/event_log.h"
 
+#include "util/random.h"
+
 namespace pimine {
 namespace obs {
 namespace {
-
-/// Stateless SplitMix64 finalizer — the same mixer the fault model and
-/// shard placement use for seeded, platform-independent decisions.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 void AppendEscaped(std::string* out, const std::string& s) {
   for (char c : s) {

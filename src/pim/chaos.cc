@@ -4,17 +4,10 @@
 #include <sstream>
 #include <tuple>
 
+#include "util/random.h"
+
 namespace pimine {
 namespace {
-
-/// SplitMix64 finalizer: the repo-wide stateless mixer (placement hash,
-/// fault model, event-log sampling). Platform-independent.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 /// One seeded draw of the schedule generator: a pure hash of the event's
 /// coordinates (kind, index, field), so the schedule is a function of the

@@ -4,19 +4,9 @@
 #include <numeric>
 #include <sstream>
 
+#include "util/random.h"
+
 namespace pimine {
-namespace {
-
-/// SplitMix64: the placement hash. Stateless, so row -> shard assignment is
-/// reproducible across runs and platforms.
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 std::string_view ShardPlacementName(ShardPlacement placement) {
   switch (placement) {
@@ -106,9 +96,11 @@ Result<ShardMap> BuildShardMap(const FloatMatrix& data,
     case ShardPlacement::kContiguous:
       break;  // identity key.
     case ShardPlacement::kHash:
+      // Mix64 is stateless, so row -> shard assignment is reproducible
+      // across runs and platforms.
       std::sort(order.begin(), order.end(), [](uint32_t a, uint32_t b) {
-        const uint64_t ka = SplitMix64(a);
-        const uint64_t kb = SplitMix64(b);
+        const uint64_t ka = Mix64(a);
+        const uint64_t kb = Mix64(b);
         if (ka != kb) return ka < kb;
         return a < b;
       });

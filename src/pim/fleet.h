@@ -35,7 +35,8 @@ std::string_view ShardPlacementName(ShardPlacement placement);
 Result<ShardPlacement> ParseShardPlacement(std::string_view name);
 
 /// Build-time knobs of a device fleet. The default (one shard) is the
-/// single-device configuration and is bit-identical to a plain PimEngine.
+/// single-device configuration: it returns a plain PimEngine's results and
+/// fails over like any other fleet.
 struct ShardOptions {
   /// Logical devices M the dataset is sharded across. Must satisfy
   /// 1 <= shards <= n (rejected with InvalidArgument otherwise).
@@ -129,11 +130,12 @@ Result<ShardMap> BuildShardMap(const FloatMatrix& data,
 /// Interconnect/fleet accounting of one run over a sharded engine. Unlike
 /// the grouping-invariant RunStats counters, these quantities legitimately
 /// depend on the fleet geometry (shards, device_batch): they model the
-/// host<->device scatter/gather traffic that sharded execution adds. All
-/// zero when shards == 1. The ns figures are derived deterministically
-/// from the integer message/byte counters and the PimConfig interconnect
-/// parameters at snapshot time, so they are identical for every host
-/// thread interleaving.
+/// host<->device scatter/gather traffic that sharded execution adds. The
+/// interconnect counters are zero when shards == 1; the failover, mutation
+/// and endurance counters are not. The ns figures are derived
+/// deterministically from the integer message/byte counters and the
+/// PimConfig interconnect parameters at snapshot time, so they are
+/// identical for every host thread interleaving.
 struct FleetRunStats {
   int shards = 1;
   ShardPlacement placement = ShardPlacement::kContiguous;

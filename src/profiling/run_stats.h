@@ -32,9 +32,10 @@ struct RunStats {
   /// All-zero for baselines and fault-free PIM runs.
   FaultStats fault;
   /// Fleet interconnect accounting of sharded PIM execution (scatter /
-  /// gather / reduction messages and modeled ns). All-zero for baselines
-  /// and single-device (shards == 1) runs; the only RunStats block that
-  /// legitimately varies with the shard count.
+  /// gather / reduction messages and modeled ns). All-zero for baselines;
+  /// the interconnect counters are zero for single-device (shards == 1)
+  /// runs. The only RunStats block that legitimately varies with the
+  /// shard count.
   FleetRunStats fleet;
   /// Per-function wall-time attribution (Fig. 6).
   FunctionProfiler profile;

@@ -5,21 +5,15 @@
 namespace pimine {
 namespace {
 
-uint64_t SplitMix64(uint64_t& x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
-  uint64_t s = seed;
-  for (auto& word : state_) word = SplitMix64(s);
+  for (auto& word : state_) {
+    word = Mix64(seed);
+    seed += 0x9e3779b97f4a7c15ULL;
+  }
 }
 
 uint64_t Rng::NextU64() {

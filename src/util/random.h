@@ -6,6 +6,16 @@
 
 namespace pimine {
 
+/// Stateless SplitMix64 finalizer: the repo-wide mixer for seeded,
+/// platform-independent decisions (shard placement, fault and backoff
+/// seeds, chaos schedules, event sampling, Rng seeding).
+inline uint64_t Mix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 /// Deterministic, fast PRNG (xoshiro256**). All stochastic components of the
 /// library (dataset generators, seeding, sampling) draw from this so that
 /// every experiment is reproducible from an explicit seed.

@@ -24,7 +24,6 @@
 #include "test_helpers.h"
 #include "util/exact_sum.h"
 #include "util/random.h"
-#include "util/top_k.h"
 
 namespace pimine {
 namespace {
@@ -260,6 +259,7 @@ TEST(ShardedEngineTest, RejectsInvalidShardCounts) {
 // The fleet resolves its geometry on the full dataset through the same
 // resolver as PimEngine::Build, so every configuration the single device
 // rejects fails the same way, with the same message, at every shard count.
+// That includes options the resolver's EngineOptions::Validate rejects.
 TEST(ShardedEngineTest, RejectsWhatPimEngineRejects) {
   const FloatMatrix data = testing_util::RandomUnitMatrix(256, 128, 9);
   struct Rejected {
@@ -269,6 +269,8 @@ TEST(ShardedEngineTest, RejectsWhatPimEngineRejects) {
     int64_t crossbars;  // 4 cannot hold d = 128 at full dimensionality.
     int64_t force_segments;
     StatusCode code;
+    double alpha = 1e6;
+    double fault_rate = 0.0;
   };
   const std::vector<Rejected> cases = {
       {"CS with a fixed bound", Distance::kCosine,
@@ -280,12 +282,20 @@ TEST(ShardedEngineTest, RejectsWhatPimEngineRejects) {
       {"segments above Theorem 4", Distance::kEuclidean,
        EngineOptions::Bound::kSegmentFnn, 4, 128,
        StatusCode::kCapacityExceeded},
+      {"alpha below 1", Distance::kEuclidean, EngineOptions::Bound::kAuto,
+       64, 0, StatusCode::kInvalidArgument, /*alpha=*/0.0},
+      {"fault rate above 1", Distance::kEuclidean,
+       EngineOptions::Bound::kAuto, 64, 0, StatusCode::kInvalidArgument,
+       /*alpha=*/1e6, /*fault_rate=*/2.0},
   };
   for (const Rejected& c : cases) {
     EngineOptions options;
     options.bound = c.bound;
     options.pim_config.num_crossbars = c.crossbars;
     options.force_segments = c.force_segments;
+    options.alpha = c.alpha;
+    options.fault_config.cell_rate = c.fault_rate;
+    options.fault_config.transient_rate = c.fault_rate;
     const Status single =
         PimEngine::Build(data, c.distance, options).status();
     ASSERT_EQ(single.code(), c.code) << c.label << ": " << single.ToString();
@@ -296,39 +306,6 @@ TEST(ShardedEngineTest, RejectsWhatPimEngineRejects) {
       EXPECT_EQ(fleet.code(), single.code()) << c.label << " M=" << shards;
       EXPECT_EQ(fleet.message(), single.message())
           << c.label << " M=" << shards;
-    }
-  }
-}
-
-// MergeShardTopK on disjoint per-shard k-bests equals a single TopK over
-// the union — including distance ties, which resolve by ascending id.
-TEST(ShardedEngineTest, MergeShardTopKMatchesGlobalTopKWithTies) {
-  Rng rng(99);
-  const size_t n = 60;
-  const size_t k = 7;
-  // Quantized distances force many cross-shard ties.
-  std::vector<double> distance(n);
-  for (double& v : distance) {
-    v = static_cast<double>(rng.NextBounded(5));
-  }
-
-  for (size_t shards : {1u, 3u, 8u}) {
-    TopK global(k);
-    std::vector<TopK> per_shard(shards, TopK(k));
-    for (size_t i = 0; i < n; ++i) {  // ascending id push order.
-      global.Push(distance[i], static_cast<int32_t>(i));
-      per_shard[i % shards].Push(distance[i], static_cast<int32_t>(i));
-    }
-    std::vector<std::vector<Neighbor>> lists;
-    for (TopK& shard_topk : per_shard) {
-      lists.push_back(shard_topk.TakeSorted());
-    }
-    const std::vector<Neighbor> merged = MergeShardTopK(lists, k);
-    const std::vector<Neighbor> expected = global.TakeSorted();
-    ASSERT_EQ(merged.size(), expected.size()) << "M=" << shards;
-    for (size_t j = 0; j < expected.size(); ++j) {
-      EXPECT_EQ(merged[j].id, expected[j].id) << "M=" << shards;
-      EXPECT_EQ(merged[j].distance, expected[j].distance) << "M=" << shards;
     }
   }
 }
@@ -382,60 +359,59 @@ TEST(ShardedEngineTest, ExactSumTreeMergeEqualsFlatSum) {
 // escalated to a host-exact recompute of only that shard: the fleet run
 // succeeds, bounds stay bit-identical to the fault-free fleet, and the
 // fail-over is visible in the fleet stats. With failover disabled the
-// fault propagates instead.
+// fault propagates instead. A one-shard fleet walks the same ladder.
 TEST(ShardedEngineTest, FailedShardEscalatesToHostRecompute) {
   const size_t n = 90;
   const size_t d = 16;
   const FloatMatrix data = ClusteredData(n, d, 21);
   const FloatMatrix queries = testing_util::RandomUnitMatrix(3, d, 22);
+  const std::span<const float> span(queries.data(), queries.rows() * d);
 
-  EngineOptions clean_options;
-  clean_options.shard.shards = 3;
-  auto clean_built =
-      ShardedPimEngine::Build(data, Distance::kEuclidean, clean_options);
-  ASSERT_TRUE(clean_built.ok());
-  const auto clean = std::move(clean_built).value();
-  auto clean_run = clean->RunQueryBatch(
-      std::span<const float>(queries.data(), queries.rows() * d),
-      queries.rows());
-  ASSERT_TRUE(clean_run.ok());
+  for (int shards : {1, 3}) {
+    EngineOptions clean_options;
+    clean_options.shard.shards = shards;
+    auto clean_built =
+        ShardedPimEngine::Build(data, Distance::kEuclidean, clean_options);
+    ASSERT_TRUE(clean_built.ok()) << "M=" << shards;
+    const auto clean = std::move(clean_built).value();
+    auto clean_run = clean->RunQueryBatch(span, queries.rows());
+    ASSERT_TRUE(clean_run.ok()) << "M=" << shards;
 
-  EngineOptions faulty_options = clean_options;
-  faulty_options.fault_config.transient_rate = 0.2;  // every op faults.
-  faulty_options.recovery.verify_mode = VerifyMode::kFailOp;
-  faulty_options.recovery.max_retries = 0;
-  auto faulty_built =
-      ShardedPimEngine::Build(data, Distance::kEuclidean, faulty_options);
-  ASSERT_TRUE(faulty_built.ok());
-  const auto faulty = std::move(faulty_built).value();
+    EngineOptions faulty_options = clean_options;
+    faulty_options.fault_config.transient_rate = 0.2;  // every op faults.
+    faulty_options.recovery.verify_mode = VerifyMode::kFailOp;
+    faulty_options.recovery.max_retries = 0;
+    auto faulty_built =
+        ShardedPimEngine::Build(data, Distance::kEuclidean, faulty_options);
+    ASSERT_TRUE(faulty_built.ok()) << "M=" << shards;
+    const auto faulty = std::move(faulty_built).value();
 
-  auto run = faulty->RunQueryBatch(
-      std::span<const float>(queries.data(), queries.rows() * d),
-      queries.rows());
-  ASSERT_TRUE(run.ok()) << run.status().ToString();
-  for (size_t q = 0; q < queries.rows(); ++q) {
-    for (size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(faulty->BoundFor(*run, q, i),
-                clean->BoundFor(*clean_run, q, i))
-          << "q=" << q << " i=" << i;
+    auto run = faulty->RunQueryBatch(span, queries.rows());
+    ASSERT_TRUE(run.ok()) << "M=" << shards << ": " << run.status().ToString();
+    for (size_t q = 0; q < queries.rows(); ++q) {
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(faulty->BoundFor(*run, q, i),
+                  clean->BoundFor(*clean_run, q, i))
+            << "M=" << shards << " q=" << q << " i=" << i;
+      }
     }
-  }
-  const FleetRunStats stats = faulty->FleetStats();
-  EXPECT_GT(stats.failovers, 0u);
-  EXPECT_GT(stats.failed_over_queries, 0u);
-  EXPECT_GT(faulty->FaultStatsTotal().escalated_to_host, 0u);
+    const FleetRunStats stats = faulty->FleetStats();
+    EXPECT_GT(stats.failovers, 0u) << "M=" << shards;
+    EXPECT_GT(stats.failed_over_queries, 0u) << "M=" << shards;
+    EXPECT_GT(faulty->FaultStatsTotal().escalated_to_host, 0u)
+        << "M=" << shards;
 
-  EngineOptions no_failover = faulty_options;
-  no_failover.shard.failover = false;
-  auto strict_built =
-      ShardedPimEngine::Build(data, Distance::kEuclidean, no_failover);
-  ASSERT_TRUE(strict_built.ok());
-  const auto strict = std::move(strict_built).value();
-  auto strict_run = strict->RunQueryBatch(
-      std::span<const float>(queries.data(), queries.rows() * d),
-      queries.rows());
-  ASSERT_FALSE(strict_run.ok());
-  EXPECT_EQ(strict_run.status().code(), StatusCode::kDeviceFault);
+    EngineOptions no_failover = faulty_options;
+    no_failover.shard.failover = false;
+    auto strict_built =
+        ShardedPimEngine::Build(data, Distance::kEuclidean, no_failover);
+    ASSERT_TRUE(strict_built.ok()) << "M=" << shards;
+    const auto strict = std::move(strict_built).value();
+    auto strict_run = strict->RunQueryBatch(span, queries.rows());
+    ASSERT_FALSE(strict_run.ok()) << "M=" << shards;
+    EXPECT_EQ(strict_run.status().code(), StatusCode::kDeviceFault)
+        << "M=" << shards;
+  }
 }
 
 // ChargeTreeReduction charges the critical path: ceil(log2 M) messages of

@@ -468,6 +468,12 @@ int Main(int argc, char** argv) {
       {"n", "queries", "k", "threads", "block", "device_batch", "shards",
        "crossbars", "iterations", "top", "length", "window", "copies"});
   if (!negative.ok()) return UsageError(negative);
+  // An unknown --dataset is misuse, rejected before LoadWorkload aborts.
+  const Result<DatasetSpec> dataset =
+      Catalog::Find(flags.GetString("dataset", "MSD"));
+  if (!dataset.ok()) {
+    return UsageError(Status::InvalidArgument(dataset.status().message()));
+  }
 
   if (command == "knn") return RunKnn(flags);
   if (command == "kmeans") return RunKmeans(flags);

@@ -426,6 +426,12 @@ int Main(int argc, char** argv) {
        "deadline_us", "batch_deadline_us", "chaos_deaths", "chaos_stalls",
        "chaos_link_faults", "chaos_horizon_us", "linger_ms"});
   if (!negative.ok()) return UsageError(negative);
+  // An unknown --dataset is misuse, rejected before LoadWorkload aborts.
+  const Result<DatasetSpec> dataset =
+      Catalog::Find(flags_or->GetString("dataset", "MSD"));
+  if (!dataset.ok()) {
+    return UsageError(Status::InvalidArgument(dataset.status().message()));
+  }
   if (command == "replay") return RunReplay(*flags_or);
   if (command == "live") return RunLive(*flags_or);
   std::cerr << "unknown command '" << command << "'\n";
