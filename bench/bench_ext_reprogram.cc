@@ -71,7 +71,8 @@ void Run() {
   table.AddRow({"compression (Thm. 4)",
                 "LB_PIM-FNN^" + std::to_string(compressed.num_segments()),
                 Fmt(100.0 * PruneRatio(w.data, w.queries, comp_bounds, 10), 1),
-                Fmt(compressed.PimComputeNs() / 1e6, 3), "0", "0"});
+                Fmt(compressed.DeviceStatsTotal().pim_ns / 1e6, 3), "0",
+                "0"});
   table.AddRow(
       {"re-programming (§VII)", "LB_PIM-ED (full d)",
        Fmt(100.0 * PruneRatio(w.data, w.queries, part_bounds, 10), 1),

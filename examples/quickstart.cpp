@@ -83,7 +83,8 @@ int main() {
       "for a full scan)\n",
       best_id, best, exact_computed, data.rows(),
       100.0 * (1.0 - (double)exact_computed / data.rows()),
-      (*engine)->PimComputeNs() / 1e3, (*engine)->TransferBitsPerCandidate(),
+      (*engine)->DeviceStatsTotal().pim_ns / 1e3,
+      (*engine)->TransferBitsPerCandidate(),
       64.0 * 8 * sizeof(float));
   return 0;
 }

@@ -216,7 +216,7 @@ Status PimEngine::ProgramRows(const FloatMatrix& rows, bool append) {
                          &scratch);
   }
 
-  const double program_before = ProgramNs();
+  const double program_before = DeviceStatsTotal().program_ns;
   if (append) {
     PIMINE_RETURN_IF_ERROR(device1_->ProgramDelta(ops1));
     if (with_stds) PIMINE_RETURN_IF_ERROR(device2_->ProgramDelta(ops2));
@@ -235,17 +235,11 @@ Status PimEngine::ProgramRows(const FloatMatrix& rows, bool append) {
   PIMINE_RETURN_IF_ERROR(device1_->StoreAux(aux_bytes));
   terms_.insert(terms_.end(), terms.begin(), terms.end());
   num_objects_ += rows.rows();
-  offline_ns_ += ProgramNs() - program_before;
+  offline_ns_ += DeviceStatsTotal().program_ns - program_before;
   offline_bytes_written_ += rows.rows() * width * (operand_bits_ / 8) *
                                 (with_stds ? 2 : 1) +
                             aux_bytes;
   return Status::OK();
-}
-
-double PimEngine::ProgramNs() const {
-  double ns = device1_->stats().program_ns;
-  if (device2_) ns += device2_->stats().program_ns;
-  return ns;
 }
 
 Status PimEngine::CheckQuery(std::span<const float> query) const {
@@ -331,21 +325,30 @@ Status PimEngine::PrepareBatch(std::span<const float> queries,
   return Status::OK();
 }
 
-Status PimEngine::DeviceBatch(const QueryScratch& scratch, size_t num_queries,
-                              QueryHandleBatch* batch,
-                              bool emit_query_spans) const {
+Status PimEngine::CheckPrepared(const char* op, const QueryScratch& scratch,
+                                size_t num_queries,
+                                const QueryHandleBatch* batch) const {
   if (batch == nullptr) {
-    return Status::InvalidArgument(
-        "DeviceBatch requires a non-null batch handle");
+    return Status::InvalidArgument(std::string(op) +
+                                   " requires a non-null batch handle");
   }
-  const bool with_stds = mode_ == EngineMode::kSegmentFnn;
   const size_t width = OperandWidth();
   if (scratch.ints.size() != num_queries * width ||
-      (with_stds && scratch.ints2.size() != num_queries * width)) {
+      (mode_ == EngineMode::kSegmentFnn &&
+       scratch.ints2.size() != num_queries * width)) {
     return Status::InvalidArgument(
         "scratch does not hold a prepared batch of this geometry; call "
         "PrepareBatch first");
   }
+  return Status::OK();
+}
+
+Status PimEngine::DeviceBatch(const QueryScratch& scratch, size_t num_queries,
+                              QueryHandleBatch* batch,
+                              bool emit_query_spans) const {
+  PIMINE_RETURN_IF_ERROR(
+      CheckPrepared("DeviceBatch", scratch, num_queries, batch));
+  const bool with_stds = mode_ == EngineMode::kSegmentFnn;
   batch->stride = num_objects_;
   // Sets every output of the handle it owns: each device writes its dot
   // products and suspect flags (a fault-free device clears the flags, so it
@@ -382,22 +385,12 @@ Status PimEngine::DeviceBatch(const QueryScratch& scratch, size_t num_queries,
 Status PimEngine::HostRecomputeBatch(const QueryScratch& scratch,
                                      size_t num_queries,
                                      QueryHandleBatch* batch) const {
-  if (batch == nullptr) {
-    return Status::InvalidArgument(
-        "HostRecomputeBatch requires a non-null batch handle");
-  }
-  const bool with_stds = mode_ == EngineMode::kSegmentFnn;
-  const size_t width = OperandWidth();
-  if (scratch.ints.size() != num_queries * width ||
-      (with_stds && scratch.ints2.size() != num_queries * width)) {
-    return Status::InvalidArgument(
-        "scratch does not hold a prepared batch of this geometry; call "
-        "PrepareBatch first");
-  }
+  PIMINE_RETURN_IF_ERROR(
+      CheckPrepared("HostRecomputeBatch", scratch, num_queries, batch));
   batch->stride = num_objects_;
   PIMINE_RETURN_IF_ERROR(
       device1_->HostRecomputeBatch(scratch.ints, num_queries, &batch->dots1));
-  if (with_stds) {
+  if (mode_ == EngineMode::kSegmentFnn) {
     PIMINE_RETURN_IF_ERROR(device2_->HostRecomputeBatch(
         scratch.ints2, num_queries, &batch->dots2));
   }
@@ -477,7 +470,7 @@ Status PimEngine::Compact(std::vector<uint32_t>* live_out) {
   if (live.empty()) {
     return Status::FailedPrecondition("compaction would leave no live rows");
   }
-  const double program_before = ProgramNs();
+  const double program_before = DeviceStatsTotal().program_ns;
   PIMINE_RETURN_IF_ERROR(device1_->CompactRows(live));
   if (device2_) PIMINE_RETURN_IF_ERROR(device2_->CompactRows(live));
 
@@ -487,7 +480,7 @@ Status PimEngine::Compact(std::vector<uint32_t>* live_out) {
   num_objects_ = live.size();
   offline_bytes_written_ += live.size() * OperandWidth() *
                             (operand_bits_ / 8) * (device2_ ? 2 : 1);
-  offline_ns_ += ProgramNs() - program_before;
+  offline_ns_ += DeviceStatsTotal().program_ns - program_before;
   if (live_out != nullptr) *live_out = std::move(live);
   return Status::OK();
 }
@@ -664,30 +657,33 @@ Status PimEngine::ComputeBounds(std::span<const float> query,
   return Status::OK();
 }
 
+void PimEngine::DeviceTotals::Add(const DeviceTotals& other) {
+  batch_ops += other.batch_ops;
+  queries_processed += other.queries_processed;
+  pim_ns += other.pim_ns;
+  pipelined_ns += other.pipelined_ns;
+  fault.Merge(other.fault);
+  row_writes += other.row_writes;
+  worn_rows += other.worn_rows;
+  program_ns += other.program_ns;
+}
+
 // The online stats are read through StatsSnapshot(): a live scrape reads
 // them while DotProductBatch calls write them.
-double PimEngine::PimComputeNs() const {
-  double total = device1_ ? device1_->StatsSnapshot().compute_ns : 0.0;
-  if (device2_) total += device2_->StatsSnapshot().compute_ns;
+PimEngine::DeviceTotals PimEngine::DeviceStatsTotal() const {
+  DeviceTotals total;
+  for (const PimDevice* device : {device1_.get(), device2_.get()}) {
+    if (device == nullptr) continue;
+    const PimDeviceStats s = device->StatsSnapshot();
+    total.Add({s.batch_ops, s.queries_processed, s.compute_ns, s.pipelined_ns,
+               s.fault, s.row_writes, s.worn_rows, s.program_ns});
+  }
   return total;
 }
 
 double PimEngine::SerialDeviceNsPerQuery() const {
   double total = device1_ ? device1_->SerialDotNsPerQuery() : 0.0;
   if (device2_) total += device2_->SerialDotNsPerQuery();
-  return total;
-}
-
-FaultStats PimEngine::FaultStatsTotal() const {
-  FaultStats total;
-  if (device1_) total.Merge(device1_->StatsSnapshot().fault);
-  if (device2_) total.Merge(device2_->StatsSnapshot().fault);
-  return total;
-}
-
-double PimEngine::PimPipelinedNs() const {
-  double total = device1_ ? device1_->StatsSnapshot().pipelined_ns : 0.0;
-  if (device2_) total += device2_->StatsSnapshot().pipelined_ns;
   return total;
 }
 

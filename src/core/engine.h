@@ -286,23 +286,30 @@ class PimEngine {
   /// input to the Eq. 13 plan optimizer): 3 operands of b bits.
   double TransferBitsPerCandidate() const { return 3.0 * operand_bits_; }
 
-  /// Modeled PIM-side time accumulated by query batches (NVSim role).
-  /// Serial-equivalent: invariant under device batching.
-  double PimComputeNs() const;
+  /// Online accounting of the engine's device(s).
+  struct DeviceTotals {
+    uint64_t batch_ops = 0;
+    uint64_t queries_processed = 0;
+    double pim_ns = 0.0;        // serial-equivalent compute_ns (NVSim role).
+    double pipelined_ns = 0.0;  // modeled occupancy with batch pipelining.
+    FaultStats fault;           // all-zero without options.fault_config.
+    uint64_t row_writes = 0;    // write endurance.
+    uint64_t worn_rows = 0;
+    double program_ns = 0.0;    // offline: programming + Phi store.
+    void Add(const DeviceTotals& other);
+  };
+  /// The one place the engine sums its devices' stats: device1, then
+  /// device2 when present, each read through PimDevice::StatsSnapshot (a
+  /// live scrape may call it while batches are in flight).
+  DeviceTotals DeviceStatsTotal() const;
   /// Serial-equivalent modeled device time one query costs this engine
   /// (device1 + device2 when present). Invariant across device batching
   /// and host threading — the per-query figure observability spans charge.
   double SerialDeviceNsPerQuery() const;
-  /// Modeled device-occupancy time with batch pipelining; equals
-  /// PimComputeNs() bit-for-bit when every operation carried one query.
-  double PimPipelinedNs() const;
   /// Modeled pipelined occupancy one RunQueryBatch of `num_queries` queries
   /// would charge (device1 + device2 when present). Pure — the virtual-
   /// clock service time the serving scheduler charges per dispatch.
   double ModeledBatchNs(size_t num_queries) const;
-  /// Fault-injection and recovery accounting summed over the engine's
-  /// device(s). All-zero when options.fault_config is disabled.
-  FaultStats FaultStatsTotal() const;
   /// Modeled offline time: crossbar programming + Phi storage, in every
   /// mode.
   double OfflineNs() const { return offline_ns_; }
@@ -330,10 +337,13 @@ class PimEngine {
   /// term store and the bytes of both to the offline totals.
   Status ProgramRows(const FloatMatrix& rows, bool append);
 
-  /// Program time summed over the engine's device(s).
-  double ProgramNs() const;
-
   Status CheckQuery(std::span<const float> query) const;
+
+  /// The checks DeviceBatch and HostRecomputeBatch (`op`) share: a handle
+  /// to fill and operands PrepareBatch left for this geometry.
+  Status CheckPrepared(const char* op, const QueryScratch& scratch,
+                       size_t num_queries,
+                       const QueryHandleBatch* batch) const;
 
   /// Constructs device1_/device2_ honoring the fault options; the second
   /// device's fault seed is decorrelated from the first's.

@@ -8,6 +8,7 @@
 #include "common/logging.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
+#include "profiling/run_stats.h"
 #include "util/random.h"
 
 namespace pimine {
@@ -588,37 +589,39 @@ void ShardedPimEngine::ResetReplicaHealth() {
   }
 }
 
+// A shard's replicas serve it one at a time (failed attempts serialize with
+// the eventual success), so a shard's device time is the sum over its
+// replicas; the shards run concurrently, so the fleet's is the max over
+// shards. Clean runs charge only the primary — identical to the
+// pre-replica fleet.
 double ShardedPimEngine::PimComputeNs() const {
-  // A shard's replicas serve it one at a time (failed attempts serialize
-  // with the eventual success), so a shard's figure is the sum over its
-  // replicas; the shards run concurrently, so the fleet figure is the max
-  // over shards. Clean runs charge only the primary — identical to the
-  // pre-replica fleet.
   double ns = 0.0;
-  for (const auto& shard : engines_) {
-    double shard_ns = 0.0;
-    for (const auto& e : shard) shard_ns += e->PimComputeNs();
-    ns = std::max(ns, shard_ns);
+  for (size_t j = 0; j < shards(); ++j) {
+    ns = std::max(ns, ShardHealthSnapshot(j).pim_ns);
   }
   return ns;
 }
 
 double ShardedPimEngine::PimPipelinedNs() const {
   double ns = 0.0;
-  for (const auto& shard : engines_) {
-    double shard_ns = 0.0;
-    for (const auto& e : shard) shard_ns += e->PimPipelinedNs();
-    ns = std::max(ns, shard_ns);
+  for (size_t j = 0; j < shards(); ++j) {
+    ns = std::max(ns, ShardHealthSnapshot(j).pipelined_ns);
   }
   return ns;
 }
 
 FaultStats ShardedPimEngine::FaultStatsTotal() const {
   FaultStats total;
-  for (const auto& shard : engines_) {
-    for (const auto& e : shard) total.Merge(e->FaultStatsTotal());
+  for (size_t j = 0; j < shards(); ++j) {
+    total.Merge(ShardHealthSnapshot(j).fault);
   }
   return total;
+}
+
+void ShardedPimEngine::CloseRun(RunStats* stats) const {
+  stats->pim_ns = PimComputeNs();
+  stats->fault = FaultStatsTotal();
+  stats->fleet = FleetStats();
 }
 
 double ShardedPimEngine::OfflineNs() const {
@@ -707,21 +710,7 @@ ShardedPimEngine::ShardHealth ShardedPimEngine::ShardHealthSnapshot(
       ctr.failed_over_queries.load(std::memory_order_relaxed);
   h.scatter_ns = InterconnectNs(h.scatter_messages, h.scatter_bytes);
   h.gather_ns = InterconnectNs(h.gather_messages, h.gather_bytes);
-  // Device accounting sums over the shard's replicas: a failed attempt's
-  // pass charges the replica it ran on.
-  for (const auto& e : engines_[j]) {
-    for (const PimDevice* device : {&e->device1(), e->device2()}) {
-      if (device == nullptr) continue;
-      const PimDeviceStats ds = device->StatsSnapshot();
-      h.batch_ops += ds.batch_ops;
-      h.queries_processed += ds.queries_processed;
-      h.pim_ns += ds.compute_ns;
-      h.pipelined_ns += ds.pipelined_ns;
-      h.fault.Merge(ds.fault);
-      h.row_writes += ds.row_writes;
-      h.worn_rows += ds.worn_rows;
-    }
-  }
+  for (const auto& e : engines_[j]) h.Add(e->DeviceStatsTotal());
   {
     std::lock_guard<std::mutex> lock(ctr.ladder_mu);
     h.failover = ctr.failover;

@@ -18,6 +18,8 @@
 
 namespace pimine {
 
+struct RunStats;
+
 namespace obs {
 class MetricsRegistry;
 }  // namespace obs
@@ -245,17 +247,19 @@ class ShardedPimEngine {
   const PimDevice* device2() const { return primary(0).device2(); }
 
   // --- Fleet-aggregated stats -----------------------------------------
-  /// Serial-equivalent modeled PIM time. Shards hold fewer rows but the
-  /// crossbar pass latency is row-count independent, so every shard
-  /// charges the same per-query time and the fleet figure — the shards
-  /// run concurrently — is the max over shards, which equals the
-  /// single-device value bit-for-bit (a failed-over shard only ever
-  /// charges less).
+  // The device figures read ShardHealthSnapshot, the one reduction of a
+  // shard's device stats.
+  /// Serial-equivalent modeled PIM time: the max over shards (they run
+  /// concurrently) of ShardHealth::pim_ns. The pass latency is row-count
+  /// independent, so a fault-free fleet equals the single device bit-for-bit.
   double PimComputeNs() const;
-  /// Max over shards of the pipelined device-occupancy time.
+  /// Max over shards of ShardHealth::pipelined_ns.
   double PimPipelinedNs() const;
-  /// Fault/recovery accounting merged over every shard's devices.
+  /// ShardHealth::fault merged over the shards.
   FaultStats FaultStatsTotal() const;
+  /// The engine half of a PIM run's epilogue: PimComputeNs, FaultStatsTotal
+  /// and FleetStats into stats->pim_ns, fault and fleet.
+  void CloseRun(RunStats* stats) const;
   /// Offline time: shards program concurrently, so the max over shards.
   double OfflineNs() const;
   /// Offline bytes written across the whole fleet (sum over shards).
@@ -270,12 +274,13 @@ class ShardedPimEngine {
   /// shards == 1.
   FleetRunStats FleetStats() const;
 
-  /// Health snapshot of one fleet member: its interconnect counters, its
-  /// devices' batch/query/time accounting and fault-recovery counters.
-  /// Safe to call while dispatches are in flight (device stats are copied
-  /// under the device's stats mutex). Summing any integer field over all
-  /// shards reproduces the corresponding FleetStats() aggregate exactly.
-  struct ShardHealth {
+  /// Health snapshot of one fleet member: its interconnect and ladder
+  /// counters, and its devices' accounting — the DeviceTotals base, each
+  /// replica's DeviceStatsTotal summed in replica order (a failed attempt's
+  /// pass charges the replica it ran on). Safe to call while dispatches are
+  /// in flight. Summing any integer field over all shards reproduces the
+  /// corresponding FleetStats() aggregate exactly.
+  struct ShardHealth : PimEngine::DeviceTotals {
     uint64_t scatter_messages = 0;
     uint64_t scatter_bytes = 0;
     uint64_t gather_messages = 0;
@@ -285,16 +290,6 @@ class ShardedPimEngine {
     /// InterconnectNs of this shard's message/byte counters.
     double scatter_ns = 0.0;
     double gather_ns = 0.0;
-    /// Device-side accounting summed over this shard's devices (all
-    /// replicas — a failed attempt's pass charges its replica).
-    uint64_t batch_ops = 0;
-    uint64_t queries_processed = 0;
-    double pim_ns = 0.0;        // serial-equivalent compute_ns.
-    double pipelined_ns = 0.0;  // modeled device occupancy.
-    FaultStats fault;
-    /// Write-endurance totals over the shard's device copies.
-    uint64_t row_writes = 0;
-    uint64_t worn_rows = 0;
     /// Replica-failover ladder accounting of this shard.
     FailoverStats failover;
     int serving_replica = 0;

@@ -43,7 +43,7 @@ class DrakeBounds : public KmeansBounds {
     if (iter == 0) {
       return RunAssignWithPolicy(
           options_.exec, n_, &result_.stats,
-          [&](size_t i, size_t slot_index, AssignSlot& slot) {
+          [&](size_t i, size_t slot_index, WorkerSlot& slot) {
             result_.assignments[i] =
                 static_cast<int32_t>(Rescan(i, scratch_[slot_index], slot));
             ++slot.changed;
@@ -51,7 +51,7 @@ class DrakeBounds : public KmeansBounds {
     }
     return RunAssignWithPolicy(
         options_.exec, n_, &result_.stats,
-        [&](size_t i, size_t slot_index, AssignSlot& slot) {
+        [&](size_t i, size_t slot_index, WorkerSlot& slot) {
           PointBounds& pb = bounds_[i];
           const size_t a = result_.assignments[i];
           // Skip entirely when every other center's bound exceeds upper.
@@ -137,7 +137,7 @@ class DrakeBounds : public KmeansBounds {
   // Full re-evaluation of one point: all k distances (through the PIM
   // filter when present), rebuilding its bound list. Returns the new
   // assignment. Pruned pairs store the PIM lower bound — a valid entry.
-  size_t Rescan(size_t i, Scratch& s, AssignSlot& slot) {
+  size_t Rescan(size_t i, Scratch& s, WorkerSlot& slot) {
     const size_t best_c = ScanAllCenters(i, s.dist, slot);
     const std::vector<double>& dist = s.dist;
     // Rebuild the bound list: b smallest non-assigned entries.

@@ -45,7 +45,7 @@ class ElkanBounds : public KmeansBounds {
   size_t AssignFirst() {
     return RunAssignWithPolicy(
         options_.exec, n_, &result_.stats,
-        [&](size_t i, size_t /*slot_index*/, AssignSlot& slot) {
+        [&](size_t i, size_t /*slot_index*/, WorkerSlot& slot) {
           const auto p = data_.row(i);
           size_t best_c = 0;
           double best_d = HUGE_VAL;
@@ -96,7 +96,7 @@ class ElkanBounds : public KmeansBounds {
 
     return RunAssignWithPolicy(
         options_.exec, n_, &result_.stats,
-        [&](size_t i, size_t /*slot_index*/, AssignSlot& slot) {
+        [&](size_t i, size_t /*slot_index*/, WorkerSlot& slot) {
           const size_t a = result_.assignments[i];
           if (upper_[i] <= nearest_other_[a]) return;
           const auto p = data_.row(i);

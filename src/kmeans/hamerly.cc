@@ -24,7 +24,7 @@ class HamerlyBounds : public KmeansBounds {
     if (iter == 0) {
       return RunAssignWithPolicy(
           options_.exec, n_, &result_.stats,
-          [&](size_t i, size_t slot_index, AssignSlot& slot) {
+          [&](size_t i, size_t slot_index, WorkerSlot& slot) {
             Rescan(i, dist_[slot_index], slot);
             ++slot.changed;
           });
@@ -46,7 +46,7 @@ class HamerlyBounds : public KmeansBounds {
 
     return RunAssignWithPolicy(
         options_.exec, n_, &result_.stats,
-        [&](size_t i, size_t slot_index, AssignSlot& slot) {
+        [&](size_t i, size_t slot_index, WorkerSlot& slot) {
           const size_t a = result_.assignments[i];
           const double gate = std::max(nearest_other_[a], lower_[i]);
           if (upper_[i] <= gate) return;
@@ -81,7 +81,7 @@ class HamerlyBounds : public KmeansBounds {
   // Full re-evaluation of point i: the closest center exactly and a valid
   // lower bound on the second-closest distance (PIM-pruned centers
   // contribute their bound).
-  void Rescan(size_t i, std::vector<double>& dist, AssignSlot& slot) {
+  void Rescan(size_t i, std::vector<double>& dist, WorkerSlot& slot) {
     const size_t best_c = ScanAllCenters(i, dist, slot);
     double second = HUGE_VAL;
     for (size_t c = 0; c < k_; ++c) {

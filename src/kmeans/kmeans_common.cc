@@ -21,25 +21,6 @@ size_t AssignChunk(const ExecPolicy& policy) {
   return std::max<size_t>(1, policy.block_size);
 }
 
-/// Publishes a finished run's pruning counters and per-iteration latency
-/// histogram (stats.latency_hist) to the metrics registry. No-op while
-/// observability is disabled.
-void PublishKmeansRunMetrics(const RunStats& stats) {
-  obs::Obs* o = obs::Obs::Get();
-  if (o == nullptr) return;
-  o->metrics().GetCounter("pimine_exact_distances_total")
-      .Add(stats.exact_count);
-  o->metrics().GetCounter("pimine_bound_evaluations_total")
-      .Add(stats.bound_count);
-  o->metrics()
-      .GetCounter("pimine_candidates_pruned_total")
-      .Add(stats.bound_count > stats.exact_count
-               ? stats.bound_count - stats.exact_count
-               : 0);
-  o->metrics().MergeHistogram("pimine_kmeans_iteration_ns",
-                              stats.latency_hist);
-}
-
 }  // namespace
 
 Result<KmeansResult> KmeansAlgorithm::Run(const FloatMatrix& data,
@@ -99,12 +80,8 @@ Result<KmeansResult> KmeansAlgorithm::Run(const FloatMatrix& data,
   result.inertia = ComputeInertia(data, result.centers, result.assignments);
   result.stats.wall_ms = total_wall.ElapsedMillis();
   result.stats.traffic = traffic_scope.Delta();
-  if (filter != nullptr) {
-    result.stats.pim_ns = filter->PimComputeNs();
-    result.stats.fault = filter->FaultStatsTotal();
-    result.stats.fleet = filter->FleetStats();
-  }
-  PublishKmeansRunMetrics(result.stats);
+  if (filter != nullptr) filter->engine().CloseRun(&result.stats);
+  PublishRunMetrics(result.stats, "pimine_kmeans_iteration_ns");
   return result;
 }
 
@@ -117,7 +94,7 @@ KmeansBounds::KmeansBounds(const KmeansRun& run)
       k_(static_cast<size_t>(run.options.k)) {}
 
 size_t KmeansBounds::ScanAllCenters(size_t i, std::span<double> dist,
-                                    AssignSlot& slot) const {
+                                    WorkerSlot& slot) const {
   const auto p = data_.row(i);
   size_t best_c = 0;
   double best_d = HUGE_VAL;
@@ -176,25 +153,23 @@ size_t NumAssignSlots(const ExecPolicy& policy, size_t num_points) {
 
 size_t RunAssignWithPolicy(
     const ExecPolicy& policy, size_t num_points, RunStats* stats,
-    const std::function<void(size_t, size_t, AssignSlot&)>& assign_point) {
+    const std::function<void(size_t, size_t, WorkerSlot&)>& assign_point) {
   const size_t chunk = AssignChunk(policy);
-  std::vector<AssignSlot> slots(NumSlots(policy, num_points, chunk));
+  std::vector<WorkerSlot> slots(NumSlots(policy, num_points, chunk));
   ParallelChunks(policy, num_points, chunk,
                  [&](size_t begin, size_t end, size_t slot_index) {
                    // Opt-in physical span: this worker's chunk of the pass.
                    obs::SchedSpan sched(static_cast<int64_t>(begin / chunk),
                                         static_cast<int64_t>(begin),
                                         static_cast<int64_t>(end));
-                   AssignSlot& slot = slots[slot_index];
+                   WorkerSlot& slot = slots[slot_index];
                    for (size_t i = begin; i < end; ++i) {
                      assign_point(i, slot_index, slot);
                    }
                  });
   size_t changed = 0;
-  for (const AssignSlot& slot : slots) {
-    stats->exact_count += slot.exact_count;
-    stats->bound_count += slot.bound_count;
-    stats->profile.Merge(slot.profile);
+  for (const WorkerSlot& slot : slots) {
+    slot.FoldInto(stats);
     changed += slot.changed;
   }
   obs::AddCounter("pimine_kmeans_reassignments_total", changed);

@@ -62,17 +62,6 @@ struct KmeansResult {
   double MeanIterationMs() const;
 };
 
-/// Per-worker accumulation slot for a parallel assign step: workers charge
-/// their counters, reassignment tally and per-function wall time here and
-/// the harness folds the slots into RunStats in slot order once the pass
-/// drains.
-struct AssignSlot {
-  uint64_t exact_count = 0;
-  uint64_t bound_count = 0;
-  uint64_t changed = 0;
-  FunctionProfiler profile;
-};
-
 /// One k-means run as the driver (KmeansAlgorithm::Run) hands it to the
 /// algorithm's KmeansBounds.
 struct KmeansRun {
@@ -107,7 +96,7 @@ class KmeansBounds {
   /// closest center found so far, else that bound, a valid lower bound.
   /// Returns the closest center; its entry is exact.
   size_t ScanAllCenters(size_t i, std::span<double> dist,
-                        AssignSlot& slot) const;
+                        WorkerSlot& slot) const;
 
   const FloatMatrix& data_;
   const KmeansOptions& options_;
@@ -154,11 +143,11 @@ Status ValidateKmeansInput(const FloatMatrix& data,
 
 /// Runs `assign_point(i, slot_index, slot)` for every point in [0,
 /// num_points) in chunks of `policy.block_size` across the policy's workers
-/// (inline when serial). Slot stats are merged into `stats` in slot order;
+/// (inline when serial). The slots are folded into `stats` in slot order;
 /// returns the total number of reassignments the workers tallied.
 size_t RunAssignWithPolicy(
     const ExecPolicy& policy, size_t num_points, RunStats* stats,
-    const std::function<void(size_t, size_t, AssignSlot&)>& assign_point);
+    const std::function<void(size_t, size_t, WorkerSlot&)>& assign_point);
 
 /// Number of distinct slot_index values RunAssignWithPolicy passes for
 /// (policy, num_points): the size of an algorithm's per-slot scratch.
@@ -229,7 +218,6 @@ class PimAssignFilter : public MutationListener {
   size_t live_points() const { return live_ids_.size(); }
 
   double PimComputeNs() const { return engine_->PimComputeNs(); }
-  FaultStats FaultStatsTotal() const { return engine_->FaultStatsTotal(); }
   double OfflineNs() const { return engine_->OfflineNs(); }
   void ResetOnlineStats() { engine_->ResetOnlineStats(); }
   const ShardedPimEngine& engine() const { return *engine_; }

@@ -17,7 +17,7 @@ class LloydBounds : public KmeansBounds {
     // and writes only its own assignment entries.
     return RunAssignWithPolicy(
         options_.exec, n_, &result_.stats,
-        [&](size_t i, size_t /*slot_index*/, AssignSlot& slot) {
+        [&](size_t i, size_t /*slot_index*/, WorkerSlot& slot) {
           const auto p = data_.row(i);
           const size_t start = result_.assignments[i];
           size_t best_c = start;

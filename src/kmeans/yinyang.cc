@@ -101,7 +101,7 @@ class YinyangBounds : public KmeansBounds {
   size_t AssignFirst() {
     return RunAssignWithPolicy(
         options_.exec, n_, &result_.stats,
-        [&](size_t i, size_t slot_index, AssignSlot& slot) {
+        [&](size_t i, size_t slot_index, WorkerSlot& slot) {
           std::vector<double>& dist = scratch_[slot_index].dist;
           const size_t best_c = ScanAllCenters(i, dist, slot);
           result_.assignments[i] = static_cast<int32_t>(best_c);
@@ -121,7 +121,7 @@ class YinyangBounds : public KmeansBounds {
   size_t AssignFiltered() {
     return RunAssignWithPolicy(
         options_.exec, n_, &result_.stats,
-        [&](size_t i, size_t slot_index, AssignSlot& slot) {
+        [&](size_t i, size_t slot_index, WorkerSlot& slot) {
           const size_t a = result_.assignments[i];
           double* lb = lower_.data() + i * t_;
           double global_lb = HUGE_VAL;

@@ -60,7 +60,7 @@ uint64_t FnnKnn::FootprintBytes(uint64_t /*exact_count*/,
 std::vector<Neighbor> FnnKnn::SearchQuery(std::span<const float> q,
                                           size_t /*bq*/, int k,
                                           BatchScratch& s,
-                                          SearchSlot& slot) const {
+                                          WorkerSlot& slot) const {
   const size_t n = data_->rows();
   const size_t num_levels = levels_.size();
   // Query-side segment statistics of every level.

@@ -200,7 +200,7 @@ uint64_t FnnPimKnn::OfflineBytesWritten() const {
 
 std::vector<Neighbor> FnnPimKnn::SearchQuery(std::span<const float> q,
                                              size_t bq, int k, BatchScratch& s,
-                                             SearchSlot& slot) const {
+                                             WorkerSlot& slot) const {
   const size_t n = data_->rows();
   // Query-side segment statistics of each level the query uses.
   std::vector<std::vector<float>> q_means(levels_.size());

@@ -50,7 +50,7 @@ class FnnPimKnn : public PimKnnBase {
   bool UsesDevice() const override { return use_pim_filter_; }
   std::vector<Neighbor> SearchQuery(std::span<const float> q, size_t bq,
                                     int k, BatchScratch& s,
-                                    SearchSlot& slot) const override;
+                                    WorkerSlot& slot) const override;
 
  private:
   /// Measures pruning ratios on sample queries and fills `candidates_`.

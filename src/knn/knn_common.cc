@@ -9,41 +9,6 @@
 #include "util/bits.h"
 
 namespace pimine {
-namespace {
-
-/// Folds the slots' accounting into RunStats (slot order — deterministic)
-/// and publishes the run's counters to the metrics registry when enabled.
-Status MergeSearchSlots(const std::vector<SearchSlot>& slots,
-                        size_t num_queries, RunStats* stats) {
-  Status first_error;
-  for (const SearchSlot& slot : slots) {
-    stats->exact_count += slot.exact_count;
-    stats->bound_count += slot.bound_count;
-    stats->profile.Merge(slot.profile);
-    stats->latency_hist.Merge(slot.latency);
-    if (first_error.ok() && !slot.status.ok()) first_error = slot.status;
-  }
-  if (obs::Obs* o = obs::Obs::Get()) {
-    uint64_t exact = 0;
-    uint64_t bound = 0;
-    for (const SearchSlot& slot : slots) {
-      exact += slot.exact_count;
-      bound += slot.bound_count;
-    }
-    o->metrics().GetCounter("pimine_queries_total").Add(num_queries);
-    o->metrics().GetCounter("pimine_exact_distances_total").Add(exact);
-    o->metrics().GetCounter("pimine_bound_evaluations_total").Add(bound);
-    // Candidates whose bound evaluation spared the exact distance.
-    o->metrics()
-        .GetCounter("pimine_candidates_pruned_total")
-        .Add(bound > exact ? bound - exact : 0);
-    o->metrics().MergeHistogram("pimine_query_latency_ns",
-                                stats->latency_hist);
-  }
-  return first_error;
-}
-
-}  // namespace
 
 std::vector<uint32_t> ArgsortAscending(std::span<const double> values) {
   std::vector<uint32_t> order(values.size());
@@ -79,7 +44,7 @@ size_t NumBatchSlots(const ExecPolicy& policy, size_t num_queries) {
 
 Status RunQueryBatchesWithPolicy(
     const ExecPolicy& policy, size_t num_queries, RunStats* stats,
-    const std::function<void(size_t, size_t, size_t, SearchSlot&)>&
+    const std::function<void(size_t, size_t, size_t, WorkerSlot&)>&
         run_batch) {
   if (policy.device_batch == 0) {
     return Status::InvalidArgument(
@@ -87,7 +52,7 @@ Status RunQueryBatchesWithPolicy(
         "operation); 0 is not a valid batch size");
   }
   const size_t chunk = policy.device_batch;
-  std::vector<SearchSlot> slots(NumSlots(policy, num_queries, chunk));
+  std::vector<WorkerSlot> slots(NumSlots(policy, num_queries, chunk));
   // A serial policy hands the whole range to one invocation, so the
   // callback re-splits its range on device_batch boundaries: parallel
   // chunks are already chunk-aligned, which makes the realized batches
@@ -101,7 +66,7 @@ Status RunQueryBatchesWithPolicy(
         obs::SchedSpan sched(static_cast<int64_t>(begin / chunk),
                              static_cast<int64_t>(begin),
                              static_cast<int64_t>(end));
-        SearchSlot& slot = slots[slot_index];
+        WorkerSlot& slot = slots[slot_index];
         for (size_t b = begin; b < end; b += chunk) {
           if (!slot.status.ok()) return;
           // Engine/device code labels per-query spans with global query
@@ -110,7 +75,12 @@ Status RunQueryBatchesWithPolicy(
           run_batch(b, std::min(end, b + chunk), slot_index, slot);
         }
       });
-  return MergeSearchSlots(slots, num_queries, stats);
+  Status first_error;
+  for (const WorkerSlot& slot : slots) {
+    slot.FoldInto(stats);
+    if (first_error.ok()) first_error = slot.status;
+  }
+  return first_error;
 }
 
 }  // namespace pimine

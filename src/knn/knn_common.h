@@ -61,32 +61,18 @@ class KnnAlgorithm {
   ExecPolicy exec_policy_;
 };
 
-/// Per-worker accumulation slot for a parallel Search: worker threads
-/// charge their counters and per-function wall time here and the harness
-/// folds the slots into RunStats in slot order once the batch drains.
-struct SearchSlot {
-  uint64_t exact_count = 0;
-  uint64_t bound_count = 0;
-  FunctionProfiler profile;
-  /// Per-query modeled latencies recorded by obs::QuerySpan (empty while
-  /// observability is disabled). Integer buckets merge exactly, so folding
-  /// slots in slot order yields the same histogram for any thread count.
-  obs::Histogram latency;
-  Status status;  // first per-query failure observed by this worker.
-};
-
 /// The kNN driver's query harness (KnnSearchBase::Search): workers claim
 /// whole device batches of `policy.device_batch` queries (the final batch
 /// may be short) and `run_batch(begin, end, slot_index, slot)` answers
-/// queries [begin, end), with ONE fleet RunQueryBatch on a PIM path. Slot
-/// stats are merged into `stats` in slot order; returns the first error any
+/// queries [begin, end), with ONE fleet RunQueryBatch on a PIM path. The
+/// slots are folded into `stats` in slot order; returns the first error any
 /// worker recorded (InvalidArgument for device_batch = 0), and a worker
 /// stops claiming batches once its slot holds an error. Batch boundaries
 /// depend only on device_batch, so results and modeled stats are
 /// reproducible for any thread count.
 Status RunQueryBatchesWithPolicy(
     const ExecPolicy& policy, size_t num_queries, RunStats* stats,
-    const std::function<void(size_t, size_t, size_t, SearchSlot&)>& run_batch);
+    const std::function<void(size_t, size_t, size_t, WorkerSlot&)>& run_batch);
 
 /// Worker slots RunQueryBatchesWithPolicy uses for `num_queries` under
 /// `policy` (scratch-sizing counterpart of NumSlots for device batches).

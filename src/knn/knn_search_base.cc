@@ -44,7 +44,7 @@ Result<KnnRunResult> KnnSearchBase::Search(const FloatMatrix& queries,
 
   Status status = RunQueryBatchesWithPolicy(
       exec_policy_, queries.rows(), &result.stats,
-      [&](size_t begin, size_t end, size_t slot_index, SearchSlot& slot) {
+      [&](size_t begin, size_t end, size_t slot_index, WorkerSlot& slot) {
         BatchScratch& s = scratch[slot_index];
         // PIM filter phase: one batched fleet operation for the whole
         // device batch.
@@ -69,13 +69,11 @@ Result<KnnRunResult> KnnSearchBase::Search(const FloatMatrix& queries,
 
   result.stats.wall_ms = wall.ElapsedMillis();
   result.stats.traffic = traffic_scope.Delta();
-  if (engine_) {
-    result.stats.pim_ns = engine_->PimComputeNs();
-    result.stats.fault = engine_->FaultStatsTotal();
-    result.stats.fleet = engine_->FleetStats();
-  }
+  if (engine_) engine_->CloseRun(&result.stats);
   result.stats.footprint_bytes =
       FootprintBytes(result.stats.exact_count, queries.rows());
+  obs::AddCounter("pimine_queries_total", queries.rows());
+  PublishRunMetrics(result.stats, "pimine_query_latency_ns");
   return result;
 }
 

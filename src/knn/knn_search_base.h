@@ -17,9 +17,9 @@ namespace pimine {
 /// wall timer, gives every worker a BatchScratch, and runs
 /// RunQueryBatchesWithPolicy with a QuerySpan per query. A path with a
 /// fleet (`engine_`) first answers each device batch with one
-/// RunQueryBatch. The stats epilogue adds the fleet's PIM, fault and fleet
-/// stats when there is one. A path supplies its Prepare, SearchQuery and
-/// FootprintBytes. Host baselines chunk queries by
+/// RunQueryBatch. The run's epilogue is the fleet's CloseRun when there is
+/// one, then PublishRunMetrics. A path supplies its Prepare, SearchQuery
+/// and FootprintBytes. Host baselines chunk queries by
 /// ExecPolicy::device_batch too, so every path rejects device_batch = 0.
 class KnnSearchBase : public KnnAlgorithm {
  public:
@@ -49,7 +49,7 @@ class KnnSearchBase : public KnnAlgorithm {
   /// charging `slot`.
   virtual std::vector<Neighbor> SearchQuery(std::span<const float> q,
                                             size_t bq, int k, BatchScratch& s,
-                                            SearchSlot& slot) const = 0;
+                                            WorkerSlot& slot) const = 0;
 
   /// RunStats::footprint_bytes of a Search over `num_queries` queries that
   /// computed `exact_count` exact distances.

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "core/sharded_engine.h"
 #include "core/similarity.h"
 #include "util/timer.h"
 
@@ -88,8 +89,8 @@ Result<MotifResult> PimMotifDiscovery::Find(const FloatMatrix& windows,
   int64_t exclusion = 0;
   PIMINE_RETURN_IF_ERROR(ValidateMotifInput(windows, options, &exclusion));
   PIMINE_ASSIGN_OR_RETURN(
-      std::unique_ptr<PimEngine> engine,
-      PimEngine::Build(windows, Distance::kEuclidean, options_));
+      std::unique_ptr<ShardedPimEngine> engine,
+      ShardedPimEngine::Build(windows, Distance::kEuclidean, options_));
 
   MotifResult result;
   TrafficScope traffic_scope;
@@ -98,7 +99,7 @@ Result<MotifResult> PimMotifDiscovery::Find(const FloatMatrix& windows,
   const size_t n = windows.rows();
   double best = HUGE_VAL;
   for (size_t i = 0; i + static_cast<size_t>(exclusion) + 1 < n; ++i) {
-    PimEngine::QueryHandleBatch handle;
+    ShardedPimEngine::QueryHandleBatch handle;
     {
       ScopedFunctionTimer timer(&result.stats.profile, "LB_PIM");
       PIMINE_ASSIGN_OR_RETURN(
@@ -121,7 +122,7 @@ Result<MotifResult> PimMotifDiscovery::Find(const FloatMatrix& windows,
   result.distance = best;
   result.stats.wall_ms = wall.ElapsedMillis();
   result.stats.traffic = traffic_scope.Delta();
-  result.stats.pim_ns = engine->PimComputeNs();
+  engine->CloseRun(&result.stats);
   result.stats.footprint_bytes = n * sizeof(uint64_t) * 2;
   return result;
 }

@@ -46,7 +46,9 @@ class MotifDiscovery {
 
 /// PIM variant: each window's candidate partners are screened with the
 /// engine's lower bounds; exact distances only for pairs whose bound beats
-/// the best motif found so far. Results match the baseline exactly.
+/// the best motif found so far. Results match the baseline exactly. The
+/// bounds come from a ShardedPimEngine built with the given options, and
+/// the run closes on its CloseRun.
 class PimMotifDiscovery {
  public:
   explicit PimMotifDiscovery(EngineOptions options);

@@ -32,7 +32,7 @@ uint64_t OstKnn::FootprintBytes(uint64_t /*exact_count*/,
 std::vector<Neighbor> OstKnn::SearchQuery(std::span<const float> q,
                                           size_t /*bq*/, int k,
                                           BatchScratch& s,
-                                          SearchSlot& slot) const {
+                                          WorkerSlot& slot) const {
   const size_t n = data_->rows();
   {
     ScopedFunctionTimer timer(&slot.profile, "LB_OST");

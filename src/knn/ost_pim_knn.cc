@@ -77,7 +77,7 @@ std::span<const float> OstPimKnn::DeviceOperands(const FloatMatrix& queries,
 
 std::vector<Neighbor> OstPimKnn::SearchQuery(std::span<const float> q,
                                              size_t bq, int k, BatchScratch& s,
-                                             SearchSlot& slot) const {
+                                             WorkerSlot& slot) const {
   const size_t n = data_->rows();
   {
     ScopedFunctionTimer timer(&slot.profile, "LB_PIM");

@@ -42,7 +42,7 @@ class OstPimKnn : public PimKnnBase {
                                         BatchScratch& s) const override;
   std::vector<Neighbor> SearchQuery(std::span<const float> q, size_t bq,
                                     int k, BatchScratch& s,
-                                    SearchSlot& slot) const override;
+                                    WorkerSlot& slot) const override;
   /// Adds the suffix-norm table to the bound array and its ordering.
   uint64_t HostTableBytes() const override {
     return data_->rows() * sizeof(double) * 3;

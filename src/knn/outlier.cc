@@ -4,6 +4,7 @@
 #include <optional>
 
 #include "common/logging.h"
+#include "core/sharded_engine.h"
 #include "core/similarity.h"
 #include "knn/filter_refine.h"
 #include "util/timer.h"
@@ -99,8 +100,8 @@ Result<OutlierResult> OrcaPimOutlierDetector::Detect(
     const FloatMatrix& data, const OutlierOptions& options) {
   PIMINE_RETURN_IF_ERROR(ValidateOutlierInput(data, options));
   PIMINE_ASSIGN_OR_RETURN(
-      std::unique_ptr<PimEngine> engine,
-      PimEngine::Build(data, Distance::kEuclidean, options_));
+      std::unique_ptr<ShardedPimEngine> engine,
+      ShardedPimEngine::Build(data, Distance::kEuclidean, options_));
 
   OutlierResult result;
   TrafficScope traffic_scope;
@@ -115,7 +116,7 @@ Result<OutlierResult> OrcaPimOutlierDetector::Detect(
     const double cutoff = outliers.cutoff();
     {
       ScopedFunctionTimer timer(&result.stats.profile, "LB_PIM");
-      PIMINE_ASSIGN_OR_RETURN(const PimEngine::QueryHandleBatch batch,
+      PIMINE_ASSIGN_OR_RETURN(const ShardedPimEngine::QueryHandleBatch batch,
                               engine->RunQueryBatch(p, /*num_queries=*/1));
       engine->BoundsFor(batch, 0, bounds);
       result.stats.bound_count += n;
@@ -141,7 +142,7 @@ Result<OutlierResult> OrcaPimOutlierDetector::Detect(
   result.outliers = outliers.TakeSortedDescending();
   result.stats.wall_ms = wall.ElapsedMillis();
   result.stats.traffic = traffic_scope.Delta();
-  result.stats.pim_ns = engine->PimComputeNs();
+  engine->CloseRun(&result.stats);
   result.stats.footprint_bytes =
       n * sizeof(double) * 2 + result.stats.exact_count * data.cols() *
                                    sizeof(float) / std::max<size_t>(1, n);

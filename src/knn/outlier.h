@@ -43,7 +43,9 @@ class OrcaOutlierDetector {
 /// ascending PIM-bound order, so the k within-cutoff neighbours (which kill
 /// the candidate) are found almost immediately; exact distances are
 /// computed only for the bound-order prefix. Results match the baseline
-/// exactly.
+/// exactly. The bounds come from a ShardedPimEngine built with the given
+/// options (shards, replicas and faults included), and the run closes on
+/// its CloseRun.
 class OrcaPimOutlierDetector {
  public:
   explicit OrcaPimOutlierDetector(EngineOptions options);

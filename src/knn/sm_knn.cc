@@ -31,7 +31,7 @@ uint64_t SmKnn::FootprintBytes(uint64_t exact_count,
 std::vector<Neighbor> SmKnn::SearchQuery(std::span<const float> q,
                                          size_t /*bq*/, int k,
                                          BatchScratch& s,
-                                         SearchSlot& slot) const {
+                                         WorkerSlot& slot) const {
   const size_t n = data_->rows();
   const int64_t d0 = stats_.num_segments;
   std::vector<float> q_means(static_cast<size_t>(d0));

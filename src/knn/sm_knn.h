@@ -24,7 +24,7 @@ class SmKnn : public KnnSearchBase {
  protected:
   std::vector<Neighbor> SearchQuery(std::span<const float> q, size_t bq,
                                     int k, BatchScratch& s,
-                                    SearchSlot& slot) const override;
+                                    WorkerSlot& slot) const override;
   /// The segment means plus the rows refined per query.
   uint64_t FootprintBytes(uint64_t exact_count,
                           size_t num_queries) const override;

@@ -25,7 +25,7 @@ uint64_t StandardKnn::FootprintBytes(uint64_t /*exact_count*/,
 std::vector<Neighbor> StandardKnn::SearchQuery(std::span<const float> q,
                                                size_t /*bq*/, int k,
                                                BatchScratch& s,
-                                               SearchSlot& slot) const {
+                                               WorkerSlot& slot) const {
   const size_t n = data_->rows();
   TopK topk(static_cast<size_t>(k));
   slot.exact_count += n;

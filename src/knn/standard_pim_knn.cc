@@ -20,7 +20,7 @@ Status StandardPimKnn::Prepare(const FloatMatrix& data) {
 std::vector<Neighbor> StandardPimKnn::SearchQuery(std::span<const float> q,
                                                   size_t bq, int k,
                                                   BatchScratch& s,
-                                                  SearchSlot& slot) const {
+                                                  WorkerSlot& slot) const {
   return StandardPimQuery(*engine_, s.batch, bq, distance_, *data_, q, k,
                           s.bounds, slot, &slot.profile);
 }
@@ -29,7 +29,7 @@ std::vector<Neighbor> StandardPimQuery(
     const ShardedPimEngine& engine,
     const ShardedPimEngine::QueryHandleBatch& batch, size_t bq,
     Distance distance, const FloatMatrix& data, std::span<const float> q,
-    int k, std::span<double> bounds, SearchSlot& slot,
+    int k, std::span<double> bounds, WorkerSlot& slot,
     FunctionProfiler* profile) {
   const size_t n = data.rows();
   const bool similarity = IsSimilarityMeasure(distance);

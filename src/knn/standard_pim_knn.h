@@ -26,7 +26,7 @@ class StandardPimKnn : public PimKnnBase {
  protected:
   std::vector<Neighbor> SearchQuery(std::span<const float> q, size_t bq,
                                     int k, BatchScratch& s,
-                                    SearchSlot& slot) const override;
+                                    WorkerSlot& slot) const override;
 
  private:
   Distance distance_;
@@ -43,7 +43,7 @@ std::vector<Neighbor> StandardPimQuery(
     const ShardedPimEngine& engine,
     const ShardedPimEngine::QueryHandleBatch& batch, size_t bq,
     Distance distance, const FloatMatrix& data, std::span<const float> q,
-    int k, std::span<double> bounds, SearchSlot& slot,
+    int k, std::span<double> bounds, WorkerSlot& slot,
     FunctionProfiler* profile);
 
 }  // namespace pimine

@@ -73,110 +73,6 @@ bool Histogram::operator==(const Histogram& other) const {
   return true;
 }
 
-std::string Histogram::ToJson() const {
-  std::string out;
-  out.reserve(128);
-  out.append("{\"count\": ").append(std::to_string(count_));
-  out.append(", \"sum_ticks\": ").append(std::to_string(sum_));
-  out.append(", \"max_ticks\": ").append(std::to_string(max_));
-  out.append(", \"buckets\": [");
-  bool first = true;
-  for (int i = 0; i < kNumBuckets; ++i) {
-    if (counts_[i] == 0) continue;
-    if (!first) out.append(", ");
-    first = false;
-    out.append("[")
-        .append(std::to_string(i))
-        .append(", ")
-        .append(std::to_string(counts_[i]))
-        .append("]");
-  }
-  out.append("]}");
-  return out;
-}
-
-namespace {
-
-/// Parses the unsigned integer following `key` in `json` ("key": N).
-Result<uint64_t> ParseKeyedInt(const std::string& json,
-                               const std::string& key) {
-  const std::string quoted = "\"" + key + "\"";
-  size_t pos = json.find(quoted);
-  if (pos == std::string::npos) {
-    return Status::InvalidArgument("histogram JSON missing key " + key);
-  }
-  pos = json.find(':', pos + quoted.size());
-  if (pos == std::string::npos) {
-    return Status::InvalidArgument("histogram JSON: no value for " + key);
-  }
-  ++pos;
-  while (pos < json.size() && json[pos] == ' ') ++pos;
-  if (pos >= json.size() || json[pos] < '0' || json[pos] > '9') {
-    return Status::InvalidArgument("histogram JSON: non-integer " + key);
-  }
-  uint64_t value = 0;
-  while (pos < json.size() && json[pos] >= '0' && json[pos] <= '9') {
-    value = value * 10 + static_cast<uint64_t>(json[pos] - '0');
-    ++pos;
-  }
-  return value;
-}
-
-}  // namespace
-
-Result<Histogram> Histogram::FromJson(const std::string& json) {
-  Histogram h;
-  PIMINE_ASSIGN_OR_RETURN(h.count_, ParseKeyedInt(json, "count"));
-  PIMINE_ASSIGN_OR_RETURN(h.sum_, ParseKeyedInt(json, "sum_ticks"));
-  PIMINE_ASSIGN_OR_RETURN(h.max_, ParseKeyedInt(json, "max_ticks"));
-
-  size_t pos = json.find("\"buckets\"");
-  if (pos == std::string::npos) {
-    return Status::InvalidArgument("histogram JSON missing key buckets");
-  }
-  pos = json.find('[', pos);
-  if (pos == std::string::npos) {
-    return Status::InvalidArgument("histogram JSON: buckets is not a list");
-  }
-  ++pos;
-  const auto parse_int = [&](uint64_t* out) -> bool {
-    while (pos < json.size() && (json[pos] == ' ' || json[pos] == ',')) ++pos;
-    if (pos >= json.size() || json[pos] < '0' || json[pos] > '9') return false;
-    *out = 0;
-    while (pos < json.size() && json[pos] >= '0' && json[pos] <= '9') {
-      *out = *out * 10 + static_cast<uint64_t>(json[pos] - '0');
-      ++pos;
-    }
-    return true;
-  };
-  while (true) {
-    while (pos < json.size() && (json[pos] == ' ' || json[pos] == ',')) ++pos;
-    if (pos >= json.size()) {
-      return Status::InvalidArgument("histogram JSON: unterminated buckets");
-    }
-    if (json[pos] == ']') break;  // end of the bucket list.
-    if (json[pos] != '[') {
-      return Status::InvalidArgument("histogram JSON: bad bucket entry");
-    }
-    ++pos;
-    uint64_t index = 0, bucket_count = 0;
-    if (!parse_int(&index) || !parse_int(&bucket_count)) {
-      return Status::InvalidArgument("histogram JSON: bad bucket pair");
-    }
-    while (pos < json.size() && json[pos] == ' ') ++pos;
-    if (pos >= json.size() || json[pos] != ']') {
-      return Status::InvalidArgument("histogram JSON: unclosed bucket pair");
-    }
-    ++pos;
-    if (index >= static_cast<uint64_t>(kNumBuckets)) {
-      return Status::InvalidArgument("histogram JSON: bucket index " +
-                                     std::to_string(index) + " out of range");
-    }
-    h.counts_[index] = bucket_count;
-  }
-  return h;
-}
-
 std::string Histogram::Summary() const {
   std::ostringstream os;
   os << "count=" << count_ << " p50<=" << QuantileUpperBound(0.50)

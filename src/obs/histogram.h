@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <string>
 
-#include "common/result.h"
-
 namespace pimine {
 namespace obs {
 
@@ -57,15 +55,6 @@ class Histogram {
   /// "count=12 p50<=1023 p95<=4095 p99<=4095 max=3201" (exact integers; used
   /// by the determinism test for byte comparison).
   std::string Summary() const;
-
-  /// Exact state snapshot as one JSON object: integer count/sum/max plus
-  /// sparse [bucket_index, count] pairs. FromJson(ToJson()) == *this, bit
-  /// for bit — the serialization the timeseries plane persists.
-  std::string ToJson() const;
-  /// Parses a ToJson() document. Fails with InvalidArgument on anything
-  /// malformed (missing keys, bucket index out of range, trailing junk in
-  /// a number).
-  static Result<Histogram> FromJson(const std::string& json);
 
  private:
   uint64_t counts_[kNumBuckets] = {0};

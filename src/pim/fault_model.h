@@ -113,8 +113,9 @@ struct FaultStats {
   uint64_t retries = 0;
   /// Crossbar rows re-programmed by remapping.
   uint64_t remapped_rows = 0;
-  /// Result values escalated past device recovery (host re-read under
-  /// kHostExact, suspect-flagged under kBoundSlack).
+  /// Result values escalated past device recovery: host re-read under
+  /// kHostExact, suspect-flagged under kBoundSlack, or recomputed by the
+  /// fleet's fail-over after a kFailOp DeviceFault (counted there only).
   uint64_t escalated_to_host = 0;
   /// Stuck cells sampled while programming (harmful or latent).
   uint64_t stuck_cells = 0;

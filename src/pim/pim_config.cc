@@ -13,14 +13,11 @@ Status PimConfig::Validate() const {
   if (cell_bits <= 0 || cell_bits > 8) {
     return Status::InvalidArgument("cell_bits must be in [1, 8]");
   }
-  if (operand_bits <= 0 || operand_bits > 32) {
-    return Status::InvalidArgument("operand_bits must be in [1, 32]");
-  }
   if (num_crossbars <= 0) {
     return Status::InvalidArgument("num_crossbars must be positive");
   }
-  if (dac_bits <= 0 || dac_bits > operand_bits) {
-    return Status::InvalidArgument("dac_bits must be in [1, operand_bits]");
+  if (dac_bits <= 0 || dac_bits > 32) {
+    return Status::InvalidArgument("dac_bits must be in [1, 32]");
   }
   if (read_ns <= 0.0 || write_ns <= 0.0) {
     return Status::InvalidArgument("latencies must be positive");
@@ -41,8 +38,7 @@ std::string PimConfig::ToString() const {
      << TotalCellBits() / 8 / (1024 * 1024) << " MB PIM array); buffer "
      << buffer_bytes / (1024 * 1024) << " MB eDRAM; bus " << internal_bus_gbps
      << " GB/s; interconnect " << interconnect_gbps << " GB/s + "
-     << interconnect_hop_ns << " ns/hop; batches "
-     << (pipelined_batches ? "pipelined" : "sequential");
+     << interconnect_hop_ns << " ns/hop; batches pipelined";
   return os.str();
 }
 

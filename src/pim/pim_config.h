@@ -16,8 +16,6 @@ struct PimConfig {
   int crossbar_dim = 256;
   /// Cell precision h in bits.
   int cell_bits = 2;
-  /// Operand bit width b (the paper keeps 32-bit integers, §VI-B).
-  int operand_bits = 32;
   /// Total crossbars C in the PIM array.
   int64_t num_crossbars = 131072;
   /// ReRAM read latency per crossbar cycle (ns).
@@ -38,15 +36,6 @@ struct PimConfig {
   /// Write endurance per cell (ReRAM: 1e8-1e11; we track the conservative
   /// end and let tests assert re-programming stays far below it).
   double endurance_writes = 1e8;
-  /// When true, buffer array lets PIM and CPU overlap (§III-A); modeled as
-  /// hiding PIM latency behind host work where possible.
-  bool buffer_overlap = true;
-  /// When true, a multi-query device batch streams its inputs back-to-back
-  /// through the crossbar pipeline (Fig. 2): after the first query fills the
-  /// pipeline, every further query costs one extra stage time instead of a
-  /// full pass. When false, batches are modeled as Q sequential passes
-  /// (ablation knob; functional results never depend on it).
-  bool pipelined_batches = true;
   /// Host<->device interconnect bandwidth for a fleet of PIM devices
   /// (GB/s). Conservatively below the internal bus: scatter/gather between
   /// the host and a device shard crosses the off-bank fabric.

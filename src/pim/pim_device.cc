@@ -428,10 +428,6 @@ Status PimDevice::ApplyFaultsAndRecover(std::span<const int32_t> queries,
   const size_t s = data_.cols();
   const size_t num_groups = (n + fault_group_size_ - 1) / fault_group_size_;
   const bool verify = recovery_.verify_mode != VerifyMode::kNone;
-  if (recovery_.verify_mode == VerifyMode::kBoundSlack && suspect == nullptr) {
-    return Status::FailedPrecondition(
-        "VerifyMode::kBoundSlack requires a suspect buffer");
-  }
   if (suspect != nullptr) suspect->assign(num_queries * n, 0);
 
   // Modeled recovery charges: a retry re-streams the query through the
@@ -538,12 +534,12 @@ Status PimDevice::ApplyFaultsAndRecover(std::span<const int32_t> queries,
         }
 
         // Unrecoverable on-device: escalate per the verify mode.
-        local->escalated_to_host += count;
         switch (recovery_.verify_mode) {
           case VerifyMode::kHostExact:
             // Host re-reads the group's operands and recomputes the dots;
             // `out` already holds the true values, so just charge the
             // transfer (count rows of s operands over the internal bus).
+            local->escalated_to_host += count;
             local->recovery_ns +=
                 static_cast<double>(count * s * sizeof(int32_t)) /
                 config_.internal_bus_gbps;
@@ -551,12 +547,15 @@ Status PimDevice::ApplyFaultsAndRecover(std::span<const int32_t> queries,
           case VerifyMode::kBoundSlack:
             // Hand over the corrupt values, flagged: the engine widens the
             // affected bounds to their trivial worst case.
+            local->escalated_to_host += count;
             std::copy(faulty.begin(), faulty.begin() + count, true_dots + v0);
             for (size_t v = v0; v < v1; ++v) {
               (*suspect)[q * n + v] = 1;
             }
             break;
           case VerifyMode::kFailOp: {
+            // Not an escalation here: the caller decides (the fleet's
+            // host recompute counts the rows it re-reads).
             std::ostringstream os;
             os << "unrecoverable PIM fault: group " << g << " of query " << q
                << " (op nonce " << nonce << ")"
@@ -575,20 +574,19 @@ Status PimDevice::ApplyFaultsAndRecover(std::span<const int32_t> queries,
   return Status::OK();
 }
 
-Status PimDevice::DotProductBatch(std::span<const int32_t> queries,
-                                  size_t num_queries,
-                                  std::vector<uint64_t>* out,
-                                  std::vector<uint8_t>* suspect) {
+Status PimDevice::ExactDots(const char* op, std::span<const int32_t> queries,
+                            size_t num_queries,
+                            std::vector<uint64_t>* out) const {
   if (out == nullptr) {
-    return Status::InvalidArgument(
-        "DotProductBatch requires a non-null output vector");
+    return Status::InvalidArgument(std::string(op) +
+                                   " requires a non-null output vector");
   }
   if (!programmed()) {
     return Status::FailedPrecondition("no dataset programmed");
   }
   if (num_queries == 0) {
-    return Status::InvalidArgument(
-        "empty query batch: DotProductBatch requires num_queries >= 1");
+    return Status::InvalidArgument("empty query batch: " + std::string(op) +
+                                   " requires num_queries >= 1");
   }
   if (queries.size() != num_queries * data_.cols()) {
     return Status::InvalidArgument("query batch dimensionality mismatch");
@@ -598,24 +596,41 @@ Status PimDevice::DotProductBatch(std::span<const int32_t> queries,
       return Status::InvalidArgument("PIM inputs must be non-negative");
     }
   }
-
-  const size_t n = data_.rows();
-  const size_t s = data_.cols();
-  out->resize(num_queries * n);
   // Functional emulation of the analog dot-product: exact integer math with
   // natural uint64 wraparound (the least-significant-64-bit rule), computed
   // as one tiled GEMM over the whole batch.
-  DotProductGemm(data_.data(), n, s, queries.data(), num_queries,
-                 out->data());
+  out->resize(num_queries * data_.rows());
+  DotProductGemm(data_.data(), data_.rows(), data_.cols(), queries.data(),
+                 num_queries, out->data());
+  return Status::OK();
+}
 
+Status PimDevice::DotProductBatch(std::span<const int32_t> queries,
+                                  size_t num_queries,
+                                  std::vector<uint64_t>* out,
+                                  std::vector<uint8_t>* suspect) {
+  if (faults_ != nullptr && suspect == nullptr &&
+      recovery_.verify_mode == VerifyMode::kBoundSlack) {
+    return Status::FailedPrecondition(
+        "VerifyMode::kBoundSlack requires a suspect buffer");
+  }
+  PIMINE_RETURN_IF_ERROR(ExactDots("DotProductBatch", queries, num_queries,
+                                   out));
+  const size_t n = data_.rows();
+
+  // The pass ran, so it is charged below even when its fault phase fails
+  // the op (kFailOp): the status is returned only after the charge.
   FaultStats local;
+  Status fault_status;
   if (faults_ != nullptr) {
-    PIMINE_RETURN_IF_ERROR(
-        ApplyFaultsAndRecover(queries, num_queries, out, suspect, &local));
+    fault_status =
+        ApplyFaultsAndRecover(queries, num_queries, out, suspect, &local);
   } else if (suspect != nullptr) {
     suspect->clear();
   }
 
+  const double query_ns = SerialDotNsPerQuery();
+  const double batch_ns = BatchDotNs(num_queries);
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.batch_ops;
@@ -624,8 +639,6 @@ Status PimDevice::DotProductBatch(std::span<const int32_t> queries,
     // Per-query charges accumulate by repeated addition so the totals stay
     // bit-identical to num_queries single-query operations (one fused
     // `Q * x` add would round differently).
-    const double query_ns =
-        timing_.BatchDotLatencyNs(static_cast<int64_t>(s), operand_bits_);
     const double query_pj = timing_.BatchDotEnergyPj(
         stats_.data_crossbars + stats_.gather_crossbars, operand_bits_);
     const uint64_t query_bytes = n * sizeof(uint64_t);
@@ -635,9 +648,7 @@ Status PimDevice::DotProductBatch(std::span<const int32_t> queries,
       buffer_.Deposit(query_bytes);
       buffer_.Drain(query_bytes);  // host consumes each result window.
     }
-    stats_.pipelined_ns +=
-        timing_.BatchDotLatencyNs(static_cast<int64_t>(s), operand_bits_,
-                                  static_cast<int64_t>(num_queries));
+    stats_.pipelined_ns += batch_ns;
     stats_.results_produced += num_queries * n;
     stats_.result_bytes_to_host += num_queries * query_bytes;
     stats_.fault.Merge(local);
@@ -655,9 +666,6 @@ Status PimDevice::DotProductBatch(std::span<const int32_t> queries,
       o->metrics().GetCounter("pimine_fault_retries_total").Add(local.retries);
     }
     if (o->trace().options().device_events) {
-      const double batch_ns = timing_.BatchDotLatencyNs(
-          static_cast<int64_t>(s), operand_bits_,
-          static_cast<int64_t>(num_queries));
       o->trace().Complete("device", "dot_batch", obs::kDeviceTrack, batch_ns,
                           "queries", static_cast<int64_t>(num_queries),
                           "vectors", static_cast<int64_t>(n));
@@ -670,52 +678,27 @@ Status PimDevice::DotProductBatch(std::span<const int32_t> queries,
       }
     }
   }
-  return Status::OK();
+  return fault_status;
 }
 
 Status PimDevice::HostRecomputeBatch(std::span<const int32_t> queries,
                                      size_t num_queries,
                                      std::vector<uint64_t>* out) {
-  if (out == nullptr) {
-    return Status::InvalidArgument(
-        "HostRecomputeBatch requires a non-null output vector");
-  }
-  if (!programmed()) {
-    return Status::FailedPrecondition("no dataset programmed");
-  }
-  if (num_queries == 0) {
-    return Status::InvalidArgument(
-        "empty query batch: HostRecomputeBatch requires num_queries >= 1");
-  }
-  if (queries.size() != num_queries * data_.cols()) {
-    return Status::InvalidArgument("query batch dimensionality mismatch");
-  }
-  for (int32_t v : queries) {
-    if (v < 0) {
-      return Status::InvalidArgument("PIM inputs must be non-negative");
-    }
-  }
-
+  PIMINE_RETURN_IF_ERROR(ExactDots("HostRecomputeBatch", queries, num_queries,
+                                   out));
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  // The same per-group escalation charge the recovery ladder applies
+  // (VerifyMode::kHostExact), extended over every group of every query:
+  // the host re-reads the full operand matrix per query over the internal
+  // bus. Repeated per-query addition keeps the total bit-identical across
+  // batch groupings.
   const size_t n = data_.rows();
-  const size_t s = data_.cols();
-  out->resize(num_queries * n);
-  DotProductGemm(data_.data(), n, s, queries.data(), num_queries,
-                 out->data());
-
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    // The same per-group escalation charge the recovery ladder applies
-    // (VerifyMode::kHostExact), extended over every group of every query:
-    // the host re-reads the full operand matrix per query over the internal
-    // bus. Repeated per-query addition keeps the total bit-identical across
-    // batch groupings.
-    const double escalate_ns =
-        static_cast<double>(n * s * sizeof(int32_t)) /
-        config_.internal_bus_gbps;
-    for (size_t q = 0; q < num_queries; ++q) {
-      stats_.fault.escalated_to_host += n;
-      stats_.fault.recovery_ns += escalate_ns;
-    }
+  const double escalate_ns =
+      static_cast<double>(n * data_.cols() * sizeof(int32_t)) /
+      config_.internal_bus_gbps;
+  for (size_t q = 0; q < num_queries; ++q) {
+    stats_.fault.escalated_to_host += n;
+    stats_.fault.recovery_ns += escalate_ns;
   }
   return Status::OK();
 }

@@ -181,7 +181,9 @@ class PimDevice {
   /// RecoveryPolicy, with recovery time charged to stats.fault.recovery_ns.
   /// `suspect` (optional) is sized num_queries * N and set to 1 for results
   /// that remain possibly corrupt (VerifyMode::kBoundSlack only; required
-  /// in that mode). Fault-free devices leave `suspect` empty.
+  /// in that mode). Fault-free devices leave `suspect` empty. A pass that
+  /// fails the op (VerifyMode::kFailOp) is charged before its DeviceFault
+  /// returns.
   Status DotProductBatch(std::span<const int32_t> queries, size_t num_queries,
                          std::vector<uint64_t>* out,
                          std::vector<uint8_t>* suspect = nullptr);
@@ -192,9 +194,7 @@ class PimDevice {
   /// the internal bus and recomputes the exact wraparound dot products,
   /// bypassing the fault model entirely. Charges only fault-recovery
   /// accounting (stats.fault.escalated_to_host, stats.fault.recovery_ns):
-  /// the crossbars never ran the pass, so compute/energy/batch stats stay
-  /// untouched and the fleet's max-over-shards device time picks a healthy
-  /// shard.
+  /// it runs no crossbar pass.
   Status HostRecomputeBatch(std::span<const int32_t> queries,
                             size_t num_queries, std::vector<uint64_t>* out);
 
@@ -277,9 +277,15 @@ class PimDevice {
   /// state to a full BuildFaultState over the grown dataset.
   void ExtendFaultState(size_t old_n);
 
+  /// The argument checks DotProductBatch and HostRecomputeBatch (`op`)
+  /// share, then the batch's exact wraparound dot products into `out`.
+  Status ExactDots(const char* op, std::span<const int32_t> queries,
+                   size_t num_queries, std::vector<uint64_t>* out) const;
+
   /// Fault phase of DotProductBatch: perturbs, verifies and recovers the
   /// true dot products in `out` group by group. Appends this batch's fault
-  /// accounting to `local` (merged into stats_ under stats_mu_ later).
+  /// accounting to `local` (merged into stats_ under stats_mu_ later), up
+  /// to the group that fails the op under VerifyMode::kFailOp.
   Status ApplyFaultsAndRecover(std::span<const int32_t> queries,
                                size_t num_queries, std::vector<uint64_t>* out,
                                std::vector<uint8_t>* suspect,

@@ -30,10 +30,6 @@ double PimTimingModel::BatchDotLatencyNs(int64_t s, int input_bits,
   // slice-wise, Fig. 11); with m = 256 the tree is at most 2 deep for every
   // dimensionality in the paper.
   const int stages = GatherDepth(s, config_.crossbar_dim);
-  if (!config_.pipelined_batches) {
-    return stage_ns * static_cast<double>(stages) *
-           static_cast<double>(queries);
-  }
   // Back-to-back streaming: query q enters the data stage while query q-1
   // occupies the first gather stage, so a batch drains in stages + Q - 1
   // stage times. Q = 1 reduces exactly to stage_ns * stages (Table 5).

@@ -22,13 +22,12 @@ class PimTimingModel {
   double BatchDotLatencyNs(int64_t s, int input_bits) const;
 
   /// Latency of one *multi-query* device batch: `queries` input vectors
-  /// streamed back-to-back through the same pipeline (§II-A, Fig. 2). With
-  /// pipelined batches the first query pays the full pipeline depth and
-  /// every further query one stage time (initiation interval = 1 stage):
+  /// streamed back-to-back through the same pipeline (§II-A, Fig. 2). The
+  /// first query pays the full pipeline depth and every further query one
+  /// stage time (initiation interval = 1 stage):
   ///   latency = stage_ns * (stages + queries - 1).
   /// The queries = 1 case is bit-identical to the single-query overload
-  /// above. With config.pipelined_batches = false the batch is modeled as
-  /// `queries` sequential passes.
+  /// above.
   double BatchDotLatencyNs(int64_t s, int input_bits, int64_t queries) const;
 
   /// Latency of programming `rows` crossbar rows (row-parallel writes).

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 
+#include "common/status.h"
 #include "obs/histogram.h"
 #include "pim/fault_model.h"
 #include "pim/fleet.h"
@@ -45,6 +46,27 @@ struct RunStats {
   /// uninstrumented build. Buckets merge exactly across threads.
   obs::Histogram latency_hist;
 };
+
+/// Per-worker accumulation slot of a kNN query batch, a k-means assign
+/// chunk or a serving dispatch; the harness folds it into RunStats.
+struct WorkerSlot {
+  uint64_t exact_count = 0;
+  uint64_t bound_count = 0;
+  uint64_t changed = 0;     // k-means reassignments.
+  FunctionProfiler profile;
+  obs::Histogram latency;   // obs::QuerySpan samples; empty with obs off.
+  Status status;            // first failure this worker observed.
+
+  /// The host half of a run's epilogue: counts, profile and latency into
+  /// `stats`. Integer sums and exact histogram merges, so no total depends
+  /// on the fold order.
+  void FoldInto(RunStats* stats) const;
+};
+
+/// Publishes pimine_exact_distances_total, pimine_bound_evaluations_total,
+/// pimine_candidates_pruned_total and the latency histogram
+/// `latency_family` of a finished run. No-op while observability is off.
+void PublishRunMetrics(const RunStats& stats, const char* latency_family);
 
 }  // namespace pimine
 

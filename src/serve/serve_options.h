@@ -84,24 +84,16 @@ struct ServeOptions {
   double compact_watermark = 0.0;
 
   // --- Telemetry plane (obs) knobs ------------------------------------
-  // None of these can change results or traffic: the plane only observes
-  // the accounting the scheduler already produces.
-  /// Width of one rolling telemetry window in ns of the driving clock
-  /// (virtual ns in replay, steady-clock ns in live mode).
-  uint64_t ts_window_ns = 1'000'000;
-  /// Rolling windows retained by the serving timeseries.
-  size_t ts_windows = 64;
-  /// SLO error budget (tolerated deadline-miss fraction) driving the
-  /// two-window burn rate. Only meaningful when deadline_ns > 0.
-  double slo_budget = 0.001;
+  // Neither can change results or traffic: the plane only observes the
+  // accounting the scheduler already produces. The timeseries window, ring
+  // and SLO budget and the event-log capacity are the TimeSeriesOptions
+  // and EventLogOptions defaults.
   /// Hash-based per-query event-log sample rate in [0, 1]; 0 disables the
   /// event log. Sampling is a pure function of (event_seed, query id) —
   /// the same queries are kept for any thread/shard count.
   double event_sample_rate = 0.0;
   /// Salt of the event-log sampling hash.
   uint64_t event_seed = 0;
-  /// Newest sampled events retained by the bounded event-log ring.
-  size_t event_capacity = 4096;
 
   size_t num_tenants() const {
     return tenants.empty() ? 1 : tenants.size();
@@ -125,24 +117,9 @@ struct ServeOptions {
           "ExecPolicy::device_batch must be >= 1 (one query per device "
           "operation); 0 is not a valid batch size");
     }
-    if (ts_window_ns == 0) {
-      return Status::InvalidArgument(
-          "ServeOptions::ts_window_ns must be >= 1");
-    }
-    if (ts_windows == 0) {
-      return Status::InvalidArgument("ServeOptions::ts_windows must be >= 1");
-    }
-    if (!(slo_budget > 0.0) || slo_budget > 1.0) {
-      return Status::InvalidArgument(
-          "ServeOptions::slo_budget must be in (0, 1]");
-    }
     if (!(event_sample_rate >= 0.0) || event_sample_rate > 1.0) {
       return Status::InvalidArgument(
           "ServeOptions::event_sample_rate must be in [0, 1]");
-    }
-    if (event_capacity == 0) {
-      return Status::InvalidArgument(
-          "ServeOptions::event_capacity must be >= 1");
     }
     for (const TenantSpec& t : tenants) {
       if (t.weight == 0) {

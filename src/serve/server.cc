@@ -46,12 +46,8 @@ struct PimServer::FormedBatch {
 struct PimServer::Run {
   explicit Run(const ServeOptions& options)
       : queue(options),
-        ts({.window_ns = options.ts_window_ns,
-            .num_windows = options.ts_windows,
-            .slo_budget = options.slo_budget}),
         events({.sample_rate = options.event_sample_rate,
-                .seed = options.event_seed,
-                .capacity = options.event_capacity}) {
+                .seed = options.event_seed}) {
     stats.tenants.resize(options.num_tenants());
     for (size_t t = 0; t < stats.tenants.size(); ++t) {
       stats.tenants[t].name =
@@ -77,7 +73,7 @@ struct PimServer::DispatchScratch {
   std::vector<double> bounds;
   std::vector<int64_t> tracks;
   std::vector<std::vector<Neighbor>> neighbors;
-  SearchSlot slot;
+  WorkerSlot slot;
 };
 
 /// A live-mode in-flight query: the copied payload, its result as the
@@ -316,14 +312,11 @@ Status PimServer::RunDispatch(const FormedBatch& b,
           s->slot, /*profile=*/nullptr);
     }
   }
-  // Integer counts and exact histogram merges: the fold order cannot move
-  // a total, so replay's workers fold in whatever order they finish.
+  // The fold order cannot move a total, so replay's workers fold in
+  // whatever order they finish.
   std::lock_guard<std::mutex> lock(mu_);
-  RunStats& exec = run->stats.exec;
-  exec.exact_count += s->slot.exact_count;
-  exec.bound_count += s->slot.bound_count;
-  exec.latency_hist.Merge(s->slot.latency);
-  s->slot = SearchSlot();
+  s->slot.FoldInto(&run->stats.exec);
+  s->slot = WorkerSlot();
   return status;
 }
 
@@ -397,9 +390,7 @@ ServeStats PimServer::Snapshot(const Run& run) const {
       stats.batches == 0 ? 0.0
                          : static_cast<double>(stats.served) /
                                static_cast<double>(stats.batches);
-  stats.exec.pim_ns = engine_->PimComputeNs();
-  stats.exec.fault = engine_->FaultStatsTotal();
-  stats.exec.fleet = engine_->FleetStats();
+  engine_->CloseRun(&stats.exec);
   return stats;
 }
 

@@ -175,12 +175,12 @@ TEST(EngineStatsTest, PimTimeAccumulatesAndResets) {
   PimEngine& engine = **engine_or;
   EXPECT_GT(engine.OfflineNs(), 0.0);
   EXPECT_GT(engine.OfflineBytesWritten(), 0u);
-  EXPECT_DOUBLE_EQ(engine.PimComputeNs(), 0.0);
+  EXPECT_DOUBLE_EQ(engine.DeviceStatsTotal().pim_ns, 0.0);
   std::vector<double> bounds;
   ASSERT_TRUE(engine.ComputeBounds(RandomUnitVector(8, 3), &bounds).ok());
-  EXPECT_GT(engine.PimComputeNs(), 0.0);
+  EXPECT_GT(engine.DeviceStatsTotal().pim_ns, 0.0);
   engine.ResetOnlineStats();
-  EXPECT_DOUBLE_EQ(engine.PimComputeNs(), 0.0);
+  EXPECT_DOUBLE_EQ(engine.DeviceStatsTotal().pim_ns, 0.0);
   EXPECT_DOUBLE_EQ(engine.TransferBitsPerCandidate(), 96.0);  // 3 * 32.
 }
 

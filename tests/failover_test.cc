@@ -826,7 +826,6 @@ TEST(FailoverServeTest, StrikeOutsReplayAsPlannedForEveryThreadCount) {
   options.exec.device_batch = options.max_batch;
   options.chaos = chaos;
   options.event_sample_rate = 1.0;
-  options.event_capacity = 1 << 16;
 
   std::vector<serve::ReplayOutput> outputs;
   std::vector<FailoverStats> executed;

@@ -91,6 +91,34 @@ TEST(MotifTest, PimMatchesBaselineExactly) {
   }
 }
 
+// The PIM finder builds a fleet like every PIM path: two shards under
+// host-exact fault recovery find the fault-free motif, and the run's
+// RunStats carry the injected faults and the fleet.
+TEST(MotifTest, ShardedFaultyFleetMatchesFaultFreeRun) {
+  const auto series = SeriesWithPlantedMotif(1000, 32, 150, 600, 7);
+  auto windows = ExtractWindows(series, 32);
+  ASSERT_TRUE(windows.ok());
+  MotifOptions options;
+  options.window = 32;
+  PimMotifDiscovery clean((EngineOptions()));
+  auto expected = clean.Find(*windows, options);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+  EngineOptions engine;
+  engine.shard.shards = 2;
+  engine.fault_config.cell_rate = 0.01;
+  engine.fault_config.transient_rate = 0.01;
+  engine.recovery.verify_mode = VerifyMode::kHostExact;
+  PimMotifDiscovery pim(engine);
+  auto result = pim.Find(*windows, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->first, expected->first);
+  EXPECT_EQ(result->second, expected->second);
+  EXPECT_EQ(result->distance, expected->distance);
+  EXPECT_GT(result->stats.fault.injected, 0u);
+  EXPECT_EQ(result->stats.fleet.shards, 2);
+}
+
 TEST(MotifTest, ExclusionZonePreventsTrivialMatches) {
   // Pure random walk, no planted motif: adjacent windows share all but one
   // sample and are therefore the closest pairs by construction.

@@ -103,6 +103,36 @@ TEST(OutlierTest, PimComputesFewerExactDistances) {
   EXPECT_GT(accel->stats.pim_ns, 0.0);
 }
 
+// The PIM detector builds a fleet like every PIM path: two shards under
+// host-exact fault recovery report the fault-free outliers, and the run's
+// RunStats carry the injected faults and the fleet.
+TEST(OutlierTest, ShardedFaultyFleetMatchesFaultFreeRun) {
+  const FloatMatrix data = OutlierData(300, 24, 77);
+  OutlierOptions options;
+  options.k = 5;
+  options.num_outliers = 10;
+  OrcaPimOutlierDetector clean((EngineOptions()));
+  auto expected = clean.Detect(data, options);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+  EngineOptions engine;
+  engine.shard.shards = 2;
+  engine.fault_config.cell_rate = 0.01;
+  engine.fault_config.transient_rate = 0.01;
+  engine.recovery.verify_mode = VerifyMode::kHostExact;
+  OrcaPimOutlierDetector pim(engine);
+  auto result = pim.Detect(data, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->outliers.size(), expected->outliers.size());
+  for (size_t i = 0; i < expected->outliers.size(); ++i) {
+    EXPECT_EQ(result->outliers[i].id, expected->outliers[i].id) << i;
+    EXPECT_EQ(result->outliers[i].distance, expected->outliers[i].distance)
+        << i;
+  }
+  EXPECT_GT(result->stats.fault.injected, 0u);
+  EXPECT_EQ(result->stats.fleet.shards, 2);
+}
+
 TEST(OutlierTest, PlantedOutlierIsFound) {
   FloatMatrix data = OutlierData(200, 16, 3);
   // Plant an extreme point far from every cluster (clusters live around

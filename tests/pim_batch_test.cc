@@ -88,7 +88,6 @@ TEST(PimBatchTest, BatchWrapsAroundLikeSingleQueries) {
   // 32 * 2^60 = 2^65: every query in the batch must observe the same
   // least-significant-64-bit truncation as the per-query path (== 0).
   PimConfig config;
-  config.operand_bits = 32;
   PimDevice device(config);
   IntMatrix data(1, 32);
   for (int32_t& v : data.mutable_row(0)) v = (1 << 30);

@@ -31,10 +31,6 @@ TEST(PimConfigTest, ValidationCatchesBadGeometry) {
   EXPECT_FALSE(config.Validate().ok());
 
   config = PimConfig();
-  config.operand_bits = 33;
-  EXPECT_FALSE(config.Validate().ok());
-
-  config = PimConfig();
   config.num_crossbars = 0;
   EXPECT_FALSE(config.Validate().ok());
 

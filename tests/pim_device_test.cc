@@ -139,7 +139,6 @@ TEST(PimDeviceTest, WraparoundImplementsTruncation) {
   // Values large enough that the 64-bit accumulator wraps: the device must
   // return the least-significant 64 bits (the paper's overflow rule).
   PimConfig config;
-  config.operand_bits = 32;
   PimDevice device(config);
   IntMatrix data(1, 8);
   for (int32_t& v : data.mutable_row(0)) v = (1 << 30);

@@ -380,8 +380,9 @@ TEST(ServeReplayTest, GreedyZeroWaitServesSingletonsMatchingDirectQueries) {
     auto handle = (*engine)->RunQueryBatch(Queries().row(i % kQueries), 1);
     ASSERT_TRUE(handle.ok());
   }
-  EXPECT_EQ(served.stats.exec.pim_ns, (*engine)->PimComputeNs());
-  EXPECT_EQ(served.stats.pipelined_ns, (*engine)->PimPipelinedNs());
+  EXPECT_EQ(served.stats.exec.pim_ns, (*engine)->DeviceStatsTotal().pim_ns);
+  EXPECT_EQ(served.stats.pipelined_ns,
+            (*engine)->DeviceStatsTotal().pipelined_ns);
 }
 
 // --- Fairness --------------------------------------------------------------

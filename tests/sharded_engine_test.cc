@@ -414,6 +414,74 @@ TEST(ShardedEngineTest, FailedShardEscalatesToHostRecompute) {
   }
 }
 
+// A device pass that fails the op (kFailOp) is still a pass its shard ran:
+// every shard's snapshot charges it (a batch op, its modeled time, the
+// faults it injected), and the shard's host escalations are exactly the rows
+// the fail-over recompute re-read, not also the group that failed the pass.
+// The fleet figures are the reductions of those snapshots.
+TEST(ShardedEngineTest, FailedPassIsChargedAndSnapshotsAddUp) {
+  const size_t n = 90;
+  const size_t d = 16;
+  const FloatMatrix data = ClusteredData(n, d, 21);
+  const FloatMatrix queries = testing_util::RandomUnitMatrix(3, d, 22);
+  const std::span<const float> span(queries.data(), queries.rows() * d);
+
+  for (int shards : {1, 3}) {
+    EngineOptions options;
+    options.shard.shards = shards;
+    options.fault_config.transient_rate = 0.2;  // every op faults.
+    options.recovery.verify_mode = VerifyMode::kFailOp;
+    options.recovery.max_retries = 0;
+    auto built = ShardedPimEngine::Build(data, Distance::kEuclidean, options);
+    ASSERT_TRUE(built.ok()) << "M=" << shards;
+    const auto fleet = std::move(built).value();
+    ASSERT_TRUE(fleet->RunQueryBatch(span, queries.rows()).ok())
+        << "M=" << shards;
+
+    const uint64_t devices = fleet->device2() != nullptr ? 2 : 1;
+    double max_pim_ns = 0.0;
+    double max_pipelined_ns = 0.0;
+    FaultStats fault;
+    uint64_t scatter = 0, gather = 0, failovers = 0, failed_over = 0;
+    uint64_t row_writes = 0;
+    for (size_t j = 0; j < fleet->shards(); ++j) {
+      const ShardedPimEngine::ShardHealth h = fleet->ShardHealthSnapshot(j);
+      const std::string label =
+          "M=" + std::to_string(shards) + " shard " + std::to_string(j);
+      EXPECT_GT(h.batch_ops, 0u) << label;
+      EXPECT_GT(h.pim_ns, 0.0) << label;
+      EXPECT_GT(h.fault.injected, 0u) << label;
+      EXPECT_EQ(h.failed_over_queries, queries.rows()) << label;
+      const uint64_t shard_rows = fleet->shard_map().rows_per_shard[j].size();
+      EXPECT_EQ(h.fault.escalated_to_host,
+                h.failed_over_queries * shard_rows * devices)
+          << label;
+      max_pim_ns = std::max(max_pim_ns, h.pim_ns);
+      max_pipelined_ns = std::max(max_pipelined_ns, h.pipelined_ns);
+      fault.Merge(h.fault);
+      scatter += h.scatter_messages;
+      gather += h.gather_messages;
+      failovers += h.failovers;
+      failed_over += h.failed_over_queries;
+      row_writes += h.row_writes;
+    }
+    const std::string label = "M=" + std::to_string(shards);
+    EXPECT_EQ(fleet->PimComputeNs(), max_pim_ns) << label;
+    EXPECT_EQ(fleet->PimPipelinedNs(), max_pipelined_ns) << label;
+    const FaultStats total = fleet->FaultStatsTotal();
+    EXPECT_EQ(total.injected, fault.injected) << label;
+    EXPECT_EQ(total.detected, fault.detected) << label;
+    EXPECT_EQ(total.escalated_to_host, fault.escalated_to_host) << label;
+    EXPECT_EQ(total.recovery_ns, fault.recovery_ns) << label;
+    const FleetRunStats stats = fleet->FleetStats();
+    EXPECT_EQ(stats.scatter_messages, scatter) << label;
+    EXPECT_EQ(stats.gather_messages, gather) << label;
+    EXPECT_EQ(stats.failovers, failovers) << label;
+    EXPECT_EQ(stats.failed_over_queries, failed_over) << label;
+    EXPECT_EQ(stats.row_writes, row_writes) << label;
+  }
+}
+
 // ChargeTreeReduction charges the critical path: ceil(log2 M) messages of
 // the given payload, and nothing at M = 1.
 TEST(ShardedEngineTest, TreeReductionChargesCriticalPath) {

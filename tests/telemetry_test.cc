@@ -1,15 +1,16 @@
 // Tests of the live telemetry plane (src/obs + serve/fleet wiring):
 // rolling timeseries windows, SLO burn rates, hash-sampled event log,
 // labeled metric families with strict Prometheus exposition, histogram
-// JSON round trips, the embedded HTTP exposition endpoint, and the
-// per-shard fleet health export whose totals must equal the aggregate
-// FleetRunStats accounting exactly.
+// edge cases, the embedded HTTP exposition endpoint, and the per-shard
+// fleet health export whose totals must equal the aggregate FleetRunStats
+// accounting exactly.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <sstream>
@@ -373,38 +374,6 @@ TEST(HistogramEdgeTest, QuantileEdgeCases) {
   EXPECT_EQ(zero.count(), 2u);
 }
 
-TEST(HistogramEdgeTest, JsonRoundTripIsExact) {
-  Histogram h;
-  h.Record(0.0);
-  h.Record(1.0);
-  h.Record(999.0);
-  h.Record(123456789.0);
-  h.Record(static_cast<double>(Histogram::kMaxTicks) * 2.0);
-  const auto parsed = Histogram::FromJson(h.ToJson());
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_TRUE(*parsed == h);
-  EXPECT_EQ(parsed->ToJson(), h.ToJson());
-
-  const auto empty = Histogram::FromJson(Histogram().ToJson());
-  ASSERT_TRUE(empty.ok());
-  EXPECT_TRUE(*empty == Histogram());
-}
-
-TEST(HistogramEdgeTest, FromJsonRejectsMalformedInput) {
-  EXPECT_FALSE(Histogram::FromJson("").ok());
-  EXPECT_FALSE(Histogram::FromJson("{\"count\": 1}").ok());
-  EXPECT_FALSE(Histogram::FromJson("{\"count\": x, \"sum_ticks\": 0, "
-                                   "\"max_ticks\": 0, \"buckets\": []}")
-                   .ok());
-  // Bucket index out of range.
-  EXPECT_FALSE(Histogram::FromJson("{\"count\": 1, \"sum_ticks\": 1, "
-                                   "\"max_ticks\": 1, \"buckets\": [[64, 1]]}")
-                   .ok());
-  EXPECT_TRUE(Histogram::FromJson("{\"count\": 1, \"sum_ticks\": 1, "
-                                  "\"max_ticks\": 1, \"buckets\": [[63, 1]]}")
-                  .ok());
-}
-
 // ---------------------------------------------------------------------------
 // Embedded exposition endpoint
 // ---------------------------------------------------------------------------
@@ -579,6 +548,52 @@ TEST(FleetHealthTest, PerShardTotalsEqualFleetAggregates) {
   // The live timeseries/event documents are now populated too.
   EXPECT_NE((*server)->TimeSeriesJson().find("\"served\""),
             std::string::npos);
+}
+
+// The fleet's modeled PIM time is the max over the shard snapshots' pim_ns,
+// bit for bit, also when chaos makes replicas serve (a shard's figure then
+// sums both replicas, each over its two FNN devices).
+TEST(FleetHealthTest, PimComputeNsIsTheMaxOfShardSnapshotsUnderChaos) {
+  const FloatMatrix data = RandomUnitMatrix(200, 24, 3);
+  const FloatMatrix queries = RandomUnitMatrix(32, 24, 5);
+  EngineOptions engine_options;
+  engine_options.pim_config.num_crossbars = 4096;
+  engine_options.bound = EngineOptions::Bound::kSegmentFnn;
+  engine_options.shard.shards = 2;
+  engine_options.shard.replicas = 2;
+  serve::ServeOptions serve_options;
+  serve_options.max_batch = 8;
+  serve_options.k = 5;
+  serve_options.exec.device_batch = 4;
+  serve_options.chaos.device_deaths = 2;
+  serve_options.chaos.horizon_ns = 50000;
+  auto server = serve::PimServer::Build(data, Distance::kEuclidean,
+                                        engine_options, serve_options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  serve::WorkloadSpec spec;
+  spec.num_requests = 128;
+  spec.offered_qps = 2e6;
+  spec.tenant_share = {1.0};
+  spec.num_query_rows = 32;
+  spec.seed = 17;
+  auto trace = serve::GeneratePoissonTrace(spec);
+  ASSERT_TRUE(trace.ok());
+  auto output = (*server)->Replay(*trace, queries);
+  ASSERT_TRUE(output.ok()) << output.status().ToString();
+
+  const ShardedPimEngine& fleet = (*server)->engine();
+  ASSERT_NE(fleet.device2(), nullptr);
+  EXPECT_GT(fleet.FleetStats().failover.recovered, 0u);
+  double max_pim_ns = 0.0;
+  bool replica_ran = false;
+  for (size_t j = 0; j < fleet.shards(); ++j) {
+    max_pim_ns = std::max(max_pim_ns, fleet.ShardHealthSnapshot(j).pim_ns);
+    replica_ran = replica_ran ||
+                  fleet.replica_engine(j, 1).DeviceStatsTotal().pim_ns > 0.0;
+  }
+  EXPECT_TRUE(replica_ran);
+  EXPECT_EQ(fleet.PimComputeNs(), max_pim_ns);
+  EXPECT_EQ(output->stats.exec.pim_ns, max_pim_ns);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
+#include "obs/event_log.h"
 #include "serve/serve_options.h"
 #include "serve/server.h"
 #include "serve/workload.h"
@@ -40,9 +41,12 @@ const FloatMatrix& Queries() {
   return *queries;
 }
 
+// The server's timeseries windows are 1 ms and its event ring holds 4096
+// events (the TimeSeriesOptions / EventLogOptions defaults): 9000 requests
+// at 3e6 q/s span several windows, and sampling half of them rolls the ring.
 ArrivalTrace TestTrace() {
   WorkloadSpec spec;
-  spec.num_requests = 96;
+  spec.num_requests = 9000;
   spec.offered_qps = 3e6;  // hot enough that batches actually coalesce.
   spec.tenant_share = {0.7, 0.3};
   spec.num_query_rows = kQueries;
@@ -72,12 +76,8 @@ TelemetryDocs ReplayTelemetry(int scheduler_threads, int shards) {
   serve_options.scheduler_threads = scheduler_threads;
   serve_options.deadline_ns = 40000;  // some misses feed the SLO series.
   serve_options.tenants = {{"gold", 3}, {"free", 1}};
-  serve_options.ts_window_ns = 10000;
-  serve_options.ts_windows = 32;
-  serve_options.slo_budget = 0.05;
   serve_options.event_sample_rate = 0.5;
   serve_options.event_seed = 2024;
-  serve_options.event_capacity = 64;  // smaller than the trace: ring rolls.
   auto server = PimServer::Build(Data(), Distance::kEuclidean, engine_options,
                                  serve_options);
   EXPECT_TRUE(server.ok()) << server.status().ToString();
@@ -90,7 +90,7 @@ TelemetryDocs ReplayTelemetry(int scheduler_threads, int shards) {
 TEST(TimeSeriesDeterminismTest, ByteIdenticalAcrossThreadsAndShards) {
   const TelemetryDocs baseline = ReplayTelemetry(1, 1);
   ASSERT_FALSE(baseline.timeseries.empty());
-  // Sampling at 0.5 over 96 queries keeps some and drops some.
+  // Sampling at 0.5 keeps some queries and drops some.
   ASSERT_FALSE(baseline.events.empty());
   EXPECT_NE(baseline.timeseries.find("\"pimine.obs.timeseries.v1\""),
             std::string::npos);
@@ -133,7 +133,7 @@ TEST(TimeSeriesDeterminismTest, RepeatedReplayOnOneServerIsIdentical) {
   size_t lines = 0;
   for (const char c : first->events_jsonl) lines += c == '\n' ? 1 : 0;
   EXPECT_EQ(lines, std::min<size_t>(trace.events.size(),
-                                    serve_options.event_capacity));
+                                    obs::EventLogOptions().capacity));
 }
 
 }  // namespace

@@ -187,6 +187,9 @@ Result<EngineOptions> EngineFromFlags(const FlagParser& flags,
   PIMINE_ASSIGN_OR_RETURN(
       options.shard.placement,
       ParseShardPlacement(flags.GetString("placement", "contiguous")));
+  // Checked here, before the PIM/host branch, so a host-only run rejects
+  // the engine flags a PIM run would reject instead of ignoring them.
+  PIMINE_RETURN_IF_ERROR(options.Validate());
   return options;
 }
 
@@ -378,11 +381,11 @@ int RunOutlier(const FlagParser& flags) {
   options.k = static_cast<int>(flags.GetInt("k", 5));
   options.num_outliers = static_cast<int>(flags.GetInt("top", 10));
 
+  const Result<EngineOptions> engine_options = EngineFromFlags(flags, workload);
+  if (!engine_options.ok()) return UsageError(engine_options.status());
   Result<OutlierResult> result = [&]() -> Result<OutlierResult> {
     if (flags.GetBool("pim", false)) {
-      PIMINE_ASSIGN_OR_RETURN(const EngineOptions engine_options,
-                              EngineFromFlags(flags, workload));
-      OrcaPimOutlierDetector detector(engine_options);
+      OrcaPimOutlierDetector detector(*engine_options);
       return detector.Detect(workload.data, options);
     }
     OrcaOutlierDetector detector;
@@ -416,10 +419,12 @@ int RunMotif(const FlagParser& flags) {
 
   MotifOptions options;
   options.window = flags.GetInt("window", 64);
+  EngineOptions engine_options;
+  engine_options.alpha = flags.GetDouble("alpha", engine_options.alpha);
+  const Status engine_valid = engine_options.Validate();
+  if (!engine_valid.ok()) return UsageError(engine_valid);
   Result<MotifResult> result = [&]() -> Result<MotifResult> {
     if (flags.GetBool("pim", false)) {
-      EngineOptions engine_options;
-      engine_options.alpha = flags.GetDouble("alpha", 1e6);
       PimMotifDiscovery detector(engine_options);
       return detector.Find(*windows, options);
     }

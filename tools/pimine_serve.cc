@@ -26,8 +26,13 @@
 // Replay instead writes the deterministic telemetry documents with
 // --timeseries_out / --events_out (--event_sample enables sampling).
 
+#include <cerrno>
+#include <charconv>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -38,6 +43,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "core/similarity.h"
 #include "obs/exposition_server.h"
 #include "obs/obs.h"
 #include "serve/server.h"
@@ -87,16 +93,30 @@ int UsageError(const Status& status) {
 }
 
 /// A failed server build or replay: flag values the library rejects
-/// (InvalidArgument, e.g. --max_batch=0 or a zero tenant weight) are misuse
-/// and exit 2 through UsageError; any other failure is a bug and aborts.
+/// (InvalidArgument, e.g. --max_batch=0 or a zero tenant weight) and a
+/// dataset the PIM array cannot hold (CapacityExceeded) are misuse and exit
+/// 2 through UsageError; any other failure is a bug and aborts.
 int RunError(const Status& status) {
-  PIMINE_CHECK(status.code() == StatusCode::kInvalidArgument)
+  PIMINE_CHECK(status.code() == StatusCode::kInvalidArgument ||
+               status.code() == StatusCode::kCapacityExceeded)
       << status.ToString();
   return UsageError(status);
 }
 
-/// "--tenants=gold:4,free:1" -> weighted TenantSpecs.
-std::vector<serve::TenantSpec> ParseTenants(const std::string& spec) {
+/// --distance of both commands: ED, CS or PCC.
+Result<Distance> DistanceFromFlags(const FlagParser& flags) {
+  const std::string name = flags.GetString("distance", "ED");
+  for (const Distance d :
+       {Distance::kEuclidean, Distance::kCosine, Distance::kPearson}) {
+    if (name == DistanceName(d)) return d;
+  }
+  return Status::InvalidArgument("unknown --distance '" + name +
+                                 "' (want ED|CS|PCC)");
+}
+
+/// "--tenants=gold:4,free:1" -> weighted TenantSpecs. A weight must be a
+/// decimal integer that fits 32 bits.
+Result<std::vector<serve::TenantSpec>> ParseTenants(const std::string& spec) {
   std::vector<serve::TenantSpec> tenants;
   if (spec.empty()) return tenants;
   std::stringstream ss(spec);
@@ -106,24 +126,45 @@ std::vector<serve::TenantSpec> ParseTenants(const std::string& spec) {
     const size_t colon = item.find(':');
     tenant.name = item.substr(0, colon);
     if (colon != std::string::npos) {
-      tenant.weight = static_cast<uint32_t>(std::stoul(item.substr(colon + 1)));
+      const std::string weight = item.substr(colon + 1);
+      uint64_t value = 0;
+      const auto [end, ec] = std::from_chars(
+          weight.data(), weight.data() + weight.size(), value);
+      if (weight.empty() || ec != std::errc() ||
+          end != weight.data() + weight.size() || value > UINT32_MAX) {
+        return Status::InvalidArgument("--tenants item '" + item +
+                                       "': weight must be an integer in "
+                                       "[0, 2^32)");
+      }
+      tenant.weight = static_cast<uint32_t>(value);
     }
     tenants.push_back(std::move(tenant));
   }
   return tenants;
 }
 
-/// "--shares=4,1" -> relative offered-traffic shares per tenant.
-std::vector<double> ParseShares(const std::string& spec) {
+/// "--shares=4,1" -> relative offered-traffic shares per tenant, each a
+/// finite number.
+Result<std::vector<double>> ParseShares(const std::string& spec) {
   std::vector<double> shares;
   if (spec.empty()) return shares;
   std::stringstream ss(spec);
   std::string item;
-  while (std::getline(ss, item, ',')) shares.push_back(std::stod(item));
+  while (std::getline(ss, item, ',')) {
+    char* end = nullptr;
+    errno = 0;
+    const double share = std::strtod(item.c_str(), &end);
+    if (item.empty() || end != item.c_str() + item.size() || errno != 0 ||
+        !std::isfinite(share)) {
+      return Status::InvalidArgument("--shares item '" + item +
+                                     "' is not a finite number");
+    }
+    shares.push_back(share);
+  }
   return shares;
 }
 
-serve::ServeOptions ServeFromFlags(const FlagParser& flags) {
+Result<serve::ServeOptions> ServeFromFlags(const FlagParser& flags) {
   serve::ServeOptions options;
   options.max_batch = static_cast<size_t>(flags.GetInt("max_batch", 16));
   options.max_wait_ns =
@@ -135,7 +176,8 @@ serve::ServeOptions ServeFromFlags(const FlagParser& flags) {
   options.k = static_cast<int>(flags.GetInt("k", 10));
   options.exec.device_batch =
       static_cast<size_t>(flags.GetInt("device_batch", 16));
-  options.tenants = ParseTenants(flags.GetString("tenants", ""));
+  PIMINE_ASSIGN_OR_RETURN(options.tenants,
+                          ParseTenants(flags.GetString("tenants", "")));
   options.event_sample_rate = flags.GetDouble("event_sample", 0.0);
   options.event_seed = static_cast<uint64_t>(flags.GetInt("event_seed", 0));
   // Robustness plane: seeded chaos schedule + ladder deadline + degraded
@@ -224,11 +266,10 @@ int RunReplay(const FlagParser& flags) {
   EngineOptions engine = ScaledEngineOptions(workload);
   engine.shard.shards = static_cast<int>(flags.GetInt("shards", 1));
   engine.shard.replicas = static_cast<int>(flags.GetInt("replicas", 1));
-  const std::string distance_name = flags.GetString("distance", "ED");
-  const Distance distance = distance_name == "CS"    ? Distance::kCosine
-                            : distance_name == "PCC" ? Distance::kPearson
-                                                     : Distance::kEuclidean;
-  const serve::ServeOptions serve_options = ServeFromFlags(flags);
+  const Result<Distance> distance = DistanceFromFlags(flags);
+  if (!distance.ok()) return UsageError(distance.status());
+  const Result<serve::ServeOptions> serve_options = ServeFromFlags(flags);
+  if (!serve_options.ok()) return UsageError(serve_options.status());
 
   // Mutable-dataset mode: split the workload into a base corpus plus an
   // insert stream (its LAST `total inserts` rows), replay the mutation
@@ -267,9 +308,12 @@ int RunReplay(const FlagParser& flags) {
   serve::WorkloadSpec spec;
   spec.num_requests = static_cast<size_t>(flags.GetInt("requests", 512));
   spec.offered_qps = flags.GetDouble("qps", 2e6);
-  spec.tenant_share = ParseShares(flags.GetString("shares", ""));
+  Result<std::vector<double>> shares =
+      ParseShares(flags.GetString("shares", ""));
+  if (!shares.ok()) return UsageError(shares.status());
+  spec.tenant_share = std::move(*shares);
   if (spec.tenant_share.empty()) {
-    spec.tenant_share.assign(serve_options.num_tenants(), 1.0);
+    spec.tenant_share.assign(serve_options->num_tenants(), 1.0);
   }
   spec.num_query_rows = static_cast<uint32_t>(workload.queries.rows());
   spec.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
@@ -281,7 +325,7 @@ int RunReplay(const FlagParser& flags) {
   const FloatMatrix& served_data =
       dataset != nullptr ? dataset->corpus() : workload.data;
   auto server =
-      serve::PimServer::Build(served_data, distance, engine, serve_options);
+      serve::PimServer::Build(served_data, *distance, engine, *serve_options);
   if (!server.ok()) return RunError(server.status());
   if (dataset != nullptr) {
     PIMINE_CHECK_OK((*server)->AttachMutable(dataset.get()));
@@ -306,8 +350,8 @@ int RunReplay(const FlagParser& flags) {
             << workload.data.rows() << " x " << workload.data.cols()
             << "), " << spec.num_requests << " requests at "
             << Fmt(spec.offered_qps, 0) << " q/s offered, max_batch="
-            << serve_options.max_batch << ", threads="
-            << serve_options.scheduler_threads << "\n";
+            << serve_options->max_batch << ", threads="
+            << serve_options->scheduler_threads << "\n";
   PrintServeStats(output->stats);
   const std::string ts_path = flags.GetString("timeseries_out", "");
   if (!ts_path.empty()) {
@@ -343,12 +387,15 @@ int RunLive(const FlagParser& flags) {
   EngineOptions engine = ScaledEngineOptions(workload);
   engine.shard.shards = static_cast<int>(flags.GetInt("shards", 1));
   engine.shard.replicas = static_cast<int>(flags.GetInt("replicas", 1));
-  const serve::ServeOptions serve_options = ServeFromFlags(flags);
+  const Result<Distance> distance = DistanceFromFlags(flags);
+  if (!distance.ok()) return UsageError(distance.status());
+  const Result<serve::ServeOptions> serve_options = ServeFromFlags(flags);
+  if (!serve_options.ok()) return UsageError(serve_options.status());
   const size_t requests = static_cast<size_t>(flags.GetInt("requests", 256));
   const int clients = static_cast<int>(flags.GetInt("clients", 4));
 
-  auto server = serve::PimServer::Build(workload.data, Distance::kEuclidean,
-                                        engine, serve_options);
+  auto server = serve::PimServer::Build(workload.data, *distance, engine,
+                                        *serve_options);
   if (!server.ok()) return RunError(server.status());
   PIMINE_CHECK_OK((*server)->Start());
 
@@ -382,7 +429,7 @@ int RunLive(const FlagParser& flags) {
   for (int c = 0; c < clients; ++c) {
     client_threads.emplace_back([&, c] {
       const uint32_t tenant =
-          static_cast<uint32_t>(c % serve_options.num_tenants());
+          static_cast<uint32_t>(c % serve_options->num_tenants());
       for (size_t i = c; i < requests; i += clients) {
         const auto row = workload.queries.row(i % workload.queries.rows());
         auto result = (*server)->Submit(tenant, row);
@@ -408,7 +455,7 @@ int RunLive(const FlagParser& flags) {
   const serve::ServeStats stats = (*server)->LiveStats();
   std::cout << "live on " << workload.spec.name << ": " << clients
             << " clients x " << requests << " requests, threads="
-            << serve_options.scheduler_threads << "\n";
+            << serve_options->scheduler_threads << "\n";
   PrintServeStats(stats);
   return 0;
 }
