@@ -31,6 +31,16 @@ EngineOptions ScaledEngineOptions(const BenchWorkload& workload) {
   return options;
 }
 
+Result<Distance> DistanceFromFlags(const FlagParser& flags) {
+  const std::string name = flags.GetString("distance", "ED");
+  for (const Distance d :
+       {Distance::kEuclidean, Distance::kCosine, Distance::kPearson}) {
+    if (name == DistanceName(d)) return d;
+  }
+  return Status::InvalidArgument("unknown --distance '" + name +
+                                 "' (want ED|CS|PCC)");
+}
+
 BenchPoint RunKnnPoint(KnnAlgorithm& algorithm, const FloatMatrix& queries,
                        int k, const HostCostModel& model) {
   auto result = algorithm.Search(queries, k);

@@ -5,13 +5,16 @@
 #include <string>
 #include <vector>
 
+#include "common/result.h"
 #include "core/engine.h"
 #include "core/memory_planner.h"
+#include "core/similarity.h"
 #include "data/catalog.h"
 #include "data/matrix.h"
 #include "knn/knn_common.h"
 #include "profiling/modeled_time.h"
 #include "sim/cost_model.h"
+#include "util/flags.h"
 
 namespace pimine {
 namespace bench {
@@ -34,6 +37,10 @@ BenchWorkload LoadWorkload(const std::string& name, int64_t n = 0,
 /// Engine options whose crossbar budget is scaled to the workload so that
 /// Theorem 4 exerts the paper's capacity pressure (DESIGN.md §1).
 EngineOptions ScaledEngineOptions(const BenchWorkload& workload);
+
+/// The --distance flag of pimine_cli and pimine_serve: ED (the default),
+/// CS or PCC; any other name is InvalidArgument.
+Result<Distance> DistanceFromFlags(const FlagParser& flags);
 
 /// One measured + modeled data point.
 struct BenchPoint {

@@ -11,8 +11,8 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "core/engine.h"
 #include "core/partitioned_engine.h"
+#include "core/sharded_engine.h"
 #include "core/similarity.h"
 
 namespace pimine {
@@ -50,13 +50,15 @@ void Run() {
 
   // (a) compression.
   auto compressed_or =
-      PimEngine::Build(w.data, Distance::kEuclidean, tight);
+      ShardedPimEngine::Build(w.data, Distance::kEuclidean, tight);
   PIMINE_CHECK(compressed_or.ok()) << compressed_or.status().ToString();
-  PimEngine& compressed = **compressed_or;
-  std::vector<std::vector<double>> comp_bounds(w.queries.rows());
+  const ShardedPimEngine& compressed = **compressed_or;
+  std::vector<std::vector<double>> comp_bounds(
+      w.queries.rows(), std::vector<double>(w.data.rows()));
   for (size_t q = 0; q < w.queries.rows(); ++q) {
-    PIMINE_CHECK_OK(
-        compressed.ComputeBounds(w.queries.row(q), &comp_bounds[q]));
+    auto batch = compressed.RunQueryBatch(w.queries.row(q), 1);
+    PIMINE_CHECK(batch.ok()) << batch.status().ToString();
+    compressed.BoundsFor(*batch, 0, comp_bounds[q]);
   }
 
   // (b) partitioned re-programming.
@@ -71,7 +73,7 @@ void Run() {
   table.AddRow({"compression (Thm. 4)",
                 "LB_PIM-FNN^" + std::to_string(compressed.num_segments()),
                 Fmt(100.0 * PruneRatio(w.data, w.queries, comp_bounds, 10), 1),
-                Fmt(compressed.DeviceStatsTotal().pim_ns / 1e6, 3), "0",
+                Fmt(compressed.PimComputeNs() / 1e6, 3), "0",
                 "0"});
   table.AddRow(
       {"re-programming (§VII)", "LB_PIM-ED (full d)",

@@ -6,7 +6,7 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "core/engine.h"
+#include "core/sharded_engine.h"
 #include "core/similarity.h"
 #include "sim/traffic.h"
 
@@ -40,14 +40,16 @@ void Run() {
     // PIM-aware: one combine per candidate (PIM result + Phi scalar).
     uint64_t pim_bits = 0;
     {
-      auto engine_or =
-          PimEngine::Build(w.data, Distance::kEuclidean, EngineOptions());
+      auto engine_or = ShardedPimEngine::Build(w.data, Distance::kEuclidean,
+                                               EngineOptions());
       PIMINE_CHECK(engine_or.ok());
+      const ShardedPimEngine& engine = **engine_or;
       TrafficScope scope;
-      std::vector<double> bounds;
+      std::vector<double> bounds(n);
       for (size_t q = 0; q < w.queries.rows(); ++q) {
-        PIMINE_CHECK_OK((*engine_or)->ComputeBounds(w.queries.row(q),
-                                                    &bounds));
+        auto batch = engine.RunQueryBatch(w.queries.row(q), 1);
+        PIMINE_CHECK(batch.ok()) << batch.status().ToString();
+        engine.BoundsFor(*batch, 0, bounds);
       }
       const TrafficCounters delta = scope.Delta();
       pim_bits = (delta.bytes_from_memory * 8 +

@@ -15,6 +15,7 @@
 #include "core/plan.h"
 #include "core/quantize.h"
 #include "core/segments.h"
+#include "core/sharded_engine.h"
 #include "core/similarity.h"
 
 namespace pimine {
@@ -42,6 +43,23 @@ double MeasureRatio(const FloatMatrix& data, const FloatMatrix& queries,
     total_ratio += MeasurePruningRatio(values, tau, false);
   }
   return total_ratio / static_cast<double>(queries.rows());
+}
+
+/// MeasureRatio of an engine's bounds: one RunQueryBatch per query, its
+/// span of bounds read per object.
+double MeasureEngineRatio(const FloatMatrix& data, const FloatMatrix& queries,
+                          int k, const ShardedPimEngine& engine) {
+  std::vector<double> bounds(data.rows());
+  return MeasureRatio(data, queries, k,
+                      [&](size_t i, std::span<const float> q) {
+                        if (i == 0) {
+                          auto batch = engine.RunQueryBatch(q, 1);
+                          PIMINE_CHECK(batch.ok())
+                              << batch.status().ToString();
+                          engine.BoundsFor(*batch, 0, bounds);
+                        }
+                        return bounds[i];
+                      });
 }
 
 void Run() {
@@ -78,16 +96,10 @@ void Run() {
     options.bound = EngineOptions::Bound::kSegmentFnn;
     options.force_segments = 105;
     auto engine_or =
-        PimEngine::Build(w.data, Distance::kEuclidean, options);
+        ShardedPimEngine::Build(w.data, Distance::kEuclidean, options);
     PIMINE_CHECK(engine_or.ok()) << engine_or.status().ToString();
-    PimEngine& engine = **engine_or;
-    std::vector<double> bounds;
-    const double ratio = MeasureRatio(
-        w.data, w.queries, k,
-        [&](size_t i, std::span<const float> q) {
-          if (i == 0) PIMINE_CHECK_OK(engine.ComputeBounds(q, &bounds));
-          return bounds[i];
-        });
+    const ShardedPimEngine& engine = **engine_or;
+    const double ratio = MeasureEngineRatio(w.data, w.queries, k, engine);
     const double bits = engine.TransferBitsPerCandidate();
     table.AddRow({"LB_PIM-FNN^105", Fmt(100.0 * ratio, 1), Fmt(bits, 0),
                   Fmt(bits * n / 8.0 / 1e6, 2)});
@@ -103,16 +115,9 @@ void Run() {
     options.force_segments = 105;
     options.alpha = alpha;
     auto engine_or =
-        PimEngine::Build(w.data, Distance::kEuclidean, options);
+        ShardedPimEngine::Build(w.data, Distance::kEuclidean, options);
     PIMINE_CHECK(engine_or.ok()) << engine_or.status().ToString();
-    PimEngine& engine = **engine_or;
-    std::vector<double> bounds;
-    const double ratio = MeasureRatio(
-        w.data, w.queries, k,
-        [&](size_t i, std::span<const float> q) {
-          if (i == 0) PIMINE_CHECK_OK(engine.ComputeBounds(q, &bounds));
-          return bounds[i];
-        });
+    const double ratio = MeasureEngineRatio(w.data, w.queries, k, **engine_or);
     ablation.AddRow({Fmt(alpha, 0), Fmt(100.0 * ratio, 1),
                      Fmt(LbPimEdErrorBound(w.data.cols(), alpha), 4)});
   }

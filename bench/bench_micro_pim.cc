@@ -517,14 +517,12 @@ int ShardSweep(size_t n, size_t d) {
           modeled_total_ns > 0.0 ? interconnect_ns / modeled_total_ns : 0.0;
 
       ShardedPimEngine::QueryScratch scratch;
+      ShardedPimEngine::QueryHandleBatch reused;
       const double ms = BestOfMs(3, [&] {
         for (size_t q0 = 0; q0 < kTotalQueries; q0 += batch) {
-          PIMINE_CHECK_OK(engine
-                              ->RunQueryBatch(
-                                  std::span<const float>(
-                                      queries.data() + q0 * d, batch * d),
-                                  batch, &scratch)
-                              .status());
+          PIMINE_CHECK_OK(engine->RunQueryBatch(
+              std::span<const float>(queries.data() + q0 * d, batch * d),
+              batch, &scratch, &reused));
         }
       });
       const double queries_per_s =

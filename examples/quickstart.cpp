@@ -1,9 +1,10 @@
 // Quickstart: the smallest end-to-end use of pimine.
 //
 // 1. Generate a small dataset (values in [0, 1]).
-// 2. Build a PimEngine: quantizes the data (Eq. 5-6), plans the crossbar
-//    layout (Theorem 4), programs the simulated ReRAM PIM array, and
-//    pre-computes the Phi terms of the PIM-aware bound.
+// 2. Build a ShardedPimEngine (one shard by default): quantizes the data
+//    (Eq. 5-6), plans the crossbar layout (Theorem 4), programs the
+//    simulated ReRAM PIM array, and pre-computes the Phi terms of the
+//    PIM-aware bound.
 // 3. Run a query: one PIM batch dot-product + O(1) host work per object
 //    yields a lower bound on every squared Euclidean distance.
 // 4. Use the bounds to find the exact nearest neighbour while computing
@@ -15,7 +16,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "core/engine.h"
+#include "core/sharded_engine.h"
 #include "core/similarity.h"
 #include "data/generator.h"
 #include "pim/crossbar.h"
@@ -46,7 +47,8 @@ int main() {
   const FloatMatrix queries =
       DatasetGenerator::GenerateQueries(spec, data, 1, /*seed=*/2);
 
-  auto engine = PimEngine::Build(data, Distance::kEuclidean, EngineOptions());
+  auto engine =
+      ShardedPimEngine::Build(data, Distance::kEuclidean, EngineOptions());
   PIMINE_CHECK(engine.ok()) << engine.status().ToString();
   std::printf("engine mode: %.*s, objects: %zu, layout: %s\n",
               (int)EngineModeName((*engine)->mode()).size(),
@@ -54,8 +56,10 @@ int main() {
               (*engine)->num_objects(), (*engine)->plan().ToString().c_str());
 
   const auto q = queries.row(0);
-  std::vector<double> bounds;
-  PIMINE_CHECK_OK((*engine)->ComputeBounds(q, &bounds));
+  auto batch = (*engine)->RunQueryBatch(q, /*num_queries=*/1);
+  PIMINE_CHECK(batch.ok()) << batch.status().ToString();
+  std::vector<double> bounds(data.rows());
+  (*engine)->BoundsFor(*batch, /*query=*/0, bounds);
 
   // Filter-and-refine: examine candidates in ascending bound order, stop
   // when the bound exceeds the best exact distance seen.
@@ -83,7 +87,7 @@ int main() {
       "for a full scan)\n",
       best_id, best, exact_computed, data.rows(),
       100.0 * (1.0 - (double)exact_computed / data.rows()),
-      (*engine)->DeviceStatsTotal().pim_ns / 1e3,
+      (*engine)->PimComputeNs() / 1e3,
       (*engine)->TransferBitsPerCandidate(),
       64.0 * 8 * sizeof(float));
   return 0;

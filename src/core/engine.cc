@@ -120,7 +120,6 @@ Result<EngineGeometry> ResolveEngineGeometry(int64_t n, int64_t d,
 
 PimEngine::PimEngine(EngineMode mode, const EngineOptions& options)
     : mode_(mode),
-      options_(options),
       quantizer_(options.alpha),
       operand_bits_(options.operand_bits) {}
 
@@ -147,29 +146,28 @@ Result<std::unique_ptr<PimEngine>> PimEngine::Build(
     engine->num_segments_ = g.segments;
     engine->segment_length_ = SegmentLength(d, g.segments);
   }
-  engine->device1_ = engine->MakeDevice(/*second=*/false);
-  if (g.mode == EngineMode::kSegmentFnn) {
-    engine->device2_ = engine->MakeDevice(/*second=*/true);
+  // kSegmentFnn matches segment means and segment stds on two devices.
+  const size_t devices = g.mode == EngineMode::kSegmentFnn ? 2 : 1;
+  for (size_t k = 0; k < devices; ++k) {
+    FaultConfig fault = options.fault_config;
+    if (k > 0) fault.seed ^= 0x9e3779b97f4a7c15ULL;
+    engine->devices_.push_back(std::make_unique<PimDevice>(
+        options.pim_config, fault, options.recovery));
   }
   PIMINE_RETURN_IF_ERROR(engine->ProgramRows(data, /*append=*/false));
   return engine;
 }
 
-std::unique_ptr<PimDevice> PimEngine::MakeDevice(bool second) const {
-  FaultConfig fault = options_.fault_config;
-  if (second) fault.seed ^= 0x9e3779b97f4a7c15ULL;
-  return std::make_unique<PimDevice>(options_.pim_config, fault,
-                                     options_.recovery);
-}
-
 PimEngine::BoundTerms PimEngine::EncodeRow(std::span<const float> row,
-                                           std::span<int32_t> op1,
-                                           std::span<int32_t> op2,
+                                           size_t at,
                                            QueryScratch* scratch) const {
+  const auto op = [&](size_t k) {
+    return std::span<int32_t>(scratch->ops[k]).subspan(at, OperandWidth());
+  };
   BoundTerms t;
   switch (mode_) {
     case EngineMode::kDirectEd:
-      quantizer_.QuantizeRow(row, op1);
+      quantizer_.QuantizeRow(row, op(0));
       t.phi = quantizer_.PhiEd(row);
       break;
     case EngineMode::kSegmentFnn:
@@ -178,9 +176,9 @@ PimEngine::BoundTerms PimEngine::EncodeRow(std::span<const float> row,
       scratch->means.resize(s);
       scratch->stds.resize(s);
       ComputeSegments(row, num_segments_, scratch->means, scratch->stds);
-      quantizer_.QuantizeRow(scratch->means, op1);
+      quantizer_.QuantizeRow(scratch->means, op(0));
       if (mode_ == EngineMode::kSegmentFnn) {
-        quantizer_.QuantizeRow(scratch->stds, op2);
+        quantizer_.QuantizeRow(scratch->stds, op(1));
         t.phi = quantizer_.PhiFnn(scratch->means, scratch->stds);
       } else {
         t.phi = quantizer_.PhiSm(scratch->means);
@@ -189,7 +187,7 @@ PimEngine::BoundTerms PimEngine::EncodeRow(std::span<const float> row,
     }
     case EngineMode::kCosine:
     case EngineMode::kPearson:
-      quantizer_.QuantizeRow(row, op1);
+      quantizer_.QuantizeRow(row, op(0));
       t.sum_floor = quantizer_.SumFloors(row);
       if (mode_ == EngineMode::kCosine) {
         t.norm = CsDecomposition::Phi(row);
@@ -204,27 +202,21 @@ PimEngine::BoundTerms PimEngine::EncodeRow(std::span<const float> row,
 }
 
 Status PimEngine::ProgramRows(const FloatMatrix& rows, bool append) {
-  const bool with_stds = mode_ == EngineMode::kSegmentFnn;
   const size_t width = OperandWidth();
-  IntMatrix ops1(rows.rows(), width);
-  IntMatrix ops2(with_stds ? rows.rows() : 0, width);
-  std::vector<BoundTerms> terms(rows.rows());
   QueryScratch scratch;
+  scratch.ops.assign(devices_.size(),
+                     std::vector<int32_t>(rows.rows() * width));
+  std::vector<BoundTerms> terms(rows.rows());
   for (size_t i = 0; i < rows.rows(); ++i) {
-    terms[i] = EncodeRow(rows.row(i), ops1.mutable_row(i),
-                         with_stds ? ops2.mutable_row(i) : std::span<int32_t>(),
-                         &scratch);
+    terms[i] = EncodeRow(rows.row(i), i * width, &scratch);
   }
 
   const double program_before = DeviceStatsTotal().program_ns;
-  if (append) {
-    PIMINE_RETURN_IF_ERROR(device1_->ProgramDelta(ops1));
-    if (with_stds) PIMINE_RETURN_IF_ERROR(device2_->ProgramDelta(ops2));
-  } else {
-    PIMINE_RETURN_IF_ERROR(device1_->ProgramDataset(ops1, operand_bits_));
-    if (with_stds) {
-      PIMINE_RETURN_IF_ERROR(device2_->ProgramDataset(ops2, operand_bits_));
-    }
+  for (size_t k = 0; k < devices_.size(); ++k) {
+    const IntMatrix ops(rows.rows(), width, std::move(scratch.ops[k]));
+    PIMINE_RETURN_IF_ERROR(append ? devices_[k]->ProgramDelta(ops)
+                                  : devices_[k]->ProgramDataset(
+                                        ops, operand_bits_));
   }
   // Phi for the ED family; the sum of floors plus one (CS) or two (PCC)
   // norm terms for the dot-product bounds.
@@ -232,13 +224,12 @@ Status PimEngine::ProgramRows(const FloatMatrix& rows, bool append) {
                                  : mode_ == EngineMode::kPearson ? 3
                                                                  : 1;
   const uint64_t aux_bytes = rows.rows() * doubles_per_row * sizeof(double);
-  PIMINE_RETURN_IF_ERROR(device1_->StoreAux(aux_bytes));
+  PIMINE_RETURN_IF_ERROR(devices_[0]->StoreAux(aux_bytes));
   terms_.insert(terms_.end(), terms.begin(), terms.end());
   num_objects_ += rows.rows();
   offline_ns_ += DeviceStatsTotal().program_ns - program_before;
-  offline_bytes_written_ += rows.rows() * width * (operand_bits_ / 8) *
-                                (with_stds ? 2 : 1) +
-                            aux_bytes;
+  offline_bytes_written_ +=
+      rows.rows() * width * (operand_bits_ / 8) * devices_.size() + aux_bytes;
   return Status::OK();
 }
 
@@ -254,12 +245,6 @@ Status PimEngine::CheckQuery(std::span<const float> query) const {
   return Status::OK();
 }
 
-Result<PimEngine::QueryHandleBatch> PimEngine::RunQueryBatch(
-    std::span<const float> queries, size_t num_queries) const {
-  QueryScratch scratch;
-  return RunQueryBatch(queries, num_queries, &scratch);
-}
-
 namespace {
 
 /// Drops an all-clean suspect vector so downstream consumers keep the
@@ -269,6 +254,14 @@ void CompactSuspect(std::vector<uint8_t>* suspect) {
     if (s != 0) return;
   }
   suspect->clear();
+}
+
+/// Whether any device flagged result `at` (query * stride + object).
+bool Suspect(const PimEngine::QueryHandleBatch& batch, size_t at) {
+  for (const std::vector<uint8_t>& flags : batch.suspect) {
+    if (!flags.empty() && flags[at] != 0) return true;
+  }
+  return false;
 }
 
 }  // namespace
@@ -303,19 +296,15 @@ Status PimEngine::PrepareBatch(std::span<const float> queries,
   batch->stride = num_objects_;
   batch->terms.resize(num_queries);
   const size_t width = OperandWidth();
-  const bool with_stds = mode_ == EngineMode::kSegmentFnn;
-  scratch->ints.resize(num_queries * width);
-  scratch->ints2.resize(with_stds ? num_queries * width : 0);
+  scratch->ops.resize(devices_.size());
+  for (std::vector<int32_t>& ops : scratch->ops) {
+    ops.resize(num_queries * width);
+  }
   for (size_t q = 0; q < num_queries; ++q) {
     const TrafficCounters before =
         o != nullptr ? traffic::Local() : TrafficCounters();
-    const size_t at = q * width;
-    batch->terms[q] = EncodeRow(
-        queries.subspan(q * dims_, dims_),
-        std::span<int32_t>(scratch->ints).subspan(at, width),
-        with_stds ? std::span<int32_t>(scratch->ints2).subspan(at, width)
-                  : std::span<int32_t>(),
-        scratch);
+    batch->terms[q] =
+        EncodeRow(queries.subspan(q * dims_, dims_), q * width, scratch);
     if (o != nullptr) {
       o->trace().Complete("engine", "quantize",
                           obs::TrackFor(static_cast<int64_t>(q)),
@@ -332,10 +321,10 @@ Status PimEngine::CheckPrepared(const char* op, const QueryScratch& scratch,
     return Status::InvalidArgument(std::string(op) +
                                    " requires a non-null batch handle");
   }
-  const size_t width = OperandWidth();
-  if (scratch.ints.size() != num_queries * width ||
-      (mode_ == EngineMode::kSegmentFnn &&
-       scratch.ints2.size() != num_queries * width)) {
+  const size_t size = num_queries * OperandWidth();
+  if (scratch.ops.size() != devices_.size() ||
+      std::any_of(scratch.ops.begin(), scratch.ops.end(),
+                  [&](const auto& ops) { return ops.size() != size; })) {
     return Status::InvalidArgument(
         "scratch does not hold a prepared batch of this geometry; call "
         "PrepareBatch first");
@@ -343,42 +332,24 @@ Status PimEngine::CheckPrepared(const char* op, const QueryScratch& scratch,
   return Status::OK();
 }
 
+void PimEngine::ShapeHandle(QueryHandleBatch* batch) const {
+  batch->stride = num_objects_;
+  batch->dots.resize(devices_.size());
+  batch->suspect.resize(devices_.size());
+}
+
 Status PimEngine::DeviceBatch(const QueryScratch& scratch, size_t num_queries,
-                              QueryHandleBatch* batch,
-                              bool emit_query_spans) const {
+                              QueryHandleBatch* batch) const {
   PIMINE_RETURN_IF_ERROR(
       CheckPrepared("DeviceBatch", scratch, num_queries, batch));
-  const bool with_stds = mode_ == EngineMode::kSegmentFnn;
-  batch->stride = num_objects_;
-  // Sets every output of the handle it owns: each device writes its dot
-  // products and suspect flags (a fault-free device clears the flags, so it
-  // never pays the allocation), and a mode without a second device clears
-  // that device's outputs.
-  PIMINE_RETURN_IF_ERROR(device1_->DotProductBatch(
-      scratch.ints, num_queries, &batch->dots1, &batch->suspect1));
-  if (with_stds) {
-    PIMINE_RETURN_IF_ERROR(device2_->DotProductBatch(
-        scratch.ints2, num_queries, &batch->dots2, &batch->suspect2));
-  } else {
-    batch->dots2.clear();
-    batch->suspect2.clear();
+  ShapeHandle(batch);
+  // Each device writes its dot products and suspect flags (a fault-free
+  // device clears the flags, so it never pays the allocation).
+  for (size_t k = 0; k < devices_.size(); ++k) {
+    PIMINE_RETURN_IF_ERROR(devices_[k]->DotProductBatch(
+        scratch.ops[k], num_queries, &batch->dots[k], &batch->suspect[k]));
+    CompactSuspect(&batch->suspect[k]);
   }
-  // Per-query device spans use the serial-equivalent timing model (same
-  // value for every query regardless of batching), so the trace bytes are
-  // identical at any device-batch size.
-  if (obs::Obs* const o = emit_query_spans ? obs::Obs::Get() : nullptr) {
-    const double dot_ns = device1_->SerialDotNsPerQuery();
-    const double dot2_ns = with_stds ? device2_->SerialDotNsPerQuery() : 0.0;
-    for (size_t q = 0; q < num_queries; ++q) {
-      const int64_t track = obs::TrackFor(static_cast<int64_t>(q));
-      o->trace().Complete("engine", "pim_dot", track, dot_ns);
-      if (with_stds) {
-        o->trace().Complete("engine", "pim_dot2", track, dot2_ns);
-      }
-    }
-  }
-  CompactSuspect(&batch->suspect1);
-  CompactSuspect(&batch->suspect2);
   return Status::OK();
 }
 
@@ -387,16 +358,12 @@ Status PimEngine::HostRecomputeBatch(const QueryScratch& scratch,
                                      QueryHandleBatch* batch) const {
   PIMINE_RETURN_IF_ERROR(
       CheckPrepared("HostRecomputeBatch", scratch, num_queries, batch));
-  batch->stride = num_objects_;
-  PIMINE_RETURN_IF_ERROR(
-      device1_->HostRecomputeBatch(scratch.ints, num_queries, &batch->dots1));
-  if (mode_ == EngineMode::kSegmentFnn) {
-    PIMINE_RETURN_IF_ERROR(device2_->HostRecomputeBatch(
-        scratch.ints2, num_queries, &batch->dots2));
+  ShapeHandle(batch);
+  for (size_t k = 0; k < devices_.size(); ++k) {
+    PIMINE_RETURN_IF_ERROR(devices_[k]->HostRecomputeBatch(
+        scratch.ops[k], num_queries, &batch->dots[k]));
+    batch->suspect[k].clear();  // host recomputation is exact.
   }
-  // Host recomputation is exact: nothing is suspect.
-  batch->suspect1.clear();
-  batch->suspect2.clear();
   return Status::OK();
 }
 
@@ -411,33 +378,13 @@ Status PimEngine::SlackFillBatch(size_t num_queries,
         "empty query batch: SlackFillBatch requires num_queries >= 1");
   }
   batch->num_queries = num_queries;
-  batch->stride = num_objects_;
+  ShapeHandle(batch);
   const size_t total = num_queries * num_objects_;
-  batch->dots1.assign(total, 0);
-  batch->suspect1.assign(total, 1);
-  if (mode_ == EngineMode::kSegmentFnn) {
-    batch->dots2.assign(total, 0);
-    batch->suspect2.assign(total, 1);
-  } else {
-    batch->dots2.clear();
-    batch->suspect2.clear();
+  for (size_t k = 0; k < devices_.size(); ++k) {
+    batch->dots[k].assign(total, 0);
+    batch->suspect[k].assign(total, 1);
   }
   return Status::OK();
-}
-
-Result<PimEngine::QueryHandleBatch> PimEngine::RunQueryBatch(
-    std::span<const float> queries, size_t num_queries,
-    QueryScratch* scratch) const {
-  QueryHandleBatch batch;
-  PIMINE_RETURN_IF_ERROR(RunQueryBatch(queries, num_queries, scratch, &batch));
-  return batch;
-}
-
-Status PimEngine::RunQueryBatch(std::span<const float> queries,
-                                size_t num_queries, QueryScratch* scratch,
-                                QueryHandleBatch* batch) const {
-  PIMINE_RETURN_IF_ERROR(PrepareBatch(queries, num_queries, scratch, batch));
-  return DeviceBatch(*scratch, num_queries, batch);
 }
 
 Status PimEngine::AppendRows(const FloatMatrix& rows) {
@@ -455,31 +402,32 @@ Status PimEngine::DeleteRow(size_t index) {
   if (index >= num_objects_) {
     return Status::InvalidArgument("delete index out of range");
   }
-  if (live_objects() <= 1 && !device1_->tombstoned(index)) {
+  if (live_objects() <= 1 && !IsDeleted(index)) {
     return Status::FailedPrecondition("cannot delete the last live row");
   }
-  return device1_->Tombstone(index);
+  return devices_[0]->Tombstone(index);
 }
 
 Status PimEngine::Compact(std::vector<uint32_t>* live_out) {
   std::vector<uint32_t> live;
   live.reserve(num_objects_);
   for (size_t i = 0; i < num_objects_; ++i) {
-    if (!device1_->tombstoned(i)) live.push_back(static_cast<uint32_t>(i));
+    if (!IsDeleted(i)) live.push_back(static_cast<uint32_t>(i));
   }
   if (live.empty()) {
     return Status::FailedPrecondition("compaction would leave no live rows");
   }
   const double program_before = DeviceStatsTotal().program_ns;
-  PIMINE_RETURN_IF_ERROR(device1_->CompactRows(live));
-  if (device2_) PIMINE_RETURN_IF_ERROR(device2_->CompactRows(live));
+  for (const auto& device : devices_) {
+    PIMINE_RETURN_IF_ERROR(device->CompactRows(live));
+  }
 
   for (size_t i = 0; i < live.size(); ++i) terms_[i] = terms_[live[i]];
   terms_.resize(live.size());
 
   num_objects_ = live.size();
-  offline_bytes_written_ += live.size() * OperandWidth() *
-                            (operand_bits_ / 8) * (device2_ ? 2 : 1);
+  offline_bytes_written_ +=
+      live.size() * OperandWidth() * (operand_bits_ / 8) * devices_.size();
   offline_ns_ += DeviceStatsTotal().program_ns - program_before;
   if (live_out != nullptr) *live_out = std::move(live);
   return Status::OK();
@@ -540,7 +488,7 @@ auto PimEngine::WithBoundFormula(const QueryHandleBatch& batch, size_t query,
   // Every operand is copied into a local, so the span loop reloads nothing
   // per object but the per-object terms.
   const size_t off = query * batch.stride;
-  const uint64_t* const dot1 = batch.dots1.data() + off;
+  const uint64_t* const dot1 = batch.dots[0].data() + off;
   const BoundTerms* const p = terms_.data();
   const BoundTerms q = batch.terms[query];
   const int64_t dims = static_cast<int64_t>(dims_);
@@ -553,7 +501,7 @@ auto PimEngine::WithBoundFormula(const QueryHandleBatch& batch, size_t query,
         return LbPimEd(p[i].phi, q.phi, dot1[i], dims, alpha);
       });
     case EngineMode::kSegmentFnn: {
-      const uint64_t* const dot2 = batch.dots2.data() + off;
+      const uint64_t* const dot2 = batch.dots[1].data() + off;
       return visit([=](size_t i) {
         return LbPimFnn(p[i].phi, q.phi, dot1[i], dot2[i], segments, length,
                         alpha);
@@ -581,12 +529,8 @@ double PimEngine::BoundFor(const QueryHandleBatch& batch, size_t query,
                            size_t index) const {
   PIMINE_DCHECK(query < batch.num_queries);
   PIMINE_DCHECK(index < num_objects_);
-  if (device1_->tombstoned(index)) return PruneBound();
-  const size_t off = query * batch.stride + index;
-  if ((!batch.suspect1.empty() && batch.suspect1[off] != 0) ||
-      (!batch.suspect2.empty() && batch.suspect2[off] != 0)) {
-    return TrivialBound();
-  }
+  if (IsDeleted(index)) return PruneBound();
+  if (Suspect(batch, query * batch.stride + index)) return TrivialBound();
   ChargeBounds(BoundCostOf(mode_), 1);
   return WithBoundFormula(batch, query,
                           [index](auto bound) { return bound(index); });
@@ -617,44 +561,26 @@ void PimEngine::BoundsFor(const QueryHandleBatch& batch, size_t query,
     dst[map == nullptr ? i : map[i]] = value;
   };
   size_t skipped = 0;
-  const size_t off = query * n;
-  const uint8_t* const s1 =
-      batch.suspect1.empty() ? nullptr : batch.suspect1.data() + off;
-  const uint8_t* const s2 =
-      batch.suspect2.empty() ? nullptr : batch.suspect2.data() + off;
-  if (s1 != nullptr || s2 != nullptr) {
+  if (std::any_of(batch.suspect.begin(), batch.suspect.end(),
+                  [](const auto& flags) { return !flags.empty(); })) {
     const double trivial = TrivialBound();
     for (size_t i = 0; i < n; ++i) {
-      if (((s1 != nullptr && s1[i] != 0) || (s2 != nullptr && s2[i] != 0)) &&
-          !device1_->tombstoned(i)) {
+      if (Suspect(batch, query * n + i) && !IsDeleted(i)) {
         put(i, trivial);
         ++skipped;
       }
     }
   }
-  if (device1_->tombstoned_rows() != 0) {
+  if (devices_[0]->tombstoned_rows() != 0) {
     const double prune = PruneBound();
     for (size_t i = 0; i < n; ++i) {
-      if (device1_->tombstoned(i)) {
+      if (IsDeleted(i)) {
         put(i, prune);
         ++skipped;
       }
     }
   }
   ChargeBounds(BoundCostOf(mode_), n - skipped);
-}
-
-Status PimEngine::ComputeBounds(std::span<const float> query,
-                                std::vector<double>* bounds) const {
-  if (bounds == nullptr) {
-    return Status::InvalidArgument(
-        "ComputeBounds requires a non-null output vector");
-  }
-  PIMINE_ASSIGN_OR_RETURN(QueryHandleBatch batch,
-                          RunQueryBatch(query, /*num_queries=*/1));
-  bounds->resize(num_objects_);
-  BoundsFor(batch, 0, *bounds);
-  return Status::OK();
 }
 
 void PimEngine::DeviceTotals::Add(const DeviceTotals& other) {
@@ -672,8 +598,7 @@ void PimEngine::DeviceTotals::Add(const DeviceTotals& other) {
 // them while DotProductBatch calls write them.
 PimEngine::DeviceTotals PimEngine::DeviceStatsTotal() const {
   DeviceTotals total;
-  for (const PimDevice* device : {device1_.get(), device2_.get()}) {
-    if (device == nullptr) continue;
+  for (const auto& device : devices_) {
     const PimDeviceStats s = device->StatsSnapshot();
     total.Add({s.batch_ops, s.queries_processed, s.compute_ns, s.pipelined_ns,
                s.fault, s.row_writes, s.worn_rows, s.program_ns});
@@ -682,20 +607,19 @@ PimEngine::DeviceTotals PimEngine::DeviceStatsTotal() const {
 }
 
 double PimEngine::SerialDeviceNsPerQuery() const {
-  double total = device1_ ? device1_->SerialDotNsPerQuery() : 0.0;
-  if (device2_) total += device2_->SerialDotNsPerQuery();
+  double total = 0.0;
+  for (const auto& device : devices_) total += device->SerialDotNsPerQuery();
   return total;
 }
 
 double PimEngine::ModeledBatchNs(size_t num_queries) const {
-  double total = device1_ ? device1_->BatchDotNs(num_queries) : 0.0;
-  if (device2_) total += device2_->BatchDotNs(num_queries);
+  double total = 0.0;
+  for (const auto& device : devices_) total += device->BatchDotNs(num_queries);
   return total;
 }
 
 void PimEngine::ResetOnlineStats() {
-  if (device1_) device1_->ResetOnlineStats();
-  if (device2_) device2_->ResetOnlineStats();
+  for (const auto& device : devices_) device->ResetOnlineStats();
 }
 
 }  // namespace pimine

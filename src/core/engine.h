@@ -91,6 +91,10 @@ Result<EngineGeometry> ResolveEngineGeometry(int64_t n, int64_t d,
 /// costs one or two PIM batch dot-products plus O(1) host work per
 /// candidate, transferring 3*b bits instead of d*b (Fig. 8).
 ///
+/// A PimEngine is one shard of a ShardedPimEngine, which is its query
+/// front end (DESIGN.md section 9): the fleet calls PrepareBatch and
+/// DeviceBatch (or a fail-over substitute) and routes BoundFor/BoundsFor.
+///
 /// For ED the produced values are *lower bounds on squared ED*; for CS/PCC
 /// they are *upper bounds on similarity*. Guarantees (tested as invariants):
 ///   ED modes:  BoundFor(h, q, i) <= SquaredEuclidean(data[i], query q)
@@ -112,31 +116,31 @@ class PimEngine {
   };
 
   /// Result of one *batched* PIM operation covering `num_queries` queries:
-  /// one shared dot-product buffer (query q's results occupy
-  /// dots1[q*stride, (q+1)*stride)) plus per-query scalar terms. Produced
-  /// by RunQueryBatch; consumed through BoundsFor (one query's span) or
-  /// BoundFor (one object). Bound values do not depend on how queries are
-  /// grouped into batches.
+  /// one dot-product buffer per device matrix (query q's results occupy
+  /// dots[k][q*stride, (q+1)*stride)) plus per-query scalar terms. Filled
+  /// by PrepareBatch + DeviceBatch (the fleet's RunQueryBatch); consumed
+  /// through BoundsFor (one query's span) or BoundFor (one object). Bound
+  /// values do not depend on how queries are grouped into batches.
   struct QueryHandleBatch {
     size_t num_queries = 0;
-    size_t stride = 0;            // == num_objects().
-    std::vector<uint64_t> dots1;  // num_queries * stride values.
-    std::vector<uint64_t> dots2;  // kSegmentFnn only.
-    std::vector<BoundTerms> terms;  // One entry per query.
-    /// Per-result fault flags, laid out like dots1/dots2 (kBoundSlack only;
-    /// empty when every result verified clean). A flagged result's bound
-    /// is the trivial worst-case bound, keeping pruning admissible.
-    std::vector<uint8_t> suspect1;
-    std::vector<uint8_t> suspect2;
+    size_t stride = 0;  // == num_objects().
+    std::vector<std::vector<uint64_t>> dots;  // One per device matrix.
+    std::vector<BoundTerms> terms;            // One entry per query.
+    /// Per-result fault flags, one list per device laid out like its dots
+    /// (kBoundSlack only; a list is empty when its device verified clean).
+    /// A flagged result's bound is the trivial worst-case bound, keeping
+    /// pruning admissible.
+    std::vector<std::vector<uint8_t>> suspect;
   };
 
-  /// Reusable per-call working memory for RunQueryBatch.
+  /// Reusable per-call working memory for PrepareBatch and DeviceBatch.
   /// Engines hold no mutable query state, so any number of host threads
   /// may run queries concurrently, each with its own scratch.
   struct QueryScratch {
-    std::vector<int32_t> ints;
-    std::vector<int32_t> ints2;  // RunQueryBatch, kSegmentFnn: std inputs.
-    std::vector<float> means;    // EncodeRow, segment modes.
+    /// Device operands, one list per device matrix: num_queries *
+    /// OperandWidth() values each.
+    std::vector<std::vector<int32_t>> ops;
+    std::vector<float> means;  // EncodeRow, segment modes.
     std::vector<float> stds;
   };
 
@@ -147,57 +151,35 @@ class PimEngine {
                                                   Distance distance,
                                                   const EngineOptions& options);
 
-  /// Executes ONE batched PIM operation for `num_queries` queries packed
-  /// row-major in `queries` (num_queries * dims() values in [0, 1]). The
-  /// whole batch is quantized in one pass and matched by a single
-  /// PimDevice::DotProductBatch per device, so the device
-  /// charges one batch_op (and the pipelined batch latency) instead of
-  /// num_queries separate operations. Bounds derived from the returned
-  /// handle are bit-identical to one-query batches, and all modeled stats
-  /// except batch_ops / queries_per_batch / pipelined_ns are too.
-  Result<QueryHandleBatch> RunQueryBatch(std::span<const float> queries,
-                                         size_t num_queries,
-                                         QueryScratch* scratch) const;
-
-  /// As above, allocating scratch internally.
-  Result<QueryHandleBatch> RunQueryBatch(std::span<const float> queries,
-                                         size_t num_queries) const;
-
-  /// Reusing variant: fills a caller-owned handle instead of returning a
-  /// fresh one, so hot dispatch loops (the serving scheduler) keep one
-  /// QueryHandleBatch per worker and successive batches reuse its buffers —
-  /// no per-dispatch allocation once the vectors reach steady-state
-  /// capacity. Results and stats are identical to the by-value overload.
-  Status RunQueryBatch(std::span<const float> queries, size_t num_queries,
-                       QueryScratch* scratch, QueryHandleBatch* batch) const;
-
-  /// Host half of RunQueryBatch: validates the queries and encodes each
-  /// one (EncodeRow, as Build encodes objects) into the batch's terms and
-  /// its device operands in scratch->ints/ints2, charging the host-side
-  /// quantize traffic and spans exactly once. RunQueryBatch ==
-  /// PrepareBatch + DeviceBatch; the fleet layer calls PrepareBatch once
-  /// and fans the prepared operands out to every shard, so the query-side
-  /// work is never duplicated per shard.
+  /// Host half of a batched query: validates the `num_queries` queries
+  /// packed row-major in `queries` (num_queries * dims() values in [0, 1])
+  /// and encodes each one (EncodeRow, as Build encodes objects) into the
+  /// batch's terms and its device operands in scratch->ops, charging the
+  /// host-side quantize traffic and spans exactly once. The fleet
+  /// (ShardedPimEngine::RunQueryBatch) calls it once on one shard and fans
+  /// the prepared operands out to every shard, so the query-side work is
+  /// never duplicated per shard.
   Status PrepareBatch(std::span<const float> queries, size_t num_queries,
                       QueryScratch* scratch, QueryHandleBatch* batch) const;
 
-  /// Device half of RunQueryBatch: matches the operands PrepareBatch left
-  /// in `scratch` (from this engine or a geometry-identical sibling — the
-  /// fleet prepares once on one shard) against this engine's programmed
-  /// dataset, sets batch->stride to this engine's num_objects(), and sets
-  /// dots1, dots2 and the suspect flags (clearing those it does not fill,
-  /// so a reused handle needs no reset). `emit_query_spans` = false suppresses
-  /// the per-query pim_dot trace spans; the fleet emits one serial-
-  /// equivalent set itself instead of M duplicates.
+  /// Device half: matches the operands PrepareBatch left in `scratch`
+  /// (from this engine or a geometry-identical sibling) against this
+  /// engine's programmed dataset with a single PimDevice::DotProductBatch
+  /// per device, sets batch->stride to num_objects() and sets the dots and
+  /// suspect flags of every device (a reused handle needs no reset). Each
+  /// device charges one batch_op (and the pipelined batch latency) instead
+  /// of num_queries separate operations; bounds are bit-identical to
+  /// one-query batches, and all modeled stats except batch_ops /
+  /// queries_per_batch / pipelined_ns are too. Per-query trace spans are
+  /// the fleet's to emit.
   Status DeviceBatch(const QueryScratch& scratch, size_t num_queries,
-                     QueryHandleBatch* batch,
-                     bool emit_query_spans = true) const;
+                     QueryHandleBatch* batch) const;
 
   /// Fail-over substitute for DeviceBatch: computes the same exact dot
   /// products on the host from the programmed operands
   /// (PimDevice::HostRecomputeBatch), bypassing the device fault model.
   /// Results are bit-identical to a fault-free DeviceBatch with empty
-  /// suspect vectors; only fault-escalation accounting is charged.
+  /// suspect lists; only fault-escalation accounting is charged.
   Status HostRecomputeBatch(const QueryScratch& scratch, size_t num_queries,
                             QueryHandleBatch* batch) const;
 
@@ -226,14 +208,14 @@ class PimEngine {
   /// computing (deleting costs zero device time until compaction).
   Status DeleteRow(size_t index);
 
-  /// True when `index` is tombstoned.
-  bool IsDeleted(size_t index) const { return device1_->tombstoned(index); }
+  /// True when `index` is tombstoned (device 0 holds the tombstones).
+  bool IsDeleted(size_t index) const { return devices_[0]->tombstoned(index); }
   /// Objects that still count (num_objects() minus tombstones).
   size_t live_objects() const {
-    return num_objects_ - device1_->tombstoned_rows();
+    return num_objects_ - devices_[0]->tombstoned_rows();
   }
   /// Rows appended since the last full (re)program / compaction.
-  size_t delta_objects() const { return device1_->delta_rows(); }
+  size_t delta_objects() const { return devices_[0]->delta_rows(); }
 
   /// Rewrites base + delta − tombstones into a fresh base on every device,
   /// charged at full program cost (the background compaction pass).
@@ -265,10 +247,6 @@ class PimEngine {
                  std::span<double> out,
                  std::span<const uint32_t> scatter = {}) const;
 
-  /// Convenience: RunQueryBatch of the single query, then BoundsFor.
-  Status ComputeBounds(std::span<const float> query,
-                       std::vector<double>* bounds) const;
-
   EngineMode mode() const { return mode_; }
   const MemoryPlan& plan() const { return plan_; }
   size_t num_objects() const { return num_objects_; }
@@ -286,7 +264,7 @@ class PimEngine {
   /// input to the Eq. 13 plan optimizer): 3 operands of b bits.
   double TransferBitsPerCandidate() const { return 3.0 * operand_bits_; }
 
-  /// Online accounting of the engine's device(s).
+  /// Online accounting of the engine's devices.
   struct DeviceTotals {
     uint64_t batch_ops = 0;
     uint64_t queries_processed = 0;
@@ -298,17 +276,17 @@ class PimEngine {
     double program_ns = 0.0;    // offline: programming + Phi store.
     void Add(const DeviceTotals& other);
   };
-  /// The one place the engine sums its devices' stats: device1, then
-  /// device2 when present, each read through PimDevice::StatsSnapshot (a
-  /// live scrape may call it while batches are in flight).
+  /// The one place the engine sums its devices' stats, in device order,
+  /// each read through PimDevice::StatsSnapshot (a live scrape may call it
+  /// while batches are in flight).
   DeviceTotals DeviceStatsTotal() const;
   /// Serial-equivalent modeled device time one query costs this engine
-  /// (device1 + device2 when present). Invariant across device batching
-  /// and host threading — the per-query figure observability spans charge.
+  /// (summed over its devices). Invariant across device batching and host
+  /// threading — the per-query figure observability spans charge.
   double SerialDeviceNsPerQuery() const;
-  /// Modeled pipelined occupancy one RunQueryBatch of `num_queries` queries
-  /// would charge (device1 + device2 when present). Pure — the virtual-
-  /// clock service time the serving scheduler charges per dispatch.
+  /// Modeled pipelined occupancy one DeviceBatch of `num_queries` queries
+  /// would charge (summed over its devices). Pure — the virtual-clock
+  /// service time the serving scheduler charges per dispatch.
   double ModeledBatchNs(size_t num_queries) const;
   /// Modeled offline time: crossbar programming + Phi storage, in every
   /// mode.
@@ -317,20 +295,26 @@ class PimEngine {
   uint64_t OfflineBytesWritten() const { return offline_bytes_written_; }
   void ResetOnlineStats();
 
-  /// Device access for inspection/tests. `device2` is non-null only in
-  /// kSegmentFnn mode.
-  const PimDevice& device1() const { return *device1_; }
-  const PimDevice* device2() const { return device2_.get(); }
+  /// The engine's device matrices: two in kSegmentFnn (segment means, then
+  /// segment stds), one otherwise.
+  size_t num_devices() const { return devices_.size(); }
+  const PimDevice& device(size_t k) const { return *devices_[k]; }
+  /// Device 0, and device 1 or null: kept for pimbench only; src and
+  /// tests use num_devices() and device(k).
+  const PimDevice& device1() const { return device(0); }
+  const PimDevice* device2() const {
+    return devices_.size() > 1 ? devices_[1].get() : nullptr;
+  }
 
  private:
   PimEngine(EngineMode mode, const EngineOptions& options);
 
   /// Encodes one vector in [0, 1], an object or a query, for this mode:
-  /// writes its device operand(s) into `op1` (and `op2` in kSegmentFnn),
+  /// writes its operands for device k into scratch->ops[k] at offset `at`,
   /// OperandWidth() values each, and returns its bound terms. Segment
   /// modes use scratch->means/stds.
-  BoundTerms EncodeRow(std::span<const float> row, std::span<int32_t> op1,
-                       std::span<int32_t> op2, QueryScratch* scratch) const;
+  BoundTerms EncodeRow(std::span<const float> row, size_t at,
+                       QueryScratch* scratch) const;
 
   /// Encodes `rows` and programs them (ProgramDataset, or ProgramDelta when
   /// `append`), then stores their terms and charges the program time, the
@@ -345,9 +329,11 @@ class PimEngine {
                        size_t num_queries,
                        const QueryHandleBatch* batch) const;
 
-  /// Constructs device1_/device2_ honoring the fault options; the second
-  /// device's fault seed is decorrelated from the first's.
-  std::unique_ptr<PimDevice> MakeDevice(bool second) const;
+  /// Sets `batch`'s stride to num_objects() and sizes its per-device dots
+  /// and suspect lists; DeviceBatch, HostRecomputeBatch and SlackFillBatch
+  /// then fill every entry, so a reused handle needs no reset.
+  void ShapeHandle(QueryHandleBatch* batch) const;
+
 
   /// Worst-case admissible value substituted for suspect results: 0 for the
   /// ED family (a squared distance is never negative), 1 for CS/PCC (a
@@ -363,7 +349,6 @@ class PimEngine {
                         Visit visit) const;
 
   EngineMode mode_;
-  EngineOptions options_;
   Quantizer quantizer_;
   int operand_bits_;
   MemoryPlan plan_;
@@ -372,8 +357,9 @@ class PimEngine {
   int64_t num_segments_ = 0;
   int64_t segment_length_ = 1;
 
-  std::unique_ptr<PimDevice> device1_;
-  std::unique_ptr<PimDevice> device2_;
+  /// One device per operand matrix; a later device's fault seed is
+  /// decorrelated from device 0's.
+  std::vector<std::unique_ptr<PimDevice>> devices_;
 
   std::vector<BoundTerms> terms_;  // One entry per object.
 

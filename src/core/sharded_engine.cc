@@ -97,14 +97,8 @@ Result<std::unique_ptr<ShardedPimEngine>> ShardedPimEngine::Build(
 Result<ShardedPimEngine::QueryHandleBatch> ShardedPimEngine::RunQueryBatch(
     std::span<const float> queries, size_t num_queries) const {
   QueryScratch scratch;
-  return RunQueryBatch(queries, num_queries, &scratch);
-}
-
-Result<ShardedPimEngine::QueryHandleBatch> ShardedPimEngine::RunQueryBatch(
-    std::span<const float> queries, size_t num_queries,
-    QueryScratch* scratch) const {
   QueryHandleBatch out;
-  PIMINE_RETURN_IF_ERROR(RunQueryBatch(queries, num_queries, scratch, &out));
+  PIMINE_RETURN_IF_ERROR(RunQueryBatch(queries, num_queries, &scratch, &out));
   return out;
 }
 
@@ -142,58 +136,53 @@ Status ShardedPimEngine::RunQueryBatch(std::span<const float> queries,
   }
 
   // Scatter: every shard matches the same prepared operands against its
-  // rows, walking its replica ladder on a fault. Per-query trace spans are
-  // suppressed in the per-shard calls when M > 1 and emitted once below —
-  // the shards run concurrently, so the fleet's serial-equivalent
-  // per-query device time is one pass, not M.
-  const bool multi = m > 1;
+  // rows, walking its replica ladder on a fault.
   std::vector<Status> status(m, Status::OK());
   ParallelChunks(fanout_policy_, m, 1,
                  [&](size_t begin, size_t end, size_t /*slot*/) {
                    for (size_t j = begin; j < end; ++j) {
                      status[j] = DeviceBatchWithFailover(
-                         j, *scratch, num_queries, &out.shards[j], dispatch,
-                         /*emit_query_spans=*/!multi);
+                         j, *scratch, num_queries, &out.shards[j], dispatch);
                    }
                  });
   for (size_t j = 0; j < m; ++j) {
     PIMINE_RETURN_IF_ERROR(status[j]);
   }
-  if (!multi) return Status::OK();
 
-  // Interconnect accounting: one broadcast message per shard per device
-  // matrix carrying the batch operands, one gather message per shard per
-  // device matrix carrying that shard's results.
-  const bool with_stds = mode() == EngineMode::kSegmentFnn;
-  const uint64_t matrices = with_stds ? 2 : 1;
-  const uint64_t operand_bytes =
-      (scratch->ints.size() + scratch->ints2.size()) * sizeof(int32_t);
-  // Charged to the shard each message terminates at: every shard receives
+  // Interconnect accounting (none within one device): every shard receives
   // one operand broadcast per device matrix and returns one result message
-  // per device matrix carrying its own dot products. Totals over shards
-  // equal the former fleet-level charges exactly.
-  for (size_t j = 0; j < m; ++j) {
-    const PimEngine::QueryHandleBatch& h = out.shards[j];
-    ShardCounters& ctr = *shard_counters_[j];
-    ctr.scatter_messages.fetch_add(matrices, std::memory_order_relaxed);
-    ctr.scatter_bytes.fetch_add(operand_bytes, std::memory_order_relaxed);
-    ctr.gather_messages.fetch_add(matrices, std::memory_order_relaxed);
-    ctr.gather_bytes.fetch_add(
-        (h.dots1.size() + h.dots2.size()) * sizeof(uint64_t),
-        std::memory_order_relaxed);
+  // per device matrix carrying its own dot products, charged to the shard
+  // each message terminates at.
+  const uint64_t matrices = primary(0).num_devices();
+  if (m > 1) {
+    uint64_t operand_bytes = 0;
+    for (const auto& ops : scratch->ops) {
+      operand_bytes += ops.size() * sizeof(int32_t);
+    }
+    for (size_t j = 0; j < m; ++j) {
+      uint64_t result_bytes = 0;
+      for (const auto& dots : out.shards[j].dots) {
+        result_bytes += dots.size() * sizeof(uint64_t);
+      }
+      ShardCounters& ctr = *shard_counters_[j];
+      ctr.scatter_messages.fetch_add(matrices, std::memory_order_relaxed);
+      ctr.scatter_bytes.fetch_add(operand_bytes, std::memory_order_relaxed);
+      ctr.gather_messages.fetch_add(matrices, std::memory_order_relaxed);
+      ctr.gather_bytes.fetch_add(result_bytes, std::memory_order_relaxed);
+    }
   }
 
-  // One serial-equivalent set of per-query device spans, identical to the
-  // single-device trace (pass latency is row-count independent).
+  // The one emitter of the per-query device spans, at every M, whichever
+  // rung of the ladder served each shard: the shards run concurrently and
+  // the pass latency is row-count independent, so the fleet's serial-
+  // equivalent per-query device time is one pass of each device matrix —
+  // the same at every device-batch size and shard count.
   if (obs::Obs* const o = obs::Obs::Get()) {
-    const double dot_ns = primary(0).device1().SerialDotNsPerQuery();
-    const double dot2_ns =
-        with_stds ? primary(0).device2()->SerialDotNsPerQuery() : 0.0;
     for (size_t q = 0; q < num_queries; ++q) {
       const int64_t track = obs::TrackFor(static_cast<int64_t>(q));
-      o->trace().Complete("engine", "pim_dot", track, dot_ns);
-      if (with_stds) {
-        o->trace().Complete("engine", "pim_dot2", track, dot2_ns);
+      for (size_t k = 0; k < matrices; ++k) {
+        o->trace().Complete("engine", k == 0 ? "pim_dot" : "pim_dot2", track,
+                            primary(0).device(k).SerialDotNsPerQuery());
       }
     }
   }
@@ -202,8 +191,8 @@ Status ShardedPimEngine::RunQueryBatch(std::span<const float> queries,
 
 Status ShardedPimEngine::DeviceBatchWithFailover(
     size_t j, const QueryScratch& scratch, size_t num_queries,
-    PimEngine::QueryHandleBatch* handle, const DispatchOptions& dispatch,
-    bool emit_query_spans) const {
+    PimEngine::QueryHandleBatch* handle,
+    const DispatchOptions& dispatch) const {
   ShardCounters& ctr = *shard_counters_[j];
   LadderPlan plan;
   if (dispatch.plans.empty()) {
@@ -215,8 +204,7 @@ Status ShardedPimEngine::DeviceBatchWithFailover(
   std::string last_fault;
   while (plan.serving_replica >= 0) {
     const int r = plan.serving_replica;
-    const Status s = engines_[j][r]->DeviceBatch(scratch, num_queries, handle,
-                                                 emit_query_spans);
+    const Status s = engines_[j][r]->DeviceBatch(scratch, num_queries, handle);
     if (s.ok()) break;
     if (s.code() != StatusCode::kDeviceFault) return s;
     // A data-plane fault, which no plan foresees: the attempt failed after
@@ -308,7 +296,7 @@ void ShardedPimEngine::WalkLadder(size_t j, size_t num_queries,
                                   LadderPlan* plan) const {
   const uint64_t now_ns = DispatchNs(dispatch);
   const bool chaos_on = chaos_ != nullptr && chaos_->enabled();
-  const uint64_t matrices = mode() == EngineMode::kSegmentFnn ? 2 : 1;
+  const uint64_t matrices = primary(0).num_devices();
   const uint64_t retry_bytes = RetryOperandBytes(num_queries);
   const double retry_ns = InterconnectNs(matrices, retry_bytes);
   const uint32_t shard = static_cast<uint32_t>(j);
@@ -374,17 +362,15 @@ void ShardedPimEngine::FailAttempt(std::span<ReplicaHealth> health, int r,
 
 double ShardedPimEngine::InterconnectNs(uint64_t messages,
                                         uint64_t bytes) const {
-  const PimConfig& c = primary(0).device1().config();
+  const PimConfig& c = primary(0).device(0).config();
   return static_cast<double>(messages) * c.interconnect_hop_ns +
          static_cast<double>(bytes) / c.interconnect_gbps;
 }
 
 uint64_t ShardedPimEngine::RetryOperandBytes(size_t num_queries) const {
   const PimEngine& e = primary(0);
-  // The FNN bound carries a second operand matrix of the same width.
-  uint64_t ints = e.OperandWidth() * static_cast<uint64_t>(num_queries);
-  if (e.mode() == EngineMode::kSegmentFnn) ints *= 2;
-  return ints * sizeof(int32_t);
+  return e.num_devices() * e.OperandWidth() *
+         static_cast<uint64_t>(num_queries) * sizeof(int32_t);
 }
 
 double ShardedPimEngine::BoundFor(const QueryHandleBatch& batch, size_t query,

@@ -58,27 +58,23 @@ class ShardedPimEngine {
       const FloatMatrix& data, Distance distance,
       const EngineOptions& options);
 
-  /// One batched fleet operation: PrepareBatch once on the host (query-side
-  /// scalars + quantized operands, charged exactly once), scatter the
-  /// operands to every shard (one DeviceBatch per shard, fanned out under
-  /// set_fanout_policy), gather the results. A shard failing with
-  /// DeviceFault is escalated to a host-exact recompute of that shard when
-  /// ShardOptions::failover is set. Bounds derived from the handle are
-  /// bit-identical to the single-device engine's for every M.
-  Result<QueryHandleBatch> RunQueryBatch(std::span<const float> queries,
-                                         size_t num_queries,
-                                         QueryScratch* scratch) const;
-
-  /// As above, allocating scratch internally.
-  Result<QueryHandleBatch> RunQueryBatch(std::span<const float> queries,
-                                         size_t num_queries) const;
-
-  /// Reusing variant: fills a caller-owned handle (per-shard sub-handles
-  /// and all their buffers are reused across calls), the zero-allocation
-  /// steady-state path of the serving scheduler's dispatch loop. Results
-  /// and stats are identical to the by-value overload.
+  /// One batched fleet operation, the only query front end of the PIM
+  /// engines: PrepareBatch once on the host (query-side scalars + quantized
+  /// operands, charged exactly once), scatter the operands to every shard
+  /// (one DeviceBatch per shard, fanned out under set_fanout_policy),
+  /// gather the results, and emit one serial-equivalent set of per-query
+  /// device spans. A shard failing with DeviceFault is escalated to a
+  /// host-exact recompute of that shard when ShardOptions::failover is set.
+  /// Bounds derived from the handle are bit-identical for every M. Fills a
+  /// caller-owned handle (per-shard sub-handles and all their buffers are
+  /// reused across calls), the zero-allocation steady-state path of the
+  /// serving scheduler's dispatch loop.
   Status RunQueryBatch(std::span<const float> queries, size_t num_queries,
                        QueryScratch* scratch, QueryHandleBatch* out) const;
+
+  /// As above, allocating scratch and handle internally.
+  Result<QueryHandleBatch> RunQueryBatch(std::span<const float> queries,
+                                         size_t num_queries) const;
 
   /// One walk of a shard's failover ladder for one device-batch chunk
   /// (DESIGN.md section 12): the replica that serves it, or a shed, and
@@ -243,8 +239,6 @@ class ShardedPimEngine {
   double ModeledBatchNs(size_t num_queries) const {
     return primary(0).ModeledBatchNs(num_queries);
   }
-  const PimDevice& device1() const { return primary(0).device1(); }
-  const PimDevice* device2() const { return primary(0).device2(); }
 
   // --- Fleet-aggregated stats -----------------------------------------
   // The device figures read ShardHealthSnapshot, the one reduction of a
@@ -347,8 +341,7 @@ class ShardedPimEngine {
   Status DeviceBatchWithFailover(size_t j, const QueryScratch& scratch,
                                  size_t num_queries,
                                  PimEngine::QueryHandleBatch* handle,
-                                 const DispatchOptions& dispatch,
-                                 bool emit_query_spans) const;
+                                 const DispatchOptions& dispatch) const;
 
   /// The ladder walk behind PlanLadder, from rung `from` on, against
   /// `health`; extends `plan` and re-decides its outcome.

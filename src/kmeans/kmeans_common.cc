@@ -17,8 +17,13 @@
 namespace pimine {
 namespace {
 
-size_t AssignChunk(const ExecPolicy& policy) {
-  return std::max<size_t>(1, policy.block_size);
+/// Points per chunk of an assign pass: 512, or fewer when that would leave
+/// a worker under four chunks, so small passes still spread across every
+/// worker. Serial policies run the whole pass inline whatever the chunk.
+size_t AssignChunk(const ExecPolicy& policy, size_t num_points) {
+  const size_t chunks =
+      4 * static_cast<size_t>(std::max(1, policy.num_threads));
+  return std::clamp<size_t>((num_points + chunks - 1) / chunks, 1, 512);
 }
 
 }  // namespace
@@ -148,13 +153,13 @@ Status ValidateKmeansInput(const FloatMatrix& data,
 }
 
 size_t NumAssignSlots(const ExecPolicy& policy, size_t num_points) {
-  return NumSlots(policy, num_points, AssignChunk(policy));
+  return NumSlots(policy, num_points, AssignChunk(policy, num_points));
 }
 
 size_t RunAssignWithPolicy(
     const ExecPolicy& policy, size_t num_points, RunStats* stats,
     const std::function<void(size_t, size_t, WorkerSlot&)>& assign_point) {
-  const size_t chunk = AssignChunk(policy);
+  const size_t chunk = AssignChunk(policy, num_points);
   std::vector<WorkerSlot> slots(NumSlots(policy, num_points, chunk));
   ParallelChunks(policy, num_points, chunk,
                  [&](size_t begin, size_t end, size_t slot_index) {

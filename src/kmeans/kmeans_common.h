@@ -142,8 +142,9 @@ Status ValidateKmeansInput(const FloatMatrix& data,
                            const KmeansOptions& options);
 
 /// Runs `assign_point(i, slot_index, slot)` for every point in [0,
-/// num_points) in chunks of `policy.block_size` across the policy's workers
-/// (inline when serial). The slots are folded into `stats` in slot order;
+/// num_points) across the policy's workers in chunks of at most 512 points,
+/// at least four per worker when the pass is that large (inline when
+/// serial). The slots are folded into `stats` in slot order;
 /// returns the total number of reassignments the workers tallied.
 size_t RunAssignWithPolicy(
     const ExecPolicy& policy, size_t num_points, RunStats* stats,

@@ -35,9 +35,9 @@ std::string PimConfig::ToString() const {
   os << "ReRAM crossbar: " << crossbar_dim << "x" << crossbar_dim << " "
      << cell_bits << "-bit cells; read/write " << read_ns << "/" << write_ns
      << " ns; " << num_crossbars << " crossbars ("
-     << TotalCellBits() / 8 / (1024 * 1024) << " MB PIM array); buffer "
-     << buffer_bytes / (1024 * 1024) << " MB eDRAM; bus " << internal_bus_gbps
-     << " GB/s; interconnect " << interconnect_gbps << " GB/s + "
+     << TotalCellBits() / 8 / (1024 * 1024) << " MB PIM array); bus "
+     << internal_bus_gbps << " GB/s; interconnect " << interconnect_gbps
+     << " GB/s + "
      << interconnect_hop_ns << " ns/hop; batches pipelined";
   return os.str();
 }

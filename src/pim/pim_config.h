@@ -22,8 +22,6 @@ struct PimConfig {
   double read_ns = 29.31;
   /// ReRAM write (programming) latency per row (ns).
   double write_ns = 50.88;
-  /// eDRAM buffer array capacity (bytes).
-  uint64_t buffer_bytes = 16ull * 1024 * 1024;
   /// ReRAM memory-array capacity (bytes) — ordinary storage next to PIM.
   uint64_t memory_array_bytes = 14ull * 1024 * 1024 * 1024;
   /// Internal bus bandwidth between ReRAM banks and CPU (GB/s).

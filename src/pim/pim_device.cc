@@ -42,7 +42,6 @@ PimDevice::PimDevice(const PimConfig& config, const FaultConfig& fault_config,
                      const RecoveryPolicy& recovery)
     : config_(config),
       timing_(config),
-      buffer_(config.buffer_bytes),
       fault_config_(fault_config),
       recovery_(recovery) {
   PIMINE_CHECK_OK(config.Validate());
@@ -641,16 +640,13 @@ Status PimDevice::DotProductBatch(std::span<const int32_t> queries,
     // `Q * x` add would round differently).
     const double query_pj = timing_.BatchDotEnergyPj(
         stats_.data_crossbars + stats_.gather_crossbars, operand_bits_);
-    const uint64_t query_bytes = n * sizeof(uint64_t);
     for (size_t q = 0; q < num_queries; ++q) {
       stats_.compute_ns += query_ns;
       stats_.compute_energy_pj += query_pj;
-      buffer_.Deposit(query_bytes);
-      buffer_.Drain(query_bytes);  // host consumes each result window.
     }
     stats_.pipelined_ns += batch_ns;
     stats_.results_produced += num_queries * n;
-    stats_.result_bytes_to_host += num_queries * query_bytes;
+    stats_.result_bytes_to_host += num_queries * n * sizeof(uint64_t);
     stats_.fault.Merge(local);
   }
   if (obs::Obs* o = obs::Obs::Get()) {
@@ -751,7 +747,6 @@ void PimDevice::ResetOnlineStats() {
   const uint64_t stuck_cells = stats_.fault.stuck_cells;
   stats_.fault = FaultStats();
   stats_.fault.stuck_cells = stuck_cells;
-  buffer_.Reset();
 }
 
 }  // namespace pimine

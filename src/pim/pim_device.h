@@ -12,7 +12,6 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "data/matrix.h"
-#include "pim/buffer_array.h"
 #include "pim/fault_model.h"
 #include "pim/pim_config.h"
 #include "pim/timing.h"
@@ -72,7 +71,7 @@ struct PimDeviceStats {
 
 /// Facade over the ReRAM-based memory bank of Fig. 4(b): memory array
 /// (plain storage), PIM array (the programmed dataset + dot-product
-/// engine), buffer array (result staging), and controller (this class).
+/// engine) and controller (this class).
 ///
 /// Functional behaviour is bit-exact integer arithmetic: `DotProductAll`
 /// returns sum_i data[v][i] * query[i] truncated to the least-significant
@@ -152,10 +151,9 @@ class PimDevice {
   }
 
   /// Matches `query` against every programmed vector. Query values must be
-  /// non-negative. Results are written into `out` (resized to N) and the
-  /// batch is deposited into the buffer array. Time is charged to stats.
-  /// Safe to call concurrently from several host threads once programmed:
-  /// each batch's stats/buffer accounting is applied atomically, and the
+  /// non-negative. Results are written into `out` (resized to N). Time is
+  /// charged to stats. Safe to call concurrently from several host threads
+  /// once programmed: each batch's stats are applied atomically, and the
   /// per-batch charges are identical regardless of interleaving, so the
   /// modeled totals match a serial run exactly.
   Status DotProductAll(std::span<const int32_t> query,
@@ -226,7 +224,6 @@ class PimDevice {
   double BatchDotNs(size_t num_queries) const;
 
   const PimConfig& config() const { return config_; }
-  const BufferArray& buffer() const { return buffer_; }
   const PimTimingModel& timing() const { return timing_; }
   const FaultConfig& fault_config() const { return fault_config_; }
   const RecoveryPolicy& recovery_policy() const { return recovery_; }
@@ -293,7 +290,6 @@ class PimDevice {
 
   PimConfig config_;
   PimTimingModel timing_;
-  BufferArray buffer_;
   IntMatrix data_;
   int operand_bits_ = 32;
   /// Rows in the base region; data_.rows() - base_rows_ is the delta.
@@ -306,7 +302,7 @@ class PimDevice {
   std::vector<uint32_t> row_writes_;
   std::vector<uint8_t> worn_;
   PimDeviceStats stats_;
-  /// Guards stats_ and buffer_ against concurrent DotProductAll batches.
+  /// Guards stats_ against concurrent DotProductAll batches.
   mutable std::mutex stats_mu_;
 
   // Fault model state (empty / null when fault_config_ is disabled).

@@ -17,9 +17,6 @@ namespace pimine {
 struct ExecPolicy {
   /// Worker threads for the batch. <= 1 executes inline on the caller.
   int num_threads = 1;
-  /// Points per unit of host work: a k-means assign pass hands its points
-  /// to workers in chunks of this size.
-  size_t block_size = 512;
   /// Queries per work unit of a kNN Search and per PIM device batch:
   /// workers claim whole batches of this many queries, and a path with a
   /// PimEngine issues one DotProductBatch (tiled GEMM) per batch instead of

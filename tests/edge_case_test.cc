@@ -6,6 +6,7 @@
 
 #include "core/engine.h"
 #include "core/segments.h"
+#include "core/sharded_engine.h"
 #include "core/similarity.h"
 #include "data/bit_matrix.h"
 #include "kmeans/lloyd.h"
@@ -17,6 +18,7 @@
 namespace pimine {
 namespace {
 
+using testing_util::QueryBounds;
 using testing_util::RandomUnitMatrix;
 using testing_util::RandomUnitVector;
 
@@ -40,11 +42,12 @@ TEST(SegmentEdgeTest, OneSegmentAndPerDimensionSegments) {
 TEST(EngineEdgeTest, SingleObjectSingleDimension) {
   FloatMatrix data(1, 1);
   data(0, 0) = 0.42f;
-  auto engine = PimEngine::Build(data, Distance::kEuclidean, EngineOptions());
+  auto engine =
+      ShardedPimEngine::Build(data, Distance::kEuclidean, EngineOptions());
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   std::vector<double> bounds;
   const std::vector<float> q = {0.9f};
-  ASSERT_TRUE((*engine)->ComputeBounds(q, &bounds).ok());
+  ASSERT_TRUE(QueryBounds(**engine, q, &bounds).ok());
   ASSERT_EQ(bounds.size(), 1u);
   EXPECT_LE(bounds[0], SquaredEuclidean(data.row(0), q) + 1e-9);
 }
@@ -55,10 +58,11 @@ TEST(EngineEdgeTest, DuplicateObjectsGetEqualBounds) {
   for (size_t i = 0; i < 4; ++i) {
     std::copy(row.begin(), row.end(), data.mutable_row(i).begin());
   }
-  auto engine = PimEngine::Build(data, Distance::kEuclidean, EngineOptions());
+  auto engine =
+      ShardedPimEngine::Build(data, Distance::kEuclidean, EngineOptions());
   ASSERT_TRUE(engine.ok());
   std::vector<double> bounds;
-  ASSERT_TRUE((*engine)->ComputeBounds(RandomUnitVector(8, 3), &bounds).ok());
+  ASSERT_TRUE(QueryBounds(**engine, RandomUnitVector(8, 3), &bounds).ok());
   for (size_t i = 1; i < 4; ++i) {
     EXPECT_DOUBLE_EQ(bounds[i], bounds[0]);
   }
@@ -67,11 +71,12 @@ TEST(EngineEdgeTest, DuplicateObjectsGetEqualBounds) {
 TEST(EngineEdgeTest, AllZeroAndAllOneData) {
   FloatMatrix data(3, 6, 0.0f);
   for (float& v : data.mutable_row(1)) v = 1.0f;
-  auto engine = PimEngine::Build(data, Distance::kEuclidean, EngineOptions());
+  auto engine =
+      ShardedPimEngine::Build(data, Distance::kEuclidean, EngineOptions());
   ASSERT_TRUE(engine.ok());
   std::vector<double> bounds;
   const std::vector<float> q(6, 1.0f);
-  ASSERT_TRUE((*engine)->ComputeBounds(q, &bounds).ok());
+  ASSERT_TRUE(QueryBounds(**engine, q, &bounds).ok());
   EXPECT_LE(bounds[0], 6.0 + 1e-9);  // exact distance to all-zero row is 6.
   EXPECT_LE(bounds[1], 1e-9);       // identical to the query.
 }

@@ -8,6 +8,7 @@
 
 #include "core/engine.h"
 #include "core/partitioned_engine.h"
+#include "core/sharded_engine.h"
 #include "core/similarity.h"
 #include "pim/crossbar_math.h"
 #include "test_helpers.h"
@@ -15,6 +16,7 @@
 namespace pimine {
 namespace {
 
+using testing_util::QueryBounds;
 using testing_util::RandomUnitMatrix;
 using testing_util::RandomUnitVector;
 
@@ -38,14 +40,14 @@ TEST_P(EngineGeometryTest, BoundsHoldUnderAnyHardware) {
   options.alpha = alpha;
 
   const FloatMatrix data = RandomUnitMatrix(80, 40, 0xabc ^ m);
-  auto engine_or = PimEngine::Build(data, Distance::kEuclidean, options);
+  auto engine_or = ShardedPimEngine::Build(data, Distance::kEuclidean, options);
   ASSERT_TRUE(engine_or.ok()) << engine_or.status().ToString();
-  PimEngine& engine = **engine_or;
+  const ShardedPimEngine& engine = **engine_or;
 
   std::vector<double> bounds;
   for (uint64_t seed = 0; seed < 3; ++seed) {
     const auto q = RandomUnitVector(40, 0xdef + seed);
-    ASSERT_TRUE(engine.ComputeBounds(q, &bounds).ok());
+    ASSERT_TRUE(QueryBounds(engine, q, &bounds).ok());
     for (size_t i = 0; i < data.rows(); ++i) {
       EXPECT_LE(bounds[i], SquaredEuclidean(data.row(i), q) + 1e-9)
           << "m=" << m << " h=" << h << " alpha=" << alpha;
@@ -88,7 +90,8 @@ TEST(PartitionedVsDirectTest, IdenticalWhenOnePartition) {
   const FloatMatrix queries = RandomUnitMatrix(3, 24, 10);
   EngineOptions options;
 
-  auto direct_or = PimEngine::Build(data, Distance::kEuclidean, options);
+  auto direct_or =
+      ShardedPimEngine::Build(data, Distance::kEuclidean, options);
   ASSERT_TRUE(direct_or.ok());
   ASSERT_EQ((*direct_or)->mode(), EngineMode::kDirectEd);
 
@@ -101,7 +104,7 @@ TEST(PartitionedVsDirectTest, IdenticalWhenOnePartition) {
   std::vector<double> direct_bounds;
   for (size_t q = 0; q < queries.rows(); ++q) {
     ASSERT_TRUE(
-        (*direct_or)->ComputeBounds(queries.row(q), &direct_bounds).ok());
+        QueryBounds(**direct_or, queries.row(q), &direct_bounds).ok());
     for (size_t i = 0; i < data.rows(); ++i) {
       EXPECT_DOUBLE_EQ(part_bounds[q][i], direct_bounds[i]);
     }

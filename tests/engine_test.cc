@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/quantize.h"
+#include "core/sharded_engine.h"
 #include "core/similarity.h"
 #include "pim/crossbar.h"
 #include "test_helpers.h"
@@ -10,6 +11,7 @@
 namespace pimine {
 namespace {
 
+using testing_util::QueryBounds;
 using testing_util::RandomUnitMatrix;
 using testing_util::RandomUnitVector;
 
@@ -91,14 +93,14 @@ TEST_P(EngineBoundPropertyTest, EuclideanLowerBoundHolds) {
   EngineOptions options;
   options.bound = bound;
   options.force_segments = force_segments;
-  auto engine_or = PimEngine::Build(data, Distance::kEuclidean, options);
+  auto engine_or = ShardedPimEngine::Build(data, Distance::kEuclidean, options);
   ASSERT_TRUE(engine_or.ok()) << engine_or.status().ToString();
-  PimEngine& engine = **engine_or;
+  const ShardedPimEngine& engine = **engine_or;
 
   std::vector<double> bounds;
   for (uint64_t seed = 0; seed < 5; ++seed) {
     const auto q = RandomUnitVector(48, 70 + seed);
-    ASSERT_TRUE(engine.ComputeBounds(q, &bounds).ok());
+    ASSERT_TRUE(QueryBounds(engine, q, &bounds).ok());
     ASSERT_EQ(bounds.size(), 60u);
     for (size_t i = 0; i < 60; ++i) {
       EXPECT_LE(bounds[i], SquaredEuclidean(data.row(i), q) + 1e-9)
@@ -119,15 +121,15 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(EngineCosineTest, UpperBoundHolds) {
   const FloatMatrix data = RandomUnitMatrix(40, 32, 8);
   auto engine_or =
-      PimEngine::Build(data, Distance::kCosine, EngineOptions());
+      ShardedPimEngine::Build(data, Distance::kCosine, EngineOptions());
   ASSERT_TRUE(engine_or.ok());
-  PimEngine& engine = **engine_or;
+  const ShardedPimEngine& engine = **engine_or;
   EXPECT_EQ(engine.mode(), EngineMode::kCosine);
 
   std::vector<double> bounds;
   for (uint64_t seed = 0; seed < 5; ++seed) {
     const auto q = RandomUnitVector(32, 200 + seed);
-    ASSERT_TRUE(engine.ComputeBounds(q, &bounds).ok());
+    ASSERT_TRUE(QueryBounds(engine, q, &bounds).ok());
     for (size_t i = 0; i < 40; ++i) {
       EXPECT_GE(bounds[i], CosineSimilarity(data.row(i), q) - 1e-9);
     }
@@ -137,15 +139,15 @@ TEST(EngineCosineTest, UpperBoundHolds) {
 TEST(EnginePearsonTest, UpperBoundHolds) {
   const FloatMatrix data = RandomUnitMatrix(40, 32, 9);
   auto engine_or =
-      PimEngine::Build(data, Distance::kPearson, EngineOptions());
+      ShardedPimEngine::Build(data, Distance::kPearson, EngineOptions());
   ASSERT_TRUE(engine_or.ok());
-  PimEngine& engine = **engine_or;
+  const ShardedPimEngine& engine = **engine_or;
   EXPECT_EQ(engine.mode(), EngineMode::kPearson);
 
   std::vector<double> bounds;
   for (uint64_t seed = 0; seed < 5; ++seed) {
     const auto q = RandomUnitVector(32, 300 + seed);
-    ASSERT_TRUE(engine.ComputeBounds(q, &bounds).ok());
+    ASSERT_TRUE(QueryBounds(engine, q, &bounds).ok());
     for (size_t i = 0; i < 40; ++i) {
       EXPECT_GE(bounds[i], PearsonCorrelation(data.row(i), q) - 1e-9);
     }
@@ -155,31 +157,31 @@ TEST(EnginePearsonTest, UpperBoundHolds) {
 TEST(EngineQueryValidationTest, RejectsBadQueries) {
   const FloatMatrix data = RandomUnitMatrix(8, 16, 10);
   auto engine_or =
-      PimEngine::Build(data, Distance::kEuclidean, EngineOptions());
+      ShardedPimEngine::Build(data, Distance::kEuclidean, EngineOptions());
   ASSERT_TRUE(engine_or.ok());
   std::vector<double> bounds;
   // Wrong dimensionality.
-  EXPECT_FALSE(
-      (*engine_or)->ComputeBounds(RandomUnitVector(15, 1), &bounds).ok());
+  EXPECT_FALSE(QueryBounds(**engine_or, RandomUnitVector(15, 1), &bounds).ok());
   // Out-of-range values.
   std::vector<float> bad = RandomUnitVector(16, 2);
   bad[0] = 2.0f;
-  EXPECT_FALSE((*engine_or)->ComputeBounds(bad, &bounds).ok());
+  EXPECT_FALSE(QueryBounds(**engine_or, bad, &bounds).ok());
 }
 
 TEST(EngineStatsTest, PimTimeAccumulatesAndResets) {
   const FloatMatrix data = RandomUnitMatrix(16, 8, 11);
-  auto engine_or =
-      PimEngine::Build(data, Distance::kEuclidean, EngineOptions());
-  ASSERT_TRUE(engine_or.ok());
-  PimEngine& engine = **engine_or;
+  auto fleet_or =
+      ShardedPimEngine::Build(data, Distance::kEuclidean, EngineOptions());
+  ASSERT_TRUE(fleet_or.ok());
+  ShardedPimEngine& fleet = **fleet_or;
+  const PimEngine& engine = fleet.shard_engine(0);
   EXPECT_GT(engine.OfflineNs(), 0.0);
   EXPECT_GT(engine.OfflineBytesWritten(), 0u);
   EXPECT_DOUBLE_EQ(engine.DeviceStatsTotal().pim_ns, 0.0);
   std::vector<double> bounds;
-  ASSERT_TRUE(engine.ComputeBounds(RandomUnitVector(8, 3), &bounds).ok());
+  ASSERT_TRUE(QueryBounds(fleet, RandomUnitVector(8, 3), &bounds).ok());
   EXPECT_GT(engine.DeviceStatsTotal().pim_ns, 0.0);
-  engine.ResetOnlineStats();
+  fleet.ResetOnlineStats();
   EXPECT_DOUBLE_EQ(engine.DeviceStatsTotal().pim_ns, 0.0);
   EXPECT_DOUBLE_EQ(engine.TransferBitsPerCandidate(), 96.0);  // 3 * 32.
 }
@@ -210,8 +212,10 @@ TEST(EngineStatsTest, OfflineNsIsTheDevicesProgramTime) {
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
     const PimEngine& e = **engine;
     ASSERT_EQ(e.mode(), c.mode);
-    double program_ns = e.device1().stats().program_ns;
-    if (e.device2() != nullptr) program_ns += e.device2()->stats().program_ns;
+    double program_ns = 0.0;
+    for (size_t k = 0; k < e.num_devices(); ++k) {
+      program_ns += e.device(k).stats().program_ns;
+    }
     EXPECT_EQ(e.OfflineNs(), program_ns) << EngineModeName(c.mode);
   }
 }
@@ -226,14 +230,15 @@ TEST(EngineFidelityTest, MatchesCycleLevelCrossbar) {
   EngineOptions options;
   options.alpha = 100.0;  // keep operands small: floor values < 128.
   options.operand_bits = 8;
-  auto engine_or = PimEngine::Build(data, Distance::kEuclidean, options);
+  auto engine_or = ShardedPimEngine::Build(data, Distance::kEuclidean, options);
   ASSERT_TRUE(engine_or.ok());
-  PimEngine& engine = **engine_or;
+  const ShardedPimEngine& engine = **engine_or;
   ASSERT_EQ(engine.mode(), EngineMode::kDirectEd);
 
   const auto q = RandomUnitVector(d, 13);
   auto handle_or = engine.RunQueryBatch(q, 1);
   ASSERT_TRUE(handle_or.ok());
+  const std::vector<uint64_t>& dots = handle_or->shards[0].dots[0];
 
   // Rebuild the same layout on explicit crossbars: one logical column per
   // object, the object's quantized vector along the rows.
@@ -251,7 +256,7 @@ TEST(EngineFidelityTest, MatchesCycleLevelCrossbar) {
   auto pipeline = xbar.DotProduct(input, 8, 8, 2);
   ASSERT_TRUE(pipeline.ok());
   for (size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(handle_or->dots1[i], pipeline->values[i]) << "object " << i;
+    EXPECT_EQ(dots[i], pipeline->values[i]) << "object " << i;
   }
 }
 

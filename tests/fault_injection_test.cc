@@ -296,10 +296,15 @@ TEST(FaultInjectionTest, FailOpPolicyPropagatesDeviceFaultStatus) {
   options.recovery = recovery;
   auto engine = PimEngine::Build(fdata, Distance::kEuclidean, options);
   ASSERT_TRUE(engine.ok());
-  auto handle =
-      (*engine)->RunQueryBatch(testing_util::RandomUnitVector(32, 16), 1);
-  ASSERT_FALSE(handle.ok());
-  EXPECT_EQ(handle.status().code(), StatusCode::kDeviceFault);
+  PimEngine::QueryScratch scratch;
+  PimEngine::QueryHandleBatch handle;
+  ASSERT_TRUE((*engine)
+                  ->PrepareBatch(testing_util::RandomUnitVector(32, 16), 1,
+                                 &scratch, &handle)
+                  .ok());
+  const Status failed = (*engine)->DeviceBatch(scratch, 1, &handle);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.code(), StatusCode::kDeviceFault);
 }
 
 TEST(FaultInjectionTest, BoundSlackRequiresSuspectBuffer) {

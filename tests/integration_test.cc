@@ -6,6 +6,7 @@
 
 #include "core/engine.h"
 #include "core/memory_planner.h"
+#include "core/sharded_engine.h"
 #include "core/similarity.h"
 #include "data/catalog.h"
 #include "data/generator.h"
@@ -17,6 +18,7 @@
 #include "kmeans/lloyd.h"
 #include "kmeans/yinyang.h"
 #include "profiling/modeled_time.h"
+#include "test_helpers.h"
 #include "util/random.h"
 
 namespace pimine {
@@ -79,15 +81,17 @@ TEST(EndToEndTest, RawDataNeedsNormalization) {
   }
   // Unnormalized data is rejected...
   EXPECT_FALSE(
-      PimEngine::Build(raw, Distance::kEuclidean, EngineOptions()).ok());
+      ShardedPimEngine::Build(raw, Distance::kEuclidean, EngineOptions())
+          .ok());
   // ...normalized data is accepted and bounds hold in the scaled space.
   const MinMaxScaler scaler = MinMaxScaler::Fit(raw);
   const FloatMatrix normalized = scaler.Transform(raw);
-  auto engine = PimEngine::Build(normalized, Distance::kEuclidean,
-                                 EngineOptions());
+  auto engine = ShardedPimEngine::Build(normalized, Distance::kEuclidean,
+                                        EngineOptions());
   ASSERT_TRUE(engine.ok());
   std::vector<double> bounds;
-  ASSERT_TRUE((*engine)->ComputeBounds(normalized.row(0), &bounds).ok());
+  ASSERT_TRUE(
+      testing_util::QueryBounds(**engine, normalized.row(0), &bounds).ok());
   for (size_t i = 0; i < normalized.rows(); ++i) {
     EXPECT_LE(bounds[i],
               SquaredEuclidean(normalized.row(i), normalized.row(0)) + 1e-9);

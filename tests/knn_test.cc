@@ -176,31 +176,6 @@ TEST(KnnPruningTest, BoundAlgorithmsComputeFewerExactDistances) {
   EXPECT_GT(pim_result->stats.pim_ns, 0.0);
 }
 
-// No ExecPolicy field changes numerics (DESIGN.md section 5): Standard's
-// early-abandon threshold refreshes on a fixed block of rows, so its
-// neighbours, exact count and traffic are the same at every block_size.
-TEST(KnnExecPolicyTest, StandardScanIgnoresBlockSize) {
-  const Workload w = MakeWorkload(3000, 256, 31);
-  std::optional<KnnRunResult> first;
-  for (size_t block : {64u, 512u, 4096u}) {
-    ExecPolicy policy;
-    policy.block_size = block;
-    StandardKnn standard;
-    standard.set_exec_policy(policy);
-    ASSERT_TRUE(standard.Prepare(w.data).ok());
-    auto result = standard.Search(w.queries, 10);
-    ASSERT_TRUE(result.ok());
-    if (!first.has_value()) {
-      first = std::move(*result);
-      continue;
-    }
-    const std::string label = "block_size=" + std::to_string(block);
-    ExpectSameNeighbors(*first, *result, label);
-    EXPECT_EQ(result->stats.exact_count, first->stats.exact_count) << label;
-    EXPECT_TRUE(result->stats.traffic == first->stats.traffic) << label;
-  }
-}
-
 // FilterRefine must visit exactly the prefix of ArgsortAscending's order
 // that a walk over the full sort visits: the same refine calls in the same
 // order, with the same top-k state, and the same modeled traffic.

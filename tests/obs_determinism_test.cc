@@ -25,6 +25,7 @@
 #include "knn/standard_pim_knn.h"
 #include "obs/histogram.h"
 #include "obs/obs.h"
+#include "pim/fault_model.h"
 #include "serve/server.h"
 #include "serve/workload.h"
 
@@ -91,6 +92,16 @@ const std::vector<std::string>& InvariantKnnCounters() {
   return names;
 }
 
+// The kNN counters that do not depend on the shard count either: every
+// shard's devices count their own queries and programs.
+const std::vector<std::string>& ShardInvariantKnnCounters() {
+  static const std::vector<std::string> names = {
+      "pimine_queries_total",           "pimine_exact_distances_total",
+      "pimine_bound_evaluations_total", "pimine_candidates_pruned_total",
+  };
+  return names;
+}
+
 const std::vector<std::string>& InvariantKmeansCounters() {
   static const std::vector<std::string> names = {
       "pimine_exact_distances_total",
@@ -104,10 +115,12 @@ const std::vector<std::string>& InvariantKmeansCounters() {
   return names;
 }
 
-ObservedRun ObserveKnnRun(const Workload& w, int threads,
-                          size_t device_batch) {
+ObservedRun ObserveKnnRun(
+    const Workload& w, int threads, size_t device_batch,
+    const EngineOptions& engine = EngineOptions(),
+    const std::vector<std::string>& counters = InvariantKnnCounters()) {
   obs::Obs::Enable();
-  StandardPimKnn algorithm(Distance::kEuclidean, EngineOptions());
+  StandardPimKnn algorithm(Distance::kEuclidean, engine);
   EXPECT_TRUE(algorithm.Prepare(w.data).ok());
   ExecPolicy policy = ExecPolicy::WithThreads(threads);
   policy.device_batch = device_batch;
@@ -122,7 +135,7 @@ ObservedRun ObserveKnnRun(const Workload& w, int threads,
   run.stats_hist = result->stats.latency_hist;
   run.registry_hist =
       o->metrics().GetHistogramSnapshot("pimine_query_latency_ns");
-  run.counters = SnapshotCounters(InvariantKnnCounters());
+  run.counters = SnapshotCounters(counters);
   obs::Obs::Disable();
   return run;
 }
@@ -136,7 +149,6 @@ ObservedRun ObserveKmeansRun(const FloatMatrix& data, int threads,
   options.seed = 123;
   options.use_pim = true;
   options.exec = ExecPolicy::WithThreads(threads);
-  options.exec.block_size = 64;
   options.exec.device_batch = device_batch;
   LloydKmeans algorithm;
   auto result = algorithm.Run(data, options);
@@ -168,6 +180,46 @@ TEST(ObsDeterminismTest, KnnTraceBitIdenticalAcrossThreadsAndBatches) {
           baseline, run,
           "kNN x" + std::to_string(threads) + " batch" +
               std::to_string(device_batch));
+    }
+  }
+}
+
+// The fleet emits the per-query device spans once for every shard count,
+// whichever rung of the failover ladder served each shard: a one-shard
+// fleet whose every device pass fails (kFailOp, no retries) and is
+// recomputed on the host records the same pim_dot (and, for the FNN bound,
+// pim_dot2) spans as three shards do, and as the fault-free run does.
+TEST(ObsDeterminismTest, KnnTraceBitIdenticalAcrossShardCounts) {
+  const Workload w = MakeWorkload(400, 32, 97);
+  for (const EngineOptions::Bound bound :
+       {EngineOptions::Bound::kDirectEd, EngineOptions::Bound::kSegmentFnn}) {
+    const bool fnn = bound == EngineOptions::Bound::kSegmentFnn;
+    EngineOptions clean;
+    clean.bound = bound;
+    EngineOptions failing = clean;
+    failing.fault_config.transient_rate = 0.2;  // every pass fails.
+    failing.recovery.verify_mode = VerifyMode::kFailOp;
+    failing.recovery.max_retries = 0;
+    failing.shard.failover = true;
+    const ObservedRun baseline =
+        ObserveKnnRun(w, /*threads=*/1, /*device_batch=*/4, clean,
+                      ShardInvariantKnnCounters());
+    EXPECT_NE(baseline.trace_json.find("\"pim_dot\""), std::string::npos);
+    EXPECT_EQ(baseline.trace_json.find("\"pim_dot2\"") != std::string::npos,
+              fnn);
+    for (const bool faulty : {false, true}) {
+      for (const int shards : {1, 3}) {
+        EngineOptions options = faulty ? failing : clean;
+        options.shard.shards = shards;
+        const ObservedRun run =
+            ObserveKnnRun(w, /*threads=*/1, /*device_batch=*/4, options,
+                          ShardInvariantKnnCounters());
+        ExpectIdenticalObservations(
+            baseline, run,
+            std::string(fnn ? "FNN" : "ED") +
+                (faulty ? " kFailOp" : " fault-free") +
+                " M=" + std::to_string(shards));
+      }
     }
   }
 }

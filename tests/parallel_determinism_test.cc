@@ -153,8 +153,9 @@ TEST(ParallelDeterminismTest, KmeansParallelAssignMatchesSerialExactly) {
       auto serial = algorithm->Run(w.data, options);
       ASSERT_TRUE(serial.ok()) << c.label;
 
+      // Four threads split each assign pass into several chunks per
+      // worker at n = 420.
       options.exec = ExecPolicy::WithThreads(4);
-      options.exec.block_size = 64;  // several chunks per pass at n=420.
       auto parallel = algorithm->Run(w.data, options);
       ASSERT_TRUE(parallel.ok()) << c.label;
 
@@ -317,7 +318,6 @@ TEST(ParallelDeterminismTest, ShardedKmeansMatchesSingleDeviceExactly) {
         KmeansOptions sharded_options = options;
         sharded_options.engine_options.shard.shards = shards;
         sharded_options.exec = ExecPolicy::WithThreads(threads);
-        sharded_options.exec.block_size = 64;
         auto sharded = algorithm->Run(w.data, sharded_options);
         ASSERT_TRUE(sharded.ok()) << c.label;
         ExpectIdenticalKmeansRuns(

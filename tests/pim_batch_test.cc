@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
+#include "core/sharded_engine.h"
 #include "core/similarity.h"
 #include "data/matrix.h"
 #include "kmeans/kmeans_common.h"
@@ -214,7 +215,7 @@ TEST(PimBatchTest, EngineBatchBoundsMatchPerQueryForEveryMode) {
   for (const ModeCase& c : cases) {
     EngineOptions options;
     options.bound = c.bound;
-    auto engine = PimEngine::Build(data, c.distance, options);
+    auto engine = ShardedPimEngine::Build(data, c.distance, options);
     ASSERT_TRUE(engine.ok());
     const auto mode = (*engine)->mode();
 
@@ -222,7 +223,8 @@ TEST(PimBatchTest, EngineBatchBoundsMatchPerQueryForEveryMode) {
         std::span<const float>(queries.data(), num_queries * d), num_queries);
     ASSERT_TRUE(batch.ok()) << EngineModeName(mode);
     EXPECT_EQ(batch->num_queries, num_queries);
-    EXPECT_EQ(batch->stride, n);
+    EXPECT_EQ(batch->shards[0].num_queries, num_queries);
+    EXPECT_EQ(batch->shards[0].stride, n);
 
     std::vector<double> span(n);
     for (size_t q = 0; q < num_queries; ++q) {
@@ -261,7 +263,8 @@ TEST(PimBatchTest, BatchValidation) {
 
 TEST(PimBatchTest, EngineRejectsEmptyBatchAndNullOutputs) {
   const FloatMatrix data = testing_util::RandomUnitMatrix(16, 8, 71);
-  auto engine = PimEngine::Build(data, Distance::kEuclidean, EngineOptions());
+  auto engine =
+      ShardedPimEngine::Build(data, Distance::kEuclidean, EngineOptions());
   ASSERT_TRUE(engine.ok());
   const auto batch = (*engine)->RunQueryBatch({}, 0);
   ASSERT_FALSE(batch.ok());
@@ -384,7 +387,7 @@ TEST(PimBatchTest, PinnedBitPatternsOfDistancesAndSpanBounds) {
         0x3fb208fa06221397ULL}},
   };
   for (const Pinned& p : pinned) {
-    auto engine = PimEngine::Build(data, p.distance, EngineOptions());
+    auto engine = ShardedPimEngine::Build(data, p.distance, EngineOptions());
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
     auto batch = (*engine)->RunQueryBatch(queries.row(0), 1);
     ASSERT_TRUE(batch.ok()) << batch.status().ToString();

@@ -12,7 +12,6 @@ TEST(PimConfigTest, DefaultsMatchPaperSection6A) {
   EXPECT_EQ(config.num_crossbars, 131072);
   EXPECT_DOUBLE_EQ(config.read_ns, 29.31);
   EXPECT_DOUBLE_EQ(config.write_ns, 50.88);
-  EXPECT_EQ(config.buffer_bytes, 16ull * 1024 * 1024);
   // 131072 crossbars x 256x256 cells x 2 bits = 2 GB PIM array (Table 5).
   EXPECT_EQ(config.TotalCellBits() / 8, 2ull * 1024 * 1024 * 1024);
   EXPECT_TRUE(config.Validate().ok());

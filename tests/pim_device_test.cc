@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "pim/buffer_array.h"
 #include "pim/timing.h"
 #include "util/random.h"
 
@@ -156,21 +155,6 @@ TEST(PimDeviceTest, WraparoundImplementsTruncation) {
   // 32 * 2^60 = 2^65 -> LS-64 truncation keeps 2^65 mod 2^64 = 0? No:
   // 32 * 2^60 = 2^5 * 2^60 = 2^65, mod 2^64 = 0.
   EXPECT_EQ(out[0], 0u);
-}
-
-TEST(BufferArrayTest, TracksOccupancyAndForcedDrains) {
-  BufferArray buffer(100);
-  buffer.Deposit(60);
-  EXPECT_EQ(buffer.occupied_bytes(), 60u);
-  EXPECT_EQ(buffer.forced_drains(), 0u);
-  buffer.Deposit(60);  // exceeds capacity -> one forced drain.
-  EXPECT_EQ(buffer.forced_drains(), 1u);
-  EXPECT_LE(buffer.occupied_bytes(), 100u);
-  buffer.Drain(1000);
-  EXPECT_EQ(buffer.occupied_bytes(), 0u);
-  EXPECT_EQ(buffer.total_deposited_bytes(), 120u);
-  buffer.Reset();
-  EXPECT_EQ(buffer.total_deposited_bytes(), 0u);
 }
 
 TEST(PimTimingTest, LatencyScalesWithGatherDepthAndBits) {

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
+#include "core/sharded_engine.h"
 #include "knn/sm_pim_knn.h"
 #include "knn/standard_pim_knn.h"
 #include "serve/admission_queue.h"
@@ -374,15 +375,16 @@ TEST(ServeReplayTest, GreedyZeroWaitServesSingletonsMatchingDirectQueries) {
   EXPECT_DOUBLE_EQ(served.stats.pipelined_ns, served.stats.exec.pim_ns);
 
   // Direct single-query path over the same engine geometry.
-  auto engine = PimEngine::Build(Data(), Distance::kEuclidean, SmallEngine());
-  ASSERT_TRUE(engine.ok());
+  auto fleet =
+      ShardedPimEngine::Build(Data(), Distance::kEuclidean, SmallEngine());
+  ASSERT_TRUE(fleet.ok());
   for (uint32_t i = 0; i < 24; ++i) {
-    auto handle = (*engine)->RunQueryBatch(Queries().row(i % kQueries), 1);
+    auto handle = (*fleet)->RunQueryBatch(Queries().row(i % kQueries), 1);
     ASSERT_TRUE(handle.ok());
   }
-  EXPECT_EQ(served.stats.exec.pim_ns, (*engine)->DeviceStatsTotal().pim_ns);
-  EXPECT_EQ(served.stats.pipelined_ns,
-            (*engine)->DeviceStatsTotal().pipelined_ns);
+  const PimEngine& engine = (*fleet)->shard_engine(0);
+  EXPECT_EQ(served.stats.exec.pim_ns, engine.DeviceStatsTotal().pim_ns);
+  EXPECT_EQ(served.stats.pipelined_ns, engine.DeviceStatsTotal().pipelined_ns);
 }
 
 // --- Fairness --------------------------------------------------------------

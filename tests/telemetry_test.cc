@@ -582,7 +582,7 @@ TEST(FleetHealthTest, PimComputeNsIsTheMaxOfShardSnapshotsUnderChaos) {
   ASSERT_TRUE(output.ok()) << output.status().ToString();
 
   const ShardedPimEngine& fleet = (*server)->engine();
-  ASSERT_NE(fleet.device2(), nullptr);
+  ASSERT_EQ(fleet.shard_engine(0).num_devices(), 2u);
   EXPECT_GT(fleet.FleetStats().failover.recovered, 0u);
   double max_pim_ns = 0.0;
   bool replica_ran = false;

@@ -1,8 +1,11 @@
 #ifndef PIMINE_TESTS_TEST_HELPERS_H_
 #define PIMINE_TESTS_TEST_HELPERS_H_
 
+#include <span>
 #include <vector>
 
+#include "common/status.h"
+#include "core/sharded_engine.h"
 #include "data/matrix.h"
 #include "util/random.h"
 
@@ -25,6 +28,18 @@ inline std::vector<float> RandomUnitVector(size_t dims, uint64_t seed) {
   Rng rng(seed);
   for (float& x : v) x = rng.NextFloat();
   return v;
+}
+
+/// The bounds of one query against every object of `fleet`: a one-query
+/// RunQueryBatch, then BoundsFor into `bounds` (resized to num_objects()).
+inline Status QueryBounds(const ShardedPimEngine& fleet,
+                          std::span<const float> query,
+                          std::vector<double>* bounds) {
+  PIMINE_ASSIGN_OR_RETURN(const ShardedPimEngine::QueryHandleBatch batch,
+                          fleet.RunQueryBatch(query, 1));
+  bounds->resize(fleet.num_objects());
+  fleet.BoundsFor(batch, 0, *bounds);
+  return Status::OK();
 }
 
 }  // namespace testing_util

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
+#include "core/sharded_engine.h"
 #include "data/generator.h"
 #include "knn/standard_knn.h"
 #include "knn/standard_pim_knn.h"
@@ -72,9 +73,9 @@ TEST(TrafficAccountingTest, PimVariantLoadsResultsNotVectors) {
 TEST(TrafficAccountingTest, LazyCombineChargesPerInspection) {
   const FloatMatrix data = RandomUnitMatrix(100, 16, 5);
   auto engine_or =
-      PimEngine::Build(data, Distance::kEuclidean, EngineOptions());
+      ShardedPimEngine::Build(data, Distance::kEuclidean, EngineOptions());
   ASSERT_TRUE(engine_or.ok());
-  PimEngine& engine = **engine_or;
+  const ShardedPimEngine& engine = **engine_or;
 
   auto handle_or = engine.RunQueryBatch(RandomUnitVector(16, 6), 1);
   ASSERT_TRUE(handle_or.ok());

@@ -44,6 +44,7 @@ namespace pimine {
 namespace cli {
 namespace {
 
+using bench::DistanceFromFlags;
 using bench::Fmt;
 using bench::LoadWorkload;
 using bench::ScaledEngineOptions;
@@ -56,14 +57,14 @@ int Usage() {
       "  knn      --dataset=<name> --algorithm=<standard|ost|sm|fnn>[-pim]\n"
       "           [--k=10] [--n=0] [--queries=20] [--distance=ED|CS|PCC]\n"
       "           [--alpha=1e6] [--crossbars=0 (0=scaled)] [--optimize]\n"
-      "           [--threads=1] [--block=512] [--device_batch=1]\n"
+      "           [--threads=1] [--device_batch=1]\n"
       "           [--shards=1] [--placement=contiguous|hash|cluster]\n"
       "           [--fault_rate=0] [--fault_seed=...] \n"
       "           [--fault_recovery=exact|slack|fail|none]\n"
       "  kmeans   --dataset=<name> --algorithm=<standard|elkan|drake|\n"
       "           yinyang|hamerly> [--k=64] [--n=0] [--iterations=5]\n"
-      "           [--pim] [--seed=42] [--threads=1] [--block=512]\n"
-      "           [--device_batch=1] [--shards=1]\n"
+      "           [--pim] [--seed=42] [--threads=1] [--device_batch=1]\n"
+      "           [--shards=1]\n"
       "           [--placement=contiguous|hash|cluster]\n"
       "           [--fault_rate=0] [--fault_seed=...]\n"
       "           [--fault_recovery=exact|slack|fail|none]\n"
@@ -193,13 +194,11 @@ Result<EngineOptions> EngineFromFlags(const FlagParser& flags,
   return options;
 }
 
-/// --threads / --block / --device_batch map onto ExecPolicy; the defaults
-/// reproduce the paper's serial per-query measurement setup.
+/// --threads / --device_batch map onto ExecPolicy; the defaults reproduce
+/// the paper's serial per-query measurement setup.
 ExecPolicy ExecFromFlags(const FlagParser& flags) {
   ExecPolicy policy;
   policy.num_threads = static_cast<int>(flags.GetInt("threads", 1));
-  policy.block_size = static_cast<size_t>(
-      flags.GetInt("block", static_cast<int64_t>(policy.block_size)));
   policy.device_batch =
       static_cast<size_t>(flags.GetInt("device_batch", 1));
   return policy;
@@ -251,28 +250,19 @@ void PrintRunStats(const RunStats& stats, const HostCostModel& model) {
 int RunKnn(const FlagParser& flags) {
   const Status known = flags.CheckKnown(
       {"dataset", "algorithm", "k", "n", "queries", "distance", "alpha",
-       "crossbars", "optimize", "threads", "block", "device_batch", "shards",
+       "crossbars", "optimize", "threads", "device_batch", "shards",
        "placement", "fault_rate", "fault_seed", "fault_recovery", "trace_out",
        "metrics_out", "hist", "trace_wall", "trace_device", "trace_sched"});
   if (!known.ok()) return UsageError(known);
-  const std::string distance_name = flags.GetString("distance", "ED");
-  Distance distance = Distance::kEuclidean;
-  if (distance_name == "CS") {
-    distance = Distance::kCosine;
-  } else if (distance_name == "PCC") {
-    distance = Distance::kPearson;
-  } else if (distance_name != "ED") {
-    std::cerr << "unknown --distance '" << distance_name
-              << "' (want ED|CS|PCC)\n";
-    return Usage();
-  }
+  const Result<Distance> distance = DistanceFromFlags(flags);
+  if (!distance.ok()) return UsageError(distance.status());
   const std::string name = flags.GetString("algorithm", "standard");
   // SM, OST and FNN (and their PIM paths) bound ED only.
-  if (distance != Distance::kEuclidean && name != "standard" &&
+  if (*distance != Distance::kEuclidean && name != "standard" &&
       name != "standard-pim") {
-    std::cerr << "--distance=" << distance_name
-              << " needs --algorithm=standard or standard-pim\n";
-    return Usage();
+    return UsageError(Status::InvalidArgument(
+        "--distance=" + std::string(DistanceName(*distance)) +
+        " needs --algorithm=standard or standard-pim"));
   }
   const auto workload =
       LoadWorkload(flags.GetString("dataset", "MSD"), flags.GetInt("n", 0),
@@ -282,9 +272,9 @@ int RunKnn(const FlagParser& flags) {
 
   std::unique_ptr<KnnAlgorithm> algorithm;
   if (name == "standard") {
-    algorithm = std::make_unique<StandardKnn>(distance);
+    algorithm = std::make_unique<StandardKnn>(*distance);
   } else if (name == "standard-pim") {
-    algorithm = std::make_unique<StandardPimKnn>(distance, *options);
+    algorithm = std::make_unique<StandardPimKnn>(*distance, *options);
   } else if (name == "ost") {
     algorithm = std::make_unique<OstKnn>();
   } else if (name == "ost-pim") {
@@ -299,8 +289,8 @@ int RunKnn(const FlagParser& flags) {
     algorithm = std::make_unique<FnnPimKnn>(*options,
                                             flags.GetBool("optimize", false));
   } else {
-    std::cerr << "unknown kNN algorithm '" << name << "'\n";
-    return Usage();
+    return UsageError(
+        Status::InvalidArgument("unknown kNN algorithm '" + name + "'"));
   }
 
   const Result<ObsCliConfig> obs_cfg = SetupObservability(flags);
@@ -324,9 +314,9 @@ int RunKnn(const FlagParser& flags) {
 int RunKmeans(const FlagParser& flags) {
   const Status known = flags.CheckKnown(
       {"dataset", "algorithm", "k", "n", "iterations", "pim", "seed", "alpha",
-       "crossbars", "threads", "block", "device_batch", "shards", "placement",
-       "fault_rate", "fault_seed", "fault_recovery", "trace_out", "metrics_out",
-       "hist", "trace_wall", "trace_device", "trace_sched"});
+       "crossbars", "threads", "device_batch", "shards", "placement",
+       "fault_rate", "fault_seed", "fault_recovery", "trace_out",
+       "metrics_out", "hist", "trace_wall", "trace_device", "trace_sched"});
   if (!known.ok()) return UsageError(known);
   const auto workload =
       LoadWorkload(flags.GetString("dataset", "NUS-WIDE"),
@@ -354,8 +344,8 @@ int RunKmeans(const FlagParser& flags) {
   } else if (name == "hamerly") {
     algorithm = std::make_unique<HamerlyKmeans>();
   } else {
-    std::cerr << "unknown k-means algorithm '" << name << "'\n";
-    return Usage();
+    return UsageError(
+        Status::InvalidArgument("unknown k-means algorithm '" + name + "'"));
   }
 
   const Result<ObsCliConfig> obs_cfg = SetupObservability(flags);
@@ -470,8 +460,8 @@ int Main(int argc, char** argv) {
   const FlagParser& flags = *flags_or;
   // Counts and sizes; seeds take any integer.
   const Status negative = flags.CheckNonNegative(
-      {"n", "queries", "k", "threads", "block", "device_batch", "shards",
-       "crossbars", "iterations", "top", "length", "window", "copies"});
+      {"n", "queries", "k", "threads", "device_batch", "shards", "crossbars",
+       "iterations", "top", "length", "window", "copies"});
   if (!negative.ok()) return UsageError(negative);
   // An unknown --dataset is misuse, rejected before LoadWorkload aborts.
   const Result<DatasetSpec> dataset =

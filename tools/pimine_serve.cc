@@ -54,6 +54,7 @@ namespace pimine {
 namespace cli {
 namespace {
 
+using bench::DistanceFromFlags;
 using bench::Fmt;
 using bench::LoadWorkload;
 using bench::ScaledEngineOptions;
@@ -101,17 +102,6 @@ int RunError(const Status& status) {
                status.code() == StatusCode::kCapacityExceeded)
       << status.ToString();
   return UsageError(status);
-}
-
-/// --distance of both commands: ED, CS or PCC.
-Result<Distance> DistanceFromFlags(const FlagParser& flags) {
-  const std::string name = flags.GetString("distance", "ED");
-  for (const Distance d :
-       {Distance::kEuclidean, Distance::kCosine, Distance::kPearson}) {
-    if (name == DistanceName(d)) return d;
-  }
-  return Status::InvalidArgument("unknown --distance '" + name +
-                                 "' (want ED|CS|PCC)");
 }
 
 /// "--tenants=gold:4,free:1" -> weighted TenantSpecs. A weight must be a
