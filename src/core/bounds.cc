@@ -52,19 +52,6 @@ double LbOst(std::span<const float> p, std::span<const float> q, int64_t d0,
   return acc + norm_diff * norm_diff;
 }
 
-double UbPartDot(std::span<const float> p, std::span<const float> q,
-                 int64_t d0, double p_suffix_norm, double q_suffix_norm) {
-  PIMINE_DCHECK(p.size() == q.size());
-  PIMINE_DCHECK(d0 >= 0 && static_cast<size_t>(d0) <= p.size());
-  double acc = 0.0;
-  for (int64_t i = 0; i < d0; ++i) {
-    acc += static_cast<double>(p[i]) * q[i];
-  }
-  traffic::CountRead((d0 + 1) * sizeof(float));
-  traffic::CountArithmetic(2 * d0 + 2);
-  return acc + p_suffix_norm * q_suffix_norm;
-}
-
 double SuffixNorm(std::span<const float> vec, int64_t d0) {
   PIMINE_DCHECK(d0 >= 0 && static_cast<size_t>(d0) <= vec.size());
   double acc = 0.0;

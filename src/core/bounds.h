@@ -31,14 +31,8 @@ double LbFnn(std::span<const float> p_means, std::span<const float> p_stds,
 double LbOst(std::span<const float> p, std::span<const float> q, int64_t d0,
              double p_suffix_norm, double q_suffix_norm);
 
-/// UB_part (LEMP): upper bound on p.q — exact partial dot product on the
-/// first d0 dimensions plus the Cauchy-Schwarz bound on the suffix:
-///   sum_{i<=d0} p_i q_i + |p_suffix| * |q_suffix|.
-double UbPartDot(std::span<const float> p, std::span<const float> q,
-                 int64_t d0, double p_suffix_norm, double q_suffix_norm);
-
 /// Suffix L2 norm sqrt(sum_{i >= d0} x_i^2) — the offline precomputation for
-/// LB_OST / UB_part.
+/// LB_OST.
 double SuffixNorm(std::span<const float> vec, int64_t d0);
 
 }  // namespace pimine

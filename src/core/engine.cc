@@ -129,10 +129,6 @@ Result<std::unique_ptr<PimEngine>> PimEngine::Build(
   if (data.empty()) {
     return Status::InvalidArgument("cannot build engine on empty data");
   }
-  if (distance == Distance::kHamming) {
-    return Status::InvalidArgument(
-        "use PimHammingEngine for binary-code workloads");
-  }
   PIMINE_RETURN_IF_ERROR(CheckUnitRange(data));
   const int64_t d = static_cast<int64_t>(data.cols());
   PIMINE_ASSIGN_OR_RETURN(
@@ -344,13 +340,21 @@ Status PimEngine::DeviceBatch(const QueryScratch& scratch, size_t num_queries,
       CheckPrepared("DeviceBatch", scratch, num_queries, batch));
   ShapeHandle(batch);
   // Each device writes its dot products and suspect flags (a fault-free
-  // device clears the flags, so it never pays the allocation).
+  // device clears the flags, so it never pays the allocation). Every device
+  // runs its pass even after one fails the op, as the fleet charges every
+  // device's pass to the query; the first DeviceFault returns after all.
+  Status fault;
   for (size_t k = 0; k < devices_.size(); ++k) {
-    PIMINE_RETURN_IF_ERROR(devices_[k]->DotProductBatch(
-        scratch.ops[k], num_queries, &batch->dots[k], &batch->suspect[k]));
+    const Status s = devices_[k]->DotProductBatch(
+        scratch.ops[k], num_queries, &batch->dots[k], &batch->suspect[k]);
+    if (s.code() != StatusCode::kDeviceFault) {
+      PIMINE_RETURN_IF_ERROR(s);
+    } else if (fault.ok()) {
+      fault = s;
+    }
     CompactSuspect(&batch->suspect[k]);
   }
-  return Status::OK();
+  return fault;
 }
 
 Status PimEngine::HostRecomputeBatch(const QueryScratch& scratch,

@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "common/logging.h"
-#include "core/segments.h"
 #include "pim/crossbar_math.h"
 
 namespace pimine {
@@ -39,12 +38,6 @@ Result<MemoryPlan> PlanPimLayout(int64_t n, int64_t original_dim,
                                              config.crossbar_dim,
                                              config.cell_bits);
   return plan;
-}
-
-FloatMatrix CompressBySegmentMeans(const FloatMatrix& data, int64_t s) {
-  PIMINE_CHECK(s > 0 && static_cast<size_t>(s) <= data.cols());
-  SegmentStats stats = ComputeSegmentStats(data, s);
-  return std::move(stats.means);
 }
 
 PimConfig ScalePimArrayForDataset(int64_t paper_n, int64_t scaled_n,

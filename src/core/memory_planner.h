@@ -5,7 +5,6 @@
 #include <string>
 
 #include "common/result.h"
-#include "data/matrix.h"
 #include "pim/pim_config.h"
 
 namespace pimine {
@@ -33,11 +32,6 @@ struct MemoryPlan {
 Result<MemoryPlan> PlanPimLayout(int64_t n, int64_t original_dim,
                                  int operand_bits, int copies,
                                  const PimConfig& config);
-
-/// Fig. 10 compression: reduces each row of `data` from d to s dimensions
-/// by per-segment means (the dimensionality-reduction technique the bound
-/// functions already use).
-FloatMatrix CompressBySegmentMeans(const FloatMatrix& data, int64_t s);
 
 /// Scales the PIM array size so that `scaled_n` objects exercise the same
 /// capacity pressure as `paper_n` objects did on the paper's 131072-crossbar

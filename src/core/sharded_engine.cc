@@ -1,7 +1,6 @@
 #include "core/sharded_engine.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <string>
 #include <utility>
 
@@ -49,10 +48,6 @@ Result<std::unique_ptr<ShardedPimEngine>> ShardedPimEngine::Build(
   fleet->num_objects_ = data.rows();
   PIMINE_RETURN_IF_ERROR(options.shard.ValidateReplication());
   PIMINE_ASSIGN_OR_RETURN(fleet->map_, BuildShardMap(data, options.shard));
-  if (distance == Distance::kHamming) {
-    return Status::InvalidArgument(
-        "use PimHammingEngine for binary-code workloads");
-  }
   // Resolve the geometry on the FULL dataset, then force it on every
   // shard: a shard's smaller plan must not change the bound function, or
   // results would depend on M.
@@ -201,7 +196,6 @@ Status ShardedPimEngine::DeviceBatchWithFailover(
     PIMINE_DCHECK(dispatch.plans.size() == engines_.size());
     plan = dispatch.plans[j];
   }
-  std::string last_fault;
   while (plan.serving_replica >= 0) {
     const int r = plan.serving_replica;
     const Status s = engines_[j][r]->DeviceBatch(scratch, num_queries, handle);
@@ -209,7 +203,6 @@ Status ShardedPimEngine::DeviceBatchWithFailover(
     if (s.code() != StatusCode::kDeviceFault) return s;
     // A data-plane fault, which no plan foresees: the attempt failed after
     // all, so the walk continues past r against the live replica health.
-    last_fault = "replica " + std::to_string(r) + ": " + s.message();
     std::lock_guard<std::mutex> lock(ctr.ladder_mu);
     ctr.health[r].strikes = plan.serving_strikes;
     ++plan.charges.device_faults;
@@ -217,7 +210,7 @@ Status ShardedPimEngine::DeviceBatchWithFailover(
     WalkLadder(j, num_queries, dispatch, r + 1, ctr.health, &plan);
   }
   const bool shed = plan.serving_replica < 0;
-  if (shed && options_.shard.failover && dispatch.slack_on_exhaustion) {
+  if (shed && dispatch.slack_on_exhaustion) {
     plan.charges.slack_fills = 1;
   }
   if (plan.charges.injected != 0) {
@@ -232,24 +225,7 @@ Status ShardedPimEngine::DeviceBatchWithFailover(
   }
 
   // Every replica exhausted (struck out, denied, faulted, or priced out by
-  // the ladder deadline): the op loses its device path.
-  const size_t num_replicas = engines_[j].size();
-  if (!options_.shard.failover) {
-    // No escalation configured: the shed op propagates as a DeviceFault
-    // carrying its provenance — shard index, replica ids walked, and a
-    // deterministic op nonce (hash of the dispatch instant and shard, the
-    // same token that seeds the ladder's backoff jitter) so one failing op
-    // can be correlated across logs, retries and replays.
-    char nonce[20];
-    std::snprintf(nonce, sizeof(nonce), "%016llx",
-                  static_cast<unsigned long long>(
-                      BackoffToken(DispatchNs(dispatch), j) ^ num_queries));
-    return Status::DeviceFault(
-        "shard " + std::to_string(j) + " (op " + nonce + "): all " +
-        std::to_string(num_replicas) + " replica(s) exhausted" +
-        (plan.deadline_shed ? " (ladder deadline exceeded)" : "") +
-        (last_fault.empty() ? "" : "; last fault at " + last_fault));
-  }
+  // the ladder deadline): the op loses its device path and escalates.
   if (dispatch.slack_on_exhaustion) {
     // Degraded mode: serve the shard as a bound-slack fill — every bound
     // is the admissible trivial bound, so results stay exact after refine
@@ -261,7 +237,7 @@ Status ShardedPimEngine::DeviceBatchWithFailover(
   }
   ctr.slack_mode.store(dispatch.slack_on_exhaustion,
                        std::memory_order_relaxed);
-  ctr.serving_replica.store(static_cast<uint32_t>(num_replicas),
+  ctr.serving_replica.store(static_cast<uint32_t>(engines_[j].size()),
                             std::memory_order_relaxed);
   ctr.failovers.fetch_add(1, std::memory_order_relaxed);
   ctr.failed_over_queries.fetch_add(num_queries, std::memory_order_relaxed);
@@ -318,7 +294,6 @@ void ShardedPimEngine::WalkLadder(size_t j, size_t num_queries,
           BackoffToken(now_ns, j), static_cast<int>(f.attempts_failed));
       if (dispatch.deadline_ns != 0 &&
           f.backoff_ns + wait > dispatch.deadline_ns) {
-        plan->deadline_shed = true;
         break;
       }
       f.backoff_ns += wait;

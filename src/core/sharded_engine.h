@@ -63,8 +63,8 @@ class ShardedPimEngine {
   /// operands, charged exactly once), scatter the operands to every shard
   /// (one DeviceBatch per shard, fanned out under set_fanout_policy),
   /// gather the results, and emit one serial-equivalent set of per-query
-  /// device spans. A shard failing with DeviceFault is escalated to a
-  /// host-exact recompute of that shard when ShardOptions::failover is set.
+  /// device spans. A shard whose replicas all fail with DeviceFault is
+  /// escalated to a host-exact recompute of that shard.
   /// Bounds derived from the handle are bit-identical for every M. Fills a
   /// caller-owned handle (per-shard sub-handles and all their buffers are
   /// reused across calls), the zero-allocation steady-state path of the
@@ -85,8 +85,6 @@ class ShardedPimEngine {
     /// serving_replica's strike count before the walk reset it, restored
     /// if a data-plane fault proves the attempt failed after all.
     uint32_t serving_strikes = 0;
-    /// The op shed because the next backoff would exceed the deadline.
-    bool deadline_shed = false;
     /// The walk's FailoverStats: outcome (injected/recovered/shed), failed
     /// attempts, strikes, strike-outs, retry re-scatter and backoff.
     FailoverStats charges;

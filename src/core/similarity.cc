@@ -16,8 +16,6 @@ std::string_view DistanceName(Distance distance) {
       return "CS";
     case Distance::kPearson:
       return "PCC";
-    case Distance::kHamming:
-      return "HD";
   }
   return "?";
 }

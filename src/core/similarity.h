@@ -11,7 +11,6 @@ enum class Distance {
   kEuclidean,  // squared Euclidean distance (the paper's ED).
   kCosine,     // cosine similarity (larger = more similar).
   kPearson,    // Pearson correlation coefficient (larger = more similar).
-  kHamming,    // Hamming distance on binary codes.
 };
 
 std::string_view DistanceName(Distance distance);

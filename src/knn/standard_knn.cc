@@ -9,9 +9,6 @@ StandardKnn::StandardKnn(Distance distance) : distance_(distance) {
 }
 
 Status StandardKnn::Prepare(const FloatMatrix& data) {
-  if (distance_ == Distance::kHamming) {
-    return Status::InvalidArgument("use HammingScanKnn for binary codes");
-  }
   if (data.empty()) return Status::InvalidArgument("empty dataset");
   data_ = &data;
   return Status::OK();

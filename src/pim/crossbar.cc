@@ -81,12 +81,11 @@ Result<Crossbar::DotResult> Crossbar::DotProduct(
   if (faults != nullptr && !faults->enabled()) faults = nullptr;
   const uint64_t nonce = faults != nullptr ? faults->NextOpNonce() : 0;
   // Width of one digitized column sample: dim rows of (dac-slice * cell)
-  // products. Transient flips land inside it; ADC saturation drops its MSB.
+  // products. Transient flips land inside it.
   const uint64_t max_current = static_cast<uint64_t>(dim_) *
                                ((1ULL << dac_bits) - 1) *
                                ((1ULL << cell_bits_) - 1);
   const int sample_bits = FloorLog2(std::max<uint64_t>(1, max_current)) + 1;
-  const uint64_t adc_full_scale = (1ULL << (sample_bits - 1)) - 1;
 
   DotResult out;
   out.values.assign(logical_cols, 0);
@@ -118,10 +117,6 @@ Result<Crossbar::DotResult> Crossbar::DotProduct(
       }
       if (faults != nullptr) {
         const uint64_t sample = static_cast<uint64_t>(t) * dim_ + col;
-        if (faults->AdcSaturates(nonce, sample) &&
-            column_current > adc_full_scale) {
-          column_current = adc_full_scale;
-        }
         column_current ^= faults->TransientMask(nonce, sample, sample_bits);
       }
       const int logical = col / slices;

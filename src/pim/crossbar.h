@@ -59,11 +59,9 @@ class Crossbar {
 
   /// As above, with fault injection from `faults` (may be null): stuck-at
   /// cells (FaultModel::kCrossbarCellSalt domain, keyed by physical cell
-  /// index), per-sample ADC saturation (the sampled column current loses
-  /// its most-significant bit when it saturates), and transient single-bit
-  /// flips of individual digitized column samples. One op nonce is drawn
-  /// per call, so repeating a call redraws the transient faults while the
-  /// stuck cells stay put.
+  /// index) and transient single-bit flips of individual digitized column
+  /// samples. One op nonce is drawn per call, so repeating a call redraws
+  /// the transient faults while the stuck cells stay put.
   Result<DotResult> DotProduct(std::span<const uint32_t> input, int input_bits,
                                int operand_bits, int dac_bits,
                                FaultModel* faults) const;

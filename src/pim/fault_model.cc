@@ -23,7 +23,6 @@ double U01(uint64_t h) {
 }
 
 constexpr uint64_t kTransientSalt = 0x7A1151E47ULL;
-constexpr uint64_t kAdcSalt = 0xADC5A7ULL;
 
 }  // namespace
 
@@ -70,12 +69,6 @@ uint64_t FaultModel::TransientMask(uint64_t nonce, uint64_t result_index,
   const int bit =
       static_cast<int>(Mix(h, 0x17) % static_cast<uint64_t>(value_bits));
   return uint64_t{1} << bit;
-}
-
-bool FaultModel::AdcSaturates(uint64_t nonce, uint64_t result_index) const {
-  if (config_.adc_sat_rate <= 0.0) return false;
-  const uint64_t h = Mix(config_.seed ^ kAdcSalt, Mix(nonce, result_index));
-  return U01(h) < config_.adc_sat_rate;
 }
 
 }  // namespace pimine

@@ -23,10 +23,6 @@ struct FaultConfig {
   /// Per-result probability that one operation's digitized value suffers a
   /// single-bit flip in a shifted partial sum. Transient: a retry redraws.
   double transient_rate = 0.0;
-  /// Per-result probability that the ADC saturates, clamping the value to
-  /// (1 << adc_sat_bits) - 1 when it exceeds that ceiling.
-  double adc_sat_rate = 0.0;
-  int adc_sat_bits = 48;
   uint64_t seed = 0x5EEDF417u;
 
   /// Write-endurance model: a physical row slot that has been programmed
@@ -44,18 +40,14 @@ struct FaultConfig {
   /// device takes the exact pre-fault code paths (bit-identical results,
   /// latencies and stats).
   bool enabled() const {
-    return cell_rate > 0.0 || transient_rate > 0.0 || adc_sat_rate > 0.0 ||
-           wear_enabled();
+    return cell_rate > 0.0 || transient_rate > 0.0 || wear_enabled();
   }
 
   Status Validate() const {
     const auto rate_ok = [](double r) { return r >= 0.0 && r <= 1.0; };
     if (!rate_ok(cell_rate) || !rate_ok(transient_rate) ||
-        !rate_ok(adc_sat_rate) || !rate_ok(wear_stuck_rate)) {
+        !rate_ok(wear_stuck_rate)) {
       return Status::InvalidArgument("fault rates must be in [0, 1]");
-    }
-    if (adc_sat_bits < 1 || adc_sat_bits > 63) {
-      return Status::InvalidArgument("adc_sat_bits must be in [1, 63]");
     }
     return Status::OK();
   }
@@ -154,9 +146,9 @@ struct FaultStats {
   }
 };
 
-/// Seeded source of the three fault processes. Owns no device state: the
-/// device (or crossbar) maps its own cell/result indices onto the model's
-/// stateless draws. `salt` separates independent fault domains sharing one
+/// Seeded source of the three fault processes (stuck cells, transient flips
+/// and wear). Owns no device state: the device (or crossbar) maps its own
+/// cell/result indices onto the model's stateless draws. `salt` separates independent fault domains sharing one
 /// seed (data cells vs. checksum cells vs. a second crossbar).
 class FaultModel {
  public:
@@ -192,14 +184,6 @@ class FaultModel {
   /// op `nonce`; the flipped bit is uniform in [0, value_bits).
   uint64_t TransientMask(uint64_t nonce, uint64_t result_index,
                          int value_bits = 64) const;
-
-  /// True iff the ADC saturates for result `result_index` of op `nonce`.
-  bool AdcSaturates(uint64_t nonce, uint64_t result_index) const;
-
-  /// Value the ADC clamps to when it saturates.
-  uint64_t AdcCeiling() const {
-    return (uint64_t{1} << config_.adc_sat_bits) - 1;
-  }
 
  private:
   FaultConfig config_;

@@ -42,12 +42,6 @@ struct ShardOptions {
   /// 1 <= shards <= n (rejected with InvalidArgument otherwise).
   int shards = 1;
   ShardPlacement placement = ShardPlacement::kContiguous;
-  /// When true, a shard whose device operation fails with DeviceFault
-  /// (RecoveryPolicy VerifyMode::kFailOp exhausted its ladder) is
-  /// escalated to a host-exact recompute of only that shard instead of
-  /// failing the whole fleet operation. With replicas > 1 the escalation
-  /// only happens after every replica has been tried.
-  bool failover = true;
   /// Copies of every shard programmed onto independent devices, in
   /// [1, kMaxReplicas]. Replicas hold the identical shard dataset with
   /// decorrelated fault seeds; replica 0 is the deterministic primary, so

@@ -28,10 +28,8 @@ std::string PimDeviceStats::ToString() const {
     os << q << ":" << count;
   }
   os << "}";
-  if (delta_vectors != 0 || tombstoned_vectors != 0 || compactions != 0 ||
-      worn_rows != 0) {
-    os << " delta=" << delta_vectors << " tombstoned=" << tombstoned_vectors
-       << " compactions=" << compactions << " row_writes=" << row_writes
+  if (compactions != 0 || worn_rows != 0) {
+    os << " compactions=" << compactions << " row_writes=" << row_writes
        << " worn=" << worn_rows;
   }
   if (fault.Any()) os << " faults={" << fault.ToString() << "}";
@@ -65,6 +63,37 @@ Status PimDevice::ReprogramDataset(const IntMatrix& data, int operand_bits) {
   return ProgramInternal(data, operand_bits);
 }
 
+namespace {
+
+Status CheckOperands(const IntMatrix& rows, int operand_bits) {
+  const int64_t limit =
+      operand_bits >= 32 ? (1LL << 31) : (1LL << operand_bits);
+  for (size_t i = 0; i < rows.rows(); ++i) {
+    for (int32_t v : rows.row(i)) {
+      if (v < 0 || static_cast<int64_t>(v) >= limit) {
+        return Status::InvalidArgument(
+            "PIM operands must be non-negative integers fitting operand_bits");
+      }
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+void PimDevice::RecordLayout() {
+  const int64_t n = static_cast<int64_t>(data_.rows());
+  const int64_t s = static_cast<int64_t>(data_.cols());
+  stats_.programmed_vectors = n;
+  stats_.programmed_dims = s;
+  stats_.data_crossbars = NumDataCrossbars(n, operand_bits_, s,
+                                           config_.crossbar_dim,
+                                           config_.cell_bits);
+  stats_.gather_crossbars = NumGatherCrossbars(n, operand_bits_, s,
+                                               config_.crossbar_dim,
+                                               config_.cell_bits);
+}
+
 Status PimDevice::ProgramInternal(const IntMatrix& data, int operand_bits) {
   if (data.empty()) {
     return Status::InvalidArgument("cannot program an empty dataset");
@@ -81,30 +110,14 @@ Status PimDevice::ProgramInternal(const IntMatrix& data, int operand_bits) {
        << " crossbars; compress the dataset first (Theorem 4)";
     return Status::CapacityExceeded(os.str());
   }
-  const int64_t limit =
-      operand_bits >= 32 ? (1LL << 31) : (1LL << operand_bits);
-  for (size_t i = 0; i < data.rows(); ++i) {
-    for (int32_t v : data.row(i)) {
-      if (v < 0 || static_cast<int64_t>(v) >= limit) {
-        return Status::InvalidArgument(
-            "PIM operands must be non-negative integers fitting operand_bits");
-      }
-    }
-  }
+  PIMINE_RETURN_IF_ERROR(CheckOperands(data, operand_bits));
 
   data_ = data;
   operand_bits_ = operand_bits;
   base_rows_ = data_.rows();
   tombstone_.assign(data_.rows(), 0);
   tombstone_count_ = 0;
-  stats_.programmed_vectors = n;
-  stats_.programmed_dims = s;
-  stats_.data_crossbars =
-      NumDataCrossbars(n, operand_bits, s, config_.crossbar_dim,
-                       config_.cell_bits);
-  stats_.gather_crossbars =
-      NumGatherCrossbars(n, operand_bits, s, config_.crossbar_dim,
-                         config_.cell_bits);
+  RecordLayout();
   // Row-parallel programming: every used crossbar row is written once.
   const uint64_t rows_written =
       static_cast<uint64_t>(stats_.data_crossbars + stats_.gather_crossbars) *
@@ -318,27 +331,12 @@ Status PimDevice::ProgramDelta(const IntMatrix& rows) {
         "delta append exceeds PIM array capacity (Theorem 4); compact or "
         "re-shard first");
   }
-  const int64_t limit =
-      operand_bits_ >= 32 ? (1LL << 31) : (1LL << operand_bits_);
-  for (size_t i = 0; i < rows.rows(); ++i) {
-    for (int32_t v : rows.row(i)) {
-      if (v < 0 || static_cast<int64_t>(v) >= limit) {
-        return Status::InvalidArgument(
-            "PIM operands must be non-negative integers fitting operand_bits");
-      }
-    }
-  }
+  PIMINE_RETURN_IF_ERROR(CheckOperands(rows, operand_bits_));
 
   const size_t old_n = data_.rows();
   data_.AppendRows(rows);
   tombstone_.resize(data_.rows(), 0);
-  stats_.programmed_vectors = new_n;
-  stats_.data_crossbars = NumDataCrossbars(new_n, operand_bits_, s,
-                                           config_.crossbar_dim,
-                                           config_.cell_bits);
-  stats_.gather_crossbars = NumGatherCrossbars(new_n, operand_bits_, s,
-                                               config_.crossbar_dim,
-                                               config_.cell_bits);
+  RecordLayout();
   // Incremental programming: each append slot is one row-parallel write.
   // Repeated addition keeps program_ns bit-identical across any grouping
   // of the same appends.
@@ -348,8 +346,6 @@ Status PimDevice::ProgramDelta(const IntMatrix& rows) {
     stats_.program_ns += row_ns;
     delta_ns += row_ns;
   }
-  stats_.delta_vectors += rows.rows();
-  ++stats_.delta_program_events;
   ChargeRowWrites(old_n, rows.rows());
   if (faults_ != nullptr) ExtendFaultState(old_n);
   obs::AddCounter("pimine_device_delta_programs_total", 1);
@@ -378,7 +374,6 @@ Status PimDevice::Tombstone(size_t row) {
   }
   tombstone_[row] = 1;
   ++tombstone_count_;
-  ++stats_.tombstoned_vectors;
   return Status::OK();
 }
 
@@ -471,10 +466,6 @@ Status PimDevice::ApplyFaultsAndRecover(std::span<const int32_t> queries,
           for (const StuckDelta& sd : stuck_[v]) {
             val += static_cast<uint64_t>(sd.delta) *
                    static_cast<uint64_t>(static_cast<uint32_t>(qv[sd.dim]));
-          }
-          if (faults_->AdcSaturates(nonce, v - v0) &&
-              val > faults_->AdcCeiling()) {
-            val = faults_->AdcCeiling();
           }
           val ^= faults_->TransientMask(nonce, v - v0);
           faulty[v - v0] = val;

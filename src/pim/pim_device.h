@@ -30,9 +30,6 @@ struct PimDeviceStats {
   uint64_t programming_events = 0;  // full-array programs (endurance).
   uint64_t aux_bytes_stored = 0;    // Φ values kept in the memory array.
   // Mutation accounting (all cumulative/monotone; zero on a static device).
-  uint64_t delta_vectors = 0;        // vectors appended via ProgramDelta.
-  uint64_t delta_program_events = 0;  // ProgramDelta calls.
-  uint64_t tombstoned_vectors = 0;   // Tombstone calls accepted.
   uint64_t compactions = 0;          // CompactRows passes.
   uint64_t compacted_rows = 0;       // vectors rewritten by compactions.
   uint64_t row_writes = 0;           // per-slot write events (wear model).
@@ -81,7 +78,7 @@ struct PimDeviceStats {
 class PimDevice {
  public:
   /// `fault_config` enables the ReRAM fault model (stuck cells, transient
-  /// flips, ADC saturation) and `recovery` the checksum-based recovery path
+  /// flips, wear) and `recovery` the checksum-based recovery path
   /// (see fault_model.h). The defaults keep the device fault-free and
   /// bit-identical to the pre-fault-model behaviour.
   explicit PimDevice(const PimConfig& config = PimConfig(),
@@ -245,6 +242,11 @@ class PimDevice {
   /// full row-parallel program and per-slot endurance writes, and rebuilds
   /// fault state.
   Status ProgramInternal(const IntMatrix& data, int operand_bits);
+
+  /// Sets the layout fields of stats_ (vectors, dims, data and gather
+  /// crossbars) from the programmed rows; ProgramInternal and ProgramDelta
+  /// call it once the rows are in place.
+  void RecordLayout();
 
   /// Bumps the per-slot write counters for physical slots
   /// [first, first + count) and marks slots that crossed the endurance

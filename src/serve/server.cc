@@ -148,19 +148,19 @@ Status PimServer::OnInsert(const FloatMatrix& rows) {
 
 Status PimServer::OnDelete(std::span<const uint32_t> rows) {
   return Mutate([&] {
-    // Every served query returns k neighbours, so the live corpus may never
-    // shrink below k.
-    if (engine_->live_objects() <
-        rows.size() + static_cast<size_t>(options_.k)) {
-      return Status::FailedPrecondition(
-          "delete would leave fewer than k=" + std::to_string(options_.k) +
-          " live rows");
-    }
     for (const uint32_t row : rows) {
       PIMINE_RETURN_IF_ERROR(engine_->DeleteRow(row));
     }
     return Status::OK();
   });
+}
+
+Status PimServer::CheckLiveRows() const {
+  const size_t live = engine_->live_objects();
+  if (live >= static_cast<size_t>(options_.k)) return Status::OK();
+  return Status::FailedPrecondition(
+      "the corpus has " + std::to_string(live) + " live rows, fewer than k=" +
+      std::to_string(options_.k));
 }
 
 Status PimServer::OnCompact(const std::vector<uint32_t>& live) {
@@ -406,6 +406,7 @@ Result<ReplayOutput> PimServer::Replay(const ArrivalTrace& trace,
       return Status::FailedPrecondition(
           "Replay cannot run while live serving is started; Stop() first");
     }
+    PIMINE_RETURN_IF_ERROR(CheckLiveRows());
   }
   if (queries.cols() != data_->cols()) {
     return Status::InvalidArgument("query dimensionality mismatch");
@@ -555,6 +556,7 @@ uint64_t PimServer::NowNs() const {
 Status PimServer::Start() {
   std::lock_guard<std::mutex> lock(mu_);
   if (running_) return Status::FailedPrecondition("server already started");
+  PIMINE_RETURN_IF_ERROR(CheckLiveRows());
   running_ = true;
   stop_ = false;
   next_id_ = 0;

@@ -161,13 +161,15 @@ class PimServer : public MutationListener {
   /// Replays `trace` against the virtual clock. Event query rows index
   /// `queries` (same dimensionality as the data). Deterministic: identical
   /// (trace, options, data, queries) produce bit-identical output for any
-  /// scheduler_threads. Not concurrent with live mode.
+  /// scheduler_threads. Not concurrent with live mode. FailedPrecondition
+  /// when the corpus has fewer than ServeOptions::k live rows.
   Result<ReplayOutput> Replay(const ArrivalTrace& trace,
                               const FloatMatrix& queries);
 
   // --- Live mode ------------------------------------------------------
 
-  /// Starts scheduler_threads worker threads. Fails if already running.
+  /// Starts scheduler_threads worker threads. Fails if already running or,
+  /// like Replay, if the corpus has fewer than ServeOptions::k live rows.
   Status Start();
 
   /// Submits one query and blocks until it is served (or rejected with
@@ -194,10 +196,10 @@ class PimServer : public MutationListener {
   /// (Stop() first); callers serialize mutations against Replay.
   Status AttachMutable(MutableDataset* dataset);
 
-  /// Mutation mirroring (normally invoked by the attached dataset).
-  /// Deletes that would leave fewer than ServeOptions::k live rows are
-  /// refused with FailedPrecondition — every served query must still find
-  /// k live neighbours.
+  /// Mutation mirroring (normally invoked by the attached dataset). Every
+  /// delete the dataset accepted is mirrored, so the two always agree; a
+  /// corpus left with fewer than ServeOptions::k live rows is refused by
+  /// Replay and Start instead.
   Status OnInsert(const FloatMatrix& rows) override;
   Status OnDelete(std::span<const uint32_t> rows) override;
   Status OnCompact(const std::vector<uint32_t>& live) override;
@@ -291,6 +293,9 @@ class PimServer : public MutationListener {
   /// Applies one mirrored mutation under mu_; refused while live serving
   /// runs.
   Status Mutate(const std::function<Status()>& apply);
+  /// FailedPrecondition unless the fleet holds at least k live rows: every
+  /// served query returns k neighbours. Caller holds mu_.
+  Status CheckLiveRows() const;
   void WorkerLoop();
   uint64_t NowNs() const;
   /// Writes the pimine_serve_* families for `stats` and the engine's fleet

@@ -39,8 +39,6 @@ TEST_P(ClassicalBoundTest, BoundsHold) {
     const double pn = SuffixNorm(p, d0);
     const double qn = SuffixNorm(q, d0);
     EXPECT_LE(LbOst(p, q, d0, pn, qn), exact + 1e-9);
-
-    EXPECT_GE(UbPartDot(p, q, d0, pn, qn), DotProduct(p, q) - 1e-9);
   }
 }
 

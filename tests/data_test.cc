@@ -1,13 +1,8 @@
-#include <cstdio>
-#include <cstring>
-#include <string>
-
 #include <gtest/gtest.h>
 
 #include "data/bit_matrix.h"
 #include "data/catalog.h"
 #include "data/generator.h"
-#include "data/io.h"
 #include "data/matrix.h"
 #include "data/normalize.h"
 #include "data/simhash.h"
@@ -165,98 +160,6 @@ TEST(SimHashTest, HammingTracksAngularSimilarity) {
   const int near = BitMatrix::HammingDistance(codes.row(0), codes.row(1));
   const int far = BitMatrix::HammingDistance(codes.row(0), codes.row(2));
   EXPECT_LT(near, far);
-}
-
-TEST(IoTest, RoundTrip) {
-  const FloatMatrix original = RandomUnitMatrix(17, 9, 7);
-  const std::string path = ::testing::TempDir() + "/pimine_matrix.bin";
-  ASSERT_TRUE(SaveMatrix(original, path).ok());
-  auto loaded = LoadMatrix(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_EQ(loaded->rows(), 17u);
-  ASSERT_EQ(loaded->cols(), 9u);
-  for (size_t i = 0; i < 17; ++i) {
-    for (size_t j = 0; j < 9; ++j) {
-      EXPECT_EQ((*loaded)(i, j), original(i, j));
-    }
-  }
-  std::remove(path.c_str());
-}
-
-TEST(IoTest, ErrorsAreStatusNotCrash) {
-  EXPECT_EQ(LoadMatrix("/nonexistent/path/matrix.bin").status().code(),
-            StatusCode::kIOError);
-  // Not a matrix file.
-  const std::string path = ::testing::TempDir() + "/pimine_garbage.bin";
-  FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  const char junk[] = "this is not a matrix";
-  std::fwrite(junk, 1, sizeof(junk), f);
-  std::fclose(f);
-  const auto result = LoadMatrix(path);
-  EXPECT_FALSE(result.ok());
-  std::remove(path.c_str());
-  EXPECT_FALSE(SaveMatrix(FloatMatrix(1, 1), "/nonexistent/dir/x.bin").ok());
-}
-
-TEST(IoTest, CorruptFilesReportFileAndOffsetContext) {
-  const std::string path = ::testing::TempDir() + "/pimine_corrupt.bin";
-  const auto write_bytes = [&](const void* bytes, size_t count) {
-    FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fwrite(bytes, 1, count, f), count);
-    std::fclose(f);
-  };
-
-  // Truncated header: only 10 of the 20 header bytes are present.
-  const unsigned char partial[10] = {0x4d, 0x31, 0x4d, 0x50, 3, 0, 0, 0, 0, 0};
-  write_bytes(partial, sizeof(partial));
-  auto result = LoadMatrix(path);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kIOError);
-  EXPECT_NE(result.status().message().find(path), std::string::npos);
-  EXPECT_NE(result.status().message().find("truncated header"),
-            std::string::npos)
-      << result.status().ToString();
-
-  // Truncated payload: a valid 2x3 header followed by only 4 of 6 floats.
-  {
-    const FloatMatrix full = RandomUnitMatrix(2, 3, 13);
-    ASSERT_TRUE(SaveMatrix(full, path).ok());
-    FILE* f = std::fopen(path.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    unsigned char buf[20 + 6 * sizeof(float)];
-    ASSERT_EQ(std::fread(buf, 1, sizeof(buf), f), sizeof(buf));
-    std::fclose(f);
-    write_bytes(buf, 20 + 4 * sizeof(float));
-  }
-  result = LoadMatrix(path);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kIOError);
-  const std::string& message = result.status().message();
-  EXPECT_NE(message.find("truncated payload"), std::string::npos) << message;
-  EXPECT_NE(message.find("expected 6 floats at offset 20"), std::string::npos)
-      << message;
-  EXPECT_NE(message.find("read 4"), std::string::npos) << message;
-
-  // Overflowing shape: rows * cols wraps uint64 / exceeds the element cap
-  // but each dimension passes the per-axis plausibility bound.
-  {
-    const uint32_t magic = 0x504d314d;
-    const uint64_t rows = 1ULL << 40, cols = 1ULL << 24;
-    unsigned char header[20];
-    std::memcpy(header, &magic, 4);
-    std::memcpy(header + 4, &rows, 8);
-    std::memcpy(header + 12, &cols, 8);
-    write_bytes(header, sizeof(header));
-  }
-  result = LoadMatrix(path);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(result.status().message().find("implausible matrix shape"),
-            std::string::npos)
-      << result.status().ToString();
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -48,13 +48,10 @@ TEST(EngineBuildTest, RejectsUnnormalizedData) {
       PimEngine::Build(data, Distance::kEuclidean, EngineOptions()).ok());
 }
 
-TEST(EngineBuildTest, RejectsEmptyAndHamming) {
+TEST(EngineBuildTest, RejectsEmpty) {
   EXPECT_FALSE(
       PimEngine::Build(FloatMatrix(), Distance::kEuclidean, EngineOptions())
           .ok());
-  const FloatMatrix data = RandomUnitMatrix(4, 4, 4);
-  EXPECT_FALSE(
-      PimEngine::Build(data, Distance::kHamming, EngineOptions()).ok());
 }
 
 TEST(EngineBuildTest, ForceSegmentsHonored) {

@@ -176,11 +176,10 @@ struct FailoverFixture {
   }
 
   Result<std::unique_ptr<ShardedPimEngine>> BuildFleet(
-      int replicas, bool failover = true, int max_strikes = 3) const {
+      int replicas, int max_strikes = 3) const {
     EngineOptions options;
     options.shard.shards = 3;
     options.shard.replicas = replicas;
-    options.shard.failover = failover;
     options.shard.max_strikes = max_strikes;
     return ShardedPimEngine::Build(data, Distance::kEuclidean, options);
   }
@@ -250,9 +249,7 @@ TEST(FailoverLadderTest, DeadPrimaryRecoversOnReplicaBitIdentical) {
   EXPECT_EQ(fleet->serving_replica(1), 0);
 }
 
-// Both replicas dead: with failover the op escalates to host-exact (still
-// bit-identical); without it the DeviceFault carries shard, replica count
-// and op-nonce provenance.
+// Both replicas dead: the op escalates to host-exact (still bit-identical).
 TEST(FailoverLadderTest, AllReplicasDeadEscalatesToHostExact) {
   const FailoverFixture f;
   const auto schedule =
@@ -280,24 +277,10 @@ TEST(FailoverLadderTest, AllReplicasDeadEscalatesToHostExact) {
   EXPECT_TRUE(stats.failover.Balanced());
   EXPECT_GT(stats.failovers, 0u);
   EXPECT_EQ(fleet->serving_replica(1), fleet->replicas());
-
-  auto strict_built = f.BuildFleet(/*replicas=*/2, /*failover=*/false);
-  ASSERT_TRUE(strict_built.ok());
-  const auto strict = std::move(strict_built).value();
-  strict->set_chaos(&schedule);
-  const Status s = strict->RunQueryBatch(f.Span(), f.queries.rows(),
-                                         &scratch, &handle, dispatch);
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kDeviceFault);
-  EXPECT_NE(s.message().find("shard 1"), std::string::npos) << s.ToString();
-  EXPECT_NE(s.message().find("(op "), std::string::npos) << s.ToString();
-  EXPECT_NE(s.message().find("2 replica(s) exhausted"), std::string::npos)
-      << s.ToString();
 }
 
 // replicas == 1 under chaos is exactly the legacy escalation path: no
-// strikes, no retries — a denied primary sheds straight to the host (or
-// propagates a DeviceFault when failover is off).
+// strikes, no retries — a denied primary sheds straight to the host.
 TEST(FailoverLadderTest, SingleReplicaKeepsLegacyEscalation) {
   const FailoverFixture f;
   const auto schedule = ChaosSchedule::FromEvents({Death(1, 0)}, 3, 1);
@@ -323,19 +306,10 @@ TEST(FailoverLadderTest, SingleReplicaKeepsLegacyEscalation) {
   EXPECT_EQ(fo.strikes, 0u);     // No ladder with nothing to fail over to.
   EXPECT_EQ(fo.backoff_ns, 0u);  // No retry transition either.
   EXPECT_TRUE(fo.Balanced());
-
-  auto strict_built = f.BuildFleet(/*replicas=*/1, /*failover=*/false);
-  ASSERT_TRUE(strict_built.ok());
-  const auto strict = std::move(strict_built).value();
-  strict->set_chaos(&schedule);
-  const Status s = strict->RunQueryBatch(f.Span(), f.queries.rows(),
-                                         &scratch, &handle, dispatch);
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kDeviceFault);
 }
 
 // The ladder deadline prices out retries: an op that cannot afford the
-// next backoff rung sheds immediately, and the strict-mode message says so.
+// next backoff rung sheds immediately.
 TEST(FailoverLadderTest, LadderDeadlineShedsInsteadOfWaiting) {
   const FailoverFixture f;
   const auto schedule = ChaosSchedule::FromEvents({Death(1, 0)}, 3, 2);
@@ -360,16 +334,6 @@ TEST(FailoverLadderTest, LadderDeadlineShedsInsteadOfWaiting) {
   EXPECT_EQ(fo.recovered, 0u);
   EXPECT_EQ(fo.backoff_ns, 0u);  // The unaffordable wait is never charged.
   EXPECT_TRUE(fo.Balanced());
-
-  auto strict_built = f.BuildFleet(/*replicas=*/2, /*failover=*/false);
-  ASSERT_TRUE(strict_built.ok());
-  const auto strict = std::move(strict_built).value();
-  strict->set_chaos(&schedule);
-  const Status s = strict->RunQueryBatch(f.Span(), f.queries.rows(),
-                                         &scratch, &handle, dispatch);
-  ASSERT_FALSE(s.ok());
-  EXPECT_NE(s.message().find("ladder deadline exceeded"), std::string::npos)
-      << s.ToString();
 }
 
 // Strike semantics: consecutive failures accumulate, a success resets the
@@ -381,8 +345,7 @@ TEST(FailoverLadderTest, StrikeCountResetAndReadmission) {
   const auto schedule =
       ChaosSchedule::FromEvents({Stall(1, 0, 0, 1000)}, 3, 2);
 
-  auto built = f.BuildFleet(/*replicas=*/2, /*failover=*/true,
-                            /*max_strikes=*/3);
+  auto built = f.BuildFleet(/*replicas=*/2, /*max_strikes=*/3);
   ASSERT_TRUE(built.ok());
   const auto fleet = std::move(built).value();
   fleet->set_chaos(&schedule);

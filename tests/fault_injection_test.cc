@@ -65,9 +65,6 @@ TEST(FaultModelTest, ConfigValidation) {
   EXPECT_TRUE(FaultConfig().Validate().ok());
   EXPECT_FALSE(MakeFault(-0.1, 0).Validate().ok());
   EXPECT_FALSE(MakeFault(0, 1.5).Validate().ok());
-  FaultConfig bad_adc;
-  bad_adc.adc_sat_bits = 0;
-  EXPECT_FALSE(bad_adc.Validate().ok());
   EXPECT_FALSE(FaultConfig().enabled());
   EXPECT_TRUE(MakeFault(1e-3, 0).enabled());
 }

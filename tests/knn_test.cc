@@ -380,16 +380,6 @@ void ExpectPrepareRejects(KnnAlgorithm& algorithm) {
       << algorithm.name();
 }
 
-TEST(KnnMisuseTest, StandardRejectsHamming) {
-  StandardKnn standard(Distance::kHamming);
-  ExpectPrepareRejects(standard);
-}
-
-TEST(KnnMisuseTest, StandardPimRejectsHamming) {
-  StandardPimKnn pim(Distance::kHamming, EngineOptions());
-  ExpectPrepareRejects(pim);
-}
-
 TEST(KnnMisuseTest, SmRejectsZeroSegmentDivisor) {
   SmKnn sm(/*segment_divisor=*/0);
   ExpectPrepareRejects(sm);

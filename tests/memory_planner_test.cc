@@ -2,13 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/segments.h"
-#include "test_helpers.h"
-
 namespace pimine {
 namespace {
-
-using testing_util::RandomUnitMatrix;
 
 TEST(PlanPimLayoutTest, FullDimensionalityWhenRoomy) {
   PimConfig config;
@@ -44,19 +39,6 @@ TEST(PlanPimLayoutTest, RejectsBadArguments) {
   EXPECT_FALSE(PlanPimLayout(0, 10, 32, 1, config).ok());
   EXPECT_FALSE(PlanPimLayout(10, 0, 32, 1, config).ok());
   EXPECT_FALSE(PlanPimLayout(10, 10, 32, 0, config).ok());
-}
-
-TEST(CompressTest, SegmentMeansMatchSegmentStats) {
-  const FloatMatrix data = RandomUnitMatrix(10, 24, 1);
-  const FloatMatrix compressed = CompressBySegmentMeans(data, 6);
-  ASSERT_EQ(compressed.rows(), 10u);
-  ASSERT_EQ(compressed.cols(), 6u);
-  const SegmentStats stats = ComputeSegmentStats(data, 6);
-  for (size_t i = 0; i < 10; ++i) {
-    for (size_t s = 0; s < 6; ++s) {
-      EXPECT_FLOAT_EQ(compressed(i, s), stats.means(i, s));
-    }
-  }
 }
 
 TEST(ScaleTest, ProportionalCrossbarBudget) {

@@ -395,6 +395,61 @@ TEST(MutationModelTest, ServeMutatedEqualsFreshOnMergedCorpus) {
   EXPECT_EQ(got->events_jsonl, want->events_jsonl);
 }
 
+TEST(MutationModelTest, ServeMirrorsEveryDeleteAndRefusesRunsBelowK) {
+  // The dataset tombstones first and the server mirrors: a delete the
+  // dataset accepted is never refused, so the two agree on the live rows
+  // after every step. A corpus left with fewer than k live rows cannot be
+  // replayed or served live until inserts bring it back to k.
+  const FloatMatrix base = RandomUnitMatrix(12, 8, 0x4A);
+  const FloatMatrix pool = RandomUnitMatrix(4, 8, 0x4B);
+  const FloatMatrix queries = RandomUnitMatrix(3, 8, 0x4C);
+
+  serve::ServeOptions serve_options;
+  serve_options.k = 5;
+  EngineOptions engine_options;
+  engine_options.shard.shards = 2;
+
+  MutableDataset dataset(base);
+  auto built = serve::PimServer::Build(dataset.corpus(), Distance::kEuclidean,
+                                       engine_options, serve_options);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  auto server = std::move(*built);
+  ASSERT_TRUE(server->AttachMutable(&dataset).ok());
+
+  serve::WorkloadSpec spec;
+  spec.num_requests = 8;
+  spec.offered_qps = 1e6;
+  spec.tenant_share = {1.0};
+  spec.num_query_rows = static_cast<uint32_t>(queries.rows());
+  spec.seed = 3;
+  auto trace = serve::GeneratePoissonTrace(spec);
+  ASSERT_TRUE(trace.ok());
+
+  // Rows 0-5 live on shard 0 and 6-11 on shard 1; each shard keeps one
+  // live row, as a shard refuses to delete its last.
+  for (const uint32_t row : {0u, 1u, 2u, 3u, 4u, 6u, 7u, 8u, 9u, 10u}) {
+    ASSERT_TRUE(dataset.Delete(row).ok()) << "row " << row;
+    EXPECT_EQ(server->engine().live_objects(), dataset.live_rows())
+        << "row " << row;
+  }
+  const auto refused = server->Replay(*trace, queries);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(server->Start().code(), StatusCode::kFailedPrecondition);
+
+  ASSERT_TRUE(dataset.Insert(pool).ok());  // 2 + 4 live rows.
+  EXPECT_EQ(server->engine().live_objects(), dataset.live_rows());
+  const auto served = server->Replay(*trace, queries);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  for (const serve::ServedResult& result : served->results) {
+    ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+    ASSERT_EQ(result.neighbors.size(), 5u);
+    for (const Neighbor& neighbor : result.neighbors) {
+      EXPECT_FALSE(dataset.tombstoned(static_cast<size_t>(neighbor.id)));
+    }
+  }
+}
+
 TEST(MutationModelTest, FleetCountersAndMetricsTrackMutations) {
   const FloatMatrix base = RandomUnitMatrix(40, 8, 0x3A);
   const FloatMatrix extra = RandomUnitMatrix(6, 8, 0x3B);

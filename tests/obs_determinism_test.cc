@@ -200,7 +200,6 @@ TEST(ObsDeterminismTest, KnnTraceBitIdenticalAcrossShardCounts) {
     failing.fault_config.transient_rate = 0.2;  // every pass fails.
     failing.recovery.verify_mode = VerifyMode::kFailOp;
     failing.recovery.max_retries = 0;
-    failing.shard.failover = true;
     const ObservedRun baseline =
         ObserveKnnRun(w, /*threads=*/1, /*device_batch=*/4, clean,
                       ShardInvariantKnnCounters());

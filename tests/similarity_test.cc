@@ -79,7 +79,6 @@ TEST(DistanceNameTest, AllNames) {
   EXPECT_EQ(DistanceName(Distance::kEuclidean), "ED");
   EXPECT_EQ(DistanceName(Distance::kCosine), "CS");
   EXPECT_EQ(DistanceName(Distance::kPearson), "PCC");
-  EXPECT_EQ(DistanceName(Distance::kHamming), "HD");
   EXPECT_FALSE(IsSimilarityMeasure(Distance::kEuclidean));
   EXPECT_TRUE(IsSimilarityMeasure(Distance::kCosine));
   EXPECT_TRUE(IsSimilarityMeasure(Distance::kPearson));

@@ -1,7 +1,8 @@
 // Unit tests for the observability primitives: log-bucketed histogram math
 // (boundaries, exact merging, quantile upper bounds vs. the sorted exact
 // order statistic), trace JSON well-formedness and deterministic assembly,
-// the span balance invariant, and metrics-registry reset semantics.
+// the span balance invariant, and metrics-registry reset semantics; plus the
+// opt-in physical trace events of a real PIM kNN run.
 
 #include <algorithm>
 #include <cmath>
@@ -11,10 +12,13 @@
 
 #include <gtest/gtest.h>
 
+#include "core/sharded_engine.h"
+#include "knn/standard_pim_knn.h"
 #include "obs/histogram.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
+#include "test_helpers.h"
 #include "util/random.h"
 
 namespace pimine {
@@ -365,6 +369,77 @@ TEST(ObsTest, TrackBaseScoping) {
     EXPECT_EQ(obs::TrackFor(3), 13);
   }
   EXPECT_EQ(obs::CurrentTrackBase(), obs::kNoTrackBase);
+}
+
+// The opt-in physical events of a Standard-PIM Search at two threads and
+// device batches of four: one dot_batch device event per device batch op,
+// chunk spans on the scheduling tracks, and a wall_ns on every event. With
+// the three options off, the trace is the default-options trace.
+TEST(TraceOptionsTest, PhysicalEventsOfAPimSearch) {
+  const FloatMatrix data = testing_util::RandomUnitMatrix(300, 24, 11);
+  const FloatMatrix queries = testing_util::RandomUnitMatrix(10, 24, 12);
+  uint64_t batch_ops = 0;
+  const auto traced_search = [&](const obs::ObsOptions& options) {
+    obs::Obs::Enable(options);
+    StandardPimKnn algorithm(Distance::kEuclidean, EngineOptions());
+    EXPECT_TRUE(algorithm.Prepare(data).ok());
+    ExecPolicy policy = ExecPolicy::WithThreads(2);
+    policy.device_batch = 4;
+    algorithm.set_exec_policy(policy);
+    EXPECT_TRUE(algorithm.Search(queries, 5).ok());
+    const ShardedPimEngine& fleet = *algorithm.engine();
+    batch_ops = 0;
+    for (size_t j = 0; j < fleet.shards(); ++j) {
+      batch_ops += fleet.ShardHealthSnapshot(j).batch_ops;
+    }
+    const std::string json = obs::Obs::Get()->trace().ToChromeJson();
+    obs::Obs::Disable();
+    return json;
+  };
+
+  obs::ObsOptions physical;
+  physical.trace.wall_clock = true;
+  physical.trace.device_events = true;
+  physical.trace.sched_events = true;
+  const std::string json = traced_search(physical);
+  EXPECT_TRUE(JsonWellFormed(json));
+  uint64_t dot_batches = 0, chunks = 0, events = 0;
+  size_t line_start = 0;
+  while (line_start < json.size()) {
+    size_t line_end = json.find('\n', line_start);
+    if (line_end == std::string::npos) line_end = json.size();
+    const std::string line = json.substr(line_start, line_end - line_start);
+    line_start = line_end + 1;
+    if (line.rfind("{\"ph\":", 0) != 0) continue;
+    ++events;
+    const size_t wall = line.find("\"wall_ns\":");
+    ASSERT_NE(wall, std::string::npos) << line;
+    EXPECT_NE(line[wall + 10], '-') << line;
+    if (line.find("\"cat\":\"device\",\"name\":\"dot_batch\"") !=
+        std::string::npos) {
+      ++dot_batches;
+    }
+    if (line.find("\"cat\":\"sched\",\"name\":\"chunk\"") !=
+        std::string::npos) {
+      ++chunks;
+      const int64_t tid = std::stoll(line.substr(line.find("\"tid\":") + 6));
+      EXPECT_LE(tid, obs::kSchedTrackBase) << line;
+    }
+  }
+  EXPECT_GT(batch_ops, 0u);
+  EXPECT_EQ(dot_batches, batch_ops);
+  EXPECT_GT(chunks, 0u);
+  EXPECT_GT(events, dot_batches + chunks);
+
+  obs::ObsOptions off;
+  off.trace.wall_clock = false;
+  off.trace.device_events = false;
+  off.trace.sched_events = false;
+  const std::string off_json = traced_search(off);
+  EXPECT_EQ(off_json, traced_search(obs::ObsOptions()));
+  EXPECT_EQ(off_json.find("wall_ns"), std::string::npos);
+  EXPECT_EQ(off_json.find("dot_batch"), std::string::npos);
+  EXPECT_EQ(off_json.find("\"chunk\""), std::string::npos);
 }
 
 }  // namespace

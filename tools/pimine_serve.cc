@@ -94,12 +94,14 @@ int UsageError(const Status& status) {
 }
 
 /// A failed server build or replay: flag values the library rejects
-/// (InvalidArgument, e.g. --max_batch=0 or a zero tenant weight) and a
-/// dataset the PIM array cannot hold (CapacityExceeded) are misuse and exit
-/// 2 through UsageError; any other failure is a bug and aborts.
+/// (InvalidArgument, e.g. --max_batch=0 or a zero tenant weight), a dataset
+/// the PIM array cannot hold (CapacityExceeded) and a corpus --mutate_trace
+/// left with fewer than --k live rows (FailedPrecondition) are misuse and
+/// exit 2 through UsageError; any other failure is a bug and aborts.
 int RunError(const Status& status) {
   PIMINE_CHECK(status.code() == StatusCode::kInvalidArgument ||
-               status.code() == StatusCode::kCapacityExceeded)
+               status.code() == StatusCode::kCapacityExceeded ||
+               status.code() == StatusCode::kFailedPrecondition)
       << status.ToString();
   return UsageError(status);
 }
@@ -320,11 +322,14 @@ int RunReplay(const FlagParser& flags) {
   if (dataset != nullptr) {
     PIMINE_CHECK_OK((*server)->AttachMutable(dataset.get()));
     // One op at a time so the compaction watermark is evaluated between
-    // top-level mutations (never from inside a listener callback).
+    // top-level mutations (never from inside a listener callback). A trace
+    // the corpus rejects (a row out of range or deleted twice, the last
+    // live row) is misuse of --mutate_trace.
     size_t stream_pos = 0;
     for (const MutationOp& op : mutation_ops) {
-      PIMINE_CHECK_OK(ApplyMutationTrace(dataset.get(), {&op, 1},
-                                         insert_stream, &stream_pos));
+      const Status applied = ApplyMutationTrace(dataset.get(), {&op, 1},
+                                                insert_stream, &stream_pos);
+      if (!applied.ok()) return UsageError(applied);
       PIMINE_CHECK_OK((*server)->MaybeCompact());
     }
     std::cout << "mutations: " << mutate_trace << " -> "
@@ -334,7 +339,7 @@ int RunReplay(const FlagParser& flags) {
               << " watermark compactions\n";
   }
   auto output = (*server)->Replay(*trace, workload.queries);
-  PIMINE_CHECK(output.ok()) << output.status().ToString();
+  if (!output.ok()) return RunError(output.status());
 
   std::cout << "replay on " << workload.spec.name << " ("
             << workload.data.rows() << " x " << workload.data.cols()
