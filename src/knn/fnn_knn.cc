@@ -1,7 +1,6 @@
 #include "knn/fnn_knn.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "core/bounds.h"
 #include "knn/filter_refine.h"
@@ -85,23 +84,20 @@ std::vector<Neighbor> FnnKnn::SearchQuery(std::span<const float> q,
   }
 
   // Refinement in coarse-bound order; finer levels prune survivors.
-  const auto exact =
-      ExactRefine(Distance::kEuclidean, *data_, q, &slot.profile);
-  return FilterRefine(
-      s.bounds, k, /*similarity=*/false, &slot.profile, "LB_FNN",
-      &slot.exact_count,
-      [&](uint32_t idx, const TopK& topk) -> std::optional<double> {
-        for (size_t lv = 1; lv < num_levels; ++lv) {
-          ScopedFunctionTimer timer(&slot.profile, "LB_FNN");
-          const SegmentStats& level = levels_[lv];
-          const double lb =
-              LbFnn(level.means.row(idx), level.stds.row(idx), q_means[lv],
-                    q_stds[lv], level.segment_length);
-          ++slot.bound_count;
-          if (topk.full() && lb >= topk.threshold()) return std::nullopt;
-        }
-        return exact(idx, topk);
-      });
+  const auto prune = [&](uint32_t idx, const TopK& topk) {
+    for (size_t lv = 1; lv < num_levels; ++lv) {
+      ScopedFunctionTimer timer(&slot.profile, "LB_FNN");
+      const SegmentStats& level = levels_[lv];
+      const double lb = LbFnn(level.means.row(idx), level.stds.row(idx),
+                              q_means[lv], q_stds[lv], level.segment_length);
+      ++slot.bound_count;
+      if (topk.full() && lb >= topk.threshold()) return true;
+    }
+    return false;
+  };
+  return FilterRefine(s.bounds, k, {Distance::kEuclidean, *data_, q},
+                      &slot.profile, "LB_FNN", &slot.exact_count,
+                      num_levels > 1 ? &prune : nullptr);
 }
 
 }  // namespace pimine

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <optional>
 
 #include "core/bounds.h"
 #include "core/similarity.h"
@@ -247,23 +246,20 @@ std::vector<Neighbor> FnnPimKnn::SearchQuery(std::span<const float> q,
     ScopedFunctionTimer timer(&slot.profile, "LB_FNN");
     for (const size_t lv : cascade) query_segments(lv);
   }
-  const auto exact =
-      ExactRefine(Distance::kEuclidean, *data_, q, &slot.profile);
-  return FilterRefine(
-      s.bounds, k, /*similarity=*/false, &slot.profile, "LB_PIM",
-      &slot.exact_count,
-      [&](uint32_t idx, const TopK& topk) -> std::optional<double> {
-        for (const size_t lv : cascade) {
-          ScopedFunctionTimer timer(&slot.profile, "LB_FNN");
-          const SegmentStats& level = levels_[lv];
-          const double lb = LbFnn(level.means.row(idx), level.stds.row(idx),
-                                  q_means[lv], q_stds[lv],
-                                  level.segment_length);
-          ++slot.bound_count;
-          if (topk.full() && lb >= topk.threshold()) return std::nullopt;
-        }
-        return exact(idx, topk);
-      });
+  const auto prune = [&](uint32_t idx, const TopK& topk) {
+    for (const size_t lv : cascade) {
+      ScopedFunctionTimer timer(&slot.profile, "LB_FNN");
+      const SegmentStats& level = levels_[lv];
+      const double lb = LbFnn(level.means.row(idx), level.stds.row(idx),
+                              q_means[lv], q_stds[lv], level.segment_length);
+      ++slot.bound_count;
+      if (topk.full() && lb >= topk.threshold()) return true;
+    }
+    return false;
+  };
+  return FilterRefine(s.bounds, k, {Distance::kEuclidean, *data_, q},
+                      &slot.profile, "LB_PIM", &slot.exact_count,
+                      cascade.empty() ? nullptr : &prune);
 }
 
 }  // namespace pimine

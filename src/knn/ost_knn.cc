@@ -42,10 +42,8 @@ std::vector<Neighbor> OstKnn::SearchQuery(std::span<const float> q,
     }
     slot.bound_count += n;
   }
-  return FilterRefine(
-      s.bounds, k, /*similarity=*/false, &slot.profile, "LB_OST",
-      &slot.exact_count,
-      ExactRefine(Distance::kEuclidean, *data_, q, &slot.profile));
+  return FilterRefine(s.bounds, k, {Distance::kEuclidean, *data_, q},
+                      &slot.profile, "LB_OST", &slot.exact_count);
 }
 
 }  // namespace pimine

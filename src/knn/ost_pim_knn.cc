@@ -89,10 +89,8 @@ std::vector<Neighbor> OstPimKnn::SearchQuery(std::span<const float> q,
     }
     slot.bound_count += n;
   }
-  return FilterRefine(
-      s.bounds, k, /*similarity=*/false, &slot.profile, "LB_PIM",
-      &slot.exact_count,
-      ExactRefine(Distance::kEuclidean, *data_, q, &slot.profile));
+  return FilterRefine(s.bounds, k, {Distance::kEuclidean, *data_, q},
+                      &slot.profile, "LB_PIM", &slot.exact_count);
 }
 
 }  // namespace pimine

@@ -1,7 +1,6 @@
 #include "knn/outlier.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "common/logging.h"
 #include "core/sharded_engine.h"
@@ -123,18 +122,13 @@ Result<OutlierResult> OrcaPimOutlierDetector::Detect(
     }
     // The point is not its own neighbour, and once k neighbours lie within
     // the cutoff its score can only shrink further (ORCA's early
-    // abandonment): both refine to nothing.
-    const auto exact =
-        ExactRefine(Distance::kEuclidean, data, p, &result.stats.profile);
+    // abandonment): both prune.
+    const auto prune = [&](uint32_t idx, const TopK& topk) {
+      return idx == i || (topk.full() && topk.threshold() <= cutoff);
+    };
     const std::vector<Neighbor> knn = FilterRefine(
-        bounds, options.k, /*similarity=*/false, &result.stats.profile,
-        "LB_PIM", &result.stats.exact_count,
-        [&](uint32_t idx, const TopK& topk) -> std::optional<double> {
-          if (idx == i || (topk.full() && topk.threshold() <= cutoff)) {
-            return std::nullopt;
-          }
-          return exact(idx, topk);
-        });
+        bounds, options.k, {Distance::kEuclidean, data, p},
+        &result.stats.profile, "LB_PIM", &result.stats.exact_count, &prune);
     const double score = knn.back().distance;
     if (score > cutoff) outliers.Offer(score, static_cast<int32_t>(i));
   }

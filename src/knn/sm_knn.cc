@@ -46,10 +46,8 @@ std::vector<Neighbor> SmKnn::SearchQuery(std::span<const float> q,
     slot.bound_count += n;
   }
   // Refine phase: exact ED in ascending-bound order.
-  return FilterRefine(
-      s.bounds, k, /*similarity=*/false, &slot.profile, "LB_SM",
-      &slot.exact_count,
-      ExactRefine(Distance::kEuclidean, *data_, q, &slot.profile));
+  return FilterRefine(s.bounds, k, {Distance::kEuclidean, *data_, q},
+                      &slot.profile, "LB_SM", &slot.exact_count);
 }
 
 }  // namespace pimine

@@ -43,9 +43,8 @@ std::vector<Neighbor> StandardPimQuery(
     }
     slot.bound_count += n;
   }
-  return FilterRefine(bounds, k, similarity, profile, "LB_PIM",
-                      &slot.exact_count,
-                      ExactRefine(distance, data, q, profile));
+  return FilterRefine(bounds, k, {distance, data, q}, profile, "LB_PIM",
+                      &slot.exact_count);
 }
 
 }  // namespace pimine

@@ -1,3 +1,5 @@
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <memory>
 #include <optional>
@@ -177,22 +179,41 @@ TEST(KnnPruningTest, BoundAlgorithmsComputeFewerExactDistances) {
 }
 
 // FilterRefine must visit exactly the prefix of ArgsortAscending's order
-// that a walk over the full sort visits: the same refine calls in the same
-// order, with the same top-k state, and the same modeled traffic.
-template <typename Refine>
+// that a walk over the full sort visits, refining one candidate at a time:
+// the prune step, then the exact measure at the current threshold. So the
+// prune calls come in the same order with the same top-k state, and the
+// values (to the bit), the exact count, the modeled traffic and the profile
+// tags are the same, also where an ED walk without a prune step refines
+// windows of candidates in SIMD lanes and replays them.
+template <typename Prune>
 std::vector<Neighbor> FullSortWalk(std::span<const double> bounds, int k,
-                                   bool similarity, uint64_t* exact_count,
-                                   Refine&& refine) {
+                                   const ExactMeasure& exact,
+                                   uint64_t* exact_count, const Prune* prune) {
   const std::vector<uint32_t> order = ArgsortAscending(bounds);
   TopK topk(static_cast<size_t>(k));
   for (const uint32_t idx : order) {
     if (topk.full() && bounds[idx] >= topk.threshold()) break;
-    const std::optional<double> value = refine(idx, std::as_const(topk));
-    if (!value) continue;
-    topk.Push(*value, static_cast<int32_t>(idx));
+    if (prune != nullptr && (*prune)(idx, std::as_const(topk))) continue;
+    const std::span<const float> row = exact.data.row(idx);
+    double value = 0.0;
+    switch (exact.distance) {
+      case Distance::kEuclidean:
+        value = SquaredEuclideanEarlyAbandon(row, exact.query,
+                                             topk.threshold());
+        break;
+      case Distance::kCosine:
+        value = -CosineSimilarity(row, exact.query);
+        break;
+      case Distance::kPearson:
+        value = -PearsonCorrelation(row, exact.query);
+        break;
+    }
+    topk.Push(value, static_cast<int32_t>(idx));
     ++*exact_count;
   }
-  return similarity ? FinalizeSimilarityNeighbors(topk) : topk.TakeSorted();
+  return IsSimilarityMeasure(exact.distance)
+             ? FinalizeSimilarityNeighbors(topk)
+             : topk.TakeSorted();
 }
 
 enum class BoundPattern { kDistinct, kTies, kSignedZeros, kTombstones,
@@ -230,17 +251,66 @@ std::vector<double> MakeBounds(BoundPattern pattern, size_t n, Rng& rng) {
   return bounds;
 }
 
-// How the refine step answers: always exactly, pruning some candidates by a
-// finer bound once the top-k is full (FNN's cascade), or pruning some
-// candidates unconditionally, which can leave the top-k short after the
-// first k candidates.
+// Rows whose squared ED from `query` is exact in double and ties often:
+// row i is the query plus delta_i = +-m_i / 4 (m_i in 1..4) on dimensions
+// [b_i, e_i), so its partial sum grows by delta_i^2 per dimension there and
+// passes a threshold at any checkpoint. Every fifth row repeats an earlier
+// one.
+FloatMatrix OffsetRows(size_t n, std::span<const float> query, Rng& rng) {
+  const size_t d = query.size();
+  FloatMatrix rows(n, d);
+  for (size_t i = 0; i < n; ++i) {
+    const auto row = rows.mutable_row(i);
+    if (i % 5 == 4) {
+      const auto copy = rows.row(rng.NextBounded(i));
+      std::copy(copy.begin(), copy.end(), row.begin());
+      continue;
+    }
+    const float delta = static_cast<float>(1 + rng.NextBounded(4)) / 4 *
+                        (rng.NextBool() ? 1.0f : -1.0f);
+    const size_t begin = rng.NextBounded(d);
+    const size_t end = begin + 1 + rng.NextBounded(d - begin);
+    for (size_t j = 0; j < d; ++j) {
+      row[j] = query[j] + (begin <= j && j < end ? delta : 0.0f);
+    }
+  }
+  return rows;
+}
+
+// The checkpoint at which SquaredEuclideanEarlyAbandon(row, query,
+// threshold) stops.
+size_t StopCheckpoint(std::span<const float> row, std::span<const float> query,
+                      double threshold) {
+  const size_t count = EdCheckpoints(query.size());
+  for (size_t c = 0; c + 1 < count; ++c) {
+    const size_t dims = (c + 1) * kEdCheckStride;
+    if (SquaredEuclidean(row.first(dims), query.first(dims)) > threshold) {
+      return c;
+    }
+  }
+  return count - 1;
+}
+
+std::vector<std::pair<uint64_t, int32_t>> Bits(
+    const std::vector<Neighbor>& neighbors) {
+  std::vector<std::pair<uint64_t, int32_t>> bits;
+  for (const Neighbor& nb : neighbors) {
+    bits.emplace_back(std::bit_cast<uint64_t>(nb.distance), nb.id);
+  }
+  return bits;
+}
+
+// How the refine step prunes: not at all (an ED walk then runs windows),
+// some candidates by a finer bound once the top-k is full (FNN's cascade),
+// or some candidates unconditionally, which can leave the top-k short after
+// the first k candidates.
 enum class Pruning { kNone, kWhenFull, kAlways };
 
-struct RefineCall {
+struct PruneCall {
   uint32_t idx;
   double threshold;
   size_t held;
-  friend bool operator==(const RefineCall&, const RefineCall&) = default;
+  friend bool operator==(const PruneCall&, const PruneCall&) = default;
 };
 
 struct PatternCase {
@@ -250,65 +320,92 @@ struct PatternCase {
 class FilterRefineOrderTest : public ::testing::TestWithParam<PatternCase> {};
 
 TEST_P(FilterRefineOrderTest, VisitsTheFullSortPrefix) {
-  for (const size_t n : {size_t{1}, size_t{2}, size_t{17}, size_t{1000}}) {
-    const BoundPattern pattern = GetParam().pattern;
-    Rng rng(n * 7919 + static_cast<uint64_t>(pattern));
-    const std::vector<double> bounds = MakeBounds(pattern, n, rng);
-    // Exact values are never below their bound, and tie each other and
-    // other candidates' bounds.
-    std::vector<double> exact(n);
-    std::vector<uint8_t> step(n);
-    for (size_t i = 0; i < n; ++i) {
-      step[i] = static_cast<uint8_t>(rng.NextBounded(3));
-      exact[i] = std::ceil(bounds[i]) + 0.5 * step[i];
-    }
-    for (const size_t k : {size_t{1}, size_t{3}, n - 1, n}) {
-      if (k == 0) continue;
-      for (const Pruning pruning :
-           {Pruning::kNone, Pruning::kWhenFull, Pruning::kAlways}) {
-        for (const bool similarity : {false, true}) {
-          SCOPED_TRACE("n=" + std::to_string(n) + " k=" + std::to_string(k) +
-                       " pruning=" + std::to_string(static_cast<int>(pruning)) +
-                       " similarity=" + std::to_string(similarity));
-          const auto recorder = [&](std::vector<RefineCall>* calls) {
-            return [&, calls](uint32_t idx,
-                              const TopK& topk) -> std::optional<double> {
-              calls->push_back({idx, topk.threshold(), topk.size()});
-              const bool pruned =
-                  (pruning == Pruning::kWhenFull && topk.full() &&
-                   step[idx] != 0 &&
-                   exact[idx] - 0.5 >= topk.threshold()) ||
-                  (pruning == Pruning::kAlways && idx % 4 == 1);
-              if (pruned) return std::nullopt;
-              return exact[idx];
+  // Early abandons of the windowed walks, by checkpoint: d = 131 has three,
+  // and a stop at the last one reads every dimension.
+  std::vector<size_t> abandons(EdCheckpoints(131) - 1);
+  for (const size_t d : {size_t{3}, size_t{131}}) {
+    for (const size_t n :
+         {size_t{1}, size_t{2}, size_t{5}, size_t{17}, size_t{1000}}) {
+      const BoundPattern pattern = GetParam().pattern;
+      Rng rng(n * 7919 + d * 31 + static_cast<uint64_t>(pattern));
+      const std::vector<double> bounds = MakeBounds(pattern, n, rng);
+      std::vector<float> query(d);
+      for (size_t j = 0; j < d; ++j) query[j] = j % 3 == 0 ? 0.25f : 0.75f;
+      const FloatMatrix rows = OffsetRows(n, query, rng);
+      std::vector<uint8_t> coarse(n);  // candidates a cascade may prune.
+      for (size_t i = 0; i < n; ++i) coarse[i] = rng.NextBool(0.6) ? 1 : 0;
+      for (const size_t k : {size_t{1}, size_t{3}, n / 2, n - 1, n}) {
+        if (k == 0) continue;
+        for (const Pruning pruning :
+             {Pruning::kNone, Pruning::kWhenFull, Pruning::kAlways}) {
+          for (const Distance distance :
+               {Distance::kEuclidean, Distance::kCosine, Distance::kPearson}) {
+            SCOPED_TRACE(
+                "d=" + std::to_string(d) + " n=" + std::to_string(n) +
+                " k=" + std::to_string(k) + " pruning=" +
+                std::to_string(static_cast<int>(pruning)) + " " +
+                std::string(DistanceName(distance)));
+            const ExactMeasure exact{distance, rows, query};
+            const auto recorder = [&](std::vector<PruneCall>* calls) {
+              return [&, calls](uint32_t idx, const TopK& topk) {
+                calls->push_back({idx, topk.threshold(), topk.size()});
+                return (pruning == Pruning::kWhenFull && topk.full() &&
+                        coarse[idx] != 0) ||
+                       (pruning == Pruning::kAlways && idx % 4 == 1);
+              };
             };
-          };
-          std::vector<RefineCall> want_calls;
-          uint64_t want_exact = 0;
-          traffic::AggregateScope want_scope;
-          const std::vector<Neighbor> want =
-              FullSortWalk(bounds, static_cast<int>(k), similarity,
-                           &want_exact, recorder(&want_calls));
-          const TrafficCounters want_traffic = want_scope.Delta();
+            std::vector<PruneCall> want_calls;
+            const auto want_prune = recorder(&want_calls);
+            uint64_t want_exact = 0;
+            traffic::AggregateScope want_scope;
+            const std::vector<Neighbor> want = FullSortWalk(
+                bounds, static_cast<int>(k), exact, &want_exact,
+                pruning == Pruning::kNone ? nullptr : &want_prune);
+            const TrafficCounters want_traffic = want_scope.Delta();
 
-          std::vector<RefineCall> got_calls;
-          uint64_t got_exact = 0;
-          FunctionProfiler profile;
-          traffic::AggregateScope got_scope;
-          const std::vector<Neighbor> got = FilterRefine(
-              bounds, static_cast<int>(k), similarity, &profile, "order",
-              &got_exact, recorder(&got_calls));
-          const TrafficCounters got_traffic = got_scope.Delta();
+            std::vector<PruneCall> got_calls;
+            const auto got_prune = recorder(&got_calls);
+            uint64_t got_exact = 0;
+            FunctionProfiler profile;
+            traffic::AggregateScope got_scope;
+            const std::vector<Neighbor> got = FilterRefine(
+                bounds, static_cast<int>(k), exact, &profile, "order",
+                &got_exact, pruning == Pruning::kNone ? nullptr : &got_prune);
+            const TrafficCounters got_traffic = got_scope.Delta();
 
-          EXPECT_EQ(got_calls, want_calls);
-          EXPECT_EQ(got, want);
-          EXPECT_EQ(got_exact, want_exact);
-          EXPECT_EQ(got_traffic, want_traffic)
-              << got_traffic.ToString() << " vs " << want_traffic.ToString();
-          ASSERT_FALSE(profile.entries().empty());
-          EXPECT_EQ(profile.entries().front().first, "order");
+            EXPECT_EQ(got_calls, want_calls);
+            EXPECT_EQ(Bits(got), Bits(want));
+            EXPECT_EQ(got_exact, want_exact);
+            EXPECT_EQ(got_traffic, want_traffic)
+                << got_traffic.ToString() << " vs " << want_traffic.ToString();
+            std::vector<std::string> tags;
+            for (const auto& [tag, ns] : profile.entries()) tags.push_back(tag);
+            std::vector<std::string> want_tags = {"order"};
+            if (want_exact > 0) want_tags.emplace_back(DistanceName(distance));
+            EXPECT_EQ(tags, want_tags);
+
+            if (d == 131 && distance == Distance::kEuclidean &&
+                pruning == Pruning::kNone) {
+              // Replays the reference walk's thresholds to see where each
+              // refined candidate stopped.
+              TopK topk(k);
+              for (const uint32_t idx : ArgsortAscending(bounds)) {
+                if (topk.full() && bounds[idx] >= topk.threshold()) break;
+                const double value = SquaredEuclidean(rows.row(idx), query);
+                const size_t stop =
+                    StopCheckpoint(rows.row(idx), query, topk.threshold());
+                if (stop < abandons.size()) ++abandons[stop];
+                topk.Push(value, static_cast<int32_t>(idx));
+              }
+            }
+          }
         }
       }
+    }
+  }
+  if (GetParam().pattern != BoundPattern::kAllTombstones) {
+    for (size_t c = 0; c < abandons.size(); ++c) {
+      EXPECT_GT(abandons[c], 0u) << "no abandon at checkpoint " << c;
     }
   }
 }

@@ -374,6 +374,22 @@ TEST(PimBatchTest, PinnedBitPatternsOfDistancesAndSpanBounds) {
         << "object " << i;
   }
 
+  // A Standard-PIM search with k = n refines all four rows in one window of
+  // SIMD lanes (SquaredEuclideanLanes) and must return the same bits.
+  StandardPimKnn standard(Distance::kEuclidean, EngineOptions());
+  ASSERT_TRUE(standard.Prepare(data).ok());
+  const auto search = standard.Search(queries, static_cast<int>(n));
+  ASSERT_TRUE(search.ok()) << search.status().ToString();
+  const int32_t kNearestFirst[n] = {3, 0, 2, 1};
+  ASSERT_EQ(search->neighbors[0].size(), n);
+  for (size_t j = 0; j < n; ++j) {
+    const Neighbor& nb = search->neighbors[0][j];
+    EXPECT_EQ(nb.id, kNearestFirst[j]) << "rank " << j;
+    EXPECT_EQ(std::bit_cast<uint64_t>(nb.distance),
+              kDistances[kNearestFirst[j]])
+        << "rank " << j;
+  }
+
   struct Pinned {
     Distance distance;
     uint64_t bits[n];
