@@ -1,5 +1,6 @@
 // Golden-stats regression harness: runs every kNN Search() path, every
-// k-means algorithm, both outlier detectors and both motif finders on fixed
+// k-means algorithm, both outlier detectors, both motif finders and the two
+// extension paths (approximate kNN, partitioned re-programming) on fixed
 // seeded workloads and compares the
 // deterministic RunStats surface (exact/bound counts, all traffic
 // counters, modeled PIM ns) against snapshots in tests/golden/. Any change
@@ -10,6 +11,8 @@
 //   PIMINE_REGEN_GOLDEN=1 ./golden_stats_test
 // then commit the rewritten tests/golden/*.txt.
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -22,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include "core/mutable_dataset.h"
+#include "core/partitioned_engine.h"
 #include "data/generator.h"
 #include "kmeans/drake.h"
 #include "kmeans/elkan.h"
@@ -29,6 +33,7 @@
 #include "kmeans/kmeans_common.h"
 #include "kmeans/lloyd.h"
 #include "kmeans/yinyang.h"
+#include "knn/approximate_pim_knn.h"
 #include "knn/fnn_knn.h"
 #include "knn/fnn_pim_knn.h"
 #include "knn/knn_common.h"
@@ -68,9 +73,15 @@ Workload MakeWorkload() {
   return w;
 }
 
+/// A double as %.17g, which round-trips exactly.
+std::string Exact(double value) {
+  char text[64];
+  std::snprintf(text, sizeof(text), "%.17g", value);
+  return text;
+}
+
 /// The deterministic (non-wall-clock) RunStats surface, one key per line.
-/// pim_ns uses %.17g: a double round-trips exactly at 17 significant
-/// digits, so the snapshot is bit-faithful.
+/// pim_ns goes through Exact, so the snapshot is bit-faithful.
 std::string Render(const RunStats& stats) {
   std::ostringstream out;
   out << "exact_count=" << stats.exact_count << "\n";
@@ -82,14 +93,13 @@ std::string Render(const RunStats& stats) {
   out << "branches=" << stats.traffic.branches << "\n";
   out << "pim_results_loaded=" << stats.traffic.pim_results_loaded << "\n";
   out << "footprint_bytes=" << stats.footprint_bytes << "\n";
-  char pim_ns[64];
-  std::snprintf(pim_ns, sizeof(pim_ns), "%.17g", stats.pim_ns);
-  out << "pim_ns=" << pim_ns << "\n";
+  out << "pim_ns=" << Exact(stats.pim_ns) << "\n";
   return out.str();
 }
 
-void CheckAgainstGolden(const std::string& label, const RunStats& stats) {
-  const std::string rendered = Render(stats);
+/// Compares `rendered` with tests/golden/<label>.txt.
+void CheckTextAgainstGolden(const std::string& label,
+                            const std::string& rendered) {
   const std::string path =
       std::string(PIMINE_GOLDEN_DIR) + "/" + label + ".txt";
 
@@ -107,9 +117,13 @@ void CheckAgainstGolden(const std::string& label, const RunStats& stats) {
   std::ostringstream expected;
   expected << in.rdbuf();
   EXPECT_EQ(expected.str(), rendered)
-      << label << ": RunStats diverged from " << path
+      << label << ": output diverged from " << path
       << ". If the change is intentional, regenerate with "
       << "PIMINE_REGEN_GOLDEN=1 ./golden_stats_test and commit the diff.";
+}
+
+void CheckAgainstGolden(const std::string& label, const RunStats& stats) {
+  CheckTextAgainstGolden(label, Render(stats));
 }
 
 struct KnnGoldenCase {
@@ -236,6 +250,82 @@ TEST(GoldenStatsTest, MotifFinders) {
   EXPECT_EQ(host->first, pim->first);
   EXPECT_EQ(host->second, pim->second);
   EXPECT_EQ(host->distance, pim->distance);
+}
+
+// The §II-A approximate kNN at the paper's alpha and at a coarse one. It
+// never refines, so its answers are pinned too: every neighbour's id and
+// distance.
+TEST(GoldenStatsTest, ApproximatePimKnn) {
+  const Workload w = MakeWorkload();
+  std::ostringstream out;
+  for (const auto& [alpha, operand_bits] :
+       {std::pair<double, int>{1e6, 32}, std::pair<double, int>{16.0, 5}}) {
+    EngineOptions options;
+    options.alpha = alpha;
+    options.operand_bits = operand_bits;
+    ApproximatePimKnn approx(options);
+    ASSERT_TRUE(approx.Prepare(w.data).ok());
+    auto result = approx.Search(w.queries, 5);
+    ASSERT_TRUE(result.ok());
+    out << "alpha=" << Exact(alpha) << "\n" << Render(result->stats);
+    for (const std::vector<Neighbor>& neighbors : result->neighbors) {
+      out << "neighbors=";
+      for (const Neighbor& nb : neighbors) {
+        out << " " << nb.id << ":" << Exact(nb.distance);
+      }
+      out << "\n";
+    }
+  }
+  CheckTextAgainstGolden("knn_approx_pim", out.str());
+}
+
+// The §VII partitioned engine over two query batches on a one-crossbar
+// array that holds a fraction of the golden corpus: after each batch, an
+// FNV-1a digest of the bounds' bit patterns and the device figures
+// bench_ext_reprogram reports.
+TEST(GoldenStatsTest, PartitionedReprogram) {
+  const Workload w = MakeWorkload();
+  EngineOptions options;
+  options.pim_config.num_crossbars = 1;
+  auto built = PartitionedPimEngine::Build(w.data, options);
+  ASSERT_TRUE(built.ok());
+  PartitionedPimEngine& engine = **built;
+  ASSERT_GE(engine.num_partitions(), 2);
+  std::ostringstream out;
+  out << "partitions=" << engine.num_partitions() << "\n";
+  out << "partition_rows=" << engine.partition_rows() << "\n";
+  const size_t d = w.queries.cols();
+  const size_t split = 5;
+  for (const auto& [begin, end] :
+       {std::pair<size_t, size_t>{0, split},
+        std::pair<size_t, size_t>{split, w.queries.rows()}}) {
+    const FloatMatrix batch(end - begin, d,
+                            std::vector<float>(w.queries.data() + begin * d,
+                                               w.queries.data() + end * d));
+    std::vector<std::vector<double>> bounds;
+    ASSERT_TRUE(engine.ComputeBoundsBatch(batch, &bounds).ok());
+    uint64_t digest = 0xcbf29ce484222325ULL;
+    for (const std::vector<double>& row : bounds) {
+      for (double bound : row) {
+        const uint64_t bits = std::bit_cast<uint64_t>(bound);
+        for (int byte = 0; byte < 8; ++byte) {
+          digest = (digest ^ ((bits >> (8 * byte)) & 0xff)) *
+                   0x100000001b3ULL;
+        }
+      }
+    }
+    char hex[32];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(digest));
+    out << "batch=" << begin << "-" << end << "\n";
+    out << "bounds_fnv1a=" << hex << "\n";
+    out << "pim_compute_ns=" << Exact(engine.PimComputeNs()) << "\n";
+    out << "reprogram_ns=" << Exact(engine.ReprogramNs()) << "\n";
+    out << "programming_events=" << engine.ProgrammingEvents() << "\n";
+    out << "endurance_remaining="
+        << Exact(engine.EnduranceRemainingFraction()) << "\n";
+  }
+  CheckTextAgainstGolden("partitioned_reprogram", out.str());
 }
 
 // Sharded fleets must reproduce the SAME golden files as the single-device
