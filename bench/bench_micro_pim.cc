@@ -243,14 +243,14 @@ int BatchSweep(size_t n, size_t s) {
   }
 
   // Single-query reference device: results and modeled stats for all
-  // kTotalQueries queries, one DotProductAll each.
+  // kTotalQueries queries, one one-query DotProductBatch each.
   PimDevice single;
   PIMINE_CHECK_OK(single.ProgramDataset(data));
   std::vector<uint64_t> expected(kTotalQueries * n);
   std::vector<uint64_t> out;
   for (size_t q = 0; q < kTotalQueries; ++q) {
-    PIMINE_CHECK_OK(single.DotProductAll(
-        std::span<const int32_t>(queries).subspan(q * s, s), &out));
+    PIMINE_CHECK_OK(single.DotProductBatch(
+        std::span<const int32_t>(queries).subspan(q * s, s), 1, &out));
     std::copy(out.begin(), out.end(), expected.begin() + q * n);
   }
   const PimDeviceStats single_stats = single.stats();
@@ -300,8 +300,8 @@ int BatchSweep(size_t n, size_t s) {
     PIMINE_CHECK_OK(ref.ProgramDataset(data));
     for (int rep = 0; rep < 6; ++rep) {
       for (size_t q = 0; q < kTotalQueries; ++q) {
-        PIMINE_CHECK_OK(ref.DotProductAll(
-            std::span<const int32_t>(queries).subspan(q * s, s), &out));
+        PIMINE_CHECK_OK(ref.DotProductBatch(
+            std::span<const int32_t>(queries).subspan(q * s, s), 1, &out));
       }
     }
     PIMINE_CHECK(InvariantStatsEqual(device.stats(), ref.stats()))

@@ -150,7 +150,7 @@ Result<std::unique_ptr<PimEngine>> PimEngine::Build(
     engine->devices_.push_back(std::make_unique<PimDevice>(
         options.pim_config, fault, options.recovery));
   }
-  PIMINE_RETURN_IF_ERROR(engine->ProgramRows(data, /*append=*/false));
+  PIMINE_RETURN_IF_ERROR(engine->ProgramRows(data, Program::kFirst));
   return engine;
 }
 
@@ -197,7 +197,7 @@ PimEngine::BoundTerms PimEngine::EncodeRow(std::span<const float> row,
   return t;
 }
 
-Status PimEngine::ProgramRows(const FloatMatrix& rows, bool append) {
+Status PimEngine::ProgramRows(const FloatMatrix& rows, Program how) {
   const size_t width = OperandWidth();
   QueryScratch scratch;
   scratch.ops.assign(devices_.size(),
@@ -210,9 +210,11 @@ Status PimEngine::ProgramRows(const FloatMatrix& rows, bool append) {
   const double program_before = DeviceStatsTotal().program_ns;
   for (size_t k = 0; k < devices_.size(); ++k) {
     const IntMatrix ops(rows.rows(), width, std::move(scratch.ops[k]));
-    PIMINE_RETURN_IF_ERROR(append ? devices_[k]->ProgramDelta(ops)
-                                  : devices_[k]->ProgramDataset(
-                                        ops, operand_bits_));
+    PimDevice& device = *devices_[k];
+    PIMINE_RETURN_IF_ERROR(
+        how == Program::kAppend    ? device.ProgramDelta(ops)
+        : how == Program::kReplace ? device.ReprogramDataset(ops, operand_bits_)
+                                   : device.ProgramDataset(ops, operand_bits_));
   }
   // Phi for the ED family; the sum of floors plus one (CS) or two (PCC)
   // norm terms for the dot-product bounds.
@@ -221,8 +223,9 @@ Status PimEngine::ProgramRows(const FloatMatrix& rows, bool append) {
                                                                  : 1;
   const uint64_t aux_bytes = rows.rows() * doubles_per_row * sizeof(double);
   PIMINE_RETURN_IF_ERROR(devices_[0]->StoreAux(aux_bytes));
+  if (how == Program::kReplace) terms_.clear();
   terms_.insert(terms_.end(), terms.begin(), terms.end());
-  num_objects_ += rows.rows();
+  num_objects_ = terms_.size();
   offline_ns_ += DeviceStatsTotal().program_ns - program_before;
   offline_bytes_written_ +=
       rows.rows() * width * (operand_bits_ / 8) * devices_.size() + aux_bytes;
@@ -391,15 +394,22 @@ Status PimEngine::SlackFillBatch(size_t num_queries,
   return Status::OK();
 }
 
+Status PimEngine::CheckRows(const FloatMatrix& rows) const {
+  if (rows.empty() || rows.cols() != dims_) {
+    return Status::InvalidArgument(
+        "rows must be a non-empty set of the engine's dimensionality");
+  }
+  return CheckUnitRange(rows);
+}
+
 Status PimEngine::AppendRows(const FloatMatrix& rows) {
-  if (rows.empty()) {
-    return Status::InvalidArgument("cannot append an empty row set");
-  }
-  if (rows.cols() != dims_) {
-    return Status::InvalidArgument("appended rows dimensionality mismatch");
-  }
-  PIMINE_RETURN_IF_ERROR(CheckUnitRange(rows));
-  return ProgramRows(rows, /*append=*/true);
+  PIMINE_RETURN_IF_ERROR(CheckRows(rows));
+  return ProgramRows(rows, Program::kAppend);
+}
+
+Status PimEngine::Reprogram(const FloatMatrix& rows) {
+  PIMINE_RETURN_IF_ERROR(CheckRows(rows));
+  return ProgramRows(rows, Program::kReplace);
 }
 
 Status PimEngine::DeleteRow(size_t index) {

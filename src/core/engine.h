@@ -202,6 +202,13 @@ class PimEngine {
   /// Not safe concurrently with in-flight queries.
   Status AppendRows(const FloatMatrix& rows);
 
+  /// Replaces every object with `rows` (as AppendRows takes them) in one
+  /// full program of each device, charged and counted against endurance
+  /// like Build's; tombstones and the delta region are cleared. Build's
+  /// geometry stays, so bounds are bit-identical to an engine built on
+  /// `rows` with it. Not safe concurrently with in-flight queries.
+  Status Reprogram(const FloatMatrix& rows);
+
   /// Tombstones object `index`: its bound becomes PruneBound() (sorts
   /// last, never refined), so query results are bit-identical to an engine
   /// that never held the row — while the physical crossbar row keeps
@@ -316,10 +323,17 @@ class PimEngine {
   BoundTerms EncodeRow(std::span<const float> row, size_t at,
                        QueryScratch* scratch) const;
 
-  /// Encodes `rows` and programs them (ProgramDataset, or ProgramDelta when
-  /// `append`), then stores their terms and charges the program time, the
-  /// term store and the bytes of both to the offline totals.
-  Status ProgramRows(const FloatMatrix& rows, bool append);
+  /// The device write of Build, Reprogram and AppendRows.
+  enum class Program { kFirst, kReplace, kAppend };
+
+  /// Encodes `rows` and programs them (ProgramDataset, ReprogramDataset or
+  /// ProgramDelta, as `how` says), then stores their terms and charges the
+  /// program time, the term store and the bytes of both to the offline
+  /// totals.
+  Status ProgramRows(const FloatMatrix& rows, Program how);
+
+  /// Reprogram's and AppendRows' check: rows of this width in [0, 1].
+  Status CheckRows(const FloatMatrix& rows) const;
 
   Status CheckQuery(std::span<const float> query) const;
 

@@ -7,7 +7,6 @@
 
 #include "common/result.h"
 #include "core/engine.h"
-#include "core/quantize.h"
 #include "data/matrix.h"
 #include "pim/pim_device.h"
 
@@ -25,12 +24,19 @@ namespace pimine {
 /// `num_partitions` reprograms regardless of batch size, and per-cell write
 /// endurance is tracked so callers can budget device lifetime.
 ///
+/// The partitions take turns on one kDirectEd PimEngine: the first batch
+/// builds it on the first partition, and each later program is a
+/// PimEngine::Reprogram. §VII models one bank, so the engine is
+/// single-device (EngineOptions::shard is ignored) and calls PimEngine's
+/// batch halves itself, as the fleet does; the fault model applies, and a
+/// kFailOp DeviceFault is returned.
+///
 /// Bounds are the direct Theorem 1 LB_PIM-ED at full dimensionality —
 /// tighter than the compressed segment bounds, at the price of reprogram
 /// latency and wear. `bench_ext_reprogram` quantifies the trade.
 class PartitionedPimEngine {
  public:
-  /// Builds the offline state. `data` rows must be in [0, 1]. The
+  /// Checks the options and the data, whose rows must be in [0, 1]. The
   /// partition size is the largest row count whose full-dimensionality
   /// quantized matrix fits the PIM array.
   static Result<std::unique_ptr<PartitionedPimEngine>> Build(
@@ -39,39 +45,42 @@ class PartitionedPimEngine {
   /// Lower bounds on squared ED for every (query, object) pair.
   /// (*bounds)[q][i] <= SquaredEuclidean(data[i], queries[q]).
   /// One pass over the partitions per call; reprogram cost is amortized
-  /// over the whole query batch.
+  /// over the whole query batch. An empty batch programs nothing.
   Status ComputeBoundsBatch(const FloatMatrix& queries,
                             std::vector<std::vector<double>>* bounds);
 
   int64_t num_partitions() const {
-    return static_cast<int64_t>(partition_starts_.size());
+    const int64_t n = static_cast<int64_t>(data_->rows());
+    return (n + partition_rows_ - 1) / partition_rows_;
   }
   int64_t partition_rows() const { return partition_rows_; }
-  size_t num_objects() const { return data_->rows(); }
 
   /// Modeled PIM compute time (batch dot products) since construction.
-  double PimComputeNs() const { return device_->stats().compute_ns; }
-  /// Modeled reprogramming time spent so far (the §VII overhead).
-  double ReprogramNs() const { return device_->stats().program_ns; }
+  double PimComputeNs() const { return DeviceStats().compute_ns; }
+  /// Modeled programming time spent so far (the §VII overhead), Phi store
+  /// included.
+  double ReprogramNs() const { return DeviceStats().program_ns; }
   /// Full-array programming events so far (endurance proxy).
   uint64_t ProgrammingEvents() const {
-    return device_->stats().programming_events;
+    return DeviceStats().programming_events;
   }
   double EnduranceRemainingFraction() const {
-    return device_->EnduranceRemainingFraction();
+    return engine_ ? engine_->device(0).EnduranceRemainingFraction() : 1.0;
   }
 
  private:
   PartitionedPimEngine(const FloatMatrix& data, const EngineOptions& options,
                        int64_t partition_rows);
 
+  /// The engine's device stats; all zero before the first batch.
+  PimDeviceStats DeviceStats() const {
+    return engine_ ? engine_->device(0).stats() : PimDeviceStats();
+  }
+
   const FloatMatrix* data_;
-  EngineOptions options_;
-  Quantizer quantizer_;
+  EngineOptions options_;  // The caller's, with the bound forced direct.
   int64_t partition_rows_;
-  std::vector<size_t> partition_starts_;
-  std::vector<double> phi_;  // Theorem 1 Phi per object.
-  std::unique_ptr<PimDevice> device_;
+  std::unique_ptr<PimEngine> engine_;  // Null until the first batch.
 };
 
 }  // namespace pimine

@@ -22,14 +22,6 @@ void Quantizer::QuantizeRow(std::span<const float> in,
   for (size_t i = 0; i < in.size(); ++i) out[i] = QuantizeValue(in[i]);
 }
 
-IntMatrix Quantizer::Quantize(const FloatMatrix& normalized) const {
-  IntMatrix out(normalized.rows(), normalized.cols());
-  for (size_t i = 0; i < normalized.rows(); ++i) {
-    QuantizeRow(normalized.row(i), out.mutable_row(i));
-  }
-  return out;
-}
-
 double Quantizer::PhiEd(std::span<const float> normalized_row) const {
   double sum_sq = 0.0;
   double sum_floor = 0.0;
@@ -39,14 +31,6 @@ double Quantizer::PhiEd(std::span<const float> normalized_row) const {
     sum_floor += std::floor(scaled);
   }
   return sum_sq - 2.0 * sum_floor;
-}
-
-std::vector<double> Quantizer::PhiEdAll(const FloatMatrix& normalized) const {
-  std::vector<double> out(normalized.rows());
-  for (size_t i = 0; i < normalized.rows(); ++i) {
-    out[i] = PhiEd(normalized.row(i));
-  }
-  return out;
 }
 
 double Quantizer::PhiFnn(std::span<const float> seg_means,

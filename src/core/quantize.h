@@ -3,10 +3,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
-
-#include "common/status.h"
-#include "data/matrix.h"
 
 namespace pimine {
 
@@ -26,15 +22,9 @@ class Quantizer {
   /// Quantizes one normalized row into `out`.
   void QuantizeRow(std::span<const float> in, std::span<int32_t> out) const;
 
-  /// Quantizes a whole normalized dataset.
-  IntMatrix Quantize(const FloatMatrix& normalized) const;
-
   /// Phi(p-bar) of Theorem 1 for one normalized row:
   ///   sum_i (alpha*p_i)^2 - 2 * sum_i floor(alpha*p_i).
   double PhiEd(std::span<const float> normalized_row) const;
-
-  /// Phi(p-bar) for every row.
-  std::vector<double> PhiEdAll(const FloatMatrix& normalized) const;
 
   /// Phi(p-hat) of Theorem 2 for one vector's scaled segment statistics:
   ///   sum mu^2 + sum sigma^2 - 2*sum floor(mu) - 2*sum floor(sigma),

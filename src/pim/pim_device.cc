@@ -60,7 +60,9 @@ Status PimDevice::ProgramDataset(const IntMatrix& data, int operand_bits) {
 }
 
 Status PimDevice::ReprogramDataset(const IntMatrix& data, int operand_bits) {
-  return ProgramInternal(data, operand_bits);
+  PIMINE_RETURN_IF_ERROR(ProgramInternal(data, operand_bits));
+  stats_.aux_bytes_stored = 0;
+  return Status::OK();
 }
 
 namespace {
@@ -406,11 +408,6 @@ Status PimDevice::CompactRows(std::span<const uint32_t> live) {
   stats_.compacted_rows += live.size();
   obs::AddCounter("pimine_device_compactions_total", 1);
   return Status::OK();
-}
-
-Status PimDevice::DotProductAll(std::span<const int32_t> query,
-                                std::vector<uint64_t>* out) {
-  return DotProductBatch(query, /*num_queries=*/1, out);
 }
 
 Status PimDevice::ApplyFaultsAndRecover(std::span<const int32_t> queries,

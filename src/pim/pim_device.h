@@ -39,7 +39,7 @@ struct PimDeviceStats {
   // is invariant under the grouping: running the same queries at any
   // device-batch size (and from any number of host threads) produces
   // bit-identical values.
-  /// Batched operations issued (one per DotProductAll / DotProductBatch).
+  /// Batched operations issued (one per DotProductBatch).
   uint64_t batch_ops = 0;
   /// Total queries matched across all batches.
   uint64_t queries_processed = 0;
@@ -70,11 +70,11 @@ struct PimDeviceStats {
 /// (plain storage), PIM array (the programmed dataset + dot-product
 /// engine) and controller (this class).
 ///
-/// Functional behaviour is bit-exact integer arithmetic: `DotProductAll`
-/// returns sum_i data[v][i] * query[i] truncated to the least-significant
-/// 64 bits, the paper's overflow rule (§VI-B). Timing is accumulated from
-/// the PimTimingModel. Cross-checked against the cycle-level `Crossbar`
-/// model in tests.
+/// Functional behaviour is bit-exact integer arithmetic: `DotProductBatch`
+/// returns sum_i data[v][i] * query[i] for every query, truncated to the
+/// least-significant 64 bits, the paper's overflow rule (§VI-B). Timing is
+/// accumulated from the PimTimingModel. Cross-checked against the
+/// cycle-level `Crossbar` model in tests.
 class PimDevice {
  public:
   /// `fault_config` enables the ReRAM fault model (stuck cells, transient
@@ -99,7 +99,9 @@ class PimDevice {
   /// anything) with `data`, charged at full program cost and counted
   /// against write endurance. Clears tombstones and the delta region;
   /// fault state is rebuilt for the new contents (per-slot wear counters
-  /// persist — the physical rows are the same cells).
+  /// persist — the physical rows are the same cells). The memory array's
+  /// auxiliary store is released too: its terms described the replaced
+  /// vectors, and the caller stores the new ones (StoreAux).
   Status ReprogramDataset(const IntMatrix& data, int operand_bits = 32);
 
   /// Appends `rows` (same dimensionality and operand width as the
@@ -147,28 +149,20 @@ class PimDevice {
     return slot < worn_.size() && worn_[slot] != 0;
   }
 
-  /// Matches `query` against every programmed vector. Query values must be
-  /// non-negative. Results are written into `out` (resized to N). Time is
-  /// charged to stats. Safe to call concurrently from several host threads
-  /// once programmed: each batch's stats are applied atomically, and the
-  /// per-batch charges are identical regardless of interleaving, so the
-  /// modeled totals match a serial run exactly.
-  Status DotProductAll(std::span<const int32_t> query,
-                       std::vector<uint64_t>* out);
-
-  /// Batched form of DotProductAll: matches `num_queries` queries (row-major
-  /// in `queries`, each data_.cols() values, all non-negative) against every
-  /// programmed vector in one device operation. `out` is resized to
-  /// num_queries * N; query q's dot products occupy out[q*N, (q+1)*N) — the
-  /// per-query views callers slice out are laid out exactly like a
-  /// DotProductAll result. Functionally bit-identical to num_queries
-  /// DotProductAll calls (uint64 wraparound per object is associative, so
-  /// the tiled kernel cannot change any result); stats are charged once per
-  /// batch under the stats mutex, with compute/energy/result accounting
-  /// equal to the per-query path and the pipelined batch latency recorded
-  /// in stats.pipelined_ns. The host-side kernel is the cache-blocked,
-  /// register-tiled integer GEMM of pim/dot_gemm.h (objects x queries),
-  /// which picks the host's widest SIMD tier (AVX-512F, AVX2, SSE2 or
+  /// Matches `num_queries` queries (row-major in `queries`, each
+  /// data_.cols() values, all non-negative) against every programmed
+  /// vector in one device operation. `out` is resized to num_queries * N;
+  /// query q's dot products occupy out[q*N, (q+1)*N). Functionally
+  /// bit-identical to num_queries one-query batches (uint64 wraparound per
+  /// object is associative, so the tiled kernel cannot change any result);
+  /// stats are charged once per batch under the stats mutex, with
+  /// compute/energy/result accounting equal to one-query batches and the
+  /// pipelined batch latency recorded in stats.pipelined_ns. Safe to call
+  /// concurrently from several host threads once programmed: the per-batch
+  /// charges are identical regardless of interleaving, so the modeled
+  /// totals match a serial run exactly. The host-side kernel is the
+  /// cache-blocked, register-tiled integer GEMM of pim/dot_gemm.h (objects
+  /// x queries), which picks the host's widest SIMD tier (AVX-512F, AVX2 or
   /// scalar) at runtime; no build flag is needed to reach it.
   /// With the fault model enabled, every result group (the logical columns
   /// of one data-crossbar set) carries a mod-(2^16 - 1) residue checksum
@@ -304,7 +298,7 @@ class PimDevice {
   std::vector<uint32_t> row_writes_;
   std::vector<uint8_t> worn_;
   PimDeviceStats stats_;
-  /// Guards stats_ against concurrent DotProductAll batches.
+  /// Guards stats_ against concurrent DotProductBatch calls.
   mutable std::mutex stats_mu_;
 
   // Fault model state (empty / null when fault_config_ is disabled).

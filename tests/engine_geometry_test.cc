@@ -118,10 +118,10 @@ TEST(EnergyAccountingTest, AccumulatesPerBatch) {
   ASSERT_TRUE(device.ProgramDataset(data).ok());
   std::vector<uint64_t> out;
   const std::vector<int32_t> query(16, 2);
-  ASSERT_TRUE(device.DotProductAll(query, &out).ok());
+  ASSERT_TRUE(device.DotProductBatch(query, 1, &out).ok());
   const double after_one = device.stats().compute_energy_pj;
   EXPECT_GT(after_one, 0.0);
-  ASSERT_TRUE(device.DotProductAll(query, &out).ok());
+  ASSERT_TRUE(device.DotProductBatch(query, 1, &out).ok());
   EXPECT_NEAR(device.stats().compute_energy_pj, 2 * after_one, 1e-9);
   device.ResetOnlineStats();
   EXPECT_DOUBLE_EQ(device.stats().compute_energy_pj, 0.0);

@@ -30,7 +30,7 @@ TEST(PimDeviceTest, DotProductsMatchIntegerMath) {
   for (auto& v : query) v = static_cast<int32_t>(rng.NextBounded(1 << 20));
 
   std::vector<uint64_t> out;
-  ASSERT_TRUE(device.DotProductAll(query, &out).ok());
+  ASSERT_TRUE(device.DotProductBatch(query, 1, &out).ok());
   ASSERT_EQ(out.size(), 50u);
   for (size_t i = 0; i < 50; ++i) {
     uint64_t expected = 0;
@@ -70,16 +70,17 @@ TEST(PimDeviceTest, QueryValidation) {
   PimDevice device;
   std::vector<uint64_t> out;
   // Not programmed.
-  EXPECT_EQ(device.DotProductAll(std::vector<int32_t>{1}, &out).code(),
+  EXPECT_EQ(device.DotProductBatch(std::vector<int32_t>{1}, 1, &out).code(),
             StatusCode::kFailedPrecondition);
 
   ASSERT_TRUE(device.ProgramDataset(RandomIntMatrix(4, 8, 10, 4)).ok());
   // Wrong dimensionality.
-  EXPECT_FALSE(device.DotProductAll(std::vector<int32_t>(7, 1), &out).ok());
+  EXPECT_FALSE(
+      device.DotProductBatch(std::vector<int32_t>(7, 1), 1, &out).ok());
   // Negative input.
   std::vector<int32_t> bad(8, 1);
   bad[3] = -2;
-  EXPECT_FALSE(device.DotProductAll(bad, &out).ok());
+  EXPECT_FALSE(device.DotProductBatch(bad, 1, &out).ok());
 }
 
 TEST(PimDeviceTest, StatsAccumulate) {
@@ -94,8 +95,8 @@ TEST(PimDeviceTest, StatsAccumulate) {
 
   std::vector<uint64_t> out;
   const std::vector<int32_t> query(64, 1);
-  ASSERT_TRUE(device.DotProductAll(query, &out).ok());
-  ASSERT_TRUE(device.DotProductAll(query, &out).ok());
+  ASSERT_TRUE(device.DotProductBatch(query, 1, &out).ok());
+  ASSERT_TRUE(device.DotProductBatch(query, 1, &out).ok());
   EXPECT_EQ(device.stats().batch_ops, 2u);
   EXPECT_EQ(device.stats().results_produced, 200u);
   EXPECT_EQ(device.stats().result_bytes_to_host, 200u * sizeof(uint64_t));
@@ -144,14 +145,14 @@ TEST(PimDeviceTest, WraparoundImplementsTruncation) {
   ASSERT_TRUE(device.ProgramDataset(data).ok());
   std::vector<int32_t> query(8, 1 << 30);
   std::vector<uint64_t> out;
-  ASSERT_TRUE(device.DotProductAll(query, &out).ok());
+  ASSERT_TRUE(device.DotProductBatch(query, 1, &out).ok());
   // 8 * 2^60 = 2^63 -- still fits; now force a wrap with more dims.
   IntMatrix data2(1, 32);
   for (int32_t& v : data2.mutable_row(0)) v = (1 << 30);
   PimDevice device2(config);
   ASSERT_TRUE(device2.ProgramDataset(data2).ok());
   std::vector<int32_t> query2(32, 1 << 30);
-  ASSERT_TRUE(device2.DotProductAll(query2, &out).ok());
+  ASSERT_TRUE(device2.DotProductBatch(query2, 1, &out).ok());
   // 32 * 2^60 = 2^65 -> LS-64 truncation keeps 2^65 mod 2^64 = 0? No:
   // 32 * 2^60 = 2^5 * 2^60 = 2^65, mod 2^64 = 0.
   EXPECT_EQ(out[0], 0u);

@@ -20,7 +20,7 @@ TEST(QuantizerTest, FloorScaling) {
   EXPECT_EQ(quant.QuantizeValue(0.9994f), 999);
 }
 
-TEST(QuantizerTest, RowAndMatrixQuantization) {
+TEST(QuantizerTest, RowQuantization) {
   const Quantizer quant(100.0);
   const std::vector<float> row = {0.125f, 0.999f, 0.0f};
   std::vector<int32_t> out(3);
@@ -28,14 +28,6 @@ TEST(QuantizerTest, RowAndMatrixQuantization) {
   EXPECT_EQ(out[0], 12);
   EXPECT_EQ(out[1], 99);
   EXPECT_EQ(out[2], 0);
-
-  FloatMatrix m(2, 2);
-  m(0, 0) = 0.25f;
-  m(1, 1) = 0.75f;
-  const IntMatrix q = quant.Quantize(m);
-  EXPECT_EQ(q(0, 0), 25);
-  EXPECT_EQ(q(0, 1), 0);
-  EXPECT_EQ(q(1, 1), 75);
 }
 
 TEST(QuantizerTest, PhiEdMatchesDefinition) {
@@ -48,20 +40,6 @@ TEST(QuantizerTest, PhiEdMatchesDefinition) {
     expected += scaled * scaled - 2.0 * std::floor(scaled);
   }
   EXPECT_NEAR(quant.PhiEd(p), expected, 1e-6);
-}
-
-TEST(QuantizerTest, PhiAllMatchesRowwise) {
-  const Quantizer quant(1e5);
-  FloatMatrix data(3, 8);
-  for (size_t i = 0; i < 3; ++i) {
-    const auto row = RandomUnitVector(8, 10 + i);
-    std::copy(row.begin(), row.end(), data.mutable_row(i).begin());
-  }
-  const auto all = quant.PhiEdAll(data);
-  ASSERT_EQ(all.size(), 3u);
-  for (size_t i = 0; i < 3; ++i) {
-    EXPECT_DOUBLE_EQ(all[i], quant.PhiEd(data.row(i)));
-  }
 }
 
 TEST(QuantizerTest, PhiFnnAndSmDefinitions) {

@@ -137,8 +137,8 @@ TEST(WearEnduranceTest, WornSlotsHandOffToRecoveryLadder) {
   std::vector<int32_t> query(8);
   for (auto& v : query) v = static_cast<int32_t>(rng.NextBounded(100));
   std::vector<uint64_t> got, want;
-  ASSERT_TRUE(worn.DotProductAll(query, &got).ok());
-  ASSERT_TRUE(clean.DotProductAll(query, &want).ok());
+  ASSERT_TRUE(worn.DotProductBatch(query, 1, &got).ok());
+  ASSERT_TRUE(clean.DotProductBatch(query, 1, &want).ok());
   EXPECT_EQ(got, want);  // the ladder recovered every value exactly.
 
   const FaultStats fault = worn.StatsSnapshot().fault;
@@ -163,7 +163,7 @@ TEST(WearEnduranceTest, BelowLimitSlotsDrawNoWearFaults) {
   std::vector<int32_t> query(8);
   for (auto& v : query) v = static_cast<int32_t>(rng.NextBounded(100));
   std::vector<uint64_t> out;
-  ASSERT_TRUE(device.DotProductAll(query, &out).ok());
+  ASSERT_TRUE(device.DotProductBatch(query, 1, &out).ok());
   EXPECT_EQ(device.StatsSnapshot().fault.injected, 0u);
 }
 
