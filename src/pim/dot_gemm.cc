@@ -70,8 +70,8 @@ void GemmScalar(const int32_t* data, size_t n, size_t s,
 // u64 lanes, each value zero-extended. The tile of width W starting at
 // query q occupies packed[q * s, (q + W) * s) lane-transposed, as
 // packed[q * s + j * W + t] = query (q + t), dimension j; a tile of width
-// 1 is just the query itself. (v)pmuludq multiplies the low 32 bits of
-// each 64-bit lane into the full 64-bit product and (v)paddq wraps mod
+// 1 is just the query itself. vpmuludq multiplies the low 32 bits of
+// each 64-bit lane into the full 64-bit product and vpaddq wraps mod
 // 2^64, so every vector kernel is exact.
 void PackTile(const int32_t* queries, size_t s, size_t q, size_t width,
               uint64_t* packed) {
@@ -80,46 +80,6 @@ void PackTile(const int32_t* queries, size_t s, size_t q, size_t width,
     for (size_t t = 0; t < width; ++t) {
       tile[j * width + t] = static_cast<uint32_t>(queries[(q + t) * s + j]);
     }
-  }
-}
-
-// SSE2 fallback: one data row x 8 queries.
-void Sse2Tile1x8(const int32_t* data, size_t s, size_t v0, size_t v1,
-                 size_t n, const uint64_t* qpk, size_t q, uint64_t* out) {
-  for (size_t v = v0; v < v1; ++v) {
-    const int32_t* row = data + v * s;
-    __m128i a0 = _mm_setzero_si128(), a1 = _mm_setzero_si128();
-    __m128i a2 = _mm_setzero_si128(), a3 = _mm_setzero_si128();
-    for (size_t j = 0; j < s; ++j) {
-      const __m128i d = _mm_set1_epi32(row[j]);
-      const __m128i* qj = reinterpret_cast<const __m128i*>(qpk + j * 8);
-      a0 = _mm_add_epi64(a0, _mm_mul_epu32(d, _mm_loadu_si128(qj + 0)));
-      a1 = _mm_add_epi64(a1, _mm_mul_epu32(d, _mm_loadu_si128(qj + 1)));
-      a2 = _mm_add_epi64(a2, _mm_mul_epu32(d, _mm_loadu_si128(qj + 2)));
-      a3 = _mm_add_epi64(a3, _mm_mul_epu32(d, _mm_loadu_si128(qj + 3)));
-    }
-    uint64_t acc[8];
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(acc + 0), a0);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(acc + 2), a1);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(acc + 4), a2);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(acc + 6), a3);
-    for (size_t t = 0; t < 8; ++t) out[(q + t) * n + v] = acc[t];
-  }
-}
-
-void GemmSse2(const int32_t* data, size_t n, size_t s, const int32_t* queries,
-              size_t num_queries, uint64_t* out) {
-  const size_t full8 = num_queries / 8 * 8;
-  std::vector<uint64_t> packed(full8 * s);
-  for (size_t q = 0; q < full8; q += 8) {
-    PackTile(queries, s, q, 8, packed.data());
-  }
-  for (size_t vb = 0; vb < n; vb += kObjectBlock) {
-    const size_t vend = std::min(n, vb + kObjectBlock);
-    for (size_t q = 0; q < full8; q += 8) {
-      Sse2Tile1x8(data, s, vb, vend, n, packed.data() + q * s, q, out);
-    }
-    ScalarTiles(data, s, vb, vend, n, queries, full8, num_queries, out);
   }
 }
 
@@ -385,8 +345,6 @@ std::string_view GemmTierName(GemmTier tier) {
   switch (tier) {
     case GemmTier::kScalar:
       return "scalar";
-    case GemmTier::kSse2:
-      return "sse2";
     case GemmTier::kAvx2:
       return "avx2";
     case GemmTier::kAvx512:
@@ -400,8 +358,6 @@ bool GemmTierSupported(GemmTier tier) {
     case GemmTier::kScalar:
       return true;
 #if defined(PIMINE_GEMM_X86)
-    case GemmTier::kSse2:
-      return true;  // part of the x86-64 baseline.
     case GemmTier::kAvx2:
       return __builtin_cpu_supports("avx2") != 0;
     case GemmTier::kAvx512:
@@ -409,7 +365,6 @@ bool GemmTierSupported(GemmTier tier) {
       return __builtin_cpu_supports("avx512f") != 0 &&
              __builtin_cpu_supports("avx2") != 0;
 #else
-    case GemmTier::kSse2:
     case GemmTier::kAvx2:
     case GemmTier::kAvx512:
       return false;
@@ -420,8 +375,7 @@ bool GemmTierSupported(GemmTier tier) {
 
 GemmTier BestGemmTier() {
   static const GemmTier best = [] {
-    for (GemmTier tier :
-         {GemmTier::kAvx512, GemmTier::kAvx2, GemmTier::kSse2}) {
+    for (GemmTier tier : {GemmTier::kAvx512, GemmTier::kAvx2}) {
       if (GemmTierSupported(tier)) return tier;
     }
     return GemmTier::kScalar;
@@ -447,13 +401,9 @@ void DotProductGemm(GemmTier tier, const int32_t* data, size_t n, size_t s,
     case GemmTier::kAvx2:
       GemmWide<false>(data, n, s, queries, num_queries, out);
       return;
-    case GemmTier::kSse2:
-      GemmSse2(data, n, s, queries, num_queries, out);
-      return;
 #else
     case GemmTier::kAvx512:
     case GemmTier::kAvx2:
-    case GemmTier::kSse2:
 #endif
     case GemmTier::kScalar:
       GemmScalar(data, n, s, queries, num_queries, out);

@@ -19,10 +19,8 @@ namespace pimine {
 /// The widest tier the host supports is chosen at runtime from
 /// __builtin_cpu_supports; no -march flag is needed to reach it.
 enum class GemmTier {
-  /// Portable register-tiled loops (hosts without SSE2).
+  /// Portable register-tiled loops (hosts without AVX2).
   kScalar,
-  /// One data row x 8 queries in SSE2 (x86-64 hosts without AVX2).
-  kSse2,
   /// 4 data rows x 8 queries in AVX2; queries left below 8 run SIMD along
   /// the dimension.
   kAvx2,
