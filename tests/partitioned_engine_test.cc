@@ -69,6 +69,23 @@ TEST(PartitionedEngineTest, ReprogramCostAndEnduranceAccumulate) {
   EXPECT_LT(engine.EnduranceRemainingFraction(), endurance_after_one);
 }
 
+// A batch is checked before any partition is programmed for it.
+TEST(PartitionedEngineTest, RejectedBatchProgramsNothing) {
+  const FloatMatrix data = RandomUnitMatrix(256, 64, 10);
+  auto engine_or = PartitionedPimEngine::Build(data, TinyArray(1));
+  ASSERT_TRUE(engine_or.ok());
+  PartitionedPimEngine& engine = **engine_or;
+  std::vector<std::vector<double>> bounds;
+  ASSERT_TRUE(
+      engine.ComputeBoundsBatch(RandomUnitMatrix(2, 64, 11), &bounds).ok());
+  const uint64_t events = engine.ProgrammingEvents();
+  FloatMatrix bad = RandomUnitMatrix(2, 64, 12);
+  bad(1, 5) = 1.5f;
+  EXPECT_EQ(engine.ComputeBoundsBatch(bad, &bounds).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.ProgrammingEvents(), events);
+}
+
 TEST(PartitionedEngineTest, SinglePartitionWhenEverythingFits) {
   const FloatMatrix data = RandomUnitMatrix(64, 32, 6);
   auto engine = PartitionedPimEngine::Build(data, EngineOptions());
