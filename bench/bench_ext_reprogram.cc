@@ -19,6 +19,9 @@ namespace pimine {
 namespace bench {
 namespace {
 
+// Share of objects whose bound exceeds the k-th exact distance. Aborts if
+// any bound exceeds its exact squared ED: a lower bound that does could
+// prune a true neighbour.
 double PruneRatio(const FloatMatrix& data, const FloatMatrix& queries,
                   const std::vector<std::vector<double>>& bounds, int k) {
   double total = 0.0;
@@ -26,6 +29,9 @@ double PruneRatio(const FloatMatrix& data, const FloatMatrix& queries,
   for (size_t q = 0; q < queries.rows(); ++q) {
     for (size_t i = 0; i < data.rows(); ++i) {
       exact[i] = SquaredEuclidean(data.row(i), queries.row(q));
+      PIMINE_CHECK(bounds[q][i] <= exact[i])
+          << "bound " << bounds[q][i] << " above the exact squared ED "
+          << exact[i] << " (query " << q << ", object " << i << ")";
     }
     std::vector<double> sorted = exact;
     std::nth_element(sorted.begin(), sorted.begin() + (k - 1), sorted.end());
