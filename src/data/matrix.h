@@ -58,19 +58,10 @@ class Matrix {
   /// Bytes of payload (excluding object overhead).
   size_t SizeBytes() const { return values_.size() * sizeof(T); }
 
-  /// Appends one row. On an empty matrix the row fixes the column count;
-  /// otherwise `row.size()` must equal cols(). Row spans returned earlier
-  /// may be invalidated (storage reallocates); the matrix object itself
-  /// stays valid, which is what the mutable-dataset layer relies on.
-  void AppendRow(std::span<const T> row) {
-    if (rows_ == 0) cols_ = row.size();
-    PIMINE_CHECK(row.size() == cols_)
-        << "appended row has " << row.size() << " values, expected " << cols_;
-    values_.insert(values_.end(), row.begin(), row.end());
-    ++rows_;
-  }
-
   /// Appends every row of `other` (same column count, or this is empty).
+  /// Row spans returned earlier may be invalidated (storage reallocates);
+  /// the matrix object itself stays valid, which is what the
+  /// mutable-dataset layer relies on.
   void AppendRows(const Matrix<T>& other) {
     if (other.rows() == 0) return;
     if (rows_ == 0) cols_ = other.cols();

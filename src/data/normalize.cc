@@ -43,8 +43,4 @@ FloatMatrix MinMaxScaler::Transform(const FloatMatrix& data) const {
   return out;
 }
 
-FloatMatrix NormalizeToUnitRange(const FloatMatrix& data) {
-  return MinMaxScaler::Fit(data).Transform(data);
-}
-
 }  // namespace pimine

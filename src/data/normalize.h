@@ -33,9 +33,6 @@ class MinMaxScaler {
   std::vector<float> maxs_;
 };
 
-/// Convenience: fit on `data` and transform it, returning the scaled copy.
-FloatMatrix NormalizeToUnitRange(const FloatMatrix& data);
-
 }  // namespace pimine
 
 #endif  // PIMINE_DATA_NORMALIZE_H_

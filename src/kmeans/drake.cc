@@ -75,17 +75,9 @@ class DrakeBounds : public KmeansBounds {
             if (pb.lb[pos] >= best_d) continue;
             const size_t c = pb.center[pos];
             if (c == best_c) continue;
-            if (filter_ != nullptr) {
-              ++slot.bound_count;
-              const double pim_lb = filter_->LowerBound(i, c);
-              if (pim_lb >= best_d) {
-                pb.lb[pos] = std::max(pb.lb[pos], pim_lb);
-                continue;
-              }
-            }
-            ScopedFunctionTimer timer(&slot.profile, "ED");
-            const double d = KmeansExactDistance(p, result_.centers.row(c));
-            ++slot.exact_count;
+            // A bound is returned only when it is >= best_d, which exceeds
+            // pb.lb[pos] here, so d tightens the entry either way.
+            const double d = DistanceOrBound(i, c, best_d, slot);
             pb.lb[pos] = d;
             if (d < best_d) {
               best_d = d;

@@ -1,7 +1,6 @@
 #include "kmeans/elkan.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "sim/traffic.h"
 
@@ -41,59 +40,23 @@ class ElkanBounds : public KmeansBounds {
   }
 
  private:
-  // First assign pass fills every bound exactly (Lloyd-equivalent).
+  // First assign pass fills every lower bound: the exact distance or, where
+  // it cannot beat the closest center so far, the PIM bound.
   size_t AssignFirst() {
     return RunAssignWithPolicy(
         options_.exec, n_, &result_.stats,
         [&](size_t i, size_t /*slot_index*/, WorkerSlot& slot) {
-          const auto p = data_.row(i);
-          size_t best_c = 0;
-          double best_d = HUGE_VAL;
-          for (size_t c = 0; c < k_; ++c) {
-            double d;
-            if (filter_ != nullptr && filter_->LowerBound(i, c) >= best_d) {
-              ++slot.bound_count;
-              d = filter_->LowerBound(i, c);  // valid lower bound kept in lb.
-            } else {
-              ScopedFunctionTimer timer(&slot.profile, "ED");
-              d = KmeansExactDistance(p, result_.centers.row(c));
-              ++slot.exact_count;
-              if (d < best_d) {
-                best_d = d;
-                best_c = c;
-              }
-            }
-            lower_[i * k_ + c] = d;
-          }
+          double* lb = lower_.data() + i * k_;
+          const size_t best_c = ScanAllCenters(i, {lb, k_}, slot);
           result_.assignments[i] = static_cast<int32_t>(best_c);
-          upper_[i] = best_d;
+          upper_[i] = lb[best_c];
           upper_stale_[i] = 0;
           ++slot.changed;
         });
   }
 
   size_t AssignBounded() {
-    // Center-center distances and s(j).
-    {
-      ScopedFunctionTimer timer(&result_.stats.profile, "ED");
-      for (size_t a = 0; a < k_; ++a) {
-        for (size_t b = a + 1; b < k_; ++b) {
-          const double d = KmeansExactDistance(result_.centers.row(a),
-                                               result_.centers.row(b));
-          cc_[a * k_ + b] = d;
-          cc_[b * k_ + a] = d;
-        }
-      }
-      result_.stats.exact_count += k_ * (k_ - 1) / 2;
-      for (size_t a = 0; a < k_; ++a) {
-        double m = HUGE_VAL;
-        for (size_t b = 0; b < k_; ++b) {
-          if (b != a) m = std::min(m, cc_[a * k_ + b]);
-        }
-        nearest_other_[a] = 0.5 * m;
-      }
-    }
-
+    CenterSeparation(nearest_other_, cc_);
     return RunAssignWithPolicy(
         options_.exec, n_, &result_.stats,
         [&](size_t i, size_t /*slot_index*/, WorkerSlot& slot) {
@@ -118,17 +81,9 @@ class ElkanBounds : public KmeansBounds {
               if (lower_[i * k_ + c] >= best_d) continue;
               if (0.5 * cc_[best_c * k_ + c] >= best_d) continue;
             }
-            if (filter_ != nullptr) {
-              ++slot.bound_count;
-              const double pim_lb = filter_->LowerBound(i, c);
-              if (pim_lb >= best_d) {
-                lower_[i * k_ + c] = std::max(lower_[i * k_ + c], pim_lb);
-                continue;
-              }
-            }
-            ScopedFunctionTimer timer(&slot.profile, "ED");
-            const double d = KmeansExactDistance(p, result_.centers.row(c));
-            ++slot.exact_count;
+            // A bound is returned only when it is >= best_d, which exceeds
+            // lower_ here, so d tightens the entry either way.
+            const double d = DistanceOrBound(i, c, best_d, slot);
             lower_[i * k_ + c] = d;
             if (d < best_d) {
               best_d = d;

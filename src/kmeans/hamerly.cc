@@ -29,21 +29,7 @@ class HamerlyBounds : public KmeansBounds {
             ++slot.changed;
           });
     }
-    // s(j) = half the distance to j's nearest other center.
-    {
-      ScopedFunctionTimer timer(&result_.stats.profile, "ED");
-      for (size_t a = 0; a < k_; ++a) {
-        double m = HUGE_VAL;
-        for (size_t b = 0; b < k_; ++b) {
-          if (b == a) continue;
-          m = std::min(m, KmeansExactDistance(result_.centers.row(a),
-                                              result_.centers.row(b)));
-        }
-        nearest_other_[a] = 0.5 * m;
-        result_.stats.exact_count += k_ - 1;
-      }
-    }
-
+    CenterSeparation(nearest_other_);
     return RunAssignWithPolicy(
         options_.exec, n_, &result_.stats,
         [&](size_t i, size_t slot_index, WorkerSlot& slot) {

@@ -62,8 +62,8 @@ Result<KmeansResult> KmeansAlgorithm::Run(const FloatMatrix& data,
 
     if (filter != nullptr) {
       ScopedFunctionTimer timer(&result.stats.profile, "LB_PIM");
-      PIMINE_RETURN_IF_ERROR(filter->BeginIteration(
-          result.centers, std::max<size_t>(1, options.exec.device_batch)));
+      PIMINE_RETURN_IF_ERROR(
+          filter->BeginIteration(result.centers, options.exec.device_batch));
     }
     const size_t changed = bounds->Assign(iter);
     {
@@ -100,27 +100,36 @@ KmeansBounds::KmeansBounds(const KmeansRun& run)
 
 size_t KmeansBounds::ScanAllCenters(size_t i, std::span<double> dist,
                                     WorkerSlot& slot) const {
-  const auto p = data_.row(i);
   size_t best_c = 0;
   double best_d = HUGE_VAL;
   for (size_t c = 0; c < k_; ++c) {
-    if (filter_ != nullptr) {
-      ++slot.bound_count;
-      const double pim_lb = filter_->LowerBound(i, c);
-      if (pim_lb >= best_d) {
-        dist[c] = pim_lb;
-        continue;
-      }
-    }
-    ScopedFunctionTimer timer(&slot.profile, "ED");
-    dist[c] = KmeansExactDistance(p, result_.centers.row(c));
-    ++slot.exact_count;
+    dist[c] = DistanceOrBound(i, c, best_d, slot);
     if (dist[c] < best_d) {
       best_d = dist[c];
       best_c = c;
     }
   }
   return best_c;
+}
+
+void KmeansBounds::CenterSeparation(std::span<double> half_nearest,
+                                    std::span<double> cc) const {
+  ScopedFunctionTimer timer(&result_.stats.profile, "ED");
+  std::fill(half_nearest.begin(), half_nearest.end(), HUGE_VAL);
+  for (size_t a = 0; a < k_; ++a) {
+    for (size_t b = a + 1; b < k_; ++b) {
+      const double d = KmeansExactDistance(result_.centers.row(a),
+                                           result_.centers.row(b));
+      half_nearest[a] = std::min(half_nearest[a], d);
+      half_nearest[b] = std::min(half_nearest[b], d);
+      if (!cc.empty()) {
+        cc[a * k_ + b] = d;
+        cc[b * k_ + a] = d;
+      }
+    }
+  }
+  for (double& s : half_nearest) s *= 0.5;
+  result_.stats.exact_count += k_ * (k_ - 1) / 2;
 }
 
 double KmeansExactDistance(std::span<const float> a,
@@ -138,6 +147,11 @@ Status ValidateKmeansInput(const FloatMatrix& data,
   }
   if (options.max_iterations <= 0) {
     return Status::InvalidArgument("max_iterations must be positive");
+  }
+  if (options.exec.device_batch == 0) {
+    return Status::InvalidArgument(
+        "ExecPolicy::device_batch must be >= 1 (one query per device "
+        "operation); 0 is not a valid batch size");
   }
   // LowerBound and ShardOf index the filter's live-row map by point, so
   // every row of `data` needs an entry there.

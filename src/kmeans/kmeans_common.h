@@ -14,6 +14,7 @@
 #include "core/mutable_dataset.h"
 #include "core/sharded_engine.h"
 #include "data/matrix.h"
+#include "profiling/function_profiler.h"
 #include "profiling/run_stats.h"
 #include "util/parallel.h"
 
@@ -97,6 +98,21 @@ class KmeansBounds {
   /// Returns the closest center; its entry is exact.
   size_t ScanAllCenters(size_t i, std::span<double> dist,
                         WorkerSlot& slot) const;
+
+  /// The PIM-filter step of every assign loop: with a filter, counts one
+  /// bound evaluation and returns the LB_PIM-ED bound of (point i, center
+  /// c) when it is at least `cutoff`. Otherwise counts one exact distance,
+  /// times it as "ED" and returns it. Either value is a valid lower bound
+  /// on the distance, and a value below `cutoff` is always exact.
+  double DistanceOrBound(size_t i, size_t c, double cutoff,
+                         WorkerSlot& slot) const;
+
+  /// Fills half_nearest[j] with s(j), half the distance from center j to
+  /// its nearest other center, and a non-empty `cc` with the k x k
+  /// center-center distances (diagonal untouched). Each pair is computed
+  /// once, under the run profile's "ED" timer, and counted as exact.
+  void CenterSeparation(std::span<double> half_nearest,
+                        std::span<double> cc = {}) const;
 
   const FloatMatrix& data_;
   const KmeansOptions& options_;
@@ -202,8 +218,7 @@ class PimAssignFilter : public MutationListener {
   /// into device batches of `device_batch` (the last group may be short),
   /// each issued as one fleet RunQueryBatch — bounds and all modeled
   /// stats except the device's batch accounting are identical for every
-  /// grouping. Callers pass max(1, options.exec.device_batch);
-  /// device_batch == 0 is rejected with InvalidArgument.
+  /// grouping. device_batch == 0 is rejected with InvalidArgument.
   Status BeginIteration(const FloatMatrix& centers, size_t device_batch = 1);
 
   /// Lower bound on the *real* (non-squared) distance between dense live
@@ -225,7 +240,6 @@ class PimAssignFilter : public MutationListener {
 
   // --- Fleet pass-throughs (trivial for shards == 1) -------------------
   size_t shards() const { return engine_->shards(); }
-  const ShardMap& shard_map() const { return engine_->shard_map(); }
   FleetRunStats FleetStats() const { return engine_->FleetStats(); }
   void ChargeTreeReduction(uint64_t payload_bytes) const {
     engine_->ChargeTreeReduction(payload_bytes);
@@ -256,6 +270,18 @@ class PimAssignFilter : public MutationListener {
   /// matches MutableDataset::LiveCorpus().
   std::vector<uint32_t> live_ids_;
 };
+
+inline double KmeansBounds::DistanceOrBound(size_t i, size_t c, double cutoff,
+                                            WorkerSlot& slot) const {
+  if (filter_ != nullptr) {
+    ++slot.bound_count;
+    const double bound = filter_->LowerBound(i, c);
+    if (bound >= cutoff) return bound;
+  }
+  ScopedFunctionTimer timer(&slot.profile, "ED");
+  ++slot.exact_count;
+  return KmeansExactDistance(data_.row(i), result_.centers.row(c));
+}
 
 }  // namespace pimine
 

@@ -22,32 +22,30 @@ class LloydBounds : public KmeansBounds {
           const size_t start = result_.assignments[i];
           size_t best_c = start;
           double best_d;
-          if (filter_ == nullptr) {
+          {
+            // One "ED" timer spans host Lloyd's whole scan: Figs. 6(b) and
+            // 7(b) profile host Standard with it. With a filter it times the
+            // start distance only, and DistanceOrBound times the rest.
             ScopedFunctionTimer timer(&slot.profile, "ED");
             best_d = KmeansExactDistance(p, result_.centers.row(start));
             ++slot.exact_count;
-            for (size_t c = 0; c < k_; ++c) {
-              if (c == start) continue;
-              const double d = KmeansExactDistance(p, result_.centers.row(c));
-              ++slot.exact_count;
-              if (d < best_d) {
-                best_d = d;
-                best_c = c;
+            if (filter_ == nullptr) {
+              for (size_t c = 0; c < k_; ++c) {
+                if (c == start) continue;
+                const double d =
+                    KmeansExactDistance(p, result_.centers.row(c));
+                ++slot.exact_count;
+                if (d < best_d) {
+                  best_d = d;
+                  best_c = c;
+                }
               }
             }
-          } else {
-            {
-              ScopedFunctionTimer timer(&slot.profile, "ED");
-              best_d = KmeansExactDistance(p, result_.centers.row(start));
-              ++slot.exact_count;
-            }
+          }
+          if (filter_ != nullptr) {
             for (size_t c = 0; c < k_; ++c) {
               if (c == start) continue;
-              ++slot.bound_count;
-              if (filter_->LowerBound(i, c) >= best_d) continue;
-              ScopedFunctionTimer timer(&slot.profile, "ED");
-              const double d = KmeansExactDistance(p, result_.centers.row(c));
-              ++slot.exact_count;
+              const double d = DistanceOrBound(i, c, best_d, slot);
               if (d < best_d) {
                 best_d = d;
                 best_c = c;

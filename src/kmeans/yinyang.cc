@@ -155,24 +155,9 @@ class YinyangBounds : public KmeansBounds {
             int32_t min1_c = -1;
             for (int32_t c : members_[g]) {
               if (static_cast<size_t>(c) == a) continue;
-              double value;
-              bool exact = true;
-              if (filter_ != nullptr) {
-                ++slot.bound_count;
-                const double pim_lb = filter_->LowerBound(i, c);
-                if (pim_lb >= best_d) {
-                  value = pim_lb;  // valid lower bound for the group min.
-                  exact = false;
-                } else {
-                  ScopedFunctionTimer timer(&slot.profile, "ED");
-                  value = KmeansExactDistance(p, result_.centers.row(c));
-                  ++slot.exact_count;
-                }
-              } else {
-                ScopedFunctionTimer timer(&slot.profile, "ED");
-                value = KmeansExactDistance(p, result_.centers.row(c));
-                ++slot.exact_count;
-              }
+              // A PIM bound (never below best_d) still bounds the group
+              // minimum.
+              const double value = DistanceOrBound(i, c, best_d, slot);
               if (value < min1) {
                 min2 = min1;
                 min1 = value;
@@ -180,7 +165,7 @@ class YinyangBounds : public KmeansBounds {
               } else if (value < min2) {
                 min2 = value;
               }
-              if (exact && value < best_d) {
+              if (value < best_d) {
                 best_d = value;
                 best_c = c;
               }

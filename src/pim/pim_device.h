@@ -128,13 +128,12 @@ class PimDevice {
   /// True once a dataset is programmed.
   bool programmed() const { return !data_.empty(); }
 
-  /// Physical rows currently programmed (base + delta, incl. tombstoned).
-  size_t num_rows() const { return data_.rows(); }
   /// Rows in the delta (append) region since the last full (re)program.
   size_t delta_rows() const { return data_.rows() - base_rows_; }
   /// Rows currently tombstoned.
   size_t tombstoned_rows() const { return tombstone_count_; }
-  /// Rows that still count (num_rows() - tombstoned_rows()).
+  /// Rows that still count: programmed rows (base + delta) minus
+  /// tombstoned_rows().
   size_t live_rows() const { return data_.rows() - tombstone_count_; }
   bool tombstoned(size_t row) const {
     return row < tombstone_.size() && tombstone_[row] != 0;
@@ -217,11 +216,6 @@ class PimDevice {
   const PimConfig& config() const { return config_; }
   const PimTimingModel& timing() const { return timing_; }
   const FaultConfig& fault_config() const { return fault_config_; }
-  const RecoveryPolicy& recovery_policy() const { return recovery_; }
-
-  /// Objects per checksum-protected result group (the logical columns of
-  /// one data-crossbar set). 1 when no dataset is programmed.
-  size_t fault_group_size() const { return fault_group_size_; }
 
  private:
   /// One stuck cell's aggregate effect on a stored operand: reading
@@ -305,6 +299,8 @@ class PimDevice {
   FaultConfig fault_config_;
   RecoveryPolicy recovery_;
   std::unique_ptr<FaultModel> faults_;
+  /// Objects per checksum-protected result group (the logical columns of
+  /// one data-crossbar set). 1 when no dataset is programmed.
   size_t fault_group_size_ = 1;
   std::vector<std::vector<StuckDelta>> stuck_;       // per object.
   std::vector<std::vector<StuckDelta>> csum_stuck_;  // per group checksum.

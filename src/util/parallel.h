@@ -20,7 +20,7 @@ struct ExecPolicy {
   /// Queries per work unit of a kNN Search and per PIM device batch:
   /// workers claim whole batches of this many queries, and a path with a
   /// PimEngine issues one DotProductBatch (tiled GEMM) per batch instead of
-  /// one per query; kNN Search rejects 0. Functional results,
+  /// one per query; kNN Search and k-means Run reject 0. Functional results,
   /// traffic and the serial-equivalent modeled PIM time are bit-identical
   /// for every value; only wall time, the device's
   /// batch_ops/queries_per_batch accounting and the modeled pipelined_ns

@@ -21,9 +21,6 @@ class Timer {
         .count();
   }
 
-  double ElapsedMicros() const {
-    return static_cast<double>(ElapsedNanos()) / 1e3;
-  }
   double ElapsedMillis() const {
     return static_cast<double>(ElapsedNanos()) / 1e6;
   }

@@ -199,6 +199,10 @@ TEST(GoldenStatsTest, KmeansAlgorithms) {
     auto result = algorithm->Run(w.data, options);
     ASSERT_TRUE(result.ok()) << c.label;
     CheckAgainstGolden(c.label, result->stats);
+    // A fault-free filter loads one PIM result per bound it evaluates.
+    EXPECT_EQ(result->stats.bound_count,
+              result->stats.traffic.pim_results_loaded)
+        << c.label;
   }
 }
 
@@ -376,6 +380,9 @@ TEST(GoldenStatsTest, ShardedKmeansMatchesSingleDeviceGoldens) {
       auto result = algorithm->Run(w.data, options);
       ASSERT_TRUE(result.ok()) << c.label;
       CheckAgainstGolden(c.label, result->stats);
+      EXPECT_EQ(result->stats.bound_count,
+                result->stats.traffic.pim_results_loaded)
+          << c.label;
       EXPECT_GT(result->stats.fleet.reduce_messages, 0u) << c.label;
     }
   }

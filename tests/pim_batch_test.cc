@@ -20,6 +20,7 @@
 #include "core/similarity.h"
 #include "data/matrix.h"
 #include "kmeans/kmeans_common.h"
+#include "kmeans/lloyd.h"
 #include "knn/standard_pim_knn.h"
 #include "pim/crossbar.h"
 #include "pim/crossbar_math.h"
@@ -297,6 +298,19 @@ TEST(PimBatchTest, ZeroDeviceBatchPolicyIsRejectedNotMisread) {
   ASSERT_FALSE(begin.ok());
   EXPECT_EQ(begin.code(), StatusCode::kInvalidArgument);
   EXPECT_TRUE((*filter)->BeginIteration(queries, 1).ok());
+
+  // k-means rejects it up front, with or without the PIM filter.
+  for (const bool use_pim : {false, true}) {
+    KmeansOptions options;
+    options.k = 3;
+    options.use_pim = use_pim;
+    options.exec = policy;
+    const auto run = LloydKmeans().Run(data, options);
+    ASSERT_FALSE(run.ok()) << use_pim;
+    EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument) << use_pim;
+    EXPECT_NE(run.status().message().find("device_batch"), std::string::npos)
+        << run.status().ToString();
+  }
 }
 
 class GemmTierTest : public ::testing::TestWithParam<GemmTier> {};
