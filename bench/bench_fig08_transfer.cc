@@ -27,7 +27,7 @@ void Run() {
     // Conventional: exact ED for every candidate (full scan, no abandon).
     uint64_t conventional_bits = 0;
     {
-      TrafficScope scope;
+      traffic::AggregateScope scope;
       for (size_t q = 0; q < w.queries.rows(); ++q) {
         for (size_t i = 0; i < n; ++i) {
           SquaredEuclidean(w.data.row(i), w.queries.row(q));
@@ -44,7 +44,7 @@ void Run() {
                                                EngineOptions());
       PIMINE_CHECK(engine_or.ok());
       const ShardedPimEngine& engine = **engine_or;
-      TrafficScope scope;
+      traffic::AggregateScope scope;
       std::vector<double> bounds(n);
       for (size_t q = 0; q < w.queries.rows(); ++q) {
         auto batch = engine.RunQueryBatch(w.queries.row(q), 1);

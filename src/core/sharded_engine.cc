@@ -270,7 +270,7 @@ void ShardedPimEngine::WalkLadder(size_t j, size_t num_queries,
                                   const DispatchOptions& dispatch, int from,
                                   std::span<ReplicaHealth> health,
                                   LadderPlan* plan) const {
-  const uint64_t now_ns = DispatchNs(dispatch);
+  const uint64_t now_ns = dispatch.now_ns;
   const bool chaos_on = chaos_ != nullptr && chaos_->enabled();
   const uint64_t matrices = primary(0).num_devices();
   const uint64_t retry_bytes = RetryOperandBytes(num_queries);
@@ -583,6 +583,25 @@ void ShardedPimEngine::CloseRun(RunStats* stats) const {
   stats->pim_ns = PimComputeNs();
   stats->fault = FaultStatsTotal();
   stats->fleet = FleetStats();
+}
+
+namespace {
+
+// Resets before RunScope's traffic scope and wall clock open (members
+// initialize in declaration order).
+ShardedPimEngine* ResetForRun(ShardedPimEngine* fleet) {
+  if (fleet != nullptr) fleet->ResetOnlineStats();
+  return fleet;
+}
+
+}  // namespace
+
+RunScope::RunScope(ShardedPimEngine* fleet) : fleet_(ResetForRun(fleet)) {}
+
+void RunScope::Close(RunStats* stats) const {
+  stats->wall_ms = wall_.ElapsedMillis();
+  stats->traffic = traffic_.Delta();
+  if (fleet_ != nullptr) fleet_->CloseRun(stats);
 }
 
 double ShardedPimEngine::OfflineNs() const {

@@ -14,7 +14,9 @@
 #include "data/matrix.h"
 #include "pim/chaos.h"
 #include "pim/fleet.h"
+#include "sim/traffic.h"
 #include "util/parallel.h"
+#include "util/timer.h"
 
 namespace pimine {
 
@@ -96,7 +98,7 @@ class ShardedPimEngine {
   /// plain overloads' behaviour (no chaos instant, host-exact shedding).
   struct DispatchOptions {
     /// Dispatch instant on the caller's clock (virtual ns in replay) the
-    /// chaos schedule is evaluated at. 0 falls back to set_chaos_now_ns.
+    /// chaos schedule is evaluated at.
     uint64_t now_ns = 0;
     /// Degraded mode: when every replica of a shard is exhausted, serve
     /// the shard as a bound-slack fill (exact-after-refine) instead of a
@@ -134,12 +136,6 @@ class ShardedPimEngine {
   /// engine's use). nullptr (the default) disables availability faults
   /// entirely — bit-identical to the pre-chaos engine.
   void set_chaos(const ChaosSchedule* chaos) { chaos_ = chaos; }
-  /// Fallback dispatch instant for callers without a per-dispatch clock.
-  /// The caller sets it; it holds until the caller sets it again.
-  void set_chaos_now_ns(uint64_t now_ns) {
-    chaos_now_ns_.store(now_ns, std::memory_order_relaxed);
-  }
-  const ChaosSchedule* chaos() const { return chaos_; }
 
   /// The bound for `batch` query `query` against GLOBAL object `index`:
   /// routed to shard_of(index) and combined there. Bit-identical to the
@@ -249,8 +245,9 @@ class ShardedPimEngine {
   double PimPipelinedNs() const;
   /// ShardHealth::fault merged over the shards.
   FaultStats FaultStatsTotal() const;
-  /// The engine half of a PIM run's epilogue: PimComputeNs, FaultStatsTotal
-  /// and FleetStats into stats->pim_ns, fault and fleet.
+  /// The engine half of a PIM run's epilogue (RunScope::Close, and live
+  /// serving's snapshots): PimComputeNs, FaultStatsTotal and FleetStats
+  /// into stats->pim_ns, fault and fleet.
   void CloseRun(RunStats* stats) const;
   /// Offline time: shards program concurrently, so the max over shards.
   double OfflineNs() const;
@@ -326,13 +323,6 @@ class ShardedPimEngine {
   };
   ReplicaHealth HealthOf(size_t j, size_t r) const;
 
-  /// The instant the chaos schedule is evaluated at for `dispatch`.
-  uint64_t DispatchNs(const DispatchOptions& dispatch) const {
-    return dispatch.now_ns != 0
-               ? dispatch.now_ns
-               : chaos_now_ns_.load(std::memory_order_relaxed);
-  }
-
   /// Runs shard j's share of one dispatch: its plan (handed in or walked
   /// now), continuing the walk past a replica only on a data-plane
   /// DeviceFault, and escalating off-device when the plan sheds.
@@ -374,7 +364,6 @@ class ShardedPimEngine {
   // Availability-fault plane: an installed schedule is consulted (purely,
   // by dispatch instant) before every replica attempt. Never owned.
   const ChaosSchedule* chaos_ = nullptr;
-  mutable std::atomic<uint64_t> chaos_now_ns_{0};
 
   // Fleet interconnect accounting: integer counters only (mutated under
   // concurrent RunQueryBatch calls; order-independent), ns derived at
@@ -415,6 +404,27 @@ class ShardedPimEngine {
   std::atomic<uint64_t> mut_deleted_rows_{0};
   std::atomic<uint64_t> mut_compactions_{0};
   std::atomic<uint64_t> mut_compacted_rows_{0};
+};
+
+/// The open and close of every run's RunStats: kNN Search, k-means Run,
+/// serving Replay, outlier Detect, motif Find and Hamming Search. One run
+/// is one scope, so the run's wall time, its process-wide traffic delta
+/// and its fleet's device figures cover the same work.
+class RunScope {
+ public:
+  /// Resets `fleet`'s online stats (null for a host-only run), then opens
+  /// the process-wide traffic scope and the wall clock.
+  explicit RunScope(ShardedPimEngine* fleet);
+
+  /// The run's epilogue: wall_ms and traffic since construction, and with
+  /// a fleet CloseRun's pim_ns, fault and fleet. Call after every worker
+  /// of the run has finished.
+  void Close(RunStats* stats) const;
+
+ private:
+  ShardedPimEngine* const fleet_;
+  const traffic::AggregateScope traffic_;
+  const Timer wall_;
 };
 
 }  // namespace pimine

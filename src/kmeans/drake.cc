@@ -41,16 +41,14 @@ class DrakeBounds : public KmeansBounds {
 
   size_t Assign(int iter) override {
     if (iter == 0) {
-      return RunAssignWithPolicy(
-          options_.exec, n_, &result_.stats,
+      return AssignPass(
           [&](size_t i, size_t slot_index, WorkerSlot& slot) {
             result_.assignments[i] =
                 static_cast<int32_t>(Rescan(i, scratch_[slot_index], slot));
             ++slot.changed;
           });
     }
-    return RunAssignWithPolicy(
-        options_.exec, n_, &result_.stats,
+    return AssignPass(
         [&](size_t i, size_t slot_index, WorkerSlot& slot) {
           PointBounds& pb = bounds_[i];
           const size_t a = result_.assignments[i];

@@ -43,8 +43,7 @@ class ElkanBounds : public KmeansBounds {
   // First assign pass fills every lower bound: the exact distance or, where
   // it cannot beat the closest center so far, the PIM bound.
   size_t AssignFirst() {
-    return RunAssignWithPolicy(
-        options_.exec, n_, &result_.stats,
+    return AssignPass(
         [&](size_t i, size_t /*slot_index*/, WorkerSlot& slot) {
           double* lb = lower_.data() + i * k_;
           const size_t best_c = ScanAllCenters(i, {lb, k_}, slot);
@@ -57,8 +56,7 @@ class ElkanBounds : public KmeansBounds {
 
   size_t AssignBounded() {
     CenterSeparation(nearest_other_, cc_);
-    return RunAssignWithPolicy(
-        options_.exec, n_, &result_.stats,
+    return AssignPass(
         [&](size_t i, size_t /*slot_index*/, WorkerSlot& slot) {
           const size_t a = result_.assignments[i];
           if (upper_[i] <= nearest_other_[a]) return;

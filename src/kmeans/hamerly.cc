@@ -22,16 +22,14 @@ class HamerlyBounds : public KmeansBounds {
 
   size_t Assign(int iter) override {
     if (iter == 0) {
-      return RunAssignWithPolicy(
-          options_.exec, n_, &result_.stats,
+      return AssignPass(
           [&](size_t i, size_t slot_index, WorkerSlot& slot) {
             Rescan(i, dist_[slot_index], slot);
             ++slot.changed;
           });
     }
     CenterSeparation(nearest_other_);
-    return RunAssignWithPolicy(
-        options_.exec, n_, &result_.stats,
+    return AssignPass(
         [&](size_t i, size_t slot_index, WorkerSlot& slot) {
           const size_t a = result_.assignments[i];
           const double gate = std::max(nearest_other_[a], lower_[i]);

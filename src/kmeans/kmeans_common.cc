@@ -47,8 +47,7 @@ Result<KmeansResult> KmeansAlgorithm::Run(const FloatMatrix& data,
   const std::unique_ptr<KmeansBounds> bounds =
       NewBounds(KmeansRun{data, options, filter, result});
 
-  traffic::AggregateScope traffic_scope;
-  Timer total_wall;
+  RunScope scope(filter != nullptr ? &filter->engine() : nullptr);
   std::vector<double> moved;
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     Timer iter_wall;
@@ -83,9 +82,7 @@ Result<KmeansResult> KmeansAlgorithm::Run(const FloatMatrix& data,
   }
 
   result.inertia = ComputeInertia(data, result.centers, result.assignments);
-  result.stats.wall_ms = total_wall.ElapsedMillis();
-  result.stats.traffic = traffic_scope.Delta();
-  if (filter != nullptr) filter->engine().CloseRun(&result.stats);
+  scope.Close(&result.stats);
   PublishRunMetrics(result.stats, "pimine_kmeans_iteration_ns");
   return result;
 }
@@ -97,6 +94,20 @@ KmeansBounds::KmeansBounds(const KmeansRun& run)
       result_(run.result),
       n_(run.data.rows()),
       k_(static_cast<size_t>(run.options.k)) {}
+
+size_t KmeansBounds::AssignPass(
+    const std::function<void(size_t, size_t, WorkerSlot&)>& assign_point) {
+  uint64_t changed = 0;
+  const Status status = RunSlotPass(
+      options_.exec, n_, AssignChunk(options_.exec, n_), &result_.stats,
+      [&](size_t begin, size_t end, size_t slot_index, WorkerSlot& slot) {
+        for (size_t i = begin; i < end; ++i) assign_point(i, slot_index, slot);
+      },
+      &changed);
+  PIMINE_DCHECK(status.ok());  // no assign step records an error.
+  obs::AddCounter("pimine_kmeans_reassignments_total", changed);
+  return changed;
+}
 
 size_t KmeansBounds::ScanAllCenters(size_t i, std::span<double> dist,
                                     WorkerSlot& slot) const {
@@ -148,13 +159,9 @@ Status ValidateKmeansInput(const FloatMatrix& data,
   if (options.max_iterations <= 0) {
     return Status::InvalidArgument("max_iterations must be positive");
   }
-  if (options.exec.device_batch == 0) {
-    return Status::InvalidArgument(
-        "ExecPolicy::device_batch must be >= 1 (one query per device "
-        "operation); 0 is not a valid batch size");
-  }
-  // LowerBound and ShardOf index the filter's live-row map by point, so
-  // every row of `data` needs an entry there.
+  PIMINE_RETURN_IF_ERROR(options.exec.CheckDeviceBatch());
+  // LowerBound indexes the filter's live-row map by point, so every row of
+  // `data` needs an entry there.
   if (options.filter != nullptr &&
       options.filter->live_points() != data.rows()) {
     return Status::InvalidArgument(
@@ -168,31 +175,6 @@ Status ValidateKmeansInput(const FloatMatrix& data,
 
 size_t NumAssignSlots(const ExecPolicy& policy, size_t num_points) {
   return NumSlots(policy, num_points, AssignChunk(policy, num_points));
-}
-
-size_t RunAssignWithPolicy(
-    const ExecPolicy& policy, size_t num_points, RunStats* stats,
-    const std::function<void(size_t, size_t, WorkerSlot&)>& assign_point) {
-  const size_t chunk = AssignChunk(policy, num_points);
-  std::vector<WorkerSlot> slots(NumSlots(policy, num_points, chunk));
-  ParallelChunks(policy, num_points, chunk,
-                 [&](size_t begin, size_t end, size_t slot_index) {
-                   // Opt-in physical span: this worker's chunk of the pass.
-                   obs::SchedSpan sched(static_cast<int64_t>(begin / chunk),
-                                        static_cast<int64_t>(begin),
-                                        static_cast<int64_t>(end));
-                   WorkerSlot& slot = slots[slot_index];
-                   for (size_t i = begin; i < end; ++i) {
-                     assign_point(i, slot_index, slot);
-                   }
-                 });
-  size_t changed = 0;
-  for (const WorkerSlot& slot : slots) {
-    slot.FoldInto(stats);
-    changed += slot.changed;
-  }
-  obs::AddCounter("pimine_kmeans_reassignments_total", changed);
-  return changed;
 }
 
 double KmeansResult::MeanIterationMs() const {
@@ -228,34 +210,19 @@ FloatMatrix UpdateCenters(const FloatMatrix& data,
   const size_t d = data.cols();
   PIMINE_CHECK(assignments.size() == data.rows());
 
-  // Each shard accumulates a partial over its own rows (one partial
-  // without a filter), then the partials merge pairwise. ExactSum addition
-  // is exact integer addition, so the tree result equals a flat sum
-  // bit-for-bit for every shard count; only the fleet reduce accounting
-  // below varies.
-  const size_t shards = filter != nullptr ? filter->shards() : 1;
+  // One flat sum per center coordinate. ExactSum addition is exact integer
+  // addition, so this equals the per-shard partials merged by the pairwise
+  // tree the model charges, bit for bit and for every shard count.
   std::vector<int64_t> counts(k, 0);
-  std::vector<std::vector<ExactSum>> partials(shards,
-                                              std::vector<ExactSum>(k * d));
+  std::vector<ExactSum> sums(k * d);
   for (size_t i = 0; i < data.rows(); ++i) {
     const int32_t c = assignments[i];
     PIMINE_DCHECK(c >= 0 && static_cast<size_t>(c) < k);
     const auto row = data.row(i);
-    // ShardOf translates the dense live index to the physical fleet row,
-    // so partials group by where the row actually lives post-mutation.
-    const size_t shard = filter != nullptr ? filter->ShardOf(i) : 0;
-    ExactSum* sum = partials[shard].data() + static_cast<size_t>(c) * d;
+    ExactSum* sum = sums.data() + static_cast<size_t>(c) * d;
     for (size_t j = 0; j < d; ++j) sum[j].Add(row[j]);
     ++counts[c];
   }
-  for (size_t stride = 1; stride < shards; stride *= 2) {
-    for (size_t a = 0; a + stride < shards; a += 2 * stride) {
-      std::vector<ExactSum>& into = partials[a];
-      const std::vector<ExactSum>& from = partials[a + stride];
-      for (size_t j = 0; j < k * d; ++j) into[j].Merge(from[j]);
-    }
-  }
-  const std::vector<ExactSum>& sums = partials[0];
   if (filter != nullptr) {
     filter->ChargeTreeReduction(k * d * sizeof(ExactSum) +
                                 k * sizeof(int64_t));

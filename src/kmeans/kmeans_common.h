@@ -92,6 +92,13 @@ class KmeansBounds {
  protected:
   explicit KmeansBounds(const KmeansRun& run);
 
+  /// One assign pass: `assign_point(i, slot_index, slot)` for every point
+  /// through RunSlotPass (inline when serial; each worker writes only its
+  /// points' entries). Folds the slots into the run's stats and returns
+  /// the reassignments the workers tallied.
+  size_t AssignPass(
+      const std::function<void(size_t, size_t, WorkerSlot&)>& assign_point);
+
   /// Scans point i against every center into dist[0, k): the exact
   /// distance wherever the PIM bound (with a filter) could still beat the
   /// closest center found so far, else that bound, a valid lower bound.
@@ -132,18 +139,20 @@ class KmeansAlgorithm {
   virtual std::string_view name() const = 0;
 
   /// The one k-means driver: validates the input, sets up the shared or a
-  /// run-owned PIM filter and the initial centers, then iterates
-  /// BeginIteration ("LB_PIM"), the algorithm's Assign, UpdateCenters
-  /// ("update") and its UpdateBounds until an iteration past the first
-  /// reassigns nothing or max_iterations is reached. Fills every RunStats
-  /// field except footprint_bytes, which the bounds set.
+  /// run-owned PIM filter and the initial centers, and opens the run's
+  /// RunScope over the filter's fleet (so a shared filter reports this run
+  /// only). It then iterates BeginIteration ("LB_PIM"), the algorithm's
+  /// Assign, UpdateCenters ("update") and its UpdateBounds until an
+  /// iteration past the first reassigns nothing or max_iterations is
+  /// reached. Fills every RunStats field except footprint_bytes, which the
+  /// bounds set.
   Result<KmeansResult> Run(const FloatMatrix& data,
                            const KmeansOptions& options) const;
 
  private:
   /// The algorithm's per-run state over `run`; sets
   /// run.result.stats.footprint_bytes. Called after the initial centers are
-  /// drawn and before the run's traffic scope opens, so setup work (e.g.
+  /// drawn and before the run's RunScope opens, so setup work (e.g.
   /// Yinyang's center grouping) is not charged to the run.
   virtual std::unique_ptr<KmeansBounds> NewBounds(
       const KmeansRun& run) const = 0;
@@ -157,17 +166,8 @@ double KmeansExactDistance(std::span<const float> a, std::span<const float> b);
 Status ValidateKmeansInput(const FloatMatrix& data,
                            const KmeansOptions& options);
 
-/// Runs `assign_point(i, slot_index, slot)` for every point in [0,
-/// num_points) across the policy's workers in chunks of at most 512 points,
-/// at least four per worker when the pass is that large (inline when
-/// serial). The slots are folded into `stats` in slot order;
-/// returns the total number of reassignments the workers tallied.
-size_t RunAssignWithPolicy(
-    const ExecPolicy& policy, size_t num_points, RunStats* stats,
-    const std::function<void(size_t, size_t, WorkerSlot&)>& assign_point);
-
-/// Number of distinct slot_index values RunAssignWithPolicy passes for
-/// (policy, num_points): the size of an algorithm's per-slot scratch.
+/// Number of distinct slot_index values an assign pass over `num_points`
+/// passes under `policy`: the size of an algorithm's per-slot scratch.
 size_t NumAssignSlots(const ExecPolicy& policy, size_t num_points);
 
 /// Draws k distinct rows of `data` as initial centers (deterministic in
@@ -178,13 +178,14 @@ FloatMatrix InitCenters(const FloatMatrix& data, int k, uint64_t seed);
 /// that lost all points keep their previous center. Returns per-center
 /// movement (real Euclidean distance moved) in `moved` when non-null.
 ///
-/// Coordinate sums accumulate in ExactSum fixed-point registers, so the
-/// result is a pure function of the multiset of assigned rows — grouping
-/// cannot change it. The sums are formed as per-shard partials of
-/// `filter`'s fleet (one partial without a filter) merged by a pairwise
-/// tree, which by that exactness is bit-identical to a flat sum; the
-/// tree's interconnect critical path is charged to the filter's fleet
-/// stats. Host traffic charges are identical for every shard count.
+/// Coordinate sums accumulate in one flat k x d array of ExactSum
+/// fixed-point registers, so the result is a pure function of the multiset
+/// of assigned rows: no summation order or grouping can change it. The
+/// model charges the paper's per-shard partials of `filter`'s fleet merged
+/// by a pairwise tree (ChargeTreeReduction's critical path in the fleet
+/// stats); by that exactness the tree's result is this flat sum, so the
+/// partials exist only in the charge. Host traffic charges are identical
+/// for every shard count.
 FloatMatrix UpdateCenters(const FloatMatrix& data,
                           const std::vector<int32_t>& assignments,
                           const FloatMatrix& previous_centers,
@@ -202,8 +203,8 @@ double ComputeInertia(const FloatMatrix& data, const FloatMatrix& centers,
 ///
 /// As a MutationListener the filter mirrors corpus mutations onto its
 /// fleet and maintains the dense-live -> physical id map: k-means always
-/// runs over the dense live view, and LowerBound/ShardOf translate dense
-/// point indices to the fleet's physical rows.
+/// runs over the dense live view, and LowerBound translates dense point
+/// indices to the fleet's physical rows.
 class PimAssignFilter : public MutationListener {
  public:
   static Result<std::unique_ptr<PimAssignFilter>> Build(
@@ -225,11 +226,6 @@ class PimAssignFilter : public MutationListener {
   /// point `point` and `center`. O(1) host work.
   double LowerBound(size_t point, size_t center) const;
 
-  /// Shard holding dense live point `point` (UpdateCenters groups its
-  /// per-shard partial sums by this).
-  uint32_t ShardOf(size_t point) const {
-    return engine_->shard_map().shard_of[live_ids_[point]];
-  }
   /// Dense live points currently addressable (rows of the live view).
   size_t live_points() const { return live_ids_.size(); }
 
@@ -237,9 +233,9 @@ class PimAssignFilter : public MutationListener {
   double OfflineNs() const { return engine_->OfflineNs(); }
   void ResetOnlineStats() { engine_->ResetOnlineStats(); }
   const ShardedPimEngine& engine() const { return *engine_; }
+  ShardedPimEngine& engine() { return *engine_; }
 
   // --- Fleet pass-throughs (trivial for shards == 1) -------------------
-  size_t shards() const { return engine_->shards(); }
   FleetRunStats FleetStats() const { return engine_->FleetStats(); }
   void ChargeTreeReduction(uint64_t payload_bytes) const {
     engine_->ChargeTreeReduction(payload_bytes);
@@ -249,16 +245,6 @@ class PimAssignFilter : public MutationListener {
   void set_fanout_policy(const ExecPolicy& policy) {
     engine_->set_fanout_policy(policy);
   }
-  /// Installs an availability-chaos schedule (owned by the caller,
-  /// outliving the filter's use) on the underlying fleet and readmits all
-  /// replicas. nullptr uninstalls — bit-identical to the pre-chaos filter.
-  void InstallChaos(const ChaosSchedule* schedule) {
-    engine_->set_chaos(schedule);
-    engine_->ResetReplicaHealth();
-  }
-  /// Sets the instant the chaos schedule is evaluated at for the following
-  /// BeginIteration dispatches. The caller sets it; Run does not.
-  void SetChaosNowNs(uint64_t now_ns) { engine_->set_chaos_now_ns(now_ns); }
 
  private:
   explicit PimAssignFilter(std::unique_ptr<ShardedPimEngine> engine);
@@ -276,7 +262,10 @@ inline double KmeansBounds::DistanceOrBound(size_t i, size_t c, double cutoff,
   if (filter_ != nullptr) {
     ++slot.bound_count;
     const double bound = filter_->LowerBound(i, c);
-    if (bound >= cutoff) return bound;
+    if (bound >= cutoff) {
+      ++slot.pruned_count;
+      return bound;
+    }
   }
   ScopedFunctionTimer timer(&slot.profile, "ED");
   ++slot.exact_count;

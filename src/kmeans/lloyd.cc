@@ -15,8 +15,7 @@ class LloydBounds : public KmeansBounds {
   size_t Assign(int /*iter*/) override {
     // Points are independent: each worker reads the shared centers/filter
     // and writes only its own assignment entries.
-    return RunAssignWithPolicy(
-        options_.exec, n_, &result_.stats,
+    return AssignPass(
         [&](size_t i, size_t /*slot_index*/, WorkerSlot& slot) {
           const auto p = data_.row(i);
           const size_t start = result_.assignments[i];

@@ -99,8 +99,7 @@ class YinyangBounds : public KmeansBounds {
   // an exact distance — same treatment as Elkan's init. Like Elkan, Hamerly
   // and Drake it counts every point as reassigned.
   size_t AssignFirst() {
-    return RunAssignWithPolicy(
-        options_.exec, n_, &result_.stats,
+    return AssignPass(
         [&](size_t i, size_t slot_index, WorkerSlot& slot) {
           std::vector<double>& dist = scratch_[slot_index].dist;
           const size_t best_c = ScanAllCenters(i, dist, slot);
@@ -119,8 +118,7 @@ class YinyangBounds : public KmeansBounds {
   }
 
   size_t AssignFiltered() {
-    return RunAssignWithPolicy(
-        options_.exec, n_, &result_.stats,
+    return AssignPass(
         [&](size_t i, size_t slot_index, WorkerSlot& slot) {
           const size_t a = result_.assignments[i];
           double* lb = lower_.data() + i * t_;

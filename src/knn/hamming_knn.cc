@@ -1,8 +1,8 @@
 #include "knn/hamming_knn.h"
 
 #include "common/logging.h"
+#include "core/sharded_engine.h"
 #include "sim/traffic.h"
-#include "util/timer.h"
 
 namespace pimine {
 
@@ -24,8 +24,7 @@ Result<KnnRunResult> HammingScanKnn::Search(const BitMatrix& queries, int k) {
   KnnRunResult result;
   result.neighbors.reserve(queries.rows());
   result.stats.footprint_bytes = codes_->SizeBytes();
-  TrafficScope traffic_scope;
-  Timer wall;
+  const RunScope scope(nullptr);
 
   const size_t n = codes_->rows();
   const size_t words = codes_->words_per_row();
@@ -43,8 +42,7 @@ Result<KnnRunResult> HammingScanKnn::Search(const BitMatrix& queries, int k) {
     result.neighbors.push_back(topk.TakeSorted());
   }
 
-  result.stats.wall_ms = wall.ElapsedMillis();
-  result.stats.traffic = traffic_scope.Delta();
+  scope.Close(&result.stats);
   return result;
 }
 
@@ -67,9 +65,10 @@ Result<KnnRunResult> HammingPimKnn::Search(const BitMatrix& queries, int k) {
 
   KnnRunResult result;
   result.neighbors.reserve(queries.rows());
+  // The popcount engine is not a fleet: the run resets and reads its
+  // device time itself, and the scope closes the host half.
   engine_->ResetOnlineStats();
-  TrafficScope traffic_scope;
-  Timer wall;
+  const RunScope scope(nullptr);
 
   const size_t n = engine_->num_objects();
   std::vector<int32_t> distances;
@@ -88,8 +87,7 @@ Result<KnnRunResult> HammingPimKnn::Search(const BitMatrix& queries, int k) {
     result.neighbors.push_back(topk.TakeSorted());
   }
 
-  result.stats.wall_ms = wall.ElapsedMillis();
-  result.stats.traffic = traffic_scope.Delta();
+  scope.Close(&result.stats);
   result.stats.pim_ns = engine_->PimComputeNs();
   result.stats.footprint_bytes = n * sizeof(uint64_t);
   return result;

@@ -2,7 +2,6 @@
 #define PIMINE_KNN_KNN_COMMON_H_
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -60,23 +59,6 @@ class KnnAlgorithm {
  protected:
   ExecPolicy exec_policy_;
 };
-
-/// The kNN driver's query harness (KnnSearchBase::Search): workers claim
-/// whole device batches of `policy.device_batch` queries (the final batch
-/// may be short) and `run_batch(begin, end, slot_index, slot)` answers
-/// queries [begin, end), with ONE fleet RunQueryBatch on a PIM path. The
-/// slots are folded into `stats` in slot order; returns the first error any
-/// worker recorded (InvalidArgument for device_batch = 0), and a worker
-/// stops claiming batches once its slot holds an error. Batch boundaries
-/// depend only on device_batch, so results and modeled stats are
-/// reproducible for any thread count.
-Status RunQueryBatchesWithPolicy(
-    const ExecPolicy& policy, size_t num_queries, RunStats* stats,
-    const std::function<void(size_t, size_t, size_t, WorkerSlot&)>& run_batch);
-
-/// Worker slots RunQueryBatchesWithPolicy uses for `num_queries` under
-/// `policy` (scratch-sizing counterpart of NumSlots for device batches).
-size_t NumBatchSlots(const ExecPolicy& policy, size_t num_queries);
 
 /// Indices [0, n) sorted so values[out[0]] <= values[out[1]] <= ..., ties
 /// (including -0.0 against +0.0) to the lower index. This is the reference

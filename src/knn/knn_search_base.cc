@@ -1,8 +1,6 @@
 #include "knn/knn_search_base.h"
 
 #include "obs/obs.h"
-#include "sim/traffic.h"
-#include "util/timer.h"
 
 namespace pimine {
 
@@ -26,14 +24,15 @@ Result<KnnRunResult> KnnSearchBase::Search(const FloatMatrix& queries,
     return Status::InvalidArgument("k out of range");
   }
 
+  PIMINE_RETURN_IF_ERROR(exec_policy_.CheckDeviceBatch());
+
   KnnRunResult result;
   result.neighbors.resize(queries.rows());
-  if (engine_) engine_->ResetOnlineStats();
-  traffic::AggregateScope traffic_scope;
-  Timer wall;
+  RunScope scope(engine_.get());
 
+  const size_t batch = exec_policy_.device_batch;
   std::vector<BatchScratch> scratch(
-      NumBatchSlots(exec_policy_, queries.rows()));
+      NumSlots(exec_policy_, queries.rows(), batch));
   for (BatchScratch& s : scratch) s.bounds.resize(data_->rows());
 
   // Serial-equivalent device time per query, hoisted so every QuerySpan
@@ -42,9 +41,15 @@ Result<KnnRunResult> KnnSearchBase::Search(const FloatMatrix& queries,
   const double device_ns_per_query =
       obs::Obs::Enabled() && device ? engine_->SerialDeviceNsPerQuery() : 0.0;
 
-  Status status = RunQueryBatchesWithPolicy(
-      exec_policy_, queries.rows(), &result.stats,
+  // Each piece of the slot pass is one device batch: its boundaries depend
+  // only on device_batch, so the realized batches (and the device's batch
+  // accounting) are the same for every thread count.
+  PIMINE_RETURN_IF_ERROR(RunSlotPass(
+      exec_policy_, queries.rows(), batch, &result.stats,
       [&](size_t begin, size_t end, size_t slot_index, WorkerSlot& slot) {
+        // Engine/device code labels per-query spans with global query ids
+        // relative to this batch's first query.
+        obs::ScopedTrackBase track_base(static_cast<int64_t>(begin));
         BatchScratch& s = scratch[slot_index];
         // PIM filter phase: one batched fleet operation for the whole
         // device batch.
@@ -61,15 +66,18 @@ Result<KnnRunResult> KnnSearchBase::Search(const FloatMatrix& queries,
         for (size_t qi = begin; qi < end; ++qi) {
           obs::QuerySpan query_span(static_cast<int64_t>(qi), &slot.latency,
                                     device_ns_per_query);
+          const uint64_t bounds_before = slot.bound_count;
+          const uint64_t exact_before = slot.exact_count;
           result.neighbors[qi] =
               SearchQuery(queries.row(qi), qi - begin, k, s, slot);
+          // A query that evaluated bounds pruned every live row it did not
+          // refine.
+          if (slot.bound_count != bounds_before) {
+            slot.pruned_count += live - (slot.exact_count - exact_before);
+          }
         }
-      });
-  PIMINE_RETURN_IF_ERROR(status);
-
-  result.stats.wall_ms = wall.ElapsedMillis();
-  result.stats.traffic = traffic_scope.Delta();
-  if (engine_) engine_->CloseRun(&result.stats);
+      }));
+  scope.Close(&result.stats);
   result.stats.footprint_bytes =
       FootprintBytes(result.stats.exact_count, queries.rows());
   obs::AddCounter("pimine_queries_total", queries.rows());

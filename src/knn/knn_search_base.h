@@ -14,14 +14,13 @@ namespace pimine {
 /// The one Search of the kNN paths: Standard, SM, OST and FNN and their
 /// PIM counterparts (§V-D, §VI-B swap one bound inside an unchanged
 /// loop), and the §II-A approximate kNN (ApproximatePimKnn). It checks
-/// the arguments, opens the traffic scope and wall timer, gives every
-/// worker a BatchScratch, and runs RunQueryBatchesWithPolicy with a
-/// QuerySpan per query. A path with a fleet (`engine_`) first answers
-/// each device batch with one RunQueryBatch. The run's epilogue is the
-/// fleet's CloseRun when there is one, then PublishRunMetrics. A path
-/// supplies its Prepare, SearchQuery and FootprintBytes. Host baselines
-/// chunk queries by ExecPolicy::device_batch too, so every path rejects
-/// device_batch = 0.
+/// the arguments, opens the run's RunScope, gives every worker a
+/// BatchScratch, and runs RunSlotPass in device batches with a QuerySpan
+/// per query. A path with a fleet (`engine_`) first answers each device
+/// batch with one RunQueryBatch. The run closes on the scope, then
+/// PublishRunMetrics. A path supplies its Prepare, SearchQuery and
+/// FootprintBytes. Host baselines chunk queries by ExecPolicy::device_batch
+/// too, so every path rejects device_batch = 0.
 class KnnSearchBase : public KnnAlgorithm {
  public:
   Result<KnnRunResult> Search(const FloatMatrix& queries, int k) final;

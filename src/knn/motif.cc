@@ -6,7 +6,6 @@
 #include "common/logging.h"
 #include "core/sharded_engine.h"
 #include "core/similarity.h"
-#include "util/timer.h"
 
 namespace pimine {
 namespace {
@@ -57,8 +56,7 @@ Result<MotifResult> MotifDiscovery::Find(const FloatMatrix& windows,
 
   MotifResult result;
   result.stats.footprint_bytes = windows.SizeBytes();
-  TrafficScope traffic_scope;
-  Timer wall;
+  const RunScope scope(nullptr);
 
   const size_t n = windows.rows();
   double best = HUGE_VAL;
@@ -76,8 +74,7 @@ Result<MotifResult> MotifDiscovery::Find(const FloatMatrix& windows,
     }
   }
   result.distance = best;
-  result.stats.wall_ms = wall.ElapsedMillis();
-  result.stats.traffic = traffic_scope.Delta();
+  scope.Close(&result.stats);
   return result;
 }
 
@@ -93,8 +90,7 @@ Result<MotifResult> PimMotifDiscovery::Find(const FloatMatrix& windows,
       ShardedPimEngine::Build(windows, Distance::kEuclidean, options_));
 
   MotifResult result;
-  TrafficScope traffic_scope;
-  Timer wall;
+  const RunScope scope(engine.get());
 
   const size_t n = windows.rows();
   double best = HUGE_VAL;
@@ -120,9 +116,7 @@ Result<MotifResult> PimMotifDiscovery::Find(const FloatMatrix& windows,
     }
   }
   result.distance = best;
-  result.stats.wall_ms = wall.ElapsedMillis();
-  result.stats.traffic = traffic_scope.Delta();
-  engine->CloseRun(&result.stats);
+  scope.Close(&result.stats);
   result.stats.footprint_bytes = n * sizeof(uint64_t) * 2;
   return result;
 }

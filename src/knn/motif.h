@@ -48,7 +48,7 @@ class MotifDiscovery {
 /// engine's lower bounds; exact distances only for pairs whose bound beats
 /// the best motif found so far. Results match the baseline exactly. The
 /// bounds come from a ShardedPimEngine built with the given options, and
-/// the run closes on its CloseRun.
+/// the run opens and closes on a RunScope over it.
 class PimMotifDiscovery {
  public:
   explicit PimMotifDiscovery(EngineOptions options);

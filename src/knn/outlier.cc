@@ -6,7 +6,6 @@
 #include "core/sharded_engine.h"
 #include "core/similarity.h"
 #include "knn/filter_refine.h"
-#include "util/timer.h"
 
 namespace pimine {
 namespace {
@@ -56,8 +55,7 @@ Result<OutlierResult> OrcaOutlierDetector::Detect(
 
   OutlierResult result;
   result.stats.footprint_bytes = data.SizeBytes();
-  TrafficScope traffic_scope;
-  Timer wall;
+  const RunScope scope(nullptr);
 
   const size_t n = data.rows();
   TopOutliers outliers(options.num_outliers);
@@ -87,8 +85,7 @@ Result<OutlierResult> OrcaOutlierDetector::Detect(
   }
 
   result.outliers = outliers.TakeSortedDescending();
-  result.stats.wall_ms = wall.ElapsedMillis();
-  result.stats.traffic = traffic_scope.Delta();
+  scope.Close(&result.stats);
   return result;
 }
 
@@ -103,8 +100,7 @@ Result<OutlierResult> OrcaPimOutlierDetector::Detect(
       ShardedPimEngine::Build(data, Distance::kEuclidean, options_));
 
   OutlierResult result;
-  TrafficScope traffic_scope;
-  Timer wall;
+  const RunScope scope(engine.get());
 
   const size_t n = data.rows();
   TopOutliers outliers(options.num_outliers);
@@ -134,9 +130,7 @@ Result<OutlierResult> OrcaPimOutlierDetector::Detect(
   }
 
   result.outliers = outliers.TakeSortedDescending();
-  result.stats.wall_ms = wall.ElapsedMillis();
-  result.stats.traffic = traffic_scope.Delta();
-  engine->CloseRun(&result.stats);
+  scope.Close(&result.stats);
   result.stats.footprint_bytes =
       n * sizeof(double) * 2 + result.stats.exact_count * data.cols() *
                                    sizeof(float) / std::max<size_t>(1, n);

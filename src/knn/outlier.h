@@ -44,8 +44,8 @@ class OrcaOutlierDetector {
 /// the candidate) are found almost immediately; exact distances are
 /// computed only for the bound-order prefix. Results match the baseline
 /// exactly. The bounds come from a ShardedPimEngine built with the given
-/// options (shards, replicas and faults included), and the run closes on
-/// its CloseRun.
+/// options (shards, replicas and faults included), and the run opens and
+/// closes on a RunScope over it.
 class OrcaPimOutlierDetector {
  public:
   explicit OrcaPimOutlierDetector(EngineOptions options);

@@ -1,5 +1,9 @@
 #include "profiling/run_stats.h"
 
+#include <algorithm>
+#include <vector>
+
+#include "common/logging.h"
 #include "obs/obs.h"
 
 namespace pimine {
@@ -7,8 +11,37 @@ namespace pimine {
 void WorkerSlot::FoldInto(RunStats* stats) const {
   stats->exact_count += exact_count;
   stats->bound_count += bound_count;
+  stats->pruned_count += pruned_count;
   stats->profile.Merge(profile);
   stats->latency_hist.Merge(latency);
+}
+
+Status RunSlotPass(
+    const ExecPolicy& policy, size_t n, size_t chunk, RunStats* stats,
+    const std::function<void(size_t, size_t, size_t, WorkerSlot&)>& body,
+    uint64_t* changed) {
+  PIMINE_DCHECK(chunk >= 1);
+  std::vector<WorkerSlot> slots(NumSlots(policy, n, chunk));
+  ParallelChunks(policy, n, chunk,
+                 [&](size_t begin, size_t end, size_t slot_index) {
+                   // Runs on the pool thread, so it doubles as the worker
+                   // span carrying the chunk's item range.
+                   obs::SchedSpan sched(static_cast<int64_t>(begin / chunk),
+                                        static_cast<int64_t>(begin),
+                                        static_cast<int64_t>(end));
+                   WorkerSlot& slot = slots[slot_index];
+                   for (size_t b = begin; b < end && slot.status.ok();
+                        b += chunk) {
+                     body(b, std::min(end, b + chunk), slot_index, slot);
+                   }
+                 });
+  Status first_error;
+  for (const WorkerSlot& slot : slots) {
+    slot.FoldInto(stats);
+    if (changed != nullptr) *changed += slot.changed;
+    if (first_error.ok()) first_error = slot.status;
+  }
+  return first_error;
 }
 
 void PublishRunMetrics(const RunStats& stats, const char* latency_family) {
@@ -20,9 +53,7 @@ void PublishRunMetrics(const RunStats& stats, const char* latency_family) {
       .Add(stats.bound_count);
   o->metrics()
       .GetCounter("pimine_candidates_pruned_total")
-      .Add(stats.bound_count > stats.exact_count
-               ? stats.bound_count - stats.exact_count
-               : 0);
+      .Add(stats.pruned_count);
   o->metrics().MergeHistogram(latency_family, stats.latency_hist);
 }
 

@@ -1,7 +1,9 @@
 #ifndef PIMINE_PROFILING_RUN_STATS_H_
 #define PIMINE_PROFILING_RUN_STATS_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 
 #include "common/status.h"
 #include "obs/histogram.h"
@@ -9,6 +11,7 @@
 #include "pim/fleet.h"
 #include "profiling/function_profiler.h"
 #include "sim/traffic.h"
+#include "util/parallel.h"
 
 namespace pimine {
 
@@ -29,6 +32,11 @@ struct RunStats {
   uint64_t exact_count = 0;
   /// Bound evaluations performed (host-combined for PIM variants).
   uint64_t bound_count = 0;
+  /// Candidates a bound decided without an exact computation: each k-means
+  /// pair KmeansBounds::DistanceOrBound answered with its bound, and for
+  /// each kNN or served query whose path evaluated bounds, its live rows
+  /// minus the rows it refined.
+  uint64_t pruned_count = 0;
   /// Fault-injection and recovery accounting of the run's PIM device(s).
   /// All-zero for baselines and fault-free PIM runs.
   FaultStats fault;
@@ -48,10 +56,11 @@ struct RunStats {
 };
 
 /// Per-worker accumulation slot of a kNN query batch, a k-means assign
-/// chunk or a serving dispatch; the harness folds it into RunStats.
+/// chunk or a serving dispatch; RunSlotPass folds it into RunStats.
 struct WorkerSlot {
   uint64_t exact_count = 0;
   uint64_t bound_count = 0;
+  uint64_t pruned_count = 0;
   uint64_t changed = 0;     // k-means reassignments.
   FunctionProfiler profile;
   obs::Histogram latency;   // obs::QuerySpan samples; empty with obs off.
@@ -63,9 +72,25 @@ struct WorkerSlot {
   void FoldInto(RunStats* stats) const;
 };
 
+/// The one slot pass of a run's parallel loop: kNN device batches, k-means
+/// assign chunks and replay dispatches. ParallelChunks spreads [0, n) in
+/// chunks of `chunk` (>= 1) items over NumSlots(policy, n, chunk) workers,
+/// one WorkerSlot each. Every claimed chunk (all of [0, n) under a serial
+/// policy) opens one opt-in obs::SchedSpan over its item range and calls
+/// `body(begin, end, slot_index, slot)` on each `chunk`-sized piece of it,
+/// so the pieces are the same for every thread count; a worker skips the
+/// rest of its pieces once its slot holds an error. The slots then fold
+/// into `stats` in slot order, and their reassignments into `*changed`
+/// when it is non-null. Returns the first error in slot order.
+Status RunSlotPass(
+    const ExecPolicy& policy, size_t n, size_t chunk, RunStats* stats,
+    const std::function<void(size_t, size_t, size_t, WorkerSlot&)>& body,
+    uint64_t* changed = nullptr);
+
 /// Publishes pimine_exact_distances_total, pimine_bound_evaluations_total,
-/// pimine_candidates_pruned_total and the latency histogram
-/// `latency_family` of a finished run. No-op while observability is off.
+/// pimine_candidates_pruned_total (RunStats::pruned_count) and the latency
+/// histogram `latency_family` of a finished run. No-op while observability
+/// is off.
 void PublishRunMetrics(const RunStats& stats, const char* latency_family);
 
 }  // namespace pimine

@@ -112,11 +112,7 @@ struct ServeOptions {
           "ServeOptions::scheduler_threads must be >= 1");
     }
     if (k < 1) return Status::InvalidArgument("ServeOptions::k must be >= 1");
-    if (exec.device_batch == 0) {
-      return Status::InvalidArgument(
-          "ExecPolicy::device_batch must be >= 1 (one query per device "
-          "operation); 0 is not a valid batch size");
-    }
+    PIMINE_RETURN_IF_ERROR(exec.CheckDeviceBatch());
     if (!(event_sample_rate >= 0.0) || event_sample_rate > 1.0) {
       return Status::InvalidArgument(
           "ServeOptions::event_sample_rate must be in [0, 1]");

@@ -11,9 +11,7 @@
 #include "common/logging.h"
 #include "knn/standard_pim_knn.h"
 #include "obs/obs.h"
-#include "sim/traffic.h"
 #include "util/parallel.h"
-#include "util/timer.h"
 
 namespace pimine {
 namespace serve {
@@ -63,9 +61,8 @@ struct PimServer::Run {
 
 /// Per-worker dispatch scratch, reused across every dispatch the worker
 /// executes: engine query scratch + batch handle (zero-allocation steady
-/// state), gathered query buffer, bound array, the chunk's trace tracks,
-/// and the dispatch's stats in `slot` until RunDispatch folds them (its
-/// profiler stays empty, serving is untimed).
+/// state), gathered query buffer, bound array, the chunk's trace tracks
+/// and the dispatch's neighbours.
 struct PimServer::DispatchScratch {
   ShardedPimEngine::QueryScratch query;
   ShardedPimEngine::QueryHandleBatch handle;
@@ -73,7 +70,6 @@ struct PimServer::DispatchScratch {
   std::vector<double> bounds;
   std::vector<int64_t> tracks;
   std::vector<std::vector<Neighbor>> neighbors;
-  WorkerSlot slot;
 };
 
 /// A live-mode in-flight query: the copied payload, its result as the
@@ -269,9 +265,11 @@ void PimServer::Form(uint64_t dispatch_ns, Run* run, FormedBatch* b) const {
 
 Status PimServer::RunDispatch(const FormedBatch& b,
                               std::span<const float> qbuf, DispatchScratch* s,
-                              Run* run) {
+                              WorkerSlot& slot) const {
   const size_t dims = data_->cols();
   const size_t batch_size = b.members.size();
+  // Mutations are refused while a run executes, so the live corpus holds.
+  const size_t live = engine_->live_objects();
   const double device_ns_per_query =
       obs::Obs::Enabled() ? engine_->SerialDeviceNsPerQuery() : 0.0;
   s->bounds.resize(data_->rows());
@@ -285,7 +283,6 @@ Status PimServer::RunDispatch(const FormedBatch& b,
   // the scheduler's coalescing, device_batch the per-operation GEMM width.
   const size_t device_batch = options_.exec.device_batch;
   const size_t shards = engine_->shards();
-  Status status;
   for (size_t c0 = 0; c0 < batch_size; c0 += device_batch) {
     const size_t chunk = std::min(batch_size, c0 + device_batch) - c0;
     if (!b.plans.empty()) {
@@ -300,24 +297,23 @@ Status PimServer::RunDispatch(const FormedBatch& b,
       s->tracks.push_back(static_cast<int64_t>(b.members[c0 + bq].id));
     }
     obs::ScopedTrackBase tracks(s->tracks);
-    status = engine_->RunQueryBatch(qbuf.subspan(c0 * dims, chunk * dims),
-                                    chunk, &s->query, &s->handle, dispatch);
-    if (!status.ok()) break;
+    PIMINE_RETURN_IF_ERROR(
+        engine_->RunQueryBatch(qbuf.subspan(c0 * dims, chunk * dims), chunk,
+                               &s->query, &s->handle, dispatch));
     for (size_t bq = 0; bq < chunk; ++bq) {
-      obs::QuerySpan query_span(s->tracks[bq], &s->slot.latency,
+      obs::QuerySpan query_span(s->tracks[bq], &slot.latency,
                                 device_ns_per_query);
+      const uint64_t exact_before = slot.exact_count;
       s->neighbors[c0 + bq] = StandardPimQuery(
           *engine_, s->handle, bq, distance_, *data_,
-          qbuf.subspan((c0 + bq) * dims, dims), options_.k, s->bounds,
-          s->slot, /*profile=*/nullptr);
+          qbuf.subspan((c0 + bq) * dims, dims), options_.k, s->bounds, slot,
+          /*profile=*/nullptr);
+      // Every served query evaluates bounds: the live rows it did not refine
+      // were pruned.
+      slot.pruned_count += live - (slot.exact_count - exact_before);
     }
   }
-  // The fold order cannot move a total, so replay's workers fold in
-  // whatever order they finish.
-  std::lock_guard<std::mutex> lock(mu_);
-  s->slot.FoldInto(&run->stats.exec);
-  s->slot = WorkerSlot();
-  return status;
+  return Status::OK();
 }
 
 void PimServer::Account(const FormedBatch& b,
@@ -390,7 +386,6 @@ ServeStats PimServer::Snapshot(const Run& run) const {
       stats.batches == 0 ? 0.0
                          : static_cast<double>(stats.served) /
                                static_cast<double>(stats.batches);
-  engine_->CloseRun(&stats.exec);
   return stats;
 }
 
@@ -431,12 +426,12 @@ Result<ReplayOutput> PimServer::Replay(const ArrivalTrace& trace,
 
   ReplayOutput out;
   out.results.resize(trace.events.size());
-  Timer wall;
+  // Formation charges no traffic, so the scope covers the execution's.
+  RunScope scope(engine_.get());
   // The replay's books: its telemetry plane is clocked by the VIRTUAL
   // clock and fed only from the single-threaded passes below, so the JSON
   // exports are byte-identical for every scheduler_threads/shards value.
   Run run(options_);
-  engine_->ResetOnlineStats();
   engine_->ResetReplicaHealth();
 
   // ---- Phase 1: admission and formation (one deterministic pass) --------
@@ -499,39 +494,32 @@ Result<ReplayOutput> PimServer::Replay(const ArrivalTrace& trace,
   // the per-dispatch work depends only on the dispatch itself — so
   // results, traffic and modeled pim_ns are bit-identical for every
   // scheduler_threads (see DESIGN.md "Host-side parallelism").
-  traffic::AggregateScope traffic_scope;
   const size_t dims = data_->cols();
   ExecPolicy exec_policy;
   exec_policy.num_threads = options_.scheduler_threads;
-  const size_t num_slots = NumSlots(exec_policy, batches.size(), 1);
-  std::vector<DispatchScratch> scratch(num_slots);
-  std::vector<Status> failed(num_slots);
-  ParallelChunks(
-      exec_policy, batches.size(), 1,
-      [&](size_t begin, size_t end, size_t slot) {
-        DispatchScratch& s = scratch[slot];
-        for (size_t bi = begin; bi < end && failed[slot].ok(); ++bi) {
-          const FormedBatch& b = batches[bi];
-          s.qbuf.resize(b.members.size() * dims);
-          for (size_t m = 0; m < b.members.size(); ++m) {
-            const std::span<const float> row =
-                queries.row(trace.events[b.members[m].id].query_row);
-            std::copy(row.begin(), row.end(), s.qbuf.begin() + m * dims);
-          }
-          failed[slot] = RunDispatch(b, s.qbuf, &s, &run);
-          if (!failed[slot].ok()) break;
-          for (size_t m = 0; m < b.members.size(); ++m) {
-            out.results[b.members[m].id].neighbors =
-                std::move(s.neighbors[m]);
-          }
+  std::vector<DispatchScratch> scratch(
+      NumSlots(exec_policy, batches.size(), 1));
+  PIMINE_RETURN_IF_ERROR(RunSlotPass(
+      exec_policy, batches.size(), 1, &run.stats.exec,
+      [&](size_t bi, size_t /*end*/, size_t slot_index, WorkerSlot& slot) {
+        DispatchScratch& s = scratch[slot_index];
+        const FormedBatch& b = batches[bi];
+        s.qbuf.resize(b.members.size() * dims);
+        for (size_t m = 0; m < b.members.size(); ++m) {
+          const std::span<const float> row =
+              queries.row(trace.events[b.members[m].id].query_row);
+          std::copy(row.begin(), row.end(), s.qbuf.begin() + m * dims);
         }
-      });
-  for (const Status& status : failed) PIMINE_RETURN_IF_ERROR(status);
+        slot.status = RunDispatch(b, s.qbuf, &s, slot);
+        if (!slot.status.ok()) return;
+        for (size_t m = 0; m < b.members.size(); ++m) {
+          out.results[b.members[m].id].neighbors = std::move(s.neighbors[m]);
+        }
+      }));
 
   out.stats = Snapshot(run);
   out.stats.makespan_ns = batches.empty() ? 0 : batches.back().completion_ns;
-  out.stats.exec.wall_ms = wall.ElapsedMillis();
-  out.stats.exec.traffic = traffic_scope.Delta();
+  scope.Close(&out.stats.exec);
   out.stats.exec.footprint_bytes =
       data_->rows() * sizeof(double) * 2 +
       (out.stats.served == 0
@@ -609,6 +597,7 @@ Result<ServedResult> PimServer::Submit(uint32_t tenant,
 
 void PimServer::WorkerLoop() {
   DispatchScratch scratch;
+  WorkerSlot slot;
   FormedBatch b;
   std::vector<std::unique_ptr<LiveRequest>> requests;
   std::vector<ServedResult*> results;
@@ -647,11 +636,15 @@ void PimServer::WorkerLoop() {
       std::copy(requests[m]->query.begin(), requests[m]->query.end(),
                 scratch.qbuf.begin() + m * dims);
     }
-    const Status status = RunDispatch(b, scratch.qbuf, &scratch, &run);
+    const Status status = RunDispatch(b, scratch.qbuf, &scratch, slot);
     // The live clock: a dispatch completes when its execution returns.
     b.completion_ns = NowNs();
 
     lock.lock();
+    // The fold order cannot move a total, so workers fold in whatever order
+    // their dispatches finish.
+    slot.FoldInto(&run.stats.exec);
+    slot = WorkerSlot();
     for (size_t m = 0; m < requests.size(); ++m) {
       results[m]->status = status;
       if (status.ok()) results[m]->neighbors = std::move(scratch.neighbors[m]);
@@ -690,6 +683,7 @@ void PimServer::Stop() {
 ServeStats PimServer::LiveStats() {
   std::lock_guard<std::mutex> lock(mu_);
   ServeStats stats = Snapshot(*live_);
+  engine_->CloseRun(&stats.exec);
   stats.watermark_compactions = watermark_compactions_;
   stats.makespan_ns = NowNs();
   return stats;

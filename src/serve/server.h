@@ -127,8 +127,9 @@ struct ReplayOutput {
 /// Two clocks drive one scheduler. Both call the same steps: Admit (shed,
 /// queue, submission counters), Form (a weighted-fair batch at a dispatch
 /// instant, its ladder plans under chaos, its modeled service time),
-/// RunDispatch (execution, and the fold of its exact/bound counts and
-/// query latencies) and Account (batch, failover and per-query figures).
+/// RunDispatch (execution, counting its exact/bound/pruned candidates and
+/// query latencies into a WorkerSlot) and Account (batch, failover and
+/// per-query figures).
 ///
 ///  * Replay(trace): a VIRTUAL clock. Admission and formation are one
 ///    deterministic single-threaded pass over the recorded arrivals —
@@ -268,10 +269,11 @@ class PimServer : public MutationListener {
   /// the per-query step StandardPimKnn::Search runs, so a served query's
   /// neighbours, traffic and modeled stats are those of the offline path.
   /// Fills s->neighbors; each member's admission id labels its trace
-  /// spans. Folds the dispatch's exact/bound counts and query latencies
-  /// into run->stats.exec under mu_.
+  /// spans. Counts the dispatch's exact, bound and pruned candidates and
+  /// query latencies into `slot`, which its caller folds: replay's slot
+  /// pass, or a live worker under mu_.
   Status RunDispatch(const FormedBatch& b, std::span<const float> qbuf,
-                     DispatchScratch* s, Run* run);
+                     DispatchScratch* s, WorkerSlot& slot) const;
   /// Accounts a dispatch in run->stats and its telemetry: batch counters,
   /// occupancy, pipelined time, one failover record per plan whose ladder
   /// fired, and each member's dispatch, completion and batch id in
@@ -279,8 +281,9 @@ class PimServer : public MutationListener {
   /// deadline and tenant figures.
   void Account(const FormedBatch& b, std::span<ServedResult* const> results,
                Run* run) const;
-  /// run's stats plus the figures read at snapshot time: queue high-water
-  /// mark, mean occupancy, and the engine's pim_ns, fault and fleet stats.
+  /// run's stats plus the queue high-water mark and mean occupancy. The
+  /// engine's pim_ns, fault and fleet stats are the caller's: Replay's
+  /// RunScope, or LiveStats' CloseRun.
   ServeStats Snapshot(const Run& run) const;
 
   /// The shard (lowest index) whose healthy-replica fraction per the chaos

@@ -48,8 +48,9 @@ Result<ArrivalTrace> GeneratePoissonTrace(const WorkloadSpec& spec);
 
 /// The degenerate offline trace: every query of every tenant arrives at
 /// virtual time 0 (round-robin over tenants, query rows cycling). With
-/// max_wait = 0 this makes the scheduler reproduce exactly the offline
-/// RunQueryBatchesWithPolicy partition — the equivalence the tests pin.
+/// max_wait = 0 this makes the scheduler reproduce exactly the device
+/// batches of the offline KnnSearchBase::Search — the equivalence the tests
+/// pin.
 ArrivalTrace AllAtZeroTrace(size_t num_requests, uint32_t num_tenants,
                             uint32_t num_query_rows);
 

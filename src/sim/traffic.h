@@ -89,20 +89,6 @@ class AggregateScope {
 
 }  // namespace traffic
 
-/// RAII scope that reports the counter delta observed during its lifetime
-/// on the *calling thread only*. Use traffic::AggregateScope for runs that
-/// fan work out across a ThreadPool.
-class TrafficScope {
- public:
-  TrafficScope() : start_(traffic::Local()) {}
-
-  /// Counters accumulated since construction.
-  TrafficCounters Delta() const { return traffic::Local() - start_; }
-
- private:
-  TrafficCounters start_;
-};
-
 }  // namespace pimine
 
 #endif  // PIMINE_SIM_TRAFFIC_H_

@@ -10,11 +10,11 @@ namespace pimine {
 /// fixed-point register in units of 2^-149 (the weight of the least
 /// significant single-precision denormal bit). Every finite float is an
 /// integer multiple of that unit, so Add() is exact, and exact integer
-/// addition is associative — a tree of partial ExactSums merged in any
-/// shape produces bit-identical limbs to one flat left-to-right sum. That
-/// is the property the sharded k-means centroid reduction rests on: the
-/// per-shard partial sums merged pairwise equal the single-device flat sum
-/// exactly, for every shard count.
+/// addition is associative and commutative — the same values added in any
+/// order produce bit-identical limbs. That is the property the k-means
+/// centroid update rests on: its one flat sum equals the per-shard partial
+/// sums merged pairwise, which the sharded model charges, for every shard
+/// count.
 ///
 /// Capacity: values up to ~2^106 in magnitude with ~2^43 summands of that
 /// size before the register could wrap — far beyond any dataset this
@@ -44,11 +44,8 @@ class ExactSum {
     AddLimbs(addend);
   }
 
-  /// Adds another accumulator exactly (the tree-merge step).
-  void Merge(const ExactSum& other) { AddLimbs(other.limbs_); }
-
   /// Rounds the exact sum to double. Deterministic: the result is a pure
-  /// function of the limbs, which Add/Merge order cannot change.
+  /// function of the limbs, which Add order cannot change.
   double ToDouble() const {
     uint64_t mag[kLimbs];
     std::memcpy(mag, limbs_, sizeof(mag));

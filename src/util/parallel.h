@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <functional>
 
+#include "common/status.h"
 #include "util/thread_pool.h"
 
 namespace pimine {
@@ -28,6 +29,15 @@ struct ExecPolicy {
   size_t device_batch = 1;
 
   bool parallel() const { return num_threads > 1; }
+
+  /// InvalidArgument when device_batch is 0: kNN Search, k-means Run and
+  /// the server reject it alike.
+  Status CheckDeviceBatch() const {
+    if (device_batch != 0) return Status::OK();
+    return Status::InvalidArgument(
+        "ExecPolicy::device_batch must be >= 1 (one query per device "
+        "operation); 0 is not a valid batch size");
+  }
 
   static ExecPolicy Serial() { return ExecPolicy{}; }
   static ExecPolicy WithThreads(int n) {

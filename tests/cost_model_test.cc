@@ -100,7 +100,7 @@ TEST(TrafficCountersTest, ArithmeticAndScopes) {
   traffic::Reset();
   traffic::CountRead(100);
   traffic::CountArithmetic(5);
-  TrafficScope scope;
+  traffic::AggregateScope scope;
   traffic::CountRead(50);
   traffic::CountWrite(7);
   traffic::CountLongOps(2);

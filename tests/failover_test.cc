@@ -17,7 +17,6 @@
 #include "common/logging.h"
 #include "core/engine.h"
 #include "core/sharded_engine.h"
-#include "kmeans/kmeans_common.h"
 #include "pim/chaos.h"
 #include "pim/fleet.h"
 #include "serve/serve_options.h"
@@ -420,62 +419,6 @@ TEST(FailoverLadderTest, ReplicasAreBitTransparentWithoutFaults) {
   // program concurrently (time is the max, not the sum).
   EXPECT_EQ(fleet->OfflineBytesWritten(), 3 * f.clean->OfflineBytesWritten());
   EXPECT_EQ(fleet->OfflineNs(), f.clean->OfflineNs());
-}
-
-// --- k-means under chaos ------------------------------------------------
-
-// A primary death during the assign/update iteration: the PIM lower bounds
-// and the tree-reduced UpdateCenters sums stay bit-identical to the
-// fault-free fleet (the exactness invariant survives failover).
-TEST(FailoverKmeansTest, UpdateCentersTreeReduceSurvivesPrimaryDeath) {
-  const FloatMatrix data = RandomUnitMatrix(120, 16, 21);
-  const int k = 8;
-  const FloatMatrix centers = InitCenters(data, k, 33);
-  std::vector<int32_t> assignments(data.rows());
-  for (size_t i = 0; i < assignments.size(); ++i) {
-    assignments[i] = static_cast<int32_t>(i % k);
-  }
-
-  EngineOptions options;
-  options.shard.shards = 4;
-  options.shard.replicas = 2;
-
-  auto clean_built = PimAssignFilter::Build(data, options);
-  ASSERT_TRUE(clean_built.ok()) << clean_built.status().ToString();
-  const auto clean = std::move(clean_built).value();
-  ASSERT_TRUE(clean->BeginIteration(centers).ok());
-  std::vector<double> clean_moved;
-  const FloatMatrix clean_next =
-      UpdateCenters(data, assignments, centers, &clean_moved, clean.get());
-
-  auto chaotic_built = PimAssignFilter::Build(data, options);
-  ASSERT_TRUE(chaotic_built.ok());
-  const auto chaotic = std::move(chaotic_built).value();
-  const auto schedule = ChaosSchedule::FromEvents({Death(2, 0, 5)}, 4, 2);
-  chaotic->InstallChaos(&schedule);
-  chaotic->SetChaosNowNs(10);
-  ASSERT_TRUE(chaotic->BeginIteration(centers).ok());
-
-  for (size_t i = 0; i < data.rows(); ++i) {
-    for (int c = 0; c < k; ++c) {
-      ASSERT_EQ(chaotic->LowerBound(i, c), clean->LowerBound(i, c))
-          << "i=" << i << " c=" << c;
-    }
-  }
-  std::vector<double> moved;
-  const FloatMatrix next =
-      UpdateCenters(data, assignments, centers, &moved, chaotic.get());
-  ASSERT_EQ(next.rows(), clean_next.rows());
-  ASSERT_EQ(next.cols(), clean_next.cols());
-  for (size_t i = 0; i < next.rows() * next.cols(); ++i) {
-    ASSERT_EQ(next.data()[i], clean_next.data()[i]) << "flat index " << i;
-  }
-  ASSERT_EQ(moved, clean_moved);
-
-  const FailoverStats fo = chaotic->FleetStats().failover;
-  EXPECT_GT(fo.injected, 0u);
-  EXPECT_EQ(fo.injected, fo.recovered);
-  EXPECT_TRUE(fo.Balanced());
 }
 
 // --- Serve path ---------------------------------------------------------

@@ -482,11 +482,10 @@ TEST(GoldenStatsTest, MutatedFilterMatchesStaticKmeansGoldens) {
   options.seed = 123;
   options.use_pim = true;
   options.filter = filter.get();
+  // Every Run opens on its RunScope, which resets the shared filter's
+  // online stats, so each run matches a fresh-built filter's golden. The
+  // mutation counters survive the reset (they are maintenance totals).
   for (const KmeansGoldenCase& c : KmeansCases()) {
-    // The shared filter's modeled compute time is cumulative across runs;
-    // a fresh-built filter starts at zero, so match that baseline. The
-    // mutation counters survive the reset (they are maintenance totals).
-    filter->ResetOnlineStats();
     auto algorithm = c.make();
     auto result = algorithm->Run(dataset.corpus(), options);
     ASSERT_TRUE(result.ok()) << c.label;

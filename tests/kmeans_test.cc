@@ -1,4 +1,5 @@
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -159,9 +160,9 @@ TEST(KmeansValidationTest, RejectsBadInput) {
   EXPECT_FALSE(lloyd.Run(FloatMatrix(), options).ok());
 }
 
-// LowerBound and ShardOf index a shared filter's live-row map by point, so
-// a filter over more or fewer rows than `data` must be rejected up front,
-// not read out of range.
+// LowerBound indexes a shared filter's live-row map by point, so a filter
+// over more or fewer rows than `data` must be rejected up front, not read
+// out of range.
 TEST(KmeansValidationTest, RejectsSharedFilterOverOtherRows) {
   const FloatMatrix data = ClusteredData(200, 16, 4);
   for (const size_t filter_rows : {100u, 300u}) {
@@ -179,6 +180,60 @@ TEST(KmeansValidationTest, RejectsSharedFilterOverOtherRows) {
       EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
           << algorithm->name() << " " << filter_rows;
     }
+  }
+}
+
+void ExpectSameDeviceFigures(const RunStats& got, const RunStats& want,
+                             const std::string& label) {
+  EXPECT_EQ(got.pim_ns, want.pim_ns) << label;
+  EXPECT_GT(got.pim_ns, 0.0) << label;
+  const FaultStats& gf = got.fault;
+  const FaultStats& wf = want.fault;
+  EXPECT_EQ(gf.injected, wf.injected) << label;
+  EXPECT_EQ(gf.detected, wf.detected) << label;
+  EXPECT_EQ(gf.escaped, wf.escaped) << label;
+  EXPECT_EQ(gf.checksum_checks, wf.checksum_checks) << label;
+  EXPECT_EQ(gf.groups_flagged, wf.groups_flagged) << label;
+  EXPECT_EQ(gf.retries, wf.retries) << label;
+  EXPECT_EQ(gf.remapped_rows, wf.remapped_rows) << label;
+  EXPECT_EQ(gf.escalated_to_host, wf.escalated_to_host) << label;
+  EXPECT_EQ(gf.recovery_ns, wf.recovery_ns) << label;
+  const FleetRunStats& g = got.fleet;
+  const FleetRunStats& w = want.fleet;
+  EXPECT_EQ(g.scatter_messages, w.scatter_messages) << label;
+  EXPECT_EQ(g.scatter_bytes, w.scatter_bytes) << label;
+  EXPECT_EQ(g.gather_messages, w.gather_messages) << label;
+  EXPECT_EQ(g.gather_bytes, w.gather_bytes) << label;
+  EXPECT_EQ(g.reduce_messages, w.reduce_messages) << label;
+  EXPECT_EQ(g.reduce_bytes, w.reduce_bytes) << label;
+  EXPECT_GT(g.scatter_messages, 0u) << label;
+  EXPECT_GT(g.reduce_messages, 0u) << label;
+}
+
+// Every Run opens on a RunScope that resets its filter's fleet, so runs
+// over one shared 2-shard filter, with no reset between them, each report
+// only their own device time, fault accounting and interconnect traffic:
+// the figures of a run over a run-owned filter.
+TEST(KmeansSharedFilterTest, EachRunReportsOnlyItsOwnFleetFigures) {
+  const FloatMatrix data = ClusteredData(300, 16, 6);
+  KmeansOptions options;
+  options.k = 8;
+  options.max_iterations = 3;
+  options.use_pim = true;
+  options.engine_options.shard.shards = 2;
+  auto filter = PimAssignFilter::Build(data, options.engine_options);
+  ASSERT_TRUE(filter.ok()) << filter.status().ToString();
+  for (const auto& algorithm : AllAlgorithms()) {
+    const std::string name(algorithm->name());
+    options.filter = nullptr;
+    const auto owned = algorithm->Run(data, options);
+    ASSERT_TRUE(owned.ok()) << name;
+    options.filter = filter->get();
+    const auto first = algorithm->Run(data, options);
+    const auto second = algorithm->Run(data, options);
+    ASSERT_TRUE(first.ok() && second.ok()) << name;
+    ExpectSameDeviceFigures(first->stats, owned->stats, name + " first");
+    ExpectSameDeviceFigures(second->stats, owned->stats, name + " second");
   }
 }
 

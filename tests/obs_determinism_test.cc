@@ -21,6 +21,7 @@
 #include "data/generator.h"
 #include "kmeans/kmeans_common.h"
 #include "kmeans/lloyd.h"
+#include "knn/fnn_pim_knn.h"
 #include "knn/knn_common.h"
 #include "knn/standard_pim_knn.h"
 #include "obs/histogram.h"
@@ -330,6 +331,85 @@ TEST(ObsDeterminismTest, ServeReplayLabelsEachQuerysOwnTrack) {
   EXPECT_GT(served, 0u);
   const ObservedReplay four = ObserveServeReplay(w, 4);
   EXPECT_EQ(one.trace_json, four.trace_json);
+}
+
+uint64_t PublishedPruned() {
+  return obs::Obs::Get()
+      ->metrics()
+      .GetCounter("pimine_candidates_pruned_total")
+      .Value();
+}
+
+// pimine_candidates_pruned_total counts the candidates a bound decided.
+// Lloyd-PIM evaluates the bound of every pair but the start center, and
+// each one is pruned or computed exactly; the n start-center distances per
+// iteration are exact and gated by no bound.
+TEST(PrunedCounterTest, LloydPimCountsThePairsItsBoundDecided) {
+  const Workload w = MakeWorkload(300, 32, 4);
+  for (const int threads : {1, 3}) {
+    obs::Obs::Enable();
+    KmeansOptions options;
+    options.k = 8;
+    options.max_iterations = 4;
+    options.use_pim = true;
+    options.exec = ExecPolicy::WithThreads(threads);
+    LloydKmeans lloyd;
+    auto result = lloyd.Run(w.data, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const RunStats& s = result->stats;
+    const uint64_t start_distances =
+        w.data.rows() * static_cast<uint64_t>(result->iterations);
+    EXPECT_GT(s.pruned_count, 0u) << threads;
+    EXPECT_EQ(s.pruned_count, s.bound_count - s.exact_count + start_distances)
+        << threads;
+    EXPECT_EQ(PublishedPruned(), s.pruned_count) << threads;
+    obs::Obs::Disable();
+  }
+}
+
+// FNN-PIM evaluates the PIM bound of every row and its finer LB_FNN levels
+// on some, so bound evaluations exceed the rows. A query prunes each live
+// row it does not refine, however many levels decided it.
+TEST(PrunedCounterTest, FnnPimCountsTheLiveRowsItDidNotRefine) {
+  const Workload w = MakeWorkload(300, 64, 5);
+  obs::Obs::Enable();
+  FnnPimKnn fnn(EngineOptions(), /*optimize=*/false);
+  ASSERT_TRUE(fnn.Prepare(w.data).ok());
+  auto result = fnn.Search(w.queries, 5);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const RunStats& s = result->stats;
+  const uint64_t rows = w.queries.rows() * w.data.rows();
+  EXPECT_GT(s.bound_count, rows);  // the cascade ran.
+  EXPECT_EQ(s.pruned_count, rows - s.exact_count);
+  EXPECT_EQ(PublishedPruned(), rows - s.exact_count);
+  obs::Obs::Disable();
+}
+
+// A served query prunes each live row it does not refine, as the offline
+// Standard-PIM Search does.
+TEST(PrunedCounterTest, ServedQueriesCountTheLiveRowsTheyDidNotRefine) {
+  const Workload w = MakeWorkload(400, 32, 41);
+  serve::ServeOptions options;
+  options.max_batch = 8;
+  options.exec.device_batch = 4;
+  options.k = 5;
+  options.scheduler_threads = 2;
+  auto server = serve::PimServer::Build(w.data, Distance::kEuclidean,
+                                        EngineOptions(), options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  serve::WorkloadSpec spec;
+  spec.num_requests = 64;
+  spec.offered_qps = 2e6;
+  spec.num_query_rows = static_cast<uint32_t>(w.queries.rows());
+  spec.seed = 8;
+  auto trace = serve::GeneratePoissonTrace(spec);
+  ASSERT_TRUE(trace.ok());
+  auto output = (*server)->Replay(*trace, w.queries);
+  ASSERT_TRUE(output.ok()) << output.status().ToString();
+  const RunStats& s = output->stats.exec;
+  EXPECT_GT(output->stats.served, 0u);
+  EXPECT_EQ(s.pruned_count, output->stats.served * w.data.rows() -
+                                s.exact_count);
 }
 
 // With observability disabled (the default), the latency histogram must

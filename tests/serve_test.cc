@@ -281,8 +281,8 @@ class ServeOfflineParityTest
 
 TEST_P(ServeOfflineParityTest, AllAtZeroTraceMatchesOfflineBatchRun) {
   // Every query arrives at t=0 from one tenant: FIFO forms batches of
-  // exactly max_batch in row order — the same partition the offline
-  // RunQueryBatchesWithPolicy harness uses for device_batch = max_batch.
+  // exactly max_batch in row order — the same device batches the offline
+  // KnnSearchBase::Search forms for device_batch = max_batch.
   const OfflineParityCase& c = GetParam();
   constexpr size_t kBatch = 8;
   ServeOptions options = BaseServe();

@@ -1,8 +1,8 @@
 // ShardedPimEngine invariants: for every placement and shard count the
 // fleet must reproduce the single-device engine bit for bit — bounds for
-// all five engine modes (ties included), modeled PIM time, and the k-means
-// centroid sums via the exact tree reduction — while shard-boundary
-// routing, fail-over, and the shard-count validation behave as documented.
+// all five engine modes (ties included) and modeled PIM time — while
+// shard-boundary routing, fail-over, the tree-reduction charge and the
+// shard-count validation behave as documented.
 
 #include <algorithm>
 #include <bit>
@@ -22,8 +22,6 @@
 #include "pim/fleet.h"
 #include "sim/traffic.h"
 #include "test_helpers.h"
-#include "util/exact_sum.h"
-#include "util/random.h"
 
 namespace pimine {
 namespace {
@@ -313,51 +311,6 @@ TEST(ShardedEngineTest, RejectsWhatPimEngineRejects) {
           << c.label << " M=" << shards;
     }
   }
-}
-
-// The exact accumulator's tree merge equals its flat sum bit-for-bit for
-// every partition shape — the property the sharded centroid update rests
-// on. double accumulation would fail this for these magnitudes.
-TEST(ShardedEngineTest, ExactSumTreeMergeEqualsFlatSum) {
-  Rng rng(5);
-  std::vector<float> values;
-  for (int i = 0; i < 500; ++i) {
-    // Mix signs and ~50 orders of magnitude, including denormals.
-    float v = rng.NextFloat() * 2.0f - 1.0f;
-    const int scale = static_cast<int>(rng.NextBounded(100)) - 50;
-    v = std::ldexp(v, scale);
-    if (i % 97 == 0) v = 1e-42f;  // denormal.
-    values.push_back(v);
-  }
-
-  ExactSum flat;
-  for (float v : values) flat.Add(v);
-
-  for (size_t shards : {2u, 3u, 8u}) {
-    std::vector<ExactSum> partials(shards);
-    for (size_t i = 0; i < values.size(); ++i) {
-      partials[i % shards].Add(values[i]);
-    }
-    for (size_t stride = 1; stride < shards; stride *= 2) {
-      for (size_t a = 0; a + stride < shards; a += 2 * stride) {
-        partials[a].Merge(partials[a + stride]);
-      }
-    }
-    EXPECT_TRUE(partials[0] == flat) << "M=" << shards;
-    EXPECT_EQ(partials[0].ToDouble(), flat.ToDouble()) << "M=" << shards;
-  }
-
-  // Sanity: the rounded value agrees with a long-double reference, within
-  // that reference's own accumulation error (relative to the magnitude of
-  // the summands, not of the — possibly cancelled — net sum).
-  long double reference = 0.0L;
-  double magnitude = 0.0;
-  for (float v : values) {
-    reference += static_cast<long double>(v);
-    magnitude += std::abs(static_cast<double>(v));
-  }
-  EXPECT_NEAR(flat.ToDouble(), static_cast<double>(reference),
-              magnitude * 1e-12);
 }
 
 // A shard whose device op fails with DeviceFault (kFailOp recovery) is

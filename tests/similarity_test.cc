@@ -106,11 +106,11 @@ TEST(EdLanesTest, CheckpointsMatchTheScalarLoop) {
                       std::bit_cast<uint64_t>(partial[l][c]))
                 << "lane " << l << " checkpoint " << c;
           }
-          TrafficScope want_scope;
+          traffic::AggregateScope want_scope;
           const double want =
               SquaredEuclideanEarlyAbandon(rows[l], query, threshold);
           const TrafficCounters want_traffic = want_scope.Delta();
-          TrafficScope got_scope;
+          traffic::AggregateScope got_scope;
           const double got = ReplayEarlyAbandon(checkpoints, l, d, threshold);
           EXPECT_EQ(got_scope.Delta(), want_traffic) << "lane " << l;
           EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))

@@ -80,7 +80,7 @@ TEST(TrafficAccountingTest, LazyCombineChargesPerInspection) {
   auto handle_or = engine.RunQueryBatch(RandomUnitVector(16, 6), 1);
   ASSERT_TRUE(handle_or.ok());
 
-  TrafficScope scope;
+  traffic::AggregateScope scope;
   engine.BoundFor(*handle_or, 0, 0);
   engine.BoundFor(*handle_or, 0, 1);
   const TrafficCounters delta = scope.Delta();

@@ -1,10 +1,13 @@
 #include <atomic>
 #include <cmath>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "util/bits.h"
+#include "util/exact_sum.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -147,6 +150,46 @@ TEST(TimerTest, MeasuresElapsed) {
   EXPECT_GE(t.ElapsedMillis(), 0.0);
   t.Reset();
   EXPECT_LT(t.ElapsedSeconds(), 1.0);
+}
+
+// The exact accumulator gives the same limbs for the same values added in
+// any order — the property the k-means centroid update rests on: its one
+// flat sum is the per-shard partial sums merged by the tree the fleet
+// charges. double accumulation would fail this for these magnitudes.
+TEST(ExactSumTest, ShuffledAddOrdersGiveIdenticalLimbs) {
+  Rng rng(5);
+  std::vector<float> values;
+  for (int i = 0; i < 500; ++i) {
+    // Mix signs and ~100 binary orders of magnitude, including denormals.
+    float v = rng.NextFloat() * 2.0f - 1.0f;
+    v = std::ldexp(v, static_cast<int>(rng.NextBounded(100)) - 50);
+    if (i % 97 == 0) v = 1e-42f;  // denormal.
+    values.push_back(v);
+  }
+  ExactSum in_order;
+  for (float v : values) in_order.Add(v);
+
+  for (int trial = 0; trial < 4; ++trial) {
+    for (size_t i = values.size() - 1; i > 0; --i) {
+      std::swap(values[i], values[rng.NextBounded(i + 1)]);
+    }
+    ExactSum shuffled;
+    for (float v : values) shuffled.Add(v);
+    EXPECT_TRUE(shuffled == in_order) << "trial " << trial;
+    EXPECT_EQ(shuffled.ToDouble(), in_order.ToDouble()) << "trial " << trial;
+  }
+
+  // Sanity: the rounded value agrees with a long-double reference, within
+  // that reference's own accumulation error (relative to the magnitude of
+  // the summands, not of the — possibly cancelled — net sum).
+  long double reference = 0.0L;
+  double magnitude = 0.0;
+  for (float v : values) {
+    reference += static_cast<long double>(v);
+    magnitude += std::abs(static_cast<double>(v));
+  }
+  EXPECT_NEAR(in_order.ToDouble(), static_cast<double>(reference),
+              magnitude * 1e-12);
 }
 
 }  // namespace
