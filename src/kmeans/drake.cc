@@ -60,13 +60,7 @@ class DrakeBounds : public KmeansBounds {
           }
           if (upper_[i] <= min_lb) return;
 
-          const auto p = data_.row(i);
-          double best_d;
-          {
-            ScopedFunctionTimer timer(&slot.profile, "ED");
-            best_d = KmeansExactDistance(p, result_.centers.row(a));
-            ++slot.exact_count;
-          }
+          double best_d = ExactDistance(i, a, slot);
           upper_[i] = best_d;
           size_t best_c = a;
           for (size_t pos = 0; pos < b_; ++pos) {

@@ -60,7 +60,6 @@ class ElkanBounds : public KmeansBounds {
         [&](size_t i, size_t /*slot_index*/, WorkerSlot& slot) {
           const size_t a = result_.assignments[i];
           if (upper_[i] <= nearest_other_[a]) return;
-          const auto p = data_.row(i);
           size_t best_c = a;  // current best center; cc-tests must use it.
           double best_d = upper_[i];
           bool tightened = upper_stale_[i] == 0;
@@ -69,9 +68,7 @@ class ElkanBounds : public KmeansBounds {
             if (lower_[i * k_ + c] >= best_d) continue;
             if (0.5 * cc_[best_c * k_ + c] >= best_d) continue;
             if (!tightened) {
-              ScopedFunctionTimer timer(&slot.profile, "ED");
-              best_d = KmeansExactDistance(p, result_.centers.row(a));
-              ++slot.exact_count;
+              best_d = ExactDistance(i, a, slot);
               lower_[i * k_ + a] = best_d;
               upper_[i] = best_d;
               upper_stale_[i] = 0;

@@ -35,12 +35,7 @@ class HamerlyBounds : public KmeansBounds {
           const double gate = std::max(nearest_other_[a], lower_[i]);
           if (upper_[i] <= gate) return;
           // Tighten the upper bound; re-test before the full rescan.
-          {
-            ScopedFunctionTimer timer(&slot.profile, "ED");
-            upper_[i] =
-                KmeansExactDistance(data_.row(i), result_.centers.row(a));
-            ++slot.exact_count;
-          }
+          upper_[i] = ExactDistance(i, a, slot);
           if (upper_[i] <= gate) return;
           const int32_t before = result_.assignments[i];
           Rescan(i, dist_[slot_index], slot);

@@ -51,13 +51,14 @@ Result<KmeansResult> KmeansAlgorithm::Run(const FloatMatrix& data,
   std::vector<double> moved;
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     Timer iter_wall;
-    // Modeled iteration latency: process-wide host traffic delta (exact at
-    // any thread count) + the device time this iteration's BeginIteration
-    // charges (added below, before any early exit).
+    // Modeled iteration latency: this thread's host traffic delta, which
+    // the assign pass's slots fold back into (exact at any thread count),
+    // + the device time this iteration's BeginIteration charges (added
+    // below, before any early exit).
     const double pim_ns_before =
         filter != nullptr ? filter->PimComputeNs() : 0.0;
-    obs::AggregateSpan iter_span("kmeans", "iteration");
-    iter_span.set_histogram(&result.stats.latency_hist);
+    obs::ModeledSpan iter_span("kmeans", "iteration",
+                               &result.stats.latency_hist);
 
     if (filter != nullptr) {
       ScopedFunctionTimer timer(&result.stats.profile, "LB_PIM");

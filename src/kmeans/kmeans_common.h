@@ -108,11 +108,16 @@ class KmeansBounds {
 
   /// The PIM-filter step of every assign loop: with a filter, counts one
   /// bound evaluation and returns the LB_PIM-ED bound of (point i, center
-  /// c) when it is at least `cutoff`. Otherwise counts one exact distance,
-  /// times it as "ED" and returns it. Either value is a valid lower bound
-  /// on the distance, and a value below `cutoff` is always exact.
+  /// c) when it is at least `cutoff`. Otherwise returns ExactDistance.
+  /// Either value is a valid lower bound on the distance, and a value below
+  /// `cutoff` is always exact.
   double DistanceOrBound(size_t i, size_t c, double cutoff,
                          WorkerSlot& slot) const;
+
+  /// The one timed exact-distance step of the assign loops: times the
+  /// distance of (point i, center c) as "ED", counts it as exact and
+  /// returns it.
+  double ExactDistance(size_t i, size_t c, WorkerSlot& slot) const;
 
   /// Fills half_nearest[j] with s(j), half the distance from center j to
   /// its nearest other center, and a non-empty `cc` with the k x k
@@ -267,6 +272,11 @@ inline double KmeansBounds::DistanceOrBound(size_t i, size_t c, double cutoff,
       return bound;
     }
   }
+  return ExactDistance(i, c, slot);
+}
+
+inline double KmeansBounds::ExactDistance(size_t i, size_t c,
+                                          WorkerSlot& slot) const {
   ScopedFunctionTimer timer(&slot.profile, "ED");
   ++slot.exact_count;
   return KmeansExactDistance(data_.row(i), result_.centers.row(c));

@@ -128,13 +128,7 @@ class YinyangBounds : public KmeansBounds {
           }
           if (upper_[i] <= global_lb) return;
 
-          const auto p = data_.row(i);
-          double best_d;
-          {
-            ScopedFunctionTimer timer(&slot.profile, "ED");
-            best_d = KmeansExactDistance(p, result_.centers.row(a));
-            ++slot.exact_count;
-          }
+          double best_d = ExactDistance(i, a, slot);
           upper_[i] = best_d;
           if (best_d <= global_lb) return;
           size_t best_c = a;
@@ -186,11 +180,7 @@ class YinyangBounds : public KmeansBounds {
             // The old assignment was excluded from every scan, but it now
             // belongs to its group's bound domain; fold its distance in.
             const size_t old_group = group_[a];
-            ScopedFunctionTimer timer(&slot.profile, "ED");
-            const double d_old =
-                KmeansExactDistance(p, result_.centers.row(a));
-            ++slot.exact_count;
-            lb[old_group] = std::min(lb[old_group], d_old);
+            lb[old_group] = std::min(lb[old_group], ExactDistance(i, a, slot));
           }
         });
   }

@@ -35,7 +35,7 @@ Result<KnnRunResult> KnnSearchBase::Search(const FloatMatrix& queries,
       NumSlots(exec_policy_, queries.rows(), batch));
   for (BatchScratch& s : scratch) s.bounds.resize(data_->rows());
 
-  // Serial-equivalent device time per query, hoisted so every QuerySpan
+  // Serial-equivalent device time per query, hoisted so every query span
   // charges the same value regardless of device-batch grouping.
   const bool device = UsesDevice();
   const double device_ns_per_query =
@@ -64,8 +64,8 @@ Result<KnnRunResult> KnnSearchBase::Search(const FloatMatrix& queries,
           }
         }
         for (size_t qi = begin; qi < end; ++qi) {
-          obs::QuerySpan query_span(static_cast<int64_t>(qi), &slot.latency,
-                                    device_ns_per_query);
+          obs::ModeledSpan query_span(static_cast<int64_t>(qi),
+                                      &slot.latency, device_ns_per_query);
           const uint64_t bounds_before = slot.bound_count;
           const uint64_t exact_before = slot.exact_count;
           result.neighbors[qi] =

@@ -15,7 +15,7 @@ namespace pimine {
 /// PIM counterparts (§V-D, §VI-B swap one bound inside an unchanged
 /// loop), and the §II-A approximate kNN (ApproximatePimKnn). It checks
 /// the arguments, opens the run's RunScope, gives every worker a
-/// BatchScratch, and runs RunSlotPass in device batches with a QuerySpan
+/// BatchScratch, and runs RunSlotPass in device batches with a ModeledSpan
 /// per query. A path with a fleet (`engine_`) first answers each device
 /// batch with one RunQueryBatch. The run closes on the scope, then
 /// PublishRunMetrics. A path supplies its Prepare, SearchQuery and

@@ -61,37 +61,35 @@ int64_t TrackFor(int64_t index) {
   return tls_track_base == kNoTrackBase ? kRunTrack : tls_track_base + index;
 }
 
-QuerySpan::QuerySpan(int64_t query_id, Histogram* latency, double extra_ns)
+ModeledSpan::ModeledSpan(int64_t query_id, Histogram* latency,
+                         double extra_ns)
+    : ModeledSpan("query", "query", query_id, "query_id", latency, extra_ns) {}
+
+ModeledSpan::ModeledSpan(const char* cat, const char* name,
+                         Histogram* latency)
+    : ModeledSpan(cat, name, kRunTrack, nullptr, latency, 0.0) {}
+
+ModeledSpan::ModeledSpan(const char* cat, const char* name, int64_t track,
+                         const char* track_arg, Histogram* latency,
+                         double extra_ns)
     : obs_(Obs::Get()),
-      query_id_(query_id),
+      cat_(cat),
+      name_(name),
+      track_(track),
+      track_arg_(track_arg),
       latency_(latency),
       extra_ns_(extra_ns) {
   if (obs_ == nullptr) return;
   start_ = traffic::Local();
-  obs_->trace().Begin("query", "query", query_id_);
-}
-
-QuerySpan::~QuerySpan() {
-  if (obs_ == nullptr) return;
-  const TrafficCounters delta = traffic::Local() - start_;
-  const double ns = obs_->HostNs(delta) + extra_ns_;
-  obs_->trace().End("query", "query", query_id_, ns, "query_id", query_id_);
-  if (latency_ != nullptr) latency_->Record(ns);
-}
-
-AggregateSpan::AggregateSpan(const char* cat, const char* name, int64_t track)
-    : obs_(Obs::Get()), cat_(cat), name_(name), track_(track) {
-  if (obs_ == nullptr) return;
-  start_ = traffic::GlobalSnapshot();
   obs_->trace().Begin(cat_, name_, track_);
 }
 
-AggregateSpan::~AggregateSpan() {
+ModeledSpan::~ModeledSpan() {
   if (obs_ == nullptr) return;
-  const TrafficCounters delta = traffic::GlobalSnapshot() - start_;
+  const TrafficCounters delta = traffic::Local() - start_;
   const double ns = obs_->HostNs(delta) + extra_ns_;
-  obs_->trace().End(cat_, name_, track_, ns);
-  if (hist_ != nullptr) hist_->Record(ns);
+  obs_->trace().End(cat_, name_, track_, ns, track_arg_, track_);
+  if (latency_ != nullptr) latency_->Record(ns);
 }
 
 SchedSpan::SchedSpan(int64_t chunk_index, int64_t begin, int64_t end)

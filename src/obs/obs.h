@@ -31,8 +31,7 @@ struct ObsOptions {
 /// bit-identical to an uninstrumented binary.
 ///
 /// Enable()/Disable() must be called from the coordinating thread while no
-/// instrumented work is in flight (same quiescence contract as
-/// traffic::GlobalSnapshot()).
+/// instrumented work is in flight.
 class Obs {
  public:
   /// nullptr when observability is disabled (the fast path).
@@ -104,52 +103,41 @@ int64_t TrackFor(int64_t index);
 
 // --- RAII spans ------------------------------------------------------------
 
-/// Per-query span recorded by the worker that owns the query. Duration =
-/// modeled host ns of the thread-local traffic delta + `extra_ns` (the
-/// query's serial-equivalent device time, hoisted by the caller). On close
-/// it records the duration into `latency` (a per-slot histogram, exact-
-/// merged into RunStats later) — both the trace bytes and the histogram
-/// depend only on per-query work, never on thread count or batch grouping.
-class QuerySpan {
+/// Span in the modeled-time domain over the calling thread's work:
+/// duration = modeled host ns of the thread's traffic delta + the device
+/// ns the caller hoisted (`extra_ns`) or charged (AddModeledNs). On close
+/// it records the duration into `latency` when non-null (a per-slot or
+/// per-run histogram, exact-merged into RunStats). A kNN or served query
+/// opens one on its own track in the worker that owns it; a k-means
+/// iteration opens one on the run track, and its delta includes the slot
+/// traffic its assign pass folds back. The trace bytes and the histogram
+/// therefore depend only on the spanned work, never on thread count or
+/// batch grouping.
+class ModeledSpan {
  public:
-  QuerySpan(int64_t query_id, Histogram* latency, double extra_ns = 0.0);
-  ~QuerySpan();
-
-  QuerySpan(const QuerySpan&) = delete;
-  QuerySpan& operator=(const QuerySpan&) = delete;
-
- private:
-  Obs* obs_;
-  int64_t query_id_;
-  Histogram* latency_;
-  double extra_ns_;
-  TrafficCounters start_;
-};
-
-/// Run-level span covering work fanned out across the pool: duration =
-/// modeled host ns of the *process-wide* traffic delta (AggregateScope
-/// discipline — construct before submitting work, destroy after the pool
-/// drains) + any explicitly added device ns. Used for k-means iterations.
-class AggregateSpan {
- public:
-  AggregateSpan(const char* cat, const char* name, int64_t track = kRunTrack);
-  ~AggregateSpan();
+  /// One query: "query" on track `query_id`, tagged with it.
+  ModeledSpan(int64_t query_id, Histogram* latency, double extra_ns = 0.0);
+  /// A run-level span `cat`/`name` on kRunTrack.
+  ModeledSpan(const char* cat, const char* name, Histogram* latency);
+  ~ModeledSpan();
 
   /// Adds modeled device nanoseconds (e.g. PIM compute charged upstream).
   void AddModeledNs(double ns) { extra_ns_ += ns; }
-  /// Also record the final duration into `hist` on close.
-  void set_histogram(Histogram* hist) { hist_ = hist; }
 
-  AggregateSpan(const AggregateSpan&) = delete;
-  AggregateSpan& operator=(const AggregateSpan&) = delete;
+  ModeledSpan(const ModeledSpan&) = delete;
+  ModeledSpan& operator=(const ModeledSpan&) = delete;
 
  private:
+  ModeledSpan(const char* cat, const char* name, int64_t track,
+              const char* track_arg, Histogram* latency, double extra_ns);
+
   Obs* obs_;
   const char* cat_;
   const char* name_;
   int64_t track_;
-  double extra_ns_ = 0.0;
-  Histogram* hist_ = nullptr;
+  const char* track_arg_;  // exports the track as this arg; null: none.
+  Histogram* latency_;
+  double extra_ns_;
   TrafficCounters start_;
 };
 

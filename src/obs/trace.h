@@ -55,8 +55,7 @@ struct TraceOptions {
 /// buffer without synchronization (registration takes the registry mutex
 /// once per thread per recorder). Export requires external quiescence —
 /// call ToChromeJson() only after all instrumented work has drained (the
-/// ParallelChunks handshake provides the happens-before edge), the same
-/// discipline as traffic::GlobalSnapshot().
+/// ParallelChunks handshake provides the happens-before edge).
 class TraceRecorder {
  public:
   explicit TraceRecorder(const TraceOptions& options);

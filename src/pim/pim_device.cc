@@ -632,7 +632,11 @@ Status PimDevice::DotProductBatch(std::span<const int32_t> queries,
       stats_.compute_ns += query_ns;
       stats_.compute_energy_pj += query_pj;
     }
-    stats_.pipelined_ns += batch_ns;
+    // Each partial sum repeats one constant, so completion order cannot
+    // move it; a run of one batch size keeps a running sum's bits.
+    pipelined_by_size_[static_cast<int64_t>(num_queries)] += batch_ns;
+    stats_.pipelined_ns = 0.0;
+    for (const auto& [size, ns] : pipelined_by_size_) stats_.pipelined_ns += ns;
     stats_.results_produced += num_queries * n;
     stats_.result_bytes_to_host += num_queries * n * sizeof(uint64_t);
     stats_.fault.Merge(local);
@@ -727,6 +731,7 @@ void PimDevice::ResetOnlineStats() {
   stats_.queries_per_batch.clear();
   stats_.compute_ns = 0.0;
   stats_.pipelined_ns = 0.0;
+  pipelined_by_size_.clear();
   stats_.compute_energy_pj = 0.0;
   stats_.results_produced = 0;
   stats_.result_bytes_to_host = 0;

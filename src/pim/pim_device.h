@@ -50,9 +50,10 @@ struct PimDeviceStats {
   /// figure the paper's single-query experiments report.
   double compute_ns = 0.0;
   /// Modeled device-occupancy time with batch pipelining
-  /// (PimTimingModel::BatchDotLatencyNs(s, bits, Q) per batch). Equals
-  /// compute_ns bit-for-bit when every batch has Q = 1; smaller when
-  /// queries stream back-to-back.
+  /// (PimTimingModel::BatchDotLatencyNs(s, bits, Q) per batch), summed per
+  /// batch size Q and then over the sizes in ascending Q, so the order the
+  /// batches complete in cannot change it. Equals compute_ns bit-for-bit
+  /// when every batch has Q = 1; smaller when queries stream back-to-back.
   double pipelined_ns = 0.0;
   /// Modeled crossbar + ADC energy of the batches (picojoules). Energy is
   /// proportional to work, so it is not amortized by batching.
@@ -292,7 +293,10 @@ class PimDevice {
   std::vector<uint32_t> row_writes_;
   std::vector<uint8_t> worn_;
   PimDeviceStats stats_;
-  /// Guards stats_ against concurrent DotProductBatch calls.
+  /// stats_.pipelined_ns's partial sum of each batch size Q, keyed by Q.
+  std::map<int64_t, double> pipelined_by_size_;
+  /// Guards stats_ and pipelined_by_size_ against concurrent
+  /// DotProductBatch calls.
   mutable std::mutex stats_mu_;
 
   // Fault model state (empty / null when fault_config_ is disabled).

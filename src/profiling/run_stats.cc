@@ -24,12 +24,13 @@ Status RunSlotPass(
   std::vector<WorkerSlot> slots(NumSlots(policy, n, chunk));
   ParallelChunks(policy, n, chunk,
                  [&](size_t begin, size_t end, size_t slot_index) {
+                   WorkerSlot& slot = slots[slot_index];
+                   const traffic::ScopedSink sink(&slot.traffic);
                    // Runs on the pool thread, so it doubles as the worker
                    // span carrying the chunk's item range.
                    obs::SchedSpan sched(static_cast<int64_t>(begin / chunk),
                                         static_cast<int64_t>(begin),
                                         static_cast<int64_t>(end));
-                   WorkerSlot& slot = slots[slot_index];
                    for (size_t b = begin; b < end && slot.status.ok();
                         b += chunk) {
                      body(b, std::min(end, b + chunk), slot_index, slot);
@@ -38,6 +39,7 @@ Status RunSlotPass(
   Status first_error;
   for (const WorkerSlot& slot : slots) {
     slot.FoldInto(stats);
+    traffic::Local() += slot.traffic;
     if (changed != nullptr) *changed += slot.changed;
     if (first_error.ok()) first_error = slot.status;
   }

@@ -58,17 +58,19 @@ struct RunStats {
 /// Per-worker accumulation slot of a kNN query batch, a k-means assign
 /// chunk or a serving dispatch; RunSlotPass folds it into RunStats.
 struct WorkerSlot {
+  /// The traffic sink the worker's charges land in (traffic::ScopedSink).
+  TrafficCounters traffic;
   uint64_t exact_count = 0;
   uint64_t bound_count = 0;
   uint64_t pruned_count = 0;
   uint64_t changed = 0;     // k-means reassignments.
   FunctionProfiler profile;
-  obs::Histogram latency;   // obs::QuerySpan samples; empty with obs off.
+  obs::Histogram latency;   // obs::ModeledSpan samples; empty with obs off.
   Status status;            // first failure this worker observed.
 
   /// The host half of a run's epilogue: counts, profile and latency into
-  /// `stats`. Integer sums and exact histogram merges, so no total depends
-  /// on the fold order.
+  /// `stats` (traffic reaches it through the run's RunScope). Integer sums
+  /// and exact histogram merges, so no total depends on the fold order.
   void FoldInto(RunStats* stats) const;
 };
 
@@ -76,12 +78,14 @@ struct WorkerSlot {
 /// assign chunks and replay dispatches. ParallelChunks spreads [0, n) in
 /// chunks of `chunk` (>= 1) items over NumSlots(policy, n, chunk) workers,
 /// one WorkerSlot each. Every claimed chunk (all of [0, n) under a serial
-/// policy) opens one opt-in obs::SchedSpan over its item range and calls
+/// policy) installs its slot's traffic sink, opens one opt-in
+/// obs::SchedSpan over its item range and calls
 /// `body(begin, end, slot_index, slot)` on each `chunk`-sized piece of it,
 /// so the pieces are the same for every thread count; a worker skips the
 /// rest of its pieces once its slot holds an error. The slots then fold
-/// into `stats` in slot order, and their reassignments into `*changed`
-/// when it is non-null. Returns the first error in slot order.
+/// into `stats` in slot order, their traffic into the calling thread's
+/// counters and their reassignments into `*changed` when it is non-null.
+/// Returns the first error in slot order.
 Status RunSlotPass(
     const ExecPolicy& policy, size_t n, size_t chunk, RunStats* stats,
     const std::function<void(size_t, size_t, size_t, WorkerSlot&)>& body,

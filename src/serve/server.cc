@@ -301,8 +301,8 @@ Status PimServer::RunDispatch(const FormedBatch& b,
         engine_->RunQueryBatch(qbuf.subspan(c0 * dims, chunk * dims), chunk,
                                &s->query, &s->handle, dispatch));
     for (size_t bq = 0; bq < chunk; ++bq) {
-      obs::QuerySpan query_span(s->tracks[bq], &slot.latency,
-                                device_ns_per_query);
+      obs::ModeledSpan query_span(s->tracks[bq], &slot.latency,
+                                  device_ns_per_query);
       const uint64_t exact_before = slot.exact_count;
       s->neighbors[c0 + bq] = StandardPimQuery(
           *engine_, s->handle, bq, distance_, *data_,
@@ -636,6 +636,7 @@ void PimServer::WorkerLoop() {
       std::copy(requests[m]->query.begin(), requests[m]->query.end(),
                 scratch.qbuf.begin() + m * dims);
     }
+    const traffic::AggregateScope dispatch_traffic;
     const Status status = RunDispatch(b, scratch.qbuf, &scratch, slot);
     // The live clock: a dispatch completes when its execution returns.
     b.completion_ns = NowNs();
@@ -644,6 +645,7 @@ void PimServer::WorkerLoop() {
     // The fold order cannot move a total, so workers fold in whatever order
     // their dispatches finish.
     slot.FoldInto(&run.stats.exec);
+    run.stats.exec.traffic += dispatch_traffic.Delta();
     slot = WorkerSlot();
     for (size_t m = 0; m < requests.size(); ++m) {
       results[m]->status = status;

@@ -92,8 +92,7 @@ struct ServeStats {
   /// Q-pipelining the offered load actually sustained.
   double mean_batch_occupancy = 0.0;
   /// Modeled device-occupancy total: the formed service times summed over
-  /// dispatches in accounting order (deterministic in replay, unlike the
-  /// engine's interleaving-dependent float accumulation).
+  /// dispatches in accounting order.
   double pipelined_ns = 0.0;
   obs::Histogram wait_hist;       // arrival -> dispatch, per served query.
   obs::Histogram latency_hist;    // arrival -> completion, per served query.
@@ -270,8 +269,9 @@ class PimServer : public MutationListener {
   /// neighbours, traffic and modeled stats are those of the offline path.
   /// Fills s->neighbors; each member's admission id labels its trace
   /// spans. Counts the dispatch's exact, bound and pruned candidates and
-  /// query latencies into `slot`, which its caller folds: replay's slot
-  /// pass, or a live worker under mu_.
+  /// query latencies into `slot` and its traffic into the calling thread's
+  /// counters; its caller folds both: replay's slot pass and run scope, or
+  /// a live worker under mu_.
   Status RunDispatch(const FormedBatch& b, std::span<const float> qbuf,
                      DispatchScratch* s, WorkerSlot& slot) const;
   /// Accounts a dispatch in run->stats and its telemetry: batch counters,

@@ -1,9 +1,6 @@
 #include "sim/traffic.h"
 
-#include <algorithm>
-#include <mutex>
 #include <sstream>
-#include <vector>
 
 namespace pimine {
 
@@ -44,63 +41,5 @@ std::string TrafficCounters::ToString() const {
      << " branch=" << branches << " pim_results=" << pim_results_loaded;
   return os.str();
 }
-
-namespace traffic {
-namespace {
-
-// Registry of every live thread's counter block plus the folded totals of
-// exited threads. Deliberately leaked: worker threads (e.g. the shared
-// ThreadPool's) may run their thread_local destructors during static
-// destruction, after a function-local static registry would already be gone.
-struct Registry {
-  std::mutex mu;
-  std::vector<const TrafficCounters*> live;
-  TrafficCounters retired;
-};
-
-Registry& GetRegistry() {
-  static Registry* registry = new Registry();
-  return *registry;
-}
-
-// Thread-local registry membership: registers the counter block on first
-// use, retires it (folding its totals into the process accumulator so
-// GlobalSnapshot stays monotonic) on thread exit.
-struct ThreadEntry {
-  TrafficCounters counters;
-
-  ThreadEntry() {
-    Registry& registry = GetRegistry();
-    std::lock_guard<std::mutex> lock(registry.mu);
-    registry.live.push_back(&counters);
-  }
-
-  ~ThreadEntry() {
-    Registry& registry = GetRegistry();
-    std::lock_guard<std::mutex> lock(registry.mu);
-    registry.retired += counters;
-    registry.live.erase(
-        std::find(registry.live.begin(), registry.live.end(), &counters));
-  }
-};
-
-}  // namespace
-
-TrafficCounters& Local() {
-  thread_local ThreadEntry entry;
-  return entry.counters;
-}
-
-void Reset() { Local() = TrafficCounters(); }
-
-TrafficCounters GlobalSnapshot() {
-  Registry& registry = GetRegistry();
-  std::lock_guard<std::mutex> lock(registry.mu);
-  TrafficCounters total = registry.retired;
-  for (const TrafficCounters* counters : registry.live) total += *counters;
-  return total;
-}
-
-}  // namespace traffic
 
 }  // namespace pimine

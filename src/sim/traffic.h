@@ -35,31 +35,22 @@ struct TrafficCounters {
 /// granularity (per row / per block of candidates) so instrumentation
 /// overhead stays negligible relative to the measured work.
 namespace traffic {
+namespace internal {
+// Both are constant-initialized and trivially destructible, so a read
+// needs no thread-local init check and a thread's exit runs no destructor.
+inline constinit thread_local TrafficCounters tls_counters;
+inline constinit thread_local TrafficCounters* tls_sink = nullptr;
+}  // namespace internal
 
-/// Current thread's counters (mutable reference). The first access from a
-/// thread registers its counter block in the process-wide registry that
-/// AggregateScope drains; the block is retired (its totals folded into a
-/// process accumulator) when the thread exits.
-TrafficCounters& Local();
+/// The calling thread's counters: the sink a ScopedSink installed, else
+/// the thread's own block.
+inline TrafficCounters& Local() {
+  TrafficCounters* const sink = internal::tls_sink;
+  return sink != nullptr ? *sink : internal::tls_counters;
+}
 
-/// Zeroes the current thread's counters.
-void Reset();
-
-/// Process-wide counter snapshot: the sum of every live thread's counters
-/// plus the totals retired by exited threads. Call only while no
-/// instrumented work is in flight on other threads (e.g. after
-/// ThreadPool::Wait()); the registry does not synchronize with counting
-/// threads beyond the caller's own happens-before edges.
-TrafficCounters GlobalSnapshot();
-
-inline void CountRead(uint64_t bytes);
-inline void CountWrite(uint64_t bytes);
-inline void CountArithmetic(uint64_t ops);
-inline void CountLongOps(uint64_t ops);
-inline void CountBranches(uint64_t n);
-inline void CountPimResults(uint64_t n);
-
-// --- implementation -------------------------------------------------------
+/// Zeroes the calling thread's counters.
+inline void Reset() { Local() = TrafficCounters(); }
 
 inline void CountRead(uint64_t bytes) { Local().bytes_from_memory += bytes; }
 inline void CountWrite(uint64_t bytes) { Local().bytes_to_memory += bytes; }
@@ -68,20 +59,36 @@ inline void CountLongOps(uint64_t ops) { Local().long_ops += ops; }
 inline void CountBranches(uint64_t n) { Local().branches += n; }
 inline void CountPimResults(uint64_t n) { Local().pim_results_loaded += n; }
 
-/// RAII scope reporting the counter delta accumulated *across all threads*
-/// during its lifetime. This is what makes parallel runs report exactly the
-/// serial traffic: worker threads count into their own thread-local blocks
-/// (no contention on the hot path) and the scope drains the per-thread
-/// deltas through the registry. Construct before submitting work and read
-/// Delta() only after the pool has drained (ThreadPool::Wait() provides the
-/// required happens-before edge); concurrent unrelated instrumented work
-/// would be folded into the delta.
+/// Routes the calling thread's charges into `sink` for the scope's
+/// lifetime, then restores the previous target. RunSlotPass runs each
+/// worker body under its WorkerSlot's sink and adds the slots into the
+/// calling thread's counters once the pass has finished, so a parallel run
+/// charges its coordinator exactly what the serial run does.
+class ScopedSink {
+ public:
+  explicit ScopedSink(TrafficCounters* sink) : prev_(internal::tls_sink) {
+    internal::tls_sink = sink;
+  }
+  ~ScopedSink() { internal::tls_sink = prev_; }
+
+  ScopedSink(const ScopedSink&) = delete;
+  ScopedSink& operator=(const ScopedSink&) = delete;
+
+ private:
+  TrafficCounters* const prev_;
+};
+
+/// RAII scope reporting the calling thread's counter delta over its
+/// lifetime. Work fanned out through RunSlotPass is included (the pass
+/// folds its slots back into this thread's counters); any other thread's
+/// charges never are. Read Delta() on the constructing thread, under the
+/// sink (or none) that was installed at construction.
 class AggregateScope {
  public:
-  AggregateScope() : start_(GlobalSnapshot()) {}
+  AggregateScope() : start_(Local()) {}
 
-  /// Counters accumulated (process-wide) since construction.
-  TrafficCounters Delta() const { return GlobalSnapshot() - start_; }
+  /// Counters this thread accumulated since construction.
+  TrafficCounters Delta() const { return Local() - start_; }
 
  private:
   TrafficCounters start_;

@@ -82,7 +82,7 @@ void ParallelChunks(const ExecPolicy& policy, size_t n, size_t chunk,
   // Wait for this batch only (the pool is shared; ThreadPool::Wait would
   // also wait on unrelated submissions). The condition-variable handshake
   // provides the happens-before edge that makes worker-thread side effects
-  // (results, thread-local traffic counters) visible to the caller.
+  // (results, the traffic in slot sinks) visible to the caller.
   std::unique_lock<std::mutex> lock(mu);
   done.wait(lock, [&] { return pending == 0; });
 }

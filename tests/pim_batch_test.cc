@@ -196,6 +196,33 @@ TEST(PimBatchTest, ModeledStatsInvariantAcrossBatchSizes) {
                    timing.BatchDotLatencyNs(s, 32, 21));
 }
 
+// pipelined_ns sums each batch size apart and then the sizes in ascending
+// order, so the order batches complete in cannot move a bit of it. The two
+// orders are chosen so that plain running sums differ in the last bit.
+TEST(PimBatchTest, PipelinedNsIgnoresBatchOrder) {
+  const size_t n = 12, s = 300;
+  const IntMatrix data = RandomIntMatrix(n, s, 1 << 20, 33);
+  const std::vector<int32_t> queries = RandomQueries(8, s, 1 << 20, 34);
+  const std::vector<size_t> orders[] = {
+      {1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4, 5, 5, 5, 6, 6, 6, 7, 7, 7, 8, 8, 8},
+      {8, 1, 7, 2, 6, 3, 5, 4, 8, 1, 7, 2, 6, 3, 5, 4, 8, 1, 7, 2, 6, 3, 5, 4}};
+  std::vector<double> pipelined;
+  for (const std::vector<size_t>& order : orders) {
+    PimDevice device;
+    ASSERT_TRUE(device.ProgramDataset(data).ok());
+    std::vector<uint64_t> out;
+    for (size_t batch : order) {
+      ASSERT_TRUE(device
+                      .DotProductBatch(std::span<const int32_t>(queries)
+                                           .subspan(0, batch * s),
+                                       batch, &out)
+                      .ok());
+    }
+    pipelined.push_back(device.stats().pipelined_ns);
+  }
+  EXPECT_EQ(pipelined[0], pipelined[1]);
+}
+
 TEST(PimBatchTest, EngineBatchBoundsMatchPerQueryForEveryMode) {
   const size_t n = 40, d = 48, num_queries = 5;
   const FloatMatrix data = testing_util::RandomUnitMatrix(n, d, 51);

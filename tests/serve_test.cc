@@ -2,8 +2,8 @@
 // determinism across scheduler thread counts / batch knobs / shard counts,
 // equivalence with the offline batch path, weighted fairness, queue
 // backpressure, deadline accounting, and live mode: a concurrency smoke, a
-// /metrics scrape against running workers, and failover accounting under
-// chaos (run under TSan in CI).
+// /metrics scrape against running workers, traffic and failover accounting
+// like replay's (run under TSan in CI).
 
 #include <algorithm>
 #include <atomic>
@@ -84,6 +84,26 @@ ReplayOutput MustReplay(const ServeOptions& serve_options,
   auto output = (*server)->Replay(trace, Queries());
   EXPECT_TRUE(output.ok()) << output.status().ToString();
   return std::move(*output);
+}
+
+// Starts `server`, serves every query row once from four concurrent
+// clients and stops it. Returns each row's neighbours.
+std::vector<std::vector<Neighbor>> ServeAllLive(PimServer& server) {
+  std::vector<std::vector<Neighbor>> live(kQueries);
+  EXPECT_TRUE(server.Start().ok());
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 4; ++c) {
+    clients.emplace_back([&, c] {
+      for (size_t row = c; row < kQueries; row += 4) {
+        auto result = server.Submit(0, Queries().row(row));
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        live[row] = std::move(result->neighbors);
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  server.Stop();
+  return live;
 }
 
 void ExpectSameNeighbors(const ReplayOutput& a, const ReplayOutput& b) {
@@ -241,6 +261,41 @@ TEST(ServeReplayTest, BitIdenticalAcrossSchedulerThreadsAndShards) {
       EXPECT_EQ(run.stats.exec.bound_count, baseline.stats.exec.bound_count);
     }
   }
+}
+
+// A device sums its pipelined time per batch size, so the order in which
+// concurrent dispatches complete cannot move a bit of it: a chaos replay
+// with mixed dispatch sizes reads the same figures on every run at 1 and 4
+// scheduler threads.
+TEST(ServeReplayTest, DevicePipelinedNsIsIdenticalRunToRun) {
+  const ArrivalTrace trace = TestTrace(128, 2, 2e6);
+  ServeOptions base = BaseServe();
+  base.exec.device_batch = 8;
+  base.tenants = {{"gold", 4}, {"free", 1}};
+  base.chaos.device_deaths = 2;
+  base.chaos.horizon_ns = 50000;
+  EngineOptions engine = SmallEngine(2);
+  engine.shard.replicas = 2;
+  std::vector<double> want;
+  for (int threads : {1, 4}) {
+    for (int run = 0; run < 5; ++run) {
+      ServeOptions options = base;
+      options.scheduler_threads = threads;
+      auto server =
+          PimServer::Build(Data(), Distance::kEuclidean, engine, options);
+      ASSERT_TRUE(server.ok()) << server.status().ToString();
+      ASSERT_TRUE((*server)->Replay(trace, Queries()).ok());
+      const ShardedPimEngine& fleet = (*server)->engine();
+      std::vector<double> got;
+      for (size_t j = 0; j < fleet.shards(); ++j) {
+        got.push_back(fleet.ShardHealthSnapshot(j).pipelined_ns);
+      }
+      if (want.empty()) want = got;
+      EXPECT_EQ(got, want) << "threads=" << threads << " run=" << run;
+    }
+  }
+  ASSERT_EQ(want.size(), 2u);
+  EXPECT_GT(want[0], 0.0);
 }
 
 TEST(ServeReplayTest, ResultsInvariantUnderBatchingKnobs) {
@@ -522,20 +577,7 @@ TEST(ServeLiveTest, LiveResultsMatchReplay) {
   auto server =
       PimServer::Build(Data(), Distance::kEuclidean, SmallEngine(), options);
   ASSERT_TRUE(server.ok());
-  ASSERT_TRUE((*server)->Start().ok());
-  std::vector<std::vector<Neighbor>> live(kQueries);
-  std::vector<std::thread> clients;
-  for (int c = 0; c < 4; ++c) {
-    clients.emplace_back([&, c] {
-      for (size_t row = c; row < kQueries; row += 4) {
-        auto result = (*server)->Submit(0, Queries().row(row));
-        ASSERT_TRUE(result.ok()) << result.status().ToString();
-        live[row] = std::move(result->neighbors);
-      }
-    });
-  }
-  for (std::thread& t : clients) t.join();
-  (*server)->Stop();
+  const std::vector<std::vector<Neighbor>> live = ServeAllLive(**server);
 
   const ArrivalTrace trace = AllAtZeroTrace(kQueries, 1, kQueries);
   ServeOptions replay_options = options;
@@ -544,6 +586,30 @@ TEST(ServeLiveTest, LiveResultsMatchReplay) {
   for (size_t row = 0; row < kQueries; ++row) {
     EXPECT_EQ(live[row], replayed.results[row].neighbors) << "query " << row;
   }
+}
+
+// Live serving reports the traffic its dispatches charged. A query's
+// traffic does not depend on how queries are batched, so the live total
+// equals a replay's over the same queries.
+TEST(ServeLiveTest, LiveTrafficMatchesReplay) {
+  ServeOptions options = BaseServe();
+  options.scheduler_threads = 2;
+  auto server =
+      PimServer::Build(Data(), Distance::kEuclidean, SmallEngine(), options);
+  ASSERT_TRUE(server.ok());
+  ServeAllLive(**server);
+  const ServeStats live = (*server)->LiveStats();
+
+  ServeOptions replay_options = options;
+  replay_options.scheduler_threads = 1;
+  const ReplayOutput replayed =
+      MustReplay(replay_options, AllAtZeroTrace(kQueries, 1, kQueries));
+  EXPECT_EQ(live.served, kQueries);
+  EXPECT_EQ(live.exec.exact_count, replayed.stats.exec.exact_count);
+  EXPECT_GT(live.exec.traffic.bytes_from_memory, 0u);
+  EXPECT_TRUE(live.exec.traffic == replayed.stats.exec.traffic)
+      << live.exec.traffic.ToString() << " vs "
+      << replayed.stats.exec.traffic.ToString();
 }
 
 // A /metrics scrape runs against live workers (CI runs this under TSan):
@@ -597,20 +663,7 @@ TEST(ServeLiveTest, ChaosFailoverIsAccountedLikeReplay) {
   engine.shard.replicas = 2;
   auto server = PimServer::Build(Data(), Distance::kEuclidean, engine, options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
-  ASSERT_TRUE((*server)->Start().ok());
-  std::vector<std::vector<Neighbor>> live(kQueries);
-  std::vector<std::thread> clients;
-  for (int c = 0; c < 4; ++c) {
-    clients.emplace_back([&, c] {
-      for (size_t row = c; row < kQueries; row += 4) {
-        auto result = (*server)->Submit(0, Queries().row(row));
-        ASSERT_TRUE(result.ok()) << result.status().ToString();
-        live[row] = std::move(result->neighbors);
-      }
-    });
-  }
-  for (std::thread& t : clients) t.join();
-  (*server)->Stop();
+  const std::vector<std::vector<Neighbor>> live = ServeAllLive(**server);
 
   const ServeStats stats = (*server)->LiveStats();
   EXPECT_EQ(stats.served, kQueries);

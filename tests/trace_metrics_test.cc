@@ -324,8 +324,8 @@ TEST(ObsTest, DisabledIsNullObjectFastPath) {
   obs::AddCounter("pimine_noop_total", 3);
   Histogram latency;
   {
-    obs::QuerySpan query(0, &latency);
-    obs::AggregateSpan agg("t", "noop");
+    obs::ModeledSpan query(0, &latency);
+    obs::ModeledSpan iteration("t", "noop", &latency);
     obs::SchedSpan sched(0, 0, 1);
   }
   EXPECT_EQ(latency.count(), 0u);
@@ -336,7 +336,7 @@ TEST(ObsTest, EnableDisableLifecycle) {
   ASSERT_TRUE(obs::Obs::Enabled());
   obs::AddCounter("pimine_life_total", 2);
   Histogram latency;
-  { obs::QuerySpan query(4, &latency); }
+  { obs::ModeledSpan query(4, &latency); }
   EXPECT_EQ(latency.count(), 1u);
   obs::Obs* o = obs::Obs::Get();
   EXPECT_EQ(o->metrics().GetCounter("pimine_life_total").Value(), 2u);

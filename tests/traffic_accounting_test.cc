@@ -1,8 +1,12 @@
 // Tests of the traffic accounting that drives every modeled number: the
-// counted bytes must track what the algorithms actually touch, and the
-// PIM variants' lazy combines must be charged per inspected result.
+// counted bytes must track what the algorithms actually touch, the PIM
+// variants' lazy combines must be charged per inspected result, and a run
+// must count no other thread's work.
 
 #include <algorithm>
+#include <latch>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -85,6 +89,59 @@ TEST(TrafficAccountingTest, LazyCombineChargesPerInspection) {
   engine.BoundFor(*handle_or, 0, 1);
   const TrafficCounters delta = scope.Delta();
   EXPECT_EQ(delta.pim_results_loaded, 2u);
+}
+
+// A run counts the traffic of the thread that opened it and of the slot
+// passes it fanned out, never another thread's concurrent work: two threads
+// searching at once, both fanning out over the shared pool, each read a
+// solo run's figures in every run.
+TEST(TrafficIsolationTest, ConcurrentSearchesReportOnlyTheirOwnTraffic) {
+  const FloatMatrix data = Clustered(2000, 64, 7);
+  const FloatMatrix queries = RandomUnitMatrix(8, 64, 8);
+  StandardKnn solo;
+  ASSERT_TRUE(solo.Prepare(data).ok());
+  auto alone = solo.Search(queries, 5);
+  ASSERT_TRUE(alone.ok());
+  ASSERT_GT(alone->stats.traffic.bytes_from_memory, 0u);
+
+  constexpr int kRuns = 20;
+  std::vector<std::vector<TrafficCounters>> traffic(2);
+  std::latch start(2);
+  auto search = [&](size_t t) {
+    StandardKnn knn;
+    knn.set_exec_policy(ExecPolicy::WithThreads(2));
+    ASSERT_TRUE(knn.Prepare(data).ok());
+    start.arrive_and_wait();
+    for (int r = 0; r < kRuns; ++r) {
+      auto result = knn.Search(queries, 5);
+      ASSERT_TRUE(result.ok());
+      traffic[t].push_back(result->stats.traffic);
+    }
+  };
+  std::thread first(search, 0);
+  std::thread second(search, 1);
+  first.join();
+  second.join();
+  for (size_t t = 0; t < traffic.size(); ++t) {
+    ASSERT_EQ(traffic[t].size(), static_cast<size_t>(kRuns));
+    for (int r = 0; r < kRuns; ++r) {
+      EXPECT_TRUE(traffic[t][r] == alone->stats.traffic)
+          << "thread " << t << " run " << r << ": "
+          << traffic[t][r].ToString() << " vs "
+          << alone->stats.traffic.ToString();
+    }
+  }
+}
+
+// An AggregateScope measures its own thread: charges another thread makes
+// while the scope is open never reach its delta.
+TEST(TrafficIsolationTest, AggregateScopeSeesNoOtherThreadsCharges) {
+  traffic::AggregateScope scope;
+  std::thread other([] { traffic::CountRead(100); });
+  other.join();
+  EXPECT_TRUE(scope.Delta() == TrafficCounters()) << scope.Delta().ToString();
+  traffic::CountRead(7);
+  EXPECT_EQ(scope.Delta().bytes_from_memory, 7u);
 }
 
 // Reference check of TopK against a full sort, randomized.
