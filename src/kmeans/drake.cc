@@ -115,7 +115,7 @@ class DrakeBounds : public KmeansBounds {
   // Per-worker Rescan scratch.
   struct Scratch {
     std::vector<double> dist;    // the point's ScanAllCenters values.
-    std::vector<int32_t> order;  // centers sorted by dist.
+    std::vector<int32_t> order;  // centers, the first b + 1 sorted by dist.
   };
 
   // Full re-evaluation of one point: all k distances (through the PIM
@@ -124,13 +124,17 @@ class DrakeBounds : public KmeansBounds {
   size_t Rescan(size_t i, Scratch& s, WorkerSlot& slot) {
     const size_t best_c = ScanAllCenters(i, s.dist, slot);
     const std::vector<double>& dist = s.dist;
-    // Rebuild the bound list: b smallest non-assigned entries.
+    // Rebuild the bound list: b smallest non-assigned entries. The first
+    // b + 1 positions in (distance, index) order hold at least b centers
+    // other than best_c, so only they need sorting; the rest feed lb_rest,
+    // a minimum, which their order cannot change.
     std::vector<int32_t>& order = s.order;
     for (size_t c = 0; c < k_; ++c) order[c] = static_cast<int32_t>(c);
-    std::sort(order.begin(), order.end(), [&](int32_t x, int32_t y) {
-      if (dist[x] != dist[y]) return dist[x] < dist[y];
-      return x < y;
-    });
+    std::partial_sort(order.begin(), order.begin() + (b_ + 1), order.end(),
+                      [&](int32_t x, int32_t y) {
+                        if (dist[x] != dist[y]) return dist[x] < dist[y];
+                        return x < y;
+                      });
     PointBounds& pb = bounds_[i];
     size_t filled = 0;
     double rest = HUGE_VAL;
@@ -147,7 +151,7 @@ class DrakeBounds : public KmeansBounds {
     }
     pb.lb_rest = rest;  // HUGE_VAL when b covers all other centers.
     upper_[i] = dist[best_c];
-    traffic::CountArithmetic(k_ * 12);  // sort of k entries.
+    traffic::CountArithmetic(k_ * 12);  // the model's sort of k entries.
     return best_c;
   }
 

@@ -48,6 +48,7 @@ Result<KmeansResult> KmeansAlgorithm::Run(const FloatMatrix& data,
       NewBounds(KmeansRun{data, options, filter, result});
 
   RunScope scope(filter != nullptr ? &filter->engine() : nullptr);
+  CenterSums sums(result.centers.rows(), data.cols(), data.rows());
   std::vector<double> moved;
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     Timer iter_wall;
@@ -68,8 +69,8 @@ Result<KmeansResult> KmeansAlgorithm::Run(const FloatMatrix& data,
     const size_t changed = bounds->Assign(iter);
     {
       ScopedFunctionTimer timer(&result.stats.profile, "update");
-      result.centers = UpdateCenters(data, result.assignments, result.centers,
-                                     &moved, filter);
+      result.centers = sums.Update(data, result.assignments, result.centers,
+                                   &moved, filter);
     }
     bounds->UpdateBounds(moved);
 
@@ -202,48 +203,61 @@ FloatMatrix InitCenters(const FloatMatrix& data, int k, uint64_t seed) {
   return centers;
 }
 
-FloatMatrix UpdateCenters(const FloatMatrix& data,
-                          const std::vector<int32_t>& assignments,
-                          const FloatMatrix& previous_centers,
-                          std::vector<double>* moved,
-                          const PimAssignFilter* filter) {
-  const size_t k = previous_centers.rows();
-  const size_t d = data.cols();
-  PIMINE_CHECK(assignments.size() == data.rows());
+CenterSums::CenterSums(size_t k, size_t dims, size_t num_points)
+    : k_(k),
+      d_(dims),
+      counts_(k, 0),
+      sums_(k * dims),
+      summed_under_(num_points, -1) {}
 
-  // One flat sum per center coordinate. ExactSum addition is exact integer
-  // addition, so this equals the per-shard partials merged by the pairwise
-  // tree the model charges, bit for bit and for every shard count.
-  std::vector<int64_t> counts(k, 0);
-  std::vector<ExactSum> sums(k * d);
+FloatMatrix CenterSums::Update(const FloatMatrix& data,
+                               const std::vector<int32_t>& assignments,
+                               const FloatMatrix& previous_centers,
+                               std::vector<double>* moved,
+                               const PimAssignFilter* filter) {
+  PIMINE_CHECK(assignments.size() == data.rows() &&
+               data.rows() == summed_under_.size() && data.cols() == d_ &&
+               previous_centers.rows() == k_ && previous_centers.cols() == d_)
+      << "CenterSums::Update needs the points and centers it was built for";
+
+  // Only points that moved since the last update change a sum: Add(-x) on
+  // the old center is exact, so the limbs equal a fresh sum's.
   for (size_t i = 0; i < data.rows(); ++i) {
     const int32_t c = assignments[i];
-    PIMINE_DCHECK(c >= 0 && static_cast<size_t>(c) < k);
+    const int32_t old = summed_under_[i];
+    if (c == old) continue;
+    PIMINE_DCHECK(c >= 0 && static_cast<size_t>(c) < k_);
     const auto row = data.row(i);
-    ExactSum* sum = sums.data() + static_cast<size_t>(c) * d;
-    for (size_t j = 0; j < d; ++j) sum[j].Add(row[j]);
-    ++counts[c];
+    if (old >= 0) {
+      ExactSum* sum = sums_.data() + static_cast<size_t>(old) * d_;
+      for (size_t j = 0; j < d_; ++j) sum[j].Add(-row[j]);
+      --counts_[old];
+    }
+    ExactSum* sum = sums_.data() + static_cast<size_t>(c) * d_;
+    for (size_t j = 0; j < d_; ++j) sum[j].Add(row[j]);
+    ++counts_[c];
+    summed_under_[i] = c;
   }
   if (filter != nullptr) {
-    filter->ChargeTreeReduction(k * d * sizeof(ExactSum) +
-                                k * sizeof(int64_t));
+    filter->ChargeTreeReduction(k_ * d_ * sizeof(ExactSum) +
+                                k_ * sizeof(int64_t));
   }
   traffic::CountRead(data.SizeBytes());
-  traffic::CountArithmetic(data.rows() * d);
+  traffic::CountArithmetic(data.rows() * d_);
 
-  FloatMatrix centers(k, d);
-  if (moved != nullptr) moved->assign(k, 0.0);
-  for (size_t c = 0; c < k; ++c) {
+  FloatMatrix centers(k_, d_);
+  if (moved != nullptr) moved->assign(k_, 0.0);
+  for (size_t c = 0; c < k_; ++c) {
     auto dst = centers.mutable_row(c);
     const auto prev = previous_centers.row(c);
-    if (counts[c] == 0) {
+    if (counts_[c] == 0) {
       std::copy(prev.begin(), prev.end(), dst.begin());
       continue;
     }
-    const double inv = 1.0 / static_cast<double>(counts[c]);
+    const double inv = 1.0 / static_cast<double>(counts_[c]);
     double shift_sq = 0.0;
-    const ExactSum* sum = sums.data() + c * d;
-    for (size_t j = 0; j < d; ++j) {
+    const ExactSum* sum = sums_.data() + c * d_;
+    for (size_t j = 0; j < d_; ++j) {
       dst[j] = static_cast<float>(sum[j].ToDouble() * inv);
       const double diff = static_cast<double>(dst[j]) - prev[j];
       shift_sq += diff * diff;
@@ -251,9 +265,18 @@ FloatMatrix UpdateCenters(const FloatMatrix& data,
     if (moved != nullptr) (*moved)[c] = std::sqrt(shift_sq);
   }
   traffic::CountWrite(centers.SizeBytes());
-  traffic::CountArithmetic(k * d * 3);
-  traffic::CountLongOps(k + 1);
+  traffic::CountArithmetic(k_ * d_ * 3);
+  traffic::CountLongOps(k_ + 1);
   return centers;
+}
+
+FloatMatrix UpdateCenters(const FloatMatrix& data,
+                          const std::vector<int32_t>& assignments,
+                          const FloatMatrix& previous_centers,
+                          std::vector<double>* moved,
+                          const PimAssignFilter* filter) {
+  return CenterSums(previous_centers.rows(), data.cols(), data.rows())
+      .Update(data, assignments, previous_centers, moved, filter);
 }
 
 double ComputeInertia(const FloatMatrix& data, const FloatMatrix& centers,

@@ -16,6 +16,7 @@
 #include "data/matrix.h"
 #include "profiling/function_profiler.h"
 #include "profiling/run_stats.h"
+#include "util/exact_sum.h"
 #include "util/parallel.h"
 
 namespace pimine {
@@ -85,7 +86,7 @@ class KmeansBounds {
   /// first iteration past 0 that makes none.
   virtual size_t Assign(int iter) = 0;
 
-  /// Bound maintenance after UpdateCenters moved center c by moved[c].
+  /// Bound maintenance after the update step moved center c by moved[c].
   /// Lloyd keeps no bounds.
   virtual void UpdateBounds(const std::vector<double>& /*moved*/) {}
 
@@ -147,10 +148,10 @@ class KmeansAlgorithm {
   /// run-owned PIM filter and the initial centers, and opens the run's
   /// RunScope over the filter's fleet (so a shared filter reports this run
   /// only). It then iterates BeginIteration ("LB_PIM"), the algorithm's
-  /// Assign, UpdateCenters ("update") and its UpdateBounds until an
-  /// iteration past the first reassigns nothing or max_iterations is
-  /// reached. Fills every RunStats field except footprint_bytes, which the
-  /// bounds set.
+  /// Assign, the update step on the run's one CenterSums ("update") and
+  /// its UpdateBounds until an iteration past the first reassigns nothing
+  /// or max_iterations is reached. Fills every RunStats field except
+  /// footprint_bytes, which the bounds set.
   Result<KmeansResult> Run(const FloatMatrix& data,
                            const KmeansOptions& options) const;
 
@@ -179,18 +180,47 @@ size_t NumAssignSlots(const ExecPolicy& policy, size_t num_points);
 /// `seed`).
 FloatMatrix InitCenters(const FloatMatrix& data, int k, uint64_t seed);
 
-/// Update step of Lloyd's algorithm: means of assigned points; clusters
-/// that lost all points keep their previous center. Returns per-center
-/// movement (real Euclidean distance moved) in `moved` when non-null.
-///
-/// Coordinate sums accumulate in one flat k x d array of ExactSum
-/// fixed-point registers, so the result is a pure function of the multiset
-/// of assigned rows: no summation order or grouping can change it. The
-/// model charges the paper's per-shard partials of `filter`'s fleet merged
-/// by a pairwise tree (ChargeTreeReduction's critical path in the fleet
-/// stats); by that exactness the tree's result is this flat sum, so the
-/// partials exist only in the charge. Host traffic charges are identical
-/// for every shard count.
+/// The coordinate sums of Lloyd's update step, kept across the iterations
+/// of one run (Hamerly, SDM 2010): k counts, one flat k x d array of
+/// ExactSum registers and the center each point is summed under. ExactSum
+/// arithmetic is exact and so is negating a float, so moving a point's row
+/// from its old center's sums to its new one's leaves the limbs of a fresh
+/// sum, whatever the history of the updates.
+class CenterSums {
+ public:
+  /// Sums of `k` centers over `num_points` points of dimension `dims`; no
+  /// point is summed yet.
+  CenterSums(size_t k, size_t dims, size_t num_points);
+
+  /// Update step of Lloyd's algorithm: re-sums the points whose assignment
+  /// changed since the last call (every point on the first), then returns
+  /// the means of the assigned points; clusters that lost all points keep
+  /// their previous center. Returns per-center movement (real Euclidean
+  /// distance moved) in `moved` when non-null. `data` must be the same rows
+  /// at every call.
+  ///
+  /// Charges the paper's from-scratch update however few points moved: the
+  /// read of every row, the n x d adds, the k x d means and the per-shard
+  /// partials of `filter`'s fleet merged by a pairwise tree
+  /// (ChargeTreeReduction's critical path in the fleet stats). The tree's
+  /// result is these exact sums, so the partials exist only in the charge,
+  /// and host traffic charges are identical for every shard count.
+  FloatMatrix Update(const FloatMatrix& data,
+                     const std::vector<int32_t>& assignments,
+                     const FloatMatrix& previous_centers,
+                     std::vector<double>* moved,
+                     const PimAssignFilter* filter = nullptr);
+
+ private:
+  const size_t k_;
+  const size_t d_;
+  std::vector<int64_t> counts_;
+  std::vector<ExactSum> sums_;  // k x d, row-major by center.
+  std::vector<int32_t> summed_under_;  // per point; -1 before any update.
+};
+
+/// Lloyd's update step from scratch: CenterSums::Update on fresh sums. A
+/// run's kept sums give the same centers, movement and charges.
 FloatMatrix UpdateCenters(const FloatMatrix& data,
                           const std::vector<int32_t>& assignments,
                           const FloatMatrix& previous_centers,

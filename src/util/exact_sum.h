@@ -12,9 +12,11 @@ namespace pimine {
 /// integer multiple of that unit, so Add() is exact, and exact integer
 /// addition is associative and commutative — the same values added in any
 /// order produce bit-identical limbs. That is the property the k-means
-/// centroid update rests on: its one flat sum equals the per-shard partial
-/// sums merged pairwise, which the sharded model charges, for every shard
-/// count.
+/// centroid update rests on: its flat sums, kept across a run's iterations
+/// with Add(-x) for each point that leaves a center (negation is exact and
+/// the limbs wrap mod 2^256, so x and -x always cancel), equal a fresh sum
+/// and the per-shard partial sums merged pairwise, which the sharded model
+/// charges, for every shard count.
 ///
 /// Capacity: values up to ~2^106 in magnitude with ~2^43 summands of that
 /// size before the register could wrap — far beyond any dataset this

@@ -1,5 +1,12 @@
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -11,7 +18,9 @@
 #include "kmeans/lloyd.h"
 #include "kmeans/yinyang.h"
 #include "obs/obs.h"
+#include "sim/traffic.h"
 #include "test_helpers.h"
+#include "util/random.h"
 
 namespace pimine {
 namespace {
@@ -312,6 +321,141 @@ TEST(KmeansUpdateTest, EmptyClusterKeepsCenter) {
   EXPECT_DOUBLE_EQ(moved[2], 0.0);
   EXPECT_FLOAT_EQ(updated(0, 0), 0.1f);
   EXPECT_FLOAT_EQ(updated(1, 0), 0.9f);
+}
+
+/// Whether two vectors hold the same bit patterns (-0 differs from +0).
+template <typename T>
+bool SameBits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+// One CenterSums driven through 20 rounds of reassignment re-sums only the
+// points that moved; after every round its centers, movement and traffic
+// charges must be those of a fresh UpdateCenters. The rounds move points
+// back to centers they left, empty clusters and refill them, and leave
+// every point in place once; the data mixes magnitudes from 1e-42 to 1e20
+// with negative coordinates, subnormals and both zeros, where a floating
+// running sum would drift after its first subtraction.
+TEST(CenterSumsTest, KeptSumsMatchFreshSumsAfterEveryRound) {
+  constexpr size_t kN = 64;
+  constexpr size_t kD = 7;
+  constexpr size_t kK = 6;
+  const float specials[] = {0.0f, -0.0f, 1e-42f, -3e-40f,
+                            std::numeric_limits<float>::denorm_min(),
+                            -std::numeric_limits<float>::min(), -1e20f, 7e19f};
+  Rng rng(11);
+  FloatMatrix data(kN, kD);
+  for (size_t i = 0; i < kN; ++i) {
+    for (size_t j = 0; j < kD; ++j) {
+      const float v = rng.NextFloat() * 2.0f - 1.0f;
+      data(i, j) = (i + j) % 3 == 0
+                       ? specials[(i * kD + j) % std::size(specials)]
+                       : std::ldexp(v, static_cast<int>(rng.NextBounded(40)) -
+                                           20);
+    }
+  }
+
+  std::vector<int32_t> assignments(kN);
+  for (size_t i = 0; i < kN; ++i) {
+    assignments[i] = static_cast<int32_t>(i % kK);
+  }
+  std::vector<std::vector<int32_t>> history;
+  CenterSums kept(kK, kD, kN);
+  FloatMatrix kept_centers = InitCenters(data, static_cast<int>(kK), 3);
+  FloatMatrix fresh_centers = kept_centers;
+  size_t emptied_rounds = 0;
+  for (int round = 0; round < 20; ++round) {
+    const int32_t target = static_cast<int32_t>(round / 5 % kK);
+    switch (round % 5) {
+      case 1:  // a quarter of the points move to random centers.
+        for (int32_t& a : assignments) {
+          if (rng.NextBounded(4) == 0) {
+            a = static_cast<int32_t>(rng.NextBounded(kK));
+          }
+        }
+        break;
+      case 2:  // back to the assignment of two rounds ago.
+        assignments = history[history.size() - 2];
+        break;
+      case 3:  // cluster `target` empties into its neighbour.
+        for (int32_t& a : assignments) {
+          if (a == target) a = static_cast<int32_t>((target + 1) % kK);
+        }
+        break;
+      case 4:  // and refills from every other cluster.
+        for (size_t i = 0; i < kN; i += 3) assignments[i] = target;
+        break;
+      default:  // round 0 sums every point; later rounds move none.
+        break;
+    }
+    history.push_back(assignments);
+    bool empty_cluster = false;
+    for (size_t c = 0; c < kK; ++c) {
+      empty_cluster |= std::count(assignments.begin(), assignments.end(),
+                                  static_cast<int32_t>(c)) == 0;
+    }
+    emptied_rounds += empty_cluster ? 1 : 0;
+
+    std::vector<double> kept_moved;
+    std::vector<double> fresh_moved;
+    const traffic::AggregateScope kept_scope;
+    kept_centers = kept.Update(data, assignments, kept_centers, &kept_moved);
+    const TrafficCounters kept_traffic = kept_scope.Delta();
+    const traffic::AggregateScope fresh_scope;
+    fresh_centers =
+        UpdateCenters(data, assignments, fresh_centers, &fresh_moved);
+    const TrafficCounters fresh_traffic = fresh_scope.Delta();
+    EXPECT_TRUE(SameBits(kept_centers.values(), fresh_centers.values()))
+        << "round " << round;
+    EXPECT_TRUE(SameBits(kept_moved, fresh_moved)) << "round " << round;
+    EXPECT_EQ(kept_traffic, fresh_traffic) << "round " << round;
+  }
+  EXPECT_GT(emptied_rounds, 0u);
+}
+
+// A run keeps one CenterSums across its iterations, so the centers it
+// returns must be the from-scratch means of its final assignments, bit for
+// bit (an empty cluster keeps its center either way): every algorithm,
+// host and PIM, at 1 and 4 shards and over a shared filter, stopped after
+// 1 to 6 iterations.
+TEST(KmeansUpdateTest, RunCentersAreFreshMeansOfFinalAssignments) {
+  const FloatMatrix data = ClusteredData(300, 16, 21);
+  EngineOptions four_shards;
+  four_shards.shard.shards = 4;
+  auto shared = PimAssignFilter::Build(data, four_shards);
+  ASSERT_TRUE(shared.ok()) << shared.status().ToString();
+  struct Config {
+    const char* label;
+    bool use_pim;
+    int shards;
+    PimAssignFilter* filter;
+  };
+  const Config configs[] = {{"host", false, 1, nullptr},
+                            {"pim 1 shard", true, 1, nullptr},
+                            {"pim 4 shards", true, 4, nullptr},
+                            {"pim shared filter", true, 4, shared->get()}};
+  for (const Config& config : configs) {
+    for (const auto& algorithm : AllAlgorithms()) {
+      for (int iterations = 1; iterations <= 6; ++iterations) {
+        KmeansOptions options;
+        options.k = 12;
+        options.max_iterations = iterations;
+        options.seed = 5;
+        options.use_pim = config.use_pim;
+        options.engine_options.shard.shards = config.shards;
+        options.filter = config.filter;
+        const std::string label = std::string(algorithm->name()) + " " +
+                                  config.label + " " +
+                                  std::to_string(iterations);
+        const auto r = algorithm->Run(data, options);
+        ASSERT_TRUE(r.ok()) << label << ": " << r.status().ToString();
+        const FloatMatrix fresh =
+            UpdateCenters(data, r->assignments, r->centers, nullptr);
+        EXPECT_TRUE(SameBits(fresh.values(), r->centers.values())) << label;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <utility>
 #include <vector>
@@ -190,6 +191,41 @@ TEST(ExactSumTest, ShuffledAddOrdersGiveIdenticalLimbs) {
   }
   EXPECT_NEAR(in_order.ToDouble(), static_cast<double>(reference),
               magnitude * 1e-12);
+}
+
+// Negating a float is exact and ExactSum arithmetic is exact mod 2^256, so
+// adding a value and its negation, in either order, restores the register
+// it started from for every class of float: what lets a k-means run keep
+// its center sums and subtract the points that move. The largest finite
+// float exceeds the register's range, and it still cancels.
+TEST(ExactSumTest, AddingAValueAndItsNegationRestoresTheSum) {
+  using Limits = std::numeric_limits<float>;
+  const float values[] = {
+      1.5f, -2.75f, 0.1f, 1e30f,              // normal
+      Limits::min(), -Limits::min(),          // smallest normal
+      3e-39f, -1e-42f, Limits::denorm_min(),  // subnormal
+      0.0f, -0.0f,                            // zero
+      Limits::max(), Limits::lowest()};       // largest finite
+  const ExactSum empty;
+  ExactSum base;
+  base.Add(0.1f);
+  base.Add(-1e-40f);
+  base.Add(123456.0f);
+  for (const float v : values) {
+    ExactSum sum;
+    sum.Add(v);
+    sum.Add(-v);
+    EXPECT_TRUE(sum == empty) << v;
+    EXPECT_EQ(sum.ToDouble(), 0.0) << v;
+    ExactSum reversed;
+    reversed.Add(-v);
+    reversed.Add(v);
+    EXPECT_TRUE(reversed == empty) << v;
+    ExactSum on_base = base;
+    on_base.Add(v);
+    on_base.Add(-v);
+    EXPECT_TRUE(on_base == base) << v;
+  }
 }
 
 }  // namespace
