@@ -34,7 +34,7 @@ void Run() {
         }
       }
       conventional_bits =
-          scope.Delta().bytes_from_memory * 8 / (n * w.queries.rows());
+          scope.Delta().traffic.bytes_from_memory * 8 / (n * w.queries.rows());
     }
 
     // PIM-aware: one combine per candidate (PIM result + Phi scalar).
@@ -51,7 +51,7 @@ void Run() {
         PIMINE_CHECK(batch.ok()) << batch.status().ToString();
         engine.BoundsFor(*batch, 0, bounds);
       }
-      const TrafficCounters delta = scope.Delta();
+      const TrafficCounters delta = scope.Delta().traffic;
       pim_bits = (delta.bytes_from_memory * 8 +
                   delta.pim_results_loaded * 64) /
                  (n * w.queries.rows());

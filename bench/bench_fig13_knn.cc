@@ -20,7 +20,6 @@
 #include "knn/sm_pim_knn.h"
 #include "knn/standard_knn.h"
 #include "knn/standard_pim_knn.h"
-#include "profile_workloads.h"
 #include "profiling/modeled_time.h"
 
 namespace pimine {
@@ -99,10 +98,8 @@ void VaryK(const HostCostModel& model) {
     const BenchPoint base = RunKnnPoint(standard, w.queries, k, model);
     // Oracle (Eq. 2): zero the offloadable (ED) share of the measured run,
     // projected onto modeled time.
-    double offloadable_ns = 0.0;
-    for (const auto& [tag, ns] : base.stats.profile.entries()) {
-      if (IsOffloadableTag(tag)) offloadable_ns += static_cast<double>(ns);
-    }
+    const double offloadable_ns =
+        static_cast<double>(base.stats.profile.OffloadableNs());
     const double wall_ns = base.stats.wall_ms * 1e6;
     const double oracle_model_ms =
         base.model_ms *

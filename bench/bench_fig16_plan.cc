@@ -10,7 +10,6 @@
 #include "bench_common.h"
 #include "knn/fnn_knn.h"
 #include "knn/fnn_pim_knn.h"
-#include "profile_workloads.h"
 #include "profiling/modeled_time.h"
 
 namespace pimine {
@@ -29,10 +28,8 @@ void Run() {
   const BenchPoint base = RunKnnPoint(fnn, w.queries, 10, model);
 
   // Oracle from the baseline profile (Eq. 2 projected onto modeled time).
-  double offloadable_ns = 0.0;
-  for (const auto& [tag, ns] : base.stats.profile.entries()) {
-    if (IsOffloadableTag(tag)) offloadable_ns += static_cast<double>(ns);
-  }
+  const double offloadable_ns =
+      static_cast<double>(base.stats.profile.OffloadableNs());
   const double wall_ns = base.stats.wall_ms * 1e6;
   const double oracle_ms =
       base.model_ms *

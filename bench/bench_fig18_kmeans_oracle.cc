@@ -35,8 +35,7 @@ void RunFamily(const char* title, KmeansAlgorithm& algorithm,
     // Oracle: zero the ED share of the measured run, projected onto the
     // modeled time (Eq. 2).
     const double wall_ns = base->stats.wall_ms * 1e6;
-    const double ed_ns =
-        static_cast<double>(base->stats.profile.Get("ED"));
+    const double ed_ns = static_cast<double>(base->stats.profile[Fn::kEd]);
     const double oracle_ms =
         base_ms * (wall_ns > 0 ? PimOracleNs(wall_ns, ed_ns) / wall_ns : 0.0);
 

@@ -15,24 +15,6 @@
 namespace pimine {
 namespace bench {
 
-bool IsOffloadableTag(const std::string& tag) {
-  return tag == "ED" || tag == "CS" || tag == "PCC" || tag == "HD" ||
-         tag == "LB_SM" || tag == "LB_OST" || tag == "LB_FNN" ||
-         tag == "LB_PIM" || tag == "HD_PIM";
-}
-
-namespace {
-
-double OffloadableMs(const FunctionProfiler& profile) {
-  double total_ns = 0.0;
-  for (const auto& [tag, ns] : profile.entries()) {
-    if (IsOffloadableTag(tag)) total_ns += static_cast<double>(ns);
-  }
-  return total_ns / 1e6;
-}
-
-}  // namespace
-
 std::vector<ProfiledRun> ProfileKnnAlgorithms(const BenchWorkload& workload,
                                               int k) {
   std::vector<std::unique_ptr<KnnAlgorithm>> algorithms;
@@ -49,7 +31,8 @@ std::vector<ProfiledRun> ProfileKnnAlgorithms(const BenchWorkload& workload,
     ProfiledRun run;
     run.name = std::string(algorithm->name());
     run.wall_ms = result->stats.wall_ms;
-    run.offloadable_ms = OffloadableMs(result->stats.profile);
+    run.offloadable_ms =
+        static_cast<double>(result->stats.profile.OffloadableNs()) / 1e6;
     run.stats = std::move(result->stats);
     runs.push_back(std::move(run));
   }
@@ -77,7 +60,7 @@ std::vector<ProfiledRun> ProfileKmeansAlgorithms(const BenchWorkload& workload,
     run.name = std::string(algorithm->name());
     run.wall_ms = result->MeanIterationMs();
     run.offloadable_ms =
-        static_cast<double>(result->stats.profile.Get("ED")) / 1e6 /
+        static_cast<double>(result->stats.profile.OffloadableNs()) / 1e6 /
         result->iterations;
     run.stats = std::move(result->stats);
     runs.push_back(std::move(run));

@@ -31,9 +31,6 @@ std::vector<ProfiledRun> ProfileKnnAlgorithms(const BenchWorkload& workload,
 std::vector<ProfiledRun> ProfileKmeansAlgorithms(const BenchWorkload& workload,
                                                  int k, int iterations);
 
-/// Tags counted as PIM-offloadable (similarity + bound functions).
-bool IsOffloadableTag(const std::string& tag);
-
 }  // namespace bench
 }  // namespace pimine
 

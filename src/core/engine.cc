@@ -301,13 +301,13 @@ Status PimEngine::PrepareBatch(std::span<const float> queries,
   }
   for (size_t q = 0; q < num_queries; ++q) {
     const TrafficCounters before =
-        o != nullptr ? traffic::Local() : TrafficCounters();
+        o != nullptr ? traffic::Local().traffic : TrafficCounters();
     batch->terms[q] =
         EncodeRow(queries.subspan(q * dims_, dims_), q * width, scratch);
     if (o != nullptr) {
       o->trace().Complete("engine", "quantize",
                           obs::TrackFor(static_cast<int64_t>(q)),
-                          o->HostNs(traffic::Local() - before));
+                          o->HostNs(traffic::Local().traffic - before));
     }
   }
   return Status::OK();

@@ -46,7 +46,7 @@ inline constexpr BoundCost kHdPimCost{0, 1, 2, 0};
 /// Charges `count` combines of `cost` with one access to the calling
 /// thread's counters.
 inline void ChargeBounds(const BoundCost& cost, uint64_t count) {
-  TrafficCounters& t = traffic::Local();
+  TrafficCounters& t = traffic::Local().traffic;
   t.bytes_from_memory += cost.bytes_read * count;
   t.pim_results_loaded += cost.pim_results * count;
   t.arithmetic_ops += cost.arithmetic * count;

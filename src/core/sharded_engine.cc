@@ -587,7 +587,7 @@ void ShardedPimEngine::CloseRun(RunStats* stats) const {
 
 namespace {
 
-// Resets before RunScope's traffic scope and wall clock open (members
+// Resets before RunScope's ledger scope and wall clock open (members
 // initialize in declaration order).
 ShardedPimEngine* ResetForRun(ShardedPimEngine* fleet) {
   if (fleet != nullptr) fleet->ResetOnlineStats();
@@ -600,7 +600,7 @@ RunScope::RunScope(ShardedPimEngine* fleet) : fleet_(ResetForRun(fleet)) {}
 
 void RunScope::Close(RunStats* stats) const {
   stats->wall_ms = wall_.ElapsedMillis();
-  stats->traffic = traffic_.Delta();
+  static_cast<RunLedger&>(*stats) = ledger_.Delta();
   if (fleet_ != nullptr) fleet_->CloseRun(stats);
 }
 

@@ -408,24 +408,25 @@ class ShardedPimEngine {
 
 /// The open and close of every run's RunStats: kNN Search, k-means Run,
 /// serving Replay, outlier Detect, motif Find and Hamming Search. One run
-/// is one scope, so the run's wall time, its traffic and its fleet's
-/// device figures cover the same work. The traffic is the calling
-/// thread's delta, which RunSlotPass's slots fold back into, so no other
-/// thread's work leaks into the run.
+/// is one scope, so the run's wall time, its ledger (traffic, counts and
+/// Fig. 6 profile) and its fleet's device figures cover the same work. The
+/// ledger is the calling thread's delta, which RunSlotPass's slots fold
+/// back into, so no other thread's work leaks into the run.
 class RunScope {
  public:
   /// Resets `fleet`'s online stats (null for a host-only run), then opens
-  /// the calling thread's traffic scope and the wall clock.
+  /// the calling thread's ledger scope and the wall clock.
   explicit RunScope(ShardedPimEngine* fleet);
 
-  /// The run's epilogue: wall_ms and traffic since construction, and with
-  /// a fleet CloseRun's pim_ns, fault and fleet. Call on the constructing
-  /// thread after every worker of the run has finished.
+  /// The run's epilogue: wall_ms and the RunLedger fields since
+  /// construction, and with a fleet CloseRun's pim_ns, fault and fleet.
+  /// Call on the constructing thread after every worker of the run has
+  /// finished; a charge made after Close is not part of the run.
   void Close(RunStats* stats) const;
 
  private:
   ShardedPimEngine* const fleet_;
-  const traffic::AggregateScope traffic_;
+  const traffic::AggregateScope ledger_;
   const Timer wall_;
 };
 

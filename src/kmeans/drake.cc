@@ -41,59 +41,55 @@ class DrakeBounds : public KmeansBounds {
 
   size_t Assign(int iter) override {
     if (iter == 0) {
-      return AssignPass(
-          [&](size_t i, size_t slot_index, WorkerSlot& slot) {
-            result_.assignments[i] =
-                static_cast<int32_t>(Rescan(i, scratch_[slot_index], slot));
-            ++slot.changed;
-          });
+      return AssignPass([&](size_t i, size_t slot_index) {
+        result_.assignments[i] =
+            static_cast<int32_t>(Rescan(i, scratch_[slot_index]));
+        return true;
+      });
     }
-    return AssignPass(
-        [&](size_t i, size_t slot_index, WorkerSlot& slot) {
-          PointBounds& pb = bounds_[i];
-          const size_t a = result_.assignments[i];
-          // Skip entirely when every other center's bound exceeds upper.
-          // Per-center updates unsort the list, so take the true minimum.
-          double min_lb = pb.lb_rest;
-          for (size_t pos = 0; pos < b_; ++pos) {
-            min_lb = std::min(min_lb, pb.lb[pos]);
-          }
-          if (upper_[i] <= min_lb) return;
+    return AssignPass([&](size_t i, size_t slot_index) {
+      PointBounds& pb = bounds_[i];
+      const size_t a = result_.assignments[i];
+      // Skip entirely when every other center's bound exceeds upper.
+      // Per-center updates unsort the list, so take the true minimum.
+      double min_lb = pb.lb_rest;
+      for (size_t pos = 0; pos < b_; ++pos) {
+        min_lb = std::min(min_lb, pb.lb[pos]);
+      }
+      if (upper_[i] <= min_lb) return false;
 
-          double best_d = ExactDistance(i, a, slot);
-          upper_[i] = best_d;
-          size_t best_c = a;
-          for (size_t pos = 0; pos < b_; ++pos) {
-            if (pb.lb[pos] >= best_d) continue;
-            const size_t c = pb.center[pos];
-            if (c == best_c) continue;
-            // A bound is returned only when it is >= best_d, which exceeds
-            // pb.lb[pos] here, so d tightens the entry either way.
-            const double d = DistanceOrBound(i, c, best_d, slot);
-            pb.lb[pos] = d;
-            if (d < best_d) {
-              best_d = d;
-              best_c = c;
-            }
-          }
-          // Rescan when the catch-all bound can no longer exclude the
-          // unlisted centers, or when the assignment changes (the bound
-          // list excludes the assigned center, so a switch invalidates
-          // coverage of the old one).
-          if (pb.lb_rest < best_d || best_c != a) {
-            best_c = Rescan(i, scratch_[slot_index], slot);
-          } else {
-            upper_[i] = best_d;
-          }
-          if (best_c != a) {
-            result_.assignments[i] = static_cast<int32_t>(best_c);
-            ++slot.changed;
-          }
-        });
+      double best_d = ExactDistance(i, a);
+      upper_[i] = best_d;
+      size_t best_c = a;
+      for (size_t pos = 0; pos < b_; ++pos) {
+        if (pb.lb[pos] >= best_d) continue;
+        const size_t c = pb.center[pos];
+        if (c == best_c) continue;
+        // A bound is returned only when it is >= best_d, which exceeds
+        // pb.lb[pos] here, so d tightens the entry either way.
+        const double d = DistanceOrBound(i, c, best_d);
+        pb.lb[pos] = d;
+        if (d < best_d) {
+          best_d = d;
+          best_c = c;
+        }
+      }
+      // Rescan when the catch-all bound can no longer exclude the unlisted
+      // centers, or when the assignment changes (the bound list excludes
+      // the assigned center, so a switch invalidates coverage of the old
+      // one).
+      if (pb.lb_rest < best_d || best_c != a) {
+        best_c = Rescan(i, scratch_[slot_index]);
+      } else {
+        upper_[i] = best_d;
+      }
+      result_.assignments[i] = static_cast<int32_t>(best_c);
+      return best_c != a;
+    });
   }
 
   void UpdateBounds(const std::vector<double>& moved) override {
-    ScopedFunctionTimer timer(&result_.stats.profile, "bound update");
+    ScopedFunctionTimer timer(Fn::kBoundUpdate);
     double max_moved = 0.0;
     for (double m : moved) max_moved = std::max(max_moved, m);
     for (size_t i = 0; i < n_; ++i) {
@@ -121,8 +117,8 @@ class DrakeBounds : public KmeansBounds {
   // Full re-evaluation of one point: all k distances (through the PIM
   // filter when present), rebuilding its bound list. Returns the new
   // assignment. Pruned pairs store the PIM lower bound — a valid entry.
-  size_t Rescan(size_t i, Scratch& s, WorkerSlot& slot) {
-    const size_t best_c = ScanAllCenters(i, s.dist, slot);
+  size_t Rescan(size_t i, Scratch& s) {
+    const size_t best_c = ScanAllCenters(i, s.dist);
     const std::vector<double>& dist = s.dist;
     // Rebuild the bound list: b smallest non-assigned entries. The first
     // b + 1 positions in (distance, index) order hold at least b centers

@@ -25,7 +25,7 @@ class ElkanBounds : public KmeansBounds {
   }
 
   void UpdateBounds(const std::vector<double>& moved) override {
-    ScopedFunctionTimer timer(&result_.stats.profile, "bound update");
+    ScopedFunctionTimer timer(Fn::kBoundUpdate);
     for (size_t i = 0; i < n_; ++i) {
       double* lb = lower_.data() + i * k_;
       for (size_t c = 0; c < k_; ++c) {
@@ -43,55 +43,52 @@ class ElkanBounds : public KmeansBounds {
   // First assign pass fills every lower bound: the exact distance or, where
   // it cannot beat the closest center so far, the PIM bound.
   size_t AssignFirst() {
-    return AssignPass(
-        [&](size_t i, size_t /*slot_index*/, WorkerSlot& slot) {
-          double* lb = lower_.data() + i * k_;
-          const size_t best_c = ScanAllCenters(i, {lb, k_}, slot);
-          result_.assignments[i] = static_cast<int32_t>(best_c);
-          upper_[i] = lb[best_c];
-          upper_stale_[i] = 0;
-          ++slot.changed;
-        });
+    return AssignPass([&](size_t i, size_t /*slot_index*/) {
+      double* lb = lower_.data() + i * k_;
+      const size_t best_c = ScanAllCenters(i, {lb, k_});
+      result_.assignments[i] = static_cast<int32_t>(best_c);
+      upper_[i] = lb[best_c];
+      upper_stale_[i] = 0;
+      return true;
+    });
   }
 
   size_t AssignBounded() {
     CenterSeparation(nearest_other_, cc_);
-    return AssignPass(
-        [&](size_t i, size_t /*slot_index*/, WorkerSlot& slot) {
-          const size_t a = result_.assignments[i];
-          if (upper_[i] <= nearest_other_[a]) return;
-          size_t best_c = a;  // current best center; cc-tests must use it.
-          double best_d = upper_[i];
-          bool tightened = upper_stale_[i] == 0;
-          for (size_t c = 0; c < k_; ++c) {
-            if (c == best_c) continue;
-            if (lower_[i * k_ + c] >= best_d) continue;
-            if (0.5 * cc_[best_c * k_ + c] >= best_d) continue;
-            if (!tightened) {
-              best_d = ExactDistance(i, a, slot);
-              lower_[i * k_ + a] = best_d;
-              upper_[i] = best_d;
-              upper_stale_[i] = 0;
-              tightened = true;
-              if (lower_[i * k_ + c] >= best_d) continue;
-              if (0.5 * cc_[best_c * k_ + c] >= best_d) continue;
-            }
-            // A bound is returned only when it is >= best_d, which exceeds
-            // lower_ here, so d tightens the entry either way.
-            const double d = DistanceOrBound(i, c, best_d, slot);
-            lower_[i * k_ + c] = d;
-            if (d < best_d) {
-              best_d = d;
-              best_c = c;
-            }
-          }
-          if (best_c != a) {
-            result_.assignments[i] = static_cast<int32_t>(best_c);
-            upper_[i] = best_d;
-            upper_stale_[i] = 0;
-            ++slot.changed;
-          }
-        });
+    return AssignPass([&](size_t i, size_t /*slot_index*/) {
+      const size_t a = result_.assignments[i];
+      if (upper_[i] <= nearest_other_[a]) return false;
+      size_t best_c = a;  // current best center; cc-tests must use it.
+      double best_d = upper_[i];
+      bool tightened = upper_stale_[i] == 0;
+      for (size_t c = 0; c < k_; ++c) {
+        if (c == best_c) continue;
+        if (lower_[i * k_ + c] >= best_d) continue;
+        if (0.5 * cc_[best_c * k_ + c] >= best_d) continue;
+        if (!tightened) {
+          best_d = ExactDistance(i, a);
+          lower_[i * k_ + a] = best_d;
+          upper_[i] = best_d;
+          upper_stale_[i] = 0;
+          tightened = true;
+          if (lower_[i * k_ + c] >= best_d) continue;
+          if (0.5 * cc_[best_c * k_ + c] >= best_d) continue;
+        }
+        // A bound is returned only when it is >= best_d, which exceeds
+        // lower_ here, so d tightens the entry either way.
+        const double d = DistanceOrBound(i, c, best_d);
+        lower_[i * k_ + c] = d;
+        if (d < best_d) {
+          best_d = d;
+          best_c = c;
+        }
+      }
+      if (best_c == a) return false;
+      result_.assignments[i] = static_cast<int32_t>(best_c);
+      upper_[i] = best_d;
+      upper_stale_[i] = 0;
+      return true;
+    });
   }
 
   std::vector<double> upper_;

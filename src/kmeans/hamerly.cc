@@ -22,29 +22,26 @@ class HamerlyBounds : public KmeansBounds {
 
   size_t Assign(int iter) override {
     if (iter == 0) {
-      return AssignPass(
-          [&](size_t i, size_t slot_index, WorkerSlot& slot) {
-            Rescan(i, dist_[slot_index], slot);
-            ++slot.changed;
-          });
+      return AssignPass([&](size_t i, size_t slot_index) {
+        Rescan(i, dist_[slot_index]);
+        return true;
+      });
     }
     CenterSeparation(nearest_other_);
-    return AssignPass(
-        [&](size_t i, size_t slot_index, WorkerSlot& slot) {
-          const size_t a = result_.assignments[i];
-          const double gate = std::max(nearest_other_[a], lower_[i]);
-          if (upper_[i] <= gate) return;
-          // Tighten the upper bound; re-test before the full rescan.
-          upper_[i] = ExactDistance(i, a, slot);
-          if (upper_[i] <= gate) return;
-          const int32_t before = result_.assignments[i];
-          Rescan(i, dist_[slot_index], slot);
-          if (result_.assignments[i] != before) ++slot.changed;
-        });
+    return AssignPass([&](size_t i, size_t slot_index) {
+      const size_t a = result_.assignments[i];
+      const double gate = std::max(nearest_other_[a], lower_[i]);
+      if (upper_[i] <= gate) return false;
+      // Tighten the upper bound; re-test before the full rescan.
+      upper_[i] = ExactDistance(i, a);
+      if (upper_[i] <= gate) return false;
+      Rescan(i, dist_[slot_index]);
+      return static_cast<size_t>(result_.assignments[i]) != a;
+    });
   }
 
   void UpdateBounds(const std::vector<double>& moved) override {
-    ScopedFunctionTimer timer(&result_.stats.profile, "bound update");
+    ScopedFunctionTimer timer(Fn::kBoundUpdate);
     double max_moved = 0.0;
     for (double m : moved) max_moved = std::max(max_moved, m);
     for (size_t i = 0; i < n_; ++i) {
@@ -60,8 +57,8 @@ class HamerlyBounds : public KmeansBounds {
   // Full re-evaluation of point i: the closest center exactly and a valid
   // lower bound on the second-closest distance (PIM-pruned centers
   // contribute their bound).
-  void Rescan(size_t i, std::vector<double>& dist, WorkerSlot& slot) {
-    const size_t best_c = ScanAllCenters(i, dist, slot);
+  void Rescan(size_t i, std::vector<double>& dist) {
+    const size_t best_c = ScanAllCenters(i, dist);
     double second = HUGE_VAL;
     for (size_t c = 0; c < k_; ++c) {
       if (c != best_c) second = std::min(second, dist[c]);

@@ -62,13 +62,13 @@ Result<KmeansResult> KmeansAlgorithm::Run(const FloatMatrix& data,
                                &result.stats.latency_hist);
 
     if (filter != nullptr) {
-      ScopedFunctionTimer timer(&result.stats.profile, "LB_PIM");
+      ScopedFunctionTimer timer(Fn::kLbPim);
       PIMINE_RETURN_IF_ERROR(
           filter->BeginIteration(result.centers, options.exec.device_batch));
     }
     const size_t changed = bounds->Assign(iter);
     {
-      ScopedFunctionTimer timer(&result.stats.profile, "update");
+      ScopedFunctionTimer timer(Fn::kUpdate);
       result.centers = sums.Update(data, result.assignments, result.centers,
                                    &moved, filter);
     }
@@ -98,12 +98,15 @@ KmeansBounds::KmeansBounds(const KmeansRun& run)
       k_(static_cast<size_t>(run.options.k)) {}
 
 size_t KmeansBounds::AssignPass(
-    const std::function<void(size_t, size_t, WorkerSlot&)>& assign_point) {
+    const std::function<bool(size_t, size_t)>& assign_point) {
   uint64_t changed = 0;
   const Status status = RunSlotPass(
-      options_.exec, n_, AssignChunk(options_.exec, n_), &result_.stats,
+      options_.exec, n_, AssignChunk(options_.exec, n_),
+      &result_.stats.latency_hist,
       [&](size_t begin, size_t end, size_t slot_index, WorkerSlot& slot) {
-        for (size_t i = begin; i < end; ++i) assign_point(i, slot_index, slot);
+        for (size_t i = begin; i < end; ++i) {
+          if (assign_point(i, slot_index)) ++slot.changed;
+        }
       },
       &changed);
   PIMINE_DCHECK(status.ok());  // no assign step records an error.
@@ -111,12 +114,11 @@ size_t KmeansBounds::AssignPass(
   return changed;
 }
 
-size_t KmeansBounds::ScanAllCenters(size_t i, std::span<double> dist,
-                                    WorkerSlot& slot) const {
+size_t KmeansBounds::ScanAllCenters(size_t i, std::span<double> dist) const {
   size_t best_c = 0;
   double best_d = HUGE_VAL;
   for (size_t c = 0; c < k_; ++c) {
-    dist[c] = DistanceOrBound(i, c, best_d, slot);
+    dist[c] = DistanceOrBound(i, c, best_d);
     if (dist[c] < best_d) {
       best_d = dist[c];
       best_c = c;
@@ -127,7 +129,7 @@ size_t KmeansBounds::ScanAllCenters(size_t i, std::span<double> dist,
 
 void KmeansBounds::CenterSeparation(std::span<double> half_nearest,
                                     std::span<double> cc) const {
-  ScopedFunctionTimer timer(&result_.stats.profile, "ED");
+  ScopedFunctionTimer timer(Fn::kEd);
   std::fill(half_nearest.begin(), half_nearest.end(), HUGE_VAL);
   for (size_t a = 0; a < k_; ++a) {
     for (size_t b = a + 1; b < k_; ++b) {
@@ -142,7 +144,7 @@ void KmeansBounds::CenterSeparation(std::span<double> half_nearest,
     }
   }
   for (double& s : half_nearest) s *= 0.5;
-  result_.stats.exact_count += k_ * (k_ - 1) / 2;
+  traffic::CountExact(k_ * (k_ - 1) / 2);
 }
 
 double KmeansExactDistance(std::span<const float> a,

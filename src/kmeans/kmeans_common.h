@@ -14,8 +14,8 @@
 #include "core/mutable_dataset.h"
 #include "core/sharded_engine.h"
 #include "data/matrix.h"
-#include "profiling/function_profiler.h"
 #include "profiling/run_stats.h"
+#include "sim/traffic.h"
 #include "util/exact_sum.h"
 #include "util/parallel.h"
 
@@ -93,37 +93,33 @@ class KmeansBounds {
  protected:
   explicit KmeansBounds(const KmeansRun& run);
 
-  /// One assign pass: `assign_point(i, slot_index, slot)` for every point
+  /// One assign pass: `assign_point(i, slot_index)` for every point
   /// through RunSlotPass (inline when serial; each worker writes only its
-  /// points' entries). Folds the slots into the run's stats and returns
-  /// the reassignments the workers tallied.
-  size_t AssignPass(
-      const std::function<void(size_t, size_t, WorkerSlot&)>& assign_point);
+  /// points' entries). Returns how many calls reported a reassignment.
+  size_t AssignPass(const std::function<bool(size_t, size_t)>& assign_point);
 
   /// Scans point i against every center into dist[0, k): the exact
   /// distance wherever the PIM bound (with a filter) could still beat the
   /// closest center found so far, else that bound, a valid lower bound.
   /// Returns the closest center; its entry is exact.
-  size_t ScanAllCenters(size_t i, std::span<double> dist,
-                        WorkerSlot& slot) const;
+  size_t ScanAllCenters(size_t i, std::span<double> dist) const;
 
   /// The PIM-filter step of every assign loop: with a filter, counts one
   /// bound evaluation and returns the LB_PIM-ED bound of (point i, center
-  /// c) when it is at least `cutoff`. Otherwise returns ExactDistance.
-  /// Either value is a valid lower bound on the distance, and a value below
-  /// `cutoff` is always exact.
-  double DistanceOrBound(size_t i, size_t c, double cutoff,
-                         WorkerSlot& slot) const;
+  /// c) when it is at least `cutoff`, counted as pruned. Otherwise returns
+  /// ExactDistance. Either value is a valid lower bound on the distance,
+  /// and a value below `cutoff` is always exact.
+  double DistanceOrBound(size_t i, size_t c, double cutoff) const;
 
   /// The one timed exact-distance step of the assign loops: times the
-  /// distance of (point i, center c) as "ED", counts it as exact and
+  /// distance of (point i, center c) as ED, counts it as exact and
   /// returns it.
-  double ExactDistance(size_t i, size_t c, WorkerSlot& slot) const;
+  double ExactDistance(size_t i, size_t c) const;
 
   /// Fills half_nearest[j] with s(j), half the distance from center j to
   /// its nearest other center, and a non-empty `cc` with the k x k
   /// center-center distances (diagonal untouched). Each pair is computed
-  /// once, under the run profile's "ED" timer, and counted as exact.
+  /// once, timed as ED, and counted as exact.
   void CenterSeparation(std::span<double> half_nearest,
                         std::span<double> cc = {}) const;
 
@@ -147,8 +143,8 @@ class KmeansAlgorithm {
   /// The one k-means driver: validates the input, sets up the shared or a
   /// run-owned PIM filter and the initial centers, and opens the run's
   /// RunScope over the filter's fleet (so a shared filter reports this run
-  /// only). It then iterates BeginIteration ("LB_PIM"), the algorithm's
-  /// Assign, the update step on the run's one CenterSums ("update") and
+  /// only). It then iterates BeginIteration (LB_PIM), the algorithm's
+  /// Assign, the update step on the run's one CenterSums (update) and
   /// its UpdateBounds until an iteration past the first reassigns nothing
   /// or max_iterations is reached. Fills every RunStats field except
   /// footprint_bytes, which the bounds set.
@@ -292,23 +288,22 @@ class PimAssignFilter : public MutationListener {
   std::vector<uint32_t> live_ids_;
 };
 
-inline double KmeansBounds::DistanceOrBound(size_t i, size_t c, double cutoff,
-                                            WorkerSlot& slot) const {
+inline double KmeansBounds::DistanceOrBound(size_t i, size_t c,
+                                            double cutoff) const {
   if (filter_ != nullptr) {
-    ++slot.bound_count;
+    traffic::CountBounds(1);
     const double bound = filter_->LowerBound(i, c);
     if (bound >= cutoff) {
-      ++slot.pruned_count;
+      traffic::CountPruned(1);
       return bound;
     }
   }
-  return ExactDistance(i, c, slot);
+  return ExactDistance(i, c);
 }
 
-inline double KmeansBounds::ExactDistance(size_t i, size_t c,
-                                          WorkerSlot& slot) const {
-  ScopedFunctionTimer timer(&slot.profile, "ED");
-  ++slot.exact_count;
+inline double KmeansBounds::ExactDistance(size_t i, size_t c) const {
+  ScopedFunctionTimer timer(Fn::kEd);
+  traffic::CountExact(1);
   return KmeansExactDistance(data_.row(i), result_.centers.row(c));
 }
 

@@ -67,7 +67,7 @@ class YinyangBounds : public KmeansBounds {
   }
 
   void UpdateBounds(const std::vector<double>& moved) override {
-    ScopedFunctionTimer timer(&result_.stats.profile, "bound update");
+    ScopedFunctionTimer timer(Fn::kBoundUpdate);
     std::fill(group_delta_.begin(), group_delta_.end(), 0.0);
     for (size_t c = 0; c < k_; ++c) {
       group_delta_[group_[c]] = std::max(group_delta_[group_[c]], moved[c]);
@@ -99,90 +99,86 @@ class YinyangBounds : public KmeansBounds {
   // an exact distance — same treatment as Elkan's init. Like Elkan, Hamerly
   // and Drake it counts every point as reassigned.
   size_t AssignFirst() {
-    return AssignPass(
-        [&](size_t i, size_t slot_index, WorkerSlot& slot) {
-          std::vector<double>& dist = scratch_[slot_index].dist;
-          const size_t best_c = ScanAllCenters(i, dist, slot);
-          result_.assignments[i] = static_cast<int32_t>(best_c);
-          ++slot.changed;
-          upper_[i] = dist[best_c];
-          for (size_t g = 0; g < t_; ++g) {
-            double m = HUGE_VAL;
-            for (int32_t c : members_[g]) {
-              if (static_cast<size_t>(c) == best_c) continue;
-              m = std::min(m, dist[c]);
-            }
-            lower_[i * t_ + g] = m;
-          }
-        });
+    return AssignPass([&](size_t i, size_t slot_index) {
+      std::vector<double>& dist = scratch_[slot_index].dist;
+      const size_t best_c = ScanAllCenters(i, dist);
+      result_.assignments[i] = static_cast<int32_t>(best_c);
+      upper_[i] = dist[best_c];
+      for (size_t g = 0; g < t_; ++g) {
+        double m = HUGE_VAL;
+        for (int32_t c : members_[g]) {
+          if (static_cast<size_t>(c) == best_c) continue;
+          m = std::min(m, dist[c]);
+        }
+        lower_[i * t_ + g] = m;
+      }
+      return true;
+    });
   }
 
   size_t AssignFiltered() {
-    return AssignPass(
-        [&](size_t i, size_t slot_index, WorkerSlot& slot) {
-          const size_t a = result_.assignments[i];
-          double* lb = lower_.data() + i * t_;
-          double global_lb = HUGE_VAL;
-          for (size_t g = 0; g < t_; ++g) {
-            global_lb = std::min(global_lb, lb[g]);
-          }
-          if (upper_[i] <= global_lb) return;
+    return AssignPass([&](size_t i, size_t slot_index) {
+      const size_t a = result_.assignments[i];
+      double* lb = lower_.data() + i * t_;
+      double global_lb = HUGE_VAL;
+      for (size_t g = 0; g < t_; ++g) {
+        global_lb = std::min(global_lb, lb[g]);
+      }
+      if (upper_[i] <= global_lb) return false;
 
-          double best_d = ExactDistance(i, a, slot);
-          upper_[i] = best_d;
-          if (best_d <= global_lb) return;
-          size_t best_c = a;
+      double best_d = ExactDistance(i, a);
+      upper_[i] = best_d;
+      if (best_d <= global_lb) return false;
+      size_t best_c = a;
 
-          Scratch& s = scratch_[slot_index];
-          // Group bounds are finalized only after the final assignment is
-          // known (a later group can steal the assignment, which changes
-          // which candidate every earlier group must exclude).
-          std::fill(s.g_scanned.begin(), s.g_scanned.end(), 0);
-          for (size_t g = 0; g < t_; ++g) {
-            if (lb[g] >= best_d) continue;  // group filter (stays valid
-                                            // as best_d only shrinks).
-            s.g_scanned[g] = 1;
-            double min1 = HUGE_VAL;   // smallest value in group.
-            double min2 = HUGE_VAL;   // second smallest.
-            int32_t min1_c = -1;
-            for (int32_t c : members_[g]) {
-              if (static_cast<size_t>(c) == a) continue;
-              // A PIM bound (never below best_d) still bounds the group
-              // minimum.
-              const double value = DistanceOrBound(i, c, best_d, slot);
-              if (value < min1) {
-                min2 = min1;
-                min1 = value;
-                min1_c = c;
-              } else if (value < min2) {
-                min2 = value;
-              }
-              if (value < best_d) {
-                best_d = value;
-                best_c = c;
-              }
-            }
-            s.g_min1[g] = min1;
-            s.g_min2[g] = min2;
-            s.g_min1c[g] = min1_c;
+      Scratch& s = scratch_[slot_index];
+      // Group bounds are finalized only after the final assignment is known
+      // (a later group can steal the assignment, which changes which
+      // candidate every earlier group must exclude).
+      std::fill(s.g_scanned.begin(), s.g_scanned.end(), 0);
+      for (size_t g = 0; g < t_; ++g) {
+        if (lb[g] >= best_d) continue;  // group filter (stays valid as
+                                        // best_d only shrinks).
+        s.g_scanned[g] = 1;
+        double min1 = HUGE_VAL;   // smallest value in group.
+        double min2 = HUGE_VAL;   // second smallest.
+        int32_t min1_c = -1;
+        for (int32_t c : members_[g]) {
+          if (static_cast<size_t>(c) == a) continue;
+          // A PIM bound (never below best_d) still bounds the group minimum.
+          const double value = DistanceOrBound(i, c, best_d);
+          if (value < min1) {
+            min2 = min1;
+            min1 = value;
+            min1_c = c;
+          } else if (value < min2) {
+            min2 = value;
           }
-          for (size_t g = 0; g < t_; ++g) {
-            if (!s.g_scanned[g]) continue;
-            lb[g] = (s.g_min1c[g] >= 0 &&
-                     static_cast<size_t>(s.g_min1c[g]) == best_c)
-                        ? s.g_min2[g]
-                        : s.g_min1[g];
+          if (value < best_d) {
+            best_d = value;
+            best_c = c;
           }
-          if (best_c != a) {
-            result_.assignments[i] = static_cast<int32_t>(best_c);
-            upper_[i] = best_d;
-            ++slot.changed;
-            // The old assignment was excluded from every scan, but it now
-            // belongs to its group's bound domain; fold its distance in.
-            const size_t old_group = group_[a];
-            lb[old_group] = std::min(lb[old_group], ExactDistance(i, a, slot));
-          }
-        });
+        }
+        s.g_min1[g] = min1;
+        s.g_min2[g] = min2;
+        s.g_min1c[g] = min1_c;
+      }
+      for (size_t g = 0; g < t_; ++g) {
+        if (!s.g_scanned[g]) continue;
+        lb[g] = (s.g_min1c[g] >= 0 &&
+                 static_cast<size_t>(s.g_min1c[g]) == best_c)
+                    ? s.g_min2[g]
+                    : s.g_min1[g];
+      }
+      if (best_c == a) return false;
+      result_.assignments[i] = static_cast<int32_t>(best_c);
+      upper_[i] = best_d;
+      // The old assignment was excluded from every scan, but it now belongs
+      // to its group's bound domain; fold its distance in.
+      const size_t old_group = group_[a];
+      lb[old_group] = std::min(lb[old_group], ExactDistance(i, a));
+      return true;
+    });
   }
 
   const size_t t_;

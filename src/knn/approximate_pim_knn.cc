@@ -45,9 +45,8 @@ Status ApproximatePimKnn::Prepare(const FloatMatrix& data) {
 
 std::vector<Neighbor> ApproximatePimKnn::SearchQuery(std::span<const float> q,
                                                      size_t bq, int k,
-                                                     BatchScratch& s,
-                                                     WorkerSlot& slot) const {
-  ScopedFunctionTimer timer(&slot.profile, "ED_approx");
+                                                     BatchScratch& s) const {
+  ScopedFunctionTimer timer(Fn::kEdApprox);
   const size_t n = data_->rows();
   const double alpha = engine_->alpha();
   const double alpha_sq = alpha * alpha;
@@ -66,7 +65,7 @@ std::vector<Neighbor> ApproximatePimKnn::SearchQuery(std::span<const float> q,
   }
   traffic::CountPimResults(n);
   traffic::CountArithmetic(4 * n);
-  slot.bound_count += n;  // no exact computation at all.
+  traffic::CountBounds(n);  // no exact computation at all.
   return topk.TakeSorted();
 }
 

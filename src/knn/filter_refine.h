@@ -4,14 +4,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
-#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "core/similarity.h"
 #include "data/matrix.h"
 #include "knn/knn_common.h"
-#include "profiling/function_profiler.h"
+#include "sim/traffic.h"
 #include "util/top_k.h"
 
 namespace pimine {
@@ -23,22 +22,21 @@ struct ExactMeasure {
   const FloatMatrix& data;
   std::span<const float> query;
 
-  /// Row `idx`'s value at `threshold`, timed under its Fig. 6 tag ("ED",
-  /// "CS" or "PCC").
-  double operator()(uint32_t idx, double threshold,
-                    FunctionProfiler* profile) const {
+  /// Row `idx`'s value at `threshold`, timed as its Fig. 6 function (ED,
+  /// CS or PCC).
+  double operator()(uint32_t idx, double threshold) const {
     const std::span<const float> row = data.row(idx);
     switch (distance) {
       case Distance::kCosine: {
-        ScopedFunctionTimer timer(profile, "CS");
+        ScopedFunctionTimer timer(Fn::kCs);
         return -CosineSimilarity(row, query);
       }
       case Distance::kPearson: {
-        ScopedFunctionTimer timer(profile, "PCC");
+        ScopedFunctionTimer timer(Fn::kPcc);
         return -PearsonCorrelation(row, query);
       }
       default: {
-        ScopedFunctionTimer timer(profile, "ED");
+        ScopedFunctionTimer timer(Fn::kEd);
         return SquaredEuclideanEarlyAbandon(row, query, threshold);
       }
     }
@@ -59,21 +57,21 @@ struct NoPrune {
 /// ArgsortAscending(bounds), until the next bound cannot beat
 /// topk.threshold(). A reached candidate is dropped when a non-null prune
 /// step says so, `(*prune)(idx, topk)` (FNN's cascaded levels, ORCA's self
-/// row and cutoff); otherwise its exact value is pushed and counted in
-/// `*exact_count`. For CS/PCC the result is flipped back to similarities,
-/// most similar first. Bounds must be NaN-free.
+/// row and cutoff); otherwise its exact value is pushed and counted as
+/// exact in the calling thread's ledger. For CS/PCC the result is flipped
+/// back to similarities, most similar first. Bounds must be NaN-free.
 ///
 /// Only the reachable prefix of that order is sorted (DESIGN.md §4): phase
 /// 1 walks the k best pairs, which fills topk; phase 2 sorts only the later
 /// pairs below the threshold phase 1 left, which can only fall. Both phases
-/// are timed under `order_tag` (a null `profile` leaves them untimed), and
-/// the modeled charge is the full sort's (ChargeArgsortTraffic).
+/// are timed as `order_fn`, the path's bound function, and the modeled
+/// charge is the full sort's (ChargeArgsortTraffic).
 ///
 /// ED without a prune step, on a host with EdLanesSupported(), refines
 /// windows of up to kEdLanes candidates: the next ones whose bounds pass
 /// the stop test at the window's threshold run in SIMD lanes at that
 /// threshold (SquaredEuclideanLanes), and only that call is timed, once
-/// per window, as "ED". The window is then replayed in order at the
+/// per window, as ED. The window is then replayed in order at the
 /// current threshold, which is lower or equal: the same stop test, then
 /// the value and traffic SquaredEuclideanEarlyAbandon would give
 /// (ReplayEarlyAbandon). The replay and the pushes are untimed, so they
@@ -82,10 +80,7 @@ struct NoPrune {
 /// CS/PCC, a walk with a prune step and a host without AVX2 do.
 template <typename Prune = NoPrune>
 std::vector<Neighbor> FilterRefine(std::span<const double> bounds, int k,
-                                   const ExactMeasure& exact,
-                                   FunctionProfiler* profile,
-                                   std::string_view order_tag,
-                                   uint64_t* exact_count,
+                                   const ExactMeasure& exact, Fn order_fn,
                                    const Prune* prune = nullptr) {
   using Candidate = std::pair<double, uint32_t>;
   const size_t n = bounds.size();
@@ -93,7 +88,7 @@ std::vector<Neighbor> FilterRefine(std::span<const double> bounds, int k,
   TopK topk(static_cast<size_t>(k));
   const auto keep = [&](double value, uint32_t idx) {
     topk.Push(value, static_cast<int32_t>(idx));
-    ++*exact_count;
+    traffic::CountExact(1);
   };
   const auto stops = [&](double bound, double threshold) {
     return topk.full() && bound >= threshold;
@@ -110,7 +105,7 @@ std::vector<Neighbor> FilterRefine(std::span<const double> bounds, int k,
       if (!windowed) {
         const uint32_t idx = ordered[p++].second;
         if (prune == nullptr || !(*prune)(idx, std::as_const(topk))) {
-          keep(exact(idx, threshold, profile), idx);
+          keep(exact(idx, threshold), idx);
         }
         continue;
       }
@@ -122,7 +117,7 @@ std::vector<Neighbor> FilterRefine(std::span<const double> bounds, int k,
       } while (width < kEdLanes && p + width < ordered.size() &&
                !stops(ordered[p + width].first, threshold));
       {
-        ScopedFunctionTimer timer(profile, "ED");
+        ScopedFunctionTimer timer(Fn::kEd);
         SquaredEuclideanLanes({rows, width}, exact.query, threshold,
                               checkpoints);
       }
@@ -137,7 +132,7 @@ std::vector<Neighbor> FilterRefine(std::span<const double> bounds, int k,
   std::vector<Candidate> run;
   {
     // Phase 1: the k best pairs, ascending.
-    ScopedFunctionTimer timer(profile, order_tag);
+    ScopedFunctionTimer timer(order_fn);
     const size_t m = std::min(topk.k(), n);
     run.reserve(m);
     for (uint32_t i = 0; i < n; ++i) {
@@ -156,7 +151,7 @@ std::vector<Neighbor> FilterRefine(std::span<const double> bounds, int k,
   if (walk(run) && run.size() < n) {
     {
       // Phase 2: the later pairs the walk can still reach, ascending.
-      ScopedFunctionTimer timer(profile, order_tag);
+      ScopedFunctionTimer timer(order_fn);
       const Candidate last = run.back();
       // A prune step that dropped a candidate left topk short, so the
       // threshold is still +inf and every later pair stays reachable.

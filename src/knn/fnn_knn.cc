@@ -58,8 +58,7 @@ uint64_t FnnKnn::FootprintBytes(uint64_t /*exact_count*/,
 
 std::vector<Neighbor> FnnKnn::SearchQuery(std::span<const float> q,
                                           size_t /*bq*/, int k,
-                                          BatchScratch& s,
-                                          WorkerSlot& slot) const {
+                                          BatchScratch& s) const {
   const size_t n = data_->rows();
   const size_t num_levels = levels_.size();
   // Query-side segment statistics of every level.
@@ -68,7 +67,7 @@ std::vector<Neighbor> FnnKnn::SearchQuery(std::span<const float> q,
 
   // Coarsest level over every object.
   {
-    ScopedFunctionTimer timer(&slot.profile, "LB_FNN");
+    ScopedFunctionTimer timer(Fn::kLbFnn);
     for (size_t lv = 0; lv < num_levels; ++lv) {
       const auto segments = static_cast<size_t>(levels_[lv].num_segments);
       q_means[lv].resize(segments);
@@ -80,24 +79,23 @@ std::vector<Neighbor> FnnKnn::SearchQuery(std::span<const float> q,
       s.bounds[i] = LbFnn(l0.means.row(i), l0.stds.row(i), q_means[0],
                           q_stds[0], l0.segment_length);
     }
-    slot.bound_count += n;
+    traffic::CountBounds(n);
   }
 
   // Refinement in coarse-bound order; finer levels prune survivors.
   const auto prune = [&](uint32_t idx, const TopK& topk) {
     for (size_t lv = 1; lv < num_levels; ++lv) {
-      ScopedFunctionTimer timer(&slot.profile, "LB_FNN");
+      ScopedFunctionTimer timer(Fn::kLbFnn);
       const SegmentStats& level = levels_[lv];
       const double lb = LbFnn(level.means.row(idx), level.stds.row(idx),
                               q_means[lv], q_stds[lv], level.segment_length);
-      ++slot.bound_count;
+      traffic::CountBounds(1);
       if (topk.full() && lb >= topk.threshold()) return true;
     }
     return false;
   };
   return FilterRefine(s.bounds, k, {Distance::kEuclidean, *data_, q},
-                      &slot.profile, "LB_FNN", &slot.exact_count,
-                      num_levels > 1 ? &prune : nullptr);
+                      Fn::kLbFnn, num_levels > 1 ? &prune : nullptr);
 }
 
 }  // namespace pimine

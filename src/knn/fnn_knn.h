@@ -38,8 +38,7 @@ class FnnKnn : public KnnSearchBase {
 
  protected:
   std::vector<Neighbor> SearchQuery(std::span<const float> q, size_t bq,
-                                    int k, BatchScratch& s,
-                                    WorkerSlot& slot) const override;
+                                    int k, BatchScratch& s) const override;
   /// The coarsest level's statistics, which every query streams.
   uint64_t FootprintBytes(uint64_t exact_count,
                           size_t num_queries) const override;

@@ -198,8 +198,8 @@ uint64_t FnnPimKnn::OfflineBytesWritten() const {
 }
 
 std::vector<Neighbor> FnnPimKnn::SearchQuery(std::span<const float> q,
-                                             size_t bq, int k, BatchScratch& s,
-                                             WorkerSlot& slot) const {
+                                             size_t bq, int k,
+                                             BatchScratch& s) const {
   const size_t n = data_->rows();
   // Query-side segment statistics of each level the query uses.
   std::vector<std::vector<float>> q_means(levels_.size());
@@ -214,11 +214,11 @@ std::vector<Neighbor> FnnPimKnn::SearchQuery(std::span<const float> q,
   // Sort-order filter: the PIM bound when selected, else the first
   // retained original level, else no filter at all.
   if (use_pim_filter_) {
-    ScopedFunctionTimer timer(&slot.profile, "LB_PIM");
+    ScopedFunctionTimer timer(Fn::kLbPim);
     engine_->BoundsFor(s.batch, bq, s.bounds);
-    slot.bound_count += n;
+    traffic::CountBounds(n);
   } else if (!selected_levels_.empty()) {
-    ScopedFunctionTimer timer(&slot.profile, "LB_FNN");
+    ScopedFunctionTimer timer(Fn::kLbFnn);
     const size_t lv = selected_levels_[0];
     const SegmentStats& level = levels_[lv];
     query_segments(lv);
@@ -230,7 +230,7 @@ std::vector<Neighbor> FnnPimKnn::SearchQuery(std::span<const float> q,
                         : LbFnn(level.means.row(i), level.stds.row(i),
                                 q_means[lv], q_stds[lv], level.segment_length);
     }
-    slot.bound_count += n;
+    traffic::CountBounds(n);
   } else {
     for (size_t i = 0; i < n; ++i) {
       s.bounds[i] =
@@ -243,23 +243,22 @@ std::vector<Neighbor> FnnPimKnn::SearchQuery(std::span<const float> q,
       std::span<const size_t>(selected_levels_)
           .subspan(!use_pim_filter_ && !selected_levels_.empty() ? 1 : 0);
   {
-    ScopedFunctionTimer timer(&slot.profile, "LB_FNN");
+    ScopedFunctionTimer timer(Fn::kLbFnn);
     for (const size_t lv : cascade) query_segments(lv);
   }
   const auto prune = [&](uint32_t idx, const TopK& topk) {
     for (const size_t lv : cascade) {
-      ScopedFunctionTimer timer(&slot.profile, "LB_FNN");
+      ScopedFunctionTimer timer(Fn::kLbFnn);
       const SegmentStats& level = levels_[lv];
       const double lb = LbFnn(level.means.row(idx), level.stds.row(idx),
                               q_means[lv], q_stds[lv], level.segment_length);
-      ++slot.bound_count;
+      traffic::CountBounds(1);
       if (topk.full() && lb >= topk.threshold()) return true;
     }
     return false;
   };
   return FilterRefine(s.bounds, k, {Distance::kEuclidean, *data_, q},
-                      &slot.profile, "LB_PIM", &slot.exact_count,
-                      cascade.empty() ? nullptr : &prune);
+                      Fn::kLbPim, cascade.empty() ? nullptr : &prune);
 }
 
 }  // namespace pimine

@@ -49,8 +49,7 @@ class FnnPimKnn : public PimKnnBase {
   /// No device op is issued when the plan dropped the PIM bound.
   bool UsesDevice() const override { return use_pim_filter_; }
   std::vector<Neighbor> SearchQuery(std::span<const float> q, size_t bq,
-                                    int k, BatchScratch& s,
-                                    WorkerSlot& slot) const override;
+                                    int k, BatchScratch& s) const override;
 
  private:
   /// Measures pruning ratios on sample queries and fills `candidates_`.

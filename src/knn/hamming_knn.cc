@@ -31,14 +31,14 @@ Result<KnnRunResult> HammingScanKnn::Search(const BitMatrix& queries, int k) {
   for (size_t qi = 0; qi < queries.rows(); ++qi) {
     const auto q = queries.row(qi);
     TopK topk(static_cast<size_t>(k));
-    ScopedFunctionTimer timer(&result.stats.profile, "HD");
+    ScopedFunctionTimer timer(Fn::kHd);
     for (size_t i = 0; i < n; ++i) {
       const int hd = BitMatrix::HammingDistance(codes_->row(i), q);
       topk.Push(static_cast<double>(hd), static_cast<int32_t>(i));
     }
     traffic::CountRead(n * words * sizeof(uint64_t));
     traffic::CountArithmetic(n * words * 2);
-    result.stats.exact_count += n;
+    traffic::CountExact(n);
     result.neighbors.push_back(topk.TakeSorted());
   }
 
@@ -74,7 +74,7 @@ Result<KnnRunResult> HammingPimKnn::Search(const BitMatrix& queries, int k) {
   std::vector<int32_t> distances;
   for (size_t qi = 0; qi < queries.rows(); ++qi) {
     TopK topk(static_cast<size_t>(k));
-    ScopedFunctionTimer timer(&result.stats.profile, "HD_PIM");
+    ScopedFunctionTimer timer(Fn::kHdPim);
     PIMINE_RETURN_IF_ERROR(
         engine_->ComputeDistances(queries.row(qi), &distances));
     for (size_t i = 0; i < n; ++i) {
@@ -83,7 +83,7 @@ Result<KnnRunResult> HammingPimKnn::Search(const BitMatrix& queries, int k) {
     // Host loads two 32-bit PIM results per candidate from the buffer.
     traffic::CountPimResults(n);
     traffic::CountArithmetic(2 * n);
-    result.stats.exact_count += n;
+    traffic::CountExact(n);
     result.neighbors.push_back(topk.TakeSorted());
   }
 

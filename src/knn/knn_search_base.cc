@@ -1,6 +1,7 @@
 #include "knn/knn_search_base.h"
 
 #include "obs/obs.h"
+#include "sim/traffic.h"
 
 namespace pimine {
 
@@ -45,7 +46,7 @@ Result<KnnRunResult> KnnSearchBase::Search(const FloatMatrix& queries,
   // only on device_batch, so the realized batches (and the device's batch
   // accounting) are the same for every thread count.
   PIMINE_RETURN_IF_ERROR(RunSlotPass(
-      exec_policy_, queries.rows(), batch, &result.stats,
+      exec_policy_, queries.rows(), batch, &result.stats.latency_hist,
       [&](size_t begin, size_t end, size_t slot_index, WorkerSlot& slot) {
         // Engine/device code labels per-query spans with global query ids
         // relative to this batch's first query.
@@ -54,7 +55,7 @@ Result<KnnRunResult> KnnSearchBase::Search(const FloatMatrix& queries,
         // PIM filter phase: one batched fleet operation for the whole
         // device batch.
         if (device) {
-          ScopedFunctionTimer timer(&slot.profile, "LB_PIM");
+          ScopedFunctionTimer timer(Fn::kLbPim);
           const Status run = engine_->RunQueryBatch(
               DeviceOperands(queries, begin, end, s), end - begin, &s.query,
               &s.batch);
@@ -63,17 +64,17 @@ Result<KnnRunResult> KnnSearchBase::Search(const FloatMatrix& queries,
             return;
           }
         }
+        const RunLedger& ledger = traffic::Local();
         for (size_t qi = begin; qi < end; ++qi) {
           obs::ModeledSpan query_span(static_cast<int64_t>(qi),
                                       &slot.latency, device_ns_per_query);
-          const uint64_t bounds_before = slot.bound_count;
-          const uint64_t exact_before = slot.exact_count;
-          result.neighbors[qi] =
-              SearchQuery(queries.row(qi), qi - begin, k, s, slot);
+          const uint64_t bounds_before = ledger.bound_count;
+          const uint64_t exact_before = ledger.exact_count;
+          result.neighbors[qi] = SearchQuery(queries.row(qi), qi - begin, k, s);
           // A query that evaluated bounds pruned every live row it did not
           // refine.
-          if (slot.bound_count != bounds_before) {
-            slot.pruned_count += live - (slot.exact_count - exact_before);
+          if (ledger.bound_count != bounds_before) {
+            traffic::CountPruned(live - (ledger.exact_count - exact_before));
           }
         }
       }));

@@ -46,10 +46,10 @@ class KnnSearchBase : public KnnAlgorithm {
 
   /// Answers query `q`, row `bq` of the device batch in `s.batch`: fills
   /// `s.bounds` and runs FilterRefine (Standard scans every row instead),
-  /// charging `slot`.
+  /// charging the calling thread's ledger.
   virtual std::vector<Neighbor> SearchQuery(std::span<const float> q,
-                                            size_t bq, int k, BatchScratch& s,
-                                            WorkerSlot& slot) const = 0;
+                                            size_t bq, int k,
+                                            BatchScratch& s) const = 0;
 
   /// RunStats::footprint_bytes of a Search over `num_queries` queries that
   /// computed `exact_count` exact distances.

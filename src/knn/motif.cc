@@ -6,6 +6,7 @@
 #include "common/logging.h"
 #include "core/sharded_engine.h"
 #include "core/similarity.h"
+#include "sim/traffic.h"
 
 namespace pimine {
 namespace {
@@ -60,16 +61,19 @@ Result<MotifResult> MotifDiscovery::Find(const FloatMatrix& windows,
 
   const size_t n = windows.rows();
   double best = HUGE_VAL;
-  ScopedFunctionTimer timer(&result.stats.profile, "ED");
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + static_cast<size_t>(exclusion) + 1; j < n; ++j) {
-      const double d =
-          SquaredEuclideanEarlyAbandon(windows.row(i), windows.row(j), best);
-      ++result.stats.exact_count;
-      if (d < best) {
-        best = d;
-        result.first = static_cast<int32_t>(i);
-        result.second = static_cast<int32_t>(j);
+  {
+    // Ends with the loop: a charge after scope.Close is not the run's.
+    ScopedFunctionTimer timer(Fn::kEd);
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = i + static_cast<size_t>(exclusion) + 1; j < n; ++j) {
+        const double d =
+            SquaredEuclideanEarlyAbandon(windows.row(i), windows.row(j), best);
+        traffic::CountExact(1);
+        if (d < best) {
+          best = d;
+          result.first = static_cast<int32_t>(i);
+          result.second = static_cast<int32_t>(j);
+        }
       }
     }
   }
@@ -97,17 +101,17 @@ Result<MotifResult> PimMotifDiscovery::Find(const FloatMatrix& windows,
   for (size_t i = 0; i + static_cast<size_t>(exclusion) + 1 < n; ++i) {
     ShardedPimEngine::QueryHandleBatch handle;
     {
-      ScopedFunctionTimer timer(&result.stats.profile, "LB_PIM");
+      ScopedFunctionTimer timer(Fn::kLbPim);
       PIMINE_ASSIGN_OR_RETURN(
           handle, engine->RunQueryBatch(windows.row(i), /*num_queries=*/1));
     }
-    ScopedFunctionTimer timer(&result.stats.profile, "ED");
+    ScopedFunctionTimer timer(Fn::kEd);
     for (size_t j = i + static_cast<size_t>(exclusion) + 1; j < n; ++j) {
-      ++result.stats.bound_count;
+      traffic::CountBounds(1);
       if (engine->BoundFor(handle, 0, j) >= best) continue;
       const double d =
           SquaredEuclideanEarlyAbandon(windows.row(i), windows.row(j), best);
-      ++result.stats.exact_count;
+      traffic::CountExact(1);
       if (d < best) {
         best = d;
         result.first = static_cast<int32_t>(i);

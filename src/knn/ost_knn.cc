@@ -31,19 +31,18 @@ uint64_t OstKnn::FootprintBytes(uint64_t /*exact_count*/,
 
 std::vector<Neighbor> OstKnn::SearchQuery(std::span<const float> q,
                                           size_t /*bq*/, int k,
-                                          BatchScratch& s,
-                                          WorkerSlot& slot) const {
+                                          BatchScratch& s) const {
   const size_t n = data_->rows();
   {
-    ScopedFunctionTimer timer(&slot.profile, "LB_OST");
+    ScopedFunctionTimer timer(Fn::kLbOst);
     const double q_suffix = SuffixNorm(q, d0_);
     for (size_t i = 0; i < n; ++i) {
       s.bounds[i] = LbOst(data_->row(i), q, d0_, suffix_norms_[i], q_suffix);
     }
-    slot.bound_count += n;
+    traffic::CountBounds(n);
   }
   return FilterRefine(s.bounds, k, {Distance::kEuclidean, *data_, q},
-                      &slot.profile, "LB_OST", &slot.exact_count);
+                      Fn::kLbOst);
 }
 
 }  // namespace pimine

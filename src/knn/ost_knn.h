@@ -25,8 +25,7 @@ class OstKnn : public KnnSearchBase {
 
  protected:
   std::vector<Neighbor> SearchQuery(std::span<const float> q, size_t bq,
-                                    int k, BatchScratch& s,
-                                    WorkerSlot& slot) const override;
+                                    int k, BatchScratch& s) const override;
   /// The bound itself streams the d0-dim prefixes of the whole dataset.
   uint64_t FootprintBytes(uint64_t exact_count,
                           size_t num_queries) const override;

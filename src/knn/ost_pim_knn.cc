@@ -76,21 +76,21 @@ std::span<const float> OstPimKnn::DeviceOperands(const FloatMatrix& queries,
 }
 
 std::vector<Neighbor> OstPimKnn::SearchQuery(std::span<const float> q,
-                                             size_t bq, int k, BatchScratch& s,
-                                             WorkerSlot& slot) const {
+                                             size_t bq, int k,
+                                             BatchScratch& s) const {
   const size_t n = data_->rows();
   {
-    ScopedFunctionTimer timer(&slot.profile, "LB_PIM");
+    ScopedFunctionTimer timer(Fn::kLbPim);
     const double q_suffix = SuffixNorm(q, d0_);
     engine_->BoundsFor(s.batch, bq, s.bounds);
     for (size_t i = 0; i < n; ++i) {
       const double norm_diff = suffix_norms_[i] - q_suffix;
       s.bounds[i] = std::max(0.0, s.bounds[i]) + norm_diff * norm_diff;
     }
-    slot.bound_count += n;
+    traffic::CountBounds(n);
   }
   return FilterRefine(s.bounds, k, {Distance::kEuclidean, *data_, q},
-                      &slot.profile, "LB_PIM", &slot.exact_count);
+                      Fn::kLbPim);
 }
 
 }  // namespace pimine

@@ -41,8 +41,7 @@ class OstPimKnn : public PimKnnBase {
                                         size_t begin, size_t end,
                                         BatchScratch& s) const override;
   std::vector<Neighbor> SearchQuery(std::span<const float> q, size_t bq,
-                                    int k, BatchScratch& s,
-                                    WorkerSlot& slot) const override;
+                                    int k, BatchScratch& s) const override;
   /// Adds the suffix-norm table to the bound array and its ordering.
   uint64_t HostTableBytes() const override {
     return data_->rows() * sizeof(double) * 3;

@@ -65,12 +65,12 @@ Result<OutlierResult> OrcaOutlierDetector::Detect(
     TopK knn(static_cast<size_t>(options.k));
     const double cutoff = outliers.cutoff();
     bool pruned = false;
-    ScopedFunctionTimer timer(&result.stats.profile, "ED");
+    ScopedFunctionTimer timer(Fn::kEd);
     for (size_t j = 0; j < n; ++j) {
       if (j == i) continue;
       const double d =
           SquaredEuclideanEarlyAbandon(data.row(j), p, knn.threshold());
-      ++result.stats.exact_count;
+      traffic::CountExact(1);
       knn.Push(d, static_cast<int32_t>(j));
       // ORCA early abandonment: k neighbours within the cutoff kill the
       // candidate (its score can only shrink further).
@@ -110,11 +110,11 @@ Result<OutlierResult> OrcaPimOutlierDetector::Detect(
     const auto p = data.row(i);
     const double cutoff = outliers.cutoff();
     {
-      ScopedFunctionTimer timer(&result.stats.profile, "LB_PIM");
+      ScopedFunctionTimer timer(Fn::kLbPim);
       PIMINE_ASSIGN_OR_RETURN(const ShardedPimEngine::QueryHandleBatch batch,
                               engine->RunQueryBatch(p, /*num_queries=*/1));
       engine->BoundsFor(batch, 0, bounds);
-      result.stats.bound_count += n;
+      traffic::CountBounds(n);
     }
     // The point is not its own neighbour, and once k neighbours lie within
     // the cutoff its score can only shrink further (ORCA's early
@@ -123,8 +123,8 @@ Result<OutlierResult> OrcaPimOutlierDetector::Detect(
       return idx == i || (topk.full() && topk.threshold() <= cutoff);
     };
     const std::vector<Neighbor> knn = FilterRefine(
-        bounds, options.k, {Distance::kEuclidean, data, p},
-        &result.stats.profile, "LB_PIM", &result.stats.exact_count, &prune);
+        bounds, options.k, {Distance::kEuclidean, data, p}, Fn::kLbPim,
+        &prune);
     const double score = knn.back().distance;
     if (score > cutoff) outliers.Offer(score, static_cast<int32_t>(i));
   }

@@ -30,24 +30,23 @@ uint64_t SmKnn::FootprintBytes(uint64_t exact_count,
 
 std::vector<Neighbor> SmKnn::SearchQuery(std::span<const float> q,
                                          size_t /*bq*/, int k,
-                                         BatchScratch& s,
-                                         WorkerSlot& slot) const {
+                                         BatchScratch& s) const {
   const size_t n = data_->rows();
   const int64_t d0 = stats_.num_segments;
   std::vector<float> q_means(static_cast<size_t>(d0));
   std::vector<float> q_stds(static_cast<size_t>(d0));
   // Filter phase: LB_SM for every object.
   {
-    ScopedFunctionTimer timer(&slot.profile, "LB_SM");
+    ScopedFunctionTimer timer(Fn::kLbSm);
     ComputeSegments(q, d0, q_means, q_stds);
     for (size_t i = 0; i < n; ++i) {
       s.bounds[i] = LbSm(stats_.means.row(i), q_means, stats_.segment_length);
     }
-    slot.bound_count += n;
+    traffic::CountBounds(n);
   }
   // Refine phase: exact ED in ascending-bound order.
   return FilterRefine(s.bounds, k, {Distance::kEuclidean, *data_, q},
-                      &slot.profile, "LB_SM", &slot.exact_count);
+                      Fn::kLbSm);
 }
 
 }  // namespace pimine

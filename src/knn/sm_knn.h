@@ -23,8 +23,7 @@ class SmKnn : public KnnSearchBase {
 
  protected:
   std::vector<Neighbor> SearchQuery(std::span<const float> q, size_t bq,
-                                    int k, BatchScratch& s,
-                                    WorkerSlot& slot) const override;
+                                    int k, BatchScratch& s) const override;
   /// The segment means plus the rows refined per query.
   uint64_t FootprintBytes(uint64_t exact_count,
                           size_t num_queries) const override;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "sim/traffic.h"
+
 namespace pimine {
 
 StandardKnn::StandardKnn(Distance distance) : distance_(distance) {
@@ -21,15 +23,14 @@ uint64_t StandardKnn::FootprintBytes(uint64_t /*exact_count*/,
 
 std::vector<Neighbor> StandardKnn::SearchQuery(std::span<const float> q,
                                                size_t /*bq*/, int k,
-                                               BatchScratch& s,
-                                               WorkerSlot& slot) const {
+                                               BatchScratch& s) const {
   const size_t n = data_->rows();
   TopK topk(static_cast<size_t>(k));
-  slot.exact_count += n;
+  traffic::CountExact(n);
   if (distance_ != Distance::kEuclidean) {
     const bool cosine = distance_ == Distance::kCosine;
     {
-      ScopedFunctionTimer timer(&slot.profile, cosine ? "CS" : "PCC");
+      ScopedFunctionTimer timer(cosine ? Fn::kCs : Fn::kPcc);
       for (size_t i = 0; i < n; ++i) {
         const double sim = cosine ? CosineSimilarity(data_->row(i), q)
                                   : PearsonCorrelation(data_->row(i), q);
@@ -38,8 +39,8 @@ std::vector<Neighbor> StandardKnn::SearchQuery(std::span<const float> q,
     }
     return FinalizeSimilarityNeighbors(topk);
   }
-  // Distances are computed in blocks of kScanBlock rows so the "ED"
-  // profile tag covers only the distance function itself; top-k
+  // Distances are computed in blocks of kScanBlock rows so the ED timer
+  // covers only the distance function itself; top-k
   // maintenance is charged to the (unattributed) remainder, like the
   // paper's per-function breakdown. The pruning threshold refreshes between
   // blocks, which keeps early abandoning exact. The block is fixed, not an
@@ -49,7 +50,7 @@ std::vector<Neighbor> StandardKnn::SearchQuery(std::span<const float> q,
   for (size_t begin = 0; begin < n; begin += kScanBlock) {
     const size_t end = std::min(n, begin + kScanBlock);
     {
-      ScopedFunctionTimer timer(&slot.profile, "ED");
+      ScopedFunctionTimer timer(Fn::kEd);
       const double threshold = topk.threshold();
       for (size_t i = begin; i < end; ++i) {
         s.bounds[i] = SquaredEuclideanEarlyAbandon(data_->row(i), q, threshold);

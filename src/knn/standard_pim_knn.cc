@@ -19,32 +19,29 @@ Status StandardPimKnn::Prepare(const FloatMatrix& data) {
 
 std::vector<Neighbor> StandardPimKnn::SearchQuery(std::span<const float> q,
                                                   size_t bq, int k,
-                                                  BatchScratch& s,
-                                                  WorkerSlot& slot) const {
+                                                  BatchScratch& s) const {
   return StandardPimQuery(*engine_, s.batch, bq, distance_, *data_, q, k,
-                          s.bounds, slot, &slot.profile);
+                          s.bounds);
 }
 
 std::vector<Neighbor> StandardPimQuery(
     const ShardedPimEngine& engine,
     const ShardedPimEngine::QueryHandleBatch& batch, size_t bq,
     Distance distance, const FloatMatrix& data, std::span<const float> q,
-    int k, std::span<double> bounds, WorkerSlot& slot,
-    FunctionProfiler* profile) {
+    int k, std::span<double> bounds) {
   const size_t n = data.rows();
   const bool similarity = IsSimilarityMeasure(distance);
   {
-    ScopedFunctionTimer timer(profile, "LB_PIM");
+    ScopedFunctionTimer timer(Fn::kLbPim);
     engine.BoundsFor(batch, bq, bounds.first(n));
     // Negate similarity upper bounds so ascending order = most promising
     // first for both measure families.
     if (similarity) {
       for (double& b : bounds.first(n)) b = -b;
     }
-    slot.bound_count += n;
+    traffic::CountBounds(n);
   }
-  return FilterRefine(bounds, k, {distance, data, q}, profile, "LB_PIM",
-                      &slot.exact_count);
+  return FilterRefine(bounds, k, {distance, data, q}, Fn::kLbPim);
 }
 
 }  // namespace pimine

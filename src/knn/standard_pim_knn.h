@@ -25,8 +25,7 @@ class StandardPimKnn : public PimKnnBase {
 
  protected:
   std::vector<Neighbor> SearchQuery(std::span<const float> q, size_t bq,
-                                    int k, BatchScratch& s,
-                                    WorkerSlot& slot) const override;
+                                    int k, BatchScratch& s) const override;
 
  private:
   Distance distance_;
@@ -37,14 +36,12 @@ class StandardPimKnn : public PimKnnBase {
 /// path itself. Reads query `bq` of `batch`'s fleet bounds for every row of
 /// `data` into `bounds` (data.rows() long; negated for CS/PCC so ascending
 /// order is most promising first), then runs FilterRefine with the exact
-/// measure. Bound and exact counts go to `slot`, wall time to `profile`
-/// (null: untimed).
+/// measure. Counts and function times go to the calling thread's ledger.
 std::vector<Neighbor> StandardPimQuery(
     const ShardedPimEngine& engine,
     const ShardedPimEngine::QueryHandleBatch& batch, size_t bq,
     Distance distance, const FloatMatrix& data, std::span<const float> q,
-    int k, std::span<double> bounds, WorkerSlot& slot,
-    FunctionProfiler* profile);
+    int k, std::span<double> bounds);
 
 }  // namespace pimine
 

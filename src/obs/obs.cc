@@ -80,13 +80,13 @@ ModeledSpan::ModeledSpan(const char* cat, const char* name, int64_t track,
       latency_(latency),
       extra_ns_(extra_ns) {
   if (obs_ == nullptr) return;
-  start_ = traffic::Local();
+  start_ = traffic::Local().traffic;
   obs_->trace().Begin(cat_, name_, track_);
 }
 
 ModeledSpan::~ModeledSpan() {
   if (obs_ == nullptr) return;
-  const TrafficCounters delta = traffic::Local() - start_;
+  const TrafficCounters delta = traffic::Local().traffic - start_;
   const double ns = obs_->HostNs(delta) + extra_ns_;
   obs_->trace().End(cat_, name_, track_, ns, track_arg_, track_);
   if (latency_ != nullptr) latency_->Record(ns);
@@ -96,13 +96,13 @@ SchedSpan::SchedSpan(int64_t chunk_index, int64_t begin, int64_t end)
     : obs_(Obs::Get()), chunk_index_(chunk_index), begin_(begin), end_(end) {
   if (obs_ != nullptr && !obs_->trace().options().sched_events) obs_ = nullptr;
   if (obs_ == nullptr) return;
-  start_ = traffic::Local();
+  start_ = traffic::Local().traffic;
   obs_->trace().Begin("sched", "chunk", kSchedTrackBase - chunk_index_);
 }
 
 SchedSpan::~SchedSpan() {
   if (obs_ == nullptr) return;
-  const TrafficCounters delta = traffic::Local() - start_;
+  const TrafficCounters delta = traffic::Local().traffic - start_;
   obs_->trace().End("sched", "chunk", kSchedTrackBase - chunk_index_,
                     obs_->HostNs(delta), "begin", begin_, "end", end_);
 }

@@ -8,16 +8,8 @@
 
 namespace pimine {
 
-void WorkerSlot::FoldInto(RunStats* stats) const {
-  stats->exact_count += exact_count;
-  stats->bound_count += bound_count;
-  stats->pruned_count += pruned_count;
-  stats->profile.Merge(profile);
-  stats->latency_hist.Merge(latency);
-}
-
 Status RunSlotPass(
-    const ExecPolicy& policy, size_t n, size_t chunk, RunStats* stats,
+    const ExecPolicy& policy, size_t n, size_t chunk, obs::Histogram* latency,
     const std::function<void(size_t, size_t, size_t, WorkerSlot&)>& body,
     uint64_t* changed) {
   PIMINE_DCHECK(chunk >= 1);
@@ -25,7 +17,7 @@ Status RunSlotPass(
   ParallelChunks(policy, n, chunk,
                  [&](size_t begin, size_t end, size_t slot_index) {
                    WorkerSlot& slot = slots[slot_index];
-                   const traffic::ScopedSink sink(&slot.traffic);
+                   const traffic::ScopedSink sink(&slot.ledger);
                    // Runs on the pool thread, so it doubles as the worker
                    // span carrying the chunk's item range.
                    obs::SchedSpan sched(static_cast<int64_t>(begin / chunk),
@@ -38,8 +30,8 @@ Status RunSlotPass(
                  });
   Status first_error;
   for (const WorkerSlot& slot : slots) {
-    slot.FoldInto(stats);
-    traffic::Local() += slot.traffic;
+    traffic::Local() += slot.ledger;
+    latency->Merge(slot.latency);
     if (changed != nullptr) *changed += slot.changed;
     if (first_error.ok()) first_error = slot.status;
   }

@@ -9,7 +9,6 @@
 #include "obs/histogram.h"
 #include "pim/fault_model.h"
 #include "pim/fleet.h"
-#include "profiling/function_profiler.h"
 #include "sim/traffic.h"
 #include "util/parallel.h"
 
@@ -18,25 +17,17 @@ namespace pimine {
 /// Everything one algorithm run reports. The bench harness composes these
 /// into the paper's figures: measured wall time, exact traffic counts (for
 /// the analytic cost model), modeled PIM time, and the per-function profile.
-struct RunStats {
+/// The RunLedger half (traffic, exact/bound/pruned counts and profile) is
+/// written only from ledger deltas: RunScope::Close and live serving's
+/// per-dispatch delta.
+struct RunStats : RunLedger {
   /// Measured host wall-clock of the online phase (ms).
   double wall_ms = 0.0;
-  /// Host-side operation/traffic counters accumulated during the run.
-  TrafficCounters traffic;
   /// Modeled PIM-device time (NVSim role), ns. Zero for baselines.
   double pim_ns = 0.0;
   /// Dominant working-set size streamed by the host (bytes); drives the
   /// cache-level selection in the Fig. 5 breakdown model.
   uint64_t footprint_bytes = 0;
-  /// Exact distance computations performed.
-  uint64_t exact_count = 0;
-  /// Bound evaluations performed (host-combined for PIM variants).
-  uint64_t bound_count = 0;
-  /// Candidates a bound decided without an exact computation: each k-means
-  /// pair KmeansBounds::DistanceOrBound answered with its bound, and for
-  /// each kNN or served query whose path evaluated bounds, its live rows
-  /// minus the rows it refined.
-  uint64_t pruned_count = 0;
   /// Fault-injection and recovery accounting of the run's PIM device(s).
   /// All-zero for baselines and fault-free PIM runs.
   FaultStats fault;
@@ -46,8 +37,6 @@ struct RunStats {
   /// runs. The only RunStats block that legitimately varies with the
   /// shard count.
   FleetRunStats fleet;
-  /// Per-function wall-time attribution (Fig. 6).
-  FunctionProfiler profile;
   /// Modeled-time latency distribution: per-query for kNN paths, per-
   /// iteration for k-means. Populated only while obs::Obs is enabled
   /// (empty otherwise), so the default run path stays bit-identical to an
@@ -55,39 +44,31 @@ struct RunStats {
   obs::Histogram latency_hist;
 };
 
-/// Per-worker accumulation slot of a kNN query batch, a k-means assign
-/// chunk or a serving dispatch; RunSlotPass folds it into RunStats.
+/// Per-worker slot of a kNN query batch, a k-means assign chunk or a
+/// serving dispatch.
 struct WorkerSlot {
-  /// The traffic sink the worker's charges land in (traffic::ScopedSink).
-  TrafficCounters traffic;
-  uint64_t exact_count = 0;
-  uint64_t bound_count = 0;
-  uint64_t pruned_count = 0;
+  /// The ledger the worker's charges land in (traffic::ScopedSink).
+  RunLedger ledger;
   uint64_t changed = 0;     // k-means reassignments.
-  FunctionProfiler profile;
   obs::Histogram latency;   // obs::ModeledSpan samples; empty with obs off.
   Status status;            // first failure this worker observed.
-
-  /// The host half of a run's epilogue: counts, profile and latency into
-  /// `stats` (traffic reaches it through the run's RunScope). Integer sums
-  /// and exact histogram merges, so no total depends on the fold order.
-  void FoldInto(RunStats* stats) const;
 };
 
 /// The one slot pass of a run's parallel loop: kNN device batches, k-means
 /// assign chunks and replay dispatches. ParallelChunks spreads [0, n) in
 /// chunks of `chunk` (>= 1) items over NumSlots(policy, n, chunk) workers,
 /// one WorkerSlot each. Every claimed chunk (all of [0, n) under a serial
-/// policy) installs its slot's traffic sink, opens one opt-in
+/// policy) installs its slot's ledger as the sink, opens one opt-in
 /// obs::SchedSpan over its item range and calls
 /// `body(begin, end, slot_index, slot)` on each `chunk`-sized piece of it,
 /// so the pieces are the same for every thread count; a worker skips the
-/// rest of its pieces once its slot holds an error. The slots then fold
-/// into `stats` in slot order, their traffic into the calling thread's
-/// counters and their reassignments into `*changed` when it is non-null.
-/// Returns the first error in slot order.
+/// rest of its pieces once its slot holds an error. The slots then fold in
+/// slot order: their ledgers into the calling thread's, their latency into
+/// `*latency` and their reassignments into `*changed` when it is non-null.
+/// Integer sums and exact histogram merges, so no total depends on the
+/// fold order. Returns the first error in slot order.
 Status RunSlotPass(
-    const ExecPolicy& policy, size_t n, size_t chunk, RunStats* stats,
+    const ExecPolicy& policy, size_t n, size_t chunk, obs::Histogram* latency,
     const std::function<void(size_t, size_t, size_t, WorkerSlot&)>& body,
     uint64_t* changed = nullptr);
 

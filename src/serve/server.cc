@@ -265,7 +265,7 @@ void PimServer::Form(uint64_t dispatch_ns, Run* run, FormedBatch* b) const {
 
 Status PimServer::RunDispatch(const FormedBatch& b,
                               std::span<const float> qbuf, DispatchScratch* s,
-                              WorkerSlot& slot) const {
+                              obs::Histogram* latency) const {
   const size_t dims = data_->cols();
   const size_t batch_size = b.members.size();
   // Mutations are refused while a run executes, so the live corpus holds.
@@ -300,17 +300,18 @@ Status PimServer::RunDispatch(const FormedBatch& b,
     PIMINE_RETURN_IF_ERROR(
         engine_->RunQueryBatch(qbuf.subspan(c0 * dims, chunk * dims), chunk,
                                &s->query, &s->handle, dispatch));
+    const RunLedger& ledger = traffic::Local();
     for (size_t bq = 0; bq < chunk; ++bq) {
-      obs::ModeledSpan query_span(s->tracks[bq], &slot.latency,
+      obs::ModeledSpan query_span(s->tracks[bq], latency,
                                   device_ns_per_query);
-      const uint64_t exact_before = slot.exact_count;
-      s->neighbors[c0 + bq] = StandardPimQuery(
-          *engine_, s->handle, bq, distance_, *data_,
-          qbuf.subspan((c0 + bq) * dims, dims), options_.k, s->bounds, slot,
-          /*profile=*/nullptr);
+      const uint64_t exact_before = ledger.exact_count;
+      s->neighbors[c0 + bq] =
+          StandardPimQuery(*engine_, s->handle, bq, distance_, *data_,
+                           qbuf.subspan((c0 + bq) * dims, dims), options_.k,
+                           s->bounds);
       // Every served query evaluates bounds: the live rows it did not refine
       // were pruned.
-      slot.pruned_count += live - (slot.exact_count - exact_before);
+      traffic::CountPruned(live - (ledger.exact_count - exact_before));
     }
   }
   return Status::OK();
@@ -500,7 +501,7 @@ Result<ReplayOutput> PimServer::Replay(const ArrivalTrace& trace,
   std::vector<DispatchScratch> scratch(
       NumSlots(exec_policy, batches.size(), 1));
   PIMINE_RETURN_IF_ERROR(RunSlotPass(
-      exec_policy, batches.size(), 1, &run.stats.exec,
+      exec_policy, batches.size(), 1, &run.stats.exec.latency_hist,
       [&](size_t bi, size_t /*end*/, size_t slot_index, WorkerSlot& slot) {
         DispatchScratch& s = scratch[slot_index];
         const FormedBatch& b = batches[bi];
@@ -510,7 +511,7 @@ Result<ReplayOutput> PimServer::Replay(const ArrivalTrace& trace,
               queries.row(trace.events[b.members[m].id].query_row);
           std::copy(row.begin(), row.end(), s.qbuf.begin() + m * dims);
         }
-        slot.status = RunDispatch(b, s.qbuf, &s, slot);
+        slot.status = RunDispatch(b, s.qbuf, &s, &slot.latency);
         if (!slot.status.ok()) return;
         for (size_t m = 0; m < b.members.size(); ++m) {
           out.results[b.members[m].id].neighbors = std::move(s.neighbors[m]);
@@ -597,7 +598,7 @@ Result<ServedResult> PimServer::Submit(uint32_t tenant,
 
 void PimServer::WorkerLoop() {
   DispatchScratch scratch;
-  WorkerSlot slot;
+  obs::Histogram latency;
   FormedBatch b;
   std::vector<std::unique_ptr<LiveRequest>> requests;
   std::vector<ServedResult*> results;
@@ -636,17 +637,17 @@ void PimServer::WorkerLoop() {
       std::copy(requests[m]->query.begin(), requests[m]->query.end(),
                 scratch.qbuf.begin() + m * dims);
     }
-    const traffic::AggregateScope dispatch_traffic;
-    const Status status = RunDispatch(b, scratch.qbuf, &scratch, slot);
+    const traffic::AggregateScope dispatch_ledger;
+    const Status status = RunDispatch(b, scratch.qbuf, &scratch, &latency);
     // The live clock: a dispatch completes when its execution returns.
     b.completion_ns = NowNs();
 
     lock.lock();
     // The fold order cannot move a total, so workers fold in whatever order
     // their dispatches finish.
-    slot.FoldInto(&run.stats.exec);
-    run.stats.exec.traffic += dispatch_traffic.Delta();
-    slot = WorkerSlot();
+    run.stats.exec += dispatch_ledger.Delta();
+    run.stats.exec.latency_hist.Merge(latency);
+    latency.Reset();
     for (size_t m = 0; m < requests.size(); ++m) {
       results[m]->status = status;
       if (status.ok()) results[m]->neighbors = std::move(scratch.neighbors[m]);

@@ -126,9 +126,9 @@ struct ReplayOutput {
 /// Two clocks drive one scheduler. Both call the same steps: Admit (shed,
 /// queue, submission counters), Form (a weighted-fair batch at a dispatch
 /// instant, its ladder plans under chaos, its modeled service time),
-/// RunDispatch (execution, counting its exact/bound/pruned candidates and
-/// query latencies into a WorkerSlot) and Account (batch, failover and
-/// per-query figures).
+/// RunDispatch (execution, charging the calling thread's ledger and
+/// recording query latencies) and Account (batch, failover and per-query
+/// figures).
 ///
 ///  * Replay(trace): a VIRTUAL clock. Admission and formation are one
 ///    deterministic single-threaded pass over the recorded arrivals —
@@ -268,12 +268,12 @@ class PimServer : public MutationListener {
   /// the per-query step StandardPimKnn::Search runs, so a served query's
   /// neighbours, traffic and modeled stats are those of the offline path.
   /// Fills s->neighbors; each member's admission id labels its trace
-  /// spans. Counts the dispatch's exact, bound and pruned candidates and
-  /// query latencies into `slot` and its traffic into the calling thread's
-  /// counters; its caller folds both: replay's slot pass and run scope, or
-  /// a live worker under mu_.
+  /// spans. Charges the dispatch's traffic, exact, bound and pruned
+  /// candidates and Fig. 6 function times to the calling thread's ledger
+  /// and records query latencies into `*latency`; its caller folds both:
+  /// replay's slot pass and run scope, or a live worker under mu_.
   Status RunDispatch(const FormedBatch& b, std::span<const float> qbuf,
-                     DispatchScratch* s, WorkerSlot& slot) const;
+                     DispatchScratch* s, obs::Histogram* latency) const;
   /// Accounts a dispatch in run->stats and its telemetry: batch counters,
   /// occupancy, pipelined time, one failover record per plan whose ladder
   /// fired, and each member's dispatch, completion and batch id in

@@ -42,4 +42,49 @@ std::string TrafficCounters::ToString() const {
   return os.str();
 }
 
+int64_t FunctionProfile::TotalNs() const {
+  int64_t total = 0;
+  for (const int64_t v : ns) total += v;
+  return total;
+}
+
+int64_t FunctionProfile::OffloadableNs() const {
+  int64_t total = 0;
+  for (size_t f = 0; f < kNumFns; ++f) {
+    if (kFns[f].offloadable) total += ns[f];
+  }
+  return total;
+}
+
+FunctionProfile& FunctionProfile::operator+=(const FunctionProfile& other) {
+  for (size_t f = 0; f < kNumFns; ++f) ns[f] += other.ns[f];
+  return *this;
+}
+
+FunctionProfile FunctionProfile::operator-(
+    const FunctionProfile& other) const {
+  FunctionProfile out;
+  for (size_t f = 0; f < kNumFns; ++f) out.ns[f] = ns[f] - other.ns[f];
+  return out;
+}
+
+RunLedger& RunLedger::operator+=(const RunLedger& other) {
+  traffic += other.traffic;
+  exact_count += other.exact_count;
+  bound_count += other.bound_count;
+  pruned_count += other.pruned_count;
+  profile += other.profile;
+  return *this;
+}
+
+RunLedger RunLedger::operator-(const RunLedger& other) const {
+  RunLedger out;
+  out.traffic = traffic - other.traffic;
+  out.exact_count = exact_count - other.exact_count;
+  out.bound_count = bound_count - other.bound_count;
+  out.pruned_count = pruned_count - other.pruned_count;
+  out.profile = profile - other.profile;
+  return out;
+}
+
 }  // namespace pimine

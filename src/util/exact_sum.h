@@ -1,6 +1,7 @@
 #ifndef PIMINE_UTIL_EXACT_SUM_H_
 #define PIMINE_UTIL_EXACT_SUM_H_
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 
@@ -24,7 +25,13 @@ namespace pimine {
 /// dataset coordinates, which the loaders validate.
 class ExactSum {
  public:
-  /// Adds one float exactly.
+  /// 64-bit limbs of the register.
+  static constexpr int kLimbs = 4;
+
+  /// Adds one float exactly: the magnitude's low and high parts at the two
+  /// limbs it spans, then a carry (for a negative value, a borrow) up
+  /// through the limbs above while one is pending. Whatever lies above the
+  /// top limb is dropped, so the register wraps mod 2^256.
   void Add(float value) {
     uint32_t b;
     std::memcpy(&b, &value, sizeof(b));
@@ -35,15 +42,22 @@ class ExactSum {
     // shift 0; normals add the hidden bit and shift by exp - 1.
     const uint64_t mant = exp == 0 ? frac : (frac | 0x800000u);
     const int shift = exp == 0 ? 0 : exp - 1;
-    uint64_t addend[kLimbs] = {};
     const int sub = shift & 63;
-    const int limb = shift >> 6;
-    addend[limb] = mant << sub;
-    if (sub != 0 && limb + 1 < kLimbs) {
-      addend[limb + 1] = mant >> (64 - sub);
+    int i = shift >> 6;
+    const uint64_t lo = mant << sub;
+    const uint64_t hi = sub == 0 ? 0 : mant >> (64 - sub);
+    // hi < 2^24, so hi plus a carry or borrow cannot wrap.
+    if ((b >> 31) == 0) {
+      uint64_t x = hi + __builtin_add_overflow(limbs_[i], lo, &limbs_[i]);
+      for (++i; i < kLimbs && x != 0; ++i) {
+        x = __builtin_add_overflow(limbs_[i], x, &limbs_[i]);
+      }
+    } else {
+      uint64_t x = hi + __builtin_sub_overflow(limbs_[i], lo, &limbs_[i]);
+      for (++i; i < kLimbs && x != 0; ++i) {
+        x = __builtin_sub_overflow(limbs_[i], x, &limbs_[i]);
+      }
     }
-    if ((b >> 31) != 0) Negate(addend);
-    AddLimbs(addend);
   }
 
   /// Rounds the exact sum to double. Deterministic: the result is a pure
@@ -61,31 +75,24 @@ class ExactSum {
     return negative ? -value : value;
   }
 
+  /// The register, least significant limb first.
+  std::array<uint64_t, kLimbs> limbs() const {
+    std::array<uint64_t, kLimbs> out;
+    std::memcpy(out.data(), limbs_, sizeof(limbs_));
+    return out;
+  }
+
   bool operator==(const ExactSum& other) const {
     return std::memcmp(limbs_, other.limbs_, sizeof(limbs_)) == 0;
   }
 
  private:
-  static constexpr int kLimbs = 4;
-
   static void Negate(uint64_t limbs[kLimbs]) {
     uint64_t carry = 1;
     for (int i = 0; i < kLimbs; ++i) {
       const uint64_t t = ~limbs[i] + carry;
       carry = t < carry ? 1u : 0u;
       limbs[i] = t;
-    }
-  }
-
-  void AddLimbs(const uint64_t other[kLimbs]) {
-    uint64_t carry = 0;
-    for (int i = 0; i < kLimbs; ++i) {
-      const uint64_t t = limbs_[i] + other[i];
-      // t wrapped iff it ended below an operand; the two carries cannot
-      // both fire for one limb, so carry stays 0 or 1.
-      const uint64_t t2 = t + carry;
-      carry = (t < other[i] ? 1u : 0u) + (t2 < carry ? 1u : 0u);
-      limbs_[i] = t2;
     }
   }
 

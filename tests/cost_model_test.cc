@@ -106,14 +106,14 @@ TEST(TrafficCountersTest, ArithmeticAndScopes) {
   traffic::CountLongOps(2);
   traffic::CountBranches(3);
   traffic::CountPimResults(4);
-  const TrafficCounters delta = scope.Delta();
+  const TrafficCounters delta = scope.Delta().traffic;
   EXPECT_EQ(delta.bytes_from_memory, 50u);
   EXPECT_EQ(delta.bytes_to_memory, 7u);
   EXPECT_EQ(delta.long_ops, 2u);
   EXPECT_EQ(delta.branches, 3u);
   EXPECT_EQ(delta.pim_results_loaded, 4u);
   EXPECT_EQ(delta.arithmetic_ops, 0u);
-  EXPECT_EQ(traffic::Local().bytes_from_memory, 150u);
+  EXPECT_EQ(traffic::Local().traffic.bytes_from_memory, 150u);
 
   TrafficCounters sum;
   sum += delta;
@@ -121,7 +121,7 @@ TEST(TrafficCountersTest, ArithmeticAndScopes) {
   EXPECT_EQ(sum.bytes_from_memory, 100u);
   EXPECT_NE(delta.ToString().find("read=50B"), std::string::npos);
   traffic::Reset();
-  EXPECT_EQ(traffic::Local().bytes_from_memory, 0u);
+  EXPECT_EQ(traffic::Local().traffic.bytes_from_memory, 0u);
 }
 
 TEST(BreakdownTest, ToStringAndAccumulate) {

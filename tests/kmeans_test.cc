@@ -401,11 +401,11 @@ TEST(CenterSumsTest, KeptSumsMatchFreshSumsAfterEveryRound) {
     std::vector<double> fresh_moved;
     const traffic::AggregateScope kept_scope;
     kept_centers = kept.Update(data, assignments, kept_centers, &kept_moved);
-    const TrafficCounters kept_traffic = kept_scope.Delta();
+    const TrafficCounters kept_traffic = kept_scope.Delta().traffic;
     const traffic::AggregateScope fresh_scope;
     fresh_centers =
         UpdateCenters(data, assignments, fresh_centers, &fresh_moved);
-    const TrafficCounters fresh_traffic = fresh_scope.Delta();
+    const TrafficCounters fresh_traffic = fresh_scope.Delta().traffic;
     EXPECT_TRUE(SameBits(kept_centers.values(), fresh_centers.values()))
         << "round " << round;
     EXPECT_TRUE(SameBits(kept_moved, fresh_moved)) << "round " << round;

@@ -182,9 +182,11 @@ TEST(KnnPruningTest, BoundAlgorithmsComputeFewerExactDistances) {
 // that a walk over the full sort visits, refining one candidate at a time:
 // the prune step, then the exact measure at the current threshold. So the
 // prune calls come in the same order with the same top-k state, and the
-// values (to the bit), the exact count, the modeled traffic and the profile
-// tags are the same, also where an ED walk without a prune step refines
-// windows of candidates in SIMD lanes and replays them.
+// values (to the bit), the exact count and the modeled traffic are the
+// same, also where an ED walk without a prune step refines windows of
+// candidates in SIMD lanes and replays them. FilterRefine charges all of
+// them, and time to the order function and the measure, to the calling
+// thread's ledger.
 template <typename Prune>
 std::vector<Neighbor> FullSortWalk(std::span<const double> bounds, int k,
                                    const ExactMeasure& exact,
@@ -361,28 +363,27 @@ TEST_P(FilterRefineOrderTest, VisitsTheFullSortPrefix) {
             const std::vector<Neighbor> want = FullSortWalk(
                 bounds, static_cast<int>(k), exact, &want_exact,
                 pruning == Pruning::kNone ? nullptr : &want_prune);
-            const TrafficCounters want_traffic = want_scope.Delta();
+            const TrafficCounters want_traffic = want_scope.Delta().traffic;
 
             std::vector<PruneCall> got_calls;
             const auto got_prune = recorder(&got_calls);
-            uint64_t got_exact = 0;
-            FunctionProfiler profile;
             traffic::AggregateScope got_scope;
             const std::vector<Neighbor> got = FilterRefine(
-                bounds, static_cast<int>(k), exact, &profile, "order",
-                &got_exact, pruning == Pruning::kNone ? nullptr : &got_prune);
-            const TrafficCounters got_traffic = got_scope.Delta();
+                bounds, static_cast<int>(k), exact, Fn::kLbSm,
+                pruning == Pruning::kNone ? nullptr : &got_prune);
+            const RunLedger got_ledger = got_scope.Delta();
 
             EXPECT_EQ(got_calls, want_calls);
             EXPECT_EQ(Bits(got), Bits(want));
-            EXPECT_EQ(got_exact, want_exact);
-            EXPECT_EQ(got_traffic, want_traffic)
-                << got_traffic.ToString() << " vs " << want_traffic.ToString();
-            std::vector<std::string> tags;
-            for (const auto& [tag, ns] : profile.entries()) tags.push_back(tag);
-            std::vector<std::string> want_tags = {"order"};
-            if (want_exact > 0) want_tags.emplace_back(DistanceName(distance));
-            EXPECT_EQ(tags, want_tags);
+            EXPECT_EQ(got_ledger.exact_count, want_exact);
+            EXPECT_EQ(got_ledger.bound_count, 0u);
+            EXPECT_EQ(got_ledger.traffic, want_traffic)
+                << got_ledger.traffic.ToString() << " vs "
+                << want_traffic.ToString();
+            std::vector<std::string> want_fns;
+            if (want_exact > 0) want_fns.emplace_back(DistanceName(distance));
+            want_fns.emplace_back("LB_SM");
+            EXPECT_EQ(testing_util::Charged(got_ledger.profile), want_fns);
 
             if (d == 131 && distance == Distance::kEuclidean &&
                 pruning == Pruning::kNone) {

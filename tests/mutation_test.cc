@@ -7,9 +7,11 @@
 // {1, 2} and host thread counts {1, 4}. The same invariant is exercised
 // for the k-means shared assign filter and the serving layer.
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -495,6 +497,111 @@ TEST(MutationModelTest, FleetCountersAndMetricsTrackMutations) {
   EXPECT_NE(text.find("pimine_mutation_compactions_total 1"),
             std::string::npos);
   EXPECT_NE(text.find("pimine_mutation_delta_rows 0"), std::string::npos);
+}
+
+/// Parsed ops in the trace grammar, each delete as a range.
+std::string FormatTrace(const std::vector<MutationOp>& ops) {
+  std::string out;
+  for (const MutationOp& op : ops) {
+    if (!out.empty()) out += ",";
+    switch (op.kind) {
+      case MutationOp::Kind::kInsert:
+        out += "i:" + std::to_string(op.count);
+        break;
+      case MutationOp::Kind::kDelete:
+        out += "d:" + std::to_string(op.first) + "-" + std::to_string(op.last);
+        break;
+      case MutationOp::Kind::kCompact:
+        out += "c";
+        break;
+    }
+  }
+  return out;
+}
+
+struct ParsedTrace {
+  std::string_view trace;
+  std::string_view ops;  // FormatTrace of the parse.
+};
+
+constexpr ParsedTrace kValidTraces[] = {
+    {"", ""},
+    {"c", "c"},
+    {"i:256,d:0-127,c,i:64", "i:256,d:0-127,c,i:64"},
+    {"d:5", "d:5-5"},
+    {"d:3-3,d:0,c,c", "d:3-3,d:0-0,c,c"},
+    {"i:007", "i:7"},
+    {"i:4294967295,d:0-4294967295", "i:4294967295,d:0-4294967295"},
+};
+
+TEST(MutationTraceParseTest, ParsesValidAndRejectsMalformedTraces) {
+  for (const ParsedTrace& valid : kValidTraces) {
+    const auto parsed = ParseMutationTrace(valid.trace);
+    ASSERT_TRUE(parsed.ok()) << valid.trace << ": "
+                             << parsed.status().ToString();
+    EXPECT_EQ(FormatTrace(*parsed), valid.ops) << valid.trace;
+  }
+  for (const std::string_view malformed :
+       {"i:1,,c", "i:1,", ",c", "i:0", "d:5-3", "d:-1", "d:1-", "i:+1",
+        "i:4294967296", "d:0-4294967296", "i:", "i", "c:1", "x:1", " c",
+        "i:1 ", "i:0x10", ","}) {
+    const auto parsed = ParseMutationTrace(malformed);
+    ASSERT_FALSE(parsed.ok()) << malformed;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument)
+        << malformed;
+  }
+}
+
+// Seeded fuzz over the grammar's alphabet: valid traces with characters
+// replaced, inserted and erased. Every result parses to ops that format
+// back to an equal parse, or fails with InvalidArgument; nothing crashes
+// (the ASan+UBSan job runs this).
+TEST(MutationTraceParseTest, MutatedTracesParseOrFailCleanly) {
+  constexpr std::string_view kAlphabet = "icd:-,0123456789";
+  size_t parsed_ok = 0;
+  for (uint64_t round = 0; round < 20000; ++round) {
+    uint64_t draw = Mix(round);
+    std::string trace(kValidTraces[draw % std::size(kValidTraces)].trace);
+    const int edits = 1 + static_cast<int>((draw >> 8) % 4);
+    for (int e = 0; e < edits; ++e) {
+      draw = Mix(draw);
+      const size_t pos = (draw >> 8) % (trace.size() + 1);
+      const char c = kAlphabet[(draw >> 32) % kAlphabet.size()];
+      switch (draw % 3) {
+        case 0:
+          if (pos < trace.size()) trace[pos] = c;
+          break;
+        case 1:
+          trace.insert(trace.begin() + static_cast<ptrdiff_t>(pos), c);
+          break;
+        default:
+          if (pos < trace.size()) trace.erase(pos, 1);
+          break;
+      }
+    }
+    const auto parsed = ParseMutationTrace(trace);
+    if (!parsed.ok()) {
+      EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument)
+          << trace;
+      continue;
+    }
+    ++parsed_ok;
+    const size_t ops = trace.empty() ? 0 : 1 + std::count(trace.begin(),
+                                                          trace.end(), ',');
+    EXPECT_EQ(parsed->size(), ops) << trace;
+    for (const MutationOp& op : *parsed) {
+      EXPECT_TRUE(op.kind != MutationOp::Kind::kInsert || op.count > 0)
+          << trace;
+      EXPECT_TRUE(op.kind != MutationOp::Kind::kDelete || op.first <= op.last)
+          << trace;
+    }
+    const auto reparsed = ParseMutationTrace(FormatTrace(*parsed));
+    ASSERT_TRUE(reparsed.ok()) << trace;
+    EXPECT_EQ(FormatTrace(*reparsed), FormatTrace(*parsed)) << trace;
+  }
+  // The budget reaches both outcomes.
+  EXPECT_GT(parsed_ok, 100u);
+  EXPECT_LT(parsed_ok, 19900u);
 }
 
 }  // namespace

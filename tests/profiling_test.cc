@@ -1,76 +1,75 @@
-#include "profiling/function_profiler.h"
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "profiling/modeled_time.h"
 #include "profiling/run_stats.h"
+#include "sim/traffic.h"
 
 namespace pimine {
 namespace {
 
-TEST(FunctionProfilerTest, AccumulatesPerTag) {
-  FunctionProfiler profiler;
-  profiler.Add("ED", 100);
-  profiler.Add("LB_FNN", 50);
-  profiler.Add("ED", 25);
-  EXPECT_EQ(profiler.Get("ED"), 125);
-  EXPECT_EQ(profiler.Get("LB_FNN"), 50);
-  EXPECT_EQ(profiler.Get("missing"), 0);
-  EXPECT_EQ(profiler.TotalAttributedNs(), 175);
-  ASSERT_EQ(profiler.entries().size(), 2u);
-  EXPECT_EQ(profiler.entries()[0].first, "ED");  // first-use order.
+// Each Fig. 6 function prints its paper name, and Eq. 2's set F holds the
+// similarity and bound functions: not the approximate kNN's distances, the
+// k-means bound maintenance or the center update.
+TEST(FunctionProfileTest, NamesAndOffloadableSet) {
+  std::string names;
+  std::string offloadable;
+  for (const FnInfo& fn : kFns) {
+    names += std::string(fn.name) + ";";
+    if (fn.offloadable) offloadable += std::string(fn.name) + ";";
+  }
+  EXPECT_EQ(names,
+            "ED;ED_approx;CS;PCC;HD;HD_PIM;LB_PIM;LB_OST;LB_SM;LB_FNN;"
+            "bound update;update;");
+  EXPECT_EQ(offloadable, "ED;CS;PCC;HD;HD_PIM;LB_PIM;LB_OST;LB_SM;LB_FNN;");
+  EXPECT_STREQ(FnName(Fn::kBoundUpdate), "bound update");
 }
 
-TEST(FunctionProfilerTest, MergeAndReset) {
-  FunctionProfiler a;
-  a.Add("ED", 10);
-  FunctionProfiler b;
-  b.Add("ED", 5);
-  b.Add("update", 7);
-  a.Merge(b);
-  EXPECT_EQ(a.Get("ED"), 15);
-  EXPECT_EQ(a.Get("update"), 7);
-  a.Reset();
-  EXPECT_EQ(a.TotalAttributedNs(), 0);
+TEST(FunctionProfileTest, AddSubtractAndOffloadableSum) {
+  FunctionProfile a;
+  a[Fn::kEd] = 100;
+  a[Fn::kLbFnn] = 50;
+  a[Fn::kEdApprox] = 11;
+  a[Fn::kBoundUpdate] = 3;
+  a[Fn::kUpdate] = 7;
+  EXPECT_EQ(a.TotalNs(), 171);
+  EXPECT_EQ(a.OffloadableNs(), 150);
+
+  FunctionProfile b;
+  b[Fn::kEd] = 5;
+  b[Fn::kPcc] = 2;
+  FunctionProfile sum = a;
+  sum += b;
+  EXPECT_EQ(sum[Fn::kEd], 105);
+  EXPECT_EQ(sum[Fn::kPcc], 2);
+  EXPECT_EQ(sum[Fn::kUpdate], 7);
+  EXPECT_EQ(sum.TotalNs(), 178);
+  EXPECT_EQ(sum.OffloadableNs(), 157);
+  EXPECT_EQ((sum - b).ns, a.ns);
+  EXPECT_EQ((sum - a).ns, b.ns);
 }
 
-TEST(FunctionProfilerTest, MergeIntoResetProfilerAdoptsOtherOrder) {
-  FunctionProfiler a;
-  a.Add("ED", 10);
-  a.Add("update", 3);
-  a.Reset();
-  EXPECT_EQ(a.TotalAttributedNs(), 0);
-  EXPECT_EQ(a.Get("ED"), 0);
-
-  // Post-reset the profiler behaves like a fresh one: the merge adopts b's
-  // tags in b's first-use order, with no trace of the pre-reset state.
-  FunctionProfiler b;
-  b.Add("LB_FNN", 5);
-  b.Add("ED", 2);
-  a.Merge(b);
-  EXPECT_EQ(a.Get("LB_FNN"), 5);
-  EXPECT_EQ(a.Get("ED"), 2);
-  EXPECT_EQ(a.Get("update"), 0);
-  EXPECT_EQ(a.TotalAttributedNs(), 7);
-  ASSERT_EQ(a.entries().size(), 2u);
-  EXPECT_EQ(a.entries()[0].first, "LB_FNN");
-  EXPECT_EQ(a.entries()[1].first, "ED");
-}
-
-TEST(ScopedFunctionTimerTest, ChargesElapsedTime) {
-  FunctionProfiler profiler;
+// A timer charges its scope to its function in the calling thread's
+// ledger, or in the sink a ScopedSink installed.
+TEST(ScopedFunctionTimerTest, ChargesTheCallingThreadsLedger) {
+  const traffic::AggregateScope scope;
   {
-    ScopedFunctionTimer timer(&profiler, "work");
+    ScopedFunctionTimer timer(Fn::kUpdate);
     volatile double x = 0;
     for (int i = 0; i < 100000; ++i) x = x + 1.0;
   }
-  EXPECT_GT(profiler.Get("work"), 0);
-}
+  const FunctionProfile charged = scope.Delta().profile;
+  EXPECT_GT(charged[Fn::kUpdate], 0);
+  EXPECT_EQ(charged.TotalNs(), charged[Fn::kUpdate]);
 
-TEST(ScopedFunctionTimerTest, NullProfilerIsNoOp) {
-  // Call sites with optional profiling pass nullptr; must not crash.
-  { ScopedFunctionTimer timer(nullptr, "work"); }
-  SUCCEED();
+  RunLedger sink;
+  {
+    const traffic::ScopedSink to_sink(&sink);
+    ScopedFunctionTimer timer(Fn::kLbPim);
+  }
+  EXPECT_GT(sink.profile[Fn::kLbPim], 0);
+  EXPECT_EQ(scope.Delta().profile[Fn::kLbPim], 0);
 }
 
 TEST(ModeledTimeTest, ComposesHostAndPim) {

@@ -588,9 +588,9 @@ TEST(ServeLiveTest, LiveResultsMatchReplay) {
   }
 }
 
-// Live serving reports the traffic its dispatches charged. A query's
-// traffic does not depend on how queries are batched, so the live total
-// equals a replay's over the same queries.
+// Live serving reports the traffic and the exact, bound and pruned counts
+// its dispatches charged. None of them depends on how queries are batched,
+// so the live totals equal a replay's over the same queries.
 TEST(ServeLiveTest, LiveTrafficMatchesReplay) {
   ServeOptions options = BaseServe();
   options.scheduler_threads = 2;
@@ -606,6 +606,10 @@ TEST(ServeLiveTest, LiveTrafficMatchesReplay) {
       MustReplay(replay_options, AllAtZeroTrace(kQueries, 1, kQueries));
   EXPECT_EQ(live.served, kQueries);
   EXPECT_EQ(live.exec.exact_count, replayed.stats.exec.exact_count);
+  EXPECT_GT(live.exec.bound_count, 0u);
+  EXPECT_EQ(live.exec.bound_count, replayed.stats.exec.bound_count);
+  EXPECT_GT(live.exec.pruned_count, 0u);
+  EXPECT_EQ(live.exec.pruned_count, replayed.stats.exec.pruned_count);
   EXPECT_GT(live.exec.traffic.bytes_from_memory, 0u);
   EXPECT_TRUE(live.exec.traffic == replayed.stats.exec.traffic)
       << live.exec.traffic.ToString() << " vs "

@@ -171,10 +171,10 @@ TEST(ShardedEngineTest, SpanBoundsMatchPerObjectBoundsAndTraffic) {
           for (size_t i = 0; i < total; ++i) {
             expected[i] = fleet->BoundFor(*run, q, i);
           }
-          const TrafficCounters per_object_delta = per_object.Delta();
+          const TrafficCounters per_object_delta = per_object.Delta().traffic;
           traffic::AggregateScope one_span;
           fleet->BoundsFor(*run, q, span);
-          const TrafficCounters span_delta = one_span.Delta();
+          const TrafficCounters span_delta = one_span.Delta().traffic;
           EXPECT_TRUE(span_delta == per_object_delta)
               << label << " span " << span_delta.ToString() << " vs "
               << per_object_delta.ToString();

@@ -109,10 +109,10 @@ TEST(EdLanesTest, CheckpointsMatchTheScalarLoop) {
           traffic::AggregateScope want_scope;
           const double want =
               SquaredEuclideanEarlyAbandon(rows[l], query, threshold);
-          const TrafficCounters want_traffic = want_scope.Delta();
+          const TrafficCounters want_traffic = want_scope.Delta().traffic;
           traffic::AggregateScope got_scope;
           const double got = ReplayEarlyAbandon(checkpoints, l, d, threshold);
-          EXPECT_EQ(got_scope.Delta(), want_traffic) << "lane " << l;
+          EXPECT_EQ(got_scope.Delta().traffic, want_traffic) << "lane " << l;
           EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
               << "lane " << l;
         }

@@ -2,11 +2,13 @@
 #define PIMINE_TESTS_TEST_HELPERS_H_
 
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "core/sharded_engine.h"
 #include "data/matrix.h"
+#include "sim/traffic.h"
 #include "util/random.h"
 
 namespace pimine {
@@ -40,6 +42,17 @@ inline Status QueryBounds(const ShardedPimEngine& fleet,
   bounds->resize(fleet.num_objects());
   fleet.BoundsFor(batch, 0, *bounds);
   return Status::OK();
+}
+
+/// The names of the Fig. 6 functions `profile` charged time to, in Fn
+/// order. Function times are wall-clock, so tests compare this set, never
+/// the nanoseconds.
+inline std::vector<std::string> Charged(const FunctionProfile& profile) {
+  std::vector<std::string> names;
+  for (size_t f = 0; f < kNumFns; ++f) {
+    if (profile.ns[f] != 0) names.emplace_back(kFns[f].name);
+  }
+  return names;
 }
 
 }  // namespace testing_util

@@ -1,5 +1,10 @@
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <set>
 #include <utility>
@@ -225,6 +230,81 @@ TEST(ExactSumTest, AddingAValueAndItsNegationRestoresTheSum) {
     on_base.Add(v);
     on_base.Add(-v);
     EXPECT_TRUE(on_base == base) << v;
+  }
+}
+
+// ExactSum::Add as first written: the value's magnitude laid out as a full
+// four-limb addend, negated for a negative value, then added with a carry
+// through every limb.
+class FourLimbReference {
+ public:
+  void Add(float value) {
+    uint32_t b;
+    std::memcpy(&b, &value, sizeof(b));
+    const uint32_t frac = b & 0x7fffffu;
+    const int exp = static_cast<int>((b >> 23) & 0xffu);
+    if (frac == 0 && exp == 0) return;
+    const uint64_t mant = exp == 0 ? frac : (frac | 0x800000u);
+    const int shift = exp == 0 ? 0 : exp - 1;
+    std::array<uint64_t, 4> addend = {};
+    const int sub = shift & 63;
+    const int limb = shift >> 6;
+    addend[limb] = mant << sub;
+    if (sub != 0 && limb + 1 < 4) addend[limb + 1] = mant >> (64 - sub);
+    if ((b >> 31) != 0) {
+      uint64_t carry = 1;
+      for (uint64_t& a : addend) {
+        const uint64_t t = ~a + carry;
+        carry = t < carry ? 1u : 0u;
+        a = t;
+      }
+    }
+    uint64_t carry = 0;
+    for (int i = 0; i < 4; ++i) {
+      const uint64_t t = limbs[i] + addend[i];
+      const uint64_t t2 = t + carry;
+      carry = (t < addend[i] ? 1u : 0u) + (t2 < carry ? 1u : 0u);
+      limbs[i] = t2;
+    }
+  }
+
+  std::array<uint64_t, 4> limbs = {};
+};
+
+// Add touches only the limbs the value spans and the carry or borrow chain
+// above them; its limbs must equal the four-limb reference's after every
+// Add, for seeded floats of every class and sign (normals over the whole
+// exponent range, whose top values wrap the register, subnormals, zeros
+// and the extremes) added in several orders.
+TEST(ExactSumTest, LimbsMatchTheFourLimbReference) {
+  using Limits = std::numeric_limits<float>;
+  std::vector<float> values = {0.0f,           -0.0f,
+                               Limits::denorm_min(), -Limits::denorm_min(),
+                               Limits::min(),  -Limits::min(),
+                               Limits::max(),  Limits::lowest()};
+  Rng rng(31);
+  while (values.size() < 3000) {
+    auto bits = static_cast<uint32_t>(rng.NextU64());
+    // One in eight is subnormal or zero; NaN and infinity are not inputs.
+    if (values.size() % 8 == 0) bits &= 0x807fffffu;
+    if (((bits >> 23) & 0xffu) == 0xffu) continue;
+    values.push_back(std::bit_cast<float>(bits));
+  }
+  for (int order = 0; order < 4; ++order) {
+    if (order == 1) std::reverse(values.begin(), values.end());
+    if (order >= 2) {
+      for (size_t i = values.size() - 1; i > 0; --i) {
+        std::swap(values[i], values[rng.NextBounded(i + 1)]);
+      }
+    }
+    ExactSum sum;
+    FourLimbReference reference;
+    for (size_t i = 0; i < values.size(); ++i) {
+      sum.Add(values[i]);
+      reference.Add(values[i]);
+      ASSERT_EQ(sum.limbs(), reference.limbs)
+          << "order " << order << " value " << i << " = " << values[i];
+    }
   }
 }
 
