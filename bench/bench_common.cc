@@ -31,6 +31,15 @@ EngineOptions ScaledEngineOptions(const BenchWorkload& workload) {
   return options;
 }
 
+EngineOptions CrossbarsFromFlags(const FlagParser& flags,
+                                 const BenchWorkload& workload) {
+  const int64_t crossbars = flags.GetInt("crossbars", 0);
+  if (crossbars == 0) return ScaledEngineOptions(workload);
+  EngineOptions options;
+  options.pim_config.num_crossbars = crossbars;
+  return options;
+}
+
 Result<Distance> DistanceFromFlags(const FlagParser& flags) {
   const std::string name = flags.GetString("distance", "ED");
   for (const Distance d :

@@ -38,6 +38,12 @@ BenchWorkload LoadWorkload(const std::string& name, int64_t n = 0,
 /// Theorem 4 exerts the paper's capacity pressure (DESIGN.md §1).
 EngineOptions ScaledEngineOptions(const BenchWorkload& workload);
 
+/// The --crossbars flag of pimine_cli and pimine_serve: 0 (the default)
+/// gives ScaledEngineOptions(workload); any other count gives the default
+/// EngineOptions with that many crossbars.
+EngineOptions CrossbarsFromFlags(const FlagParser& flags,
+                                 const BenchWorkload& workload);
+
 /// The --distance flag of pimine_cli and pimine_serve: ED (the default),
 /// CS or PCC; any other name is InvalidArgument.
 Result<Distance> DistanceFromFlags(const FlagParser& flags);

@@ -13,7 +13,10 @@
 #include "core/similarity.h"
 #include "data/bit_matrix.h"
 #include "data/matrix.h"
+#include "knn/filter_refine.h"
+#include "sim/traffic.h"
 #include "util/random.h"
+#include "util/top_k.h"
 
 namespace pimine {
 namespace {
@@ -188,6 +191,60 @@ void BM_RefineWindow(benchmark::State& state) {
   SetPerCandidate(state);
 }
 BENCHMARK(BM_RefineWindow)->Arg(0)->Arg(1);
+
+// FilterRefine's order layer at knn-msd's shape: n = 20,000 candidates and
+// k = 10. Bound i is uniform in [0, 1), and its candidate's exact squared
+// ED is the bound plus 0.0145 (a one-dimensional row, so refines stay
+// cheap), so the walk reaches about 1.5% of the candidates (the `refined`
+// counter, a share of n). Arg 1 adds a prune step that drops the candidate
+// with the smallest bound, as ORCA-PIM drops a point's own row; that leaves
+// the top-k one short after phase 1. The per_bound counter is in seconds,
+// printed with an SI prefix.
+struct FilterRefineInputs {
+  static constexpr size_t kCandidates = 20000;
+  static constexpr int kK = 10;
+  std::vector<double> bounds;
+  FloatMatrix rows{kCandidates, 1};
+  std::vector<float> query{0.0f};
+  uint32_t first = 0;
+};
+
+FilterRefineInputs MakeFilterRefineInputs() {
+  FilterRefineInputs in;
+  Rng rng(14);
+  for (size_t i = 0; i < FilterRefineInputs::kCandidates; ++i) {
+    in.bounds.push_back(rng.NextUniform(0.0, 1.0));
+    in.rows.mutable_row(i)[0] =
+        static_cast<float>(std::sqrt(in.bounds.back() + 0.0145));
+  }
+  in.first = static_cast<uint32_t>(
+      std::min_element(in.bounds.begin(), in.bounds.end()) -
+      in.bounds.begin());
+  return in;
+}
+
+void BM_FilterRefine(benchmark::State& state) {
+  static const FilterRefineInputs in = MakeFilterRefineInputs();
+  const ExactMeasure exact{Distance::kEuclidean, in.rows, in.query};
+  const auto drop_first = [&](uint32_t idx, const TopK&) {
+    return idx == in.first;
+  };
+  const traffic::AggregateScope scope;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        state.range(0) == 0
+            ? FilterRefine(in.bounds, FilterRefineInputs::kK, exact, Fn::kLbPim)
+            : FilterRefine(in.bounds, FilterRefineInputs::kK, exact, Fn::kLbPim,
+                           &drop_first));
+  }
+  const auto bounds = static_cast<double>(state.iterations() *
+                                          FilterRefineInputs::kCandidates);
+  state.counters["per_bound"] = benchmark::Counter(
+      bounds, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["refined"] =
+      static_cast<double>(scope.Delta().exact_count) / bounds;
+}
+BENCHMARK(BM_FilterRefine)->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace pimine

@@ -219,7 +219,7 @@ std::vector<Neighbor> FullSortWalk(std::span<const double> bounds, int k,
 }
 
 enum class BoundPattern { kDistinct, kTies, kSignedZeros, kTombstones,
-                          kAllEqual, kAllTombstones };
+                          kAllEqual, kAllTombstones, kInfinities };
 
 std::vector<double> MakeBounds(BoundPattern pattern, size_t n, Rng& rng) {
   std::vector<double> bounds(n);
@@ -242,6 +242,11 @@ std::vector<double> MakeBounds(BoundPattern pattern, size_t n, Rng& rng) {
         break;
       case BoundPattern::kAllTombstones:
         bounds[i] = HUGE_VAL;
+        break;
+      case BoundPattern::kInfinities:  // A phase 2 range can start at -inf.
+        bounds[i] = rng.NextBool(0.1)   ? -HUGE_VAL
+                    : rng.NextBool(0.2) ? HUGE_VAL
+                                        : rng.NextUniform(-4.0, 4.0);
         break;
     }
   }
@@ -304,9 +309,11 @@ std::vector<std::pair<uint64_t, int32_t>> Bits(
 
 // How the refine step prunes: not at all (an ED walk then runs windows),
 // some candidates by a finer bound once the top-k is full (FNN's cascade),
-// or some candidates unconditionally, which can leave the top-k short after
-// the first k candidates.
-enum class Pruning { kNone, kWhenFull, kAlways };
+// some candidates unconditionally, which can leave the top-k short after
+// the first k candidates, or only the candidate with the smallest (bound,
+// index) pair (ORCA's own row), which leaves it one short and so takes
+// exactly one refill round.
+enum class Pruning { kNone, kWhenFull, kAlways, kSmallest };
 
 struct PruneCall {
   uint32_t idx;
@@ -326,11 +333,16 @@ TEST_P(FilterRefineOrderTest, VisitsTheFullSortPrefix) {
   // and a stop at the last one reads every dimension.
   std::vector<size_t> abandons(EdCheckpoints(131) - 1);
   for (const size_t d : {size_t{3}, size_t{131}}) {
+    // 15, 16, 31 and 33 put the edges of the 16-bound order blocks inside
+    // runs of ties, signed zeros and +inf.
     for (const size_t n :
-         {size_t{1}, size_t{2}, size_t{5}, size_t{17}, size_t{1000}}) {
+         {size_t{1}, size_t{2}, size_t{5}, size_t{15}, size_t{16}, size_t{17},
+          size_t{31}, size_t{33}, size_t{1000}}) {
       const BoundPattern pattern = GetParam().pattern;
       Rng rng(n * 7919 + d * 31 + static_cast<uint64_t>(pattern));
       const std::vector<double> bounds = MakeBounds(pattern, n, rng);
+      const auto smallest = static_cast<uint32_t>(
+          std::min_element(bounds.begin(), bounds.end()) - bounds.begin());
       std::vector<float> query(d);
       for (size_t j = 0; j < d; ++j) query[j] = j % 3 == 0 ? 0.25f : 0.75f;
       const FloatMatrix rows = OffsetRows(n, query, rng);
@@ -338,8 +350,8 @@ TEST_P(FilterRefineOrderTest, VisitsTheFullSortPrefix) {
       for (size_t i = 0; i < n; ++i) coarse[i] = rng.NextBool(0.6) ? 1 : 0;
       for (const size_t k : {size_t{1}, size_t{3}, n / 2, n - 1, n}) {
         if (k == 0) continue;
-        for (const Pruning pruning :
-             {Pruning::kNone, Pruning::kWhenFull, Pruning::kAlways}) {
+        for (const Pruning pruning : {Pruning::kNone, Pruning::kWhenFull,
+                                      Pruning::kAlways, Pruning::kSmallest}) {
           for (const Distance distance :
                {Distance::kEuclidean, Distance::kCosine, Distance::kPearson}) {
             SCOPED_TRACE(
@@ -353,7 +365,8 @@ TEST_P(FilterRefineOrderTest, VisitsTheFullSortPrefix) {
                 calls->push_back({idx, topk.threshold(), topk.size()});
                 return (pruning == Pruning::kWhenFull && topk.full() &&
                         coarse[idx] != 0) ||
-                       (pruning == Pruning::kAlways && idx % 4 == 1);
+                       (pruning == Pruning::kAlways && idx % 4 == 1) ||
+                       (pruning == Pruning::kSmallest && idx == smallest);
               };
             };
             std::vector<PruneCall> want_calls;
@@ -419,7 +432,8 @@ INSTANTIATE_TEST_SUITE_P(
                       PatternCase{BoundPattern::kTombstones, "Tombstones"},
                       PatternCase{BoundPattern::kAllEqual, "AllEqual"},
                       PatternCase{BoundPattern::kAllTombstones,
-                                  "AllTombstones"}),
+                                  "AllTombstones"},
+                      PatternCase{BoundPattern::kInfinities, "Infinities"}),
     [](const testing::TestParamInfo<PatternCase>& param) {
       return std::string(param.param.name);
     });

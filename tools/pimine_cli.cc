@@ -44,10 +44,10 @@ namespace pimine {
 namespace cli {
 namespace {
 
+using bench::CrossbarsFromFlags;
 using bench::DistanceFromFlags;
 using bench::Fmt;
 using bench::LoadWorkload;
-using bench::ScaledEngineOptions;
 using bench::TablePrinter;
 
 int Usage() {
@@ -156,10 +156,7 @@ void FinishObservability(const ObsCliConfig& cfg, const RunStats& stats) {
 
 Result<EngineOptions> EngineFromFlags(const FlagParser& flags,
                                       const bench::BenchWorkload& workload) {
-  const int64_t crossbars = flags.GetInt("crossbars", 0);
-  EngineOptions options =
-      crossbars == 0 ? ScaledEngineOptions(workload) : EngineOptions();
-  if (crossbars > 0) options.pim_config.num_crossbars = crossbars;
+  EngineOptions options = CrossbarsFromFlags(flags, workload);
   options.alpha = flags.GetDouble("alpha", options.alpha);
   // --fault_rate drives both stuck-cell and transient rates; recovery keeps
   // results exact unless --fault_recovery overrides the verify mode.

@@ -54,10 +54,10 @@ namespace pimine {
 namespace cli {
 namespace {
 
+using bench::CrossbarsFromFlags;
 using bench::DistanceFromFlags;
 using bench::Fmt;
 using bench::LoadWorkload;
-using bench::ScaledEngineOptions;
 using bench::TablePrinter;
 
 int Usage() {
@@ -76,6 +76,7 @@ int Usage() {
       "          [--chaos_seed=0xC7A05] [--batch_deadline_us=0]\n"
       "          [--degrade_watermark=0.0]\n"
       "          [--mutate_trace=i:64,d:0-9,c] [--compact_watermark=0.0]\n"
+      "          [--crossbars=0 (0=scaled)]\n"
       "  live    same scheduler flags plus [--clients=4]\n"
       "          [--metrics_port=9464] [--linger_ms=0]\n"
       "\n"
@@ -250,12 +251,13 @@ int RunReplay(const FlagParser& flags) {
        "metrics_out", "timeseries_out", "events_out", "event_sample",
        "event_seed", "chaos_deaths", "chaos_stalls", "chaos_link_faults",
        "chaos_horizon_us", "chaos_seed", "batch_deadline_us",
-       "degrade_watermark", "mutate_trace", "compact_watermark"});
+       "degrade_watermark", "mutate_trace", "compact_watermark",
+       "crossbars"});
   if (!known.ok()) return UsageError(known);
   const auto workload =
       LoadWorkload(flags.GetString("dataset", "MSD"), flags.GetInt("n", 0),
                    flags.GetInt("queries", 64));
-  EngineOptions engine = ScaledEngineOptions(workload);
+  EngineOptions engine = CrossbarsFromFlags(flags, workload);
   engine.shard.shards = static_cast<int>(flags.GetInt("shards", 1));
   engine.shard.replicas = static_cast<int>(flags.GetInt("replicas", 1));
   const Result<Distance> distance = DistanceFromFlags(flags);
@@ -374,12 +376,12 @@ int RunLive(const FlagParser& flags) {
        "metrics_port", "linger_ms", "event_sample", "event_seed",
        "chaos_deaths", "chaos_stalls", "chaos_link_faults",
        "chaos_horizon_us", "chaos_seed", "batch_deadline_us",
-       "degrade_watermark", "compact_watermark"});
+       "degrade_watermark", "compact_watermark", "crossbars"});
   if (!known.ok()) return UsageError(known);
   const auto workload =
       LoadWorkload(flags.GetString("dataset", "MSD"), flags.GetInt("n", 0),
                    flags.GetInt("queries", 64));
-  EngineOptions engine = ScaledEngineOptions(workload);
+  EngineOptions engine = CrossbarsFromFlags(flags, workload);
   engine.shard.shards = static_cast<int>(flags.GetInt("shards", 1));
   engine.shard.replicas = static_cast<int>(flags.GetInt("replicas", 1));
   const Result<Distance> distance = DistanceFromFlags(flags);
@@ -466,7 +468,7 @@ int Main(int argc, char** argv) {
       {"requests", "queries", "n", "clients", "max_batch", "device_batch",
        "capacity", "threads", "k", "shards", "replicas", "max_wait_us",
        "deadline_us", "batch_deadline_us", "chaos_deaths", "chaos_stalls",
-       "chaos_link_faults", "chaos_horizon_us", "linger_ms"});
+       "chaos_link_faults", "chaos_horizon_us", "linger_ms", "crossbars"});
   if (!negative.ok()) return UsageError(negative);
   // An unknown --dataset is misuse, rejected before LoadWorkload aborts.
   const Result<DatasetSpec> dataset =
