@@ -7,9 +7,12 @@
 // to pruning behaviour, traffic accounting, or the device timing model
 // shows up as a byte diff here.
 //
+// MetricsExposition pins the Prometheus and JSON metrics exposition of a
+// serving replay, a faulted kNN search and a k-means run the same way.
+//
 // Regenerating after an intentional model change:
 //   PIMINE_REGEN_GOLDEN=1 ./golden_stats_test
-// then commit the rewritten tests/golden/*.txt.
+// then commit the rewritten tests/golden/ files.
 
 #include <bit>
 #include <cstdint>
@@ -45,7 +48,11 @@
 #include "knn/sm_pim_knn.h"
 #include "knn/standard_knn.h"
 #include "knn/standard_pim_knn.h"
+#include "obs/obs.h"
+#include "pim/fault_model.h"
 #include "profiling/run_stats.h"
+#include "serve/server.h"
+#include "serve/workload.h"
 #include "util/random.h"
 
 #ifndef PIMINE_GOLDEN_DIR
@@ -97,11 +104,10 @@ std::string Render(const RunStats& stats) {
   return out.str();
 }
 
-/// Compares `rendered` with tests/golden/<label>.txt.
-void CheckTextAgainstGolden(const std::string& label,
+/// Compares `rendered` with tests/golden/<file>.
+void CheckFileAgainstGolden(const std::string& file,
                             const std::string& rendered) {
-  const std::string path =
-      std::string(PIMINE_GOLDEN_DIR) + "/" + label + ".txt";
+  const std::string path = std::string(PIMINE_GOLDEN_DIR) + "/" + file;
 
   if (std::getenv("PIMINE_REGEN_GOLDEN") != nullptr) {
     std::ofstream out(path);
@@ -117,9 +123,15 @@ void CheckTextAgainstGolden(const std::string& label,
   std::ostringstream expected;
   expected << in.rdbuf();
   EXPECT_EQ(expected.str(), rendered)
-      << label << ": output diverged from " << path
+      << file << ": output diverged from " << path
       << ". If the change is intentional, regenerate with "
       << "PIMINE_REGEN_GOLDEN=1 ./golden_stats_test and commit the diff.";
+}
+
+/// Compares `rendered` with tests/golden/<label>.txt.
+void CheckTextAgainstGolden(const std::string& label,
+                            const std::string& rendered) {
+  CheckFileAgainstGolden(label + ".txt", rendered);
 }
 
 void CheckAgainstGolden(const std::string& label, const RunStats& stats) {
@@ -491,6 +503,95 @@ TEST(GoldenStatsTest, MutatedFilterMatchesStaticKmeansGoldens) {
     ASSERT_TRUE(result.ok()) << c.label;
     CheckAgainstGolden(c.label, result->stats);
   }
+}
+
+// The metrics exposition of three observed runs, byte for byte: a serial
+// replay on a 2-shard x 2-replica fleet (transient faults, chaos deaths, a
+// mutation trace ending in a compaction, two weighted tenants and a
+// deadline), a 3-shard Standard-PIM kNN search whose faulted device ops
+// fail over to the host (VerifyMode::kFailOp), and a 2-shard Elkan-PIM
+// k-means run. Every family the serving, fleet, device and run layers
+// export is in the pinned text, with its help text and its values.
+TEST(GoldenStatsTest, MetricsExposition) {
+  const Workload w = MakeWorkload();
+  obs::Obs::Enable();
+
+  {
+    // The last 30 rows are the insert stream of the mutation trace.
+    const size_t base_rows = w.data.rows() - 30;
+    FloatMatrix base(base_rows, w.data.cols());
+    FloatMatrix inserts(30, w.data.cols());
+    for (size_t r = 0; r < w.data.rows(); ++r) {
+      const auto src = w.data.row(r);
+      auto dst = r < base_rows ? base.mutable_row(r)
+                               : inserts.mutable_row(r - base_rows);
+      std::copy(src.begin(), src.end(), dst.begin());
+    }
+    MutableDataset dataset(std::move(base));
+    EngineOptions engine;
+    engine.shard.shards = 2;
+    engine.shard.replicas = 2;
+    engine.fault_config.transient_rate = 2e-3;
+    serve::ServeOptions options;
+    options.max_batch = 8;
+    options.max_wait_ns = 2000;
+    options.k = 5;
+    options.exec.device_batch = 4;
+    options.tenants = {{"gold", 3}, {"free", 1}};
+    options.deadline_ns = 20'000;
+    options.chaos.device_deaths = 2;
+    options.chaos.horizon_ns = 40'000;
+    options.chaos.seed = 4242;
+    auto server = serve::PimServer::Build(dataset.corpus(),
+                                          Distance::kEuclidean, engine,
+                                          options);
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    ASSERT_TRUE((*server)->AttachMutable(&dataset).ok());
+    const auto ops = ParseMutationTrace("i:20,d:0-11,i:10,c");
+    ASSERT_TRUE(ops.ok());
+    size_t stream_pos = 0;
+    ASSERT_TRUE(
+        ApplyMutationTrace(&dataset, *ops, inserts, &stream_pos).ok());
+
+    serve::WorkloadSpec spec;
+    spec.num_requests = 96;
+    spec.offered_qps = 2e6;
+    spec.tenant_share = {1.0, 1.0};
+    spec.num_query_rows = static_cast<uint32_t>(w.queries.rows());
+    spec.seed = 7;
+    const auto trace = serve::GeneratePoissonTrace(spec);
+    ASSERT_TRUE(trace.ok());
+    const auto output = (*server)->Replay(*trace, w.queries);
+    ASSERT_TRUE(output.ok()) << output.status().ToString();
+    EXPECT_GT(output->stats.exec.fleet.failover.injected, 0u);
+    EXPECT_GT(output->stats.exec.fleet.compactions, 0u);
+  }
+  {
+    EngineOptions options;
+    options.shard.shards = 3;
+    options.fault_config.transient_rate = 0.05;
+    options.recovery.verify_mode = VerifyMode::kFailOp;
+    StandardPimKnn knn(Distance::kEuclidean, options);
+    ASSERT_TRUE(knn.Prepare(w.data).ok());
+    const auto result = knn.Search(w.queries, 5);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_GT(result->stats.fleet.failovers, 0u);
+  }
+  {
+    KmeansOptions options;
+    options.k = 8;
+    options.max_iterations = 3;
+    options.seed = 123;
+    options.use_pim = true;
+    options.engine_options.shard.shards = 2;
+    ElkanKmeans elkan;
+    ASSERT_TRUE(elkan.Run(w.data, options).ok());
+  }
+
+  const obs::MetricsRegistry& metrics = obs::Obs::Get()->metrics();
+  CheckFileAgainstGolden("metrics_exposition.prom", metrics.ToPrometheus());
+  CheckFileAgainstGolden("metrics_exposition.json", metrics.ToJson());
+  obs::Obs::Disable();
 }
 
 }  // namespace
