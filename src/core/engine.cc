@@ -598,14 +598,8 @@ void PimEngine::BoundsFor(const QueryHandleBatch& batch, size_t query,
 }
 
 void PimEngine::DeviceTotals::Add(const DeviceTotals& other) {
-  batch_ops += other.batch_ops;
-  queries_processed += other.queries_processed;
-  pim_ns += other.pim_ns;
-  pipelined_ns += other.pipelined_ns;
+  obs::AddFields(kDeviceTotalsFields, other, this);
   fault.Merge(other.fault);
-  row_writes += other.row_writes;
-  worn_rows += other.worn_rows;
-  program_ns += other.program_ns;
 }
 
 // The online stats are read through StatsSnapshot(): a live scrape reads

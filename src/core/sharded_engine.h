@@ -12,6 +12,7 @@
 #include "common/status.h"
 #include "core/engine.h"
 #include "data/matrix.h"
+#include "obs/stat_fields.h"
 #include "pim/chaos.h"
 #include "pim/fleet.h"
 #include "sim/traffic.h"
@@ -21,10 +22,6 @@
 namespace pimine {
 
 struct RunStats;
-
-namespace obs {
-class MetricsRegistry;
-}  // namespace obs
 
 /// A fleet of PIM devices acting as one logical engine (DESIGN.md section
 /// 9): the dataset is sharded across M per-shard PimEngines (ShardOptions
@@ -247,7 +244,7 @@ class ShardedPimEngine {
   FaultStats FaultStatsTotal() const;
   /// The engine half of a PIM run's epilogue (RunScope::Close, and live
   /// serving's snapshots): PimComputeNs, FaultStatsTotal and FleetStats
-  /// into stats->pim_ns, fault and fleet.
+  /// into stats->pim_ns, fault and fleet, from one snapshot per shard.
   void CloseRun(RunStats* stats) const;
   /// Offline time: shards program concurrently, so the max over shards.
   double OfflineNs() const;
@@ -264,34 +261,23 @@ class ShardedPimEngine {
   FleetRunStats FleetStats() const;
 
   /// Health snapshot of one fleet member: its interconnect and ladder
-  /// counters, and its devices' accounting — the DeviceTotals base, each
-  /// replica's DeviceStatsTotal summed in replica order (a failed attempt's
-  /// pass charges the replica it ran on). Safe to call while dispatches are
-  /// in flight. Summing any integer field over all shards reproduces the
-  /// corresponding FleetStats() aggregate exactly.
-  struct ShardHealth : PimEngine::DeviceTotals {
-    uint64_t scatter_messages = 0;
-    uint64_t scatter_bytes = 0;
-    uint64_t gather_messages = 0;
-    uint64_t gather_bytes = 0;
-    uint64_t failovers = 0;
-    uint64_t failed_over_queries = 0;
-    /// InterconnectNs of this shard's message/byte counters.
-    double scatter_ns = 0.0;
-    double gather_ns = 0.0;
-    /// Replica-failover ladder accounting of this shard.
-    FailoverStats failover;
+  /// counters (the InterconnectStats base), and its devices' accounting —
+  /// the DeviceTotals base, each replica's DeviceStatsTotal summed in
+  /// replica order (a failed attempt's pass charges the replica it ran on).
+  /// Safe to call while dispatches are in flight. Summing any integer field
+  /// over all shards reproduces the corresponding FleetStats() aggregate
+  /// exactly.
+  struct ShardHealth : PimEngine::DeviceTotals, InterconnectStats {
     int serving_replica = 0;
     bool degraded = false;
   };
   ShardHealth ShardHealthSnapshot(size_t j) const;
 
-  /// Writes per-shard labeled families into `registry`
-  /// (pimine_fleet_shard_*{shard="j"}): interconnect messages/bytes/ns,
-  /// device batch/query/occupancy accounting and fault-recovery counters,
-  /// one label combination per shard, plus the fleet-level reduce_* and
-  /// shard-count families. End-of-run totals across shards equal the
-  /// FleetStats() / FaultStatsTotal() aggregates exactly.
+  /// Writes one snapshot pass into `registry`: the per-shard rows of the
+  /// interconnect, device, fault and failover tables labeled
+  /// {shard="j"}, then the fleet-wide rows of FleetStats and the fleet
+  /// geometry gauges. Totals across shards equal the FleetStats() /
+  /// FaultStatsTotal() aggregates exactly.
   void ExportMetrics(obs::MetricsRegistry* registry) const;
 
   /// Charges one tree reduction of per-shard partials with `payload_bytes`
@@ -342,6 +328,11 @@ class ShardedPimEngine {
   void FailAttempt(std::span<ReplicaHealth> health, int r,
                    FailoverStats* charges) const;
 
+  /// ShardHealthSnapshot of every shard, in shard order.
+  std::vector<ShardHealth> ShardHealths() const;
+  /// FleetStats over one snapshot pass.
+  FleetRunStats FleetStatsOf(std::span<const ShardHealth> health) const;
+
   /// Modeled time of `messages` interconnect messages carrying `bytes`:
   /// PimTimingModel::TransferLatencyNs summed per message.
   double InterconnectNs(uint64_t messages, uint64_t bytes) const;
@@ -365,18 +356,11 @@ class ShardedPimEngine {
   // by dispatch instant) before every replica attempt. Never owned.
   const ChaosSchedule* chaos_ = nullptr;
 
-  // Fleet interconnect accounting: integer counters only (mutated under
-  // concurrent RunQueryBatch calls; order-independent), ns derived at
-  // snapshot. Kept PER SHARD (heap-allocated: atomics are immovable) so
-  // the telemetry plane can expose each member's health; FleetStats() sums
-  // them, which reproduces the former fleet-level totals exactly.
+  // Fleet interconnect accounting, kept PER SHARD (heap-allocated: atomics
+  // are immovable) so the telemetry plane can expose each member's health;
+  // FleetStats() sums the shards. The ns figures are derived at snapshot.
   struct ShardCounters {
-    std::atomic<uint64_t> scatter_messages{0};
-    std::atomic<uint64_t> scatter_bytes{0};
-    std::atomic<uint64_t> gather_messages{0};
-    std::atomic<uint64_t> gather_bytes{0};
-    std::atomic<uint64_t> failovers{0};
-    std::atomic<uint64_t> failed_over_queries{0};
+    obs::CounterArray<kInterconnectFields> counts;
     // Last-dispatch serving state (health reporting, not accounting).
     std::atomic<uint32_t> serving_replica{0};
     std::atomic<bool> slack_mode{false};
@@ -388,22 +372,14 @@ class ShardedPimEngine {
     FailoverStats failover;
   };
   mutable std::vector<std::unique_ptr<ShardCounters>> shard_counters_;
-  // Tree reductions merge per-shard partials pairwise — no single owning
-  // shard, so the reduce class stays fleet-level.
-  mutable std::atomic<uint64_t> reduce_messages_{0};
-  mutable std::atomic<uint64_t> reduce_bytes_{0};
-
-  // Mutable-dataset accounting. append_seq_ drives the round-robin row
-  // placement and survives compaction, so a long insert stream keeps
-  // balancing the shards. The counters are cumulative (ResetOnlineStats
-  // leaves them untouched) and atomic only so concurrent FleetStats /
-  // metrics snapshots stay race-free; mutations themselves are externally
-  // serialized.
+  // The fleet's own counters: tree reductions (which merge per-shard
+  // partials pairwise, so no shard owns them) and the cumulative mutation
+  // counters, atomic only so concurrent FleetStats / metrics snapshots stay
+  // race-free (mutations themselves are externally serialized).
+  mutable obs::CounterArray<kFleetFields> fleet_counters_;
+  // Drives the round-robin row placement and survives compaction, so a
+  // long insert stream keeps balancing the shards.
   uint64_t append_seq_ = 0;
-  std::atomic<uint64_t> mut_appended_rows_{0};
-  std::atomic<uint64_t> mut_deleted_rows_{0};
-  std::atomic<uint64_t> mut_compactions_{0};
-  std::atomic<uint64_t> mut_compacted_rows_{0};
 };
 
 /// The open and close of every run's RunStats: kNN Search, k-means Run,

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "common/status.h"
+#include "obs/stat_fields.h"
 
 namespace pimine {
 
@@ -115,24 +116,8 @@ struct FaultStats {
   /// re-reads), ns. Charged on top of the fault-free compute_ns.
   double recovery_ns = 0.0;
 
-  bool Any() const {
-    return injected != 0 || checksum_checks != 0 || retries != 0 ||
-           remapped_rows != 0 || escalated_to_host != 0 || stuck_cells != 0 ||
-           recovery_ns != 0.0;
-  }
-
-  void Merge(const FaultStats& other) {
-    injected += other.injected;
-    detected += other.detected;
-    escaped += other.escaped;
-    checksum_checks += other.checksum_checks;
-    groups_flagged += other.groups_flagged;
-    retries += other.retries;
-    remapped_rows += other.remapped_rows;
-    escalated_to_host += other.escalated_to_host;
-    stuck_cells += other.stuck_cells;
-    recovery_ns += other.recovery_ns;
-  }
+  bool Any() const;
+  void Merge(const FaultStats& other);
 
   std::string ToString() const {
     std::ostringstream os;
@@ -145,6 +130,34 @@ struct FaultStats {
     return os.str();
   }
 };
+
+/// FaultStats' fields; the exported ones are per fleet shard.
+inline constexpr obs::StatField<FaultStats> kFaultStatsFields[] = {
+    {&FaultStats::injected, "pimine_fleet_shard_faults_injected_total",
+     "Transient faults injected into this shard's devices."},
+    {&FaultStats::detected, "pimine_fleet_shard_faults_detected_total",
+     "Faults caught by checksum verification on this shard."},
+    {&FaultStats::escaped, "pimine_fleet_shard_faults_escaped_total",
+     "Faults that escaped verification on this shard."},
+    {&FaultStats::checksum_checks},
+    {&FaultStats::groups_flagged},
+    {&FaultStats::retries, "pimine_fleet_shard_fault_retries_total",
+     "Recovery retries performed on this shard."},
+    {&FaultStats::remapped_rows, "pimine_fleet_shard_fault_remapped_rows_total",
+     "Rows remapped to spare crossbar rows on this shard."},
+    {&FaultStats::escalated_to_host},
+    {&FaultStats::stuck_cells},
+    {&FaultStats::recovery_ns, "pimine_fleet_shard_fault_recovery_ns",
+     "Modeled fault-recovery time spent on this shard."},
+};
+
+inline bool FaultStats::Any() const {
+  return obs::AnyField(kFaultStatsFields, *this);
+}
+
+inline void FaultStats::Merge(const FaultStats& other) {
+  obs::AddFields(kFaultStatsFields, other, this);
+}
 
 /// Seeded source of the three fault processes (stuck cells, transient flips
 /// and wear). Owns no device state: the device (or crossbar) maps its own
