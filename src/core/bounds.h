@@ -1,6 +1,8 @@
 #ifndef PIMINE_CORE_BOUNDS_H_
 #define PIMINE_CORE_BOUNDS_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
@@ -34,6 +36,11 @@ double LbOst(std::span<const float> p, std::span<const float> q, int64_t d0,
 /// Suffix L2 norm sqrt(sum_{i >= d0} x_i^2) — the offline precomputation for
 /// LB_OST.
 double SuffixNorm(std::span<const float> vec, int64_t d0);
+
+/// The LB_OST prefix length OST and OST-PIM use: d0 = max(1, d/4).
+inline int64_t OstPrefixDims(size_t d) {
+  return std::max<int64_t>(1, static_cast<int64_t>(d) / 4);
+}
 
 }  // namespace pimine
 

@@ -7,36 +7,19 @@
 
 namespace pimine {
 
-Status CheckLevelDivisors(std::span<const int64_t> level_divisors) {
-  if (level_divisors.empty()) {
-    return Status::InvalidArgument("FNN needs at least one level divisor");
-  }
-  for (const int64_t div : level_divisors) {
-    if (div < 1) {
-      return Status::InvalidArgument("FNN level divisors must be >= 1");
-    }
-  }
-  return Status::OK();
-}
-
-std::vector<int64_t> LevelSegmentCounts(
-    std::span<const int64_t> level_divisors, size_t d) {
+std::vector<int64_t> LevelSegmentCounts(size_t d) {
   std::vector<int64_t> segments;
-  for (const int64_t div : level_divisors) {
+  for (const int64_t div : {64, 16, 4}) {
     const int64_t d0 = std::max<int64_t>(1, static_cast<int64_t>(d) / div);
     if (segments.empty() || d0 != segments.back()) segments.push_back(d0);
   }
   return segments;
 }
 
-FnnKnn::FnnKnn(std::vector<int64_t> level_divisors)
-    : level_divisors_(std::move(level_divisors)) {}
-
 Status FnnKnn::Prepare(const FloatMatrix& data) {
-  PIMINE_RETURN_IF_ERROR(CheckLevelDivisors(level_divisors_));
   if (data.empty()) return Status::InvalidArgument("empty dataset");
   levels_.clear();
-  for (const int64_t d0 : LevelSegmentCounts(level_divisors_, data.cols())) {
+  for (const int64_t d0 : LevelSegmentCounts(data.cols())) {
     levels_.push_back(ComputeSegmentStats(data, d0));
   }
   data_ = &data;

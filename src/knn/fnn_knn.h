@@ -9,16 +9,12 @@
 
 namespace pimine {
 
-/// InvalidArgument unless `level_divisors` names at least one LB_FNN level
-/// and every divisor of d is >= 1 (shared by FNN and FNN-PIM).
-Status CheckLevelDivisors(std::span<const int64_t> level_divisors);
-
 /// Segment counts of the LB_FNN levels, coarse to fine: max(1, d / div)
-/// per divisor, skipping a level whose count repeats the previous one
-/// (degenerate levels on small d). FNN builds every level; FNN-PIM builds
-/// all but the first, which its PIM bound replaces.
-std::vector<int64_t> LevelSegmentCounts(
-    std::span<const int64_t> level_divisors, size_t d);
+/// for the divisors 64, 16 and 4 (Fig. 12a), skipping a level whose count
+/// repeats the previous one (degenerate levels on small d). FNN builds
+/// every level; FNN-PIM builds all but the first, which its PIM bound
+/// replaces.
+std::vector<int64_t> LevelSegmentCounts(size_t d);
 
 /// FNN (Hwang et al., CVPR'12): a cascade of LB_FNN bounds of increasing
 /// tightness — d/64, d/16, d/4 segments (Fig. 12a) — followed by exact ED.
@@ -26,9 +22,6 @@ std::vector<int64_t> LevelSegmentCounts(
 /// tighter levels.
 class FnnKnn : public KnnSearchBase {
  public:
-  /// Divisors of d giving the cascade's segment counts, coarse to fine.
-  explicit FnnKnn(std::vector<int64_t> level_divisors = {64, 16, 4});
-
   std::string_view name() const override { return "FNN"; }
   Status Prepare(const FloatMatrix& data) override;
 
@@ -44,7 +37,6 @@ class FnnKnn : public KnnSearchBase {
                           size_t num_queries) const override;
 
  private:
-  std::vector<int64_t> level_divisors_;
   std::vector<SegmentStats> levels_;
 };
 

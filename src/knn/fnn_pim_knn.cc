@@ -11,31 +11,19 @@
 
 namespace pimine {
 
-FnnPimKnn::FnnPimKnn(EngineOptions options, bool optimize,
-                     std::vector<int64_t> level_divisors,
-                     int plan_sample_queries, int plan_k)
-    : PimKnnBase(std::move(options)),
-      optimize_(optimize),
-      level_divisors_(std::move(level_divisors)),
-      plan_sample_queries_(plan_sample_queries),
-      plan_k_(plan_k) {
+FnnPimKnn::FnnPimKnn(EngineOptions options, bool optimize)
+    : PimKnnBase(std::move(options)), optimize_(optimize) {
   options_.bound = EngineOptions::Bound::kSegmentFnn;
 }
 
 Status FnnPimKnn::Prepare(const FloatMatrix& data) {
-  PIMINE_RETURN_IF_ERROR(CheckLevelDivisors(level_divisors_));
-  if (plan_sample_queries_ < 1 || plan_k_ < 1) {
-    return Status::InvalidArgument(
-        "FNN-PIM plan_sample_queries and plan_k must be >= 1");
-  }
   if (data.empty()) return Status::InvalidArgument("empty dataset");
   PIMINE_ASSIGN_OR_RETURN(
       engine_, ShardedPimEngine::Build(data, Distance::kEuclidean, options_));
 
   // The coarsest original level is the replaced bottleneck; the finer
   // levels remain candidates.
-  const std::vector<int64_t> segments =
-      LevelSegmentCounts(level_divisors_, data.cols());
+  const std::vector<int64_t> segments = LevelSegmentCounts(data.cols());
   levels_.clear();
   for (size_t lv = 1; lv < segments.size(); ++lv) {
     levels_.push_back(ComputeSegmentStats(data, segments[lv]));
@@ -130,8 +118,8 @@ Status FnnPimKnn::MeasureCandidates(const FloatMatrix& data) {
   // cannot re-filter, which is what lets Eq. 13 drop redundant bounds (the
   // paper's "remove" optimization, Fig. 12b).
   const size_t n = data.rows();
-  const int nq = plan_sample_queries_;
-  const size_t k = std::min<size_t>(plan_k_, n);
+  const int nq = 4;                           // sample queries,
+  const size_t k = std::min<size_t>(10, n);  // each a k = 10 search.
   Rng rng(0x91a0000ULL ^ n);
   std::vector<double> ratios(candidates_.size(), 0.0);
   std::vector<double> exact(n);

@@ -21,9 +21,7 @@ namespace pimine {
 /// alone, since s > d/16 makes the survivors hard to re-filter).
 class FnnPimKnn : public PimKnnBase {
  public:
-  FnnPimKnn(EngineOptions options, bool optimize,
-            std::vector<int64_t> level_divisors = {64, 16, 4},
-            int plan_sample_queries = 4, int plan_k = 10);
+  FnnPimKnn(EngineOptions options, bool optimize);
 
   std::string_view name() const override {
     return optimize_ ? "FNN-PIM-optimize" : "FNN-PIM";
@@ -52,7 +50,8 @@ class FnnPimKnn : public PimKnnBase {
                                     int k, BatchScratch& s) const override;
 
  private:
-  /// Measures pruning ratios on sample queries and fills `candidates_`.
+  /// Measures pruning ratios on 4 sample queries drawn from the data, at
+  /// k = 10, and fills `candidates_`.
   Status MeasureCandidates(const FloatMatrix& data);
 
   /// MeasureCandidates + the Eq. 13 plan selection, shared by Prepare and
@@ -60,9 +59,6 @@ class FnnPimKnn : public PimKnnBase {
   Status RebuildPlan(const FloatMatrix& data);
 
   bool optimize_;
-  std::vector<int64_t> level_divisors_;
-  int plan_sample_queries_;
-  int plan_k_;
 
   /// Retained original LB_FNN levels (coarsest level is replaced by PIM).
   std::vector<SegmentStats> levels_;

@@ -7,15 +7,9 @@
 
 namespace pimine {
 
-OstKnn::OstKnn(int64_t prefix_divisor) : prefix_divisor_(prefix_divisor) {}
-
 Status OstKnn::Prepare(const FloatMatrix& data) {
-  if (prefix_divisor_ < 1) {
-    return Status::InvalidArgument("OST prefix_divisor must be >= 1");
-  }
   if (data.empty()) return Status::InvalidArgument("empty dataset");
-  const int64_t d = static_cast<int64_t>(data.cols());
-  d0_ = std::max<int64_t>(1, d / prefix_divisor_);
+  d0_ = OstPrefixDims(data.cols());
   suffix_norms_.resize(data.rows());
   for (size_t i = 0; i < data.rows(); ++i) {
     suffix_norms_[i] = SuffixNorm(data.row(i), d0_);

@@ -9,12 +9,9 @@ namespace pimine {
 
 /// OST (Liaw et al.): filter-and-refine with the orthogonal-search-tree
 /// bound LB_OST (Table 3): exact partial distance on a d0-dimensional
-/// prefix plus the suffix-norm difference. d0 = d/4 by default.
+/// prefix plus the suffix-norm difference, d0 = OstPrefixDims(d).
 class OstKnn : public KnnSearchBase {
  public:
-  /// `prefix_divisor` sets d0 = max(1, d / prefix_divisor).
-  explicit OstKnn(int64_t prefix_divisor = 4);
-
   std::string_view name() const override { return "OST"; }
   Status Prepare(const FloatMatrix& data) override;
 
@@ -31,7 +28,6 @@ class OstKnn : public KnnSearchBase {
                           size_t num_queries) const override;
 
  private:
-  int64_t prefix_divisor_;
   int64_t d0_ = 0;
   std::vector<double> suffix_norms_;
 };

@@ -20,18 +20,14 @@ FloatMatrix Prefixes(const FloatMatrix& rows, int64_t d0) {
 
 }  // namespace
 
-OstPimKnn::OstPimKnn(EngineOptions options, int64_t prefix_divisor)
-    : PimKnnBase(std::move(options)), prefix_divisor_(prefix_divisor) {
+OstPimKnn::OstPimKnn(EngineOptions options)
+    : PimKnnBase(std::move(options)) {
   options_.bound = EngineOptions::Bound::kDirectEd;
 }
 
 Status OstPimKnn::Prepare(const FloatMatrix& data) {
-  if (prefix_divisor_ < 1) {
-    return Status::InvalidArgument("OST-PIM prefix_divisor must be >= 1");
-  }
   if (data.empty()) return Status::InvalidArgument("empty dataset");
-  const int64_t d = static_cast<int64_t>(data.cols());
-  d0_ = std::max<int64_t>(1, d / prefix_divisor_);
+  d0_ = OstPrefixDims(data.cols());
   PIMINE_ASSIGN_OR_RETURN(
       engine_, ShardedPimEngine::Build(Prefixes(data, d0_),
                                        Distance::kEuclidean, options_));

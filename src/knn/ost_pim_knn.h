@@ -17,8 +17,8 @@ namespace pimine {
 /// on LB_OST and hence on ED.
 class OstPimKnn : public PimKnnBase {
  public:
-  /// `prefix_divisor` sets d0 = max(1, d / prefix_divisor), matching OstKnn.
-  explicit OstPimKnn(EngineOptions options, int64_t prefix_divisor = 4);
+  /// d0 = OstPrefixDims(d), matching OstKnn.
+  explicit OstPimKnn(EngineOptions options);
 
   std::string_view name() const override { return "OST-PIM"; }
   Status Prepare(const FloatMatrix& data) override;
@@ -48,7 +48,6 @@ class OstPimKnn : public PimKnnBase {
   }
 
  private:
-  int64_t prefix_divisor_;
   int64_t d0_ = 0;
   std::vector<double> suffix_norms_;
 };

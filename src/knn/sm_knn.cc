@@ -7,15 +7,10 @@
 
 namespace pimine {
 
-SmKnn::SmKnn(int64_t segment_divisor) : segment_divisor_(segment_divisor) {}
-
 Status SmKnn::Prepare(const FloatMatrix& data) {
-  if (segment_divisor_ < 1) {
-    return Status::InvalidArgument("SM segment_divisor must be >= 1");
-  }
   if (data.empty()) return Status::InvalidArgument("empty dataset");
   const int64_t d = static_cast<int64_t>(data.cols());
-  const int64_t d0 = std::max<int64_t>(1, d / segment_divisor_);
+  const int64_t d0 = std::max<int64_t>(1, d / 4);
   stats_ = ComputeSegmentStats(data, d0);
   data_ = &data;
   return Status::OK();

@@ -7,12 +7,9 @@
 namespace pimine {
 
 /// SM (Yi & Faloutsos, VLDB'00): filter-and-refine with the segmented-mean
-/// lower bound LB_SM (Table 3), d0 = d/4 segments by default.
+/// lower bound LB_SM (Table 3) over d0 = max(1, d/4) segments.
 class SmKnn : public KnnSearchBase {
  public:
-  /// `segment_divisor` sets d0 = max(1, d / segment_divisor).
-  explicit SmKnn(int64_t segment_divisor = 4);
-
   std::string_view name() const override { return "SM"; }
   Status Prepare(const FloatMatrix& data) override;
 
@@ -29,7 +26,6 @@ class SmKnn : public KnnSearchBase {
                           size_t num_queries) const override;
 
  private:
-  int64_t segment_divisor_;
   SegmentStats stats_;
 };
 

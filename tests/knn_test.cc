@@ -88,8 +88,6 @@ TEST(KnnEquivalenceTest, AllEuclideanAlgorithmsMatchStandard) {
       Distance::kEuclidean, EngineOptions()));
   algorithms.push_back(std::make_unique<SmPimKnn>(EngineOptions()));
   algorithms.push_back(
-      std::make_unique<OstPimKnn>(EngineOptions(), /*prefix_divisor=*/8));
-  algorithms.push_back(
       std::make_unique<FnnPimKnn>(EngineOptions(), /*optimize=*/false));
   algorithms.push_back(
       std::make_unique<FnnPimKnn>(EngineOptions(), /*optimize=*/true));
@@ -478,52 +476,6 @@ TEST(KnnErrorTest, InvalidUsage) {
   EXPECT_EQ(pim.Prepare(wide.data).code(), StatusCode::kCapacityExceeded);
   EXPECT_EQ(pim.Search(wide.queries, 5).status().code(),
             StatusCode::kFailedPrecondition);
-}
-
-// Misuse of a kNN constructor is refused by Prepare with InvalidArgument
-// (the process keeps running), and a later Search reports the missing
-// Prepare instead of crashing.
-void ExpectPrepareRejects(KnnAlgorithm& algorithm) {
-  const Workload w = MakeWorkload(50, 16, 37);
-  EXPECT_EQ(algorithm.Prepare(w.data).code(), StatusCode::kInvalidArgument)
-      << algorithm.name();
-  EXPECT_EQ(algorithm.Search(w.queries, 5).status().code(),
-            StatusCode::kFailedPrecondition)
-      << algorithm.name();
-}
-
-TEST(KnnMisuseTest, SmRejectsZeroSegmentDivisor) {
-  SmKnn sm(/*segment_divisor=*/0);
-  ExpectPrepareRejects(sm);
-}
-
-TEST(KnnMisuseTest, OstRejectsZeroPrefixDivisor) {
-  OstKnn ost(/*prefix_divisor=*/0);
-  ExpectPrepareRejects(ost);
-}
-
-TEST(KnnMisuseTest, OstPimRejectsZeroPrefixDivisor) {
-  OstPimKnn ost(EngineOptions(), /*prefix_divisor=*/0);
-  ExpectPrepareRejects(ost);
-}
-
-TEST(KnnMisuseTest, FnnRejectsBadLevels) {
-  FnnKnn no_levels(std::vector<int64_t>{});
-  ExpectPrepareRejects(no_levels);
-  FnnKnn zero_divisor({16, 0});
-  ExpectPrepareRejects(zero_divisor);
-}
-
-TEST(KnnMisuseTest, FnnPimRejectsBadLevelsAndPlanKnobs) {
-  FnnPimKnn no_levels(EngineOptions(), false, {});
-  ExpectPrepareRejects(no_levels);
-  FnnPimKnn zero_divisor(EngineOptions(), false, {64, 0});
-  ExpectPrepareRejects(zero_divisor);
-  FnnPimKnn no_samples(EngineOptions(), true, {64, 16, 4},
-                       /*plan_sample_queries=*/0);
-  ExpectPrepareRejects(no_samples);
-  FnnPimKnn zero_k(EngineOptions(), true, {64, 16, 4}, 4, /*plan_k=*/0);
-  ExpectPrepareRejects(zero_k);
 }
 
 TEST(KnnPlanTest, OptimizedPlanPrefersPimBound) {
