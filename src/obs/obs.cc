@@ -19,8 +19,7 @@ thread_local std::span<const int64_t> tls_track_ids;
 
 std::atomic<Obs*> Obs::instance_{nullptr};
 
-Obs::Obs(const ObsOptions& options)
-    : model_(options.host_model), trace_(options.trace) {}
+Obs::Obs(const ObsOptions& options) : trace_(options.trace) {}
 
 void Obs::Enable(const ObsOptions& options) {
   std::lock_guard<std::mutex> lock(g_lifecycle_mu);

@@ -17,11 +17,6 @@ namespace obs {
 /// Configuration for an observability session.
 struct ObsOptions {
   TraceOptions trace;
-  /// Modeled-time clock for host-side span durations: spans convert their
-  /// traffic-counter delta to nanoseconds through this model. Use the same
-  /// platform as the engine under observation so trace time lines up with
-  /// RunStats' cost attribution.
-  HostCostModel host_model;
 };
 
 /// Process-wide observability session. Disabled by default: every
@@ -44,7 +39,8 @@ class Obs {
   TraceRecorder& trace() { return trace_; }
   MetricsRegistry& metrics() { return metrics_; }
 
-  /// Modeled host nanoseconds for a traffic-counter delta.
+  /// Modeled host nanoseconds for a traffic-counter delta, through the
+  /// default HostCostModel (the model RunStats' cost attribution uses).
   double HostNs(const TrafficCounters& delta) const {
     return model_.EstimateBreakdown(delta, 0).total_ns();
   }
