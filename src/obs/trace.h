@@ -93,7 +93,8 @@ class TraceRecorder {
   };
 
   ThreadBuffer& LocalBuffer();
-  void Emit(const TraceEvent& event);
+  /// Stamps the wall clock when TraceOptions::wall_clock is set.
+  void Emit(TraceEvent event);
 
   TraceOptions options_;
   uint64_t generation_;
