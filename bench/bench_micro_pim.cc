@@ -5,7 +5,7 @@
 // DESIGN.md §7.
 //
 // `bench_micro_pim --batch_sweep [n] [s]` switches to a standalone
-// batched-vs-single sweep (Q in {1, 4, 16, 64}) that emits one JSON
+// batched-vs-single sweep (Q in {1, 4, 6, 7, 16, 64}) that emits one JSON
 // document in the bench_micro_batch_kernels shape, with built-in
 // bit-identity and modeled-stats self-checks. Default n=4096, s=256.
 //
@@ -83,11 +83,12 @@ void BM_DeviceBatchDotProduct(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const size_t d = static_cast<size_t>(state.range(1));
   const size_t num_queries = static_cast<size_t>(state.range(2));
+  constexpr uint32_t kLimit = 1 << 20;  // operands at alpha = 1e6
   IntMatrix data(n, d);
   Rng rng(2);
   for (size_t i = 0; i < n; ++i) {
     for (int32_t& v : data.mutable_row(i)) {
-      v = static_cast<int32_t>(rng.NextBounded(1 << 20));
+      v = static_cast<int32_t>(rng.NextBounded(kLimit));
     }
   }
   PimDevice device;
@@ -96,20 +97,22 @@ void BM_DeviceBatchDotProduct(benchmark::State& state) {
     return;
   }
   std::vector<int32_t> queries(num_queries * d);
-  for (auto& v : queries) v = static_cast<int32_t>(rng.NextBounded(1 << 20));
+  for (auto& v : queries) v = static_cast<int32_t>(rng.NextBounded(kLimit));
   std::vector<uint64_t> out;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         device.DotProductBatch(queries, num_queries, &out));
   }
   state.SetItemsProcessed(state.iterations() * n * d * num_queries);
-  state.SetLabel(std::string(GemmTierName(BestGemmTier())));
+  // The tier these operands run on.
+  state.SetLabel(
+      std::string(GemmTierName(GemmTierFor(kLimit - 1, kLimit - 1))));
 }
 BENCHMARK(BM_DeviceBatchDotProduct)
     ->ArgNames({"n", "s", "Q"})
-    ->ArgsProduct({{20000}, {105}, {1, 3, 8, 16, 32}})
-    ->ArgsProduct({{1500}, {500}, {1, 3, 8, 16, 32}})
-    ->ArgsProduct({{512}, {420}, {1, 3, 8, 16, 32}});
+    ->ArgsProduct({{20000}, {105}, {1, 3, 5, 6, 7, 8, 16, 32}})
+    ->ArgsProduct({{1500}, {500}, {1, 3, 5, 6, 7, 8, 16, 32}})
+    ->ArgsProduct({{512}, {420}, {1, 3, 5, 6, 7, 8, 16, 32}});
 
 // One query's bounds over a 20000-row corpus, per engine mode (0 = ED,
 // 1 = FNN, 2 = SM, 3 = CS, 4 = PCC): span = 1 runs one
@@ -229,7 +232,8 @@ bool InvariantStatsEqual(const PimDeviceStats& a, const PimDeviceStats& b) {
 }
 
 int BatchSweep(size_t n, size_t s) {
-  constexpr size_t kTotalQueries = 64;  // divisible by every swept Q.
+  // 64 * 3 * 7, divisible by every swept Q.
+  constexpr size_t kTotalQueries = 1344;
   Rng rng(7);
   IntMatrix data(n, s);
   for (size_t i = 0; i < n; ++i) {
@@ -242,18 +246,20 @@ int BatchSweep(size_t n, size_t s) {
     v = static_cast<int32_t>(rng.NextBounded(1 << 20));
   }
 
-  // Single-query reference device: results and modeled stats for all
-  // kTotalQueries queries, one one-query DotProductBatch each.
+  // Single-query reference device: results for all kTotalQueries queries,
+  // one one-query DotProductBatch each, and the modeled stats of 6 such
+  // passes (each sweep point below runs a warm-up plus 5 timed passes).
   PimDevice single;
   PIMINE_CHECK_OK(single.ProgramDataset(data));
   std::vector<uint64_t> expected(kTotalQueries * n);
   std::vector<uint64_t> out;
-  for (size_t q = 0; q < kTotalQueries; ++q) {
-    PIMINE_CHECK_OK(single.DotProductBatch(
-        std::span<const int32_t>(queries).subspan(q * s, s), 1, &out));
-    std::copy(out.begin(), out.end(), expected.begin() + q * n);
+  for (int rep = 0; rep < 6; ++rep) {
+    for (size_t q = 0; q < kTotalQueries; ++q) {
+      PIMINE_CHECK_OK(single.DotProductBatch(
+          std::span<const int32_t>(queries).subspan(q * s, s), 1, &out));
+      if (rep == 0) std::copy(out.begin(), out.end(), expected.begin() + q * n);
+    }
   }
-  const PimDeviceStats single_stats = single.stats();
 
   std::cout << "{\n"
             << "  \"bench\": \"micro_pim_batch\",\n"
@@ -264,7 +270,8 @@ int BatchSweep(size_t n, size_t s) {
 
   double q1_ms = 0.0;
   bool first = true;
-  for (size_t batch : {size_t{1}, size_t{4}, size_t{16}, size_t{64}}) {
+  for (size_t batch : {size_t{1}, size_t{4}, size_t{6}, size_t{7},
+                       size_t{16}, size_t{64}}) {
     PimDevice device;
     PIMINE_CHECK_OK(device.ProgramDataset(data));
     std::vector<uint64_t> batch_out;
@@ -293,20 +300,11 @@ int BatchSweep(size_t n, size_t s) {
     if (batch == 1) q1_ms = ms;
 
     // Modeled-stats self-check: every invariant field must equal the
-    // single-query device's after the same total number of queries. The
-    // warm-up plus 5 timed repetitions ran 6 * kTotalQueries queries, so
-    // compare against 6x by re-running the single-query device 5 more times.
-    PimDevice ref;
-    PIMINE_CHECK_OK(ref.ProgramDataset(data));
-    for (int rep = 0; rep < 6; ++rep) {
-      for (size_t q = 0; q < kTotalQueries; ++q) {
-        PIMINE_CHECK_OK(ref.DotProductBatch(
-            std::span<const int32_t>(queries).subspan(q * s, s), 1, &out));
-      }
-    }
-    PIMINE_CHECK(InvariantStatsEqual(device.stats(), ref.stats()))
+    // single-query device's after the same 6 * kTotalQueries queries.
+    PIMINE_CHECK(InvariantStatsEqual(device.stats(), single.stats()))
         << "batched stats diverged at Q=" << batch << ":\n  batched: "
-        << device.stats().ToString() << "\n  single:  " << ref.stats().ToString();
+        << device.stats().ToString()
+        << "\n  single:  " << single.stats().ToString();
     const uint64_t expected_batches =
         6 * (kTotalQueries / batch);
     PIMINE_CHECK(device.stats().batch_ops == expected_batches);

@@ -64,15 +64,21 @@ void GemmScalar(const int32_t* data, size_t n, size_t s,
   }
 }
 
+// `tier`, or AVX2 where `tier` is AVX-512 and a product of operands up to
+// these maxima could reach 2^52: the IFMA kernels add only a product's low
+// 52 bits.
+GemmTier ExactTier(GemmTier tier, uint32_t data_max, uint32_t query_max) {
+  const bool ifma_exact = uint64_t{data_max} * query_max < (uint64_t{1} << 52);
+  return tier == GemmTier::kAvx512 && !ifma_exact ? GemmTier::kAvx2 : tier;
+}
+
 #if defined(PIMINE_GEMM_X86)
 
 // The SIMD tiers read queries from one packed buffer of num_queries * s
 // u64 lanes, each value zero-extended. The tile of width W starting at
 // query q occupies packed[q * s, (q + W) * s) lane-transposed, as
 // packed[q * s + j * W + t] = query (q + t), dimension j; a tile of width
-// 1 is just the query itself. vpmuludq multiplies the low 32 bits of
-// each 64-bit lane into the full 64-bit product and vpaddq wraps mod
-// 2^64, so every vector kernel is exact.
+// 1 is just the query itself.
 void PackTile(const int32_t* queries, size_t s, size_t q, size_t width,
               uint64_t* packed) {
   uint64_t* tile = packed + q * s;
@@ -86,8 +92,8 @@ void PackTile(const int32_t* queries, size_t s, size_t q, size_t width,
 // Writes a 4-row x W-query block of sums, held row-major in acc, to the
 // query-major output.
 template <size_t kWidth>
-void StoreBlock(const uint64_t (&acc)[4][kWidth], size_t v, size_t n,
-                size_t q, uint64_t* out) {
+void StoreBlock(const uint64_t (*acc)[kWidth], size_t v, size_t n, size_t q,
+                uint64_t* out) {
   for (size_t t = 0; t < kWidth; ++t) {
     uint64_t* dst = out + (q + t) * n + v;
     dst[0] = acc[0][t];
@@ -97,10 +103,17 @@ void StoreBlock(const uint64_t (&acc)[4][kWidth], size_t v, size_t n,
   }
 }
 
-// 4 data rows x 8 queries: each step loads the 8 query lanes once (two
-// registers) and broadcasts each row's value as a 32-bit lane — vpmuludq
-// reads only the low dword of every 64-bit lane, so no zero-extension is
-// needed. Eight accumulators, two query registers and the broadcasts fit
+// Every SIMD kernel runs queries [q, q + width) of the packed buffer
+// (qpk points at the first one's tile) against data rows [v0, v1).
+using Kernel = void (*)(const int32_t* data, size_t s, size_t v0, size_t v1,
+                        size_t n, const uint64_t* qpk, size_t q,
+                        uint64_t* out);
+
+// 4 data rows x 8 queries in AVX2: each step loads the 8 query lanes once
+// (two registers) and broadcasts each row's value as a 32-bit lane —
+// vpmuludq multiplies the low 32 bits of each 64-bit lane into the full
+// 64-bit product, so no zero-extension is needed, and vpaddq wraps mod
+// 2^64. Eight accumulators, two query registers and the broadcasts fit
 // the 16 ymm registers. Rows [v0, v1) must be a multiple of 4.
 __attribute__((target("avx2"))) void Avx2Tile4x8(const int32_t* data,
                                                  size_t s, size_t v0,
@@ -146,9 +159,9 @@ __attribute__((target("avx2"))) void Avx2Tile4x8(const int32_t* data,
   }
 }
 
-// kQ queries (each a width-1 tile) against rows [v0, v1), SIMD along the
-// dimension: four data values are zero-extended into u64 lanes once per
-// step and multiplied against every query's matching lanes.
+// kQ < 8 queries (width-1 tiles) in one pass over rows [v0, v1), SIMD
+// along the dimension: four data values are zero-extended into u64 lanes
+// once per step and multiplied against every query's matching lanes.
 template <size_t kQ>
 __attribute__((target("avx2"))) void Avx2AlongS(const int32_t* data,
                                                 size_t s, size_t v0,
@@ -159,12 +172,12 @@ __attribute__((target("avx2"))) void Avx2AlongS(const int32_t* data,
   for (size_t v = v0; v < v1; ++v) {
     const int32_t* row = data + v * s;
     __m256i acc[kQ];
-#pragma GCC unroll 4
+#pragma GCC unroll 8
     for (size_t t = 0; t < kQ; ++t) acc[t] = _mm256_setzero_si256();
     for (size_t j = 0; j < s4; j += 4) {
       const __m256i d = _mm256_cvtepu32_epi64(
           _mm_loadu_si128(reinterpret_cast<const __m128i*>(row + j)));
-#pragma GCC unroll 4
+#pragma GCC unroll 8
       for (size_t t = 0; t < kQ; ++t) {
         const __m256i qv = _mm256_loadu_si256(
             reinterpret_cast<const __m256i*>(qz + t * s + j));
@@ -185,94 +198,221 @@ __attribute__((target("avx2"))) void Avx2AlongS(const int32_t* data,
 }
 
 #if !defined(__clang__)
-// GCC 12's avx512fintrin.h implements _mm512_mul_epu32 with an
-// _mm512_undefined_epi32() passthrough operand, which -Wmaybe-uninitialized
-// misreports as a read of uninitialized memory (and -Werror turns into a
-// build failure). The operand is never read; silence the warning for the
-// AVX-512 kernels only.
+// GCC 12's avx512fintrin.h implements several intrinsics used below
+// (_mm512_cvtepu32_epi64, _mm512_unpack*_epi64, _mm512_shuffle_i64x2, ...)
+// with an _mm512_undefined_epi32() passthrough operand, which
+// -W(maybe-)uninitialized misreports as a read of uninitialized memory
+// (and -Werror turns into a build failure). The operand is never read;
+// silence the warnings for the AVX-512 kernels only.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
 #endif
 
-// 4 data rows x 16 queries: the AVX2 tile widened to 512-bit lanes. Eight
-// accumulators, two query registers and the 32-bit broadcasts stay well
-// inside the 32 zmm registers. Rows [v0, v1) must be a multiple of 4.
-__attribute__((target("avx512f"))) void Avx512Tile4x16(
-    const int32_t* data, size_t s, size_t v0, size_t v1, size_t n,
-    const uint64_t* qpk, size_t q, uint64_t* out) {
-  for (size_t v = v0; v < v1; v += 4) {
-    const int32_t* r0 = data + v * s;
-    const int32_t* r1 = r0 + s;
-    const int32_t* r2 = r1 + s;
-    const int32_t* r3 = r2 + s;
-    __m512i a00 = _mm512_setzero_si512(), a01 = _mm512_setzero_si512();
-    __m512i a10 = _mm512_setzero_si512(), a11 = _mm512_setzero_si512();
-    __m512i a20 = _mm512_setzero_si512(), a21 = _mm512_setzero_si512();
-    __m512i a30 = _mm512_setzero_si512(), a31 = _mm512_setzero_si512();
-    for (size_t j = 0; j < s; ++j) {
-      const __m512i q0 = _mm512_loadu_si512(qpk + j * 16);
-      const __m512i q1 = _mm512_loadu_si512(qpk + j * 16 + 8);
-      const __m512i d0 = _mm512_set1_epi32(r0[j]);
-      a00 = _mm512_add_epi64(a00, _mm512_mul_epu32(d0, q0));
-      a01 = _mm512_add_epi64(a01, _mm512_mul_epu32(d0, q1));
-      const __m512i d1 = _mm512_set1_epi32(r1[j]);
-      a10 = _mm512_add_epi64(a10, _mm512_mul_epu32(d1, q0));
-      a11 = _mm512_add_epi64(a11, _mm512_mul_epu32(d1, q1));
-      const __m512i d2 = _mm512_set1_epi32(r2[j]);
-      a20 = _mm512_add_epi64(a20, _mm512_mul_epu32(d2, q0));
-      a21 = _mm512_add_epi64(a21, _mm512_mul_epu32(d2, q1));
-      const __m512i d3 = _mm512_set1_epi32(r3[j]);
-      a30 = _mm512_add_epi64(a30, _mm512_mul_epu32(d3, q0));
-      a31 = _mm512_add_epi64(a31, _mm512_mul_epu32(d3, q1));
-    }
-    uint64_t acc[4][16];
-    _mm512_storeu_si512(acc[0], a00);
-    _mm512_storeu_si512(acc[0] + 8, a01);
-    _mm512_storeu_si512(acc[1], a10);
-    _mm512_storeu_si512(acc[1] + 8, a11);
-    _mm512_storeu_si512(acc[2], a20);
-    _mm512_storeu_si512(acc[2] + 8, a21);
-    _mm512_storeu_si512(acc[3], a30);
-    _mm512_storeu_si512(acc[3] + 8, a31);
-    StoreBlock(acc, v, n, q, out);
+// The AVX-512 tier's kernels use vpmadd52luq (AVX-512 IFMA): it multiplies
+// the low 52 bits of two u64 lanes and adds the low 52 bits of the product
+// to a third lane mod 2^64. On zero-extended operands whose products stay
+// below 2^52 that is exactly `acc += data * query`, in one instruction
+// where vpmuludq + vpaddq take two. DotProductGemm runs this tier only
+// when the caller's operand maxima guarantee it (ExactTier).
+
+// Dimensions per pass of a tile: 128 dimensions of a packed 16-query tile
+// are 16 KB, which stay in L1 while every 4-row tile of the object block
+// passes over them.
+constexpr size_t kDimBlock = 128;
+
+// Zero-extends `len` <= kDimBlock values of `src` into u64 lanes of
+// `wide`, eight per step.
+__attribute__((target("avx512f"))) void Widen(const int32_t* src, size_t len,
+                                              uint64_t* wide) {
+  for (size_t j = 0; j < len; j += 8) {
+    const __mmask16 mask = static_cast<__mmask16>(
+        len - j >= 8 ? 0xFF : (1u << (len - j)) - 1);
+    _mm512_storeu_si512(wide + j,
+                        _mm512_cvtepu32_epi64(_mm512_castsi512_si256(
+                            _mm512_maskz_loadu_epi32(mask, src + j))));
   }
 }
 
-// Avx2AlongS with eight dimensions per step.
-template <size_t kQ>
-__attribute__((target("avx512f"))) void Avx512AlongS(const int32_t* data,
-                                                     size_t s, size_t v0,
-                                                     size_t v1, size_t n,
-                                                     const uint64_t* qz,
-                                                     size_t q, uint64_t* out) {
+// One dimension of a 4-row tile: the kRegs query registers at qj against
+// each row's value at `j` of `wide`, broadcast from memory.
+template <size_t kRegs>
+__attribute__((target("avx512f,avx512ifma"), always_inline)) inline void
+IfmaTileStep(__m512i (&acc)[4][kRegs], const uint64_t (*wide)[kDimBlock],
+             size_t j, const uint64_t* qj) {
+  __m512i qv[kRegs];
+#pragma GCC unroll 2
+  for (size_t k = 0; k < kRegs; ++k) qv[k] = _mm512_loadu_si512(qj + 8 * k);
+#pragma GCC unroll 4
+  for (size_t r = 0; r < 4; ++r) {
+    const __m512i d = _mm512_set1_epi64(static_cast<long long>(wide[r][j]));
+#pragma GCC unroll 2
+    for (size_t k = 0; k < kRegs; ++k) {
+      acc[r][k] = _mm512_madd52lo_epu64(acc[r][k], d, qv[k]);
+    }
+  }
+}
+
+// 4 data rows x kWidth queries (16 or 8; one zmm register per 8 queries).
+// For each block of kDimBlock dimensions the tile's rows are zero-extended
+// into `wide` once (IFMA reads 52 bits of a lane, so a broadcast needs a
+// zero upper dword), then each step loads the query lanes once and
+// broadcasts each row's value from memory. Two sets of accumulators take
+// alternate dimensions, so that even the 8-query tile keeps eight IFMA
+// chains in flight (IFMA's latency is 4 cycles). Sums carry from one
+// dimension block to the next through `sums`. Rows [v0, v1) must be a
+// multiple of 4 and lie in one object block.
+template <size_t kWidth>
+__attribute__((target("avx512f,avx512ifma"))) void IfmaTile(
+    const int32_t* data, size_t s, size_t v0, size_t v1, size_t n,
+    const uint64_t* qpk, size_t q, uint64_t* out) {
+  constexpr size_t kRegs = kWidth / 8;
+  constexpr size_t kChains = 2;
+  uint64_t sums[kObjectBlock][kWidth];
+  uint64_t wide[4][kDimBlock];
+  for (size_t j0 = 0; j0 < s; j0 += kDimBlock) {
+    const size_t len = std::min(kDimBlock, s - j0);
+    for (size_t v = v0; v < v1; v += 4) {
+      uint64_t(*tile)[kWidth] = sums + (v - v0);
+#pragma GCC unroll 4
+      for (size_t r = 0; r < 4; ++r) {
+        Widen(data + (v + r) * s + j0, len, wide[r]);
+      }
+      __m512i acc[kChains][4][kRegs];
+#pragma GCC unroll 2
+      for (size_t c = 0; c < kChains; ++c) {
+#pragma GCC unroll 4
+        for (size_t r = 0; r < 4; ++r) {
+#pragma GCC unroll 2
+          for (size_t k = 0; k < kRegs; ++k) {
+            acc[c][r][k] = c > 0 || j0 == 0
+                               ? _mm512_setzero_si512()
+                               : _mm512_loadu_si512(tile[r] + 8 * k);
+          }
+        }
+      }
+      const uint64_t* qj = qpk + j0 * kWidth;
+      size_t j = 0;
+      for (; j + kChains <= len; j += kChains) {
+#pragma GCC unroll 2
+        for (size_t c = 0; c < kChains; ++c) {
+          IfmaTileStep(acc[c], wide, j + c, qj + (j + c) * kWidth);
+        }
+      }
+      for (; j < len; ++j) IfmaTileStep(acc[0], wide, j, qj + j * kWidth);
+#pragma GCC unroll 4
+      for (size_t r = 0; r < 4; ++r) {
+#pragma GCC unroll 2
+        for (size_t k = 0; k < kRegs; ++k) {
+          __m512i sum = acc[0][r][k];
+#pragma GCC unroll 2
+          for (size_t c = 1; c < kChains; ++c) {
+            sum = _mm512_add_epi64(sum, acc[c][r][k]);
+          }
+          _mm512_storeu_si512(tile[r] + 8 * k, sum);
+        }
+      }
+      if (j0 + len == s) StoreBlock(tile, v, n, q, out);
+    }
+  }
+}
+
+// The lane sums of a0..a3, in order, as one 256-bit vector.
+__attribute__((target("avx512f"))) inline __m256i SumLanes4(__m512i a0,
+                                                            __m512i a1,
+                                                            __m512i a2,
+                                                            __m512i a3) {
+  // Each 128-bit lane of s01 holds [a0's pair sum, a1's pair sum].
+  const __m512i s01 = _mm512_add_epi64(_mm512_unpacklo_epi64(a0, a1),
+                                       _mm512_unpackhi_epi64(a0, a1));
+  const __m512i s23 = _mm512_add_epi64(_mm512_unpacklo_epi64(a2, a3),
+                                       _mm512_unpackhi_epi64(a2, a3));
+  // 128-bit lanes [a0 a1 (lanes 0-3), a0 a1 (4-7), a2 a3 (0-3), a2 a3 (4-7)].
+  const __m512i x =
+      _mm512_add_epi64(_mm512_shuffle_i64x2(s01, s23, _MM_SHUFFLE(2, 0, 2, 0)),
+                       _mm512_shuffle_i64x2(s01, s23, _MM_SHUFFLE(3, 1, 3, 1)));
+  const __m512i y =
+      _mm512_add_epi64(_mm512_shuffle_i64x2(x, x, _MM_SHUFFLE(0, 0, 2, 0)),
+                       _mm512_shuffle_i64x2(x, x, _MM_SHUFFLE(0, 0, 3, 1)));
+  return _mm512_castsi512_si256(y);
+}
+
+// kRows data rows (4, or 1 for the rows a 4-row step leaves) against kQ
+// width-1 query tiles, SIMD along the dimension: a step zero-extends eight
+// values of each row once and multiplies them into every query's matching
+// lanes; a masked step takes the last s mod 8 dimensions. Four rows give
+// even a one-query batch four independent accumulator chains, which IFMA's
+// 4-cycle latency needs. Query t's sums go to dst[t * n + r].
+template <size_t kRows, size_t kQ>
+__attribute__((target("avx512f,avx512ifma"))) void IfmaAlongSRows(
+    const int32_t* row, size_t s, const uint64_t* qz, size_t n,
+    uint64_t* dst) {
+  static_assert(kRows == 1 || kRows == 4);
+  __m512i acc[kRows][kQ];
+#pragma GCC unroll 4
+  for (size_t r = 0; r < kRows; ++r) {
+#pragma GCC unroll 8
+    for (size_t t = 0; t < kQ; ++t) acc[r][t] = _mm512_setzero_si512();
+  }
   const size_t s8 = s / 8 * 8;
-  for (size_t v = v0; v < v1; ++v) {
-    const int32_t* row = data + v * s;
-    __m512i acc[kQ];
+  for (size_t j = 0; j < s8; j += 8) {
+    __m512i d[kRows];
 #pragma GCC unroll 4
-    for (size_t t = 0; t < kQ; ++t) acc[t] = _mm512_setzero_si512();
-    for (size_t j = 0; j < s8; j += 8) {
-      const __m512i d = _mm512_cvtepu32_epi64(
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + j)));
-#pragma GCC unroll 4
-      for (size_t t = 0; t < kQ; ++t) {
-        acc[t] = _mm512_add_epi64(
-            acc[t], _mm512_mul_epu32(d, _mm512_loadu_si512(qz + t * s + j)));
-      }
+    for (size_t r = 0; r < kRows; ++r) {
+      d[r] = _mm512_cvtepu32_epi64(_mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(row + r * s + j)));
     }
+#pragma GCC unroll 8
     for (size_t t = 0; t < kQ; ++t) {
-      // Not _mm512_reduce_add_epi64: GCC implements it with signed scalar
-      // additions, which overflow (undefined behaviour) once the sums wrap.
-      uint64_t lanes[8];
-      _mm512_storeu_si512(lanes, acc[t]);
-      uint64_t sum = 0;
-      for (uint64_t lane : lanes) sum += lane;
-      for (size_t j = s8; j < s; ++j) {
-        sum += static_cast<uint64_t>(static_cast<uint32_t>(row[j])) *
-               qz[t * s + j];
+      const __m512i qv = _mm512_loadu_si512(qz + t * s + j);
+#pragma GCC unroll 4
+      for (size_t r = 0; r < kRows; ++r) {
+        acc[r][t] = _mm512_madd52lo_epu64(acc[r][t], d[r], qv);
       }
-      out[(q + t) * n + v] = sum;
     }
+  }
+  if (s8 < s) {
+    const __mmask8 tail = static_cast<__mmask8>((1u << (s - s8)) - 1);
+    __m512i d[kRows];
+#pragma GCC unroll 4
+    for (size_t r = 0; r < kRows; ++r) {
+      d[r] = _mm512_cvtepu32_epi64(_mm512_castsi512_si256(
+          _mm512_maskz_loadu_epi32(tail, row + r * s + s8)));
+    }
+#pragma GCC unroll 8
+    for (size_t t = 0; t < kQ; ++t) {
+      const __m512i qv = _mm512_maskz_loadu_epi64(tail, qz + t * s + s8);
+#pragma GCC unroll 4
+      for (size_t r = 0; r < kRows; ++r) {
+        acc[r][t] = _mm512_madd52lo_epu64(acc[r][t], d[r], qv);
+      }
+    }
+  }
+#pragma GCC unroll 8
+  for (size_t t = 0; t < kQ; ++t) {
+    if constexpr (kRows == 4) {
+      _mm256_storeu_si256(
+          reinterpret_cast<__m256i*>(dst + t * n),
+          SumLanes4(acc[0][t], acc[1][t], acc[2][t], acc[3][t]));
+    } else {
+      const __m512i zero = _mm512_setzero_si512();
+      dst[t * n] = static_cast<uint64_t>(_mm_cvtsi128_si64(
+          _mm256_castsi256_si128(SumLanes4(acc[0][t], zero, zero, zero))));
+    }
+  }
+}
+
+// kQ < 8 queries in one pass over rows [v0, v1).
+template <size_t kQ>
+__attribute__((target("avx512f,avx512ifma"))) void IfmaAlongS(
+    const int32_t* data, size_t s, size_t v0, size_t v1, size_t n,
+    const uint64_t* qz, size_t q, uint64_t* out) {
+  size_t v = v0;
+  for (; v + 4 <= v1; v += 4) {
+    IfmaAlongSRows<4, kQ>(data + v * s, s, qz, n, out + q * n + v);
+  }
+  for (; v < v1; ++v) {
+    IfmaAlongSRows<1, kQ>(data + v * s, s, qz, n, out + q * n + v);
   }
 }
 
@@ -280,59 +420,62 @@ __attribute__((target("avx512f"))) void Avx512AlongS(const int32_t* data,
 #pragma GCC diagnostic pop
 #endif
 
-template <bool kAvx512, size_t kQ>
-void AlongS(const int32_t* data, size_t s, size_t v0, size_t v1, size_t n,
-            const uint64_t* qz, size_t q, uint64_t* out) {
-  if constexpr (kAvx512) {
-    Avx512AlongS<kQ>(data, s, v0, v1, n, qz, q, out);
-  } else {
-    Avx2AlongS<kQ>(data, s, v0, v1, n, qz, q, out);
-  }
-}
+// One SIMD tier: its 16- and 8-query tiles (tile16 is null where the tier
+// has none) and the one-pass kernel for each remainder of 1-7 queries.
+struct SimdKernels {
+  Kernel tile16;
+  Kernel tile8;
+  Kernel remainder[8];
+};
 
-// The AVX2 and AVX-512 tiers. Queries go to the widest tile that fits
-// (16 on AVX-512, then 8); the rest, fewer than 8, run SIMD along s in
-// groups of 4, 2 and 1. Tiled queries meet the last block's up-to-3 rows
-// left over by the 4-row tiles on the scalar tile.
-template <bool kAvx512>
-void GemmWide(const int32_t* data, size_t n, size_t s, const int32_t* queries,
-              size_t num_queries, uint64_t* out) {
+constexpr SimdKernels kAvx2Kernels = {
+    nullptr,
+    &Avx2Tile4x8,
+    {nullptr, &Avx2AlongS<1>, &Avx2AlongS<2>, &Avx2AlongS<3>, &Avx2AlongS<4>,
+     &Avx2AlongS<5>, &Avx2AlongS<6>, &Avx2AlongS<7>}};
+
+constexpr SimdKernels kIfmaKernels = {
+    &IfmaTile<16>,
+    &IfmaTile<8>,
+    {nullptr, &IfmaAlongS<1>, &IfmaAlongS<2>, &IfmaAlongS<3>, &IfmaAlongS<4>,
+     &IfmaAlongS<5>, &IfmaAlongS<6>, &IfmaAlongS<7>}};
+
+// The AVX2 and AVX-512 tiers. Full groups of 16 queries go to tile16,
+// then a remainder of 8-15 to one tile8, then the last 1-7 queries to one
+// pass along s, so every query group makes one pass over the rows. Tiled
+// queries meet the last block's up-to-3 rows left over by the 4-row tiles
+// on the scalar tile.
+void GemmSimd(const SimdKernels& kernels, const int32_t* data, size_t n,
+              size_t s, const int32_t* queries, size_t num_queries,
+              uint64_t* out) {
+  const size_t tiled16 =
+      kernels.tile16 != nullptr ? num_queries / 16 * 16 : 0;
+  const size_t tiled = tiled16 + (num_queries - tiled16) / 8 * 8;
   std::vector<uint64_t> packed(num_queries * s);
-  size_t tiled = 0;
-  if constexpr (kAvx512) {
-    for (; tiled + 16 <= num_queries; tiled += 16) {
-      PackTile(queries, s, tiled, 16, packed.data());
-    }
+  for (size_t q = 0; q < tiled16; q += 16) {
+    PackTile(queries, s, q, 16, packed.data());
   }
-  for (; tiled + 8 <= num_queries; tiled += 8) {
-    PackTile(queries, s, tiled, 8, packed.data());
+  for (size_t q = tiled16; q < tiled; q += 8) {
+    PackTile(queries, s, q, 8, packed.data());
   }
   for (size_t q = tiled; q < num_queries; ++q) {
     PackTile(queries, s, q, 1, packed.data());
   }
   const uint64_t* qpk = packed.data();
+  const Kernel remainder = kernels.remainder[num_queries - tiled];
 
   for (size_t vb = 0; vb < n; vb += kObjectBlock) {
     const size_t vend = std::min(n, vb + kObjectBlock);
     const size_t vend4 = vb + (vend - vb) / 4 * 4;
-    size_t q = 0;
-    if constexpr (kAvx512) {
-      for (; q + 16 <= num_queries; q += 16) {
-        Avx512Tile4x16(data, s, vb, vend4, n, qpk + q * s, q, out);
-      }
+    for (size_t q = 0; q < tiled16; q += 16) {
+      kernels.tile16(data, s, vb, vend4, n, qpk + q * s, q, out);
     }
-    for (; q + 8 <= num_queries; q += 8) {
-      Avx2Tile4x8(data, s, vb, vend4, n, qpk + q * s, q, out);
+    for (size_t q = tiled16; q < tiled; q += 8) {
+      kernels.tile8(data, s, vb, vend4, n, qpk + q * s, q, out);
     }
     ScalarTiles(data, s, vend4, vend, n, queries, 0, tiled, out);
-    for (; q + 4 <= num_queries; q += 4) {
-      AlongS<kAvx512, 4>(data, s, vb, vend, n, qpk + q * s, q, out);
-    }
-    for (; q + 2 <= num_queries; q += 2) {
-      AlongS<kAvx512, 2>(data, s, vb, vend, n, qpk + q * s, q, out);
-    }
-    for (; q < num_queries; ++q) {
-      AlongS<kAvx512, 1>(data, s, vb, vend, n, qpk + q * s, q, out);
+    if (remainder != nullptr) {
+      remainder(data, s, vb, vend, n, qpk + tiled * s, tiled, out);
     }
   }
 }
@@ -361,8 +504,9 @@ bool GemmTierSupported(GemmTier tier) {
     case GemmTier::kAvx2:
       return __builtin_cpu_supports("avx2") != 0;
     case GemmTier::kAvx512:
-      // The AVX-512 tier hands the queries it cannot tile to AVX2 tiles.
+      // A batch whose products could reach 2^52 runs on AVX2 instead.
       return __builtin_cpu_supports("avx512f") != 0 &&
+             __builtin_cpu_supports("avx512ifma") != 0 &&
              __builtin_cpu_supports("avx2") != 0;
 #else
     case GemmTier::kAvx2:
@@ -383,32 +527,41 @@ GemmTier BestGemmTier() {
   return best;
 }
 
-void DotProductGemm(const int32_t* data, size_t n, size_t s,
-                    const int32_t* queries, size_t num_queries,
-                    uint64_t* out) {
-  DotProductGemm(BestGemmTier(), data, n, s, queries, num_queries, out);
+GemmTier GemmTierFor(uint32_t data_max, uint32_t query_max) {
+  return ExactTier(BestGemmTier(), data_max, query_max);
 }
 
-void DotProductGemm(GemmTier tier, const int32_t* data, size_t n, size_t s,
-                    const int32_t* queries, size_t num_queries,
-                    uint64_t* out) {
+GemmTier DotProductGemm(const int32_t* data, size_t n, size_t s,
+                        uint32_t data_max, const int32_t* queries,
+                        size_t num_queries, uint32_t query_max,
+                        uint64_t* out) {
+  return DotProductGemm(BestGemmTier(), data, n, s, data_max, queries,
+                        num_queries, query_max, out);
+}
+
+GemmTier DotProductGemm(GemmTier tier, const int32_t* data, size_t n,
+                        size_t s, uint32_t data_max, const int32_t* queries,
+                        size_t num_queries, uint32_t query_max,
+                        uint64_t* out) {
   PIMINE_DCHECK(GemmTierSupported(tier)) << GemmTierName(tier);
+  tier = ExactTier(tier, data_max, query_max);
   switch (tier) {
 #if defined(PIMINE_GEMM_X86)
     case GemmTier::kAvx512:
-      GemmWide<true>(data, n, s, queries, num_queries, out);
-      return;
+      GemmSimd(kIfmaKernels, data, n, s, queries, num_queries, out);
+      return tier;
     case GemmTier::kAvx2:
-      GemmWide<false>(data, n, s, queries, num_queries, out);
-      return;
+      GemmSimd(kAvx2Kernels, data, n, s, queries, num_queries, out);
+      return tier;
 #else
     case GemmTier::kAvx512:
     case GemmTier::kAvx2:
 #endif
     case GemmTier::kScalar:
       GemmScalar(data, n, s, queries, num_queries, out);
-      return;
+      return GemmTier::kScalar;
   }
+  return tier;
 }
 
 }  // namespace pimine

@@ -67,17 +67,22 @@ Status PimDevice::ReprogramDataset(const IntMatrix& data, int operand_bits) {
 
 namespace {
 
-Status CheckOperands(const IntMatrix& rows, int operand_bits) {
+// Also sets *max_operand to the largest of `rows`.
+Status CheckOperands(const IntMatrix& rows, int operand_bits,
+                     uint32_t* max_operand) {
   const int64_t limit =
       operand_bits >= 32 ? (1LL << 31) : (1LL << operand_bits);
+  int32_t max = 0;
   for (size_t i = 0; i < rows.rows(); ++i) {
     for (int32_t v : rows.row(i)) {
       if (v < 0 || static_cast<int64_t>(v) >= limit) {
         return Status::InvalidArgument(
             "PIM operands must be non-negative integers fitting operand_bits");
       }
+      max = std::max(max, v);
     }
   }
+  *max_operand = static_cast<uint32_t>(max);
   return Status::OK();
 }
 
@@ -112,9 +117,11 @@ Status PimDevice::ProgramInternal(const IntMatrix& data, int operand_bits) {
        << " crossbars; compress the dataset first (Theorem 4)";
     return Status::CapacityExceeded(os.str());
   }
-  PIMINE_RETURN_IF_ERROR(CheckOperands(data, operand_bits));
+  uint32_t data_max = 0;
+  PIMINE_RETURN_IF_ERROR(CheckOperands(data, operand_bits, &data_max));
 
   data_ = data;
+  data_max_ = data_max;
   operand_bits_ = operand_bits;
   base_rows_ = data_.rows();
   tombstone_.assign(data_.rows(), 0);
@@ -333,10 +340,12 @@ Status PimDevice::ProgramDelta(const IntMatrix& rows) {
         "delta append exceeds PIM array capacity (Theorem 4); compact or "
         "re-shard first");
   }
-  PIMINE_RETURN_IF_ERROR(CheckOperands(rows, operand_bits_));
+  uint32_t rows_max = 0;
+  PIMINE_RETURN_IF_ERROR(CheckOperands(rows, operand_bits_, &rows_max));
 
   const size_t old_n = data_.rows();
   data_.AppendRows(rows);
+  data_max_ = std::max(data_max_, rows_max);
   tombstone_.resize(data_.rows(), 0);
   RecordLayout();
   // Incremental programming: each append slot is one row-parallel write.
@@ -578,17 +587,20 @@ Status PimDevice::ExactDots(const char* op, std::span<const int32_t> queries,
   if (queries.size() != num_queries * data_.cols()) {
     return Status::InvalidArgument("query batch dimensionality mismatch");
   }
+  int32_t query_max = 0;
   for (int32_t v : queries) {
     if (v < 0) {
       return Status::InvalidArgument("PIM inputs must be non-negative");
     }
+    query_max = std::max(query_max, v);
   }
   // Functional emulation of the analog dot-product: exact integer math with
   // natural uint64 wraparound (the least-significant-64-bit rule), computed
   // as one tiled GEMM over the whole batch.
   out->resize(num_queries * data_.rows());
-  DotProductGemm(data_.data(), data_.rows(), data_.cols(), queries.data(),
-                 num_queries, out->data());
+  DotProductGemm(data_.data(), data_.rows(), data_.cols(), data_max_,
+                 queries.data(), num_queries,
+                 static_cast<uint32_t>(query_max), out->data());
   return Status::OK();
 }
 

@@ -162,8 +162,10 @@ class PimDevice {
   /// charges are identical regardless of interleaving, so the modeled
   /// totals match a serial run exactly. The host-side kernel is the
   /// cache-blocked, register-tiled integer GEMM of pim/dot_gemm.h (objects
-  /// x queries), which picks the host's widest SIMD tier (AVX-512F, AVX2 or
-  /// scalar) at runtime; no build flag is needed to reach it.
+  /// x queries), which picks the host's widest SIMD tier (AVX-512 IFMA,
+  /// AVX2 or scalar) at runtime; no build flag is needed to reach it. The
+  /// IFMA tier runs while the largest programmed operand times the
+  /// batch's largest query operand stays below 2^52.
   /// With the fault model enabled, every result group (the logical columns
   /// of one data-crossbar set) carries a mod-(2^16 - 1) residue checksum
   /// column; flagged groups are retried / remapped / escalated per the
@@ -282,6 +284,9 @@ class PimDevice {
   PimConfig config_;
   PimTimingModel timing_;
   IntMatrix data_;
+  /// The largest operand in data_ (base and delta rows): with the batch's
+  /// largest query operand it bounds the GEMM's products.
+  uint32_t data_max_ = 0;
   int operand_bits_ = 32;
   /// Rows in the base region; data_.rows() - base_rows_ is the delta.
   size_t base_rows_ = 0;

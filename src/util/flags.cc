@@ -1,9 +1,25 @@
 #include "util/flags.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 
 namespace pimine {
+namespace {
+
+// Parses all of `text` as a base-10 integer within int64. False on an
+// empty value, trailing characters or a value out of range.
+bool ParseInt64(const std::string& text, int64_t* value) {
+  if (text.empty()) return false;
+  errno = 0;
+  char* end = nullptr;
+  const long long v = std::strtoll(text.c_str(), &end, 10);
+  if (errno == ERANGE || *end != '\0') return false;
+  *value = static_cast<int64_t>(v);
+  return true;
+}
+
+}  // namespace
 
 Result<FlagParser> FlagParser::Parse(int argc, const char* const* argv) {
   FlagParser parser;
@@ -38,11 +54,11 @@ std::string FlagParser::GetString(const std::string& key,
 int64_t FlagParser::GetInt(const std::string& key,
                            int64_t default_value) const {
   const auto it = flags_.find(key);
-  if (it == flags_.end() || it->second.empty()) return default_value;
-  char* end = nullptr;
-  const long long v = std::strtoll(it->second.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return default_value;
-  return static_cast<int64_t>(v);
+  int64_t value = 0;
+  if (it == flags_.end() || !ParseInt64(it->second, &value)) {
+    return default_value;
+  }
+  return value;
 }
 
 double FlagParser::GetDouble(const std::string& key,
@@ -76,10 +92,18 @@ Status FlagParser::CheckKnown(const std::vector<std::string>& known) const {
 Status FlagParser::CheckNonNegative(
     const std::vector<std::string>& keys) const {
   for (const std::string& key : keys) {
-    if (GetInt(key, 0) < 0) {
+    const auto it = flags_.find(key);
+    if (it == flags_.end()) continue;
+    int64_t value = 0;
+    if (!ParseInt64(it->second, &value)) {
+      return Status::InvalidArgument("--" + key +
+                                     " must be a base-10 integer (got '" +
+                                     it->second + "')");
+    }
+    if (value < 0) {
       return Status::InvalidArgument("--" + key +
                                      " must not be negative (got " +
-                                     GetString(key, "") + ")");
+                                     it->second + ")");
     }
   }
   return Status::OK();

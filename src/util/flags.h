@@ -27,8 +27,9 @@ class FlagParser {
 
   std::string GetString(const std::string& key,
                         const std::string& default_value) const;
-  /// Fails (falls back to the default and records an error via status())
-  /// when the value does not parse as the requested type.
+  /// The numeric getters fall back to the default when the value does not
+  /// parse as the requested type (for GetInt: a base-10 integer within
+  /// int64); CheckNonNegative rejects such a count instead.
   int64_t GetInt(const std::string& key, int64_t default_value) const;
   double GetDouble(const std::string& key, double default_value) const;
   /// `--key` alone, or --key=true/1/yes (false/0/no).
@@ -38,7 +39,8 @@ class FlagParser {
   Status CheckKnown(const std::vector<std::string>& known) const;
 
   /// Returns InvalidArgument naming the first of `keys` (counts, sizes,
-  /// durations) given a negative integer.
+  /// durations) given a value that is not a base-10 integer within int64
+  /// (an empty value, trailing characters, out of range) or is negative.
   Status CheckNonNegative(const std::vector<std::string>& keys) const;
 
  private:

@@ -342,11 +342,49 @@ TEST(PimBatchTest, ZeroDeviceBatchPolicyIsRejectedNotMisread) {
 
 class GemmTierTest : public ::testing::TestWithParam<GemmTier> {};
 
-// Each tier against an independent scalar triple loop over a grid that
-// crosses every tile width (16, 8, the 4/2/1 remainders along s), row
-// counts around the 4-row tiles and the 64-row blocks, and dimensions
-// around the 4- and 8-lane steps. Operands reach 2^31 - 1, so the sums
-// wrap mod 2^64.
+// Runs `tier` on one batch of operands no larger than `data_max` and
+// `query_max`, checks that it ran on `ran` and equals an independent
+// scalar triple loop.
+void ExpectGemmMatchesTripleLoop(GemmTier tier, GemmTier ran,
+                                 const std::vector<int32_t>& data, size_t n,
+                                 size_t s, uint32_t data_max,
+                                 const std::vector<int32_t>& queries,
+                                 size_t num_queries, uint32_t query_max) {
+  std::vector<uint64_t> out(num_queries * n, 0xDEADBEEFu);
+  EXPECT_EQ(DotProductGemm(tier, data.data(), n, s, data_max, queries.data(),
+                           num_queries, query_max, out.data()),
+            ran)
+      << GemmTierName(tier) << " Q=" << num_queries << " n=" << n
+      << " s=" << s;
+  for (size_t q = 0; q < num_queries; ++q) {
+    for (size_t v = 0; v < n; ++v) {
+      uint64_t expected = 0;
+      for (size_t j = 0; j < s; ++j) {
+        expected += static_cast<uint64_t>(data[v * s + j]) *
+                    static_cast<uint64_t>(queries[q * s + j]);
+      }
+      ASSERT_EQ(out[q * n + v], expected)
+          << GemmTierName(tier) << " Q=" << num_queries << " n=" << n
+          << " s=" << s << " q=" << q << " v=" << v;
+    }
+  }
+}
+
+std::vector<int32_t> RandomOperands(size_t count, uint32_t max, Rng& rng) {
+  std::vector<int32_t> values(count);
+  for (int32_t& v : values) {
+    v = static_cast<int32_t>(rng.NextBounded(max) + 1);
+  }
+  return values;
+}
+
+// Each tier against the triple loop over a grid that crosses every kernel
+// (16-query tiles, the 8-query tile for a remainder of 8-15, the one-pass
+// remainders of 1-7), row counts around the 4-row tiles and the 64-row
+// blocks, and dimensions around the 4- and 8-lane steps and the
+// 128-dimension blocks of the AVX-512 tiles. Scalar and AVX2 operands reach
+// 2^31 - 1, so the sums wrap mod 2^64. AVX-512 operands stay below 2^26,
+// so that its IFMA kernels run rather than the AVX2 fallback.
 TEST_P(GemmTierTest, MatchesScalarTripleLoop) {
   const GemmTier tier = GetParam();
   if (!GemmTierSupported(tier)) {
@@ -354,36 +392,48 @@ TEST_P(GemmTierTest, MatchesScalarTripleLoop) {
                  << " tier";
   }
   Rng rng(0x6E33);
-  const uint32_t limit = 0x7FFFFFFFu;
-  for (size_t num_queries : {1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 24, 25,
-                             33}) {
+  const uint32_t max =
+      tier == GemmTier::kAvx512 ? (1u << 26) - 1 : 0x7FFFFFFFu;
+  for (size_t num_queries = 1; num_queries <= 33; ++num_queries) {
     for (size_t n : {1, 3, 4, 5, 63, 64, 65, 130}) {
-      for (size_t s : {1, 7, 8, 9, 33, 105}) {
-        std::vector<int32_t> data(n * s);
-        std::vector<int32_t> queries(num_queries * s);
-        for (int32_t& v : data) {
-          v = static_cast<int32_t>(rng.NextBounded(limit) + 1);
-        }
-        for (int32_t& v : queries) {
-          v = static_cast<int32_t>(rng.NextBounded(limit) + 1);
-        }
-        std::vector<uint64_t> out(num_queries * n, 0xDEADBEEFu);
-        DotProductGemm(tier, data.data(), n, s, queries.data(), num_queries,
-                       out.data());
-        for (size_t q = 0; q < num_queries; ++q) {
-          for (size_t v = 0; v < n; ++v) {
-            uint64_t expected = 0;
-            for (size_t j = 0; j < s; ++j) {
-              expected += static_cast<uint64_t>(data[v * s + j]) *
-                          static_cast<uint64_t>(queries[q * s + j]);
-            }
-            ASSERT_EQ(out[q * n + v], expected)
-                << GemmTierName(tier) << " Q=" << num_queries << " n=" << n
-                << " s=" << s << " q=" << q << " v=" << v;
-          }
-        }
+      for (size_t s : {1, 7, 8, 9, 33, 105, 193, 420, 500}) {
+        ExpectGemmMatchesTripleLoop(
+            tier, tier, RandomOperands(n * s, max, rng), n, s, max,
+            RandomOperands(num_queries * s, max, rng), num_queries, max);
+        if (HasFatalFailure()) return;
       }
     }
+  }
+}
+
+// The edges of the 52-bit products the IFMA kernels add: every operand at
+// 2^26 - 1 still runs on AVX-512, and a batch whose products can reach
+// 2^52 (2^26 x 2^26, and operands up to 2^31 - 1) runs on AVX2. Every
+// batch equals the triple loop on every tier.
+TEST_P(GemmTierTest, ProductsOf52BitsAndMoreStayExact) {
+  const GemmTier tier = GetParam();
+  if (!GemmTierSupported(tier)) {
+    GTEST_SKIP() << "this host cannot run the " << GemmTierName(tier)
+                 << " tier";
+  }
+  const GemmTier fallback =
+      tier == GemmTier::kAvx512 ? GemmTier::kAvx2 : tier;
+  Rng rng(0x52);
+  const size_t n = 65, s = 193;
+  for (size_t num_queries : {1, 7, 8, 15, 16, 23, 33}) {
+    const uint32_t top = (1u << 26) - 1;
+    ExpectGemmMatchesTripleLoop(
+        tier, tier, std::vector<int32_t>(n * s, top), n, s, top,
+        std::vector<int32_t>(num_queries * s, top), num_queries, top);
+    const uint32_t edge = 1u << 26;
+    ExpectGemmMatchesTripleLoop(
+        tier, fallback, RandomOperands(n * s, edge, rng), n, s, edge,
+        RandomOperands(num_queries * s, edge, rng), num_queries, edge);
+    const uint32_t max = 0x7FFFFFFFu;
+    ExpectGemmMatchesTripleLoop(
+        tier, fallback, RandomOperands(n * s, max, rng), n, s, max,
+        RandomOperands(num_queries * s, max, rng), num_queries, max);
+    if (HasFatalFailure()) return;
   }
 }
 

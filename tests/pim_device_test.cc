@@ -1,5 +1,7 @@
 #include "pim/pim_device.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "pim/timing.h"
@@ -156,6 +158,63 @@ TEST(PimDeviceTest, WraparoundImplementsTruncation) {
   // 32 * 2^60 = 2^65 -> LS-64 truncation keeps 2^65 mod 2^64 = 0? No:
   // 32 * 2^60 = 2^5 * 2^60 = 2^65, mod 2^64 = 0.
   EXPECT_EQ(out[0], 0u);
+}
+
+// DotProductBatch against a triple loop over `rows`, the device's current
+// contents.
+void ExpectDotsMatchTripleLoop(PimDevice& device, const IntMatrix& rows,
+                               const std::vector<int32_t>& queries,
+                               size_t num_queries) {
+  std::vector<uint64_t> out;
+  ASSERT_TRUE(device.DotProductBatch(queries, num_queries, &out).ok());
+  ASSERT_EQ(out.size(), num_queries * rows.rows());
+  const size_t s = rows.cols();
+  for (size_t q = 0; q < num_queries; ++q) {
+    for (size_t v = 0; v < rows.rows(); ++v) {
+      uint64_t expected = 0;
+      for (size_t j = 0; j < s; ++j) {
+        expected += static_cast<uint64_t>(rows(v, j)) *
+                    static_cast<uint64_t>(queries[q * s + j]);
+      }
+      ASSERT_EQ(out[q * rows.rows() + v], expected) << "q=" << q << " v=" << v;
+    }
+  }
+}
+
+// The largest programmed operand decides whether the device GEMM may run
+// on its IFMA kernels, which add only the low 52 bits of each product. It
+// must follow every program path: a delta row raises it, a compaction that
+// drops that row lowers it, and a reprogram replaces it. The queries sit
+// near 2^31, so a bound left at the base program's 2^20 would let IFMA
+// truncate the products of a 2^31 - 1 row. 39 base rows and one delta row
+// fill 4-row tiles; 23 queries take a 16-query tile and a 7-query pass.
+TEST(PimDeviceTest, OperandBoundFollowsEveryProgramPath) {
+  const size_t s = 45, num_queries = 23;
+  const IntMatrix base = RandomIntMatrix(39, s, 1 << 20, 3);
+  IntMatrix big(1, s);
+  for (int32_t& v : big.mutable_row(0)) v = 0x7FFFFFFF;
+  Rng rng(4);
+  std::vector<int32_t> queries(num_queries * s);
+  for (int32_t& v : queries) {
+    v = static_cast<int32_t>(0x7FFFFFFFu - rng.NextBounded(1 << 16));
+  }
+
+  PimDevice device;
+  ASSERT_TRUE(device.ProgramDataset(base).ok());
+  ExpectDotsMatchTripleLoop(device, base, queries, num_queries);
+
+  ASSERT_TRUE(device.ProgramDelta(big).ok());
+  IntMatrix grown = base;
+  grown.AppendRows(big);
+  ExpectDotsMatchTripleLoop(device, grown, queries, num_queries);
+
+  std::vector<uint32_t> live(base.rows());
+  for (size_t i = 0; i < live.size(); ++i) live[i] = static_cast<uint32_t>(i);
+  ASSERT_TRUE(device.CompactRows(live).ok());
+  ExpectDotsMatchTripleLoop(device, base, queries, num_queries);
+
+  ASSERT_TRUE(device.ReprogramDataset(grown).ok());
+  ExpectDotsMatchTripleLoop(device, grown, queries, num_queries);
 }
 
 TEST(PimTimingTest, LatencyScalesWithGatherDepthAndBits) {
