@@ -10,25 +10,11 @@
 #include "core/decompose.h"
 #include "core/pim_bounds.h"
 #include "core/segments.h"
+#include "data/normalize.h"
 #include "obs/obs.h"
 #include "sim/traffic.h"
 
 namespace pimine {
-namespace {
-
-Status CheckUnitRange(const FloatMatrix& data) {
-  for (size_t i = 0; i < data.rows(); ++i) {
-    for (float v : data.row(i)) {
-      if (!(v >= 0.0f && v <= 1.0f)) {
-        return Status::InvalidArgument(
-            "data must be normalized into [0, 1]; use MinMaxScaler");
-      }
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 std::string_view EngineModeName(EngineMode mode) {
   switch (mode) {
@@ -129,7 +115,7 @@ Result<std::unique_ptr<PimEngine>> PimEngine::Build(
   if (data.empty()) {
     return Status::InvalidArgument("cannot build engine on empty data");
   }
-  PIMINE_RETURN_IF_ERROR(CheckUnitRange(data));
+  PIMINE_RETURN_IF_ERROR(CheckUnitRange(data.values(), "data"));
   const int64_t d = static_cast<int64_t>(data.cols());
   PIMINE_ASSIGN_OR_RETURN(
       const EngineGeometry g,
@@ -232,18 +218,6 @@ Status PimEngine::ProgramRows(const FloatMatrix& rows, Program how) {
   return Status::OK();
 }
 
-Status PimEngine::CheckQuery(std::span<const float> query) const {
-  if (query.size() != dims_) {
-    return Status::InvalidArgument("query dimensionality mismatch");
-  }
-  for (float v : query) {
-    if (!(v >= 0.0f && v <= 1.0f)) {
-      return Status::InvalidArgument("query must be normalized into [0, 1]");
-    }
-  }
-  return Status::OK();
-}
-
 namespace {
 
 /// Drops an all-clean suspect vector so downstream consumers keep the
@@ -283,9 +257,7 @@ Status PimEngine::PrepareBatch(std::span<const float> queries,
   if (queries.size() != num_queries * dims_) {
     return Status::InvalidArgument("query batch dimensionality mismatch");
   }
-  for (size_t q = 0; q < num_queries; ++q) {
-    PIMINE_RETURN_IF_ERROR(CheckQuery(queries.subspan(q * dims_, dims_)));
-  }
+  PIMINE_RETURN_IF_ERROR(CheckUnitRange(queries, "queries"));
 
   // Per-query quantize spans are measured per iteration of the loop below
   // (invariant across batch grouping). Null when observability is disabled.
@@ -399,7 +371,7 @@ Status PimEngine::CheckRows(const FloatMatrix& rows) const {
     return Status::InvalidArgument(
         "rows must be a non-empty set of the engine's dimensionality");
   }
-  return CheckUnitRange(rows);
+  return CheckUnitRange(rows.values(), "rows");
 }
 
 Status PimEngine::AppendRows(const FloatMatrix& rows) {
@@ -412,25 +384,7 @@ Status PimEngine::Reprogram(const FloatMatrix& rows) {
   return ProgramRows(rows, Program::kReplace);
 }
 
-Status PimEngine::DeleteRow(size_t index) {
-  if (index >= num_objects_) {
-    return Status::InvalidArgument("delete index out of range");
-  }
-  if (live_objects() <= 1 && !IsDeleted(index)) {
-    return Status::FailedPrecondition("cannot delete the last live row");
-  }
-  return devices_[0]->Tombstone(index);
-}
-
-Status PimEngine::Compact(std::vector<uint32_t>* live_out) {
-  std::vector<uint32_t> live;
-  live.reserve(num_objects_);
-  for (size_t i = 0; i < num_objects_; ++i) {
-    if (!IsDeleted(i)) live.push_back(static_cast<uint32_t>(i));
-  }
-  if (live.empty()) {
-    return Status::FailedPrecondition("compaction would leave no live rows");
-  }
+Status PimEngine::Compact(std::span<const uint32_t> live) {
   const double program_before = DeviceStatsTotal().program_ns;
   for (const auto& device : devices_) {
     PIMINE_RETURN_IF_ERROR(device->CompactRows(live));
@@ -443,7 +397,6 @@ Status PimEngine::Compact(std::vector<uint32_t>* live_out) {
   offline_bytes_written_ +=
       live.size() * OperandWidth() * (operand_bits_ / 8) * devices_.size();
   offline_ns_ += DeviceStatsTotal().program_ns - program_before;
-  if (live_out != nullptr) *live_out = std::move(live);
   return Status::OK();
 }
 
@@ -452,7 +405,7 @@ double PimEngine::PruneBound() const {
     case EngineMode::kDirectEd:
     case EngineMode::kSegmentFnn:
     case EngineMode::kSegmentSm:
-      // A +inf "lower bound" sorts tombstones last and the early-break
+      // A +inf "lower bound" sorts deleted rows last and the early-break
       // candidate loops never refine them.
       return std::numeric_limits<double>::infinity();
     case EngineMode::kCosine:
@@ -543,7 +496,6 @@ double PimEngine::BoundFor(const QueryHandleBatch& batch, size_t query,
                            size_t index) const {
   PIMINE_DCHECK(query < batch.num_queries);
   PIMINE_DCHECK(index < num_objects_);
-  if (IsDeleted(index)) return PruneBound();
   if (Suspect(batch, query * batch.stride + index)) return TrivialBound();
   ChargeBounds(BoundCostOf(mode_), 1);
   return WithBoundFormula(batch, query,
@@ -552,11 +504,13 @@ double PimEngine::BoundFor(const QueryHandleBatch& batch, size_t query,
 
 void PimEngine::BoundsFor(const QueryHandleBatch& batch, size_t query,
                           std::span<double> out,
-                          std::span<const uint32_t> scatter) const {
+                          std::span<const uint32_t> scatter,
+                          std::span<const uint8_t> deleted) const {
   PIMINE_DCHECK(query < batch.num_queries);
   const size_t n = batch.stride;
   PIMINE_CHECK(n == num_objects_);
   PIMINE_CHECK(scatter.empty() ? out.size() == n : scatter.size() == n);
+  PIMINE_CHECK(deleted.empty() || deleted.size() == out.size());
   double* const dst = out.data();
   const uint32_t* const map = scatter.data();
   // Dense pass: the mode's formula for every object, the switch hoisted out
@@ -569,27 +523,29 @@ void PimEngine::BoundsFor(const QueryHandleBatch& batch, size_t query,
     }
   });
 
-  // Sparse pass: the objects BoundFor does not combine. Suspect results
-  // take the trivial bound unless tombstoned; tombstones take PruneBound.
-  const auto put = [&](size_t i, double value) {
-    dst[map == nullptr ? i : map[i]] = value;
+  // Sparse pass: the objects the fleet's BoundFor does not combine.
+  // Suspect results take the trivial bound unless deleted; deleted rows
+  // take PruneBound.
+  const auto at = [&](size_t i) { return map == nullptr ? i : map[i]; };
+  const auto is_deleted = [&](size_t i) {
+    return !deleted.empty() && deleted[at(i)] != 0;
   };
   size_t skipped = 0;
   if (std::any_of(batch.suspect.begin(), batch.suspect.end(),
                   [](const auto& flags) { return !flags.empty(); })) {
     const double trivial = TrivialBound();
     for (size_t i = 0; i < n; ++i) {
-      if (Suspect(batch, query * n + i) && !IsDeleted(i)) {
-        put(i, trivial);
+      if (Suspect(batch, query * n + i) && !is_deleted(i)) {
+        dst[at(i)] = trivial;
         ++skipped;
       }
     }
   }
-  if (devices_[0]->tombstoned_rows() != 0) {
+  if (!deleted.empty()) {
     const double prune = PruneBound();
     for (size_t i = 0; i < n; ++i) {
-      if (IsDeleted(i)) {
-        put(i, prune);
+      if (is_deleted(i)) {
+        dst[at(i)] = prune;
         ++skipped;
       }
     }

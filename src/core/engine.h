@@ -204,37 +204,23 @@ class PimEngine {
 
   /// Replaces every object with `rows` (as AppendRows takes them) in one
   /// full program of each device, charged and counted against endurance
-  /// like Build's; tombstones and the delta region are cleared. Build's
-  /// geometry stays, so bounds are bit-identical to an engine built on
-  /// `rows` with it. Not safe concurrently with in-flight queries.
+  /// like Build's. Build's geometry stays, so bounds are bit-identical to
+  /// an engine built on `rows` with it. Not safe concurrently with
+  /// in-flight queries.
   Status Reprogram(const FloatMatrix& rows);
 
-  /// Tombstones object `index`: its bound becomes PruneBound() (sorts
-  /// last, never refined), so query results are bit-identical to an engine
-  /// that never held the row — while the physical crossbar row keeps
-  /// computing (deleting costs zero device time until compaction).
-  Status DeleteRow(size_t index);
+  /// Keeps only the objects `live` (strictly ascending indices, at least
+  /// one) by rewriting them into a fresh base on every device, charged at
+  /// full program cost (the background compaction pass); new index i
+  /// holds old index live[i]. Post-compaction state is bit-identical to
+  /// an engine freshly built on the surviving rows. The engine keeps no
+  /// record of deletes: its fleet (ShardedPimEngine) does, and derives
+  /// `live` from it.
+  Status Compact(std::span<const uint32_t> live);
 
-  /// True when `index` is tombstoned (device 0 holds the tombstones).
-  bool IsDeleted(size_t index) const { return devices_[0]->tombstoned(index); }
-  /// Objects that still count (num_objects() minus tombstones).
-  size_t live_objects() const {
-    return num_objects_ - devices_[0]->tombstoned_rows();
-  }
-  /// Rows appended since the last full (re)program / compaction.
-  size_t delta_objects() const { return devices_[0]->delta_rows(); }
-
-  /// Rewrites base + delta − tombstones into a fresh base on every device,
-  /// charged at full program cost (the background compaction pass).
-  /// `live_out` (optional) receives the surviving old physical indices in
-  /// ascending order — new physical index i held old index (*live_out)[i].
-  /// Post-compaction state is bit-identical to an engine freshly built on
-  /// the surviving rows.
-  Status Compact(std::vector<uint32_t>* live_out = nullptr);
-
-  /// The admissible never-refine bound substituted for tombstoned rows:
-  /// +inf for the ED family (sorts last under minimize), -inf for CS/PCC
-  /// (sorts last once the search negates for maximize).
+  /// The admissible never-refine bound the fleet substitutes for deleted
+  /// rows: +inf for the ED family (sorts last under minimize), -inf for
+  /// CS/PCC (sorts last once the search negates for maximize).
   double PruneBound() const;
 
   /// Lazy combine for `batch` query `query` against object `index`: O(1)
@@ -243,16 +229,20 @@ class PimEngine {
   double BoundFor(const QueryHandleBatch& batch, size_t query,
                   size_t index) const;
 
-  /// Span combine: the bound of `batch` query `query` for every object,
-  /// bit-identical to BoundFor on each. Object i lands in out[i], or in
-  /// out[scatter[i]] when `scatter` (one entry per object) is given — the
-  /// fleet passes each shard's local-to-global row map. The mode dispatch
-  /// runs once per span; tombstoned and suspect objects are overwritten in
-  /// a sparse second pass, and the traffic of exactly the objects combined
-  /// is charged once, so the counters equal the per-object loop's.
+  /// Span combine: the bound of `batch` query `query` for every object.
+  /// Object i lands in out[i], or in out[scatter[i]] when `scatter` (one
+  /// entry per object) is given — the fleet passes each shard's
+  /// local-to-global row map. A row the fleet's `deleted` flags (empty, or
+  /// indexed like `out`) mark takes PruneBound(), every other row BoundFor's
+  /// value, bit for bit, as the fleet's BoundFor gives them. The mode
+  /// dispatch runs once per span; deleted and suspect objects are
+  /// overwritten in a sparse second pass, and the traffic of exactly the
+  /// objects combined is charged once, so the counters equal the
+  /// per-object loop's.
   void BoundsFor(const QueryHandleBatch& batch, size_t query,
                  std::span<double> out,
-                 std::span<const uint32_t> scatter = {}) const;
+                 std::span<const uint32_t> scatter = {},
+                 std::span<const uint8_t> deleted = {}) const;
 
   EngineMode mode() const { return mode_; }
   const MemoryPlan& plan() const { return plan_; }
@@ -334,8 +324,6 @@ class PimEngine {
 
   /// Reprogram's and AppendRows' check: rows of this width in [0, 1].
   Status CheckRows(const FloatMatrix& rows) const;
-
-  Status CheckQuery(std::span<const float> query) const;
 
   /// The checks DeviceBatch and HostRecomputeBatch (`op`) share: a handle
   /// to fill and operands PrepareBatch left for this geometry.

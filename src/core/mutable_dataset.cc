@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "data/normalize.h"
 
 namespace pimine {
 
@@ -46,14 +47,7 @@ Status MutableDataset::Insert(const FloatMatrix& rows) {
   if (corpus_.rows() > 0 && rows.cols() != corpus_.cols()) {
     return Status::InvalidArgument("inserted row dimensionality mismatch");
   }
-  for (size_t i = 0; i < rows.rows(); ++i) {
-    for (float v : rows.row(i)) {
-      if (!(v >= 0.0f && v <= 1.0f)) {
-        return Status::InvalidArgument(
-            "inserted rows must be normalized into [0, 1]");
-      }
-    }
-  }
+  PIMINE_RETURN_IF_ERROR(CheckUnitRange(rows.values(), "inserted rows"));
   corpus_.AppendRows(rows);
   tombstone_.resize(corpus_.rows(), 0);
   for (MutationListener* l : listeners_) {
@@ -74,9 +68,8 @@ Status MutableDataset::Delete(size_t row) {
   }
   tombstone_[row] = 1;
   ++tombstone_count_;
-  const uint32_t deleted[] = {static_cast<uint32_t>(row)};
   for (MutationListener* l : listeners_) {
-    PIMINE_RETURN_IF_ERROR(l->OnDelete(deleted));
+    PIMINE_RETURN_IF_ERROR(l->OnDelete(row));
   }
   return Status::OK();
 }

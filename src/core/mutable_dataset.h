@@ -15,8 +15,8 @@ namespace pimine {
 
 /// Observer of one MutableDataset's mutations (DESIGN.md section 13). The
 /// kNN paths, the k-means assignment filter and the serving layer
-/// implement this to keep their device state (delta regions, tombstone
-/// bitmaps, per-row offline terms) in lockstep with the host corpus.
+/// implement this to keep their fleet (delta rows, deleted flags, per-row
+/// offline terms) in lockstep with the host corpus.
 ///
 /// Call ordering contract: the dataset mutates its own corpus FIRST, then
 /// notifies listeners in attach order — a listener reading the corpus
@@ -29,9 +29,9 @@ class MutationListener {
   /// [corpus.rows() - rows.rows(), corpus.rows()).
   virtual Status OnInsert(const FloatMatrix& rows) = 0;
 
-  /// Physical rows `rows` were tombstoned (values stay in place until the
+  /// Physical row `row` was tombstoned (its values stay in place until the
   /// next compaction).
-  virtual Status OnDelete(std::span<const uint32_t> rows) = 0;
+  virtual Status OnDelete(size_t row) = 0;
 
   /// The corpus was compacted: `live` lists the surviving OLD physical ids
   /// in ascending order; survivor live[i] now has physical id i.

@@ -4,6 +4,7 @@
 #include <span>
 
 #include "common/logging.h"
+#include "data/normalize.h"
 #include "pim/crossbar_math.h"
 
 namespace pimine {
@@ -19,13 +20,7 @@ Result<std::unique_ptr<PartitionedPimEngine>> PartitionedPimEngine::Build(
     const FloatMatrix& data, const EngineOptions& options) {
   PIMINE_RETURN_IF_ERROR(options.Validate());
   if (data.empty()) return Status::InvalidArgument("empty dataset");
-  for (size_t i = 0; i < data.rows(); ++i) {
-    for (float v : data.row(i)) {
-      if (!(v >= 0.0f && v <= 1.0f)) {
-        return Status::InvalidArgument("data must be normalized into [0, 1]");
-      }
-    }
-  }
+  PIMINE_RETURN_IF_ERROR(CheckUnitRange(data.values(), "data"));
   const int64_t d = static_cast<int64_t>(data.cols());
   if (!FitsInPimArray(1, options.operand_bits, d, options.pim_config)) {
     return Status::CapacityExceeded(

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "data/normalize.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "profiling/run_stats.h"
@@ -85,7 +86,9 @@ Result<std::unique_ptr<ShardedPimEngine>> ShardedPimEngine::Build(
     }
     fleet->shard_counters_.push_back(std::make_unique<ShardCounters>());
     fleet->shard_counters_.back()->health.resize(options.shard.replicas);
+    fleet->shard_live_.push_back(fleet->map_.rows_per_shard[j].size());
   }
+  fleet->deleted_.assign(data.rows(), 0);
   return fleet;
 }
 
@@ -351,19 +354,24 @@ double ShardedPimEngine::BoundFor(const QueryHandleBatch& batch, size_t query,
                                   size_t index) const {
   PIMINE_DCHECK(index < num_objects_);
   const uint32_t j = map_.shard_of[index];
+  if (deleted_[index] != 0) return primary(j).PruneBound();
   return primary(j).BoundFor(batch.shards[j], query, map_.local_of[index]);
 }
 
 void ShardedPimEngine::BoundsFor(const QueryHandleBatch& batch, size_t query,
                                  std::span<double> out) const {
   PIMINE_CHECK(out.size() == num_objects_);
-  if (engines_.size() == 1) {
-    // One shard holds every row in global order: no scatter map needed.
-    primary(0).BoundsFor(batch.shards[0], query, out);
-    return;
-  }
   for (size_t j = 0; j < engines_.size(); ++j) {
-    primary(j).BoundsFor(batch.shards[j], query, out, map_.rows_per_shard[j]);
+    // Only a shard holding deleted rows reads the flags.
+    const std::span<const uint8_t> deleted =
+        shard_live_[j] < map_.rows_per_shard[j].size()
+            ? std::span<const uint8_t>(deleted_)
+            : std::span<const uint8_t>();
+    // One shard holds every row in global order: no scatter map needed.
+    const std::span<const uint32_t> scatter =
+        engines_.size() == 1 ? std::span<const uint32_t>()
+                             : std::span<const uint32_t>(map_.rows_per_shard[j]);
+    primary(j).BoundsFor(batch.shards[j], query, out, scatter, deleted);
   }
 }
 
@@ -376,14 +384,7 @@ Status ShardedPimEngine::AppendRows(const FloatMatrix& rows) {
   }
   // Validate the whole batch BEFORE mutating any shard, so a bad row
   // cannot leave some replicas appended and others not.
-  for (size_t i = 0; i < rows.rows(); ++i) {
-    for (float v : rows.row(i)) {
-      if (!(v >= 0.0f && v <= 1.0f)) {
-        return Status::InvalidArgument(
-            "appended rows must be normalized into [0, 1]");
-      }
-    }
-  }
+  PIMINE_RETURN_IF_ERROR(CheckUnitRange(rows.values(), "appended rows"));
   const size_t m = engines_.size();
   // Round-robin placement by append sequence: group the batch's rows by
   // target shard preserving order, so each shard's slice is appended in
@@ -400,6 +401,7 @@ Status ShardedPimEngine::AppendRows(const FloatMatrix& rows) {
     for (const auto& e : engines_[j]) {
       PIMINE_RETURN_IF_ERROR(e->AppendRows(part));
     }
+    shard_live_[j] += picks[j].size();
   }
   // Extend the global routing map. Appended ids exceed every existing id,
   // so pushing back keeps each shard's global-id list ascending — the
@@ -414,6 +416,8 @@ Status ShardedPimEngine::AppendRows(const FloatMatrix& rows) {
   }
   append_seq_ += rows.rows();
   num_objects_ += rows.rows();
+  deleted_.resize(num_objects_, 0);
+  delta_objects_ += rows.rows();
   fleet_counters_.Add<&FleetRunStats::appended_rows>(rows.rows());
   return Status::OK();
 }
@@ -422,32 +426,38 @@ Status ShardedPimEngine::DeleteRow(size_t index) {
   if (index >= num_objects_) {
     return Status::InvalidArgument("DeleteRow index out of range");
   }
-  const uint32_t j = map_.shard_of[index];
-  const uint32_t local = map_.local_of[index];
-  // Replicas hold identical tombstone state, so the first call performs
-  // all validation (out-of-range / double delete / last-live guard) before
-  // mutating; later replicas cannot fail differently.
-  for (const auto& e : engines_[j]) {
-    PIMINE_RETURN_IF_ERROR(e->DeleteRow(local));
+  if (deleted_[index] != 0) {
+    return Status::InvalidArgument("row is already deleted");
   }
+  const uint32_t j = map_.shard_of[index];
+  if (shard_live_[j] <= 1) {
+    return Status::FailedPrecondition("cannot delete the last live row");
+  }
+  deleted_[index] = 1;
+  --shard_live_[j];
   fleet_counters_.Add<&FleetRunStats::deleted_rows>(1);
   return Status::OK();
 }
 
 bool ShardedPimEngine::IsDeleted(size_t index) const {
   PIMINE_DCHECK(index < num_objects_);
-  return primary(map_.shard_of[index]).IsDeleted(map_.local_of[index]);
+  return deleted_[index] != 0;
 }
 
 Status ShardedPimEngine::Compact() {
   const size_t m = engines_.size();
+  // Each shard's survivors in shard-local order, which every replica of the
+  // shard keeps.
   std::vector<std::vector<uint32_t>> live_local(m);
   for (size_t j = 0; j < m; ++j) {
-    for (size_t r = 0; r < engines_[j].size(); ++r) {
-      // Replica tombstone state is identical, so every replica compacts to
-      // the same live list; keep the primary's for the map renumber.
-      PIMINE_RETURN_IF_ERROR(
-          engines_[j][r]->Compact(r == 0 ? &live_local[j] : nullptr));
+    const std::vector<uint32_t>& rows = map_.rows_per_shard[j];
+    for (size_t local = 0; local < rows.size(); ++local) {
+      if (deleted_[rows[local]] == 0) {
+        live_local[j].push_back(static_cast<uint32_t>(local));
+      }
+    }
+    for (const auto& e : engines_[j]) {
+      PIMINE_RETURN_IF_ERROR(e->Compact(live_local[j]));
     }
   }
   // Renumber survivors densely in ascending OLD global id — the ids a
@@ -475,6 +485,8 @@ Status ShardedPimEngine::Compact() {
   }
   map_ = std::move(next);
   num_objects_ = survivors.size();
+  deleted_.assign(num_objects_, 0);
+  delta_objects_ = 0;
   fleet_counters_.Add<&FleetRunStats::compactions>(1);
   fleet_counters_.Add<&FleetRunStats::compacted_rows>(survivors.size());
   return Status::OK();
@@ -482,20 +494,8 @@ Status ShardedPimEngine::Compact() {
 
 size_t ShardedPimEngine::live_objects() const {
   size_t live = 0;
-  for (size_t j = 0; j < engines_.size(); ++j) live += primary(j).live_objects();
+  for (const size_t shard_live : shard_live_) live += shard_live;
   return live;
-}
-
-size_t ShardedPimEngine::delta_objects() const {
-  size_t delta = 0;
-  for (size_t j = 0; j < engines_.size(); ++j) {
-    delta += primary(j).delta_objects();
-  }
-  return delta;
-}
-
-size_t ShardedPimEngine::tombstoned_objects() const {
-  return num_objects_ - live_objects();
 }
 
 int ShardedPimEngine::serving_replica(size_t j) const {

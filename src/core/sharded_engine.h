@@ -135,19 +135,22 @@ class ShardedPimEngine {
   void set_chaos(const ChaosSchedule* chaos) { chaos_ = chaos; }
 
   /// The bound for `batch` query `query` against GLOBAL object `index`:
-  /// routed to shard_of(index) and combined there. Bit-identical to the
-  /// single-device BoundFor.
+  /// PruneBound() for a deleted row, else routed to shard_of(index) and
+  /// combined there. Bit-identical to the single-device BoundFor.
   double BoundFor(const QueryHandleBatch& batch, size_t query,
                   size_t index) const;
 
   /// The bounds of `batch` query `query` for every GLOBAL object, into
   /// `out` (num_objects() values): one PimEngine::BoundsFor span per shard,
-  /// scattered through ShardMap::rows_per_shard. Bit-identical to BoundFor
-  /// on each object, with the same traffic totals.
+  /// scattered through ShardMap::rows_per_shard, with the deleted flags of
+  /// a shard that holds deleted rows. Bit-identical to BoundFor on each
+  /// object, with the same traffic totals.
   void BoundsFor(const QueryHandleBatch& batch, size_t query,
                  std::span<double> out) const;
 
   // --- Mutable datasets (DESIGN.md section 13) -------------------------
+  // The fleet is the one record of row state (deleted_, shard_live_ and
+  // delta_objects_ below); its devices and shard engines keep none of it.
   /// Appends `rows` to the fleet. Each appended row is assigned the next
   /// global id (num_objects() before the call + its position) and routed
   /// round-robin over the shards by append sequence; the row is delta-
@@ -155,27 +158,29 @@ class ShardedPimEngine {
   /// holding identical shard datasets. Because appended global ids exceed
   /// all existing ids, shard-local layouts stay ascending in global id and
   /// BoundFor routing stays bit-identical to a merged re-build. Mutations
-  /// must be externally serialized against queries and other mutations
-  /// (FleetStats snapshots stay safe); on error the fleet may be left
-  /// partially mutated and should be discarded.
+  /// must be externally serialized against queries, other mutations and
+  /// FleetStats snapshots; on error the fleet may be left partially
+  /// mutated and should be discarded.
   Status AppendRows(const FloatMatrix& rows);
-  /// Tombstones GLOBAL row `index` on every replica of its shard. Fails
-  /// with InvalidArgument when out of range or already deleted, and with
-  /// FailedPrecondition when it would empty a shard (every shard keeps at
-  /// least one live row).
+  /// Records GLOBAL row `index` as deleted: its bound becomes PruneBound()
+  /// (sorts last, never refined), so results are bit-identical to a fleet
+  /// that never held the row, while its crossbar rows keep computing
+  /// until Compact (a delete writes no cell). Fails with InvalidArgument
+  /// when out of range or already deleted, and with FailedPrecondition
+  /// when it would empty a shard (every shard keeps at least one live
+  /// row); a refused delete changes nothing.
   Status DeleteRow(size_t index);
-  /// Whether GLOBAL row `index` is tombstoned.
+  /// Whether GLOBAL row `index` is deleted.
   bool IsDeleted(size_t index) const;
-  /// Rewrites every shard's base + delta into a fresh dense base holding
-  /// only live rows (full re-program at program cost on every replica) and
-  /// renumbers global ids densely in ascending old-id order — identical to
-  /// the ids of a from-scratch build of the merged live dataset.
+  /// Rewrites every shard's live rows into a fresh dense base (full
+  /// re-program at program cost on every replica) and renumbers global ids
+  /// densely in ascending old-id order — identical to the ids of a
+  /// from-scratch build of the merged live dataset.
   Status Compact();
-  /// Rows not tombstoned / appended since the last full (re-)program /
-  /// currently tombstoned, summed over the primary copies.
+  /// Rows not deleted / appended since the last compaction / deleted.
   size_t live_objects() const;
-  size_t delta_objects() const;
-  size_t tombstoned_objects() const;
+  size_t delta_objects() const { return delta_objects_; }
+  size_t tombstoned_objects() const { return num_objects_ - live_objects(); }
 
   // --- Fleet geometry -------------------------------------------------
   size_t shards() const { return engines_.size(); }
@@ -380,6 +385,10 @@ class ShardedPimEngine {
   // Drives the round-robin row placement and survives compaction, so a
   // long insert stream keeps balancing the shards.
   uint64_t append_seq_ = 0;
+  // The record of row state (see Mutable datasets above).
+  std::vector<uint8_t> deleted_;    // 1 per deleted GLOBAL row.
+  std::vector<size_t> shard_live_;  // each shard's rows not deleted.
+  size_t delta_objects_ = 0;        // rows appended since the last Compact.
 };
 
 /// The open and close of every run's RunStats: kNN Search, k-means Run,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 namespace pimine {
 
@@ -41,6 +42,17 @@ FloatMatrix MinMaxScaler::Transform(const FloatMatrix& data) const {
     TransformRow(data.row(i), out.mutable_row(i));
   }
   return out;
+}
+
+Status CheckUnitRange(std::span<const float> values, std::string_view what) {
+  for (float v : values) {
+    if (!(v >= 0.0f && v <= 1.0f)) {
+      return Status::InvalidArgument(
+          std::string(what) + " must be normalized into [0, 1]; use "
+          "MinMaxScaler");
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace pimine

@@ -1,6 +1,8 @@
 #ifndef PIMINE_DATA_NORMALIZE_H_
 #define PIMINE_DATA_NORMALIZE_H_
 
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -32,6 +34,11 @@ class MinMaxScaler {
   std::vector<float> mins_;
   std::vector<float> maxs_;
 };
+
+/// OK when every value lies in [0, 1], the range MinMaxScaler maps a
+/// dataset into and the PIM quantizer requires; otherwise InvalidArgument
+/// naming `what` (e.g. "queries", "appended rows").
+Status CheckUnitRange(std::span<const float> values, std::string_view what);
 
 }  // namespace pimine
 

@@ -318,15 +318,12 @@ Status PimAssignFilter::OnInsert(const FloatMatrix& rows) {
   return Status::OK();
 }
 
-Status PimAssignFilter::OnDelete(std::span<const uint32_t> rows) {
-  for (const uint32_t row : rows) {
-    PIMINE_RETURN_IF_ERROR(engine_->DeleteRow(row));
-    const auto it =
-        std::lower_bound(live_ids_.begin(), live_ids_.end(), row);
-    PIMINE_CHECK(it != live_ids_.end() && *it == row)
-        << "deleted row " << row << " missing from the live view";
-    live_ids_.erase(it);
-  }
+Status PimAssignFilter::OnDelete(size_t row) {
+  PIMINE_RETURN_IF_ERROR(engine_->DeleteRow(row));
+  const auto it = std::lower_bound(live_ids_.begin(), live_ids_.end(), row);
+  PIMINE_CHECK(it != live_ids_.end() && *it == row)
+      << "deleted row " << row << " missing from the live view";
+  live_ids_.erase(it);
   return Status::OK();
 }
 

@@ -242,7 +242,7 @@ class PimAssignFilter : public MutationListener {
       const FloatMatrix& data, const EngineOptions& options);
 
   Status OnInsert(const FloatMatrix& rows) override;
-  Status OnDelete(std::span<const uint32_t> rows) override;
+  Status OnDelete(size_t row) override;
   Status OnCompact(const std::vector<uint32_t>& live) override;
 
   /// Runs the PIM operations for the current centers (call at the start of

@@ -9,12 +9,9 @@ Status PimKnnBase::OnInsert(const FloatMatrix& rows) {
   return engine_->AppendRows(rows);
 }
 
-Status PimKnnBase::OnDelete(std::span<const uint32_t> rows) {
+Status PimKnnBase::OnDelete(size_t row) {
   if (engine_ == nullptr) return Status::FailedPrecondition("Prepare first");
-  for (const uint32_t row : rows) {
-    PIMINE_RETURN_IF_ERROR(engine_->DeleteRow(row));
-  }
-  return Status::OK();
+  return engine_->DeleteRow(row);
 }
 
 Status PimKnnBase::OnCompact(const std::vector<uint32_t>& /*live*/) {

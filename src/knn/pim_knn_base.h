@@ -1,7 +1,6 @@
 #ifndef PIMINE_KNN_PIM_KNN_BASE_H_
 #define PIMINE_KNN_PIM_KNN_BASE_H_
 
-#include <span>
 #include <vector>
 
 #include "core/engine.h"
@@ -24,7 +23,7 @@ namespace pimine {
 class PimKnnBase : public KnnSearchBase, public MutationListener {
  public:
   Status OnInsert(const FloatMatrix& rows) override;
-  Status OnDelete(std::span<const uint32_t> rows) final;
+  Status OnDelete(size_t row) final;
   Status OnCompact(const std::vector<uint32_t>& live) override;
 
   double OfflineModeledNs() const override {

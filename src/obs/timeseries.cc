@@ -158,6 +158,10 @@ uint64_t TimeSeries::TrailingSum(const Series* s, size_t span) const {
 
 TimeSeries::BurnRate TimeSeries::SloBurn() const {
   std::lock_guard<std::mutex> lock(mu_);
+  return SloBurnLocked();
+}
+
+TimeSeries::BurnRate TimeSeries::SloBurnLocked() const {
   BurnRate burn;
   if (slo_bad_.empty() || slo_total_.empty() || options_.slo_budget <= 0.0) {
     return burn;
@@ -243,21 +247,8 @@ std::string TimeSeries::ToJson() const {
   }
   out.append(first_series ? "}" : "\n}");
 
-  // SLO burn block (mirrors SloBurn(), inlined to stay under one lock).
-  double short_burn = 0.0, long_burn = 0.0;
-  if (!slo_bad_.empty() && !slo_total_.empty() && options_.slo_budget > 0.0) {
-    const Series* bad = FindSeries(slo_bad_);
-    const Series* total = FindSeries(slo_total_);
-    const auto burn_over = [&](size_t burn_span) {
-      const uint64_t t = TrailingSum(total, burn_span);
-      if (t == 0) return 0.0;
-      return (static_cast<double>(TrailingSum(bad, burn_span)) /
-              static_cast<double>(t)) /
-             options_.slo_budget;
-    };
-    short_burn = burn_over(options_.slo_short_windows);
-    long_burn = burn_over(options_.slo_long_windows);
-  }
+  // SLO burn block, under the lock the series were read under.
+  const BurnRate burn = SloBurnLocked();
   out.append(",\n\"slo\": {\"bad\": \"")
       .append(slo_bad_)
       .append("\", \"total\": \"")
@@ -269,9 +260,9 @@ std::string TimeSeries::ToJson() const {
       .append(", \"long_windows\": ")
       .append(std::to_string(options_.slo_long_windows))
       .append(", \"short_burn\": ")
-      .append(FormatDouble(short_burn))
+      .append(FormatDouble(burn.short_burn))
       .append(", \"long_burn\": ")
-      .append(FormatDouble(long_burn))
+      .append(FormatDouble(burn.long_burn))
       .append("}\n}\n");
   return out;
 }

@@ -110,6 +110,9 @@ class TimeSeries {
   bool Retained(uint64_t w) const;
   /// Sum of counter `name` over the trailing `span` windows.
   uint64_t TrailingSum(const Series* s, size_t span) const;
+  /// SloBurn's figures; the caller holds mu_ (SloBurn, and ToJson, which
+  /// writes them under the same lock as the series).
+  BurnRate SloBurnLocked() const;
 
   TimeSeriesOptions options_;
   mutable std::mutex mu_;

@@ -222,7 +222,8 @@ struct FleetRunStats : InterconnectStats {
   uint64_t deleted_rows = 0;    // tombstones recorded.
   uint64_t compactions = 0;     // fleet-wide compaction passes.
   uint64_t compacted_rows = 0;  // live rows rewritten by compactions.
-  /// Current un-compacted delta rows / live tombstones (primary copies).
+  /// Current un-compacted delta rows / deleted rows, from the fleet's one
+  /// record of row state (a count per fleet, not per copy).
   uint64_t delta_rows = 0;
   uint64_t tombstoned_rows = 0;
   /// Write-endurance totals summed over every device copy (replicas are

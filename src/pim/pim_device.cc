@@ -123,9 +123,6 @@ Status PimDevice::ProgramInternal(const IntMatrix& data, int operand_bits) {
   data_ = data;
   data_max_ = data_max;
   operand_bits_ = operand_bits;
-  base_rows_ = data_.rows();
-  tombstone_.assign(data_.rows(), 0);
-  tombstone_count_ = 0;
   RecordLayout();
   // Row-parallel programming: every used crossbar row is written once.
   const uint64_t rows_written =
@@ -138,7 +135,7 @@ Status PimDevice::ProgramInternal(const IntMatrix& data, int operand_bits) {
   // once. Wear marking must precede BuildFaultState so worn slots draw
   // their wear stuck-ats against the new contents.
   ChargeRowWrites(0, data_.rows());
-  if (faults_ != nullptr) BuildFaultState();
+  if (faults_ != nullptr) BuildFaultState(0);
   obs::AddCounter("pimine_device_programs_total", 1);
   if (obs::Obs* o = obs::Obs::Get()) {
     if (o->trace().options().device_events) {
@@ -253,33 +250,21 @@ void PimDevice::RebuildGroupChecksum(size_t g, bool count_cells,
   }
 }
 
-void PimDevice::BuildFaultState() {
+void PimDevice::BuildFaultState(size_t first_row) {
   const size_t n = data_.rows();
   const size_t s = data_.cols();
-  const int slices = NumSlices(operand_bits_, config_.cell_bits);
-  fault_group_size_ = std::max<size_t>(
-      1, static_cast<size_t>(config_.crossbar_dim / slices));
-  const size_t num_groups = (n + fault_group_size_ - 1) / fault_group_size_;
-
-  stuck_.assign(n, {});
-  uint64_t stuck_cells = 0;
-  for (size_t v = 0; v < n; ++v) {
-    stuck_[v] = ComputeObjectStuck(v, &stuck_cells);
+  if (first_row == 0) {
+    // A full program: nothing of the old contents survives.
+    const int slices = NumSlices(operand_bits_, config_.cell_bits);
+    fault_group_size_ = std::max<size_t>(
+        1, static_cast<size_t>(config_.crossbar_dim / slices));
+    stuck_.clear();
+    csum_.clear();
+    csum_stuck_.clear();
+    remapped_.clear();
   }
-  csum_.assign(num_groups * s, 0);
-  csum_stuck_.assign(num_groups, {});
-  remapped_.assign(num_groups, 0);
-  for (size_t g = 0; g < num_groups; ++g) {
-    RebuildGroupChecksum(g, /*count_cells=*/true, &stuck_cells);
-  }
-  stats_.fault.stuck_cells += stuck_cells;
-}
-
-void PimDevice::ExtendFaultState(size_t old_n) {
-  const size_t n = data_.rows();
-  const size_t s = data_.cols();
   const size_t old_groups =
-      (old_n + fault_group_size_ - 1) / fault_group_size_;
+      (first_row + fault_group_size_ - 1) / fault_group_size_;
   const size_t num_groups = (n + fault_group_size_ - 1) / fault_group_size_;
 
   // Position-deterministic draws: appending rows one at a time, in bulk, or
@@ -287,7 +272,7 @@ void PimDevice::ExtendFaultState(size_t old_n) {
   // cells on the same (object, dim, slice) coordinates.
   stuck_.resize(n);
   uint64_t stuck_cells = 0;
-  for (size_t v = old_n; v < n; ++v) {
+  for (size_t v = first_row; v < n; ++v) {
     const size_t g = v / fault_group_size_;
     // Appends into a remapped group land on its clean spare rows.
     if (g < remapped_.size() && remapped_[g]) continue;
@@ -296,10 +281,10 @@ void PimDevice::ExtendFaultState(size_t old_n) {
   csum_.resize(num_groups * s, 0);
   csum_stuck_.resize(num_groups);
   remapped_.resize(num_groups, 0);
-  // The partial group the first appended row lands in changes content (its
+  // The partial group the first new row lands in changes content (its
   // checksum column is rewritten in place — draws already counted); groups
   // past old_groups are brand new.
-  for (size_t g = old_n / fault_group_size_; g < num_groups; ++g) {
+  for (size_t g = first_row / fault_group_size_; g < num_groups; ++g) {
     RebuildGroupChecksum(g, /*count_cells=*/g >= old_groups, &stuck_cells);
   }
   stats_.fault.stuck_cells += stuck_cells;
@@ -346,7 +331,6 @@ Status PimDevice::ProgramDelta(const IntMatrix& rows) {
   const size_t old_n = data_.rows();
   data_.AppendRows(rows);
   data_max_ = std::max(data_max_, rows_max);
-  tombstone_.resize(data_.rows(), 0);
   RecordLayout();
   // Incremental programming: each append slot is one row-parallel write.
   // Repeated addition keeps program_ns bit-identical across any grouping
@@ -358,7 +342,7 @@ Status PimDevice::ProgramDelta(const IntMatrix& rows) {
     delta_ns += row_ns;
   }
   ChargeRowWrites(old_n, rows.rows());
-  if (faults_ != nullptr) ExtendFaultState(old_n);
+  if (faults_ != nullptr) BuildFaultState(old_n);
   obs::AddCounter("pimine_device_delta_programs_total", 1);
   obs::AddCounter("pimine_device_delta_vectors_total",
                   static_cast<int64_t>(rows.rows()));
@@ -370,21 +354,6 @@ Status PimDevice::ProgramDelta(const IntMatrix& rows) {
                           static_cast<int64_t>(s));
     }
   }
-  return Status::OK();
-}
-
-Status PimDevice::Tombstone(size_t row) {
-  if (!programmed()) {
-    return Status::FailedPrecondition("no dataset programmed");
-  }
-  if (row >= data_.rows()) {
-    return Status::InvalidArgument("tombstone row out of range");
-  }
-  if (tombstone_[row] != 0) {
-    return Status::InvalidArgument("row is already tombstoned");
-  }
-  tombstone_[row] = 1;
-  ++tombstone_count_;
   return Status::OK();
 }
 
@@ -411,7 +380,7 @@ Status PimDevice::CompactRows(std::span<const uint32_t> live) {
   }
   // A compaction is a full program of the fresh base: endurance-counted,
   // charged at ProgramLatencyNs over every written crossbar row, fault
-  // state rebuilt, tombstones and delta region cleared.
+  // state rebuilt.
   PIMINE_RETURN_IF_ERROR(ProgramInternal(next, operand_bits_));
   ++stats_.compactions;
   stats_.compacted_rows += live.size();

@@ -98,47 +98,32 @@ class PimDevice {
 
   /// Explicit full re-program: replaces whatever is programmed (if
   /// anything) with `data`, charged at full program cost and counted
-  /// against write endurance. Clears tombstones and the delta region;
-  /// fault state is rebuilt for the new contents (per-slot wear counters
-  /// persist — the physical rows are the same cells). The memory array's
-  /// auxiliary store is released too: its terms described the replaced
-  /// vectors, and the caller stores the new ones (StoreAux).
+  /// against write endurance. Fault state is rebuilt for the new contents
+  /// (per-slot wear counters persist — the physical rows are the same
+  /// cells). The memory array's auxiliary store is released too: its
+  /// terms described the replaced vectors, and the caller stores the new
+  /// ones (StoreAux).
   Status ReprogramDataset(const IntMatrix& data, int operand_bits = 32);
 
   /// Appends `rows` (same dimensionality and operand width as the
-  /// programmed dataset) to the delta region: each appended vector is one
-  /// incremental row-parallel write charged at ProgramLatencyNs(1), so any
-  /// grouping of appends accumulates bit-identical program time. Fails
-  /// with CapacityExceeded when the grown dataset would violate Theorem 4.
-  /// Not safe concurrently with in-flight DotProductBatch calls — callers
-  /// quiesce queries around mutations (the engines do).
+  /// programmed dataset) after the programmed rows: each appended vector
+  /// is one incremental row-parallel write charged at ProgramLatencyNs(1),
+  /// so any grouping of appends accumulates bit-identical program time.
+  /// Fails with CapacityExceeded when the grown dataset would violate
+  /// Theorem 4. Not safe concurrently with in-flight DotProductBatch
+  /// calls — callers quiesce queries around mutations (the engines do).
+  /// The device keeps no record of deletes: every programmed row computes
+  /// until a compaction drops it (DESIGN.md section 13).
   Status ProgramDelta(const IntMatrix& rows);
 
-  /// Marks one row deleted. The physical row keeps computing dot products
-  /// (the analog pass is row-parallel either way); readers consult
-  /// tombstoned() to route bounds around it. InvalidArgument when the row
-  /// is out of range or already tombstoned.
-  Status Tombstone(size_t row);
-
-  /// Rewrites the live rows (`live`: strictly ascending physical indices)
-  /// into a fresh base in one compaction pass, charged at full program
-  /// cost. Tombstones and the delta region are cleared; each surviving
-  /// vector's new slot gets one endurance write.
+  /// Rewrites the rows `live` (strictly ascending physical indices, at
+  /// least one) into a fresh base in one compaction pass, charged at full
+  /// program cost; each surviving vector's new slot gets one endurance
+  /// write.
   Status CompactRows(std::span<const uint32_t> live);
 
   /// True once a dataset is programmed.
   bool programmed() const { return !data_.empty(); }
-
-  /// Rows in the delta (append) region since the last full (re)program.
-  size_t delta_rows() const { return data_.rows() - base_rows_; }
-  /// Rows currently tombstoned.
-  size_t tombstoned_rows() const { return tombstone_count_; }
-  /// Rows that still count: programmed rows (base + delta) minus
-  /// tombstoned_rows().
-  size_t live_rows() const { return data_.rows() - tombstone_count_; }
-  bool tombstoned(size_t row) const {
-    return row < tombstone_.size() && tombstone_[row] != 0;
-  }
   /// Times physical slot `slot` has been programmed (base programs, delta
   /// appends and compaction rewrites all count once per touched slot).
   uint64_t RowWrites(size_t slot) const {
@@ -257,15 +242,13 @@ class PimDevice {
   void RebuildGroupChecksum(size_t g, bool count_cells,
                             uint64_t* stuck_cells);
 
-  /// Samples stuck cells and builds the checksum columns for the newly
-  /// programmed dataset (fault model enabled only).
-  void BuildFaultState();
-
-  /// Incremental fault-state update for rows appended at [old_n,
-  /// data_.rows()): position-deterministic stuck draws for the new vectors
-  /// and checksum recomputation for the affected groups — byte-identical
-  /// state to a full BuildFaultState over the grown dataset.
-  void ExtendFaultState(size_t old_n);
+  /// Samples stuck cells for rows [first_row, data_.rows()) and rebuilds
+  /// the checksum columns of the groups they touch (fault model enabled
+  /// only). A full program passes 0, which drops the old state first;
+  /// ProgramDelta passes the old row count. The draws are position-
+  /// deterministic, so appending rows in any grouping leaves the state a
+  /// full program of the merged rows builds.
+  void BuildFaultState(size_t first_row);
 
   /// The argument checks DotProductBatch and HostRecomputeBatch (`op`)
   /// share, then the batch's exact wraparound dot products into `out`.
@@ -288,11 +271,6 @@ class PimDevice {
   /// largest query operand it bounds the GEMM's products.
   uint32_t data_max_ = 0;
   int operand_bits_ = 32;
-  /// Rows in the base region; data_.rows() - base_rows_ is the delta.
-  size_t base_rows_ = 0;
-  /// Tombstone bitmap over data_ rows + current count.
-  std::vector<uint8_t> tombstone_;
-  size_t tombstone_count_ = 0;
   /// Per-physical-slot write counters + worn flags. Never reset: the same
   /// physical rows back every (re)program, so wear accumulates for life.
   std::vector<uint32_t> row_writes_;

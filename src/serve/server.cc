@@ -142,13 +142,8 @@ Status PimServer::OnInsert(const FloatMatrix& rows) {
   return Mutate([&] { return engine_->AppendRows(rows); });
 }
 
-Status PimServer::OnDelete(std::span<const uint32_t> rows) {
-  return Mutate([&] {
-    for (const uint32_t row : rows) {
-      PIMINE_RETURN_IF_ERROR(engine_->DeleteRow(row));
-    }
-    return Status::OK();
-  });
+Status PimServer::OnDelete(size_t row) {
+  return Mutate([&] { return engine_->DeleteRow(row); });
 }
 
 Status PimServer::CheckLiveRows() const {
@@ -160,7 +155,7 @@ Status PimServer::CheckLiveRows() const {
 }
 
 Status PimServer::OnCompact(const std::vector<uint32_t>& live) {
-  (void)live;  // the engine tracks its own tombstones.
+  (void)live;  // the fleet derives the survivors from its own record.
   return Mutate([&] { return engine_->Compact(); });
 }
 

@@ -243,7 +243,7 @@ class PimServer : public MutationListener {
   /// corpus left with fewer than ServeOptions::k live rows is refused by
   /// Replay and Start instead.
   Status OnInsert(const FloatMatrix& rows) override;
-  Status OnDelete(std::span<const uint32_t> rows) override;
+  Status OnDelete(size_t row) override;
   Status OnCompact(const std::vector<uint32_t>& live) override;
 
   /// True when an attached dataset's tombstone fraction has reached

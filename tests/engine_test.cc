@@ -270,26 +270,23 @@ TEST(EngineReprogramTest, BoundsEqualAFreshBuild) {
   }
 }
 
-// A reprogram is one full program: it clears tombstones and the delta
-// region and is charged and counted against endurance.
+// A reprogram is one full program: it replaces the base and the appended
+// rows and is charged and counted against endurance.
 TEST(EngineReprogramTest, ClearsMutationsAndChargesAFullProgram) {
   auto built = PimEngine::Build(RandomUnitMatrix(40, 24, 30),
                                 Distance::kEuclidean, EngineOptions());
   ASSERT_TRUE(built.ok());
   PimEngine& engine = **built;
   ASSERT_TRUE(engine.AppendRows(RandomUnitMatrix(5, 24, 31)).ok());
-  ASSERT_TRUE(engine.DeleteRow(3).ok());
-  ASSERT_EQ(engine.delta_objects(), 5u);
-  ASSERT_TRUE(engine.IsDeleted(3));
+  ASSERT_EQ(engine.num_objects(), 45u);
+  ASSERT_EQ(engine.device(0).stats().programmed_vectors, 45);
   const PimDeviceStats before = engine.device(0).stats();
   const double offline_before = engine.OfflineNs();
 
   ASSERT_TRUE(engine.Reprogram(RandomUnitMatrix(20, 24, 32)).ok());
   EXPECT_EQ(engine.num_objects(), 20u);
-  EXPECT_EQ(engine.live_objects(), 20u);
-  EXPECT_EQ(engine.delta_objects(), 0u);
-  EXPECT_FALSE(engine.IsDeleted(3));
   const PimDeviceStats& after = engine.device(0).stats();
+  EXPECT_EQ(after.programmed_vectors, 20);
   EXPECT_EQ(after.programming_events, before.programming_events + 1);
   EXPECT_EQ(after.row_writes, before.row_writes + 20);
   // The Phi store holds the new rows' terms only.

@@ -518,6 +518,62 @@ TEST(MutationModelTest, FleetCountersAndMetricsTrackMutations) {
   EXPECT_NE(text.find("pimine_mutation_delta_rows 0"), std::string::npos);
 }
 
+// The fleet records each delete once: a refused delete (out of range,
+// already deleted, or a shard's last live row) returns its code and
+// changes neither the deleted flags nor the fleet's counters, whatever the
+// replica count.
+TEST(MutationModelTest, RefusedDeletesLeaveTheFleetUnchanged) {
+  const FloatMatrix base = RandomUnitMatrix(12, 8, 0x3C);
+  for (int replicas : {1, 2}) {
+    SCOPED_TRACE("replicas=" + std::to_string(replicas));
+    EngineOptions options;
+    options.shard.shards = 2;
+    options.shard.replicas = replicas;
+    auto built = ShardedPimEngine::Build(base, Distance::kEuclidean, options);
+    ASSERT_TRUE(built.ok());
+    ShardedPimEngine& fleet = **built;
+    // Every row of shard 0 but its last.
+    const std::vector<uint32_t> shard0 = fleet.shard_map().rows_per_shard[0];
+    ASSERT_GE(shard0.size(), 2u);
+    for (size_t i = 0; i + 1 < shard0.size(); ++i) {
+      ASSERT_TRUE(fleet.DeleteRow(shard0[i]).ok());
+    }
+
+    const auto deleted_flags = [&] {
+      std::vector<bool> flags;
+      for (size_t i = 0; i < fleet.num_objects(); ++i) {
+        flags.push_back(fleet.IsDeleted(i));
+      }
+      return flags;
+    };
+    const std::vector<bool> flags = deleted_flags();
+    const size_t live = fleet.live_objects();
+    const FleetRunStats stats = fleet.FleetStats();
+    ASSERT_EQ(live, base.rows() + 1 - shard0.size());
+    ASSERT_EQ(stats.deleted_rows, shard0.size() - 1);
+    ASSERT_EQ(stats.tombstoned_rows, shard0.size() - 1);
+
+    const struct {
+      size_t row;
+      StatusCode code;
+    } refused[] = {
+        {fleet.num_objects(), StatusCode::kInvalidArgument},  // out of range.
+        {shard0[0], StatusCode::kInvalidArgument},            // twice.
+        {shard0.back(), StatusCode::kFailedPrecondition},     // last live.
+    };
+    for (const auto& r : refused) {
+      EXPECT_EQ(fleet.DeleteRow(r.row).code(), r.code) << "row " << r.row;
+      EXPECT_EQ(deleted_flags(), flags) << "row " << r.row;
+      EXPECT_EQ(fleet.live_objects(), live) << "row " << r.row;
+      const FleetRunStats after = fleet.FleetStats();
+      EXPECT_EQ(after.deleted_rows, stats.deleted_rows) << "row " << r.row;
+      EXPECT_EQ(after.tombstoned_rows, stats.tombstoned_rows)
+          << "row " << r.row;
+      EXPECT_EQ(after.ToString(), stats.ToString()) << "row " << r.row;
+    }
+  }
+}
+
 /// Parsed ops in the trace grammar, each delete as a range.
 std::string FormatTrace(const std::vector<MutationOp>& ops) {
   std::string out;

@@ -1,5 +1,6 @@
 #include "pim/pim_device.h"
 
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -215,6 +216,48 @@ TEST(PimDeviceTest, OperandBoundFollowsEveryProgramPath) {
 
   ASSERT_TRUE(device.ReprogramDataset(grown).ok());
   ExpectDotsMatchTripleLoop(device, grown, queries, num_queries);
+}
+
+// A delta append builds fault state only from its first row on, yet lands
+// on the state one program of the merged rows builds: the same stuck data
+// cells, so the same corrupted dot products with verification off, and the
+// same checksum columns, so the same recovery with it on. The 13 base rows
+// end inside a 16-row checksum group (256-cell crossbars, 16 two-bit
+// slices per operand), which the delta completes before opening another.
+TEST(PimDeviceTest, DeltaFaultStateEqualsMergedProgram) {
+  const size_t s = 29, num_queries = 3;
+  const IntMatrix base = RandomIntMatrix(13, s, 1 << 20, 5);
+  const IntMatrix delta = RandomIntMatrix(10, s, 1 << 20, 6);
+  IntMatrix merged = base;
+  merged.AppendRows(delta);
+  Rng rng(7);
+  std::vector<int32_t> queries(num_queries * s);
+  for (int32_t& v : queries) {
+    v = static_cast<int32_t>(rng.NextBounded(1 << 20));
+  }
+  FaultConfig fault;
+  fault.cell_rate = 1e-2;
+  for (VerifyMode mode : {VerifyMode::kNone, VerifyMode::kHostExact}) {
+    SCOPED_TRACE(std::string(VerifyModeName(mode)));
+    RecoveryPolicy recovery;
+    recovery.verify_mode = mode;
+    PimDevice appended(PimConfig(), fault, recovery);
+    ASSERT_TRUE(appended.ProgramDataset(base).ok());
+    ASSERT_TRUE(appended.ProgramDelta(delta).ok());
+    PimDevice programmed(PimConfig(), fault, recovery);
+    ASSERT_TRUE(programmed.ProgramDataset(merged).ok());
+
+    std::vector<uint64_t> got, want;
+    ASSERT_TRUE(appended.DotProductBatch(queries, num_queries, &got).ok());
+    ASSERT_TRUE(programmed.DotProductBatch(queries, num_queries, &want).ok());
+    EXPECT_EQ(got, want);
+    const FaultStats& a = appended.stats().fault;
+    const FaultStats& p = programmed.stats().fault;
+    EXPECT_GT(a.stuck_cells, 0u);
+    EXPECT_GT(a.injected, 0u);
+    EXPECT_EQ(a.stuck_cells, p.stuck_cells);
+    EXPECT_EQ(a.ToString(), p.ToString());
+  }
 }
 
 TEST(PimTimingTest, LatencyScalesWithGatherDepthAndBits) {

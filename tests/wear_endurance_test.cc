@@ -56,13 +56,8 @@ TEST(WearEnduranceTest, ProgramAccountingSumsExactly) {
   const IntMatrix delta = RandomIntMatrix(4, 8, 100, 2);
   ASSERT_TRUE(device.ProgramDelta(delta).ok());
   EXPECT_EQ(device.StatsSnapshot().row_writes, 14u);
-  EXPECT_EQ(device.delta_rows(), 4u);
 
-  // Tombstones are metadata: no cell is written.
-  ASSERT_TRUE(device.Tombstone(3).ok());
-  ASSERT_TRUE(device.Tombstone(11).ok());
-  EXPECT_EQ(device.StatsSnapshot().row_writes, 14u);
-
+  // Compaction drops rows 3 and 11 and rewrites the other 12.
   std::vector<uint32_t> live;
   for (uint32_t v = 0; v < 14; ++v) {
     if (v != 3 && v != 11) live.push_back(v);
@@ -99,11 +94,9 @@ TEST(WearEnduranceTest, WearCountersSurviveCompaction) {
   PimDevice device(PimConfig(), WearConfig(2, 1.0));
   const IntMatrix base = RandomIntMatrix(8, 8, 100, 4);
   ASSERT_TRUE(device.ProgramDataset(base).ok());
-  ASSERT_TRUE(device.Tombstone(0).ok());
   std::vector<uint32_t> live;
   for (uint32_t v = 1; v < 8; ++v) live.push_back(v);
   ASSERT_TRUE(device.CompactRows(live).ok());  // slots 0..6 now at 2 writes.
-  ASSERT_TRUE(device.Tombstone(0).ok());
   live.clear();
   for (uint32_t v = 1; v < 7; ++v) live.push_back(v);
   ASSERT_TRUE(device.CompactRows(live).ok());  // slots 0..5 now at 3 > 2.
@@ -184,9 +177,7 @@ TEST(WearEnduranceTest, MutationUnderWearStaysExactAndBalanced) {
 
   const auto mutate = [&](StandardPimKnn* knn) {
     ASSERT_TRUE(knn->OnInsert(extra).ok());
-    std::vector<uint32_t> deleted;
-    for (uint32_t v = 0; v < 10; ++v) deleted.push_back(v * 3);
-    ASSERT_TRUE(knn->OnDelete(deleted).ok());
+    for (uint32_t v = 0; v < 10; ++v) ASSERT_TRUE(knn->OnDelete(v * 3).ok());
     std::vector<uint32_t> live;
     for (uint32_t v = 0; v < 72; ++v) {
       if (v % 3 != 0 || v >= 30) live.push_back(v);
