@@ -34,6 +34,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/logging.h"
 #include "core/sharded_engine.h"
@@ -75,6 +76,17 @@ BENCHMARK(BM_CrossbarPipelineDotProduct)
     ->Args({256, 8})
     ->Args({256, 32});
 
+// Uniform operands below `limit` (2^20: operands at alpha = 1e6).
+std::vector<int32_t> GemmOperands(size_t count, uint32_t limit, Rng& rng) {
+  std::vector<int32_t> values(count);
+  for (int32_t& v : values) v = static_cast<int32_t>(rng.NextBounded(limit));
+  return values;
+}
+
+uint32_t MaxOperand(const std::vector<int32_t>& values) {
+  return static_cast<uint32_t>(*std::max_element(values.begin(), values.end()));
+}
+
 // One DotProductBatch of Q queries; items are multiply-adds. The shapes
 // are the workloads' device matrices: knn-msd's LB_PIM-FNN segments
 // (20000 x 105), a kmeans-nuswide-sized matrix (1500 x 500) and a small
@@ -83,36 +95,84 @@ void BM_DeviceBatchDotProduct(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const size_t d = static_cast<size_t>(state.range(1));
   const size_t num_queries = static_cast<size_t>(state.range(2));
-  constexpr uint32_t kLimit = 1 << 20;  // operands at alpha = 1e6
-  IntMatrix data(n, d);
+  constexpr uint32_t kLimit = 1 << 20;
   Rng rng(2);
+  const std::vector<int32_t> values = GemmOperands(n * d, kLimit, rng);
+  IntMatrix data(n, d);
   for (size_t i = 0; i < n; ++i) {
-    for (int32_t& v : data.mutable_row(i)) {
-      v = static_cast<int32_t>(rng.NextBounded(kLimit));
-    }
+    std::copy_n(values.begin() + i * d, d, data.mutable_row(i).begin());
   }
   PimDevice device;
   if (!device.ProgramDataset(data).ok()) {
     state.SkipWithError("program failed");
     return;
   }
-  std::vector<int32_t> queries(num_queries * d);
-  for (auto& v : queries) v = static_cast<int32_t>(rng.NextBounded(kLimit));
+  const std::vector<int32_t> queries =
+      GemmOperands(num_queries * d, kLimit, rng);
   std::vector<uint64_t> out;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         device.DotProductBatch(queries, num_queries, &out));
   }
   state.SetItemsProcessed(state.iterations() * n * d * num_queries);
-  // The tier these operands run on.
-  state.SetLabel(
-      std::string(GemmTierName(GemmTierFor(kLimit - 1, kLimit - 1))));
+  // The tier DotProductBatch ran: the GEMM it calls, on these operands.
+  state.SetLabel(std::string(GemmTierName(DotProductGemm(
+      values.data(), n, d, MaxOperand(values), queries.data(), num_queries,
+      MaxOperand(queries), out.data()))));
 }
 BENCHMARK(BM_DeviceBatchDotProduct)
     ->ArgNames({"n", "s", "Q"})
     ->ArgsProduct({{20000}, {105}, {1, 3, 5, 6, 7, 8, 16, 32}})
     ->ArgsProduct({{1500}, {500}, {1, 3, 5, 6, 7, 8, 16, 32}})
     ->ArgsProduct({{512}, {420}, {1, 3, 5, 6, 7, 8, 16, 32}});
+
+// DotProductGemm forced onto one tier (0 = scalar, 1 = AVX2, 2 = AVX-512,
+// 3 = AMX) at the device shapes above, for every batch width up to 16 and
+// 24 and 32: the table that sets which widths run on AMX. Operands are
+// below 2^20; the label names the tier that ran (AMX gives way on the
+// widths it loses).
+void BM_GemmTier(benchmark::State& state) {
+  const auto tier = static_cast<GemmTier>(state.range(0));
+  const size_t n = static_cast<size_t>(state.range(1));
+  const size_t s = static_cast<size_t>(state.range(2));
+  const size_t num_queries = static_cast<size_t>(state.range(3));
+  if (!GemmTierSupported(tier)) {
+    state.SkipWithError("tier not supported on this host");
+    return;
+  }
+  constexpr uint32_t kLimit = 1 << 20;
+  Rng rng(4);
+  const std::vector<int32_t> data = GemmOperands(n * s, kLimit, rng);
+  const std::vector<int32_t> queries =
+      GemmOperands(num_queries * s, kLimit, rng);
+  std::vector<uint64_t> out(num_queries * n);
+  GemmTier ran = tier;
+  for (auto _ : state) {
+    ran = DotProductGemm(tier, data.data(), n, s, kLimit - 1, queries.data(),
+                         num_queries, kLimit - 1, out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n * s * num_queries);
+  state.SetLabel(std::string(GemmTierName(ran)));
+}
+BENCHMARK(BM_GemmTier)
+    ->ArgNames({"tier", "n", "s", "Q"})
+    ->ArgsProduct({{0, 1, 2, 3},
+                   {512},
+                   {420},
+                   {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 24,
+                    32}})
+    ->ArgsProduct({{0, 1, 2, 3},
+                   {20000},
+                   {105},
+                   {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 24,
+                    32}})
+    ->ArgsProduct({{0, 1, 2, 3},
+                   {1500},
+                   {500},
+                   {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 24,
+                    32}});
 
 // One query's bounds over a 20000-row corpus, per engine mode (0 = ED,
 // 1 = FNN, 2 = SM, 3 = CS, 4 = PCC): span = 1 runs one

@@ -1,7 +1,13 @@
 #include "pim/dot_gemm.h"
 
 #include <algorithm>
+#include <memory>
 #include <vector>
+
+#if defined(__linux__)
+#include <sys/syscall.h>
+#include <unistd.h>
+#endif
 
 #include "common/logging.h"
 
@@ -62,14 +68,6 @@ void GemmScalar(const int32_t* data, size_t n, size_t s,
     ScalarTiles(data, s, vb, std::min(n, vb + kObjectBlock), n, queries, 0,
                 num_queries, out);
   }
-}
-
-// `tier`, or AVX2 where `tier` is AVX-512 and a product of operands up to
-// these maxima could reach 2^52: the IFMA kernels add only a product's low
-// 52 bits.
-GemmTier ExactTier(GemmTier tier, uint32_t data_max, uint32_t query_max) {
-  const bool ifma_exact = uint64_t{data_max} * query_max < (uint64_t{1} << 52);
-  return tier == GemmTier::kAvx512 && !ifma_exact ? GemmTier::kAvx2 : tier;
 }
 
 #if defined(PIMINE_GEMM_X86)
@@ -203,7 +201,7 @@ __attribute__((target("avx2"))) void Avx2AlongS(const int32_t* data,
 // with an _mm512_undefined_epi32() passthrough operand, which
 // -W(maybe-)uninitialized misreports as a read of uninitialized memory
 // (and -Werror turns into a build failure). The operand is never read;
-// silence the warnings for the AVX-512 kernels only.
+// silence the warnings for the AVX-512 and AMX kernels only.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #pragma GCC diagnostic ignored "-Wuninitialized"
@@ -416,6 +414,328 @@ __attribute__((target("avx512f,avx512ifma"))) void IfmaAlongS(
   }
 }
 
+// The AMX tier is the paper's bit-sliced crossbar (Fig. 2) with 8-bit
+// slices. tdpbuud adds four products of unsigned bytes into each int32 lane
+// of a C tile:
+//
+//   C[m][c] += sum_k sum_{i<4} A[m][4k + i] * B[k][4c + i].
+//
+// A little-endian int32 holds its four 8-bit slices in its four bytes, so an
+// A tile is 16 programmed rows x 16 dimensions loaded where the rows already
+// are. Column c of a B tile belongs to (query p, weight w) and holds, at
+// byte i, the query's slice w - i (zero outside its slices). Lane C[m][c]
+// then sums every slice pair of weight 2^(8w) over the tile's dimensions,
+// and the combine step adds uint64(C) << 8w mod 2^64: the crossbar's
+// shift-and-add. An operand below 2^24 has 3 slices, else 4, so a query
+// takes 5 columns when both operand maxima are below 2^24 (3 queries per
+// tile) and 6 or 7 otherwise (2 queries per tile).
+
+// Data rows per A tile and dimensions per tile row (64 bytes).
+constexpr size_t kAmxRows = 16;
+constexpr size_t kAmxDims = 16;
+// One weight's lane adds at most 4 byte pairs per dimension, each below
+// 255^2, so the int32 sums are combined at least every 8,192 dimensions:
+// 4 * 255^2 * 8,192 < 2^31.
+constexpr size_t kAmxFlushChunks = 8192 / kAmxDims;
+// A narrower batch whose products IFMA adds exactly runs on IFMA. AMX
+// takes as long for 1 or 2 queries as for a full tile of 3: at 512 x 420
+// one tile took 38 us, where IFMA ran 1 and 2 queries in 25 and 35 us
+// (BM_GemmTier).
+constexpr size_t kAmxMinQueries = 3;
+// Tile registers: tmm0 holds an A tile, tmm1 a B tile and tmm2-tmm7 up to
+// six C tiles. A row of s >= 16 dimensions ends in a K tail of s mod 16:
+// its chunk re-reads the row's last 16 dimensions, and the B rows of those
+// already counted are zero, so no tile load reads past a row. A row of
+// s < 16 is one chunk, and the A and B tiles take the shape of s
+// dimensions.
+constexpr size_t kAmxMaxCTiles = 6;
+// A pass packs as many query tiles as fit in this many bytes (at least
+// one) and runs them over the rows; wider batches take more passes. The
+// bound keeps the pack below glibc's default mmap threshold (128 KiB): a
+// larger one is mmapped, and freeing it raises the threshold, after which
+// each thread's arena keeps such buffers.
+constexpr size_t kAmxPackBytes = 112 * 1024;
+// With more than one pass, the passes take the rows in blocks of about
+// this many bytes, so that the second pass reads them from L2 rather than
+// from memory; each block packs every pass again.
+constexpr size_t kAmxRowBlockBytes = 1024 * 1024;
+
+// A B tile: 16 rows of 16 words.
+constexpr size_t kAmxTileWords = 256;
+
+// The tile configuration ldtilecfg reads (palette 1).
+struct alignas(64) AmxConfig {
+  uint8_t palette = 1;
+  uint8_t start_row = 0;
+  uint8_t reserved[14] = {};
+  uint16_t colsb[16] = {};
+  uint8_t rows[16] = {};
+};
+
+size_t Slices(uint32_t max) { return max < (1u << 24) ? 3 : 4; }
+
+// Packs the queries into 64-byte aligned B tiles, chunk-major: the tile
+// of queries [t * per_tile, (t + 1) * per_tile) in chunk c starts at word
+// (c * tiles + t) * 256. Each B row is one dimension; lane p * weights + w
+// holds query p's slices in reverse byte order, shifted so that byte i
+// holds slice w - i.
+__attribute__((target("avx512f,avx512bw"))) void AmxPackQueries(
+    const int32_t* queries, size_t s, size_t num_queries, size_t weights,
+    size_t per_tile, size_t tiles, uint32_t* rows) {
+  alignas(64) uint32_t pick[16], right[16], left[16];
+  __mmask16 third = 0;
+  for (uint32_t c = 0; c < 16; ++c) {
+    const uint32_t p = c / weights, w = c % weights;
+    const bool used = p < per_tile;
+    // Query 0 or 1 comes from the pair (x[0], x[1]), query 2 from x[2].
+    pick[c] = 16 * (p & 1);
+    if (used && p == 2) third = static_cast<__mmask16>(third | (1u << c));
+    // A shift by 32 clears a lane: word = (r >> right) | (r << left).
+    right[c] = used && w <= 3 ? 8 * (3 - w) : 32;
+    left[c] = used && w >= 3 ? 8 * (w - 3) : 32;
+  }
+  const __m512i reverse = _mm512_broadcast_i32x4(
+      _mm_setr_epi8(3, 2, 1, 0, 7, 6, 5, 4, 11, 10, 9, 8, 15, 14, 13, 12));
+  const __m512i right_v = _mm512_load_si512(right);
+  const __m512i left_v = _mm512_load_si512(left);
+  const __m512i one = _mm512_set1_epi32(1);
+  const size_t full = s / kAmxDims;
+  const size_t chunks = (s + kAmxDims - 1) / kAmxDims;
+  for (size_t c = 0; c < chunks; ++c) {
+    // Chunk c's B rows are dimensions [j0, j0 + len), those in `dims`.
+    size_t j0 = c * kAmxDims, len = kAmxDims;
+    __mmask16 dims = 0xFFFF;
+    if (c == full && s >= kAmxDims) {
+      j0 = s - kAmxDims;
+      dims = static_cast<__mmask16>(0xFFFFu << (kAmxDims - s % kAmxDims));
+    } else if (c == full) {
+      len = s;
+      dims = static_cast<__mmask16>((1u << s) - 1);
+    }
+    for (size_t t = 0; t < tiles; ++t) {
+      const size_t q0 = t * per_tile;
+      const size_t count = std::min(per_tile, num_queries - q0);
+      __m512i x[3] = {_mm512_setzero_si512(), _mm512_setzero_si512(),
+                      _mm512_setzero_si512()};
+      for (size_t p = 0; p < count; ++p) {
+        x[p] = _mm512_shuffle_epi8(
+            _mm512_maskz_loadu_epi32(dims, queries + (q0 + p) * s + j0),
+            reverse);
+      }
+      uint32_t* tile = rows + (c * tiles + t) * kAmxTileWords;
+      __m512i idx = _mm512_load_si512(pick);
+      for (size_t k = 0; k < len; ++k) {
+        __m512i r = _mm512_permutex2var_epi32(x[0], idx, x[1]);
+        r = _mm512_mask_permutexvar_epi32(r, third, idx, x[2]);
+        _mm512_store_si512(tile + 16 * k,
+                           _mm512_or_si512(_mm512_srlv_epi32(r, right_v),
+                                           _mm512_sllv_epi32(r, left_v)));
+        idx = _mm512_add_epi32(idx, one);
+      }
+    }
+  }
+}
+
+// Transposes 16 x 16 32-bit values held one row per register.
+__attribute__((target("avx512f"))) inline void Transpose16(__m512i (&r)[16]) {
+  __m512i t[16];
+  for (size_t i = 0; i < 16; i += 2) {
+    t[i] = _mm512_unpacklo_epi32(r[i], r[i + 1]);
+    t[i + 1] = _mm512_unpackhi_epi32(r[i], r[i + 1]);
+  }
+  for (size_t i = 0; i < 16; i += 4) {
+    r[i] = _mm512_unpacklo_epi64(t[i], t[i + 2]);
+    r[i + 1] = _mm512_unpackhi_epi64(t[i], t[i + 2]);
+    r[i + 2] = _mm512_unpacklo_epi64(t[i + 1], t[i + 3]);
+    r[i + 3] = _mm512_unpackhi_epi64(t[i + 1], t[i + 3]);
+  }
+  for (size_t i = 0; i < 4; ++i) {
+    t[i] = _mm512_shuffle_i32x4(r[i], r[i + 4], 0x88);
+    t[i + 4] = _mm512_shuffle_i32x4(r[i], r[i + 4], 0xdd);
+    t[i + 8] = _mm512_shuffle_i32x4(r[i + 8], r[i + 12], 0x88);
+    t[i + 12] = _mm512_shuffle_i32x4(r[i + 8], r[i + 12], 0xdd);
+  }
+  for (size_t i = 0; i < 8; ++i) {
+    r[i] = _mm512_shuffle_i32x4(t[i], t[i + 8], 0x88);
+    r[i + 8] = _mm512_shuffle_i32x4(t[i], t[i + 8], 0xdd);
+  }
+}
+
+// The shift-and-add: query p's sums over the 16 rows of one C tile are
+// sum_w uint64(c[m][p * weights + w]) << 8w. They are written to out for
+// rows [v, v + 16), or added there after a flush.
+__attribute__((target("avx512f"))) void AmxCombine(
+    const int32_t (*c)[16], size_t weights, size_t count, size_t v, size_t n,
+    size_t q, bool add, uint64_t* out) {
+  __m512i col[16];
+  for (size_t m = 0; m < 16; ++m) col[m] = _mm512_load_si512(c[m]);
+  Transpose16(col);
+  for (size_t p = 0; p < count; ++p) {
+    __m512i lo = _mm512_setzero_si512(), hi = _mm512_setzero_si512();
+    for (size_t w = 0; w < weights; ++w) {
+      const __m512i x = col[p * weights + w];
+      const __m128i shift = _mm_cvtsi32_si128(static_cast<int>(8 * w));
+      lo = _mm512_add_epi64(
+          lo, _mm512_sll_epi64(
+                  _mm512_cvtepu32_epi64(_mm512_castsi512_si256(x)), shift));
+      hi = _mm512_add_epi64(
+          hi, _mm512_sll_epi64(
+                  _mm512_cvtepu32_epi64(_mm512_extracti64x4_epi64(x, 1)),
+                  shift));
+    }
+    uint64_t* dst = out + (q + p) * n + v;
+    if (add) {
+      lo = _mm512_add_epi64(lo, _mm512_loadu_si512(dst));
+      hi = _mm512_add_epi64(hi, _mm512_loadu_si512(dst + 8));
+    }
+    _mm512_storeu_si512(dst, lo);
+    _mm512_storeu_si512(dst + 8, hi);
+  }
+}
+
+// The intrinsics name tile registers by literal, so C tile t (tmm2 + t) is
+// reached through a switch that each unrolled loop folds.
+#define PIMINE_AMX_ON_C(t, op) \
+  switch (t) {                 \
+    case 0:                    \
+      op(2);                   \
+      break;                   \
+    case 1:                    \
+      op(3);                   \
+      break;                   \
+    case 2:                    \
+      op(4);                   \
+      break;                   \
+    case 3:                    \
+      op(5);                   \
+      break;                   \
+    case 4:                    \
+      op(6);                   \
+      break;                   \
+    default:                   \
+      op(7);                   \
+      break;                   \
+  }
+#define PIMINE_AMX_ZERO(reg) _tile_zero(reg)
+#define PIMINE_AMX_DP(reg) _tile_dpbuud(reg, 0, 1)
+#define PIMINE_AMX_STORE(reg) _tile_stored(reg, sums[t], 64)
+
+// One pass: `tiles` packed B tiles per chunk holding queries [q0, q0 +
+// num_queries), `per_tile` to a tile, `weights` columns each.
+struct AmxPass {
+  const uint32_t* bpk;
+  size_t tiles;
+  size_t weights;
+  size_t per_tile;
+  size_t q0;
+  size_t num_queries;
+};
+
+// kTiles C tiles (the pass's B tiles [t0, t0 + kTiles) of each chunk)
+// against the 16 rows at `row`, whose sums go to rows [v, v + 16) of out.
+template <size_t kTiles>
+__attribute__((target("amx-tile,amx-int8,avx512f"))) void AmxRowBlock(
+    const int32_t* row, size_t s, const AmxPass& pass, size_t t0, size_t v,
+    size_t n, uint64_t* out) {
+  const size_t stride = s * sizeof(int32_t);
+  const size_t full = s / kAmxDims;
+  const size_t chunks = (s + kAmxDims - 1) / kAmxDims;
+  const size_t tail = s >= kAmxDims ? s - kAmxDims : 0;
+  alignas(64) int32_t sums[kTiles][16][16];
+  for (size_t c0 = 0; c0 < chunks; c0 += kAmxFlushChunks) {
+    const size_t c1 = std::min(chunks, c0 + kAmxFlushChunks);
+#pragma GCC unroll 6
+    for (size_t t = 0; t < kTiles; ++t) PIMINE_AMX_ON_C(t, PIMINE_AMX_ZERO)
+    for (size_t c = c0; c < c1; ++c) {
+      _tile_loadd(0, row + (c < full ? c * kAmxDims : tail), stride);
+      const uint32_t* b = pass.bpk + (c * pass.tiles + t0) * kAmxTileWords;
+#pragma GCC unroll 6
+      for (size_t t = 0; t < kTiles; ++t) {
+        _tile_loadd(1, b + t * kAmxTileWords, 64);
+        PIMINE_AMX_ON_C(t, PIMINE_AMX_DP)
+      }
+    }
+#pragma GCC unroll 6
+    for (size_t t = 0; t < kTiles; ++t) PIMINE_AMX_ON_C(t, PIMINE_AMX_STORE)
+    for (size_t t = 0; t < kTiles; ++t) {
+      const size_t q = (t0 + t) * pass.per_tile;
+      AmxCombine(sums[t], pass.weights,
+                 std::min(pass.per_tile, pass.num_queries - q), v, n,
+                 pass.q0 + q, c0 > 0, out);
+    }
+  }
+}
+
+#undef PIMINE_AMX_STORE
+#undef PIMINE_AMX_DP
+#undef PIMINE_AMX_ZERO
+#undef PIMINE_AMX_ON_C
+
+// AmxRowBlock<t + 1> for t + 1 C tiles.
+constexpr decltype(&AmxRowBlock<1>) kAmxRowBlocks[kAmxMaxCTiles] = {
+    &AmxRowBlock<1>, &AmxRowBlock<2>, &AmxRowBlock<3>,
+    &AmxRowBlock<4>, &AmxRowBlock<5>, &AmxRowBlock<6>};
+
+// The AMX tier over rows [0, n / 16 * 16); the caller runs the rest.
+__attribute__((target("amx-tile,amx-int8,avx512f"))) void GemmAmx(
+    const int32_t* data, size_t n, size_t s, uint32_t data_max,
+    const int32_t* queries, size_t num_queries, uint32_t query_max,
+    uint64_t* out) {
+  const size_t weights = Slices(data_max) + Slices(query_max) - 1;
+  const size_t per_tile = 16 / weights;
+  const size_t tiles = (num_queries + per_tile - 1) / per_tile;
+  const size_t chunks = (s + kAmxDims - 1) / kAmxDims;
+  const size_t tile_bytes = chunks * kAmxTileWords * sizeof(uint32_t);
+  const size_t pass_tiles =
+      std::clamp<size_t>(kAmxPackBytes / tile_bytes, 1, tiles);
+  // Aligned by hand: 64-byte aligned allocations fragmented glibc's
+  // thread arenas (pimbench serve-mixed's peak RSS read 35.9-37.1 MB
+  // against 31.8). The pack writes every word a tile load reads.
+  const auto storage = std::make_unique_for_overwrite<uint32_t[]>(
+      chunks * pass_tiles * kAmxTileWords + 15);
+  uint32_t* const packed =
+      storage.get() +
+      (-reinterpret_cast<uintptr_t>(storage.get()) / sizeof(uint32_t) % 16);
+
+  // tmm0 is an A tile of k dimensions, tmm1 a B tile of k rows.
+  AmxConfig config;
+  const size_t k = std::min(s, kAmxDims);
+  for (size_t reg = 0; reg < 8; ++reg) {
+    config.colsb[reg] = static_cast<uint16_t>(reg == 0 ? 4 * k : 64);
+    config.rows[reg] = static_cast<uint8_t>(reg == 1 ? k : 16);
+  }
+  // ldtilecfg reads all 64 bytes; the "m" operand says so (the intrinsic's
+  // operand covers only the first eight).
+  __asm__ volatile("ldtilecfg %0" : : "m"(config));
+  const size_t rows = n / kAmxRows * kAmxRows;
+  const size_t block_rows =
+      pass_tiles == tiles
+          ? rows
+          : std::max(kAmxRows, kAmxRowBlockBytes / (s * sizeof(int32_t)) /
+                                   kAmxRows * kAmxRows);
+  for (size_t v0 = 0; v0 < rows; v0 += block_rows) {
+    for (size_t g = 0; g < tiles; g += pass_tiles) {
+      const size_t g_tiles = std::min(pass_tiles, tiles - g);
+      const size_t q0 = g * per_tile;
+      const AmxPass pass = {packed, g_tiles, weights, per_tile, q0,
+                            std::min(num_queries - q0, g_tiles * per_tile)};
+      AmxPackQueries(queries + pass.q0 * s, s, pass.num_queries, weights,
+                     per_tile, pass.tiles, packed);
+      // The tile loads read `packed` through asm that names no memory.
+      __asm__ volatile("" : : : "memory");
+      for (size_t v = v0; v < std::min(rows, v0 + block_rows);
+           v += kAmxRows) {
+        const int32_t* row = data + v * s;
+        for (size_t t0 = 0; t0 < pass.tiles; t0 += kAmxMaxCTiles) {
+          kAmxRowBlocks[std::min(kAmxMaxCTiles, pass.tiles - t0) - 1](
+              row, s, pass, t0, v, n, out);
+        }
+      }
+    }
+  }
+  _tile_release();
+}
+
 #if !defined(__clang__)
 #pragma GCC diagnostic pop
 #endif
@@ -440,14 +760,14 @@ constexpr SimdKernels kIfmaKernels = {
     {nullptr, &IfmaAlongS<1>, &IfmaAlongS<2>, &IfmaAlongS<3>, &IfmaAlongS<4>,
      &IfmaAlongS<5>, &IfmaAlongS<6>, &IfmaAlongS<7>}};
 
-// The AVX2 and AVX-512 tiers. Full groups of 16 queries go to tile16,
-// then a remainder of 8-15 to one tile8, then the last 1-7 queries to one
-// pass along s, so every query group makes one pass over the rows. Tiled
-// queries meet the last block's up-to-3 rows left over by the 4-row tiles
-// on the scalar tile.
+// The AVX2 and AVX-512 tiers over rows [first_row, n). Full groups of 16
+// queries go to tile16, then a remainder of 8-15 to one tile8, then the
+// last 1-7 queries to one pass along s, so every query group makes one
+// pass over the rows. Tiled queries meet the last block's up-to-3 rows
+// left over by the 4-row tiles on the scalar tile.
 void GemmSimd(const SimdKernels& kernels, const int32_t* data, size_t n,
               size_t s, const int32_t* queries, size_t num_queries,
-              uint64_t* out) {
+              uint64_t* out, size_t first_row = 0) {
   const size_t tiled16 =
       kernels.tile16 != nullptr ? num_queries / 16 * 16 : 0;
   const size_t tiled = tiled16 + (num_queries - tiled16) / 8 * 8;
@@ -464,7 +784,7 @@ void GemmSimd(const SimdKernels& kernels, const int32_t* data, size_t n,
   const uint64_t* qpk = packed.data();
   const Kernel remainder = kernels.remainder[num_queries - tiled];
 
-  for (size_t vb = 0; vb < n; vb += kObjectBlock) {
+  for (size_t vb = first_row; vb < n; vb += kObjectBlock) {
     const size_t vend = std::min(n, vb + kObjectBlock);
     const size_t vend4 = vb + (vend - vb) / 4 * 4;
     for (size_t q = 0; q < tiled16; q += 16) {
@@ -480,7 +800,43 @@ void GemmSimd(const SimdKernels& kernels, const int32_t* data, size_t n,
   }
 }
 
+
 #endif  // PIMINE_GEMM_X86
+
+// The tier DotProductGemm runs for `tier` on this batch. AVX-512 gives way
+// to AVX2 where a product of operands up to these maxima could reach 2^52:
+// the IFMA kernels add only a product's low 52 bits. AMX gives way to the
+// best tier below it on fewer than 16 rows, and to IFMA on a batch
+// narrower than kAmxMinQueries.
+GemmTier TierThatRuns(GemmTier tier, size_t n, size_t num_queries,
+                      uint32_t data_max, uint32_t query_max) {
+  const bool ifma_exact = uint64_t{data_max} * query_max < (uint64_t{1} << 52);
+#if defined(PIMINE_GEMM_X86)
+  if (tier == GemmTier::kAmx) {
+    const GemmTier below =
+        ifma_exact && GemmTierSupported(GemmTier::kAvx512) ? GemmTier::kAvx512
+                                                           : GemmTier::kAvx2;
+    const bool narrow =
+        num_queries < kAmxMinQueries && below == GemmTier::kAvx512;
+    return n < kAmxRows || narrow ? below : tier;
+  }
+#endif
+  return tier == GemmTier::kAvx512 && !ifma_exact ? GemmTier::kAvx2 : tier;
+}
+
+#if defined(PIMINE_GEMM_X86) && defined(__linux__)
+// Linux hands out the AMX tile state only on request, once per process
+// (arch_prctl ARCH_REQ_XCOMP_PERM for XFEATURE_XTILEDATA).
+bool AmxPermitted() {
+  static const bool permitted = [] {
+    constexpr long kArchReqXcompPerm = 0x1023;
+    constexpr long kXfeatureXtiledata = 18;
+    return syscall(SYS_arch_prctl, kArchReqXcompPerm, kXfeatureXtiledata) ==
+           0;
+  }();
+  return permitted;
+}
+#endif
 
 }  // namespace
 
@@ -492,6 +848,8 @@ std::string_view GemmTierName(GemmTier tier) {
       return "avx2";
     case GemmTier::kAvx512:
       return "avx512";
+    case GemmTier::kAmx:
+      return "amx";
   }
   return "?";
 }
@@ -508,9 +866,21 @@ bool GemmTierSupported(GemmTier tier) {
       return __builtin_cpu_supports("avx512f") != 0 &&
              __builtin_cpu_supports("avx512ifma") != 0 &&
              __builtin_cpu_supports("avx2") != 0;
+    case GemmTier::kAmx:
+#if defined(__linux__)
+      // Narrow batches and the rows left over by the 16-row tiles run on
+      // AVX-512 or AVX2; the queries are packed with AVX-512BW.
+      return __builtin_cpu_supports("amx-tile") != 0 &&
+             __builtin_cpu_supports("amx-int8") != 0 &&
+             __builtin_cpu_supports("avx512bw") != 0 &&
+             __builtin_cpu_supports("avx2") != 0 && AmxPermitted();
+#else
+      return false;
+#endif
 #else
     case GemmTier::kAvx2:
     case GemmTier::kAvx512:
+    case GemmTier::kAmx:
       return false;
 #endif
   }
@@ -519,16 +889,13 @@ bool GemmTierSupported(GemmTier tier) {
 
 GemmTier BestGemmTier() {
   static const GemmTier best = [] {
-    for (GemmTier tier : {GemmTier::kAvx512, GemmTier::kAvx2}) {
+    for (GemmTier tier :
+         {GemmTier::kAmx, GemmTier::kAvx512, GemmTier::kAvx2}) {
       if (GemmTierSupported(tier)) return tier;
     }
     return GemmTier::kScalar;
   }();
   return best;
-}
-
-GemmTier GemmTierFor(uint32_t data_max, uint32_t query_max) {
-  return ExactTier(BestGemmTier(), data_max, query_max);
 }
 
 GemmTier DotProductGemm(const int32_t* data, size_t n, size_t s,
@@ -543,10 +910,20 @@ GemmTier DotProductGemm(GemmTier tier, const int32_t* data, size_t n,
                         size_t s, uint32_t data_max, const int32_t* queries,
                         size_t num_queries, uint32_t query_max,
                         uint64_t* out) {
-  PIMINE_DCHECK(GemmTierSupported(tier)) << GemmTierName(tier);
-  tier = ExactTier(tier, data_max, query_max);
+  // A forced AMX tier also needs the permission GemmTierSupported asks for.
+  PIMINE_CHECK(GemmTierSupported(tier)) << GemmTierName(tier);
+  tier = TierThatRuns(tier, n, num_queries, data_max, query_max);
   switch (tier) {
 #if defined(PIMINE_GEMM_X86)
+    case GemmTier::kAmx: {
+      GemmAmx(data, n, s, data_max, queries, num_queries, query_max, out);
+      // The rows left over by the 16-row tiles.
+      const GemmTier rest =
+          TierThatRuns(tier, 0, num_queries, data_max, query_max);
+      GemmSimd(rest == GemmTier::kAvx512 ? kIfmaKernels : kAvx2Kernels, data,
+               n, s, queries, num_queries, out, n / kAmxRows * kAmxRows);
+      return tier;
+    }
     case GemmTier::kAvx512:
       GemmSimd(kIfmaKernels, data, n, s, queries, num_queries, out);
       return tier;
@@ -554,6 +931,7 @@ GemmTier DotProductGemm(GemmTier tier, const int32_t* data, size_t n,
       GemmSimd(kAvx2Kernels, data, n, s, queries, num_queries, out);
       return tier;
 #else
+    case GemmTier::kAmx:
     case GemmTier::kAvx512:
     case GemmTier::kAvx2:
 #endif

@@ -253,10 +253,10 @@ inline constexpr obs::StatField<FleetRunStats> kFleetFields[] = {
     {&FleetRunStats::compacted_rows, "pimine_mutation_compacted_rows_total",
      "Live rows rewritten by compaction passes.", obs::kLifetime},
     {&FleetRunStats::delta_rows, "pimine_mutation_delta_rows",
-     "Un-compacted delta rows currently programmed (primary copies).",
+     "Rows appended since the last compaction.",
      obs::kGauge | obs::kDerived},
     {&FleetRunStats::tombstoned_rows, "pimine_mutation_tombstoned_rows",
-     "Rows currently tombstoned (primary copies).",
+     "Rows deleted but not yet compacted.",
      obs::kGauge | obs::kDerived},
     {&FleetRunStats::row_writes, "pimine_mutation_row_writes_total",
      "Row program operations summed over every device copy "

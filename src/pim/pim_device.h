@@ -147,9 +147,11 @@ class PimDevice {
   /// charges are identical regardless of interleaving, so the modeled
   /// totals match a serial run exactly. The host-side kernel is the
   /// cache-blocked, register-tiled integer GEMM of pim/dot_gemm.h (objects
-  /// x queries), which picks the host's widest SIMD tier (AVX-512 IFMA,
-  /// AVX2 or scalar) at runtime; no build flag is needed to reach it. The
-  /// IFMA tier runs while the largest programmed operand times the
+  /// x queries), which picks the host's widest tier (AMX-INT8, AVX-512
+  /// IFMA, AVX2 or scalar) at runtime; no build flag is needed to reach
+  /// it. AMX reads the programmed int32 rows in place, each row's four
+  /// bytes being its 8-bit slices, so the device keeps one operand layout.
+  /// The IFMA tier runs while the largest programmed operand times the
   /// batch's largest query operand stays below 2^52.
   /// With the fault model enabled, every result group (the logical columns
   /// of one data-crossbar set) carries a mod-(2^16 - 1) residue checksum

@@ -7,6 +7,7 @@
 // few distances and span bounds are pinned bit for bit so that a build
 // with other floating-point contraction cannot pass unnoticed.
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <limits>
@@ -14,6 +15,8 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include "core/engine.h"
 #include "core/sharded_engine.h"
@@ -342,18 +345,33 @@ TEST(PimBatchTest, ZeroDeviceBatchPolicyIsRejectedNotMisread) {
 
 class GemmTierTest : public ::testing::TestWithParam<GemmTier> {};
 
+// The tier DotProductGemm runs when forced onto `tier`: AVX-512 gives way
+// to AVX2 where a product could reach 2^52; AMX gives way on fewer than 16
+// rows to the best tier below it, and to IFMA on fewer than 3 queries.
+GemmTier TierThatRuns(GemmTier tier, size_t n, size_t num_queries,
+                      uint32_t data_max, uint32_t query_max) {
+  const bool ifma_exact = uint64_t{data_max} * query_max < (uint64_t{1} << 52);
+  if (tier == GemmTier::kAmx) {
+    const GemmTier below =
+        ifma_exact && GemmTierSupported(GemmTier::kAvx512) ? GemmTier::kAvx512
+                                                           : GemmTier::kAvx2;
+    const bool narrow = num_queries < 3 && below == GemmTier::kAvx512;
+    return n < 16 || narrow ? below : tier;
+  }
+  return tier == GemmTier::kAvx512 && !ifma_exact ? GemmTier::kAvx2 : tier;
+}
+
 // Runs `tier` on one batch of operands no larger than `data_max` and
-// `query_max`, checks that it ran on `ran` and equals an independent
-// scalar triple loop.
-void ExpectGemmMatchesTripleLoop(GemmTier tier, GemmTier ran,
-                                 const std::vector<int32_t>& data, size_t n,
+// `query_max`, checks that it ran on the tier TierThatRuns names and
+// equals an independent scalar triple loop.
+void ExpectGemmMatchesTripleLoop(GemmTier tier, const int32_t* data, size_t n,
                                  size_t s, uint32_t data_max,
-                                 const std::vector<int32_t>& queries,
-                                 size_t num_queries, uint32_t query_max) {
+                                 const int32_t* queries, size_t num_queries,
+                                 uint32_t query_max) {
   std::vector<uint64_t> out(num_queries * n, 0xDEADBEEFu);
-  EXPECT_EQ(DotProductGemm(tier, data.data(), n, s, data_max, queries.data(),
-                           num_queries, query_max, out.data()),
-            ran)
+  EXPECT_EQ(DotProductGemm(tier, data, n, s, data_max, queries, num_queries,
+                           query_max, out.data()),
+            TierThatRuns(tier, n, num_queries, data_max, query_max))
       << GemmTierName(tier) << " Q=" << num_queries << " n=" << n
       << " s=" << s;
   for (size_t q = 0; q < num_queries; ++q) {
@@ -370,6 +388,15 @@ void ExpectGemmMatchesTripleLoop(GemmTier tier, GemmTier ran,
   }
 }
 
+void ExpectGemmMatchesTripleLoop(GemmTier tier,
+                                 const std::vector<int32_t>& data, size_t n,
+                                 size_t s, uint32_t data_max,
+                                 const std::vector<int32_t>& queries,
+                                 size_t num_queries, uint32_t query_max) {
+  ExpectGemmMatchesTripleLoop(tier, data.data(), n, s, data_max,
+                              queries.data(), num_queries, query_max);
+}
+
 std::vector<int32_t> RandomOperands(size_t count, uint32_t max, Rng& rng) {
   std::vector<int32_t> values(count);
   for (int32_t& v : values) {
@@ -380,11 +407,15 @@ std::vector<int32_t> RandomOperands(size_t count, uint32_t max, Rng& rng) {
 
 // Each tier against the triple loop over a grid that crosses every kernel
 // (16-query tiles, the 8-query tile for a remainder of 8-15, the one-pass
-// remainders of 1-7), row counts around the 4-row tiles and the 64-row
-// blocks, and dimensions around the 4- and 8-lane steps and the
-// 128-dimension blocks of the AVX-512 tiles. Scalar and AVX2 operands reach
-// 2^31 - 1, so the sums wrap mod 2^64. AVX-512 operands stay below 2^26,
-// so that its IFMA kernels run rather than the AVX2 fallback.
+// remainders of 1-7, AMX tiles of 3 or 2 queries), row counts around the
+// 4-row tiles, the 16-row AMX tiles and the 64-row blocks, and dimensions
+// around the 4- and 8-lane steps, the 16-dimension AMX tiles and their K
+// tail, and the 128-dimension blocks of the AVX-512 tiles. Scalar and AVX2
+// operands reach 2^31 - 1, so the sums wrap mod 2^64. AVX-512 operands
+// stay below 2^26, so that its IFMA kernels run rather than the AVX2
+// fallback. AMX operands rotate through maxima of 2^24 - 1 (3 byte slices
+// each, 5 weights), 2^24 (4 slices, 7 weights), 2^31 - 1 and 2^24 - 1
+// data against 2^31 - 1 queries (6 weights).
 TEST_P(GemmTierTest, MatchesScalarTripleLoop) {
   const GemmTier tier = GetParam();
   if (!GemmTierSupported(tier)) {
@@ -392,14 +423,31 @@ TEST_P(GemmTierTest, MatchesScalarTripleLoop) {
                  << " tier";
   }
   Rng rng(0x6E33);
+  const bool amx = tier == GemmTier::kAmx;
+  const std::vector<size_t> rows =
+      amx ? std::vector<size_t>{1, 3, 15, 16, 17, 63, 64, 65, 130}
+          : std::vector<size_t>{1, 3, 4, 5, 63, 64, 65, 130};
+  const std::vector<size_t> dims =
+      amx ? std::vector<size_t>{1,  7,   8,   9,   15,  16,  17,
+                                33, 105, 193, 420, 500, 4096}
+          : std::vector<size_t>{1, 7, 8, 9, 33, 105, 193, 420, 500};
   const uint32_t max =
       tier == GemmTier::kAvx512 ? (1u << 26) - 1 : 0x7FFFFFFFu;
+  const uint32_t kAmxMaxima[4][2] = {{(1u << 24) - 1, (1u << 24) - 1},
+                                     {1u << 24, 1u << 24},
+                                     {0x7FFFFFFFu, 0x7FFFFFFFu},
+                                     {(1u << 24) - 1, 0x7FFFFFFFu}};
+  size_t cell = 0;
   for (size_t num_queries = 1; num_queries <= 33; ++num_queries) {
-    for (size_t n : {1, 3, 4, 5, 63, 64, 65, 130}) {
-      for (size_t s : {1, 7, 8, 9, 33, 105, 193, 420, 500}) {
+    for (size_t n : rows) {
+      for (size_t s : dims) {
+        const uint32_t data_max = amx ? kAmxMaxima[cell % 4][0] : max;
+        const uint32_t query_max = amx ? kAmxMaxima[cell % 4][1] : max;
+        ++cell;
         ExpectGemmMatchesTripleLoop(
-            tier, tier, RandomOperands(n * s, max, rng), n, s, max,
-            RandomOperands(num_queries * s, max, rng), num_queries, max);
+            tier, RandomOperands(n * s, data_max, rng), n, s, data_max,
+            RandomOperands(num_queries * s, query_max, rng), num_queries,
+            query_max);
         if (HasFatalFailure()) return;
       }
     }
@@ -408,38 +456,120 @@ TEST_P(GemmTierTest, MatchesScalarTripleLoop) {
 
 // The edges of the 52-bit products the IFMA kernels add: every operand at
 // 2^26 - 1 still runs on AVX-512, and a batch whose products can reach
-// 2^52 (2^26 x 2^26, and operands up to 2^31 - 1) runs on AVX2. Every
-// batch equals the triple loop on every tier.
+// 2^52 (2^26 x 2^26, and operands up to 2^31 - 1) runs on AVX2, or on AMX,
+// which is exact for any operands, at every width. Every batch equals the
+// triple loop on every tier.
 TEST_P(GemmTierTest, ProductsOf52BitsAndMoreStayExact) {
   const GemmTier tier = GetParam();
   if (!GemmTierSupported(tier)) {
     GTEST_SKIP() << "this host cannot run the " << GemmTierName(tier)
                  << " tier";
   }
-  const GemmTier fallback =
-      tier == GemmTier::kAvx512 ? GemmTier::kAvx2 : tier;
   Rng rng(0x52);
   const size_t n = 65, s = 193;
   for (size_t num_queries : {1, 7, 8, 15, 16, 23, 33}) {
     const uint32_t top = (1u << 26) - 1;
     ExpectGemmMatchesTripleLoop(
-        tier, tier, std::vector<int32_t>(n * s, top), n, s, top,
+        tier, std::vector<int32_t>(n * s, top), n, s, top,
         std::vector<int32_t>(num_queries * s, top), num_queries, top);
     const uint32_t edge = 1u << 26;
     ExpectGemmMatchesTripleLoop(
-        tier, fallback, RandomOperands(n * s, edge, rng), n, s, edge,
+        tier, RandomOperands(n * s, edge, rng), n, s, edge,
         RandomOperands(num_queries * s, edge, rng), num_queries, edge);
     const uint32_t max = 0x7FFFFFFFu;
     ExpectGemmMatchesTripleLoop(
-        tier, fallback, RandomOperands(n * s, max, rng), n, s, max,
+        tier, RandomOperands(n * s, max, rng), n, s, max,
         RandomOperands(num_queries * s, max, rng), num_queries, max);
     if (HasFatalFailure()) return;
+  }
+  if (tier == GemmTier::kAmx) {
+    for (size_t num_queries : {1, 7}) {
+      EXPECT_EQ(TierThatRuns(tier, n, num_queries, 1u << 26, 1u << 26),
+                GemmTier::kAmx);
+      EXPECT_EQ(TierThatRuns(tier, n, num_queries, 0x7FFFFFFFu, 0x7FFFFFFFu),
+                GemmTier::kAmx);
+    }
+  }
+}
+
+// Every operand at 2^31 - 1 over 22,053 dimensions: the weight-3 lane of an
+// AMX C tile adds 255 * 127 + 255^2 + 255^2 + 127 * 255 per dimension, so
+// a sum kept without a flush would pass 2^32 (it does past 22,046).
+TEST_P(GemmTierTest, LongRowsOfTheLargestOperandsStayExact) {
+  const GemmTier tier = GetParam();
+  if (!GemmTierSupported(tier)) {
+    GTEST_SKIP() << "this host cannot run the " << GemmTierName(tier)
+                 << " tier";
+  }
+  const size_t n = 17, s = 22053;
+  const uint32_t max = 0x7FFFFFFFu;
+  for (size_t num_queries : {1, 3, 4}) {
+    ExpectGemmMatchesTripleLoop(
+        tier, std::vector<int32_t>(n * s, static_cast<int32_t>(max)), n, s,
+        max, std::vector<int32_t>(num_queries * s, static_cast<int32_t>(max)),
+        num_queries, max);
+    if (HasFatalFailure()) return;
+  }
+}
+
+// Operands that end where the next page is PROT_NONE, with s not a
+// multiple of 16 (or 4, or 8): a read past the last row or the last query
+// faults. At n = 32 the last row is in an AMX tile; at n = 37 it is one
+// of the rows left over by the 16-row tiles. ASan does not instrument AMX
+// tile loads, so this is the check that no tile load reads past a row.
+TEST_P(GemmTierTest, OperandsEndingAtAGuardPageAreReadInBounds) {
+  const GemmTier tier = GetParam();
+  if (!GemmTierSupported(tier)) {
+    GTEST_SKIP() << "this host cannot run the " << GemmTierName(tier)
+                 << " tier";
+  }
+  const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  // Places `values` so that they end at a PROT_NONE page.
+  struct Guarded {
+    void* base = MAP_FAILED;
+    size_t bytes = 0;
+    const int32_t* values = nullptr;
+    Guarded(const std::vector<int32_t>& from, size_t page) {
+      const size_t size = from.size() * sizeof(int32_t);
+      bytes = (size + page - 1) / page * page + page;
+      base = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                  MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+      if (base == MAP_FAILED) return;
+      char* guard = static_cast<char*>(base) + bytes - page;
+      if (mprotect(guard, page, PROT_NONE) != 0) return;
+      int32_t* dst = reinterpret_cast<int32_t*>(guard - size);
+      std::copy(from.begin(), from.end(), dst);
+      values = dst;
+    }
+    ~Guarded() {
+      if (base != MAP_FAILED) munmap(base, bytes);
+    }
+    Guarded(const Guarded&) = delete;
+    Guarded& operator=(const Guarded&) = delete;
+  };
+  Rng rng(0x9A6E);
+  for (uint32_t max : {(1u << 20) - 1, 0x7FFFFFFFu}) {
+    for (size_t n : {32, 37}) {
+      for (size_t s : {7, 105, 421}) {
+        const Guarded data(RandomOperands(n * s, max, rng), page);
+        ASSERT_NE(data.values, nullptr) << "mmap or mprotect failed";
+        for (size_t num_queries : {1, 3, 7, 8, 17}) {
+          const Guarded queries(RandomOperands(num_queries * s, max, rng),
+                                page);
+          ASSERT_NE(queries.values, nullptr) << "mmap or mprotect failed";
+          ExpectGemmMatchesTripleLoop(tier, data.values, n, s, max,
+                                      queries.values, num_queries, max);
+          if (HasFatalFailure()) return;
+        }
+      }
+    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllTiers, GemmTierTest,
-    ::testing::Values(GemmTier::kScalar, GemmTier::kAvx2, GemmTier::kAvx512),
+    ::testing::Values(GemmTier::kScalar, GemmTier::kAvx2, GemmTier::kAvx512,
+                      GemmTier::kAmx),
     [](const ::testing::TestParamInfo<GemmTier>& param) {
       return std::string(GemmTierName(param.param));
     });
